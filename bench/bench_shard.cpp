@@ -160,8 +160,8 @@ int main(int argc, char** argv) {
     // Warm scatter-gather reads: in-process dispatch over the cached
     // merge, cycling the crowd windows.
     const http::Router api = shard::make_shard_api_router(**router);
-    const shard::MergedPtr merged = (*router)->merged();
-    const int windows = merged->crowd.has_value() ? merged->crowd->window_count() : 0;
+    const core::ViewPtr merged = (*router)->merged();
+    const int windows = merged->crowd != nullptr ? merged->crowd->window_count() : 0;
     std::vector<double> latencies_us;
     latencies_us.reserve(static_cast<std::size_t>(reads));
     bool reads_ok = windows > 0;

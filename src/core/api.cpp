@@ -1,101 +1,239 @@
 #include "core/api.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/handlers.hpp"
-#include "crowd/communities.hpp"
-#include "data/csv.hpp"
-#include "ingest/queue.hpp"
-#include "ingest/snapshot.hpp"
+#include "json/json.hpp"
 #include "mining/registry.hpp"
-#include "predict/predictor.hpp"
+#include "telemetry/exposition.hpp"
 #include "transport/csv_source.hpp"
 #include "transport/sse.hpp"
-#include "json/json.hpp"
-#include "telemetry/exposition.hpp"
-#include "util/civil_time.hpp"
-#include "util/format.hpp"
-#include "util/strings.hpp"
-#include "viz/layout.hpp"
-#include "viz/timeline.hpp"
 
 namespace crowdweb::core {
 
 namespace {
 
-using handlers::bad_user_id;
-using handlers::CrowdView;
-using handlers::int_param;
 using http::PathParams;
 using http::Request;
 using http::Response;
 
-json::Value pattern_json(const patterns::MobilityPattern& pattern, const Platform& platform) {
-  return handlers::pattern_json(pattern, platform.config().sequences.mode,
-                                platform.taxonomy(), platform.experiment_dataset());
+/// The static batch build, served as epoch 0.
+class BatchDeployment final : public Deployment {
+ public:
+  explicit BatchDeployment(const Platform& platform) : view_(batch_view(platform)) {}
+  ViewPtr pin() const override { return view_; }
+  std::vector<ShardSlot> shards() const override { return {}; }
+  ingest::SubmitResult submit(std::span<const ingest::IngestEvent>) override { return {}; }
+
+ private:
+  ViewPtr view_;
+};
+
+/// One IngestWorker: a one-shard deployment whose view passes the latest
+/// epoch through, keyed on the epoch itself (what a SnapshotHub hook
+/// calling ResponseCache::set_epoch(snapshot.epoch) keys the cache on).
+class WorkerDeployment final : public Deployment {
+ public:
+  WorkerDeployment(const Platform& platform, ingest::IngestWorker& worker)
+      : platform_(platform), worker_(worker) {}
+  ViewPtr pin() const override {
+    ingest::SnapshotPtr snapshot = worker_.hub().current();
+    const std::uint64_t epoch = snapshot != nullptr ? snapshot->epoch : 0;
+    return view_of(platform_, {std::move(snapshot)}, epoch);
+  }
+  std::vector<ShardSlot> shards() const override {
+    return {ShardSlot{0, "hash-0", std::nullopt, worker_.running(), Status::ok(), &worker_}};
+  }
+  ingest::SubmitResult submit(std::span<const ingest::IngestEvent> events) override {
+    return worker_.submit(events);
+  }
+
+ private:
+  const Platform& platform_;
+  ingest::IngestWorker& worker_;
+};
+
+/// Runs `fn` over `view` and stamps the response with the view's epoch,
+/// so the response cache files the body under the epoch it was rendered
+/// from. 503 until some shard has published an epoch.
+template <typename Fn>
+Response render(const ViewPtr& view, Fn&& fn) {
+  if (view->crowd == nullptr)
+    return Response::text(503, "no epoch published yet; retry shortly\n");
+  Response response = fn(*view);
+  response.rendered_at = http::RenderedEpoch{view->cache_epoch, view->epoch_tag};
+  return response;
 }
 
-Response status_handler(const Platform& platform, const ApiOptions& options) {
+template <typename Int>
+json::Value int_array(const std::vector<Int>& values) {
+  json::Value array = json::Value(json::Array{});
+  for (const Int value : values) array.push_back(static_cast<std::int64_t>(value));
+  return array;
+}
+
+void accumulate(ingest::IngestStats& total, const ingest::IngestStats& stats) {
+  total.submitted += stats.submitted;
+  total.accepted += stats.accepted;
+  total.rejected += stats.rejected;
+  total.invalid += stats.invalid;
+  total.epochs_published += stats.epochs_published;
+  total.current_epoch = std::max(total.current_epoch, stats.current_epoch);
+  total.queue_depth += stats.queue_depth;
+  total.queue_capacity += stats.queue_capacity;
+  total.live_checkins += stats.live_checkins;
+  total.last_rebuild_ms = std::max(total.last_rebuild_ms, stats.last_rebuild_ms);
+  total.total_rebuild_ms += stats.total_rebuild_ms;
+}
+
+/// Per-shard worker counters summed; `current_epoch` is the max.
+ingest::IngestStats total_stats(const std::vector<ShardSlot>& slots) {
+  ingest::IngestStats total;
+  for (const ShardSlot& slot : slots) accumulate(total, slot.worker->stats());
+  return total;
+}
+
+void accumulate(store::StoreStats& total, const store::StoreStats& stats) {
+  if (total.dir.empty()) {
+    total.dir = stats.dir;
+    total.fsync_policy = stats.fsync_policy;
+  }
+  total.wal_segments += stats.wal_segments;
+  total.wal_bytes += stats.wal_bytes;
+  total.wal_bytes_since_checkpoint += stats.wal_bytes_since_checkpoint;
+  total.last_record_seq = std::max(total.last_record_seq, stats.last_record_seq);
+  total.append_records += stats.append_records;
+  total.append_bytes += stats.append_bytes;
+  total.append_failures += stats.append_failures;
+  total.fsyncs += stats.fsyncs;
+  total.checkpoints += stats.checkpoints;
+  total.last_checkpoint_seq = std::max(total.last_checkpoint_seq, stats.last_checkpoint_seq);
+  total.last_checkpoint_epoch =
+      std::max(total.last_checkpoint_epoch, stats.last_checkpoint_epoch);
+  total.recovery_replayed_records += stats.recovery_replayed_records;
+  total.recovery_truncated_bytes += stats.recovery_truncated_bytes;
+}
+
+/// The /api/status values of the immutable batch build (computed once).
+json::Value batch_status(const Platform& platform) {
   const data::DatasetStats full = platform.full_dataset().stats();
-  const data::DatasetStats experiment = platform.experiment_dataset().stats();
-
-  // The mining block: active miner + the serving mode, plus the resident
-  // pattern-set footprint of the epoch this process is serving (the live
-  // worker's published epoch when one is attached, the batch build
-  // otherwise). "closed" means compact tables + placement indexes are
-  // what the crowd layer reads.
-  const mining::IMiningAlgorithm* miner =
-      mining::find_miner(platform.config().mining.algorithm);
-  const bool closed_mode = miner != nullptr && miner->closed_output() &&
-                           !platform.config().mining.expand_closed;
-  patterns::MobilityStats set_stats;
-  bool have_stats = false;
-  if (options.ingest != nullptr) {
-    if (const ingest::SnapshotPtr snapshot = options.ingest->hub().current()) {
-      set_stats = snapshot->mobility.stats();
-      have_stats = true;
-    }
-  }
-  if (!have_stats) {
-    for (const patterns::UserMobility& entry : platform.mobility()) set_stats.add(entry);
-  }
-  json::Value mining_block =
-      json::object({{"algorithm", platform.config().mining.algorithm},
-                    {"min_support", platform.config().mining.min_support},
-                    {"expand_closed", platform.config().mining.expand_closed},
-                    {"max_patterns",
-                     static_cast<std::int64_t>(platform.config().mining.max_patterns)},
-                    {"mode", closed_mode ? "closed" : "expanded"},
-                    {"pattern_set",
-                     json::object({{"entries", static_cast<std::int64_t>(set_stats.entries)},
-                                   {"compact_entries",
-                                    static_cast<std::int64_t>(set_stats.compact_entries)},
-                                   {"patterns", static_cast<std::int64_t>(set_stats.patterns)},
-                                   {"placement_candidates",
-                                    static_cast<std::int64_t>(set_stats.placement_candidates)},
-                                   {"bytes", static_cast<std::int64_t>(set_stats.bytes)}})}});
-
-  json::Value payload = json::object(
+  return json::object(
       {{"full",
         json::object({{"checkins", static_cast<std::int64_t>(full.checkin_count)},
                       {"users", static_cast<std::int64_t>(full.user_count)},
                       {"venues", static_cast<std::int64_t>(full.venue_count)},
                       {"mean_records_per_user", full.mean_records_per_user},
                       {"median_records_per_user", full.median_records_per_user}})},
-       {"experiment",
-        json::object({{"checkins", static_cast<std::int64_t>(experiment.checkin_count)},
-                      {"users", static_cast<std::int64_t>(experiment.user_count)}})},
-       {"windows", platform.crowd_model().window_count()},
-       {"grid", json::object({{"rows", static_cast<std::int64_t>(platform.grid().rows())},
-                              {"cols", static_cast<std::int64_t>(platform.grid().cols())},
-                              {"cell_meters", platform.grid().cell_size_meters()}})},
-       {"placements", static_cast<std::int64_t>(platform.crowd_model().total_placements())},
        {"timings_ms", json::object({{"acquisition", platform.timings().acquisition_ms},
                                     {"mining", platform.timings().mining_ms},
-                                    {"crowd", platform.timings().crowd_ms}})},
-       {"mining", std::move(mining_block)}});
+                                    {"crowd", platform.timings().crowd_ms}})}});
+}
+
+json::Value shard_block(const ShardSlot& slot, const ingest::PlatformSnapshot* pin) {
+  json::Value block = json::object(
+      {{"id", static_cast<std::int64_t>(slot.id)}, {"name", slot.name}, {"up", slot.up}});
+  if (slot.region.has_value()) {
+    block.set("region", json::object({{"min_lat", slot.region->min_lat},
+                                      {"max_lat", slot.region->max_lat},
+                                      {"min_lon", slot.region->min_lon},
+                                      {"max_lon", slot.region->max_lon}}));
+  }
+  if (!slot.up) {
+    if (!slot.start_status.is_ok()) block.set("error", slot.start_status.to_string());
+    return block;
+  }
+  const ingest::IngestStats stats = slot.worker->stats();
+  block.set("epoch", static_cast<std::int64_t>(pin != nullptr ? pin->epoch : 0));
+  if (pin != nullptr) {
+    const data::Dataset& corpus = pin->dataset;
+    block.set("corpus",
+              json::object({{"checkins", static_cast<std::int64_t>(corpus.checkin_count())},
+                            {"users", static_cast<std::int64_t>(corpus.user_count())},
+                            {"venues", static_cast<std::int64_t>(corpus.venue_count())}}));
+  }
+  block.set("live_checkins",
+            static_cast<std::int64_t>(pin != nullptr ? pin->live_checkins : 0));
+  block.set("queue",
+            json::object({{"depth", static_cast<std::int64_t>(stats.queue_depth)},
+                          {"capacity", static_cast<std::int64_t>(stats.queue_capacity)}}));
+  block.set("last_rebuild_ms", stats.last_rebuild_ms);
+  return block;
+}
+
+/// Every slot's block, each read against the view's pin of that slot.
+json::Value shard_blocks(const PinnedView& view, const std::vector<ShardSlot>& slots) {
+  json::Value blocks = json::Value(json::Array{});
+  for (const ShardSlot& slot : slots)
+    blocks.push_back(shard_block(slot, slot.id < view.pins.size() ? view.pins[slot.id].get()
+                                                                  : nullptr));
+  return blocks;
+}
+
+/// The one /api/status builder: the same keys at every shard count.
+Response status_handler(const Deployment& deployment, const json::Value& batch,
+                        const ApiOptions& options) {
+  const ViewPtr view = deployment.pin();
+  const std::vector<ShardSlot> slots = deployment.shards();
+  const Platform& platform = *view->platform;
+  json::Value payload = batch;
+  payload.set("experiment",
+              json::object({{"checkins", static_cast<std::int64_t>(view->checkins)},
+                            {"users", static_cast<std::int64_t>(view->user_count)}}));
+  if (view->crowd != nullptr) {
+    payload.set("windows", view->crowd->window_count());
+    payload.set("placements", static_cast<std::int64_t>(view->crowd->total_placements()));
+  }
+  if (view->grid != nullptr) {
+    payload.set("grid", json::object({{"rows", static_cast<std::int64_t>(view->grid->rows())},
+                                      {"cols", static_cast<std::int64_t>(view->grid->cols())},
+                                      {"cell_meters", view->grid->cell_size_meters()}}));
+  }
+
+  // The mining block: the configured miner and serving mode ("closed"
+  // means compact tables + placement indexes feed the crowd layer),
+  // plus the resident pattern-set footprint of the pinned epochs.
+  const mining::MiningOptions& mining_config = platform.config().mining;
+  const mining::IMiningAlgorithm* miner = mining::find_miner(mining_config.algorithm);
+  const bool closed_mode =
+      miner != nullptr && miner->closed_output() && !mining_config.expand_closed;
+  const patterns::MobilityStats set_stats = view->mobility_stats();
+  payload.set(
+      "mining",
+      json::object(
+          {{"algorithm", mining_config.algorithm},
+           {"min_support", mining_config.min_support},
+           {"expand_closed", mining_config.expand_closed},
+           {"max_patterns", static_cast<std::int64_t>(mining_config.max_patterns)},
+           {"mode", closed_mode ? "closed" : "expanded"},
+           {"pattern_set",
+            json::object({{"entries", static_cast<std::int64_t>(set_stats.entries)},
+                          {"compact_entries",
+                           static_cast<std::int64_t>(set_stats.compact_entries)},
+                          {"patterns", static_cast<std::int64_t>(set_stats.patterns)},
+                          {"placement_candidates",
+                           static_cast<std::int64_t>(set_stats.placement_candidates)},
+                          {"bytes", static_cast<std::int64_t>(set_stats.bytes)}})}}));
+
+  payload.set("shards", shard_blocks(*view, slots));
+  payload.set("epoch_vector", int_array(view->epochs));
+  payload.set("epoch_tag", view->epoch_tag);
+  // The response-cache key of the pinned epochs: an opaque 64-bit id,
+  // so it is emitted as a string.
+  payload.set("combined_epoch", std::to_string(view->cache_epoch));
+  payload.set("degraded", view->degraded);
+  payload.set("missing_shards", int_array(view->missing));
+  payload.set(
+      "ingest",
+      json::object(
+          {{"epoch", static_cast<std::int64_t>(
+                         *std::max_element(view->epochs.begin(), view->epochs.end()))},
+           {"live_checkins", static_cast<std::int64_t>(view->live_checkins)},
+           {"queue_depth", static_cast<std::int64_t>(total_stats(slots).queue_depth)}}));
+
   if (options.server_stats != nullptr && *options.server_stats) {
     const http::ServerStats stats = (*options.server_stats)();
     payload.set(
@@ -104,9 +242,10 @@ Response status_handler(const Platform& platform, const ApiOptions& options) {
             {{"requests", static_cast<std::int64_t>(stats.requests)},
              {"bad_requests", static_cast<std::int64_t>(stats.bad_requests)},
              {"connections", static_cast<std::int64_t>(stats.connections)},
-             {"responses", json::object({{"2xx", static_cast<std::int64_t>(stats.responses_2xx)},
-                                         {"4xx", static_cast<std::int64_t>(stats.responses_4xx)},
-                                         {"5xx", static_cast<std::int64_t>(stats.responses_5xx)}})},
+             {"responses",
+              json::object({{"2xx", static_cast<std::int64_t>(stats.responses_2xx)},
+                            {"4xx", static_cast<std::int64_t>(stats.responses_4xx)},
+                            {"5xx", static_cast<std::int64_t>(stats.responses_5xx)}})},
              {"bytes_written", static_cast<std::int64_t>(stats.bytes_written)}}));
   }
   if (options.cache != nullptr || options.http_workers != 0) {
@@ -127,412 +266,247 @@ Response status_handler(const Platform& platform, const ApiOptions& options) {
     }
     payload.set("http", std::move(http_block));
   }
-  if (options.ingest != nullptr) {
-    const ingest::IngestStats stats = options.ingest->stats();
-    payload.set("ingest",
-                json::object({{"epoch", static_cast<std::int64_t>(stats.current_epoch)},
-                              {"live_checkins", static_cast<std::int64_t>(stats.live_checkins)},
-                              {"queue_depth", static_cast<std::int64_t>(stats.queue_depth)}}));
-  }
   if (options.metrics != nullptr)
     payload.set("telemetry", telemetry::render_json(*options.metrics));
   return Response::json(200, json::dump(payload));
 }
 
-Response users_handler(const Platform& platform) {
-  json::Value users = json::Value(json::Array{});
-  for (const patterns::UserMobility& mobility : platform.mobility()) {
-    // served_pattern_count keeps the reported count equal to expanded
-    // mode's even when the entry stores only the closed set.
-    users.push_back(json::object(
-        {{"id", static_cast<std::int64_t>(mobility.user)},
-         {"recorded_days", static_cast<std::int64_t>(mobility.recorded_days)},
-         {"patterns", static_cast<std::int64_t>(mobility.served_pattern_count())}}));
-  }
-  return Response::json(200, json::dump(json::object({{"users", std::move(users)}})));
-}
-
-Response user_patterns_handler(const Platform& platform, const PathParams& params) {
-  const auto id = int_param(params, "id");
-  if (!id || *id < 0) return bad_user_id(params);
-  const patterns::UserMobility* mobility =
-      platform.user_mobility(static_cast<data::UserId>(*id));
-  if (mobility == nullptr) return Response::not_found_404();
-  json::Value list = json::Value(json::Array{});
-  if (mobility->closed_only) {
-    // The route's wire contract is the full frequent set; compact
-    // entries expand lazily per request (the response cache absorbs
-    // repeats), so the body is byte-identical to expanded mode's.
-    const std::vector<patterns::MobilityPattern> expanded = patterns::expand_user_patterns(
-        *mobility, platform.sequences_for(static_cast<data::UserId>(*id)),
-        platform.config().mining);
-    for (const patterns::MobilityPattern& pattern : expanded)
-      list.push_back(pattern_json(pattern, platform));
-  } else {
-    for (const patterns::MobilityPattern& pattern : mobility->patterns)
-      list.push_back(pattern_json(pattern, platform));
+Response ingest_stats_handler(const std::vector<ShardSlot>& slots) {
+  ingest::IngestStats total;
+  bool running = false;
+  json::Value per_shard = json::Value(json::Array{});
+  for (const ShardSlot& slot : slots) {
+    const ingest::IngestStats stats = slot.worker->stats();
+    accumulate(total, stats);
+    running = running || slot.up;
+    per_shard.push_back(json::object(
+        {{"shard", static_cast<std::int64_t>(slot.id)},
+         {"up", slot.up},
+         {"accepted", static_cast<std::int64_t>(stats.accepted)},
+         {"epoch", static_cast<std::int64_t>(stats.current_epoch)},
+         {"queue_depth", static_cast<std::int64_t>(stats.queue_depth)},
+         {"live_checkins", static_cast<std::int64_t>(stats.live_checkins)}}));
   }
   return Response::json(
-      200, json::dump(json::object(
-               {{"user", static_cast<std::int64_t>(mobility->user)},
-                {"recorded_days", static_cast<std::int64_t>(mobility->recorded_days)},
-                {"patterns", std::move(list)}})));
+      200,
+      json::dump(json::object(
+          {{"running", running},
+           {"submitted", static_cast<std::int64_t>(total.submitted)},
+           {"accepted", static_cast<std::int64_t>(total.accepted)},
+           {"rejected", static_cast<std::int64_t>(total.rejected)},
+           {"invalid", static_cast<std::int64_t>(total.invalid)},
+           {"queue", json::object({{"depth", static_cast<std::int64_t>(total.queue_depth)},
+                                   {"capacity",
+                                    static_cast<std::int64_t>(total.queue_capacity)}})},
+           {"epoch", static_cast<std::int64_t>(total.current_epoch)},
+           {"epochs_published", static_cast<std::int64_t>(total.epochs_published)},
+           {"live_checkins", static_cast<std::int64_t>(total.live_checkins)},
+           {"last_rebuild_ms", total.last_rebuild_ms},
+           {"total_rebuild_ms", total.total_rebuild_ms},
+           {"shards", std::move(per_shard)}})));
 }
 
-Response user_graph_handler(const Platform& platform, const PathParams& params) {
-  const auto id = int_param(params, "id");
-  if (!id || *id < 0) return bad_user_id(params);
-  if (platform.user_mobility(static_cast<data::UserId>(*id)) == nullptr)
-    return Response::not_found_404();
-  const patterns::PlaceGraph graph = platform.place_graph(static_cast<data::UserId>(*id));
-  viz::PlaceGraphRender render;
-  render.title = crowdweb::format("User {} - visited places", *id);
-  return Response::svg(200, viz::render_place_graph(graph, render));
+json::Value store_json(const store::StoreStats& stats) {
+  return json::object(
+      {{"dir", stats.dir},
+       {"fsync_policy", stats.fsync_policy},
+       {"wal",
+        json::object(
+            {{"segments", static_cast<std::int64_t>(stats.wal_segments)},
+             {"bytes", static_cast<std::int64_t>(stats.wal_bytes)},
+             {"bytes_since_checkpoint",
+              static_cast<std::int64_t>(stats.wal_bytes_since_checkpoint)},
+             {"last_record_seq", static_cast<std::int64_t>(stats.last_record_seq)}})},
+       {"appends",
+        json::object({{"records", static_cast<std::int64_t>(stats.append_records)},
+                      {"bytes", static_cast<std::int64_t>(stats.append_bytes)},
+                      {"failures", static_cast<std::int64_t>(stats.append_failures)},
+                      {"fsyncs", static_cast<std::int64_t>(stats.fsyncs)}})},
+       {"checkpoints",
+        json::object(
+            {{"written", static_cast<std::int64_t>(stats.checkpoints)},
+             {"last_seq", static_cast<std::int64_t>(stats.last_checkpoint_seq)},
+             {"last_epoch", static_cast<std::int64_t>(stats.last_checkpoint_epoch)}})},
+       {"recovery",
+        json::object({{"replayed_records",
+                       static_cast<std::int64_t>(stats.recovery_replayed_records)},
+                      {"truncated_bytes",
+                       static_cast<std::int64_t>(stats.recovery_truncated_bytes)}})}});
 }
 
-Response user_timeline_handler(const Platform& platform, const PathParams& params) {
-  const auto id = int_param(params, "id");
-  if (!id || *id < 0) return bad_user_id(params);
-  if (platform.user_mobility(static_cast<data::UserId>(*id)) == nullptr)
-    return Response::not_found_404();
-  const mining::UserSequences sequences =
-      platform.sequences_for(static_cast<data::UserId>(*id));
-  viz::TimelineOptions options;
-  options.title = crowdweb::format("User {} - visit timeline", *id);
-  return Response::svg(
-      200, viz::render_timeline(sequences, platform.taxonomy(),
-                                platform.experiment_dataset(),
-                                platform.config().sequences.mode, options));
-}
-
-Response communities_handler(const Platform& platform) {
-  const crowd::UserGraph graph =
-      crowd::build_co_occurrence_graph(platform.crowd_model());
-  const auto communities = crowd::label_propagation(graph);
-  json::Value list = json::Value(json::Array{});
-  for (const crowd::Community& community : communities) {
-    json::Value members = json::Value(json::Array{});
-    for (const data::UserId user : community.members)
-      members.push_back(static_cast<std::int64_t>(user));
-    list.push_back(json::object({{"size", static_cast<std::int64_t>(community.members.size())},
-                                 {"members", std::move(members)}}));
+/// Totals across every shard's store (max for sequence numbers), plus
+/// each shard's own block.
+Response store_stats_handler(const std::vector<ShardSlot>& slots) {
+  store::StoreStats total;
+  json::Value per_shard = json::Value(json::Array{});
+  for (const ShardSlot& slot : slots) {
+    const store::DurableStore* store = slot.worker->store();
+    if (store == nullptr) continue;
+    const store::StoreStats stats = store->stats();
+    accumulate(total, stats);
+    json::Value block = store_json(stats);
+    block.set("shard", static_cast<std::int64_t>(slot.id));
+    per_shard.push_back(std::move(block));
   }
-  return Response::json(
-      200, json::dump(json::object(
-               {{"graph", json::object({{"users", static_cast<std::int64_t>(graph.users.size())},
-                                        {"edges", static_cast<std::int64_t>(graph.edges.size())}})},
-                {"communities", std::move(list)}})));
+  if (per_shard.as_array().empty()) {
+    return Response::json(
+        404, json::dump(json::object(
+                 {{"error", "durable store not configured (set a store directory)"}})));
+  }
+  json::Value payload = store_json(total);
+  payload.set("shards", std::move(per_shard));
+  return Response::json(200, json::dump(payload));
 }
 
-/// Next-place prediction for a user: trains the pattern predictor on
-/// their history and ranks their likely next place at the given time.
-/// Training is per-request (a user's history is tiny), keeping the
-/// platform immutable.
-Response predict_handler(const Platform& platform, const Request& request,
-                         const PathParams& params) {
-  const auto id = int_param(params, "id");
-  if (!id || *id < 0) return bad_user_id(params);
-  if (platform.user_mobility(static_cast<data::UserId>(*id)) == nullptr)
-    return Response::not_found_404();
-  int minute = 9 * 60;
-  if (const auto minute_param = request.query_param("minute")) {
-    const auto parsed = parse_int(*minute_param);
-    if (!parsed || *parsed < 0 || *parsed >= 24 * 60)
-      return Response::bad_request_400("minute must be in [0, 1440)");
-    minute = static_cast<int>(*parsed);
-  }
-
-  const mining::UserSequences history =
-      platform.sequences_for(static_cast<data::UserId>(*id));
-  const auto predictor = predict::make_ensemble_predictor();
-  predictor->train(history);
-  predict::Query query;
-  query.minute = minute;
-  // "Today" context: visits of the user's last recorded day before `minute`.
-  std::vector<mining::Item> today;
-  if (!history.empty()) {
-    const auto last_day = history.day(history.day_count() - 1);
-    const auto last_minutes = history.minutes_of(history.day_count() - 1);
-    for (std::size_t i = 0; i < last_day.size(); ++i) {
-      if (last_minutes[i] < minute) today.push_back(last_day[i]);
+/// Checkpoints every live shard; the first error wins (all are tried).
+Response checkpoint_handler(const std::vector<ShardSlot>& slots) {
+  Status first_error = Status::ok();
+  store::StoreStats total;
+  bool attempted = false;
+  for (const ShardSlot& slot : slots) {
+    if (!slot.up) continue;
+    attempted = true;
+    const Status status = slot.worker->checkpoint_now(std::chrono::seconds(30));
+    if (!status.is_ok()) {
+      if (first_error.is_ok()) first_error = status;
+      continue;
     }
+    accumulate(total, slot.worker->store()->stats());
   }
-  query.today = today;
-  const auto ranked = predictor->predict(query);
-
-  json::Value predictions = json::Value(json::Array{});
-  for (std::size_t i = 0; i < ranked.size() && i < 5; ++i) {
-    predictions.push_back(json::object(
-        {{"label", mining::label_name(ranked[i].label, platform.config().sequences.mode,
-                                      platform.taxonomy(), platform.experiment_dataset())},
-         {"score", ranked[i].score}}));
-  }
-  return Response::json(
-      200, json::dump(json::object({{"user", *id},
-                                    {"minute", minute},
-                                    {"predictor", predictor->name()},
-                                    {"predictions", std::move(predictions)}})));
-}
-
-/// The booth feature: a visitor uploads their check-in history as CSV
-/// (category,lat,lon,timestamp) and gets their mined, time-annotated
-/// mobility patterns back. Purely functional — the platform is not
-/// mutated.
-Response analyze_handler(const Platform& platform, const Request& request) {
-  double min_support = 0.25;
-  if (const auto support = request.query_param("support")) {
-    const auto parsed = parse_double(*support);
-    if (!parsed || *parsed <= 0.0 || *parsed > 1.0)
-      return Response::bad_request_400("support must be in (0, 1]");
-    min_support = *parsed;
-  }
-  std::string algorithm = platform.config().mining.algorithm;
-  if (const auto requested = request.query_param("algorithm")) {
-    if (const auto miner = mining::resolve_miner(*requested); !miner)
-      return Response::bad_request_400(miner.status().message());
-    algorithm = std::string(*requested);
-  }
-
-  const auto rows = data::parse_csv(request.body);
-  if (!rows) return Response::bad_request_400(rows.status().to_string());
-  if (rows->empty() || (*rows)[0] != data::CsvRow{"category", "lat", "lon", "timestamp"})
-    return Response::bad_request_400(
-        "expected header: category,lat,lon,timestamp");
-
-  // Parse the visitor's records into (root label, timestamp) events.
-  struct Event {
-    mining::Item label;
-    std::int64_t timestamp;
-  };
-  std::vector<Event> events;
-  const data::Taxonomy& taxonomy = platform.taxonomy();
-  for (std::size_t i = 1; i < rows->size(); ++i) {
-    const data::CsvRow& row = (*rows)[i];
-    if (row.size() != 4)
-      return Response::bad_request_400(
-          crowdweb::format("row {} has {} fields, expected 4", i + 1, row.size()));
-    const auto category = taxonomy.find(row[0]);
-    const auto lat = parse_double(row[1]);
-    const auto lon = parse_double(row[2]);
-    const auto timestamp = parse_timestamp(row[3]);
-    if (!category)
-      return Response::bad_request_400(
-          crowdweb::format("row {}: unknown category '{}'", i + 1, row[0]));
-    if (!lat || !lon || !geo::is_valid({*lat, *lon}))
-      return Response::bad_request_400(crowdweb::format("row {}: bad position", i + 1));
-    if (!timestamp)
-      return Response::bad_request_400(
-          crowdweb::format("row {}: bad timestamp '{}'", i + 1, row[3]));
-    events.push_back({taxonomy.root_of(*category), *timestamp});
-  }
-  if (events.empty()) return Response::bad_request_400("no check-in rows");
-  std::sort(events.begin(), events.end(),
-            [](const Event& a, const Event& b) { return a.timestamp < b.timestamp; });
-
-  // Build per-day sequences (same abstraction pipeline as phase 2).
-  mining::UserSequences sequences;
-  std::vector<mining::Item> day_items;
-  std::vector<int> day_minutes;
-  std::int64_t current_day = 0;
-  bool have_day = false;
-  const auto flush_day = [&] {
-    if (have_day) sequences.append_day(day_items, day_minutes);
-    day_items.clear();
-    day_minutes.clear();
-  };
-  for (const Event& event : events) {
-    const std::int64_t day = day_index(event.timestamp);
-    if (!have_day || day != current_day) {
-      flush_day();
-      current_day = day;
-      have_day = true;
-    }
-    if (!day_items.empty() && day_items.back() == event.label)
-      continue;  // collapse repeats
-    day_items.push_back(event.label);
-    const CivilTime civil = to_civil(event.timestamp);
-    day_minutes.push_back(civil.hour * 60 + civil.minute);
-  }
-  flush_day();
-
-  mining::MiningOptions mining_options = platform.config().mining;
-  mining_options.min_support = min_support;
-  mining_options.algorithm = algorithm;
-  const mining::MiningResult mined = mining::mine_with(sequences.columns(), mining_options);
-
-  json::Value list = json::Value(json::Array{});
-  for (const mining::Pattern& pattern : mined.patterns) {
-    const patterns::MobilityPattern annotated =
-        patterns::annotate_pattern(pattern, sequences);
-    list.push_back(pattern_json(annotated, platform));
+  if (!attempted) first_error = unavailable("no shard is serving");
+  if (!first_error.is_ok()) {
+    const int code = first_error.code() == StatusCode::kFailedPrecondition ? 404 : 503;
+    return Response::json(code,
+                          json::dump(json::object({{"error", first_error.to_string()}})));
   }
   return Response::json(
       200, json::dump(json::object(
-               {{"records", static_cast<std::int64_t>(events.size())},
-                {"recorded_days", static_cast<std::int64_t>(sequences.day_count())},
-                {"min_support", min_support},
-                {"algorithm", algorithm},
-                {"truncated", mined.stats.truncated},
-                {"closed", mined.closed},
-                {"patterns", std::move(list)}})));
+               {{"checkpoint_seq", static_cast<std::int64_t>(total.last_checkpoint_seq)},
+                {"epoch", static_cast<std::int64_t>(total.last_checkpoint_epoch)},
+                {"wal_segments", static_cast<std::int64_t>(total.wal_segments)}})));
 }
 
-/// Runs `fn` against the crowd state this route should serve: the batch
-/// platform's phase-3 output in static mode, or — when an IngestWorker
-/// is attached — the latest published epoch. The snapshot shared_ptr
-/// lives on this frame for the whole call, pinning the epoch until the
-/// response is built even if the worker publishes a newer one meanwhile.
-template <typename Fn>
-Response with_crowd_view(const Platform& platform, ingest::IngestWorker* worker,
-                         Fn&& fn) {
-  if (worker == nullptr) {
-    return fn(CrowdView{platform.experiment_dataset(), platform.grid(),
-                        platform.crowd_model(), platform.config().sequences.mode,
-                        platform.taxonomy(), /*degraded=*/false,
-                        /*missing_shards=*/{}});
-  }
-  const ingest::SnapshotPtr snapshot = worker->hub().current();
-  if (snapshot == nullptr)
-    return Response::text(503, "no epoch published yet; retry shortly\n");
-  return fn(CrowdView{snapshot->dataset, snapshot->grid, snapshot->crowd,
-                      platform.config().sequences.mode, worker->taxonomy(),
-                      /*degraded=*/false, /*missing_shards=*/{}});
+/// POST /api/ingest without a spool: parse, route to the owning shards,
+/// report (guest ids and invalid-row accounting live on shard 0).
+Response ingest_handler(Deployment& deployment, const Request& request) {
+  const std::vector<ShardSlot> slots = deployment.shards();
+  ingest::IngestWorker& front = *slots.front().worker;
+  const auto parsed = transport::parse_ingest_csv(
+      request, front.taxonomy(), [&front] { return front.allocate_guest_id(); });
+  if (!parsed) return transport::bad_ingest_request(parsed.status());
+  if (parsed->invalid > 0) front.note_invalid(parsed->invalid);
+  const ingest::SubmitResult result = deployment.submit(parsed->events);
+  return transport::ingest_response(*parsed, {result.accepted, result.rejected, 0},
+                                    total_stats(slots), front.config().rebuild_interval);
 }
 
 }  // namespace
 
-http::Router make_api_router(const Platform& platform, ApiOptions options) {
+http::Router make_router(const Platform& platform, std::shared_ptr<Deployment> deployment,
+                         const ApiOptions& options) {
   http::Router router;
-  const Platform* p = &platform;
-  ingest::IngestWorker* w = options.ingest;
+  const std::shared_ptr<Deployment> d = std::move(deployment);
 
   router.get_cached("/", [](const Request&, const PathParams&) {
     return Response::html(200, std::string(handlers::viewer_html()));
   });
-  router.get("/api/status", [p, options](const Request&, const PathParams&) {
-    return status_handler(*p, options);
+  const auto batch = std::make_shared<const json::Value>(batch_status(platform));
+  router.get("/api/status", [d, batch, options](const Request&, const PathParams&) {
+    return status_handler(*d, *batch, options);
   });
-  router.get_cached("/api/users",
-             [p](const Request&, const PathParams&) { return users_handler(*p); });
-  router.get_cached("/api/user/:id/patterns", [p](const Request&, const PathParams& params) {
-    return user_patterns_handler(*p, params);
+  router.get("/api/shards", [d](const Request&, const PathParams&) {
+    const json::Value blocks = shard_blocks(*d->pin(), d->shards());
+    return Response::json(200, json::dump(json::object({{"shards", blocks}})));
   });
-  router.get_cached("/api/user/:id/graph.svg", [p](const Request&, const PathParams& params) {
-    return user_graph_handler(*p, params);
-  });
-  router.get_cached("/api/user/:id/timeline.svg", [p](const Request&, const PathParams& params) {
-    return user_timeline_handler(*p, params);
-  });
-  router.get_cached("/api/crowd/:window", [p, w](const Request&, const PathParams& params) {
-    return with_crowd_view(*p, w, [&](const CrowdView& view) {
-      return handlers::crowd_handler(view, params);
+
+  const auto read = [&router, d](std::string_view pattern, handlers::ViewHandler handler) {
+    router.get_cached(pattern, [d, handler](const Request& request, const PathParams& params) {
+      return render(d->pin(),
+                    [&](const PinnedView& view) { return handler(view, request, params); });
+    });
+  };
+  read("/api/users", handlers::users_handler);
+  read("/api/user/:id/patterns", handlers::user_patterns_handler);
+  read("/api/user/:id/graph.svg", handlers::user_graph_handler);
+  read("/api/user/:id/timeline.svg", handlers::user_timeline_handler);
+  read("/api/crowd/:window", handlers::crowd_handler);
+  read("/api/crowd/:window/map.svg", handlers::crowd_map_handler);
+  read("/api/crowd/:window/geojson", handlers::crowd_geojson_handler);
+  read("/api/groups/:window", handlers::groups_handler);
+  read("/api/flow/:from/:to", handlers::flow_handler);
+  read("/api/flow/:from/:to/map.svg", handlers::flow_map_handler);
+  read("/api/animation.svg", handlers::animation_handler);
+  read("/api/rhythm.svg", handlers::rhythm_handler);
+  read("/api/communities", handlers::communities_handler);
+  read("/api/predict/:id", handlers::predict_handler);
+  router.post("/api/analyze", [d](const Request& request, const PathParams& params) {
+    return render(d->pin(), [&](const PinnedView& view) {
+      return handlers::analyze_handler(view, request, params);
     });
   });
-  router.get_cached("/api/crowd/:window/map.svg", [p, w](const Request&, const PathParams& params) {
-    return with_crowd_view(*p, w, [&](const CrowdView& view) {
-      return handlers::crowd_map_handler(view, params);
-    });
-  });
-  router.get_cached("/api/crowd/:window/geojson", [p, w](const Request&, const PathParams& params) {
-    return with_crowd_view(*p, w, [&](const CrowdView& view) {
-      return handlers::crowd_geojson_handler(view, params);
-    });
-  });
-  router.get_cached("/api/groups/:window", [p, w](const Request&, const PathParams& params) {
-    return with_crowd_view(*p, w, [&](const CrowdView& view) {
-      return handlers::groups_handler(view, params);
-    });
-  });
-  router.get_cached("/api/flow/:from/:to", [p, w](const Request&, const PathParams& params) {
-    return with_crowd_view(*p, w, [&](const CrowdView& view) {
-      return handlers::flow_handler(view, params, /*as_map=*/false);
-    });
-  });
-  router.get_cached("/api/flow/:from/:to/map.svg", [p, w](const Request&, const PathParams& params) {
-    return with_crowd_view(*p, w, [&](const CrowdView& view) {
-      return handlers::flow_handler(view, params, /*as_map=*/true);
-    });
-  });
-  router.get_cached("/api/animation.svg", [p, w](const Request& request, const PathParams&) {
-    return with_crowd_view(*p, w, [&](const CrowdView& view) {
-      return handlers::animation_handler(view, request);
-    });
-  });
-  router.get_cached("/api/communities", [p](const Request&, const PathParams&) {
-    return communities_handler(*p);
-  });
-  router.post("/api/analyze", [p](const Request& request, const PathParams&) {
-    return analyze_handler(*p, request);
-  });
-  router.get_cached("/api/rhythm.svg", [p, w](const Request&, const PathParams&) {
-    return with_crowd_view(*p, w, [&](const CrowdView& view) {
-      return handlers::rhythm_handler(view);
-    });
-  });
-  router.get_cached("/api/predict/:id", [p](const Request& request, const PathParams& params) {
-    return predict_handler(*p, request, params);
-  });
-  if (w != nullptr) {
+
+  if (!d->shards().empty()) {
     if (options.pipeline != nullptr) {
       // Spool-backed route: the shared pipeline absorbs rejected
       // suffixes onto disk, and the route's accounting lands on the
       // crowdweb_transport_* families alongside the binary listeners.
+      ingest::IngestWorker* front = d->shards().front().worker;
       transport::HttpCsvSource::Config source_config;
-      source_config.taxonomy = &w->taxonomy();
-      source_config.allocate_guest = [w] { return w->allocate_guest_id(); };
-      source_config.stats = [w] { return w->stats(); };
-      source_config.rebuild_interval = w->config().rebuild_interval;
-      auto source = std::make_shared<transport::HttpCsvSource>(
-          *options.pipeline, std::move(source_config));
+      source_config.taxonomy = &front->taxonomy();
+      source_config.allocate_guest = [front] { return front->allocate_guest_id(); };
+      source_config.stats = [d] { return total_stats(d->shards()); };
+      source_config.rebuild_interval = front->config().rebuild_interval;
+      auto source = std::make_shared<transport::HttpCsvSource>(*options.pipeline,
+                                                               std::move(source_config));
       (void)source->start();
       router.post("/api/ingest", [source](const Request& request, const PathParams&) {
         return source->handle(request);
       });
     } else {
-      router.post("/api/ingest", [w](const Request& request, const PathParams&) {
-        return handlers::ingest_handler(*w, request);
+      router.post("/api/ingest", [d](const Request& request, const PathParams&) {
+        return ingest_handler(*d, request);
       });
     }
-    if (options.stream) {
-      // The SSE subscribe routes. They only open the stream (the server
-      // subscribes the connection when it flushes the response); events
-      // arrive once attach_stream_publisher() hooks the snapshot hub.
-      router.get("/api/stream/epochs", [w](const Request&, const PathParams&) {
+    router.get("/api/ingest/stats", [d](const Request&, const PathParams&) {
+      return ingest_stats_handler(d->shards());
+    });
+    router.get("/api/store/stats", [d](const Request&, const PathParams&) {
+      return store_stats_handler(d->shards());
+    });
+    router.post("/api/admin/checkpoint", [d](const Request&, const PathParams&) {
+      return checkpoint_handler(d->shards());
+    });
+  }
+  if (options.stream && options.ingest != nullptr) {
+    // The SSE subscribe routes. They only open the stream (the server
+    // subscribes the connection when it flushes the response); events
+    // arrive once attach_stream_publisher() hooks the snapshot hub.
+    router.get("/api/stream/epochs", [d](const Request&, const PathParams&) {
+      std::string initial = "retry: 2000\n\n";
+      initial += transport::sse_comment("subscribed epochs");
+      const ViewPtr view = d->pin();
+      if (const ingest::SnapshotPtr& snapshot = view->pins.front()) {
+        initial += transport::sse_event(
+            "epoch", transport::EpochStreamPublisher::epoch_event_json(*snapshot));
+      }
+      return transport::sse_response(std::string(transport::kEpochChannel),
+                                     std::move(initial));
+    });
+    router.get("/api/stream/crowd/:window", [d](const Request& request,
+                                                 const PathParams& params) {
+      return render(d->pin(), [&](const PinnedView& view) {
+        const auto window = handlers::int_param(params, "window");
+        if (!window || !handlers::valid_window(view, *window))
+          return handlers::bad_window(params, "window", view.crowd->window_count());
         std::string initial = "retry: 2000\n\n";
-        initial += transport::sse_comment("subscribed epochs");
-        if (const ingest::SnapshotPtr snapshot = w->hub().current()) {
-          initial += transport::sse_event(
-              "epoch", transport::EpochStreamPublisher::epoch_event_json(*snapshot));
-        }
-        return transport::sse_response(std::string(transport::kEpochChannel),
+        initial += transport::sse_comment("subscribed crowd window");
+        // Seed the stream with the current state so a consumer needs
+        // no separate GET before the next epoch arrives.
+        const Response current = handlers::crowd_handler(view, request, params);
+        if (current.status == 200) initial += transport::sse_event("crowd", current.body);
+        return transport::sse_response(transport::crowd_channel(static_cast<int>(*window)),
                                        std::move(initial));
       });
-      router.get("/api/stream/crowd/:window",
-                 [p, w](const Request&, const PathParams& params) {
-        return with_crowd_view(*p, w, [&](const CrowdView& view) {
-          const auto window = int_param(params, "window");
-          if (!window || !handlers::valid_window(view, *window))
-            return handlers::bad_window(params, "window", view.crowd.window_count());
-          std::string initial = "retry: 2000\n\n";
-          initial += transport::sse_comment("subscribed crowd window");
-          // Seed the stream with the current state so a consumer needs
-          // no separate GET before the next epoch arrives.
-          http::Response current = handlers::crowd_handler(view, params);
-          if (current.status == 200)
-            initial += transport::sse_event("crowd", current.body);
-          return transport::sse_response(
-              transport::crowd_channel(static_cast<int>(*window)), std::move(initial));
-        });
-      });
-    }
-    router.get("/api/ingest/stats", [w](const Request&, const PathParams&) {
-      return handlers::ingest_stats_handler(*w);
-    });
-    router.get("/api/store/stats", [w](const Request&, const PathParams&) {
-      return handlers::store_stats_handler(*w);
-    });
-    router.post("/api/admin/checkpoint", [w](const Request&, const PathParams&) {
-      return handlers::checkpoint_handler(*w);
     });
   }
   if (telemetry::Registry* metrics = options.metrics; metrics != nullptr) {
@@ -544,24 +518,34 @@ http::Router make_api_router(const Platform& platform, ApiOptions options) {
   return router;
 }
 
+http::Router make_api_router(const Platform& platform, ApiOptions options) {
+  std::shared_ptr<Deployment> deployment;
+  if (options.ingest != nullptr) {
+    deployment = std::make_shared<WorkerDeployment>(platform, *options.ingest);
+  } else {
+    deployment = std::make_shared<BatchDeployment>(platform);
+  }
+  return make_router(platform, std::move(deployment), options);
+}
+
 std::unique_ptr<transport::EpochStreamPublisher> attach_stream_publisher(
     http::Server& server, const Platform& platform, ingest::IngestWorker& worker,
     http::ResponseCache* cache) {
   const Platform* p = &platform;
-  ingest::IngestWorker* w = &worker;
   transport::EpochStreamOptions options;
   options.cache = cache;
   return std::make_unique<transport::EpochStreamPublisher>(
       server, worker.hub(),
-      [p, w](const ingest::PlatformSnapshot& snapshot, int window) {
-        // Same render as GET /api/crowd/:window over the same snapshot,
-        // so the streamed bytes match what a poller would fetch.
-        const CrowdView view{snapshot.dataset, snapshot.grid, snapshot.crowd,
-                             p->config().sequences.mode, w->taxonomy(),
-                             /*degraded=*/false, /*missing_shards=*/{}};
+      [p](const ingest::PlatformSnapshot& snapshot, int window) {
+        // Same render as GET /api/crowd/:window over the snapshot being
+        // published (pinned without ownership for this call), stamped
+        // with its epoch so the cache files it under that epoch.
+        const ingest::SnapshotPtr pin(ingest::SnapshotPtr{}, &snapshot);
         PathParams params;
         params.emplace("window", std::to_string(window));
-        return handlers::crowd_handler(view, params);
+        return render(view_of(*p, {pin}, snapshot.epoch), [&](const PinnedView& view) {
+          return handlers::crowd_handler(view, Request{}, params);
+        });
       },
       options);
 }

@@ -16,14 +16,17 @@
 //   GET /api/flow/:from/:to/map.svg flow arrows over the city
 //   GET /api/animation.svg          animated crowd movement (full day);
 //                                   ?seconds=S scales playback speed
+//   GET /api/rhythm.svg             place type by time window heatmap
 //   GET /api/communities            co-occurrence communities of the crowd
+//   GET /api/predict/:id            the user's likely next place
 //   POST /api/analyze               mine an uploaded check-in history (the
 //                                   demo's "share your check-ins" booth
 //                                   feature); body = CSV with header
 //                                   category,lat,lon,timestamp and
 //                                   ?support=S sets min_support
+//   GET /api/shards                 the shard layout and per-shard health
 //
-// With an IngestWorker attached (ApiOptions::ingest) the API turns live:
+// Worker-backed deployments add the write and admin routes:
 //
 //   POST /api/ingest                submit check-ins to the live corpus;
 //                                   body = CSV with header
@@ -31,32 +34,38 @@
 //                                   429 when the queue rejects everything
 //   GET /api/ingest/stats           queue depth, accept/reject/invalid
 //                                   counts, epochs, rebuild latency
+//   GET /api/store/stats            WAL + checkpoint counters
+//   POST /api/admin/checkpoint      checkpoint every live shard now
 //
-// and with ApiOptions::stream the push routes (SSE; transport/sse.hpp):
+// and with ApiOptions::stream (one worker only) the push routes (SSE;
+// transport/sse.hpp):
 //
 //   GET /api/stream/epochs          one "epoch" event per published epoch
 //   GET /api/stream/crowd/:window   that window's crowd distribution,
 //                                   re-sent on every epoch
 //
-// and every crowd-facing route (crowd/groups/flow/animation/rhythm)
-// reads the worker's latest published snapshot instead of the batch
-// platform: handlers load one atomic shared_ptr per request — no locks —
-// and keep that epoch alive until the response is built.
-//
-// The router holds a pointer to the Platform, which must outlive any
-// server using the router. Platform state is immutable after
-// construction and snapshots are immutable once published, so handlers
-// are safe to run concurrently on the server's worker pool without
-// locks. Routes whose responses are a pure function of (target, epoch)
-// are registered with Router::get_cached so a ResponseCache may serve
-// them (see http/cache.hpp); /api/status, /metrics, and the ingest
-// routes are deliberately uncached.
+// One route tree serves every deployment shape. Each request pins one
+// view (core/view.hpp) through the Deployment: the batch build as
+// epoch 0, one worker's latest epoch, or a ShardRouter's merge of its
+// shard epochs. Handlers render from that view only, so every body of a
+// response comes from one epoch, and cacheable routes stamp the view's
+// epoch on the response for the response cache. The Platform (config
+// and taxonomy) must outlive the router; views are immutable, so
+// handlers run concurrently on the server's worker pool without locks.
+// Routes whose responses are a pure function of (target, epoch) are
+// registered with Router::get_cached; /api/status, /metrics, and the
+// ingest and admin routes are uncached.
 #pragma once
 
 #include <functional>
 #include <memory>
+#include <optional>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "core/platform.hpp"
+#include "core/view.hpp"
 #include "http/router.hpp"
 #include "http/server.hpp"
 #include "ingest/worker.hpp"
@@ -67,9 +76,9 @@
 namespace crowdweb::core {
 
 struct ApiOptions {
-  /// Live mode: serve crowd routes from this worker's snapshot hub and
-  /// register the /api/ingest* routes. The worker must outlive the
-  /// router. Null = static batch platform only.
+  /// Live mode: serve every route from this worker's latest epoch and
+  /// register the write and admin routes. The worker must outlive the
+  /// router. Null = the static batch build, served as epoch 0.
   ingest::IngestWorker* ingest = nullptr;
   /// Late-bound source of http::ServerStats for /api/status. The router
   /// is built before the server that owns it exists, so the example
@@ -104,7 +113,43 @@ struct ApiOptions {
   bool stream = false;
 };
 
-/// Builds the full API router over a platform.
+/// One shard slot of a worker-backed deployment, as the status and
+/// admin routes report it.
+struct ShardSlot {
+  std::size_t id = 0;
+  std::string name;  ///< region name, or "hash-<id>"
+  std::optional<geo::BoundingBox> region;
+  bool up = false;
+  Status start_status;  ///< why a down shard failed to start
+  ingest::IngestWorker* worker = nullptr;
+};
+
+/// Where the one route tree reads from and writes to: a view source
+/// plus the shard slots behind it.
+class Deployment {
+ public:
+  Deployment() = default;
+  Deployment(const Deployment&) = delete;
+  Deployment& operator=(const Deployment&) = delete;
+  virtual ~Deployment() = default;
+  /// The view this request renders from. Never null; its crowd is null
+  /// until some slot publishes an epoch.
+  [[nodiscard]] virtual ViewPtr pin() const = 0;
+  /// The worker-backed shard slots; empty for the static batch build.
+  [[nodiscard]] virtual std::vector<ShardSlot> shards() const = 0;
+  /// Routes events to their owning shards (worker-backed only).
+  virtual ingest::SubmitResult submit(std::span<const ingest::IngestEvent> events) = 0;
+};
+
+/// The one route tree over `deployment`. The SSE routes need one
+/// worker: they are registered only when `options.stream` is set
+/// together with `options.ingest`.
+[[nodiscard]] http::Router make_router(const Platform& platform,
+                                       std::shared_ptr<Deployment> deployment,
+                                       const ApiOptions& options);
+
+/// The route tree over the static batch build, or over one worker when
+/// `options.ingest` is set.
 [[nodiscard]] http::Router make_api_router(const Platform& platform,
                                            ApiOptions options = {});
 

@@ -4,9 +4,11 @@
 #include <string>
 #include <vector>
 
+#include "crowd/communities.hpp"
 #include "data/csv.hpp"
-#include "ingest/event.hpp"
-#include "transport/csv_source.hpp"
+#include "json/json.hpp"
+#include "mining/registry.hpp"
+#include "predict/predictor.hpp"
 #include "util/civil_time.hpp"
 #include "util/format.hpp"
 #include "util/strings.hpp"
@@ -14,6 +16,8 @@
 #include "viz/charts.hpp"
 #include "viz/citymap.hpp"
 #include "viz/geojson.hpp"
+#include "viz/layout.hpp"
+#include "viz/timeline.hpp"
 
 namespace crowdweb::core::handlers {
 
@@ -21,42 +25,29 @@ using http::PathParams;
 using http::Request;
 using http::Response;
 
-std::optional<std::int64_t> int_param(const PathParams& params, std::string_view name) {
-  const auto it = params.find(name);
-  if (it == params.end()) return std::nullopt;
-  const auto value = parse_int(it->second);
-  if (!value) return std::nullopt;
-  return *value;
-}
+namespace {
 
 std::string_view raw_param(const PathParams& params, std::string_view name) {
   const auto it = params.find(name);
   return it == params.end() ? std::string_view{} : std::string_view(it->second);
 }
 
-Response bad_window(const PathParams& params, std::string_view name, int window_count) {
-  return Response::bad_request_400(crowdweb::format(
-      "bad window index '{}' for parameter '{}': expected an integer in [0, {})",
-      raw_param(params, name), name, window_count));
+/// A place label's display name, resolved against `dataset`'s venues.
+std::string label_of(const Platform& platform, const data::Dataset& dataset,
+                     mining::Item label) {
+  return mining::label_name(label, platform.config().sequences.mode, platform.taxonomy(),
+                            dataset);
 }
 
-Response bad_user_id(const PathParams& params) {
-  return Response::bad_request_400(
-      crowdweb::format("bad user id '{}': expected a non-negative integer",
-                       raw_param(params, "id")));
-}
-
-bool valid_window(const CrowdView& view, std::int64_t window) {
-  return window >= 0 && window < view.crowd.window_count();
-}
-
-json::Value pattern_json(const patterns::MobilityPattern& pattern, mining::LabelMode mode,
-                         const data::Taxonomy& taxonomy, const data::Dataset& dataset) {
+/// One mined pattern as JSON (elements with labels, times, support),
+/// labelled against `dataset`.
+json::Value pattern_json(const patterns::MobilityPattern& pattern, const Platform& platform,
+                         const data::Dataset& dataset) {
   json::Value elements = json::Value(json::Array{});
   for (const patterns::TimedElement& element : pattern.elements) {
     const int minute = static_cast<int>(element.mean_minute + 0.5);
     elements.push_back(json::object(
-        {{"label", mining::label_name(element.label, mode, taxonomy, dataset)},
+        {{"label", label_of(platform, dataset, element.label)},
          {"mean_minute", element.mean_minute},
          {"stddev_minute", element.stddev_minute},
          {"time", crowdweb::format("{:02}:{:02}", minute / 60, minute % 60)}}));
@@ -66,126 +57,185 @@ json::Value pattern_json(const patterns::MobilityPattern& pattern, mining::Label
                        {"support_count", static_cast<std::int64_t>(pattern.support_count)}});
 }
 
-void add_degraded_marker(const CrowdView& view, json::Value& payload) {
+/// Appends the degraded marker ("degraded": true plus the missing shard
+/// ids) to a JSON payload when the view is a partial merge; a no-op
+/// otherwise, so bodies stay byte-identical.
+void add_degraded_marker(const PinnedView& view, json::Value& payload) {
   if (!view.degraded) return;
   payload.set("degraded", true);
   json::Value missing = json::Value(json::Array{});
-  for (const std::size_t shard : view.missing_shards)
+  for (const std::size_t shard : view.missing)
     missing.push_back(static_cast<std::int64_t>(shard));
   payload.set("missing_shards", std::move(missing));
 }
 
-Response crowd_handler(const CrowdView& view, const PathParams& params) {
+Response json_response(const PinnedView& view, json::Value payload) {
+  add_degraded_marker(view, payload);
+  return Response::json(200, json::dump(payload));
+}
+
+/// The user a per-user route names: their entry and the corpus it was
+/// mined from. When `mobility` is null, `error` holds the 400/404 to
+/// send.
+struct UserRecord {
+  const patterns::UserMobility* mobility = nullptr;
+  const data::Dataset* dataset = nullptr;
+  Response error;
+
+  /// The user's day sequences, rebuilt from their corpus.
+  [[nodiscard]] mining::UserSequences sequences(const Platform& platform) const {
+    return mining::build_user_sequences(*dataset, mobility->user, platform.taxonomy(),
+                                        platform.config().sequences);
+  }
+};
+
+UserRecord find_user(const PinnedView& view, const PathParams& params) {
+  UserRecord record;
+  const auto id = int_param(params, "id");
+  if (!id || *id < 0) {
+    record.error = Response::bad_request_400(crowdweb::format(
+        "bad user id '{}': expected a non-negative integer", raw_param(params, "id")));
+    return record;
+  }
+  record.mobility = view.find_user(static_cast<data::UserId>(*id), &record.dataset);
+  if (record.mobility == nullptr) record.error = Response::not_found_404();
+  return record;
+}
+
+}  // namespace
+
+std::optional<std::int64_t> int_param(const PathParams& params, std::string_view name) {
+  const auto it = params.find(name);
+  if (it == params.end()) return std::nullopt;
+  const auto value = parse_int(it->second);
+  if (!value) return std::nullopt;
+  return *value;
+}
+
+Response bad_window(const PathParams& params, std::string_view name, int window_count) {
+  return Response::bad_request_400(crowdweb::format(
+      "bad window index '{}' for parameter '{}': expected an integer in [0, {})",
+      raw_param(params, name), name, window_count));
+}
+
+bool valid_window(const PinnedView& view, std::int64_t window) {
+  return window >= 0 && window < view.crowd->window_count();
+}
+
+Response crowd_handler(const PinnedView& view, const Request&, const PathParams& params) {
   const auto window = int_param(params, "window");
   if (!window || !valid_window(view, *window))
-    return bad_window(params, "window", view.crowd.window_count());
+    return bad_window(params, "window", view.crowd->window_count());
   const crowd::CrowdDistribution distribution =
-      view.crowd.distribution(static_cast<int>(*window));
+      view.crowd->distribution(static_cast<int>(*window));
   json::Value cells = json::Value(json::Array{});
   for (const auto& [cell, count] : distribution.top_cells(50)) {
-    const geo::LatLon center = view.grid.cell_center(cell);
+    const geo::LatLon center = view.grid->cell_center(cell);
     cells.push_back(json::object({{"cell", static_cast<std::int64_t>(cell)},
                                   {"count", static_cast<std::int64_t>(count)},
                                   {"lat", center.lat},
                                   {"lon", center.lon}}));
   }
-  json::Value payload = json::object(
-      {{"window", static_cast<std::int64_t>(*window)},
-       {"label", view.crowd.window_label(static_cast<int>(*window))},
-       {"total", static_cast<std::int64_t>(distribution.total())},
-       {"occupied_cells", static_cast<std::int64_t>(distribution.occupied_cells())},
-       {"top_cells", std::move(cells)}});
-  add_degraded_marker(view, payload);
-  return Response::json(200, json::dump(payload));
+  return json_response(
+      view, json::object({{"window", static_cast<std::int64_t>(*window)},
+                          {"label", view.crowd->window_label(static_cast<int>(*window))},
+                          {"total", static_cast<std::int64_t>(distribution.total())},
+                          {"occupied_cells",
+                           static_cast<std::int64_t>(distribution.occupied_cells())},
+                          {"top_cells", std::move(cells)}}));
 }
 
-Response crowd_map_handler(const CrowdView& view, const PathParams& params) {
+Response crowd_map_handler(const PinnedView& view, const Request&, const PathParams& params) {
   const auto window = int_param(params, "window");
   if (!window || !valid_window(view, *window))
-    return bad_window(params, "window", view.crowd.window_count());
+    return bad_window(params, "window", view.crowd->window_count());
   const crowd::CrowdDistribution distribution =
-      view.crowd.distribution(static_cast<int>(*window));
+      view.crowd->distribution(static_cast<int>(*window));
   viz::CityMapOptions options;
   options.title = crowdweb::format(
-      "Crowd {} ", view.crowd.window_label(static_cast<int>(*window)));
-  return Response::svg(200, viz::render_city_map(distribution, view.grid,
-                                                 view.dataset, options));
+      "Crowd {} ", view.crowd->window_label(static_cast<int>(*window)));
+  return Response::svg(200, viz::render_city_map(distribution, *view.grid,
+                                                 *view.dataset, options));
 }
 
-Response crowd_geojson_handler(const CrowdView& view, const PathParams& params) {
+Response crowd_geojson_handler(const PinnedView& view, const Request&,
+                               const PathParams& params) {
   const auto window = int_param(params, "window");
   if (!window || !valid_window(view, *window))
-    return bad_window(params, "window", view.crowd.window_count());
+    return bad_window(params, "window", view.crowd->window_count());
   const crowd::CrowdDistribution distribution =
-      view.crowd.distribution(static_cast<int>(*window));
-  json::Value payload = viz::distribution_geojson(distribution, view.grid);
-  add_degraded_marker(view, payload);
-  return Response::json(200, json::dump(payload));
+      view.crowd->distribution(static_cast<int>(*window));
+  return json_response(view, viz::distribution_geojson(distribution, *view.grid));
 }
 
-Response groups_handler(const CrowdView& view, const PathParams& params) {
+Response groups_handler(const PinnedView& view, const Request&, const PathParams& params) {
   const auto window = int_param(params, "window");
   if (!window || !valid_window(view, *window))
-    return bad_window(params, "window", view.crowd.window_count());
+    return bad_window(params, "window", view.crowd->window_count());
   json::Value list = json::Value(json::Array{});
-  for (const crowd::CrowdGroup& group :
-       view.crowd.groups(static_cast<int>(*window))) {
+  for (const crowd::CrowdGroup& group : view.crowd->groups(static_cast<int>(*window))) {
     json::Value members = json::Value(json::Array{});
     for (const data::UserId user : group.users)
       members.push_back(static_cast<std::int64_t>(user));
-    const geo::LatLon center = view.grid.cell_center(group.cell);
-    list.push_back(json::object(
-        {{"cell", static_cast<std::int64_t>(group.cell)},
-         {"label", mining::label_name(group.label, view.mode,
-                                      view.taxonomy, view.dataset)},
-         {"lat", center.lat},
-         {"lon", center.lon},
-         {"users", std::move(members)}}));
+    const geo::LatLon center = view.grid->cell_center(group.cell);
+    list.push_back(
+        json::object({{"cell", static_cast<std::int64_t>(group.cell)},
+                      {"label", label_of(*view.platform, *view.dataset, group.label)},
+                      {"lat", center.lat},
+                      {"lon", center.lon},
+                      {"users", std::move(members)}}));
   }
-  json::Value payload = json::object({{"groups", std::move(list)}});
-  add_degraded_marker(view, payload);
-  return Response::json(200, json::dump(payload));
+  return json_response(view, json::object({{"groups", std::move(list)}}));
 }
 
-Response flow_handler(const CrowdView& view, const PathParams& params, bool as_map) {
+namespace {
+
+Response flow(const PinnedView& view, const PathParams& params, bool as_map) {
   const auto from = int_param(params, "from");
   const auto to = int_param(params, "to");
   if (!from || !valid_window(view, *from))
-    return bad_window(params, "from", view.crowd.window_count());
+    return bad_window(params, "from", view.crowd->window_count());
   if (!to || !valid_window(view, *to))
-    return bad_window(params, "to", view.crowd.window_count());
+    return bad_window(params, "to", view.crowd->window_count());
   const crowd::FlowMatrix flow =
-      view.crowd.flow(static_cast<int>(*from), static_cast<int>(*to));
+      view.crowd->flow(static_cast<int>(*from), static_cast<int>(*to));
   if (as_map) {
     const crowd::CrowdDistribution destination =
-        view.crowd.distribution(static_cast<int>(*to));
+        view.crowd->distribution(static_cast<int>(*to));
     viz::CityMapOptions options;
     options.title = crowdweb::format(
-        "Crowd flow {} to {}", view.crowd.window_label(static_cast<int>(*from)),
-        view.crowd.window_label(static_cast<int>(*to)));
-    return Response::svg(200, viz::render_flow_map(flow, destination, view.grid,
-                                                   view.dataset, options));
+        "Crowd flow {} to {}", view.crowd->window_label(static_cast<int>(*from)),
+        view.crowd->window_label(static_cast<int>(*to)));
+    return Response::svg(200, viz::render_flow_map(flow, destination, *view.grid,
+                                                   *view.dataset, options));
   }
   json::Value moves = json::Value(json::Array{});
   for (const auto& [pair, count] : flow.top_flows(50)) {
-    const geo::LatLon a = view.grid.cell_center(pair.first);
-    const geo::LatLon b = view.grid.cell_center(pair.second);
+    const geo::LatLon a = view.grid->cell_center(pair.first);
+    const geo::LatLon b = view.grid->cell_center(pair.second);
     moves.push_back(json::object({{"from_cell", static_cast<std::int64_t>(pair.first)},
                                   {"to_cell", static_cast<std::int64_t>(pair.second)},
                                   {"count", static_cast<std::int64_t>(count)},
                                   {"from", json::array({a.lon, a.lat})},
                                   {"to", json::array({b.lon, b.lat})}}));
   }
-  json::Value payload =
-      json::object({{"from_window", static_cast<std::int64_t>(*from)},
-                    {"to_window", static_cast<std::int64_t>(*to)},
-                    {"total", static_cast<std::int64_t>(flow.total())},
-                    {"top_flows", std::move(moves)}});
-  add_degraded_marker(view, payload);
-  return Response::json(200, json::dump(payload));
+  return json_response(view, json::object({{"from_window", static_cast<std::int64_t>(*from)},
+                                           {"to_window", static_cast<std::int64_t>(*to)},
+                                           {"total", static_cast<std::int64_t>(flow.total())},
+                                           {"top_flows", std::move(moves)}}));
 }
 
-Response animation_handler(const CrowdView& view, const Request& request) {
+}  // namespace
+
+Response flow_handler(const PinnedView& view, const Request&, const PathParams& params) {
+  return flow(view, params, /*as_map=*/false);
+}
+
+Response flow_map_handler(const PinnedView& view, const Request&, const PathParams& params) {
+  return flow(view, params, /*as_map=*/true);
+}
+
+Response animation_handler(const PinnedView& view, const Request& request, const PathParams&) {
   viz::AnimationOptions options;
   options.title = "Crowd movement across the day";
   if (const auto seconds = request.query_param("seconds")) {
@@ -194,20 +244,19 @@ Response animation_handler(const CrowdView& view, const Request& request) {
       return Response::bad_request_400("seconds must be in (0, 60]");
     options.seconds_per_window = *parsed;
   }
-  return Response::svg(200, viz::render_crowd_animation(view.crowd, options));
+  return Response::svg(200, viz::render_crowd_animation(*view.crowd, options));
 }
 
-Response rhythm_handler(const CrowdView& view) {
-  const crowd::CrowdModel::Rhythm rhythm = view.crowd.rhythm();
+Response rhythm_handler(const PinnedView& view, const Request&, const PathParams&) {
+  const crowd::CrowdModel::Rhythm rhythm = view.crowd->rhythm();
   viz::HeatmapSpec spec;
   spec.title = "Crowd rhythm: place type by time window";
   spec.size.width = 900;
   for (const mining::Item label : rhythm.labels)
-    spec.row_labels.push_back(
-        mining::label_name(label, view.mode, view.taxonomy, view.dataset));
-  for (int w = 0; w < view.crowd.window_count(); ++w)
+    spec.row_labels.push_back(label_of(*view.platform, *view.dataset, label));
+  for (int w = 0; w < view.crowd->window_count(); ++w)
     spec.col_labels.push_back(
-        crowdweb::format("{:02}", w * view.crowd.options().window_minutes / 60));
+        crowdweb::format("{:02}", w * view.crowd->options().window_minutes / 60));
   for (const auto& row : rhythm.counts) {
     std::vector<double> values;
     for (const std::size_t count : row) values.push_back(static_cast<double>(count));
@@ -216,89 +265,221 @@ Response rhythm_handler(const CrowdView& view) {
   return Response::svg(200, viz::render_heatmap(spec));
 }
 
-Response ingest_handler(ingest::IngestWorker& worker, const Request& request) {
-  // The spool-less path: CSV parsing and the response body live in
-  // transport/csv_source.hpp now; this wrapper submits straight to the
-  // worker's queue (PipelineOutcome.spooled stays 0).
-  const auto parsed = transport::parse_ingest_csv(
-      request, worker.taxonomy(), [&worker] { return worker.allocate_guest_id(); });
-  if (!parsed) return transport::bad_ingest_request(parsed.status());
-  if (parsed->invalid > 0) worker.note_invalid(parsed->invalid);
-  const ingest::SubmitResult result = worker.submit(parsed->events);
-  return transport::ingest_response(*parsed, {result.accepted, result.rejected, 0},
-                                    worker.stats(), worker.config().rebuild_interval);
-}
-
-Response ingest_stats_handler(const ingest::IngestWorker& worker) {
-  const ingest::IngestStats stats = worker.stats();
-  return Response::json(
-      200,
-      json::dump(json::object(
-          {{"running", worker.running()},
-           {"submitted", static_cast<std::int64_t>(stats.submitted)},
-           {"accepted", static_cast<std::int64_t>(stats.accepted)},
-           {"rejected", static_cast<std::int64_t>(stats.rejected)},
-           {"invalid", static_cast<std::int64_t>(stats.invalid)},
-           {"queue", json::object({{"depth", static_cast<std::int64_t>(stats.queue_depth)},
-                                   {"capacity",
-                                    static_cast<std::int64_t>(stats.queue_capacity)}})},
-           {"epoch", static_cast<std::int64_t>(stats.current_epoch)},
-           {"epochs_published", static_cast<std::int64_t>(stats.epochs_published)},
-           {"live_checkins", static_cast<std::int64_t>(stats.live_checkins)},
-           {"last_rebuild_ms", stats.last_rebuild_ms},
-           {"total_rebuild_ms", stats.total_rebuild_ms}})));
-}
-
-Response store_stats_handler(const ingest::IngestWorker& worker) {
-  const store::DurableStore* store = worker.store();
-  if (store == nullptr) {
-    return Response::json(
-        404, json::dump(json::object(
-                 {{"error", "durable store not configured (set a store directory)"}})));
+Response communities_handler(const PinnedView& view, const Request&, const PathParams&) {
+  const crowd::UserGraph graph = crowd::build_co_occurrence_graph(*view.crowd);
+  json::Value list = json::Value(json::Array{});
+  for (const crowd::Community& community : crowd::label_propagation(graph)) {
+    json::Value members = json::Value(json::Array{});
+    for (const data::UserId user : community.members)
+      members.push_back(static_cast<std::int64_t>(user));
+    list.push_back(json::object({{"size", static_cast<std::int64_t>(community.members.size())},
+                                 {"members", std::move(members)}}));
   }
-  const store::StoreStats stats = store->stats();
-  return Response::json(
-      200,
-      json::dump(json::object(
-          {{"dir", stats.dir},
-           {"fsync_policy", stats.fsync_policy},
-           {"wal",
-            json::object(
-                {{"segments", static_cast<std::int64_t>(stats.wal_segments)},
-                 {"bytes", static_cast<std::int64_t>(stats.wal_bytes)},
-                 {"bytes_since_checkpoint",
-                  static_cast<std::int64_t>(stats.wal_bytes_since_checkpoint)},
-                 {"last_record_seq", static_cast<std::int64_t>(stats.last_record_seq)}})},
-           {"appends",
-            json::object({{"records", static_cast<std::int64_t>(stats.append_records)},
-                          {"bytes", static_cast<std::int64_t>(stats.append_bytes)},
-                          {"failures", static_cast<std::int64_t>(stats.append_failures)},
-                          {"fsyncs", static_cast<std::int64_t>(stats.fsyncs)}})},
-           {"checkpoints",
-            json::object(
-                {{"written", static_cast<std::int64_t>(stats.checkpoints)},
-                 {"last_seq", static_cast<std::int64_t>(stats.last_checkpoint_seq)},
-                 {"last_epoch", static_cast<std::int64_t>(stats.last_checkpoint_epoch)}})},
-           {"recovery",
-            json::object({{"replayed_records",
-                           static_cast<std::int64_t>(stats.recovery_replayed_records)},
-                          {"truncated_bytes",
-                           static_cast<std::int64_t>(stats.recovery_truncated_bytes)}})}})));
+  json::Value graph_block =
+      json::object({{"users", static_cast<std::int64_t>(graph.users.size())},
+                    {"edges", static_cast<std::int64_t>(graph.edges.size())}});
+  return json_response(view, json::object({{"graph", std::move(graph_block)},
+                                           {"communities", std::move(list)}}));
 }
 
-Response checkpoint_handler(ingest::IngestWorker& worker) {
-  const Status status = worker.checkpoint_now(std::chrono::seconds(30));
-  if (!status.is_ok()) {
-    const int code = status.code() == StatusCode::kFailedPrecondition ? 404 : 503;
-    return Response::json(code,
-                          json::dump(json::object({{"error", status.to_string()}})));
+Response users_handler(const PinnedView& view, const Request&, const PathParams&) {
+  json::Value users = json::Value(json::Array{});
+  view.for_each_user([&](const patterns::UserMobility& mobility) {
+    // served_pattern_count keeps the reported count equal to expanded
+    // mode's even when the entry stores only the closed set.
+    users.push_back(json::object(
+        {{"id", static_cast<std::int64_t>(mobility.user)},
+         {"recorded_days", static_cast<std::int64_t>(mobility.recorded_days)},
+         {"patterns", static_cast<std::int64_t>(mobility.served_pattern_count())}}));
+  });
+  return json_response(view, json::object({{"users", std::move(users)}}));
+}
+
+Response user_patterns_handler(const PinnedView& view, const Request&,
+                               const PathParams& params) {
+  const UserRecord user = find_user(view, params);
+  if (user.mobility == nullptr) return user.error;
+  // The route's wire contract is the full frequent set; compact entries
+  // expand lazily per request (the response cache absorbs repeats), so
+  // the body is byte-identical to expanded mode's.
+  std::vector<patterns::MobilityPattern> expanded;
+  if (user.mobility->closed_only)
+    expanded = patterns::expand_user_patterns(
+        *user.mobility, user.sequences(*view.platform), view.platform->config().mining);
+  json::Value list = json::Value(json::Array{});
+  for (const patterns::MobilityPattern& pattern :
+       user.mobility->closed_only ? expanded : user.mobility->patterns)
+    list.push_back(pattern_json(pattern, *view.platform, *user.dataset));
+  const patterns::UserMobility& mobility = *user.mobility;
+  return json_response(
+      view, json::object({{"user", static_cast<std::int64_t>(mobility.user)},
+                          {"recorded_days", static_cast<std::int64_t>(mobility.recorded_days)},
+                          {"patterns", std::move(list)}}));
+}
+
+Response user_graph_handler(const PinnedView& view, const Request&, const PathParams& params) {
+  const UserRecord user = find_user(view, params);
+  if (user.mobility == nullptr) return user.error;
+  viz::PlaceGraphRender render;
+  render.title = crowdweb::format("User {} - visited places", user.mobility->user);
+  return Response::svg(
+      200, viz::render_place_graph(
+               view.platform->place_graph(user.mobility, user.sequences(*view.platform),
+                                          *user.dataset),
+               render));
+}
+
+Response user_timeline_handler(const PinnedView& view, const Request&,
+                               const PathParams& params) {
+  const UserRecord user = find_user(view, params);
+  if (user.mobility == nullptr) return user.error;
+  viz::TimelineOptions options;
+  options.title = crowdweb::format("User {} - visit timeline", user.mobility->user);
+  return Response::svg(
+      200, viz::render_timeline(user.sequences(*view.platform), view.platform->taxonomy(),
+                                *user.dataset,
+                                view.platform->config().sequences.mode, options));
+}
+
+Response predict_handler(const PinnedView& view, const Request& request,
+                         const PathParams& params) {
+  const UserRecord user = find_user(view, params);
+  if (user.mobility == nullptr) return user.error;
+  int minute = 9 * 60;
+  if (const auto minute_param = request.query_param("minute")) {
+    const auto parsed = parse_int(*minute_param);
+    if (!parsed || *parsed < 0 || *parsed >= 24 * 60)
+      return Response::bad_request_400("minute must be in [0, 1440)");
+    minute = static_cast<int>(*parsed);
   }
-  const store::StoreStats stats = worker.store()->stats();
+
+  const mining::UserSequences history = user.sequences(*view.platform);
+  const auto predictor = predict::make_ensemble_predictor();
+  predictor->train(history);
+  predict::Query query;
+  query.minute = minute;
+  // "Today" context: visits of the user's last recorded day before `minute`.
+  std::vector<mining::Item> today;
+  if (!history.empty()) {
+    const auto last_day = history.day(history.day_count() - 1);
+    const auto last_minutes = history.minutes_of(history.day_count() - 1);
+    for (std::size_t i = 0; i < last_day.size(); ++i) {
+      if (last_minutes[i] < minute) today.push_back(last_day[i]);
+    }
+  }
+  query.today = today;
+  const auto ranked = predictor->predict(query);
+
+  json::Value predictions = json::Value(json::Array{});
+  for (std::size_t i = 0; i < ranked.size() && i < 5; ++i) {
+    predictions.push_back(
+        json::object({{"label", label_of(*view.platform, *user.dataset, ranked[i].label)},
+                      {"score", ranked[i].score}}));
+  }
+  return Response::json(
+      200, json::dump(json::object({{"user", static_cast<std::int64_t>(user.mobility->user)},
+                                    {"minute", minute},
+                                    {"predictor", predictor->name()},
+                                    {"predictions", std::move(predictions)}})));
+}
+
+Response analyze_handler(const PinnedView& view, const Request& request, const PathParams&) {
+  const Platform& platform = *view.platform;
+  double min_support = 0.25;
+  if (const auto support = request.query_param("support")) {
+    const auto parsed = parse_double(*support);
+    if (!parsed || *parsed <= 0.0 || *parsed > 1.0)
+      return Response::bad_request_400("support must be in (0, 1]");
+    min_support = *parsed;
+  }
+  std::string algorithm = platform.config().mining.algorithm;
+  if (const auto requested = request.query_param("algorithm")) {
+    if (const auto miner = mining::resolve_miner(*requested); !miner)
+      return Response::bad_request_400(miner.status().message());
+    algorithm = std::string(*requested);
+  }
+
+  const auto rows = data::parse_csv(request.body);
+  if (!rows) return Response::bad_request_400(rows.status().to_string());
+  if (rows->empty() || (*rows)[0] != data::CsvRow{"category", "lat", "lon", "timestamp"})
+    return Response::bad_request_400(
+        "expected header: category,lat,lon,timestamp");
+
+  // Parse the visitor's records into (root label, timestamp) events.
+  struct Event {
+    mining::Item label;
+    std::int64_t timestamp;
+  };
+  std::vector<Event> events;
+  const data::Taxonomy& taxonomy = platform.taxonomy();
+  for (std::size_t i = 1; i < rows->size(); ++i) {
+    const data::CsvRow& row = (*rows)[i];
+    if (row.size() != 4)
+      return Response::bad_request_400(
+          crowdweb::format("row {} has {} fields, expected 4", i + 1, row.size()));
+    const auto category = taxonomy.find(row[0]);
+    const auto lat = parse_double(row[1]);
+    const auto lon = parse_double(row[2]);
+    const auto timestamp = parse_timestamp(row[3]);
+    if (!category)
+      return Response::bad_request_400(
+          crowdweb::format("row {}: unknown category '{}'", i + 1, row[0]));
+    if (!lat || !lon || !geo::is_valid({*lat, *lon}))
+      return Response::bad_request_400(crowdweb::format("row {}: bad position", i + 1));
+    if (!timestamp)
+      return Response::bad_request_400(
+          crowdweb::format("row {}: bad timestamp '{}'", i + 1, row[3]));
+    events.push_back({taxonomy.root_of(*category), *timestamp});
+  }
+  if (events.empty()) return Response::bad_request_400("no check-in rows");
+  std::sort(events.begin(), events.end(),
+            [](const Event& a, const Event& b) { return a.timestamp < b.timestamp; });
+
+  // Build per-day sequences (same abstraction pipeline as phase 2).
+  mining::UserSequences sequences;
+  std::vector<mining::Item> day_items;
+  std::vector<int> day_minutes;
+  std::int64_t current_day = 0;
+  bool have_day = false;
+  const auto flush_day = [&] {
+    if (have_day) sequences.append_day(day_items, day_minutes);
+    day_items.clear();
+    day_minutes.clear();
+  };
+  for (const Event& event : events) {
+    const std::int64_t day = day_index(event.timestamp);
+    if (!have_day || day != current_day) {
+      flush_day();
+      current_day = day;
+      have_day = true;
+    }
+    if (!day_items.empty() && day_items.back() == event.label)
+      continue;  // collapse repeats
+    day_items.push_back(event.label);
+    const CivilTime civil = to_civil(event.timestamp);
+    day_minutes.push_back(civil.hour * 60 + civil.minute);
+  }
+  flush_day();
+
+  mining::MiningOptions mining_options = platform.config().mining;
+  mining_options.min_support = min_support;
+  mining_options.algorithm = algorithm;
+  const mining::MiningResult mined = mining::mine_with(sequences.columns(), mining_options);
+
+  json::Value list = json::Value(json::Array{});
+  for (const mining::Pattern& pattern : mined.patterns) {
+    list.push_back(
+        pattern_json(patterns::annotate_pattern(pattern, sequences), platform, *view.dataset));
+  }
   return Response::json(
       200, json::dump(json::object(
-               {{"checkpoint_seq", static_cast<std::int64_t>(stats.last_checkpoint_seq)},
-                {"epoch", static_cast<std::int64_t>(stats.last_checkpoint_epoch)},
-                {"wal_segments", static_cast<std::int64_t>(stats.wal_segments)}})));
+               {{"records", static_cast<std::int64_t>(events.size())},
+                {"recorded_days", static_cast<std::int64_t>(sequences.day_count())},
+                {"min_support", min_support},
+                {"algorithm", algorithm},
+                {"truncated", mined.stats.truncated},
+                {"closed", mined.closed},
+                {"patterns", std::move(list)}})));
 }
 
 namespace {

@@ -1,104 +1,70 @@
-// Route handlers shared between the single-process API (core/api.cpp)
-// and the sharded scatter-gather API (shard/api.cpp).
+// Read handlers of the CrowdWeb API (core/api.cpp registers them).
 //
-// Everything here is a pure function of a CrowdView — one immutable
-// snapshot of phase-3 state — plus request parameters, so the same
-// handler renders byte-identical bodies whether the view comes from the
-// batch platform, one live epoch, or a merged set of per-shard epochs.
-// The sharded router reuses these directly; that is what makes the
-// N-shard equivalence guarantee a property of the merge, not of
-// duplicated rendering code.
+// Every handler here is a pure function of one PinnedView (core/view.hpp)
+// plus request parameters, so it renders byte-identical bodies whether
+// the view is the batch build, one live epoch, or a merge of several
+// shard epochs. That is what makes the N-shard equivalence guarantee a
+// property of the merge, not of duplicated rendering code.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
-#include <functional>
 #include <optional>
-#include <span>
 #include <string_view>
-#include <vector>
 
-#include "crowd/model.hpp"
-#include "data/dataset.hpp"
-#include "geo/grid.hpp"
+#include "core/view.hpp"
 #include "http/message.hpp"
 #include "http/router.hpp"
-#include "ingest/worker.hpp"
-#include "json/json.hpp"
-#include "mining/seqdb.hpp"
-#include "patterns/mobility.hpp"
 
 namespace crowdweb::core::handlers {
-
-/// The state a crowd-facing handler reads: the batch platform's phase-3
-/// output, one published epoch (pinned for the request by the caller's
-/// shared_ptr), or a merged view over several shard epochs.
-struct CrowdView {
-  const data::Dataset& dataset;
-  const geo::SpatialGrid& grid;
-  const crowd::CrowdModel& crowd;
-  mining::LabelMode mode;
-  const data::Taxonomy& taxonomy;
-  /// Sharded deployments serving a partial merge (one or more shards
-  /// down) set this; JSON bodies then carry an explicit "degraded"
-  /// marker plus the missing shard ids. Single-process views leave it
-  /// false and bodies are unchanged.
-  bool degraded = false;
-  std::span<const std::size_t> missing_shards;
-};
 
 /// Parses an integer path parameter, returning nullopt on junk.
 [[nodiscard]] std::optional<std::int64_t> int_param(const http::PathParams& params,
                                                     std::string_view name);
 
-/// The raw (unparsed) value of a path parameter, for error messages.
-[[nodiscard]] std::string_view raw_param(const http::PathParams& params,
-                                         std::string_view name);
-
 /// 400 naming the offending value and the valid window range.
 [[nodiscard]] http::Response bad_window(const http::PathParams& params,
                                         std::string_view name, int window_count);
 
-/// 400 naming the offending user id value.
-[[nodiscard]] http::Response bad_user_id(const http::PathParams& params);
+[[nodiscard]] bool valid_window(const PinnedView& view, std::int64_t window);
 
-[[nodiscard]] bool valid_window(const CrowdView& view, std::int64_t window);
+/// Every read route's handler: a pure function of one pinned view and
+/// the request. core/api.cpp pins the view and stamps its epoch.
+using ViewHandler = http::Response (*)(const PinnedView& view, const http::Request& request,
+                                       const http::PathParams& params);
 
-/// One mined pattern as JSON (elements with labels, times, support).
-[[nodiscard]] json::Value pattern_json(const patterns::MobilityPattern& pattern,
-                                       mining::LabelMode mode,
-                                       const data::Taxonomy& taxonomy,
-                                       const data::Dataset& dataset);
-
-/// Appends the degraded marker to a JSON payload when the view is a
-/// partial merge; a no-op otherwise (bodies stay byte-identical).
-void add_degraded_marker(const CrowdView& view, json::Value& payload);
-
-[[nodiscard]] http::Response crowd_handler(const CrowdView& view,
-                                           const http::PathParams& params);
-[[nodiscard]] http::Response crowd_map_handler(const CrowdView& view,
-                                               const http::PathParams& params);
-[[nodiscard]] http::Response crowd_geojson_handler(const CrowdView& view,
-                                                   const http::PathParams& params);
-[[nodiscard]] http::Response groups_handler(const CrowdView& view,
-                                            const http::PathParams& params);
-[[nodiscard]] http::Response flow_handler(const CrowdView& view,
-                                          const http::PathParams& params, bool as_map);
-[[nodiscard]] http::Response animation_handler(const CrowdView& view,
-                                               const http::Request& request);
-[[nodiscard]] http::Response rhythm_handler(const CrowdView& view);
-
-/// Live ingestion: parses CSV check-ins and submits them to the worker's
-/// queue (see core/api.hpp for the accepted headers and status codes).
-/// CSV parsing and response rendering moved to transport/csv_source.hpp
-/// (transport::parse_ingest_csv / transport::ingest_response); this
-/// wrapper runs them around a direct worker submit — no spool — and the
-/// sharded API runs the same pieces around a ShardRouter submit.
-[[nodiscard]] http::Response ingest_handler(ingest::IngestWorker& worker,
-                                            const http::Request& request);
-[[nodiscard]] http::Response ingest_stats_handler(const ingest::IngestWorker& worker);
-[[nodiscard]] http::Response store_stats_handler(const ingest::IngestWorker& worker);
-[[nodiscard]] http::Response checkpoint_handler(ingest::IngestWorker& worker);
+http::Response crowd_handler(const PinnedView&, const http::Request&, const http::PathParams&);
+http::Response crowd_map_handler(const PinnedView&, const http::Request&,
+                                 const http::PathParams&);
+http::Response crowd_geojson_handler(const PinnedView&, const http::Request&,
+                                     const http::PathParams&);
+http::Response groups_handler(const PinnedView&, const http::Request&,
+                              const http::PathParams&);
+http::Response flow_handler(const PinnedView&, const http::Request&, const http::PathParams&);
+http::Response flow_map_handler(const PinnedView&, const http::Request&,
+                                const http::PathParams&);
+/// ?seconds=S scales playback speed.
+http::Response animation_handler(const PinnedView&, const http::Request&,
+                                 const http::PathParams&);
+http::Response rhythm_handler(const PinnedView&, const http::Request&,
+                              const http::PathParams&);
+http::Response communities_handler(const PinnedView&, const http::Request&,
+                                   const http::PathParams&);
+http::Response users_handler(const PinnedView&, const http::Request&, const http::PathParams&);
+http::Response user_patterns_handler(const PinnedView&, const http::Request&,
+                                     const http::PathParams&);
+http::Response user_graph_handler(const PinnedView&, const http::Request&,
+                                  const http::PathParams&);
+http::Response user_timeline_handler(const PinnedView&, const http::Request&,
+                                     const http::PathParams&);
+/// Next-place prediction: trains the pattern predictor on the user's
+/// history per request (a user's history is tiny) and ranks their
+/// likely next place at ?minute=M.
+http::Response predict_handler(const PinnedView&, const http::Request&,
+                               const http::PathParams&);
+/// The booth feature: mines an uploaded check-in history (CSV body) and
+/// returns its time-annotated patterns. Nothing is mutated.
+http::Response analyze_handler(const PinnedView&, const http::Request&,
+                               const http::PathParams&);
 
 /// The embedded single-page viewer served at GET /.
 [[nodiscard]] std::string_view viewer_html() noexcept;

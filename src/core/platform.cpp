@@ -173,9 +173,13 @@ mining::UserSequences Platform::sequences_for(data::UserId user) const {
 }
 
 patterns::PlaceGraph Platform::place_graph(data::UserId user) const {
-  const mining::UserSequences sequences = sequences_for(user);
+  return place_graph(user_mobility(user), sequences_for(user), experiment_);
+}
+
+patterns::PlaceGraph Platform::place_graph(const patterns::UserMobility* mobility,
+                                           const mining::UserSequences& sequences,
+                                           const data::Dataset& dataset) const {
   patterns::PlaceGraphOptions options;
-  const patterns::UserMobility* mobility = user_mobility(user);
   // Closed-mode entries expand lazily for this request: the graph's
   // pattern restriction keys on consecutive element pairs, which the
   // closed set does not preserve, so restricting to it directly would
@@ -187,8 +191,8 @@ patterns::PlaceGraph Platform::place_graph(data::UserId user) const {
   } else if (mobility != nullptr && !mobility->patterns.empty()) {
     options.restrict_to_patterns = &mobility->patterns;
   }
-  return patterns::build_place_graph(sequences, taxonomy(), experiment_,
-                                     config_.sequences.mode, options);
+  return patterns::build_place_graph(sequences, taxonomy(), dataset, config_.sequences.mode,
+                                     options);
 }
 
 }  // namespace crowdweb::core

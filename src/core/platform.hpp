@@ -126,6 +126,11 @@ class Platform {
 
   /// Builds a user's place graph restricted to their mined patterns.
   [[nodiscard]] patterns::PlaceGraph place_graph(data::UserId user) const;
+  /// Same, over any epoch's entry (null = unrestricted) and the day
+  /// sequences built from the corpus it was mined from.
+  [[nodiscard]] patterns::PlaceGraph place_graph(const patterns::UserMobility* mobility,
+                                                 const mining::UserSequences& sequences,
+                                                 const data::Dataset& dataset) const;
 
  private:
   Platform() = default;

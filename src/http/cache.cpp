@@ -96,13 +96,15 @@ std::shared_ptr<const CachedResponse> ResponseCache::lookup(std::string_view met
 std::shared_ptr<const CachedResponse> ResponseCache::insert(std::string_view method,
                                                             std::string_view target,
                                                             const Response& response) {
-  const std::uint64_t at_epoch = epoch();
+  const std::uint64_t at_epoch = response.rendered_at ? response.rendered_at->key : epoch();
   auto cached = std::make_shared<CachedResponse>();
   cached->status = response.status;
   cached->headers = response.headers;
   cached->body = response.body;
   cached->epoch = at_epoch;
-  const auto tag = epoch_tag();
+  const auto current_tag = response.rendered_at ? nullptr : epoch_tag();
+  const std::string* tag =
+      response.rendered_at ? &response.rendered_at->tag : current_tag.get();
   cached->etag = tag ? crowdweb::format("\"{}-{:x}\"", *tag, fnv1a(response.body))
                      : crowdweb::format("\"{}-{:x}\"", at_epoch, fnv1a(response.body));
   cached->headers["ETag"] = cached->etag;

@@ -133,7 +133,8 @@ class ResponseCache {
                                                              std::string_view target,
                                                              bool record_miss = true);
 
-  /// Caches `response` for (method, target) at the current epoch and
+  /// Caches `response` for (method, target) at the epoch it was rendered
+  /// from (Response::rendered_at; the current epoch when unset) and
   /// returns the stored entry (with its ETag computed and added to the
   /// stored headers). Evicts LRU entries until the shard fits its
   /// budget share. Responses bigger than one shard's budget are not

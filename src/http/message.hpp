@@ -33,10 +33,22 @@ struct Request {
   [[nodiscard]] bool keep_alive() const;
 };
 
+/// The epoch a response body was rendered from: the response-cache key
+/// epoch and its ETag rendition (see ResponseCache::set_epoch).
+struct RenderedEpoch {
+  std::uint64_t key = 0;
+  std::string tag;
+};
+
 struct Response {
   int status = 200;
   std::map<std::string, std::string> headers;
   std::string body;
+  /// Set by handlers that render from a pinned epoch. ResponseCache::
+  /// insert files the body under this epoch instead of the cache's
+  /// current one, so a publish landing mid-render cannot make epoch E's
+  /// body answer for E+1. Unset = the cache's epoch at insert time.
+  std::optional<RenderedEpoch> rendered_at;
   /// Non-empty turns this into a streaming response: the server keeps
   /// the connection open after writing `body` (the initial payload) and
   /// fans subsequent Server::publish_stream(channel, ...) bytes into

@@ -1,24 +1,14 @@
-// The sharded CrowdWeb HTTP API: the same surface as core/api.hpp,
-// served by scatter-gather over a ShardRouter instead of one worker.
+// The CrowdWeb HTTP API over a ShardRouter.
 //
-// Crowd-facing routes (crowd/groups/flow/animation/rhythm) render the
-// router's merged view through the shared core::handlers — the bodies
-// are value-identical to a single-process deployment over the same
-// corpus (hash layout; see router.hpp for the region-mode caveat).
-// When one or more shards are down the routes still answer 200, with
-// an explicit "degraded": true marker and the missing shard ids in the
-// JSON body (SVG routes render the partial merge unmarked).
-//
-// Deviations from the single-process surface:
-//   GET  /api/status       per-shard blocks + the epoch vector (see
-//                          docs/API.md)
-//   GET  /api/shards       the static layout and per-shard health
-//   POST /api/ingest       routes rows to their owning shards; rows for
-//                          a down shard count as rejected
-//   not served             /api/user/:id/{graph,timeline}.svg,
-//                          /api/predict/:id, /api/communities, and
-//                          POST /api/analyze — they read batch-platform
-//                          state that sharding does not partition yet
+// This is the core route tree (core/api.hpp) with the router as its
+// view source: every request pins the router's merged view of its shard
+// epochs, so the route surface and the bodies are those of a
+// single-process deployment over the same corpus (hash layout; see
+// router.hpp for the region-mode caveat). When one or more shards are
+// down, reads still answer 200, with an explicit "degraded": true
+// marker and the missing shard ids in JSON bodies (SVG routes render
+// the partial merge unmarked), and POST /api/ingest counts rows for a
+// down shard as rejected.
 #pragma once
 
 #include <functional>
@@ -46,7 +36,7 @@ struct ShardApiOptions {
   int http_workers = 0;
 };
 
-/// Builds the scatter-gather API over a started (or starting) router.
+/// Builds the core route tree over a started (or starting) router.
 /// The router must outlive the returned router object.
 [[nodiscard]] http::Router make_shard_api_router(ShardRouter& router,
                                                  ShardApiOptions options = {});

@@ -101,8 +101,7 @@ Result<std::unique_ptr<ShardRouter>> ShardRouter::create(const core::Platform& p
         [self, id](const ingest::PlatformSnapshot& snapshot) {
           if (self->epoch_gauge_[id] != nullptr)
             self->epoch_gauge_[id]->set(static_cast<double>(snapshot.epoch));
-          if (self->cache_ != nullptr)
-            self->cache_->set_epoch(self->combined_epoch(), self->epoch_tag());
+          if (self->cache_ != nullptr) self->rekey_cache();
         });
   }
   return router;
@@ -125,7 +124,7 @@ Status ShardRouter::start() {
   }
   // Hooks fired while siblings were still starting saw their epochs as
   // 0; settle the cache key on the complete vector.
-  if (cache_ != nullptr) cache_->set_epoch(combined_epoch(), epoch_tag());
+  if (cache_ != nullptr) rekey_cache();
   refresh_gauges();
   return Status::ok();
 }
@@ -180,15 +179,7 @@ ingest::SubmitResult ShardRouter::submit(std::span<const ingest::IngestEvent> ev
   return total;
 }
 
-void ShardRouter::note_invalid(std::uint64_t count) noexcept {
-  shards_.front()->worker().note_invalid(count);
-}
-
-data::UserId ShardRouter::allocate_guest_id() noexcept {
-  return shards_.front()->worker().allocate_guest_id();
-}
-
-MergedPtr ShardRouter::merged() const {
+core::ViewPtr ShardRouter::merged() const {
   std::vector<ingest::SnapshotPtr> pins(shards_.size());
   std::vector<std::uint64_t> epochs(shards_.size(), 0);
   for (std::size_t id = 0; id < shards_.size(); ++id) {
@@ -198,45 +189,12 @@ MergedPtr ShardRouter::merged() const {
 
   std::lock_guard<std::mutex> lock(merge_mutex_);
   if (merge_cache_ != nullptr && merge_cache_->epochs == epochs) return merge_cache_;
-
-  auto view = std::make_shared<MergedView>();
-  view->epochs = epochs;
-  view->pins = std::move(pins);
-  view->combined_epoch = mix_epoch_vector(view->epochs);
-  view->epoch_tag = epoch_tag_of(view->epochs);
-
-  std::vector<const crowd::CrowdModel*> parts;
-  for (std::size_t id = 0; id < view->pins.size(); ++id) {
-    const ingest::SnapshotPtr& pin = view->pins[id];
-    if (pin == nullptr) {
-      view->missing.push_back(id);
-      continue;
-    }
-    parts.push_back(&pin->crowd);
-    if (view->dataset == nullptr) {
-      view->dataset = &pin->dataset;
-      view->grid = &pin->grid;
-    }
-    view->live_checkins += pin->live_checkins;
-    view->total_checkins += pin->dataset.checkin_count();
-  }
-  view->degraded = !view->missing.empty();
-
-  if (!parts.empty()) {
+  {
     const telemetry::ScopedTimer timer(merge_seconds_);
-    auto merged_crowd = crowd::CrowdModel::merge(parts);
-    if (merged_crowd) {
-      view->crowd = std::move(*merged_crowd);
-    } else {
-      // Grid/options disagreement is a construction bug (the router
-      // pins both); degrade to the first live shard rather than 500.
-      view->crowd = *parts.front();
-    }
-    if (merges_ != nullptr) merges_->increment();
+    merge_cache_ = core::view_of(*platform_, std::move(pins), mix_epoch_vector(epochs));
   }
-
+  if (merges_ != nullptr && merge_cache_->crowd != nullptr) merges_->increment();
   refresh_gauges();
-  merge_cache_ = std::move(view);
   return merge_cache_;
 }
 
@@ -247,30 +205,17 @@ std::vector<std::uint64_t> ShardRouter::epoch_vector() const {
   return epochs;
 }
 
-std::string ShardRouter::epoch_tag() const { return epoch_tag_of(epoch_vector()); }
+std::string ShardRouter::epoch_tag() const { return core::epoch_tag_of(epoch_vector()); }
 
 std::uint64_t ShardRouter::combined_epoch() const {
   const std::vector<std::uint64_t> epochs = epoch_vector();
   return mix_epoch_vector(epochs);
 }
 
-ingest::IngestStats ShardRouter::aggregated_stats() const {
-  ingest::IngestStats total;
-  for (const auto& shard : shards_) {
-    const ingest::IngestStats stats = shard->worker().stats();
-    total.submitted += stats.submitted;
-    total.accepted += stats.accepted;
-    total.rejected += stats.rejected;
-    total.invalid += stats.invalid;
-    total.epochs_published += stats.epochs_published;
-    total.current_epoch = std::max(total.current_epoch, stats.current_epoch);
-    total.queue_depth += stats.queue_depth;
-    total.queue_capacity += stats.queue_capacity;
-    total.live_checkins += stats.live_checkins;
-    total.last_rebuild_ms = std::max(total.last_rebuild_ms, stats.last_rebuild_ms);
-    total.total_rebuild_ms += stats.total_rebuild_ms;
-  }
-  return total;
+void ShardRouter::rekey_cache() {
+  const std::lock_guard<std::mutex> lock(rekey_mutex_);
+  const std::vector<std::uint64_t> epochs = epoch_vector();
+  cache_->set_epoch(mix_epoch_vector(epochs), core::epoch_tag_of(epochs));
 }
 
 bool ShardRouter::wait_for_live(std::size_t live_checkins,
@@ -295,15 +240,6 @@ Status ShardRouter::checkpoint_all(std::chrono::milliseconds timeout) {
 
 void ShardRouter::note_degraded_read() const noexcept {
   if (degraded_reads_ != nullptr) degraded_reads_->increment();
-}
-
-std::string ShardRouter::epoch_tag_of(std::span<const std::uint64_t> epochs) {
-  std::string tag;
-  for (std::size_t i = 0; i < epochs.size(); ++i) {
-    if (i > 0) tag.push_back('.');
-    tag += std::to_string(epochs[i]);
-  }
-  return tag;
 }
 
 void ShardRouter::init_metrics() {

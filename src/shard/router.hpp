@@ -15,10 +15,10 @@
 //     read path value-identical to a single-process deployment.
 //
 // Writes (`submit`) partition the batch by owning shard. Reads call
-// `merged()`: every shard's current epoch snapshot is pinned, and the
-// per-shard crowd models are k-way merged by user id into one
-// CrowdModel the shared core handlers render — possible because every
-// shard's grid is pinned to the same city-wide bounds
+// `merged()`: every shard's current epoch snapshot is pinned into one
+// core::PinnedView, whose per-shard crowd models are k-way merged by
+// user id into one CrowdModel the core handlers render — possible
+// because every shard's grid is pinned to the same city-wide bounds
 // (IngestPipelineConfig::fixed_grid_bounds), so cell ids agree across
 // shards. The merge is cached per epoch vector; it reruns only when
 // some shard publishes.
@@ -42,6 +42,7 @@
 #include <vector>
 
 #include "core/platform.hpp"
+#include "core/view.hpp"
 #include "crowd/model.hpp"
 #include "http/cache.hpp"
 #include "ingest/event.hpp"
@@ -85,33 +86,6 @@ struct ShardRouterConfig {
   std::vector<std::size_t> disabled_shards;
 };
 
-/// One consistent scatter-gather read view: per-shard snapshots pinned
-/// at merge time plus the merged crowd model. Immutable and shared —
-/// handlers hold the pointer for the whole request, so a concurrent
-/// shard publish cannot mutate what they render.
-struct MergedView {
-  /// Epoch per shard slot (0 = shard down / nothing published).
-  std::vector<std::uint64_t> epochs;
-  /// Pinned snapshots, parallel to `epochs` (null for down shards).
-  std::vector<ingest::SnapshotPtr> pins;
-  /// Ids of shards that contributed nothing, ascending.
-  std::vector<std::size_t> missing;
-  bool degraded = false;  ///< true iff `missing` is non-empty
-  std::uint64_t combined_epoch = 0;  ///< mix_epoch_vector(epochs)
-  std::string epoch_tag;             ///< dotted vector, e.g. "3.5.2"
-  /// K-way merged crowd model (nullopt when no shard is up).
-  std::optional<crowd::CrowdModel> crowd;
-  /// Corpus + grid of the first live shard, for handlers that need a
-  /// dataset (labels) and the pinned grid geometry. Null when no shard
-  /// is up. Venue tables are shared across shards at seed time; they
-  /// diverge only once live events mint shard-local venues.
-  const data::Dataset* dataset = nullptr;
-  const geo::SpatialGrid* grid = nullptr;
-  std::size_t live_checkins = 0;   ///< summed over live shards
-  std::size_t total_checkins = 0;  ///< summed corpus size over live shards
-};
-using MergedPtr = std::shared_ptr<const MergedView>;
-
 class ShardRouter {
  public:
   /// Builds the layout over `platform`'s experiment corpus: partitions
@@ -148,36 +122,26 @@ class ShardRouter {
   /// per-shard accept/reject outcomes are summed. Thread-safe.
   ingest::SubmitResult submit(std::span<const ingest::IngestEvent> events);
 
-  /// Forwards producer-side invalid-row accounting (to shard 0).
-  void note_invalid(std::uint64_t count) noexcept;
-
-  /// A guest id for anonymous submissions (allocated on shard 0; the
-  /// id space is global, so routing stays consistent).
-  [[nodiscard]] data::UserId allocate_guest_id() noexcept;
-
   /// The current scatter-gather view. Cached per epoch vector: the
   /// k-way merge runs once per cross-shard state change, every other
   /// call is a pointer copy. Never null; with no shard up the view has
   /// no crowd/dataset and lists every shard as missing.
-  [[nodiscard]] MergedPtr merged() const;
+  [[nodiscard]] core::ViewPtr merged() const;
 
   /// Epoch per shard slot, right now (0 for down shards).
   [[nodiscard]] std::vector<std::uint64_t> epoch_vector() const;
   /// Dotted rendition of epoch_vector(), e.g. "3.5.2".
   [[nodiscard]] std::string epoch_tag() const;
-  /// Dotted rendition of an arbitrary epoch vector.
-  [[nodiscard]] static std::string epoch_tag_of(std::span<const std::uint64_t> epochs);
   /// mix_epoch_vector(epoch_vector()) — the response-cache key epoch.
   [[nodiscard]] std::uint64_t combined_epoch() const;
 
   /// Re-keys `cache` (epoch + dotted tag) on every shard publish, so
   /// cached responses become unreachable the moment any shard's state
-  /// moves. Call before start(); `cache` must outlive the router.
+  /// moves. Key and tag come from one epoch-vector read, applied under
+  /// one mutex, so concurrent publish hooks cannot leave an older
+  /// vector installed. Call before start(); `cache` must outlive the
+  /// router.
   void rekey_cache_on_publish(http::ResponseCache* cache) noexcept { cache_ = cache; }
-
-  /// Sums per-shard worker stats; `current_epoch` is the max shard
-  /// epoch (report the vector, not this, for consistency questions).
-  [[nodiscard]] ingest::IngestStats aggregated_stats() const;
 
   /// Polls until the merged view holds at least `live_checkins` live
   /// events (true) or the timeout expires (false). Test/bench helper.
@@ -203,6 +167,8 @@ class ShardRouter {
   [[nodiscard]] std::size_t assign_user(data::UserId user,
                                         const geo::LatLon& first_position) const noexcept;
   void init_metrics();
+  /// Sets the cache key and tag from one epoch_vector() read.
+  void rekey_cache();
   /// Pushes per-shard gauges (up/epoch/lag/queue/live) to the registry.
   void refresh_gauges() const;
 
@@ -223,8 +189,9 @@ class ShardRouter {
   telemetry::Counter* merges_ = nullptr;
   telemetry::Counter* degraded_reads_ = nullptr;
 
+  std::mutex rekey_mutex_;
   mutable std::mutex merge_mutex_;
-  mutable MergedPtr merge_cache_;  // guarded by merge_mutex_
+  mutable core::ViewPtr merge_cache_;  // guarded by merge_mutex_
 };
 
 }  // namespace crowdweb::shard

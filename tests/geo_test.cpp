@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "geo/dbscan.hpp"
-#include "geo/geohash.hpp"
 #include "geo/grid.hpp"
 #include "geo/point.hpp"
 #include "geo/quadtree.hpp"
@@ -118,54 +117,6 @@ TEST(BoundingBoxTest, Inflated) {
   const BoundingBox box = nyc_bounds().inflated(0.1);
   EXPECT_DOUBLE_EQ(box.min_lat, 40.45);
   EXPECT_DOUBLE_EQ(box.max_lon, -73.58);
-}
-
-// --------------------------------------------------------------- Geohash
-
-TEST(GeohashTest, KnownVector) {
-  // Reference vector from the original geohash implementation.
-  EXPECT_EQ(geohash_encode({57.64911, 10.40744}, 11), "u4pruydqqvj");
-}
-
-TEST(GeohashTest, DecodeCenterCloseToOriginal) {
-  const std::string hash = geohash_encode(kTimesSquare, 9);
-  const auto decoded = geohash_decode(hash);
-  ASSERT_TRUE(decoded.is_ok());
-  EXPECT_LT(haversine_meters(kTimesSquare, *decoded), 10.0);
-}
-
-TEST(GeohashTest, BoundsContainPoint) {
-  Rng rng(13);
-  for (int i = 0; i < 200; ++i) {
-    const LatLon p{rng.uniform(-89.9, 89.9), rng.uniform(-179.9, 179.9)};
-    for (int precision = 1; precision <= 10; ++precision) {
-      const auto bounds = geohash_decode_bounds(geohash_encode(p, precision));
-      ASSERT_TRUE(bounds.is_ok());
-      EXPECT_TRUE(bounds->contains(p));
-    }
-  }
-}
-
-TEST(GeohashTest, PrefixNesting) {
-  const std::string hash = geohash_encode(kTimesSquare, 8);
-  const auto outer = geohash_decode_bounds(hash.substr(0, 4));
-  const auto inner = geohash_decode_bounds(hash);
-  ASSERT_TRUE(outer.is_ok());
-  ASSERT_TRUE(inner.is_ok());
-  EXPECT_TRUE(outer->contains(inner->center()));
-  EXPECT_GE(inner->min_lat, outer->min_lat);
-  EXPECT_LE(inner->max_lon, outer->max_lon);
-}
-
-TEST(GeohashTest, RejectsInvalidInput) {
-  EXPECT_FALSE(geohash_decode("").is_ok());
-  EXPECT_FALSE(geohash_decode("abcia").is_ok());  // 'i' is not base32
-  EXPECT_FALSE(geohash_decode("waytoolonggeohash").is_ok());
-}
-
-TEST(GeohashTest, PrecisionClamped) {
-  EXPECT_EQ(geohash_encode(kTimesSquare, 0).size(), 1u);
-  EXPECT_EQ(geohash_encode(kTimesSquare, 99).size(), 12u);
 }
 
 // ------------------------------------------------------------------ Grid

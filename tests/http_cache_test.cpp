@@ -167,6 +167,15 @@ class CachedServerFixture : public ::testing::Test {
           200, "{\"key\":\"" + params.at("key") +
                    "\",\"generation\":" + std::to_string(generation_.load()) + "}");
     });
+    // Renders from the epoch it pins, while a publish lands mid-render.
+    router.get_cached("/pinned", [this](const Request&, const PathParams&) {
+      invocations_.fetch_add(1);
+      const std::uint64_t pinned = cache_->epoch();
+      cache_->set_epoch(pinned + 1);
+      Response response = Response::json(200, "{\"epoch\":" + std::to_string(pinned) + "}");
+      response.rendered_at = RenderedEpoch{pinned, std::to_string(pinned)};
+      return response;
+    });
     router.get("/uncached", [this](const Request&, const PathParams&) {
       invocations_.fetch_add(1);
       return Response::text(200, "uncached");
@@ -270,6 +279,21 @@ TEST_F(CachedServerFixture, EpochBumpServesFreshContentWithoutInvalidation) {
   ASSERT_TRUE(revalidated.is_ok());
   EXPECT_EQ(revalidated->status, 200);
   EXPECT_NE(revalidated->body.find("\"generation\":1"), std::string::npos);
+}
+
+TEST_F(CachedServerFixture, BodyIsFiledUnderTheEpochItWasRenderedFrom) {
+  const auto first = fetch_path("/pinned");
+  ASSERT_TRUE(first.is_ok());
+  EXPECT_EQ(first->body, "{\"epoch\":0}");
+  EXPECT_EQ(first->headers.at("etag").rfind("\"0-", 0), 0u) << first->headers.at("etag");
+  EXPECT_EQ(cache_->epoch(), 1u);
+
+  // Epoch 0's body must not answer for epoch 1: the next GET executes.
+  const auto second = fetch_path("/pinned");
+  ASSERT_TRUE(second.is_ok());
+  EXPECT_EQ(second->headers.at("x-cache"), "miss");
+  EXPECT_EQ(second->body, "{\"epoch\":1}");
+  EXPECT_EQ(invocations_.load(), 2);
 }
 
 TEST_F(CachedServerFixture, HeadSharesTheGetEntry) {

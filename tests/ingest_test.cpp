@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <string>
@@ -12,6 +13,7 @@
 
 #include "core/api.hpp"
 #include "core/platform.hpp"
+#include "http/cache.hpp"
 #include "http/client.hpp"
 #include "http/server.hpp"
 #include "ingest/queue.hpp"
@@ -350,6 +352,57 @@ TEST(IngestApiTest, AnonymousSchemaBooksRowsUnderOneGuest) {
   const ingest::SnapshotPtr snapshot = worker->hub().current();
   EXPECT_EQ(snapshot->live_checkins, 2u);
   EXPECT_EQ(snapshot->live_users, 1u);
+  server.stop();
+  worker->stop();
+}
+
+TEST(IngestApiTest, UsersAndCrowdServeTheSameEpochAfterIngest) {
+  // Every route renders from the epoch it pins: after live ingest the
+  // user table lists the new guest, and its validator names the same
+  // epoch the crowd route's does.
+  const core::Platform& platform = test_platform();
+  ingest::IngestWorkerConfig config;
+  config.rebuild_interval = 20ms;
+  auto worker = core::make_ingest_worker(platform, config);
+  http::ResponseCache cache;
+  worker->hub().on_publish(
+      [&cache](const ingest::PlatformSnapshot& snapshot) { cache.set_epoch(snapshot.epoch); });
+  ASSERT_TRUE(worker->start().is_ok());
+  http::ServerConfig server_config;
+  server_config.cache = &cache;
+  http::Server server(core::make_api_router(platform, {worker.get(), nullptr}), server_config);
+  ASSERT_TRUE(server.start().is_ok());
+
+  const auto users_before = http::get("127.0.0.1", server.port(), "/api/users");
+  ASSERT_TRUE(users_before.is_ok());
+  const std::string body =
+      "category,lat,lon,timestamp\n"
+      "Eatery,40.75,-73.98,2012-04-10 12:00:00\n"
+      "Eatery,40.75,-73.98,2012-04-11 12:30:00\n";
+  const auto response = http::fetch("127.0.0.1", server.port(), "POST", "/api/ingest", body);
+  ASSERT_TRUE(response.is_ok());
+  ASSERT_EQ(response->status, 200) << response->body;
+  ASSERT_TRUE(worker->wait_for_epoch(2, 5s));
+  const ingest::SnapshotPtr snapshot = worker->hub().current();
+  ASSERT_EQ(snapshot->live_checkins, 2u);
+  data::UserId guest = 0;
+  for (const patterns::UserMobility& entry : snapshot->mobility)
+    guest = std::max(guest, entry.user);
+  ASSERT_GE(guest, 3'000'000'000u);
+
+  const auto users = http::get("127.0.0.1", server.port(), "/api/users");
+  const auto crowd = http::get("127.0.0.1", server.port(), "/api/crowd/12");
+  ASSERT_TRUE(users.is_ok());
+  ASSERT_TRUE(crowd.is_ok());
+  ASSERT_EQ(users->status, 200);
+  ASSERT_EQ(crowd->status, 200);
+  EXPECT_EQ(users_before->body.find(std::to_string(guest)), std::string::npos);
+  EXPECT_NE(users->body.find("\"id\":" + std::to_string(guest)), std::string::npos);
+  const auto epoch_of = [](const std::string& etag) {
+    return etag.substr(1, etag.find('-') - 1);
+  };
+  EXPECT_EQ(epoch_of(users->headers.at("etag")), epoch_of(crowd->headers.at("etag")));
+  EXPECT_EQ(epoch_of(users->headers.at("etag")), std::to_string(snapshot->epoch));
   server.stop();
   worker->stop();
 }

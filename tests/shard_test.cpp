@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <initializer_list>
@@ -178,7 +179,7 @@ void expect_crowd_eq(const crowd::CrowdModel& a, const crowd::CrowdModel& b) {
 
 /// Merged per-shard mobility must equal the baseline's table: same
 /// users in the same order, same mined patterns.
-void expect_merged_mobility_eq(const shard::MergedView& view,
+void expect_merged_mobility_eq(const core::PinnedView& view,
                                const patterns::MobilityTable& reference) {
   std::vector<const patterns::UserMobility*> merged;
   {
@@ -331,9 +332,9 @@ TEST(ShardEquivalence, FourShardsMatchSingleWorkerAcrossInterleavedIngest) {
 
   const ingest::SnapshotPtr baseline = single.hub().current();
   ASSERT_NE(baseline, nullptr);
-  const shard::MergedPtr merged = router.merged();
+  const core::ViewPtr merged = router.merged();
   ASSERT_FALSE(merged->degraded);
-  ASSERT_TRUE(merged->crowd.has_value());
+  ASSERT_NE(merged->crowd, nullptr);
   EXPECT_EQ(merged->live_checkins, baseline->live_checkins);
   expect_crowd_eq(*merged->crowd, baseline->crowd);
   expect_merged_mobility_eq(*merged, baseline->mobility);
@@ -351,6 +352,22 @@ TEST(ShardEquivalence, FourShardsMatchSingleWorkerAcrossInterleavedIngest) {
         crowdweb::format("/api/flow/{}/{}/map.svg", w - 1, w),
         std::string("/api/rhythm.svg")}) {
     EXPECT_EQ(body_of(shard_api, path), body_of(single_api, path)) << path;
+  }
+
+  // ...and on every user-facing route: both deployments render them
+  // from the live epoch (re-mined users, guest ids), never from the
+  // frozen batch build.
+  EXPECT_EQ(body_of(shard_api, "/api/users"), body_of(single_api, "/api/users"));
+  EXPECT_EQ(body_of(shard_api, "/api/communities"), body_of(single_api, "/api/communities"));
+  ASSERT_NE(baseline->mobility.find(50'000), nullptr);
+  for (const patterns::UserMobility& entry : baseline->mobility) {
+    for (const std::string& path :
+         {crowdweb::format("/api/user/{}/patterns", entry.user),
+          crowdweb::format("/api/user/{}/graph.svg", entry.user),
+          crowdweb::format("/api/user/{}/timeline.svg", entry.user),
+          crowdweb::format("/api/predict/{}", entry.user)}) {
+      EXPECT_EQ(body_of(shard_api, path), body_of(single_api, path)) << path;
+    }
   }
 
   single.stop();
@@ -390,8 +407,8 @@ TEST(ShardEquivalence, SurvivesKillAndRestartOfStore) {
   feed_and_settle(single, chunk2, chunk1.size() + chunk2.size());
 
   const ingest::SnapshotPtr baseline = single.hub().current();
-  const shard::MergedPtr merged = (*after)->merged();
-  ASSERT_TRUE(merged->crowd.has_value());
+  const core::ViewPtr merged = (*after)->merged();
+  ASSERT_NE(merged->crowd, nullptr);
   expect_crowd_eq(*merged->crowd, baseline->crowd);
   expect_merged_mobility_eq(*merged, baseline->mobility);
 
@@ -417,7 +434,7 @@ TEST(ShardDegraded, DownShardYields200WithMarkerAndCounter) {
   options.metrics = &metrics;
   const http::Router api = shard::make_shard_api_router(router, options);
 
-  const shard::MergedPtr merged = router.merged();
+  const core::ViewPtr merged = router.merged();
   ASSERT_TRUE(merged->degraded);
   ASSERT_EQ(merged->missing, std::vector<std::size_t>{2});
   const int w = merged->crowd->window_count() / 2;
@@ -511,6 +528,52 @@ TEST(ShardEpochs, EtagEmbedsDottedVectorAndRekeysOnPublish) {
   router.stop();
 }
 
+TEST(ShardEpochs, ConcurrentPublishesLeaveTheNewestVectorInstalled) {
+  // Every shard publishes at once, round after round. Each publish hook
+  // re-keys the cache; whichever hook runs last must install the newest
+  // vector, with its key and tag from the same read.
+  const core::Platform& platform = test_platform();
+  http::ResponseCache cache;
+  auto router_result = shard::ShardRouter::create(platform, router_config(4));
+  ASSERT_TRUE(router_result.is_ok()) << router_result.status().to_string();
+  shard::ShardRouter& router = **router_result;
+  router.rekey_cache_on_publish(&cache);
+  ASSERT_TRUE(router.start().is_ok());
+
+  // One event per shard per round, so all four publish together.
+  std::vector<std::vector<ingest::IngestEvent>> per_shard(4);
+  for (std::size_t i = 0; i < 4'000; ++i) {
+    const std::vector<ingest::IngestEvent> one = venue_traffic(1, i);
+    std::vector<ingest::IngestEvent>& slice = per_shard[router.owner_of(one.front())];
+    if (slice.size() < 40) slice.push_back(one.front());
+  }
+  for (const auto& slice : per_shard) ASSERT_EQ(slice.size(), 40u);
+
+  std::size_t live = 0;
+  for (std::size_t round = 0; round < 40; ++round) {
+    std::vector<std::thread> producers;
+    for (std::size_t k = 0; k < 4; ++k) {
+      producers.emplace_back([&, k] {
+        (void)router.shard(k).worker().submit({&per_shard[k][round], 1});
+      });
+    }
+    for (std::thread& producer : producers) producer.join();
+    live += 4;
+    ASSERT_TRUE(router.wait_for_live(live, 10s));
+    // Hooks run just after each swap; give the last one a moment, then
+    // the cache must hold the vector every shard now reports.
+    const auto deadline = std::chrono::steady_clock::now() + 2s;
+    while (cache.epoch() != router.combined_epoch() &&
+           std::chrono::steady_clock::now() < deadline)
+      std::this_thread::sleep_for(1ms);
+    ASSERT_EQ(cache.epoch(), router.combined_epoch()) << "round " << round;
+    const auto entry = cache.insert("GET", "/probe", http::Response::json(200, "{}"));
+    ASSERT_EQ(entry->etag.rfind("\"" + router.epoch_tag() + "-", 0), 0u)
+        << entry->etag << " round " << round;
+  }
+  router.stop();
+}
+
 TEST(ShardStatus, ReportsPerShardBlocksAndAggregates) {
   auto router_result = shard::ShardRouter::create(test_platform(), router_config(2));
   ASSERT_TRUE(router_result.is_ok()) << router_result.status().to_string();
@@ -536,6 +599,127 @@ TEST(ShardStatus, ReportsPerShardBlocksAndAggregates) {
   EXPECT_NE(status->find("ingest"), nullptr);
 
   router.stop();
+}
+
+// ------------------------------------------------------ route surface
+
+/// Every GET route the API documents (SSE aside: sharded deployments
+/// do not stream), with valid parameters for `user`.
+std::vector<std::string> documented_reads(data::UserId user) {
+  std::vector<std::string> paths = {"/",
+                                    "/api/status",
+                                    "/metrics",
+                                    "/api/shards",
+                                    "/api/users",
+                                    "/api/crowd/12",
+                                    "/api/crowd/12/map.svg",
+                                    "/api/crowd/12/geojson",
+                                    "/api/groups/12",
+                                    "/api/flow/11/12",
+                                    "/api/flow/11/12/map.svg",
+                                    "/api/animation.svg",
+                                    "/api/rhythm.svg",
+                                    "/api/communities",
+                                    "/api/ingest/stats",
+                                    "/api/store/stats"};
+  for (const char* route : {"patterns", "graph.svg", "timeline.svg"})
+    paths.push_back(crowdweb::format("/api/user/{}/{}", user, route));
+  paths.push_back(crowdweb::format("/api/predict/{}", user));
+  return paths;
+}
+
+std::vector<std::string> keys_of(const std::string& body) {
+  const auto parsed = json::parse(body);
+  EXPECT_TRUE(parsed.is_ok());
+  std::vector<std::string> keys;
+  if (parsed.is_ok())
+    for (const auto& [key, value] : parsed->as_object()) keys.push_back(key);
+  std::sort(keys.begin(), keys.end());
+  return keys;
+}
+
+TEST(RouteSurface, OneWorkerAndFourShardsServeEveryRoute) {
+  const core::Platform& platform = test_platform();
+  ScratchDir single_dir("surface_single");
+  ScratchDir shard_dir("surface_shards");
+  telemetry::Registry single_metrics;
+  telemetry::Registry shard_metrics;
+
+  ingest::IngestWorkerConfig single_config = worker_config();
+  single_config.store.dir = single_dir.str();
+  auto single = core::make_ingest_worker(platform, single_config);
+  ASSERT_TRUE(single->start().is_ok());
+  core::ApiOptions single_options;
+  single_options.ingest = single.get();
+  single_options.metrics = &single_metrics;
+  single_options.stream = true;
+  const http::Router single_api = core::make_api_router(platform, single_options);
+  // The SSE subscribe routes (one worker only) open with the current
+  // epoch and window.
+  const http::Response epochs = single_api.dispatch(get_request("/api/stream/epochs"));
+  EXPECT_EQ(epochs.status, 200);
+  EXPECT_NE(epochs.body.find("event: epoch"), std::string::npos) << epochs.body;
+  const http::Response crowd = single_api.dispatch(get_request("/api/stream/crowd/12"));
+  EXPECT_EQ(crowd.status, 200);
+  EXPECT_NE(crowd.body.find("event: crowd"), std::string::npos) << crowd.body;
+
+  shard::ShardRouterConfig config = router_config(4);
+  config.worker.store.dir = shard_dir.str();
+  auto router = shard::ShardRouter::create(platform, std::move(config));
+  ASSERT_TRUE(router.is_ok()) << router.status().to_string();
+  ASSERT_TRUE((*router)->start().is_ok());
+  shard::ShardApiOptions shard_options;
+  shard_options.metrics = &shard_metrics;
+  const http::Router shard_api = shard::make_shard_api_router(**router, shard_options);
+
+  const data::UserId user = platform.experiment_dataset().users()[0];
+  for (const http::Router* api : {&single_api, &shard_api}) {
+    const char* name = api == &single_api ? "1 worker" : "4 shards";
+    for (const std::string& path : documented_reads(user)) {
+      const http::Response response = api->dispatch(get_request(path));
+      EXPECT_GE(response.status, 200) << name << " " << path;
+      EXPECT_LT(response.status, 300) << name << " " << path << ": " << response.body;
+    }
+    http::Request ingest = get_request("/api/ingest");
+    ingest.method = "POST";
+    ingest.body = "category,lat,lon,timestamp\nEatery,40.75,-73.98,2012-04-10 12:00:00\n";
+    EXPECT_EQ(api->dispatch(ingest).status, 200) << name;
+    http::Request analyze = get_request("/api/analyze");
+    analyze.method = "POST";
+    analyze.body = ingest.body;
+    EXPECT_EQ(api->dispatch(analyze).status, 200) << name;
+    http::Request checkpoint = get_request("/api/admin/checkpoint");
+    checkpoint.method = "POST";
+    EXPECT_EQ(api->dispatch(checkpoint).status, 200) << name;
+  }
+
+  // One /api/status schema at every shard count.
+  const std::string single_status = body_of(single_api, "/api/status");
+  EXPECT_EQ(keys_of(single_status), keys_of(body_of(shard_api, "/api/status")));
+  const auto status = json::parse(single_status);
+  ASSERT_TRUE(status.is_ok());
+  EXPECT_EQ(status->find("shards")->as_array().size(), 1u);
+  EXPECT_EQ(status->find("epoch_vector")->as_array().size(), 1u);
+  const std::int64_t epoch = status->find("epoch_vector")->as_array()[0].as_int();
+  EXPECT_EQ(status->find("epoch_tag")->as_string(), std::to_string(epoch));
+
+  single->stop();
+  (*router)->stop();
+}
+
+TEST(RouteSurface, StaticBuildServesEveryReadRoute) {
+  const http::Router api = core::make_api_router(test_platform());
+  const data::UserId user = test_platform().experiment_dataset().users()[0];
+  for (const std::string& path : documented_reads(user)) {
+    // No registry, and no worker behind the ingest and store routes.
+    if (path == "/metrics" || path.starts_with("/api/ingest") ||
+        path.starts_with("/api/store"))
+      continue;
+    EXPECT_EQ(api.dispatch(get_request(path)).status, 200) << path;
+  }
+  http::Request checkpoint = get_request("/api/admin/checkpoint");
+  checkpoint.method = "POST";
+  EXPECT_EQ(api.dispatch(checkpoint).status, 404);
 }
 
 }  // namespace
