@@ -91,17 +91,19 @@ int main() {
                 stats.total_rebuild_ms, mean_rebuild);
   }
 
-  // Durability overhead. The WAL hangs off the worker's drain path
-  // (journaled on a side thread, barriered at publication), so the
-  // honest number is end-to-end: submit the whole stream (retrying
+  // Durability overhead. The worker group-commits: each epoch's events
+  // become one WAL record, written (and synced) on a side thread while
+  // that epoch's rebuild stages run and barriered at publication. So
+  // the honest number is end-to-end: submit the whole stream (retrying
   // backpressure) and wait until a published epoch *serves* every
   // event — merge, journal, and the epoch rebuilds all included; the
   // shutdown flush is not timed. fsync=never isolates the encode+write
   // cost (the acceptance bar: < 5% end-to-end regression vs the
-  // no-store run); every_batch pays its fsyncs inside the measured
-  // window and shows what the full durability contract costs. merge ms
-  // is also shown: the window where journaling competes with the merge
-  // loop for CPU.
+  // no-store run); every_batch pays one fsync per epoch inside the
+  // measured window and shows what the full durability contract costs.
+  // merge ms is also shown: the time until the worker has merged every
+  // event, during which the journal thread only runs inside epoch
+  // rebuilds.
   constexpr std::size_t kDurabilityEvents = 200'000;  // cycle the feed with
                                                       // shifted days so runs
                                                       // last long enough to

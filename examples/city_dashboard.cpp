@@ -18,7 +18,7 @@
 // "<dir>/shard-<k>".
 //
 // Run:  ./city_dashboard [--seed N] [--port P] [--paper-scale] [--offline DIR]
-//                        [--shards N] [--store-dir DIR [--fsync every_batch|interval|never]]
+//                        [--shards N] [--store-dir DIR [--fsync every_batch|never]]
 //                        [--http-workers N] [--http-cache-mb MB]
 //                        [--miner prefixspan|gsp|spade|naive|bide|clospan] [--min-support F]
 //                        [--expand-closed 0|1]
@@ -206,7 +206,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "usage: %s [--seed N] [--port P] [--paper-scale] [--offline DIR] "
                  "[--data DIR] [--shards N] "
-                 "[--store-dir DIR [--fsync every_batch|interval|never]] "
+                 "[--store-dir DIR [--fsync every_batch|never]] "
                  "[--http-workers N] [--http-cache-mb MB] "
                  "[--miner prefixspan|gsp|spade|naive|bide|clospan] [--min-support F] "
                  "[--expand-closed 0|1]\n",

@@ -22,7 +22,7 @@
 //
 // Run:  ./live_monitor [--seed N] [--rate R] [--duration S] [--port P]
 //                      [--transport csv|binary] [--spool-dir DIR]
-//                      [--store-dir DIR [--fsync every_batch|interval|never]]
+//                      [--store-dir DIR [--fsync every_batch|never]]
 //                      [--http-workers N] [--http-cache-mb MB]
 //                      [--miner prefixspan|gsp|spade|naive|bide|clospan] [--min-support F]
 //                      [--expand-closed 0|1]
@@ -63,7 +63,7 @@ int usage(const char* name) {
   std::fprintf(stderr,
                "usage: %s [--seed N] [--rate R] [--duration S] [--port P] "
                "[--transport csv|binary] [--spool-dir DIR] "
-               "[--store-dir DIR [--fsync every_batch|interval|never]] "
+               "[--store-dir DIR [--fsync every_batch|never]] "
                "[--http-workers N] [--http-cache-mb MB] "
                "[--miner prefixspan|gsp|spade|naive|bide|clospan] [--min-support F] "
                "[--expand-closed 0|1]\n",

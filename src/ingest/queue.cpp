@@ -42,7 +42,9 @@ std::size_t IngestQueue::push_batch(std::span<const IngestEvent> events) {
 std::size_t IngestQueue::drain(std::vector<IngestEvent>& out, std::size_t max_events,
                                std::chrono::milliseconds timeout) {
   std::unique_lock<std::mutex> lock(mutex_);
-  not_empty_.wait_for(lock, timeout, [this] { return !events_.empty() || closed_; });
+  not_empty_.wait_for(lock, timeout,
+                      [this] { return !events_.empty() || closed_ || woken_; });
+  woken_ = false;
   const std::size_t count = std::min(max_events, events_.size());
   out.insert(out.end(), events_.begin(), events_.begin() + count);
   events_.erase(events_.begin(), events_.begin() + count);
@@ -52,6 +54,12 @@ std::size_t IngestQueue::drain(std::vector<IngestEvent>& out, std::size_t max_ev
 void IngestQueue::close() {
   const std::lock_guard<std::mutex> lock(mutex_);
   closed_ = true;
+  not_empty_.notify_all();
+}
+
+void IngestQueue::wake() {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  woken_ = true;
   not_empty_.notify_all();
 }
 

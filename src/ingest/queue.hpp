@@ -44,13 +44,17 @@ class IngestQueue {
 
   /// Consumer side: blocks up to `timeout` for at least one event, then
   /// appends up to `max_events` to `out`. Returns the number drained
-  /// (0 on timeout or when closed and empty).
+  /// (0 on timeout, on wake(), or when closed and empty).
   std::size_t drain(std::vector<IngestEvent>& out, std::size_t max_events,
                     std::chrono::milliseconds timeout);
 
   /// Rejects all future pushes and wakes the consumer. Already-queued
   /// events remain drainable. Idempotent.
   void close();
+
+  /// Ends the consumer's current (or next) drain() wait early, with or
+  /// without events — e.g. so the worker serves a checkpoint request.
+  void wake();
 
   [[nodiscard]] bool closed() const;
 
@@ -78,6 +82,7 @@ class IngestQueue {
   std::condition_variable not_empty_;
   std::deque<IngestEvent> events_;
   bool closed_ = false;
+  bool woken_ = false;  ///< wake() not yet consumed by drain()
   std::atomic<std::uint64_t> rejected_{0};
   std::atomic<telemetry::Counter*> rejected_counter_{nullptr};
 };

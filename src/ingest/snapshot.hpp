@@ -2,14 +2,14 @@
 //
 // The ingestion worker never mutates state that HTTP handlers read.
 // Instead it builds a fresh, immutable PlatformSnapshot off to the side
-// and publishes it by swapping one atomic shared_ptr — the "epoch"
-// advances, readers that loaded the previous snapshot keep a reference
-// until their request completes, and the old epoch retires when its last
-// reader drops the pointer. Readers therefore take no locks and never
-// observe a half-built state.
+// and publishes it by swapping one shared_ptr — the "epoch" advances,
+// readers that loaded the previous snapshot keep a reference until
+// their request completes, and the old epoch retires when its last
+// reader drops the pointer. Readers never wait for a rebuild and never
+// observe a half-built state: the only lock they take guards the
+// pointer copy itself.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -51,7 +51,8 @@ class SnapshotHub {
   /// returned pointer keeps the whole epoch alive for as long as the
   /// caller holds it.
   [[nodiscard]] SnapshotPtr current() const noexcept {
-    return current_.load(std::memory_order_acquire);
+    const std::lock_guard<std::mutex> lock(current_mutex_);
+    return current_;
   }
 
   /// Swaps in the next epoch (worker thread only), then invokes every
@@ -59,7 +60,10 @@ class SnapshotHub {
   /// after the swap, so hooks observe `current()` == the argument.
   void publish(SnapshotPtr next) {
     const PlatformSnapshot* snapshot = next.get();
-    current_.store(std::move(next), std::memory_order_release);
+    {
+      const std::lock_guard<std::mutex> lock(current_mutex_);
+      current_.swap(next);  // the previous epoch retires outside the lock
+    }
     if (snapshot == nullptr) return;
     std::lock_guard<std::mutex> lock(hooks_mutex_);
     for (const auto& hook : hooks_) hook(*snapshot);
@@ -81,7 +85,12 @@ class SnapshotHub {
   }
 
  private:
-  std::atomic<SnapshotPtr> current_;
+  // A mutex, not std::atomic<SnapshotPtr>: GCC 12's atomic shared_ptr
+  // unlocks with relaxed order in load(), which ThreadSanitizer reports
+  // as a race against store(). The critical section is one refcount
+  // increment.
+  mutable std::mutex current_mutex_;
+  SnapshotPtr current_;  // guarded by current_mutex_
   std::mutex hooks_mutex_;
   std::vector<std::function<void(const PlatformSnapshot&)>> hooks_;
 };

@@ -279,6 +279,7 @@ Status IngestWorker::checkpoint_now(std::chrono::milliseconds timeout) {
   std::unique_lock<std::mutex> lock(epoch_mutex_);
   const std::uint64_t target = checkpoints_done_ + 1;
   checkpoint_requested_.store(true, std::memory_order_release);
+  queue_.wake();  // an idle worker would otherwise sleep out its drain wait
   if (!epoch_cv_.wait_for(lock, timeout,
                           [this, target] { return checkpoints_done_ >= target; })) {
     return unavailable("checkpoint did not complete in time (see server log)");
@@ -314,10 +315,18 @@ void IngestWorker::run() {
   auto last_publish = Clock::now();
   while (true) {
     batch.clear();
-    queue_.drain(batch, config_.drain_batch, config_.rebuild_interval);
+    // With a delta pending, wake no later than its publication is due;
+    // a full interval after every wakeup could hold it back for nearly
+    // two intervals when the feed pauses.
+    std::chrono::milliseconds wait = config_.rebuild_interval;
+    if (!pending_users_.empty()) {
+      const auto due = last_publish + config_.rebuild_interval;
+      wait = std::max(std::chrono::milliseconds{0},
+                      std::chrono::ceil<std::chrono::milliseconds>(due - Clock::now()));
+    }
+    queue_.drain(batch, config_.drain_batch, wait);
     apply(batch);
     if (store_ != nullptr) {
-      store_->maybe_sync();
       const std::uint64_t auto_bytes = config_.store.checkpoint_wal_bytes;
       if (checkpoint_requested_.exchange(false, std::memory_order_acq_rel) ||
           (auto_bytes > 0 && store_->wal_bytes_since_checkpoint() >= auto_bytes)) {
@@ -341,7 +350,7 @@ void IngestWorker::run() {
       journal_stop_ = true;
     }
     journal_cv_.notify_all();
-    journal_thread_.join();  // drains the backlog before exiting
+    journal_thread_.join();  // writes a handed-off record before exiting
   }
   if (store_ != nullptr) {
     // Clean shutdown: everything accepted is on disk regardless of the
@@ -355,13 +364,11 @@ void IngestWorker::run() {
 void IngestWorker::journal_run() {
   std::unique_lock<std::mutex> lock(journal_mutex_);
   while (true) {
-    journal_cv_.wait(lock, [this] { return journal_stop_ || !journal_queue_.empty(); });
-    if (journal_queue_.empty()) {
-      if (journal_stop_) return;
-      continue;
-    }
-    JournalTask task = std::move(journal_queue_.front());
-    journal_queue_.pop_front();
+    journal_cv_.wait(lock, [this] { return journal_stop_ || journal_task_.has_value(); });
+    if (!journal_task_.has_value()) return;  // stopping, nothing left to write
+    // The slot stays set while the record is written: the worker hands
+    // off again only after its barrier saw it cleared.
+    const JournalTask& task = *journal_task_;
     lock.unlock();
     // A failed append is logged and counted
     // (crowdweb_store_append_failures_total) but does not stop serving:
@@ -369,14 +376,26 @@ void IngestWorker::journal_run() {
     const Status status = store_->append(task.epoch, task.events);
     if (!status.is_ok()) log_error("WAL append failed: {}", status.to_string());
     lock.lock();
-    if (--journal_pending_ == 0) journal_drained_cv_.notify_all();
+    journal_task_.reset();
+    journal_cv_.notify_all();
   }
+}
+
+void IngestWorker::journal_handoff() {
+  if (epoch_events_.empty()) return;
+  journal_barrier();  // a rebuild that failed mid-way never reached its barrier
+  {
+    const std::lock_guard<std::mutex> lock(journal_mutex_);
+    journal_task_.emplace(JournalTask{epoch_, std::move(epoch_events_)});
+  }
+  epoch_events_.clear();  // moved-from: make it a valid empty buffer again
+  journal_cv_.notify_all();
 }
 
 void IngestWorker::journal_barrier() {
   if (store_ == nullptr) return;
   std::unique_lock<std::mutex> lock(journal_mutex_);
-  journal_drained_cv_.wait(lock, [this] { return journal_pending_ == 0; });
+  journal_cv_.wait(lock, [this] { return !journal_task_.has_value(); });
 }
 
 Status IngestWorker::rebuild_live_from_flat() {
@@ -414,37 +433,25 @@ bool IngestWorker::merge_event(const IngestEvent& event) {
 
 void IngestWorker::apply(std::span<const IngestEvent> events) {
   std::uint64_t invalid = 0;
-  std::vector<IngestEvent> accepted;
-  if (store_ != nullptr) accepted.reserve(events.size());
   for (const IngestEvent& event : events) {
     if (!merge_event(event)) {
       ++invalid;
       continue;
     }
-    if (store_ != nullptr) accepted.push_back(event);
+    // Buffered for the epoch's one WAL record (see journal_handoff()).
+    if (store_ != nullptr) epoch_events_.push_back(event);
   }
   if (invalid > 0) invalid_->increment(invalid);
-  const std::uint64_t accepted_count =
-      store_ != nullptr ? accepted.size() : events.size() - invalid;
-  if (accepted_count > 0) accepted_->increment(accepted_count);
-  if (store_ != nullptr && !accepted.empty()) {
-    // Hand the batch to the journal thread: the WAL write overlaps the
-    // next drain/merge, and the barrier in rebuild_and_publish() keeps
-    // the invariant that events are journaled before their epoch is
-    // visible to readers.
-    {
-      const std::lock_guard<std::mutex> lock(journal_mutex_);
-      journal_queue_.push_back({epoch_, std::move(accepted)});
-      ++journal_pending_;
-    }
-    journal_cv_.notify_one();
-  }
+  const std::uint64_t accepted = events.size() - invalid;
+  if (accepted > 0) accepted_->increment(accepted);
 }
 
 void IngestWorker::write_checkpoint() {
-  // The image snapshots checkins_, so every batch merged into it must
-  // be on the WAL first — otherwise its queued records would land
-  // *after* the checkpoint and replay as duplicates on recovery.
+  // The image snapshots checkins_, so every event merged into it must
+  // be on the WAL first — otherwise its record would land *after* the
+  // checkpoint and replay as duplicates on recovery. Hand off the
+  // epoch's buffer so far, then wait for it.
+  journal_handoff();
   journal_barrier();
   store::Checkpoint image;
   image.epoch = epoch_;
@@ -488,6 +495,9 @@ Status IngestWorker::rebuild_and_publish() {
   const auto start = Clock::now();
   telemetry::ScopedTimer rebuild_timer(rebuild_seconds_);
   const std::size_t delta_events = delta_checkins_.size();
+  // Group commit: the epoch's events go to the journal thread as one
+  // record now, so its write and fsync overlap the stages below.
+  journal_handoff();
 
   // Stage 1: merge — apply the delta to the live dataset through the
   // incremental builder: only the shards of touched users are rebuilt,
@@ -593,10 +603,10 @@ Status IngestWorker::rebuild_and_publish() {
   delta_shards_rebuilt_->increment(merge_stats.shards_rebuilt);
   delta_last_events_->set(static_cast<double>(delta_events));
 
-  // Durability barrier: every batch merged into this epoch must be
+  // Durability barrier: every event merged into this epoch must be
   // journaled (and synced, per the fsync policy) before a reader can
   // see it. Waiting here, after the rebuild stages, means the WAL
-  // writes overlapped all of the work above.
+  // write overlapped all of the work above.
   journal_barrier();
 
   const double elapsed_ms = ms_since(start);

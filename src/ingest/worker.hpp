@@ -9,14 +9,13 @@
 // state — phase-2 re-mining *only* for users whose history changed,
 // phase-3 crowd model and grid occupancy over the merged corpus — and
 // publishes the result as the next immutable epoch through a
-// SnapshotHub. HTTP readers keep loading snapshots lock-free while the
-// worker prepares the next one.
+// SnapshotHub. HTTP readers keep loading snapshots, never waiting on
+// the rebuild, while the worker prepares the next one.
 #pragma once
 
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <mutex>
 #include <optional>
 #include <span>
@@ -83,8 +82,11 @@ struct IngestWorkerConfig {
   /// Durable storage (WAL + checkpoints). `store.dir` empty = disabled:
   /// the worker keeps the pre-durability behavior (memory only). With a
   /// directory set, start() runs crash recovery before publishing
-  /// epoch 1 and every accepted batch is journaled before its epoch is
-  /// published. `store.metrics` null inherits the worker's registry.
+  /// epoch 1, and each epoch's accepted events are journaled as one WAL
+  /// record before that epoch is published (group commit: one record
+  /// and, under every_batch, one fsync per epoch). Acceptance alone
+  /// promises nothing durable. `store.metrics` null inherits the
+  /// worker's registry.
   store::StoreConfig store;
 };
 
@@ -172,16 +174,19 @@ class IngestWorker {
 
  private:
   void run();
-  /// Consumes the journal queue, appending each batch to the WAL.
-  /// Runs on journal_thread_ while a store is configured.
+  /// Appends each handed-off record to the WAL. Runs on journal_thread_
+  /// while a store is configured.
   void journal_run();
-  /// Blocks until every handed-off batch is on the WAL (and synced, per
+  /// Moves `epoch_events_` to the journal thread as one WAL record (a
+  /// no-op when it is empty). Worker thread only.
+  void journal_handoff();
+  /// Blocks until the handed-off record is on the WAL (and synced, per
   /// the fsync policy). Called before an epoch publishes or a
   /// checkpoint snapshots the corpus.
   void journal_barrier();
-  /// Validates and applies drained events to the delta state, then
-  /// hands the accepted subset to the journal thread. Worker thread
-  /// only.
+  /// Validates and applies drained events to the delta state, and
+  /// buffers the accepted subset in `epoch_events_` for the journal.
+  /// Worker thread only.
   void apply(std::span<const IngestEvent> events);
   /// Validates and merges one event (shared by live apply and WAL
   /// replay). Returns false for invalid events.
@@ -292,23 +297,23 @@ class IngestWorker {
   std::unique_ptr<store::DurableStore> store_;
   std::atomic<bool> checkpoint_requested_{false};
 
-  // Journal pipeline: apply() merges a batch and hands it to this
-  // thread, which encodes + writes (+ fsyncs) it off the merge path;
-  // rebuild_and_publish() and write_checkpoint() barrier on
-  // journal_pending_ so nothing reaches readers or a checkpoint before
-  // it is journaled. Growth is bounded by one rebuild interval of
-  // accepted events — every publication drains the queue.
+  // Group commit: apply() buffers accepted events in epoch_events_;
+  // rebuild_and_publish() hands the buffer to the journal thread as one
+  // record at its top, so the encode + write (+ fsync) overlaps the
+  // rebuild stages, and barriers on it right before the snapshot swap.
+  // write_checkpoint() hands off and barriers before it snapshots the
+  // corpus. Every hand-off is followed by a barrier before the next, so
+  // one slot carries the work.
   struct JournalTask {
     std::uint64_t epoch = 0;
     std::vector<IngestEvent> events;
   };
+  std::vector<IngestEvent> epoch_events_;  // accepted since the last hand-off
   std::thread journal_thread_;
   std::mutex journal_mutex_;
-  std::condition_variable journal_cv_;          // new work or stop
-  std::condition_variable journal_drained_cv_;  // journal_pending_ hit 0
-  std::deque<JournalTask> journal_queue_;       // guarded by journal_mutex_
-  std::size_t journal_pending_ = 0;             // queued + in-flight batches
-  bool journal_stop_ = false;                   // guarded by journal_mutex_
+  std::condition_variable journal_cv_;       // hand-off, completion or stop
+  std::optional<JournalTask> journal_task_;  // guarded; set until appended
+  bool journal_stop_ = false;                // guarded by journal_mutex_
 
   mutable std::mutex epoch_mutex_;
   mutable std::condition_variable epoch_cv_;

@@ -17,12 +17,10 @@
 namespace crowdweb::store {
 
 namespace fs = std::filesystem;
-using Clock = std::chrono::steady_clock;
 
 std::string_view to_string(FsyncPolicy policy) noexcept {
   switch (policy) {
     case FsyncPolicy::kEveryBatch: return "every_batch";
-    case FsyncPolicy::kInterval: return "interval";
     case FsyncPolicy::kNever: return "never";
   }
   return "unknown";
@@ -30,7 +28,6 @@ std::string_view to_string(FsyncPolicy policy) noexcept {
 
 std::optional<FsyncPolicy> parse_fsync_policy(std::string_view text) noexcept {
   if (text == "every_batch") return FsyncPolicy::kEveryBatch;
-  if (text == "interval") return FsyncPolicy::kInterval;
   if (text == "never") return FsyncPolicy::kNever;
   return std::nullopt;
 }
@@ -80,7 +77,7 @@ void DurableStore::init_metrics() {
     metrics_ = own_metrics_.get();
   }
   append_records_ = &metrics_->counter("crowdweb_store_append_records_total",
-                                       "WAL records appended (one per accepted batch).");
+                                       "WAL records appended (one per epoch that carried events).");
   append_bytes_ = &metrics_->counter("crowdweb_store_append_bytes_total",
                                      "Bytes appended to the write-ahead log.");
   append_failures_ = &metrics_->counter(
@@ -98,7 +95,7 @@ void DurableStore::init_metrics() {
       "Torn-tail bytes truncated from the final WAL segment during recovery.");
   append_seconds_ = &metrics_->histogram(
       "crowdweb_store_append_duration_seconds",
-      "Wall time to journal one batch (encode + write + fsync when due).",
+      "Wall time to journal one epoch's record (encode + write + fsync when due).",
       config_.append_buckets.empty() ? telemetry::default_latency_buckets()
                                      : config_.append_buckets);
   checkpoint_seconds_ = &metrics_->histogram(
@@ -270,7 +267,6 @@ Status DurableStore::open_active_segment(std::uint64_t segment_seq, bool fresh) 
     dirty_ = true;
   }
   active_fd_ = fd;
-  last_sync_ = Clock::now();
   return Status::ok();
 }
 
@@ -311,14 +307,6 @@ Status DurableStore::append(std::uint64_t epoch,
   return Status::ok();
 }
 
-void DurableStore::maybe_sync() {
-  if (config_.fsync != FsyncPolicy::kInterval) return;
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (!dirty_ || Clock::now() - last_sync_ < config_.fsync_interval) return;
-  const Status status = sync_locked();
-  if (!status.is_ok()) log_error("store fsync failed: {}", status.to_string());
-}
-
 Status DurableStore::sync() {
   std::lock_guard<std::mutex> lock(mutex_);
   return sync_locked();
@@ -328,7 +316,6 @@ Status DurableStore::sync_locked() {
   if (active_fd_ < 0 || !dirty_) return Status::ok();
   if (::fsync(active_fd_) != 0) return errno_error("fsync", active_.path);
   dirty_ = false;
-  last_sync_ = Clock::now();
   fsyncs_->increment();
   return Status::ok();
 }

@@ -1,18 +1,19 @@
 // Durable storage for live ingestion: a segmented write-ahead log plus
 // periodic corpus checkpoints, with crash recovery at open().
 //
-// The store is owned by an IngestWorker and follows its threading
-// model: append()/maybe_sync()/write_checkpoint() run on the worker
-// thread only; stats() and the scrape-time gauges may be called from
-// any thread.
+// The store is owned by an IngestWorker, which group-commits: each
+// epoch's accepted events become one WAL record, appended (and synced)
+// on the worker's journal thread while the epoch's rebuild stages run.
+// append()/sync()/write_checkpoint() are called by one thread at a
+// time; stats() and the scrape-time gauges may be called from any
+// thread.
 //
 // Durability contract by fsync policy:
-//   every_batch — an event is on disk before the batch that carried it
-//                 can be published in an epoch; a crash loses at most
-//                 the final, partially written record (truncated on
-//                 recovery).
-//   interval    — fsync at most once per `fsync_interval`; a crash can
-//                 lose up to one interval of acknowledged events.
+//   every_batch — every append is fsynced before it returns, so an
+//                 event is on disk before the epoch that carries it is
+//                 published; a crash loses at most the final, partially
+//                 written record (truncated on recovery), which belongs
+//                 to an epoch no reader has seen.
 //   never       — the kernel flushes when it pleases; fastest, weakest.
 //
 // Layout of `dir`:
@@ -20,7 +21,6 @@
 //   checkpoint-<seq>.ckpt  corpus images (see checkpoint.hpp)
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -37,10 +37,10 @@
 
 namespace crowdweb::store {
 
-enum class FsyncPolicy { kEveryBatch, kInterval, kNever };
+enum class FsyncPolicy { kEveryBatch, kNever };
 
 [[nodiscard]] std::string_view to_string(FsyncPolicy policy) noexcept;
-/// Parses "every_batch" | "interval" | "never".
+/// Parses "every_batch" | "never".
 [[nodiscard]] std::optional<FsyncPolicy> parse_fsync_policy(std::string_view text) noexcept;
 
 struct StoreConfig {
@@ -48,8 +48,6 @@ struct StoreConfig {
   /// components treat the store as absent.
   std::string dir;
   FsyncPolicy fsync = FsyncPolicy::kEveryBatch;
-  /// Max staleness under FsyncPolicy::kInterval.
-  std::chrono::milliseconds fsync_interval{50};
   /// Active segment rotates once it grows past this.
   std::uint64_t segment_bytes = 64ull << 20;
   /// WAL bytes appended since the last checkpoint that trigger an
@@ -118,14 +116,11 @@ class DurableStore {
   /// adopt it once, then the store keeps only counters).
   [[nodiscard]] RecoveredState take_recovered();
 
-  /// Journals one accepted batch as the next WAL record. Empty batches
-  /// are ignored. Rotates the segment and fsyncs per policy.
+  /// Journals `events` — one epoch's accepted events, for the worker —
+  /// as the next WAL record. Empty spans are ignored. Fsyncs per policy,
+  /// then rotates the segment once it is full.
   [[nodiscard]] Status append(std::uint64_t epoch,
                               std::span<const ingest::IngestEvent> events);
-
-  /// Under FsyncPolicy::kInterval: fsyncs if dirty and the interval
-  /// elapsed. No-op otherwise. Call from the worker's idle loop.
-  void maybe_sync();
 
   /// Forces an fsync of the active segment (any policy).
   [[nodiscard]] Status sync();
@@ -169,7 +164,6 @@ class DurableStore {
   SegmentInfo active_;
   int active_fd_ = -1;
   bool dirty_ = false;  ///< unsynced writes on the active segment
-  std::chrono::steady_clock::time_point last_sync_{};
   std::uint64_t next_record_seq_ = 1;
   std::string encode_buffer_;  ///< reused frame buffer for append()
   std::uint64_t wal_bytes_since_checkpoint_ = 0;

@@ -183,7 +183,7 @@ Result<SegmentScan> scan_wal_segment(std::string_view bytes, const std::string& 
       }
       return io_error(crowdweb::format(
           "{}: corrupt WAL record at offset {} ({}); refusing to drop "
-          "acknowledged events — inspect with tools/wal_inspect",
+          "events of published epochs — inspect with tools/wal_inspect",
           path, offset, damage));
     }
 

@@ -15,12 +15,15 @@
 //   u64 record_seq | u64 epoch | u32 event_count |
 //   event_count x { u32 user | u16 category | f64 lat | f64 lon | i64 ts }
 //
-// All integers little-endian (see format.hpp). `record_seq` increases by
-// one per record across the whole log (segments included), so a
-// checkpoint can name the exact prefix it covers. `epoch` is the
-// worker's published epoch at append time; recovery resumes the epoch
-// counter past the largest value it sees, keeping the
-// `crowdweb_ingest_epoch` gauge monotonic across restarts.
+// All integers little-endian (see format.hpp). The worker group-commits:
+// one record holds the events of one epoch (plus, when a checkpoint
+// cuts an epoch short, one record for the part merged before it).
+// `record_seq` increases by one per record across the whole log
+// (segments included), so a checkpoint can name the exact prefix it
+// covers. `epoch` is the worker's last published epoch when the record
+// was handed off, i.e. the record's events become visible in epoch + 1;
+// recovery resumes the epoch counter past the largest value it sees,
+// keeping the `crowdweb_ingest_epoch` gauge monotonic across restarts.
 //
 // Scanning distinguishes two failure shapes:
 //   - a *torn tail* — the final record of the final segment is
@@ -29,7 +32,7 @@
 //   - *mid-log corruption* — a record fails its checksum but bytes
 //     follow it, or a non-final segment ends mid-record. Recovery
 //     refuses with an error naming the file and offset: silently
-//     dropping the suffix would discard acknowledged events.
+//     dropping the suffix would discard events of published epochs.
 #pragma once
 
 #include <cstdint>
@@ -54,7 +57,7 @@ inline constexpr std::uint32_t kCheckpointVersion = 2;
 inline constexpr std::size_t kSegmentHeaderBytes = 16;
 inline constexpr std::size_t kRecordHeaderBytes = 8;
 
-/// One framed WAL record: a drained batch the worker accepted.
+/// One framed WAL record: the events the worker accepted for one epoch.
 struct WalRecord {
   std::uint64_t seq = 0;    ///< global record ordinal (1-based, contiguous)
   std::uint64_t epoch = 0;  ///< worker epoch at append time
@@ -79,8 +82,8 @@ struct WalRecord {
 [[nodiscard]] std::string encode_wal_record(const WalRecord& record);
 
 /// Appends one framed record for `events` to `out` without building a
-/// WalRecord first — the worker's drain path encodes each accepted
-/// batch straight from its span into a reused buffer.
+/// WalRecord first — the store encodes each epoch's events straight
+/// from the worker's buffer into a reused one.
 void append_framed_record(std::string& out, std::uint64_t seq, std::uint64_t epoch,
                           std::span<const ingest::IngestEvent> events);
 

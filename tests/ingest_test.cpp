@@ -119,6 +119,18 @@ TEST(IngestQueueTest, QueuedEventsRemainDrainableAfterClose) {
   EXPECT_EQ(queue.drain(drained, 10, 0ms), 0u);  // closed and empty: no wait
 }
 
+TEST(IngestQueueTest, WakeEndsOneDrainWaitWithoutEvents) {
+  ingest::IngestQueue queue(4);
+  std::vector<ingest::IngestEvent> drained;
+  queue.wake();  // consumed by the next drain, even if it had not started
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_EQ(queue.drain(drained, 10, 10s), 0u);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, 5s);
+  EXPECT_EQ(queue.drain(drained, 10, 20ms), 0u);  // no wake left: times out
+  EXPECT_FALSE(queue.closed());
+  EXPECT_TRUE(queue.try_push(valid_event()));
+}
+
 TEST(IngestQueueTest, MultiProducerTotalsAreAccountedFor) {
   // 4 producers race a slow consumer through a small queue; every event
   // must end up either drained or counted as rejected — none lost, none
@@ -245,6 +257,25 @@ TEST(IngestWorkerTest, StopMergesPendingEventsIntoFinalEpoch) {
   ASSERT_NE(snapshot, nullptr);
   EXPECT_GE(snapshot->epoch, 2u);
   EXPECT_EQ(snapshot->live_checkins, 2u);
+}
+
+TEST(IngestWorkerTest, PendingDeltaPublishesOneIntervalAfterThePreviousEpoch) {
+  // An event that arrives late in an interval must not restart the
+  // cadence wait: it publishes when the interval since the last epoch
+  // runs out (~400 ms here), not a full interval after its arrival.
+  const core::Platform& platform = test_platform();
+  ingest::IngestWorkerConfig config;
+  config.rebuild_interval = 400ms;
+  auto worker = core::make_ingest_worker(platform, config);
+  ASSERT_TRUE(worker->start().is_ok());  // epoch 1 publishes inside start()
+  const auto published = std::chrono::steady_clock::now();
+  std::this_thread::sleep_for(300ms);
+  const std::vector<ingest::IngestEvent> events{valid_event(1)};
+  EXPECT_EQ(worker->submit(events).accepted, 1u);
+  ASSERT_TRUE(worker->wait_for_epoch(2, 5s));
+  EXPECT_LT(std::chrono::steady_clock::now() - published, 600ms);
+  EXPECT_EQ(worker->hub().current()->live_checkins, 1u);
+  worker->stop();
 }
 
 TEST(IngestWorkerTest, GuestIdsAreDistinctAndOutsideCorpusRange) {

@@ -345,6 +345,16 @@ TEST(DurableStoreTest, FreshDirectoryStartsEmpty) {
   EXPECT_EQ(store::parse_fsync_policy(stats.fsync_policy), store::FsyncPolicy::kNever);
 }
 
+TEST(DurableStoreTest, FsyncPolicyNamesRoundTripAndIntervalIsGone) {
+  for (const store::FsyncPolicy policy :
+       {store::FsyncPolicy::kEveryBatch, store::FsyncPolicy::kNever})
+    EXPECT_EQ(store::parse_fsync_policy(store::to_string(policy)), policy);
+  // One fsync per epoch is what every_batch costs under group commit, so
+  // a policy that synced on a timer instead would only guarantee less.
+  EXPECT_FALSE(store::parse_fsync_policy("interval").has_value());
+  EXPECT_FALSE(store::parse_fsync_policy("").has_value());
+}
+
 TEST(DurableStoreTest, EmptyDirRefusedAndEmptyBatchIgnored) {
   EXPECT_FALSE(store::DurableStore::open(store::StoreConfig{}).is_ok());
   ScratchDir dir("empty_batch");
@@ -694,6 +704,104 @@ TEST(StoreWorkerTest, CheckpointNowShrinksRecoveryToTheTail) {
   EXPECT_EQ(corpus_image(restarted->hub().current()), before);
   // Everything came from the checkpoint; nothing was left to replay.
   EXPECT_EQ(restarted->store()->stats().recovery_replayed_records, 0u);
+  restarted->stop();
+}
+
+/// Waits until the worker has merged `count` events (accepted, not
+/// necessarily published).
+void wait_until_accepted(const ingest::IngestWorker& worker, std::uint64_t count) {
+  const auto deadline = std::chrono::steady_clock::now() + 10s;
+  while (worker.stats().accepted < count) {
+    if (std::chrono::steady_clock::now() >= deadline) {
+      FAIL() << "worker never accepted " << count << " events";
+      return;
+    }
+    std::this_thread::sleep_for(5ms);
+  }
+}
+
+TEST(StoreWorkerTest, GroupCommitWritesOneRecordPerEpochThatCarriedEvents) {
+  // Group commit: each epoch's accepted events are one WAL record and,
+  // under every_batch, one fsync — however many drains fed the epoch.
+  ScratchDir dir("group_commit");
+  std::vector<std::uint64_t> live_by_epoch;  // written by the publishing thread
+  auto worker = core::make_ingest_worker(test_platform(), worker_config(dir.str()));
+  worker->hub().on_publish([&live_by_epoch](const ingest::PlatformSnapshot& snapshot) {
+    live_by_epoch.push_back(snapshot.live_checkins);
+  });
+  ASSERT_TRUE(worker->start().is_ok());
+  const auto events = live_traffic(60);
+  for (std::size_t i = 0; i < events.size(); i += 6) {
+    // Several one-event drains per epoch, several epochs in total.
+    for (std::size_t j = i; j < i + 6; ++j)
+      EXPECT_EQ(worker->submit({&events[j], 1}).accepted, 1u);
+    std::this_thread::sleep_for(15ms);
+  }
+  feed_and_settle(*worker, events.size());
+  worker->stop();
+
+  std::uint64_t carried = 0;
+  for (std::size_t i = 1; i < live_by_epoch.size(); ++i)
+    if (live_by_epoch[i] > live_by_epoch[i - 1]) ++carried;
+  ASSERT_EQ(live_by_epoch.front(), 0u);  // epoch 1: the base corpus
+  EXPECT_GE(carried, 2u);
+
+  const store::StoreStats stats = worker->store()->stats();
+  EXPECT_EQ(stats.checkpoints, 0u);
+  EXPECT_EQ(stats.wal_segments, 1u);
+  EXPECT_EQ(stats.append_records, carried);
+  EXPECT_GE(stats.fsyncs, stats.append_records);
+  EXPECT_LE(stats.fsyncs, stats.append_records + 1);  // + the fresh header's sync
+}
+
+TEST(StoreWorkerTest, CheckpointBeforeTheEpochPublishesJournalsNothingTwice) {
+  // The checkpoint image holds events merged since the last epoch. Their
+  // record must reach the WAL *before* the image, or the epoch's later
+  // hand-off would journal them after it and recovery would replay
+  // them on top of the image.
+  ScratchDir dir("ckpt_mid_epoch");
+  ScratchDir image("ckpt_mid_epoch_copy");
+  ingest::IngestWorkerConfig config = worker_config(dir.str());
+  config.rebuild_interval = 10s;
+  auto worker_a = core::make_ingest_worker(test_platform(), config);
+  ASSERT_TRUE(worker_a->start().is_ok());
+  const auto events = live_traffic(30);
+  EXPECT_EQ(worker_a->submit(events).accepted, events.size());
+  wait_until_accepted(*worker_a, events.size());
+  ASSERT_TRUE(worker_a->checkpoint_now(5s).is_ok());
+  EXPECT_EQ(worker_a->hub().epoch(), 1u);  // the events' epoch is not published yet
+  worker_a->stop();  // publishes them, then the shutdown flush
+  const std::string before = corpus_image(worker_a->hub().current());
+  EXPECT_EQ(worker_a->hub().current()->live_checkins, events.size());
+  fs::copy(dir.path(), image.path(), fs::copy_options::recursive);
+
+  auto worker_b = core::make_ingest_worker(test_platform(), worker_config(image.str()));
+  ASSERT_TRUE(worker_b->start().is_ok());
+  const ingest::SnapshotPtr after = worker_b->hub().current();
+  EXPECT_EQ(after->live_checkins, events.size());
+  EXPECT_EQ(corpus_image(after), before);
+  EXPECT_EQ(worker_b->store()->stats().recovery_replayed_records, 0u);
+  worker_b->stop();
+}
+
+TEST(StoreWorkerTest, StopJournalsAcceptedButUnpublishedEvents) {
+  ScratchDir dir("stop_unpublished");
+  ingest::IngestWorkerConfig config = worker_config(dir.str());
+  config.rebuild_interval = 10min;  // only stop() publishes
+  auto worker = core::make_ingest_worker(test_platform(), config);
+  ASSERT_TRUE(worker->start().is_ok());
+  const auto events = live_traffic(25);
+  EXPECT_EQ(worker->submit(events).accepted, events.size());
+  wait_until_accepted(*worker, events.size());
+  EXPECT_EQ(worker->hub().epoch(), 1u);
+  worker->stop();
+  const std::string before = corpus_image(worker->hub().current());
+
+  auto restarted = core::make_ingest_worker(test_platform(), worker_config(dir.str()));
+  ASSERT_TRUE(restarted->start().is_ok());
+  const ingest::SnapshotPtr after = restarted->hub().current();
+  EXPECT_EQ(after->live_checkins, events.size());
+  EXPECT_EQ(corpus_image(after), before);
   restarted->stop();
 }
 
