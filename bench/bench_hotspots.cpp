@@ -5,7 +5,8 @@
 // clusters raw positions with DBSCAN. This bench runs both over the same
 // morning check-ins and compares what they find: cluster/cell counts,
 // coverage (fraction of points in a hotspot), and agreement (how many of
-// the grid's top cells land inside some DBSCAN cluster).
+// the grid's top cells land inside some DBSCAN cluster). DBSCAN is the
+// test-only reference in tests/reference/; no serving path uses it.
 
 #include <algorithm>
 #include <chrono>
@@ -14,8 +15,8 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "geo/dbscan.hpp"
 #include "geo/grid.hpp"
+#include "reference/dbscan.hpp"
 #include "util/civil_time.hpp"
 
 using namespace crowdweb;

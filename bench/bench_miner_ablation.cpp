@@ -2,17 +2,18 @@
 //
 // The paper adopts (a modified) PrefixSpan; this bench shows why, on the
 // workload the platform actually runs: per-user day-sequence databases.
-// All three miners produce identical output (enforced by the test suite);
-// here we compare cost as the database grows and as support drops.
+// All four miners produce identical output (enforced by the test suite);
+// here we compare cost as the database grows and as support drops. GSP,
+// SPADE and naive are the test-only references in tests/reference/.
 
 #include <benchmark/benchmark.h>
 
 #include "bench_common.hpp"
-#include "mining/gsp.hpp"
-#include "mining/naive.hpp"
 #include "mining/prefixspan.hpp"
-#include "mining/spade.hpp"
 #include "mining/seqdb.hpp"
+#include "reference/gsp.hpp"
+#include "reference/naive.hpp"
+#include "reference/spade.hpp"
 #include "util/rng.hpp"
 
 using namespace crowdweb;

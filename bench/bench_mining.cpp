@@ -1,5 +1,5 @@
-// Mining bench: closed-pattern miners vs PrefixSpan across the paper's
-// support sweep.
+// Mining bench: the closed-pattern miner (BIDE) vs PrefixSpan across the
+// paper's support sweep.
 //
 // The claim behind the miner registry: on routine-heavy mobility
 // corpora the closed pattern set is several times smaller than the full
@@ -21,19 +21,20 @@
 // neither helps nor hurts there; see docs/PERFORMANCE.md.
 //
 // For each corpus scale (1x/10x, plus 100x outside --smoke) this bench
-// mines every user's sequence database with prefixspan, bide, and
-// clospan at min_support {0.25, 0.50, 0.75}, recording pattern-set
-// size, wall time, and pattern-set bytes; it also times bide+expand and
-// cross-checks that the expanded set equals PrefixSpan's output
-// exactly. Emits BENCH_mining.json (override with --out).
+// mines every user's sequence database with prefixspan and bide at
+// min_support {0.25, 0.50, 0.75}, recording pattern-set size, wall
+// time, and pattern-set bytes; it also times bide+expand (BIDE's output
+// run through expand_closed_patterns) and cross-checks that the
+// expanded set equals PrefixSpan's output exactly. Emits
+// BENCH_mining.json (override with --out).
 //
-// It then compares the two *serving* modes end-to-end — expanded tables
-// vs the compact MobilityTable (closed set + placement index, see
-// src/patterns/mobility.hpp) — on a dense check-in corpus and on the
-// sparse paper-calibrated one, recording resident table bytes and
-// mine/crowd build times for both and asserting the crowd models are
-// value-identical (the closed-mode tentpole invariant; this is the CI
-// smoke gate).
+// It then compares the two *serving* modes end-to-end — PrefixSpan's
+// full ("expanded") tables vs BIDE's compact MobilityTable (closed set +
+// placement index, see src/patterns/mobility.hpp) — on a dense check-in
+// corpus and on the sparse paper-calibrated one, recording resident
+// table bytes and mine/crowd build times for both and asserting the
+// crowd models are value-identical (the closed-mode invariant; this is
+// the CI smoke gate).
 //
 // Recorded acceptance bars (asserted in full mode; smoke asserts only
 // the deterministic set-size and equality properties, not timings):
@@ -129,19 +130,20 @@ struct SweepResult {
   double ms = 0.0;
 };
 
+/// With `expand`, each user's (closed) output is expanded back to the
+/// full frequent set inside the timed loop.
 SweepResult sweep(const std::vector<mining::UserSequences>& users, const char* miner_name,
                   double min_support, bool expand) {
   const mining::IMiningAlgorithm* miner = mining::find_miner(miner_name);
   mining::MiningOptions options;
   options.min_support = min_support;
-  options.algorithm = miner_name;
-  options.expand_closed = expand;
   SweepResult result;
   const auto start = Clock::now();
   for (const mining::UserSequences& sequences : users) {
-    const mining::MiningResult mined =
-        expand ? mining::mine_with(sequences.columns(), options)
-               : miner->mine(sequences.columns(), options);
+    mining::MiningResult mined = miner->mine(sequences.columns(), options);
+    if (expand)
+      mined.patterns = mining::expand_closed_patterns(mined.patterns, sequences.day_count(),
+                                                      options);
     result.patterns += mined.patterns.size();
     result.bytes += pattern_set_bytes(mined.patterns);
   }
@@ -152,8 +154,8 @@ SweepResult sweep(const std::vector<mining::UserSequences>& users, const char* m
 // ------------------------------ end-to-end serving modes (tentpole gate)
 
 /// The dense routine regime as an actual check-in corpus, so the full
-/// pipeline (sequence build -> mine -> crowd placement) runs in both
-/// serving modes. Ten venues spread over the city; each user walks a
+/// pipeline (sequence build -> mine -> crowd placement) runs for both
+/// miners. Ten venues spread over the city; each user walks a
 /// personal 8-11 stop weekday routine (weekend 3-5) for `days` days.
 data::Dataset dense_checkin_corpus(std::size_t user_count, int days) {
   Rng rng(99);
@@ -206,8 +208,8 @@ data::Dataset dense_checkin_corpus(std::size_t user_count, int days) {
   return builder.build();
 }
 
-/// One serving mode end-to-end: mine the tables, fold their resident
-/// footprint, build the crowd model.
+/// One miner's serving mode end-to-end: mine the tables, fold their
+/// resident footprint, build the crowd model.
 struct ModeResult {
   patterns::MobilityStats stats;
   double mine_ms = 0.0;
@@ -216,14 +218,13 @@ struct ModeResult {
 };
 
 ModeResult run_mode(const data::Dataset& dataset, const geo::SpatialGrid& grid,
-                    bool expand_closed) {
+                    const char* algorithm) {
   patterns::MobilityOptions options;
   // Venue-level labels keep the routine's stops distinct (the synthetic
   // venues carry no real taxonomy categories to abstract over).
   options.sequences.mode = mining::LabelMode::kVenue;
-  options.mining.algorithm = "bide";
+  options.mining.algorithm = algorithm;
   options.mining.min_support = 0.25;
-  options.mining.expand_closed = expand_closed;
   auto start = Clock::now();
   const std::vector<patterns::UserMobility> mobility = patterns::mine_all_mobility_parallel(
       dataset, data::Taxonomy::foursquare(), options, /*threads=*/1);
@@ -256,15 +257,15 @@ bool crowd_models_equal(const crowd::CrowdModel& a, const crowd::CrowdModel& b) 
   return true;
 }
 
-/// Compares compact vs expanded serving on one corpus; returns the JSON
-/// block and folds the gate results into `failures`.
+/// Compares compact BIDE vs PrefixSpan serving on one corpus; returns
+/// the JSON block and folds the gate results into the out-params.
 json::Value serving_mode_block(const char* corpus_name, const data::Dataset& dataset,
                                bool expect_smaller, bool* crowd_equal_all,
                                double* dense_ratio) {
   auto grid = geo::SpatialGrid::create(dataset.bounds().inflated(0.002), 500.0);
   if (!grid.is_ok()) std::abort();
-  const ModeResult expanded = run_mode(dataset, *grid, /*expand_closed=*/true);
-  const ModeResult compact = run_mode(dataset, *grid, /*expand_closed=*/false);
+  const ModeResult expanded = run_mode(dataset, *grid, "prefixspan");
+  const ModeResult compact = run_mode(dataset, *grid, "bide");
   const bool equal = crowd_models_equal(compact.crowd, expanded.crowd);
   *crowd_equal_all = *crowd_equal_all && equal;
   const double ratio = compact.stats.bytes > 0
@@ -325,7 +326,7 @@ int main(int argc, char** argv) {
   std::vector<std::pair<const char*, std::size_t>> scales{{"1x", 100}, {"10x", 1'000}};
   if (!args.smoke) scales.push_back({"100x", 10'000});
 
-  std::printf("=== Mining: closed (bide/clospan) vs full (prefixspan) pattern sets ===\n");
+  std::printf("=== Mining: closed (bide) vs full (prefixspan) pattern sets ===\n");
   std::printf("mode: %s, supports {0.25, 0.50, 0.75}\n\n", args.smoke ? "smoke" : "full");
 
   json::Value corpora = json::Value(json::Array{});
@@ -352,7 +353,6 @@ int main(int argc, char** argv) {
     for (const double support : supports) {
       const SweepResult frequent = sweep(users, "prefixspan", support, false);
       const SweepResult closed = sweep(users, "bide", support, false);
-      const SweepResult closed_cs = sweep(users, "clospan", support, false);
       const SweepResult expanded = sweep(users, "bide", support, true);
 
       const auto row = [&](const char* miner, const SweepResult& r) {
@@ -361,7 +361,6 @@ int main(int argc, char** argv) {
       };
       row("prefixspan", frequent);
       row("bide", closed);
-      row("clospan", closed_cs);
       row("bide+expand", expanded);
 
       // The closed set must reproduce the frequent set exactly —
@@ -384,10 +383,6 @@ int main(int argc, char** argv) {
            {"bide", json::object({{"patterns", static_cast<std::int64_t>(closed.patterns)},
                                   {"bytes", static_cast<std::int64_t>(closed.bytes)},
                                   {"ms", closed.ms}})},
-           {"clospan",
-            json::object({{"patterns", static_cast<std::int64_t>(closed_cs.patterns)},
-                          {"bytes", static_cast<std::int64_t>(closed_cs.bytes)},
-                          {"ms", closed_cs.ms}})},
            {"bide_expand",
             json::object({{"patterns", static_cast<std::int64_t>(expanded.patterns)},
                           {"bytes", static_cast<std::int64_t>(expanded.bytes)},
@@ -401,8 +396,8 @@ int main(int argc, char** argv) {
                                     {"sweeps", std::move(sweeps)}}));
   }
 
-  // End-to-end serving modes: the compact MobilityTable (closed set +
-  // placement index) vs the expanded table, on the regime compaction is
+  // End-to-end serving modes: BIDE's compact MobilityTable (closed set +
+  // placement index) vs PrefixSpan's full table, on the regime compaction is
   // for (dense telemetry) and the regime it is not (the paper-calibrated
   // sparse check-in corpus — expected near or below 1x, documented in
   // docs/PERFORMANCE.md). The crowd-equality bit is the CI smoke gate
@@ -430,10 +425,10 @@ int main(int argc, char** argv) {
   check(expansion_exact, "bide+expand reproduces the prefixspan pattern count everywhere",
         &failures);
   check(crowd_equal_all,
-        "compact-mode crowd placements identical to expanded mode on every corpus",
+        "compact BIDE crowd placements identical to PrefixSpan on every corpus",
         &failures);
   check(dense_table_ratio > 1.2,
-        "compact MobilityTable is smaller than the expanded table on the dense corpus",
+        "compact BIDE table is smaller than PrefixSpan's table on the dense corpus",
         &failures);
   check(ratio_patterns_10x >= 5.0,
         "closed set >= 5x smaller than frequent set at 0.25 on 10x corpus", &failures);

@@ -20,8 +20,7 @@
 // Run:  ./city_dashboard [--seed N] [--port P] [--paper-scale] [--offline DIR]
 //                        [--shards N] [--store-dir DIR [--fsync every_batch|never]]
 //                        [--http-workers N] [--http-cache-mb MB]
-//                        [--miner prefixspan|gsp|spade|naive|bide|clospan] [--min-support F]
-//                        [--expand-closed 0|1]
+//                        [--miner prefixspan|bide] [--min-support F]
 
 #include <csignal>
 #include <cstdio>
@@ -68,7 +67,6 @@ struct Args {
   std::int64_t http_cache_mb = 64;  // response cache byte budget; 0 = off
   std::string miner = "prefixspan";  // registered mining algorithm
   double min_support = 0.25;
-  bool expand_closed = true;  // 0 with a closed miner = compact serving mode
 };
 
 bool parse_args(int argc, char** argv, Args& args) {
@@ -132,11 +130,6 @@ bool parse_args(int argc, char** argv, Args& args) {
       const auto parsed = v != nullptr ? parse_double(v) : Result<double>(parse_error(""));
       if (!parsed || *parsed <= 0.0 || *parsed > 1.0) return false;
       args.min_support = *parsed;
-    } else if (flag == "--expand-closed") {
-      const char* v = next();
-      const auto parsed = v != nullptr ? parse_int(v) : Result<std::int64_t>(parse_error(""));
-      if (!parsed || (*parsed != 0 && *parsed != 1)) return false;
-      args.expand_closed = *parsed == 1;
     } else {
       return false;
     }
@@ -208,8 +201,7 @@ int main(int argc, char** argv) {
                  "[--data DIR] [--shards N] "
                  "[--store-dir DIR [--fsync every_batch|never]] "
                  "[--http-workers N] [--http-cache-mb MB] "
-                 "[--miner prefixspan|gsp|spade|naive|bide|clospan] [--min-support F] "
-                 "[--expand-closed 0|1]\n",
+                 "[--miner prefixspan|bide] [--min-support F]\n",
                  argv[0]);
     return 2;
   }
@@ -224,7 +216,6 @@ int main(int argc, char** argv) {
   config.min_active_days = args.paper_scale ? 50 : 20;
   config.mining.min_support = args.min_support;
   config.mining.algorithm = args.miner;
-  config.mining.expand_closed = args.expand_closed;
   config.metrics = &metrics;
   config.store.dir = args.store_dir;
   config.store.fsync = args.fsync;

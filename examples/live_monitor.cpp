@@ -24,8 +24,7 @@
 //                      [--transport csv|binary] [--spool-dir DIR]
 //                      [--store-dir DIR [--fsync every_batch|never]]
 //                      [--http-workers N] [--http-cache-mb MB]
-//                      [--miner prefixspan|gsp|spade|naive|bide|clospan] [--min-support F]
-//                      [--expand-closed 0|1]
+//                      [--miner prefixspan|bide] [--min-support F]
 
 #include <algorithm>
 #include <chrono>
@@ -65,8 +64,7 @@ int usage(const char* name) {
                "[--transport csv|binary] [--spool-dir DIR] "
                "[--store-dir DIR [--fsync every_batch|never]] "
                "[--http-workers N] [--http-cache-mb MB] "
-               "[--miner prefixspan|gsp|spade|naive|bide|clospan] [--min-support F] "
-               "[--expand-closed 0|1]\n",
+               "[--miner prefixspan|bide] [--min-support F]\n",
                name);
   return 2;
 }
@@ -87,7 +85,6 @@ int main(int argc, char** argv) {
   std::int64_t http_cache_mb = 64;  // response cache byte budget; 0 = off
   std::string miner = "prefixspan";  // registered mining algorithm
   double min_support = 0.5;
-  bool expand_closed = true;  // 0 with a closed miner = compact serving mode
   for (int i = 1; i < argc; ++i) {
     const std::string_view flag = argv[i];
     if (flag == "--seed" && i + 1 < argc) {
@@ -136,10 +133,6 @@ int main(int argc, char** argv) {
       const auto parsed = parse_double(argv[++i]);
       if (!parsed || *parsed <= 0.0 || *parsed > 1.0) return usage(argv[0]);
       min_support = *parsed;
-    } else if (flag == "--expand-closed" && i + 1 < argc) {
-      const auto parsed = parse_int(argv[++i]);
-      if (!parsed || (*parsed != 0 && *parsed != 1)) return usage(argv[0]);
-      expand_closed = *parsed == 1;
     } else {
       return usage(argv[0]);
     }
@@ -156,7 +149,6 @@ int main(int argc, char** argv) {
   config.min_active_days = 20;
   config.mining.algorithm = miner;
   config.mining.min_support = min_support;
-  config.mining.expand_closed = expand_closed;
   config.metrics = &metrics;
   config.store.dir = store_dir;
   config.store.fsync = fsync;

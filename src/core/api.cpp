@@ -193,20 +193,19 @@ Response status_handler(const Deployment& deployment, const json::Value& batch,
                                       {"cell_meters", view->grid->cell_size_meters()}}));
   }
 
-  // The mining block: the configured miner and serving mode ("closed"
-  // means compact tables + placement indexes feed the crowd layer),
-  // plus the resident pattern-set footprint of the pinned epochs.
+  // The mining block: the configured miner and its serving mode ("closed"
+  // for a closed-output miner: compact tables + placement indexes feed
+  // the crowd layer), plus the resident pattern-set footprint of the
+  // pinned epochs.
   const mining::MiningOptions& mining_config = platform.config().mining;
   const mining::IMiningAlgorithm* miner = mining::find_miner(mining_config.algorithm);
-  const bool closed_mode =
-      miner != nullptr && miner->closed_output() && !mining_config.expand_closed;
+  const bool closed_mode = miner != nullptr && miner->closed_output();
   const patterns::MobilityStats set_stats = view->mobility_stats();
   payload.set(
       "mining",
       json::object(
           {{"algorithm", mining_config.algorithm},
            {"min_support", mining_config.min_support},
-           {"expand_closed", mining_config.expand_closed},
            {"max_patterns", static_cast<std::int64_t>(mining_config.max_patterns)},
            {"mode", closed_mode ? "closed" : "expanded"},
            {"pattern_set",

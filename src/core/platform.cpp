@@ -73,18 +73,7 @@ Result<Platform> Platform::from_csv_files(const std::string& venues_path,
   return from_dataset(std::move(dataset).value(), config);
 }
 
-Result<Platform> Platform::restore(data::Dataset dataset,
-                                   std::vector<patterns::UserMobility> mobility,
-                                   const PlatformConfig& config) {
-  Platform platform;
-  platform.config_ = config;
-  const Status status = platform.run_pipeline(std::move(dataset), &mobility);
-  if (!status.is_ok()) return status;
-  return platform;
-}
-
-Status Platform::run_pipeline(data::Dataset full,
-                              std::vector<patterns::UserMobility>* precomputed) {
+Status Platform::run_pipeline(data::Dataset full) {
   if (full.empty()) return failed_precondition("dataset is empty");
   // Fail fast on a miner name nothing downstream could resolve (the
   // ingest worker and shard workers inherit this config verbatim).
@@ -108,26 +97,13 @@ Status Platform::run_pipeline(data::Dataset full,
   timings_.acquisition_ms = ms_since(phase1_start);
   observe_stage(config_.metrics, "acquisition", timings_.acquisition_ms);
 
-  // Phase 2: per-user modified PrefixSpan (or adopt a snapshot).
+  // Phase 2: per-user mining with the configured miner.
   const auto phase2_start = Clock::now();
-  if (precomputed != nullptr) {
-    const auto users = experiment_.users();
-    if (precomputed->size() != users.size())
-      return failed_precondition(
-          "snapshot mobility does not match the preprocessed user set");
-    for (std::size_t i = 0; i < users.size(); ++i) {
-      if ((*precomputed)[i].user != users[i])
-        return failed_precondition(
-            "snapshot mobility does not match the preprocessed user set");
-    }
-    mobility_ = std::move(*precomputed);
-  } else {
-    patterns::MobilityOptions mobility_options;
-    mobility_options.sequences = config_.sequences;
-    mobility_options.mining = config_.mining;
-    mobility_ = patterns::mine_all_mobility_parallel(
-        experiment_, taxonomy(), mobility_options, config_.mining_threads);
-  }
+  patterns::MobilityOptions mobility_options;
+  mobility_options.sequences = config_.sequences;
+  mobility_options.mining = config_.mining;
+  mobility_ = patterns::mine_all_mobility_parallel(experiment_, taxonomy(), mobility_options,
+                                                   config_.mining_threads);
   timings_.mining_ms = ms_since(phase2_start);
   observe_stage(config_.metrics, "mining", timings_.mining_ms);
   mining::MiningStats mining_totals;

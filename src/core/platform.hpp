@@ -93,14 +93,6 @@ class Platform {
                                          const std::string& checkins_path,
                                          const PlatformConfig& config);
 
-  /// Rebuilds a platform from a dataset plus *precomputed* phase-2 output
-  /// (see core/snapshot.hpp): runs phases 1 and 3 but adopts `mobility`
-  /// instead of mining. Fails when the stored mobility does not match the
-  /// preprocessed user set.
-  static Result<Platform> restore(data::Dataset dataset,
-                                  std::vector<patterns::UserMobility> mobility,
-                                  const PlatformConfig& config);
-
   [[nodiscard]] const PlatformConfig& config() const noexcept { return config_; }
   [[nodiscard]] const data::Taxonomy& taxonomy() const noexcept;
 
@@ -135,10 +127,8 @@ class Platform {
  private:
   Platform() = default;
 
-  /// Runs the pipeline. When `precomputed` is non-null its contents are
-  /// adopted as the phase-2 output (after validation) instead of mining.
-  Status run_pipeline(data::Dataset full,
-                      std::vector<patterns::UserMobility>* precomputed = nullptr);
+  /// Runs the three phases over `full`.
+  Status run_pipeline(data::Dataset full);
 
   PlatformConfig config_;
   data::Dataset full_;

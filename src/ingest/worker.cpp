@@ -117,12 +117,11 @@ void IngestWorker::init_metrics() {
   mining_expanded_ = &metrics_->counter(
       "crowdweb_mining_patterns_expanded_total",
       "Frequent patterns reconstructed from closed sets by expansion across all "
-      "epochs — materialized into the tables when expand_closed is on, streamed "
-      "through the placement-index build when it is off. 0 for full miners.");
+      "epochs, streamed through the placement-index build. 0 for full miners.");
   mining_pruned_ = &metrics_->counter(
       "crowdweb_mining_pruned_total",
-      "Search subtrees/candidates the miner cut without counting (BackScan, "
-      "equivalent projections, apriori).");
+      "Search subtrees the miner cut without counting (BIDE's BackScan). "
+      "0 for full miners.");
   mining_truncated_ = &metrics_->counter(
       "crowdweb_mining_truncated_total",
       "Per-user re-mines whose pattern set was cut short by the max_patterns cap "

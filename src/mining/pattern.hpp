@@ -3,8 +3,9 @@
 // A *sequence* is one day of a user's visits, reduced to labels (items).
 // A *pattern* is a subsequence that occurs in at least `min_support`
 // fraction of the user's day-sequences (relative support, as the paper
-// sweeps it from 0.25 to 0.75). All three miners (PrefixSpan, GSP, naive)
-// emit the same `Pattern` type so tests can cross-check them.
+// sweeps it from 0.25 to 0.75). Both production miners (PrefixSpan and
+// the closed-set BIDE) and the test-only reference miners emit the same
+// `Pattern` type so tests can cross-check them.
 #pragma once
 
 #include <cstdint>
@@ -83,13 +84,12 @@ void sort_patterns(std::vector<Pattern>& patterns);
 struct MiningStats {
   std::size_t emitted = 0;   ///< patterns the miner itself returned
   std::size_t explored = 0;  ///< search nodes / candidates support-counted
-  /// Search work cut before counting: BackScan subtrees (BIDE),
-  /// equivalent-projection subtrees (CloSpan), apriori-rejected
-  /// candidates (GSP), and non-closed patterns a closed miner skipped.
+  /// Search work cut before counting: BIDE's BackScan subtrees (the
+  /// test-only reference GSP counts its apriori-rejected candidates).
   std::size_t pruned = 0;
   /// Frequent patterns reconstructed by expand_closed_patterns from a
-  /// closed set — 0 for full miners and for closed mines that were never
-  /// expanded. Kept separate from `emitted` so the miner's true output
+  /// closed set (the placement-index build streams them) — 0 for full
+  /// miners. Kept separate from `emitted` so the miner's true output
   /// size is visible even when the pipeline expands behind it.
   std::size_t expanded = 0;
   /// True when the max_patterns cap suppressed at least one emission —
@@ -116,17 +116,11 @@ struct MiningOptions {
   /// Hard cap on emitted patterns (safety valve for tiny supports).
   std::size_t max_patterns = 200'000;
   /// Which registered miner the pipeline runs (see mining/registry.hpp):
-  /// "prefixspan" (default), "gsp", "spade", "naive", "bide", "clospan".
-  /// Carried inside MiningOptions so it flows through MobilityOptions ->
-  /// PlatformConfig -> IngestPipelineConfig -> shard workers untouched.
+  /// "prefixspan" (default, serves the full frequent set) or "bide"
+  /// (serves the closed set compactly). Carried inside MiningOptions so
+  /// it flows through MobilityOptions -> PlatformConfig ->
+  /// IngestPipelineConfig -> shard workers untouched.
   std::string algorithm = "prefixspan";
-  /// Closed-set miners only: recover the full frequent set (items and
-  /// supports) from the closed set after mining, so annotation, crowd
-  /// placement, and /api bytes are identical to a full miner's. Off
-  /// keeps the closed set itself — same information, much smaller
-  /// tables, but time annotations (and thus crowd placements) may
-  /// differ on patterns whose embeddings shift.
-  bool expand_closed = true;
 };
 
 /// Recovers the full frequent set from a *closed* pattern set: every

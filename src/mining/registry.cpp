@@ -4,27 +4,11 @@
 #include <string>
 
 #include "mining/bide.hpp"
-#include "mining/clospan.hpp"
-#include "mining/gsp.hpp"
-#include "mining/naive.hpp"
 #include "mining/prefixspan.hpp"
-#include "mining/spade.hpp"
 
 namespace crowdweb::mining {
 
 namespace {
-
-/// The level-wise and vertical miners still consume the nested format;
-/// copy the columns out for them. The hot-path miners (PrefixSpan, BIDE,
-/// CloSpan) read the columns directly.
-SequenceDb materialize(const SequenceColumns& db) {
-  SequenceDb out(db.size());
-  for (std::size_t s = 0; s < db.size(); ++s) {
-    const auto sequence = db.sequence(s);
-    out[s].assign(sequence.begin(), sequence.end());
-  }
-  return out;
-}
 
 class PrefixSpanMiner final : public IMiningAlgorithm {
  public:
@@ -38,42 +22,6 @@ class PrefixSpanMiner final : public IMiningAlgorithm {
   }
 };
 
-class GspMiner final : public IMiningAlgorithm {
- public:
-  [[nodiscard]] std::string_view name() const noexcept override { return "gsp"; }
-  [[nodiscard]] bool closed_output() const noexcept override { return false; }
-  [[nodiscard]] MiningResult mine(const SequenceColumns& db,
-                                  const MiningOptions& options) const override {
-    MiningResult result;
-    result.patterns = gsp(materialize(db), options, &result.stats);
-    return result;
-  }
-};
-
-class SpadeMiner final : public IMiningAlgorithm {
- public:
-  [[nodiscard]] std::string_view name() const noexcept override { return "spade"; }
-  [[nodiscard]] bool closed_output() const noexcept override { return false; }
-  [[nodiscard]] MiningResult mine(const SequenceColumns& db,
-                                  const MiningOptions& options) const override {
-    MiningResult result;
-    result.patterns = spade(materialize(db), options, &result.stats);
-    return result;
-  }
-};
-
-class NaiveMiner final : public IMiningAlgorithm {
- public:
-  [[nodiscard]] std::string_view name() const noexcept override { return "naive"; }
-  [[nodiscard]] bool closed_output() const noexcept override { return false; }
-  [[nodiscard]] MiningResult mine(const SequenceColumns& db,
-                                  const MiningOptions& options) const override {
-    MiningResult result;
-    result.patterns = naive_miner(materialize(db), options, &result.stats);
-    return result;
-  }
-};
-
 class BideMiner final : public IMiningAlgorithm {
  public:
   [[nodiscard]] std::string_view name() const noexcept override { return "bide"; }
@@ -82,32 +30,16 @@ class BideMiner final : public IMiningAlgorithm {
                                   const MiningOptions& options) const override {
     MiningResult result;
     result.patterns = bide(db, options, &result.stats);
+    result.closed = true;
     return result;
   }
 };
 
-class ClospanMiner final : public IMiningAlgorithm {
- public:
-  [[nodiscard]] std::string_view name() const noexcept override { return "clospan"; }
-  [[nodiscard]] bool closed_output() const noexcept override { return true; }
-  [[nodiscard]] MiningResult mine(const SequenceColumns& db,
-                                  const MiningOptions& options) const override {
-    MiningResult result;
-    result.patterns = clospan(db, options, &result.stats);
-    return result;
-  }
-};
-
-const std::array<const IMiningAlgorithm*, 6>& all_miners() {
+const std::array<const IMiningAlgorithm*, 2>& all_miners() {
   static const PrefixSpanMiner prefixspan_miner;
-  static const GspMiner gsp_miner;
-  static const SpadeMiner spade_miner;
-  static const NaiveMiner naive_miner_adapter;
   static const BideMiner bide_miner;
-  static const ClospanMiner clospan_miner;
-  static const std::array<const IMiningAlgorithm*, 6> miners = {
-      &prefixspan_miner, &gsp_miner,  &spade_miner,
-      &naive_miner_adapter, &bide_miner, &clospan_miner};
+  static const std::array<const IMiningAlgorithm*, 2> miners = {&prefixspan_miner,
+                                                                &bide_miner};
   return miners;
 }
 
@@ -141,19 +73,7 @@ std::vector<std::string_view> miner_names() {
 MiningResult mine_with(const SequenceColumns& db, const MiningOptions& options) {
   const IMiningAlgorithm* miner = find_miner(options.algorithm);
   if (miner == nullptr) miner = find_miner("prefixspan");
-  MiningResult result = miner->mine(db, options);
-  if (miner->closed_output()) {
-    if (options.expand_closed) {
-      MiningStats expand_stats;
-      result.patterns =
-          expand_closed_patterns(result.patterns, db.size(), options, &expand_stats);
-      result.stats.expanded = expand_stats.expanded;
-      result.stats.truncated = result.stats.truncated || expand_stats.truncated;
-    } else {
-      result.closed = true;
-    }
-  }
-  return result;
+  return miner->mine(db, options);
 }
 
 }  // namespace crowdweb::mining

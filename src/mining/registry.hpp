@@ -1,14 +1,15 @@
-// Miner registry: every sequential-pattern algorithm behind one
-// name-keyed interface.
+// Miner registry: the two sequential-pattern miners production runs,
+// behind one name-keyed interface.
 //
 // The pipeline (patterns::mine_user_mobility, the ingest worker, the
-// shard workers, the /api/mine handler) picks its miner by the string in
-// MiningOptions::algorithm instead of hard-wiring a call, so swapping
-// PrefixSpan for BIDE is a config change, not a rebuild. Closed-output
-// miners (BIDE, CloSpan) declare themselves as such; `mine_with` expands
-// their closed set back to the full frequent set when
-// MiningOptions::expand_closed asks for byte-identical downstream
-// output.
+// shard workers, the /api/analyze handler) picks its miner by the string
+// in MiningOptions::algorithm instead of hard-wiring a call, so swapping
+// PrefixSpan for BIDE is a config change, not a rebuild. Each miner has
+// one serving mode: PrefixSpan serves the full frequent set, and BIDE,
+// a closed-output miner, serves its closed set compactly (the pattern
+// layer answers full-set questions from it by subsumption and
+// expansion). The classic reference miners the tests check these two
+// against (GSP, SPADE, naive) live in tests/reference/, not here.
 #pragma once
 
 #include <string_view>
@@ -23,8 +24,7 @@ namespace crowdweb::mining {
 struct MiningResult {
   std::vector<Pattern> patterns;
   MiningStats stats;
-  /// True when `patterns` is a *closed* set the pipeline chose not to
-  /// expand (closed-output miner with MiningOptions::expand_closed off).
+  /// True when `patterns` is a *closed* set (the miner is closed-output).
   /// Downstream layers that need any subsequence's support answer it by
   /// subsumption (see subsumed_support_count) instead of assuming the
   /// full frequent set is materialized.
@@ -58,18 +58,14 @@ class IMiningAlgorithm {
 /// Status listing the registered names.
 [[nodiscard]] Result<const IMiningAlgorithm*> resolve_miner(std::string_view name);
 
-/// Registered names in registration order ("prefixspan" first).
+/// Registered names in registration order: "prefixspan", then "bide".
 [[nodiscard]] std::vector<std::string_view> miner_names();
 
-/// Resolves options.algorithm, mines, and — for closed-output miners
-/// with options.expand_closed set — expands the closed set back to the
-/// full frequent set so annotation and crowd placement match a full
-/// miner byte for byte. Stats keep the miner's own `emitted` count and
-/// record the reconstruction separately in `expanded`. With
-/// expand_closed off a closed miner's result carries `closed = true`
-/// and the patterns stay compact. An unknown algorithm name falls back
-/// to "prefixspan"; validate the name up front (see resolve_miner)
-/// where an error can still be reported.
+/// Resolves options.algorithm and mines. A closed-output miner's result
+/// carries `closed = true` and stays compact; expand_closed_patterns
+/// recovers the full frequent set where a caller needs it. An unknown
+/// algorithm name falls back to "prefixspan"; validate the name up
+/// front (see resolve_miner) where an error can still be reported.
 [[nodiscard]] MiningResult mine_with(const SequenceColumns& db, const MiningOptions& options);
 
 }  // namespace crowdweb::mining

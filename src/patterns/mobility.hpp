@@ -70,7 +70,7 @@ struct UserMobility {
   /// aggregate an epoch's mining telemetry from the entries it re-mined.
   mining::MiningStats mining_stats;
   /// True when `patterns` holds only the *closed* set (closed-output
-  /// miner, MiningOptions::expand_closed off). Support queries answer by
+  /// miner, e.g. BIDE). Support queries answer by
   /// subsumption and crowd placement reads `placement_index`; routes
   /// whose wire contract needs the full set expand lazily (see
   /// expand_user_patterns).
@@ -109,9 +109,9 @@ struct MobilityOptions {
 
 /// Phase 2 of the framework: builds the user's day-sequence database and
 /// mines it with the miner named by options.mining.algorithm (see
-/// mining/registry.hpp; closed-output miners expand back to the full
-/// frequent set under options.mining.expand_closed), annotating each
-/// pattern with times.
+/// mining/registry.hpp), annotating each pattern with times. A
+/// closed-output miner yields a compact entry: the closed set plus the
+/// placement index built from its expansion.
 [[nodiscard]] UserMobility mine_user_mobility(const data::Dataset& dataset,
                                               data::UserId user,
                                               const data::Taxonomy& taxonomy,
@@ -258,12 +258,12 @@ class MobilityTable {
                                                const mining::UserSequences& sequences);
 
 /// The full frequent pattern set of an entry, annotated — exactly what
-/// the entry's `patterns` would hold had it been mined with
-/// expand_closed on. Compact (closed_only) entries expand their closed
-/// set lazily against the user's day-sequence database (same expansion
-/// cap, same canonical order, same greedy-embedding annotation, so the
-/// result is byte-identical to expanded-mode output); expanded entries
-/// return a copy of `patterns` unchanged. This is the per-request path
+/// the entry's `patterns` would hold had a full miner (PrefixSpan) mined
+/// it. Compact (closed_only) entries expand their closed set lazily
+/// against the user's day-sequence database (same expansion cap, same
+/// canonical order, same greedy-embedding annotation, so the result is
+/// byte-identical to PrefixSpan's output); full entries return a copy
+/// of `patterns` unchanged. This is the per-request path
 /// behind routes whose wire contract needs the full set.
 [[nodiscard]] std::vector<MobilityPattern> expand_user_patterns(
     const UserMobility& mobility, const mining::UserSequences& sequences,

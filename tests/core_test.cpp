@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "core/api.hpp"
-#include "core/snapshot.hpp"
 #include "data/dataset_io.hpp"
 
 #include <filesystem>
@@ -128,136 +127,6 @@ TEST(PlatformTest, FromCsvFilesRoundTrip) {
   EXPECT_FALSE(
       Platform::from_csv_files("/no/venues.csv", "/no/checkins.csv", small_config())
           .is_ok());
-}
-
-// -------------------------------------------------------------- Snapshots
-
-TEST(SnapshotTest, MobilityJsonRoundTrip) {
-  const Platform& p = platform();
-  const json::Value doc = mobility_to_json(p.mobility());
-  // Survives a serialize/parse cycle.
-  const auto reparsed = json::parse(json::dump(doc));
-  ASSERT_TRUE(reparsed.is_ok());
-  const auto restored = mobility_from_json(*reparsed);
-  ASSERT_TRUE(restored.is_ok()) << restored.status().to_string();
-  ASSERT_EQ(restored->size(), p.mobility().size());
-  for (std::size_t i = 0; i < restored->size(); ++i) {
-    const auto& a = (*restored)[i];
-    const auto& b = p.mobility()[i];
-    EXPECT_EQ(a.user, b.user);
-    EXPECT_EQ(a.recorded_days, b.recorded_days);
-    ASSERT_EQ(a.patterns.size(), b.patterns.size());
-    for (std::size_t j = 0; j < a.patterns.size(); ++j) {
-      EXPECT_EQ(a.patterns[j].support_count, b.patterns[j].support_count);
-      ASSERT_EQ(a.patterns[j].elements.size(), b.patterns[j].elements.size());
-      for (std::size_t k = 0; k < a.patterns[j].elements.size(); ++k) {
-        EXPECT_EQ(a.patterns[j].elements[k].label, b.patterns[j].elements[k].label);
-        EXPECT_DOUBLE_EQ(a.patterns[j].elements[k].mean_minute,
-                         b.patterns[j].elements[k].mean_minute);
-      }
-    }
-  }
-}
-
-TEST(SnapshotTest, ConfigJsonRoundTrip) {
-  PlatformConfig config = small_config();
-  config.seed = 77;
-  config.mining.min_support = 0.4;
-  config.crowd.window_minutes = 30;
-  config.sequences.mode = mining::LabelMode::kLeafCategory;
-  const auto restored = config_from_json(config_to_json(config));
-  ASSERT_TRUE(restored.is_ok()) << restored.status().to_string();
-  EXPECT_EQ(restored->seed, 77u);
-  EXPECT_DOUBLE_EQ(restored->mining.min_support, 0.4);
-  EXPECT_EQ(restored->crowd.window_minutes, 30);
-  EXPECT_EQ(restored->sequences.mode, mining::LabelMode::kLeafCategory);
-  EXPECT_EQ(restored->min_active_days, config.min_active_days);
-}
-
-TEST(SnapshotTest, SaveAndLoadRebuildsIdenticalPlatform) {
-  const Platform& original = platform();
-  const std::string dir = ::testing::TempDir() + "/crowdweb_snapshot";
-  ASSERT_TRUE(save_snapshot(original, dir).is_ok());
-
-  auto restored = load_snapshot(dir);
-  ASSERT_TRUE(restored.is_ok()) << restored.status().to_string();
-  EXPECT_EQ(restored->experiment_dataset().user_count(),
-            original.experiment_dataset().user_count());
-  EXPECT_EQ(restored->mobility().size(), original.mobility().size());
-  EXPECT_EQ(restored->crowd_model().total_placements(),
-            original.crowd_model().total_placements());
-  // Crowd distributions are bit-identical.
-  for (const int window : {9, 12, 20}) {
-    const auto a = original.crowd_model().distribution(window);
-    const auto b = restored->crowd_model().distribution(window);
-    EXPECT_EQ(a.total(), b.total());
-    EXPECT_EQ(a.cells(), b.cells());
-  }
-  // Restore skipped mining entirely.
-  EXPECT_LT(restored->timings().mining_ms, original.timings().mining_ms + 1.0);
-}
-
-TEST(SnapshotTest, CompactMobilityEntriesRoundTripWithTheirSidecar) {
-  // A closed-mode platform's snapshot carries the compact sidecar
-  // (closed flag, frequent-set size, placement index) and restores it
-  // exactly; default-mode snapshots never emit those fields.
-  PlatformConfig config = small_config();
-  config.mining.algorithm = "bide";
-  config.mining.expand_closed = false;
-  const auto compact = Platform::create(config);
-  ASSERT_TRUE(compact.is_ok()) << compact.status().to_string();
-  const json::Value doc = mobility_to_json(compact->mobility());
-  const auto reparsed = json::parse(json::dump(doc));
-  ASSERT_TRUE(reparsed.is_ok());
-  const auto restored = mobility_from_json(*reparsed);
-  ASSERT_TRUE(restored.is_ok()) << restored.status().to_string();
-  ASSERT_EQ(restored->size(), compact->mobility().size());
-  for (std::size_t i = 0; i < restored->size(); ++i) {
-    const patterns::UserMobility& a = (*restored)[i];
-    const patterns::UserMobility& b = compact->mobility()[i];
-    EXPECT_TRUE(a.closed_only);
-    EXPECT_EQ(a.frequent_patterns, b.frequent_patterns);
-    ASSERT_EQ(a.placement_index.size(), b.placement_index.size());
-    for (std::size_t j = 0; j < a.placement_index.size(); ++j)
-      EXPECT_EQ(a.placement_index[j], b.placement_index[j]);
-  }
-
-  // The default-mode document is untouched by the new fields.
-  const json::Value plain = mobility_to_json(platform().mobility());
-  EXPECT_EQ(json::dump(plain).find("placement_index"), std::string::npos);
-  EXPECT_EQ(json::dump(plain).find("\"closed\""), std::string::npos);
-
-  // A save/load cycle of the compact platform restores compact serving
-  // with an identical crowd model.
-  const std::string dir = ::testing::TempDir() + "/crowdweb_snapshot_compact";
-  ASSERT_TRUE(save_snapshot(*compact, dir).is_ok());
-  auto reloaded = load_snapshot(dir);
-  ASSERT_TRUE(reloaded.is_ok()) << reloaded.status().to_string();
-  EXPECT_EQ(reloaded->crowd_model().total_placements(),
-            compact->crowd_model().total_placements());
-  for (const patterns::UserMobility& entry : reloaded->mobility())
-    EXPECT_TRUE(entry.closed_only);
-}
-
-TEST(SnapshotTest, LoadRejectsMissingDirectory) {
-  EXPECT_FALSE(load_snapshot("/nonexistent/snapshot/dir").is_ok());
-}
-
-TEST(SnapshotTest, RestoreRejectsMismatchedMobility) {
-  const Platform& original = platform();
-  std::vector<patterns::UserMobility> wrong(original.mobility().begin(),
-                                            original.mobility().end());
-  wrong.pop_back();  // user set no longer matches
-  EXPECT_FALSE(
-      Platform::restore(original.full_dataset(), std::move(wrong), small_config()).is_ok());
-}
-
-TEST(SnapshotTest, MobilityFromJsonRejectsGarbage) {
-  EXPECT_FALSE(mobility_from_json(json::Value(42)).is_ok());
-  EXPECT_FALSE(mobility_from_json(json::object({{"version", 2}})).is_ok());
-  EXPECT_FALSE(
-      mobility_from_json(json::object({{"version", 1}, {"users", "nope"}})).is_ok());
-  EXPECT_FALSE(config_from_json(json::object({{"version", 1}})).is_ok());
 }
 
 // ------------------------------------------------------------ API routing
@@ -451,6 +320,41 @@ TEST_F(ApiFixture, AnalyzeEndpointMinesUploadedHistory) {
   EXPECT_DOUBLE_EQ(patterns[0].find("support")->as_double(), 1.0);
 }
 
+TEST_F(ApiFixture, AnalyzeEndpointWithBideReturnsTheClosedSet) {
+  // Every day: coffee, then the office. PrefixSpan finds Eatery, the
+  // office label and Eatery -> office; only the pair is closed.
+  std::string csv = "category,lat,lon,timestamp\n";
+  for (int day = 2; day <= 8; ++day) {
+    const std::string date = "2012-04-0" + std::to_string(day);
+    csv += "Coffee Shop,40.71,-74.00," + date + " 08:30:00\n";
+    csv += "Office,40.75,-73.98," + date + " 09:10:00\n";
+  }
+  const auto analyze = [&](const std::string& algorithm) {
+    auto response = http::fetch("127.0.0.1", server_->port(), "POST",
+                                "/api/analyze?algorithm=" + algorithm, csv);
+    EXPECT_TRUE(response.is_ok()) << algorithm;
+    return response.is_ok() ? std::move(response).value() : http::ClientResponse{};
+  };
+
+  const http::ClientResponse full = analyze("prefixspan");
+  const http::ClientResponse closed = analyze("bide");
+  ASSERT_EQ(full.status, 200) << full.body;
+  ASSERT_EQ(closed.status, 200) << closed.body;
+  const auto full_doc = json::parse(full.body);
+  const auto closed_doc = json::parse(closed.body);
+  ASSERT_TRUE(full_doc.is_ok() && closed_doc.is_ok());
+  EXPECT_FALSE(full_doc->find("closed")->as_bool());
+  EXPECT_TRUE(closed_doc->find("closed")->as_bool());
+  const auto& full_patterns = full_doc->find("patterns")->as_array();
+  const auto& closed_patterns = closed_doc->find("patterns")->as_array();
+  ASSERT_EQ(full_patterns.size(), 3u);
+  // BIDE answers with the closed set itself: the one two-stop pattern,
+  // rendered exactly as PrefixSpan renders it.
+  ASSERT_EQ(closed_patterns.size(), 1u);
+  EXPECT_EQ(closed_patterns[0].find("elements")->as_array().size(), 2u);
+  EXPECT_EQ(json::dump(closed_patterns[0]), json::dump(full_patterns[2]));
+}
+
 TEST_F(ApiFixture, AnalyzeEndpointValidatesInput) {
   const auto bad_header =
       http::fetch("127.0.0.1", server_->port(), "POST", "/api/analyze", "a,b,c\n1,2,3\n");
@@ -473,6 +377,14 @@ TEST_F(ApiFixture, AnalyzeEndpointValidatesInput) {
                                  "category,lat,lon,timestamp\n");
   ASSERT_TRUE(empty.is_ok());
   EXPECT_EQ(empty->status, 400);
+
+  // GSP is a test-only reference, not a served miner.
+  const auto gsp = http::fetch(
+      "127.0.0.1", server_->port(), "POST", "/api/analyze?algorithm=gsp",
+      "category,lat,lon,timestamp\nCoffee Shop,40.7,-74.0,2012-04-02 09:00:00\n");
+  ASSERT_TRUE(gsp.is_ok());
+  EXPECT_EQ(gsp->status, 400);
+  EXPECT_NE(gsp->body.find("registered: prefixspan, bide"), std::string::npos) << gsp->body;
 
   const auto wrong_method = http::get("127.0.0.1", server_->port(), "/api/analyze");
   ASSERT_TRUE(wrong_method.is_ok());

@@ -4,7 +4,8 @@
 // records, at every layer (dataset, mobility, crowd model) and on the
 // wire (byte-identical /api/crowd/:window JSON). Also pins the sharing
 // contract: state the delta did not touch is reused by pointer, never
-// copied.
+// copied. And pins the miner contract: BIDE's compact closed-set tables
+// serve the same bytes as PrefixSpan's full tables.
 
 #include <gtest/gtest.h>
 
@@ -497,7 +498,7 @@ TEST(WorkerEquivalenceTest, UntouchedUsersShareStateAcrossEpochs) {
   worker->stop();
 }
 
-// --------------------------------------------------- miner equivalence
+// ---------------------- closed-mode (compact BIDE vs PrefixSpan) serving
 
 core::Platform make_platform_with_miner(const std::string& algorithm) {
   core::PlatformConfig config;
@@ -510,22 +511,40 @@ core::Platform make_platform_with_miner(const std::string& algorithm) {
   return std::move(result).value();
 }
 
+/// Every compact entry expands (lazily, as the full-set routes do) to
+/// exactly the PrefixSpan entry for the same user: the per-user pattern
+/// tables differ only in representation. Takes a batch build's mobility
+/// span or an epoch's MobilityTable.
+template <typename Table>
+void expect_expands_to(const Table& compact, const Table& full, const data::Dataset& dataset,
+                       const core::PlatformConfig& config) {
+  ASSERT_EQ(compact.size(), full.size());
+  patterns::MobilityOptions options;
+  options.sequences = config.sequences;
+  options.mining = config.mining;
+  auto it = full.begin();
+  for (const patterns::UserMobility& entry : compact) {
+    const patterns::UserMobility& reference = *it++;
+    ASSERT_EQ(entry.user, reference.user);
+    EXPECT_TRUE(entry.closed_only) << "user " << entry.user;
+    EXPECT_EQ(patterns::expand_user_patterns(entry, dataset, data::Taxonomy::foursquare(),
+                                             options),
+              reference.patterns)
+        << "user " << entry.user;
+  }
+}
+
 TEST(MinerEquivalenceTest, ClosedMinerPublishesByteIdenticalCrowdJson) {
-  // A platform mining with BIDE (closed output expanded back to the full
-  // frequent set, the default) must be indistinguishable from the
-  // PrefixSpan baseline everywhere the crowd model surfaces: the batch
-  // mobility tables, every live epoch — the worker re-mines changed
-  // users with the configured miner in parallel, which is what puts this
-  // test's `ingest` label on the TSan matrix — and every byte of
-  // /api/crowd/:window.
+  // A platform mining with BIDE (closed set kept compact) must be
+  // indistinguishable from the PrefixSpan baseline everywhere the crowd
+  // model surfaces: the batch mobility tables, every live epoch, and
+  // every byte of /api/crowd/:window as served over a real socket.
   const core::Platform baseline = make_platform_with_miner("prefixspan");
   const core::Platform closed = make_platform_with_miner("bide");
 
-  // Batch phase: identical per-user pattern tables.
-  const std::span<const patterns::UserMobility> ma = baseline.mobility();
-  const std::span<const patterns::UserMobility> mb = closed.mobility();
-  ASSERT_EQ(ma.size(), mb.size());
-  for (std::size_t i = 0; i < ma.size(); ++i) expect_mobility_entry_eq(ma[i], mb[i]);
+  // Batch phase: the closed tables expand to the baseline's.
+  expect_expands_to(closed.mobility(), baseline.mobility(), closed.experiment_dataset(),
+                    closed.config());
 
   // Live phase: same traffic through both workers, then byte-compare
   // the crowd endpoints.
@@ -543,7 +562,7 @@ TEST(MinerEquivalenceTest, ClosedMinerPublishesByteIdenticalCrowdJson) {
   const ingest::SnapshotPtr b = worker_b->hub().current();
   ASSERT_NE(a, nullptr);
   ASSERT_NE(b, nullptr);
-  expect_mobility_eq(a->mobility, b->mobility);
+  expect_expands_to(b->mobility, a->mobility, b->dataset, closed.config());
   expect_crowd_eq(a->crowd, b->crowd);
 
   http::Server server_a(core::make_api_router(baseline, {worker_a.get(), nullptr}));
@@ -565,23 +584,6 @@ TEST(MinerEquivalenceTest, ClosedMinerPublishesByteIdenticalCrowdJson) {
   worker_b->stop();
 }
 
-// ------------------------------------------ closed-mode (compact) serving
-
-/// A platform that keeps BIDE's closed output compact: the mobility
-/// tables store only closed patterns + placement indexes, and the crowd
-/// layer places from the sidecar instead of an expanded set.
-core::Platform make_compact_platform() {
-  core::PlatformConfig config;
-  config.small_corpus = true;
-  config.min_active_days = 20;
-  config.mining.algorithm = "bide";
-  config.mining.expand_closed = false;
-  auto result = core::Platform::create(config);
-  EXPECT_TRUE(result.is_ok()) << result.status().to_string();
-  if (!result.is_ok()) std::abort();
-  return std::move(result).value();
-}
-
 http::Request get_request(std::string path) {
   http::Request request;
   request.method = "GET";
@@ -597,7 +599,8 @@ std::string body_of(const http::Router& router, const std::string& path) {
 
 /// Byte-compares every route whose payload must not depend on the
 /// pattern-set representation: all crowd windows, the user roster, and
-/// one user's full (lazily expanded) pattern list.
+/// one user's full (lazily expanded) pattern list. `compact` serves
+/// BIDE's closed set, `expanded` PrefixSpan's full frequent set.
 void expect_wire_eq(const http::Router& compact, const http::Router& expanded,
                     int windows, data::UserId probe) {
   for (int w = 0; w < windows; ++w) {
@@ -611,8 +614,10 @@ void expect_wire_eq(const http::Router& compact, const http::Router& expanded,
 }
 
 TEST(ClosedModeEquivalenceTest, CompactBatchBuildServesByteIdenticalCrowdJson) {
-  const core::Platform expanded = make_platform_with_miner("bide");
-  const core::Platform compact = make_compact_platform();
+  // BIDE always serves its closed set compactly; everywhere the crowd
+  // model surfaces it must be indistinguishable from PrefixSpan.
+  const core::Platform expanded = make_platform_with_miner("prefixspan");
+  const core::Platform compact = make_platform_with_miner("bide");
 
   // The compact tables really are compact: every entry is closed-only,
   // and strictly fewer patterns are resident in total.
@@ -631,8 +636,10 @@ TEST(ClosedModeEquivalenceTest, CompactBatchBuildServesByteIdenticalCrowdJson) {
   // strict dense-corpus reduction is asserted by bench_mining instead.
   EXPECT_LE(compact_patterns, expanded_patterns);
 
-  // The crowd model built from the placement indexes is value-identical
-  // to the one built from the expanded tables.
+  // The closed tables expand to PrefixSpan's, and the crowd model built
+  // from the placement indexes is value-identical to PrefixSpan's.
+  expect_expands_to(compact.mobility(), expanded.mobility(), compact.experiment_dataset(),
+                    compact.config());
   expect_crowd_eq(compact.crowd_model(), expanded.crowd_model());
 
   const http::Router compact_api = core::make_api_router(compact, {});
@@ -647,6 +654,8 @@ TEST(ClosedModeEquivalenceTest, CompactBatchBuildServesByteIdenticalCrowdJson) {
   ASSERT_NE(mining, nullptr);
   ASSERT_NE(mining->find("mode"), nullptr);
   EXPECT_EQ(mining->find("mode")->as_string(), "closed");
+  // One serving mode per miner: there is no expansion switch to report.
+  EXPECT_EQ(mining->find("expand_closed"), nullptr);
   const json::Value* pattern_set = mining->find("pattern_set");
   ASSERT_NE(pattern_set, nullptr);
   EXPECT_EQ(pattern_set->find("compact_entries")->as_int(),
@@ -655,6 +664,7 @@ TEST(ClosedModeEquivalenceTest, CompactBatchBuildServesByteIdenticalCrowdJson) {
   const auto expanded_status = json::parse(body_of(expanded_api, "/api/status"));
   ASSERT_TRUE(expanded_status.is_ok());
   EXPECT_EQ(expanded_status->find("mining")->find("mode")->as_string(), "expanded");
+  EXPECT_EQ(expanded_status->find("mining")->find("expand_closed"), nullptr);
   EXPECT_EQ(expanded_status->find("mining")->find("pattern_set")
                 ->find("compact_entries")->as_int(),
             0);
@@ -662,11 +672,12 @@ TEST(ClosedModeEquivalenceTest, CompactBatchBuildServesByteIdenticalCrowdJson) {
 
 TEST(ClosedModeEquivalenceTest, WorkerReMiningKeepsCompactCrowdBytesIdentical) {
   // Incremental epochs: the worker re-mines touched users with the
-  // configured miner, so compact entries are rebuilt live. Every epoch's
-  // crowd bytes must still match the expanded-mode worker fed the same
-  // interleaving.
-  const core::Platform expanded = make_platform_with_miner("bide");
-  const core::Platform compact = make_compact_platform();
+  // configured miner in parallel — which is what puts this test's
+  // `ingest` label on the TSan matrix — so compact entries are rebuilt
+  // live. Every epoch's tables and crowd bytes must still match a
+  // PrefixSpan worker fed the same interleaving.
+  const core::Platform expanded = make_platform_with_miner("prefixspan");
+  const core::Platform compact = make_platform_with_miner("bide");
   auto worker_expanded = core::make_ingest_worker(expanded, worker_config());
   auto worker_compact = core::make_ingest_worker(compact, worker_config());
   ASSERT_TRUE(worker_expanded->start().is_ok());
@@ -682,6 +693,7 @@ TEST(ClosedModeEquivalenceTest, WorkerReMiningKeepsCompactCrowdBytesIdentical) {
   const ingest::SnapshotPtr b = worker_expanded->hub().current();
   ASSERT_NE(a, nullptr);
   ASSERT_NE(b, nullptr);
+  expect_expands_to(a->mobility, b->mobility, a->dataset, compact.config());
   expect_crowd_eq(a->crowd, b->crowd);
   // Re-mined entries stayed compact across epochs.
   const patterns::MobilityStats live_stats = a->mobility.stats();
@@ -700,9 +712,9 @@ TEST(ClosedModeEquivalenceTest, WorkerReMiningKeepsCompactCrowdBytesIdentical) {
 TEST(ClosedModeEquivalenceTest, RecoveredCompactStateServesIdenticalBytes) {
   // Kill-and-restart: recovery re-mines from the replayed corpus, so the
   // rebuilt compact tables must serve the pre-crash bytes — which are
-  // themselves the expanded-mode bytes.
-  const core::Platform expanded = make_platform_with_miner("bide");
-  const core::Platform compact = make_compact_platform();
+  // themselves PrefixSpan's bytes.
+  const core::Platform expanded = make_platform_with_miner("prefixspan");
+  const core::Platform compact = make_platform_with_miner("bide");
   ScratchDir dir("compact_replay");
   ScratchDir image("compact_replay_image");
 
@@ -733,8 +745,8 @@ TEST(ClosedModeEquivalenceTest, RecoveredCompactStateServesIdenticalBytes) {
   const http::Router api_b = core::make_api_router(compact, {worker_b.get(), nullptr});
   EXPECT_EQ(body_of(api_b, "/api/crowd/12"), crowd_before);
 
-  // The recovered compact epoch equals an expanded-mode worker fed the
-  // same events, byte for byte.
+  // The recovered compact epoch equals a PrefixSpan worker fed the same
+  // events, byte for byte.
   auto worker_c = core::make_ingest_worker(expanded, worker_config());
   ASSERT_TRUE(worker_c->start().is_ok());
   feed_and_settle(*worker_c, events, events.size());
@@ -746,11 +758,11 @@ TEST(ClosedModeEquivalenceTest, RecoveredCompactStateServesIdenticalBytes) {
 }
 
 TEST(ClosedModeEquivalenceTest, FourShardScatterGatherMatchesExpandedMode) {
-  // The same 4-shard layout over both serving modes: hash partitioning,
-  // per-shard re-mining, and the k-way merged read path must all be
-  // representation-blind.
-  const core::Platform expanded = make_platform_with_miner("bide");
-  const core::Platform compact = make_compact_platform();
+  // The same 4-shard layout over compact BIDE and PrefixSpan: hash
+  // partitioning, per-shard re-mining, and the k-way merged read path
+  // must all be representation-blind.
+  const core::Platform expanded = make_platform_with_miner("prefixspan");
+  const core::Platform compact = make_platform_with_miner("bide");
 
   shard::ShardRouterConfig shard_config;
   shard_config.shard_count = 4;
@@ -798,13 +810,19 @@ TEST(ClosedModeEquivalenceTest, FourShardScatterGatherMatchesExpandedMode) {
 }
 
 TEST(MinerEquivalenceTest, UnknownMinerIsRejectedAtPlatformCreation) {
-  core::PlatformConfig config;
-  config.small_corpus = true;
-  config.mining.algorithm = "apriori";
-  const auto result = core::Platform::create(config);
-  ASSERT_FALSE(result.is_ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(result.status().message().find("apriori"), std::string::npos);
+  // A test-only reference miner ("spade") is as unknown to a
+  // deployment as a made-up name.
+  for (const char* name : {"apriori", "spade"}) {
+    core::PlatformConfig config;
+    config.small_corpus = true;
+    config.mining.algorithm = name;
+    const auto result = core::Platform::create(config);
+    ASSERT_FALSE(result.is_ok()) << name;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(result.status().message().find(name), std::string::npos);
+    EXPECT_NE(result.status().message().find("(registered: prefixspan, bide)"),
+              std::string::npos);
+  }
 }
 
 // ------------------------------------------------- crash-recovery replay

@@ -5,10 +5,10 @@
 #include <set>
 #include <vector>
 
-#include "geo/dbscan.hpp"
 #include "geo/grid.hpp"
 #include "geo/point.hpp"
 #include "geo/quadtree.hpp"
+#include "reference/dbscan.hpp"
 #include "util/rng.hpp"
 
 namespace crowdweb::geo {
@@ -230,7 +230,7 @@ TEST_P(GridSweepTest, InvariantsHoldAtEveryResolution) {
 INSTANTIATE_TEST_SUITE_P(Resolutions, GridSweepTest,
                          ::testing::Values(100.0, 250.0, 500.0, 1000.0, 2000.0, 5000.0));
 
-// ---------------------------------------------------------------- DBSCAN
+// --------------------------------------------- DBSCAN (test-only reference)
 
 std::vector<LatLon> gaussian_blob(Rng& rng, const LatLon& center, double spread_m,
                                   std::size_t n) {

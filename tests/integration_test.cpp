@@ -8,8 +8,6 @@
 #include <set>
 
 #include "core/platform.hpp"
-#include "core/snapshot.hpp"
-#include "json/json.hpp"
 #include "stats/summary.hpp"
 #include "util/log.hpp"
 
@@ -43,9 +41,15 @@ TEST(IntegrationTest, SameSeedReproducesEverythingBitForBit) {
   const auto cb = b->full_dataset().checkins();
   for (std::size_t i = 0; i < ca.size(); ++i) ASSERT_EQ(ca[i], cb[i]);
 
-  // Phase 2 identical (compare through the canonical JSON form).
-  EXPECT_EQ(json::dump(core::mobility_to_json(a->mobility())),
-            json::dump(core::mobility_to_json(b->mobility())));
+  // Phase 2 identical: same users, days, and time-annotated patterns.
+  ASSERT_EQ(a->mobility().size(), b->mobility().size());
+  for (std::size_t i = 0; i < a->mobility().size(); ++i) {
+    const patterns::UserMobility& ma = a->mobility()[i];
+    const patterns::UserMobility& mb = b->mobility()[i];
+    EXPECT_EQ(ma.user, mb.user);
+    EXPECT_EQ(ma.recorded_days, mb.recorded_days);
+    EXPECT_EQ(ma.patterns, mb.patterns) << "user " << ma.user;
+  }
 
   // Phase 3 identical.
   ASSERT_EQ(a->crowd_model().window_count(), b->crowd_model().window_count());
@@ -144,24 +148,6 @@ TEST(IntegrationTest, FigureShapesHoldAtSmallScale) {
   EXPECT_GT(pattern_means[0] - pattern_means[1], pattern_means[1] - pattern_means[2]);
   // Figure 7 shape (tolerate ties at the sparse end).
   EXPECT_GE(length_means[0] + 1e-9, length_means[1]);
-}
-
-TEST(IntegrationTest, RestoreEqualsRebuild) {
-  auto original = core::Platform::create(test_config(5));
-  ASSERT_TRUE(original.is_ok());
-  // Round-trip phase-2 output through JSON and restore.
-  const auto reparsed =
-      json::parse(json::dump(core::mobility_to_json(original->mobility())));
-  ASSERT_TRUE(reparsed.is_ok());
-  auto mobility = core::mobility_from_json(*reparsed);
-  ASSERT_TRUE(mobility.is_ok());
-  auto restored = core::Platform::restore(original->full_dataset(),
-                                          std::move(mobility).value(), test_config(5));
-  ASSERT_TRUE(restored.is_ok()) << restored.status().to_string();
-  for (int w = 0; w < original->crowd_model().window_count(); ++w) {
-    EXPECT_EQ(original->crowd_model().distribution(w).cells(),
-              restored->crowd_model().distribution(w).cells());
-  }
 }
 
 }  // namespace

@@ -194,7 +194,8 @@ TEST(MobilityTest, ParallelMiningMatchesSequential) {
 
 // --------------------------------------------------- Compact (closed) mode
 
-/// Mines the routine user in both serving modes of the same closed miner.
+/// Mines the routine user in both serving modes: the full set
+/// (PrefixSpan) and the compact closed set (BIDE).
 struct BothModes {
   UserMobility expanded;
   UserMobility compact;
@@ -202,12 +203,11 @@ struct BothModes {
 
 BothModes mine_both_modes(const data::Dataset& dataset, double min_support = 0.4) {
   MobilityOptions options;
-  options.mining.algorithm = "bide";
   options.mining.min_support = min_support;
-  options.mining.expand_closed = true;
   BothModes modes;
+  options.mining.algorithm = "prefixspan";
   modes.expanded = mine_user_mobility(dataset, 7, tax(), options);
-  options.mining.expand_closed = false;
+  options.mining.algorithm = "bide";
   modes.compact = mine_user_mobility(dataset, 7, tax(), options);
   return modes;
 }
@@ -257,7 +257,6 @@ TEST(CompactMobilityTest, ExpandUserPatternsReproducesTheExpandedTable) {
   options.mining.min_support = 0.4;
   const BothModes modes = mine_both_modes(dataset);
   ASSERT_TRUE(modes.compact.closed_only);
-  options.mining.expand_closed = false;
   const std::vector<MobilityPattern> lazily =
       expand_user_patterns(modes.compact, dataset, tax(), options);
   EXPECT_EQ(lazily, modes.expanded.patterns);

@@ -1,4 +1,4 @@
-#include "geo/dbscan.hpp"
+#include "reference/dbscan.hpp"
 
 #include <algorithm>
 #include <deque>

@@ -5,7 +5,8 @@
 // are a regular grid instead. This implementation lets the benches
 // compare the two spatial aggregations (grid cells vs density clusters)
 // on the same crowd. Neighborhood queries run on the point quadtree, so
-// clustering a city-scale corpus stays near O(n log n).
+// clustering a city-scale corpus stays near O(n log n). A test-only
+// reference: no serving path clusters with DBSCAN.
 #pragma once
 
 #include <cstdint>

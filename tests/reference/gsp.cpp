@@ -1,4 +1,4 @@
-#include "mining/gsp.hpp"
+#include "reference/gsp.hpp"
 
 #include <algorithm>
 #include <cmath>

@@ -4,7 +4,8 @@
 // against: level k+1 candidates are generated by joining frequent level-k
 // patterns, pruned by the Apriori property, and counted with a full
 // database scan per level. Kept deliberately faithful (including the scan
-// cost) so the miner-ablation bench shows the textbook gap.
+// cost) so the miner-ablation bench shows the textbook gap. A test-only
+// reference: the production pipeline mines with PrefixSpan or BIDE.
 #pragma once
 
 #include <vector>

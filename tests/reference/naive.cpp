@@ -1,4 +1,4 @@
-#include "mining/naive.hpp"
+#include "reference/naive.hpp"
 
 #include <algorithm>
 #include <cmath>

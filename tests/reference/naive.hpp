@@ -4,7 +4,7 @@
 // frequent item and recount support with a full database scan. Sound and
 // complete by the anti-monotonicity of subsequence support, but pays a
 // whole-DB scan per candidate — the lower baseline of the miner-ablation
-// bench and the ground truth for the property tests.
+// bench and the ground truth for the property tests. Test-only.
 #pragma once
 
 #include <vector>

@@ -1,4 +1,4 @@
-#include "mining/spade.hpp"
+#include "reference/spade.hpp"
 
 #include <algorithm>
 #include <cmath>

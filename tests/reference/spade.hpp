@@ -7,7 +7,7 @@
 // support falls out as the number of distinct sequences in the list.
 // Completes the classic miner trio next to PrefixSpan (projection-based)
 // and GSP (candidate generation); all three are output-equivalent, which
-// the property tests enforce.
+// the property tests enforce. A test-only reference, like GSP and naive.
 #pragma once
 
 #include <vector>
