@@ -12,7 +12,8 @@
 //      multiple of the cold-miss rate (the handler never runs on a hit).
 //   3. Epoch freshness: after the ingest worker publishes a new epoch,
 //      responses reflect the new snapshot with no explicit invalidation
-//      (the cache key changed), and the ETag rotates.
+//      (the cache key changed), the ETag rotates, and the publish frees
+//      the superseded epoch's entry (one entry resident after re-warm).
 //
 // Emits BENCH_http.json (override with --out). --smoke shrinks the
 // workload for CI and relaxes the throughput assertions to direction
@@ -428,7 +429,8 @@ int main(int argc, char** argv) {
   // ------------------------------------------- 3. epoch freshness, live
   // Publish a new epoch through the ingest worker and confirm the served
   // response rotates (new ETag, cache miss then re-warm) with no
-  // explicit invalidation anywhere.
+  // explicit invalidation anywhere, and that the publish freed the
+  // superseded epoch's entry instead of leaving it resident.
   std::printf("=== 3. epoch bump: fresh responses without invalidation ===\n");
   auto worker = core::make_ingest_worker(*platform);
   http::ResponseCache live_cache;
@@ -479,12 +481,16 @@ int main(int argc, char** argv) {
     return 1;
   }
   const std::uint64_t epoch_after = worker->hub().epoch();
+  // The cache hook runs just after the swap wait_for_epoch observes.
+  for (int spins = 0; live_cache.epoch() < epoch_after && spins < 5'000; ++spins)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
 
   const std::string after = live_client.round_trip("/api/crowd/0");
   const std::string etag_after = header_value(after, "ETag");
   const bool fresh_miss = header_value(after, "X-Cache") == "miss";
   const std::string rewarmed = live_client.round_trip("/api/crowd/0");
   const bool rewarmed_hit = header_value(rewarmed, "X-Cache") == "hit";
+  const http::ResponseCacheStats live_stats = live_cache.stats();
   live_server.stop();
   worker->stop();
 
@@ -498,13 +504,19 @@ int main(int argc, char** argv) {
                                     {"etag_after", etag_after},
                                     {"warm_before", warm_before},
                                     {"fresh_miss", fresh_miss},
-                                    {"rewarmed_hit", rewarmed_hit}}));
+                                    {"rewarmed_hit", rewarmed_hit},
+                                    {"entries_after", static_cast<std::int64_t>(live_stats.entries)},
+                                    {"superseded", static_cast<std::int64_t>(live_stats.superseded)}}));
   check(warm_before, "pre-publish response was a cache hit", &failures);
   check(epoch_after > epoch_before, "ingest published a new epoch", &failures);
   check(fresh_miss, "post-publish response bypassed the stale entry (miss)", &failures);
   check(!etag_after.empty() && etag_after != etag_before, "ETag rotated with the epoch",
         &failures);
   check(rewarmed_hit, "cache re-warmed at the new epoch", &failures);
+  check(live_stats.entries == 1, "only the new epoch's entry is resident after the re-warm",
+        &failures);
+  check(live_stats.superseded >= 1, "the publish freed the superseded epoch's entry",
+        &failures);
 
   report.set("passed", failures == 0);
   const Status written = data::write_file(args.out, json::dump(report) + "\n");

@@ -198,8 +198,7 @@ Response status_handler(const Deployment& deployment, const json::Value& batch,
   // the crowd layer), plus the resident pattern-set footprint of the
   // pinned epochs.
   const mining::MiningOptions& mining_config = platform.config().mining;
-  const mining::IMiningAlgorithm* miner = mining::find_miner(mining_config.algorithm);
-  const bool closed_mode = miner != nullptr && miner->closed_output();
+  const bool closed_mode = mining::miner_for(mining_config.algorithm).closed_output();
   const patterns::MobilityStats set_stats = view->mobility_stats();
   payload.set(
       "mining",
@@ -258,6 +257,7 @@ Response status_handler(const Deployment& deployment, const json::Value& batch,
                         {"hits", static_cast<std::int64_t>(cache.hits)},
                         {"misses", static_cast<std::int64_t>(cache.misses)},
                         {"evictions", static_cast<std::int64_t>(cache.evictions)},
+                        {"superseded", static_cast<std::int64_t>(cache.superseded)},
                         {"not_modified", static_cast<std::int64_t>(cache.not_modified)},
                         {"entries", static_cast<std::int64_t>(cache.entries)},
                         {"bytes", static_cast<std::int64_t>(cache.bytes)},

@@ -464,7 +464,8 @@ Response analyze_handler(const PinnedView& view, const Request& request, const P
   mining::MiningOptions mining_options = platform.config().mining;
   mining_options.min_support = min_support;
   mining_options.algorithm = algorithm;
-  const mining::MiningResult mined = mining::mine_with(sequences.columns(), mining_options);
+  const mining::IMiningAlgorithm& miner = mining::miner_for(algorithm);
+  const mining::MiningResult mined = miner.mine(sequences.columns(), mining_options);
 
   json::Value list = json::Value(json::Array{});
   for (const mining::Pattern& pattern : mined.patterns) {
@@ -478,7 +479,7 @@ Response analyze_handler(const PinnedView& view, const Request& request, const P
                 {"min_support", min_support},
                 {"algorithm", algorithm},
                 {"truncated", mined.stats.truncated},
-                {"closed", mined.closed},
+                {"closed", miner.closed_output()},
                 {"patterns", std::move(list)}})));
 }
 

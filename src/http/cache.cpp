@@ -57,13 +57,53 @@ void ResponseCache::init_metrics() {
       "Cacheable requests that missed the cache and executed their handler.");
   evictions_ = &metrics_->counter("crowdweb_http_cache_evictions_total",
                                   "Entries evicted to keep the cache under its byte budget.");
+  superseded_ = &metrics_->counter(
+      "crowdweb_http_cache_superseded_total",
+      "Entries freed because a newer epoch was published.");
   not_modified_ = &metrics_->counter(
       "crowdweb_http_cache_not_modified_total",
       "304 responses served off a cached ETag via If-None-Match.");
   bytes_gauge_ = &metrics_->gauge("crowdweb_http_cache_bytes",
-                                  "Resident bytes of live cache entries.");
-  entries_gauge_ =
-      &metrics_->gauge("crowdweb_http_cache_entries", "Live cache entries.");
+                                  "Resident bytes of the current epoch's cache entries.");
+  entries_gauge_ = &metrics_->gauge("crowdweb_http_cache_entries",
+                                    "Cached responses of the current epoch.");
+}
+
+void ResponseCache::set_epoch(std::uint64_t epoch) { set_epoch(epoch, std::to_string(epoch)); }
+
+void ResponseCache::set_epoch(std::uint64_t epoch, std::string tag) {
+  const std::lock_guard<std::mutex> epoch_lock(epoch_mutex_);
+  epoch_tag_ = std::move(tag);
+  // Store before taking any shard lock. An insert checks the epoch under
+  // its shard's lock: if it runs before the purge below reaches that
+  // shard, the purge frees what it stored; if after, it sees `epoch`
+  // and stores nothing older. Either way no unreachable entry stays.
+  if (epoch_.exchange(epoch, std::memory_order_acq_rel) == epoch) return;
+  std::size_t freed_entries = 0;
+  std::size_t freed_bytes = 0;
+  for (const auto& shard : shards_) {
+    const std::lock_guard<std::mutex> lock(shard->mutex);
+    for (auto it = shard->lru.begin(); it != shard->lru.end();) {
+      if (it->response->epoch == epoch) {
+        ++it;
+        continue;
+      }
+      ++freed_entries;
+      freed_bytes += it->cost;
+      shard->bytes -= it->cost;
+      shard->index.erase(std::string_view(it->key));
+      it = shard->lru.erase(it);
+    }
+  }
+  if (freed_entries == 0) return;
+  superseded_->increment(freed_entries);
+  bytes_gauge_->add(-static_cast<double>(freed_bytes));
+  entries_gauge_->add(-static_cast<double>(freed_entries));
+}
+
+RenderedEpoch ResponseCache::current_epoch() const {
+  const std::lock_guard<std::mutex> lock(epoch_mutex_);
+  return RenderedEpoch{epoch(), epoch_tag_};
 }
 
 std::string ResponseCache::make_key(std::string_view method, std::string_view target,
@@ -96,17 +136,13 @@ std::shared_ptr<const CachedResponse> ResponseCache::lookup(std::string_view met
 std::shared_ptr<const CachedResponse> ResponseCache::insert(std::string_view method,
                                                             std::string_view target,
                                                             const Response& response) {
-  const std::uint64_t at_epoch = response.rendered_at ? response.rendered_at->key : epoch();
+  const RenderedEpoch at = response.rendered_at ? *response.rendered_at : current_epoch();
   auto cached = std::make_shared<CachedResponse>();
   cached->status = response.status;
   cached->headers = response.headers;
   cached->body = response.body;
-  cached->epoch = at_epoch;
-  const auto current_tag = response.rendered_at ? nullptr : epoch_tag();
-  const std::string* tag =
-      response.rendered_at ? &response.rendered_at->tag : current_tag.get();
-  cached->etag = tag ? crowdweb::format("\"{}-{:x}\"", *tag, fnv1a(response.body))
-                     : crowdweb::format("\"{}-{:x}\"", at_epoch, fnv1a(response.body));
+  cached->epoch = at.key;
+  cached->etag = crowdweb::format("\"{}-{:x}\"", at.tag, fnv1a(response.body));
   cached->headers["ETag"] = cached->etag;
   {  // render the keep-alive hit image once; every hit serves it verbatim
     Response hit;
@@ -117,12 +153,15 @@ std::shared_ptr<const CachedResponse> ResponseCache::insert(std::string_view met
     cached->wire = serialize(hit, /*keep_alive=*/true);
   }
 
-  std::string key = make_key(method, target, at_epoch);
+  std::string key = make_key(method, target, at.key);
   const std::size_t cost = cost_of(key, *cached);
   if (cost > shard_budget_) return cached;  // would evict the whole shard for one entry
 
   Shard& shard = shard_for(key);
   std::lock_guard<std::mutex> lock(shard.mutex);
+  // A publish landed while this body rendered: no lookup can reach it
+  // (see set_epoch for why checking under the shard lock suffices).
+  if (at.key != epoch()) return cached;
   if (const auto it = shard.index.find(std::string_view(key)); it != shard.index.end()) {
     // Replace in place (two workers raced on the same miss).
     shard.bytes -= it->second->cost;
@@ -156,6 +195,7 @@ ResponseCacheStats ResponseCache::stats() const {
   stats.hits = hits_->value();
   stats.misses = misses_->value();
   stats.evictions = evictions_->value();
+  stats.superseded = superseded_->value();
   stats.not_modified = not_modified_->value();
   stats.byte_budget = config_.max_bytes;
   stats.epoch = epoch();

@@ -4,11 +4,12 @@
 // the ingestion worker publishes immutable snapshots (RCU-style, see
 // src/ingest/snapshot.hpp), so a response rendered for epoch E stays
 // correct for as long as E is the current epoch — and becomes garbage
-// the moment E+1 publishes. The cache exploits that by folding the
-// epoch into the key: entries are looked up as (method, target,
-// current_epoch), so an epoch bump makes every stale entry unreachable
-// with no explicit invalidation. Dead epochs age out under LRU
-// pressure from the byte budget.
+// the moment E+1 publishes. The cache therefore holds one epoch only.
+// Entries are looked up as (method, target, current_epoch); set_epoch
+// frees every entry filed under any other epoch, and insert refuses a
+// body rendered from an epoch that is no longer current. The byte
+// budget and its LRU bound the current epoch's working set (a static
+// build serves epoch 0 forever, so it still needs them).
 //
 // The cache is sharded (hash of the key picks a shard, each shard has
 // its own mutex + LRU list) so the server's worker pool can hit it
@@ -29,7 +30,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -58,9 +58,10 @@ struct ResponseCacheConfig {
 struct ResponseCacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
-  std::uint64_t evictions = 0;
+  std::uint64_t evictions = 0;     ///< LRU evictions under the byte budget
+  std::uint64_t superseded = 0;    ///< entries freed because a newer epoch published
   std::uint64_t not_modified = 0;  ///< 304s served off If-None-Match
-  std::size_t bytes = 0;           ///< resident cost of live entries
+  std::size_t bytes = 0;           ///< resident cost of the current epoch's entries
   std::size_t entries = 0;
   std::size_t byte_budget = 0;
   std::uint64_t epoch = 0;         ///< current key epoch
@@ -95,29 +96,18 @@ class ResponseCache {
     return epoch_.load(std::memory_order_acquire);
   }
 
-  /// Keys all subsequent lookups/inserts on `epoch`. Entries of other
-  /// epochs become unreachable immediately and are reclaimed by LRU
-  /// eviction. Safe to call from any thread (the ingest worker calls it
-  /// from its publish path).
-  void set_epoch(std::uint64_t epoch) noexcept {
-    epoch_.store(epoch, std::memory_order_release);
-  }
+  /// Keys all subsequent lookups/inserts on `epoch` and frees every
+  /// entry filed under any other epoch (counted as superseded, not as
+  /// evictions). ETags render the numeric epoch. Safe to call from any
+  /// thread (the ingest worker calls it from its publish path).
+  void set_epoch(std::uint64_t epoch);
 
   /// Same, with a human-readable rendition of the epoch that replaces
   /// the numeric epoch in ETags — a sharded deployment passes the mixed
   /// epoch vector as `epoch` and its dotted form (e.g. "3.5.2") as
   /// `tag`, so validators surface per-shard progress (see docs/API.md).
-  /// Safe from any thread; shard publish hooks call it concurrently.
-  void set_epoch(std::uint64_t epoch, std::string tag) {
-    epoch_tag_.store(std::make_shared<const std::string>(std::move(tag)),
-                     std::memory_order_release);
-    set_epoch(epoch);
-  }
-
-  /// The current ETag tag (null when ETags render the numeric epoch).
-  [[nodiscard]] std::shared_ptr<const std::string> epoch_tag() const noexcept {
-    return epoch_tag_.load(std::memory_order_acquire);
-  }
+  /// Calls are serialised; shard publish hooks may call it concurrently.
+  void set_epoch(std::uint64_t epoch, std::string tag);
 
   /// Looks up (method, target) at the current epoch. A hit refreshes
   /// LRU recency and counts toward crowdweb_http_cache_hits_total; a
@@ -137,8 +127,10 @@ class ResponseCache {
   /// from (Response::rendered_at; the current epoch when unset) and
   /// returns the stored entry (with its ETag computed and added to the
   /// stored headers). Evicts LRU entries until the shard fits its
-  /// budget share. Responses bigger than one shard's budget are not
-  /// cached (returns the entry anyway so the caller can use its ETag).
+  /// budget share. Two kinds of response are returned but not stored,
+  /// so the caller can still use the ETag: one bigger than a shard's
+  /// budget, and one rendered from an epoch a publish has already
+  /// superseded (no lookup could reach it).
   std::shared_ptr<const CachedResponse> insert(std::string_view method,
                                                std::string_view target,
                                                const Response& response);
@@ -162,11 +154,16 @@ class ResponseCache {
                                      std::uint64_t epoch) const;
   [[nodiscard]] Shard& shard_for(std::string_view key);
   void init_metrics();
+  /// The current epoch as insert files and tags an unpinned body.
+  [[nodiscard]] RenderedEpoch current_epoch() const;
 
   ResponseCacheConfig config_;
   std::size_t shard_budget_ = 0;
   std::atomic<std::uint64_t> epoch_{0};
-  std::atomic<std::shared_ptr<const std::string>> epoch_tag_;
+  /// Serialises set_epoch (tag, epoch and purge move together) and
+  /// guards epoch_tag_. lookup() reads epoch_ alone, without it.
+  mutable std::mutex epoch_mutex_;
+  std::string epoch_tag_ = "0";
   std::vector<std::unique_ptr<Shard>> shards_;
 
   std::unique_ptr<telemetry::Registry> own_metrics_;
@@ -174,11 +171,10 @@ class ResponseCache {
   telemetry::Counter* hits_ = nullptr;
   telemetry::Counter* misses_ = nullptr;
   telemetry::Counter* evictions_ = nullptr;
+  telemetry::Counter* superseded_ = nullptr;
   telemetry::Counter* not_modified_ = nullptr;
   telemetry::Gauge* bytes_gauge_ = nullptr;
   telemetry::Gauge* entries_gauge_ = nullptr;
-
-  friend class ResponseCacheTestPeer;
 
  public:
   /// Counts a 304 served off this cache (the server calls this when an

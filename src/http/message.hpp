@@ -46,8 +46,9 @@ struct Response {
   std::string body;
   /// Set by handlers that render from a pinned epoch. ResponseCache::
   /// insert files the body under this epoch instead of the cache's
-  /// current one, so a publish landing mid-render cannot make epoch E's
-  /// body answer for E+1. Unset = the cache's epoch at insert time.
+  /// current one, and stores nothing once a newer epoch has published,
+  /// so a publish landing mid-render cannot make epoch E's body answer
+  /// for E+1. Unset = the cache's epoch at insert time.
   std::optional<RenderedEpoch> rendered_at;
   /// Non-empty turns this into a streaming response: the server keeps
   /// the connection open after writing `body` (the initial payload) and

@@ -55,27 +55,9 @@ struct Pattern {
 [[nodiscard]] bool is_subsequence(std::span<const Item> needle,
                                   std::span<const Item> haystack) noexcept;
 
-/// Number of sequences in `db` containing `pattern` (each counts once).
-[[nodiscard]] std::size_t count_support(std::span<const Item> pattern, const SequenceDb& db);
-
-/// Columnar overload of count_support.
-[[nodiscard]] std::size_t count_support(std::span<const Item> pattern,
-                                        const SequenceColumns& db);
-
 /// Canonical order: by length, then lexicographically by items. Makes
 /// miner outputs directly comparable.
 void sort_patterns(std::vector<Pattern>& patterns);
-
-/// Keeps only *closed* patterns: those with no super-pattern of equal
-/// support in `patterns`. Candidates are bucketed by length (and, within
-/// a length, only equal-support candidates are swept), so the filter is
-/// usable as a cross-check oracle against native closed miners even on
-/// large pattern sets.
-[[nodiscard]] std::vector<Pattern> closed_patterns(std::vector<Pattern> patterns);
-
-/// Keeps only *maximal* patterns: those with no frequent super-pattern in
-/// `patterns` at all. Bucketed by length like closed_patterns.
-[[nodiscard]] std::vector<Pattern> maximal_patterns(std::vector<Pattern> patterns);
 
 /// What one mine() call did, beyond the patterns it returned. Every
 /// miner fills one of these (through the optional out-params below or

@@ -30,7 +30,6 @@ class BideMiner final : public IMiningAlgorithm {
                                   const MiningOptions& options) const override {
     MiningResult result;
     result.patterns = bide(db, options, &result.stats);
-    result.closed = true;
     return result;
   }
 };
@@ -70,10 +69,9 @@ std::vector<std::string_view> miner_names() {
   return names;
 }
 
-MiningResult mine_with(const SequenceColumns& db, const MiningOptions& options) {
-  const IMiningAlgorithm* miner = find_miner(options.algorithm);
-  if (miner == nullptr) miner = find_miner("prefixspan");
-  return miner->mine(db, options);
+const IMiningAlgorithm& miner_for(std::string_view name) noexcept {
+  const IMiningAlgorithm* miner = find_miner(name);
+  return miner != nullptr ? *miner : *all_miners().front();
 }
 
 }  // namespace crowdweb::mining

@@ -24,11 +24,6 @@ namespace crowdweb::mining {
 struct MiningResult {
   std::vector<Pattern> patterns;
   MiningStats stats;
-  /// True when `patterns` is a *closed* set (the miner is closed-output).
-  /// Downstream layers that need any subsequence's support answer it by
-  /// subsumption (see subsumed_support_count) instead of assuming the
-  /// full frequent set is materialized.
-  bool closed = false;
 };
 
 /// One registered mining algorithm. Implementations are stateless
@@ -43,6 +38,9 @@ class IMiningAlgorithm {
 
   /// True when mine() returns only closed patterns (a subset of the
   /// frequent set; expand with expand_closed_patterns to recover it).
+  /// Downstream layers that need any subsequence's support then answer
+  /// it by subsumption (see subsumed_support_count) instead of assuming
+  /// the full frequent set is materialized.
   [[nodiscard]] virtual bool closed_output() const noexcept = 0;
 
   /// Mines `db` under `options`; `options.algorithm` is ignored here —
@@ -61,11 +59,11 @@ class IMiningAlgorithm {
 /// Registered names in registration order: "prefixspan", then "bide".
 [[nodiscard]] std::vector<std::string_view> miner_names();
 
-/// Resolves options.algorithm and mines. A closed-output miner's result
-/// carries `closed = true` and stays compact; expand_closed_patterns
-/// recovers the full frequent set where a caller needs it. An unknown
-/// algorithm name falls back to "prefixspan"; validate the name up
-/// front (see resolve_miner) where an error can still be reported.
-[[nodiscard]] MiningResult mine_with(const SequenceColumns& db, const MiningOptions& options);
+/// The miner the pipeline runs for `name`: the one registered under it,
+/// or PrefixSpan when the name is unknown. A closed-output miner's
+/// result stays compact; expand_closed_patterns recovers the full
+/// frequent set where a caller needs it. Validate the name up front
+/// (see resolve_miner) where an error can still be reported.
+[[nodiscard]] const IMiningAlgorithm& miner_for(std::string_view name) noexcept;
 
 }  // namespace crowdweb::mining

@@ -143,12 +143,13 @@ UserMobility mine_user_mobility(const data::Dataset& dataset, data::UserId user,
   out.recorded_days = sequences.day_count();
   if (sequences.empty()) return out;
 
-  const mining::MiningResult mined = mining::mine_with(sequences.columns(), options.mining);
+  const mining::IMiningAlgorithm& miner = mining::miner_for(options.mining.algorithm);
+  const mining::MiningResult mined = miner.mine(sequences.columns(), options.mining);
   out.mining_stats = mined.stats;
   out.patterns.reserve(mined.patterns.size());
   for (const mining::Pattern& pattern : mined.patterns)
     out.patterns.push_back(annotate_pattern(pattern, sequences));
-  if (mined.closed) {
+  if (miner.closed_output()) {
     out.closed_only = true;
     build_placement_index(out, mined.patterns, sequences, options.mining);
   }

@@ -4,12 +4,14 @@
 #include <chrono>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "http/cache.hpp"
 #include "http/client.hpp"
 #include "http/message.hpp"
 #include "http/router.hpp"
 #include "http/server.hpp"
+#include "telemetry/metrics.hpp"
 #include "util/log.hpp"
 
 namespace crowdweb::http {
@@ -86,12 +88,120 @@ TEST(ResponseCacheTest, EpochBumpMakesEntriesUnreachable) {
   EXPECT_EQ(fresh->body, "epoch1");
   EXPECT_EQ(fresh->epoch, 1u);
 
-  // Rolling back the epoch finds the old entry again (keying, not
-  // deletion) — the stale entry ages out under LRU pressure instead.
+  // The bump freed epoch 0's entry: rolling back finds nothing, and
+  // rolling back frees epoch 1's entry in turn.
   cache.set_epoch(0);
-  const auto old_entry = cache.lookup("GET", "/a");
-  ASSERT_NE(old_entry, nullptr);
-  EXPECT_EQ(old_entry->body, "epoch0");
+  EXPECT_EQ(cache.lookup("GET", "/a"), nullptr);
+  const ResponseCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.entries, 0u);
+  EXPECT_EQ(stats.bytes, 0u);
+  EXPECT_EQ(stats.superseded, 2u);
+  EXPECT_EQ(stats.evictions, 0u);
+}
+
+TEST(ResponseCacheTest, PublishFreesEverySupersededEntry) {
+  telemetry::Registry registry;
+  ResponseCacheConfig config;
+  config.metrics = &registry;
+  ResponseCache cache(config);
+  for (int i = 0; i < 20; ++i)
+    (void)cache.insert("GET", "/e0/" + std::to_string(i), body_response(std::string(100, 'a')));
+  const ResponseCacheStats before = cache.stats();
+  ASSERT_EQ(before.entries, 20u);
+
+  // Re-publishing the current epoch frees nothing.
+  cache.set_epoch(0);
+  EXPECT_EQ(cache.stats().entries, 20u);
+  EXPECT_EQ(cache.stats().superseded, 0u);
+
+  cache.set_epoch(1, "tag1");
+  for (int i = 0; i < 3; ++i)
+    (void)cache.insert("GET", "/e1/" + std::to_string(i), body_response("fresh"));
+  const ResponseCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.superseded, 20u);
+  EXPECT_EQ(stats.evictions, 0u);
+  EXPECT_EQ(stats.entries, 3u);
+  EXPECT_LT(stats.bytes, before.bytes);
+  // The gauges and counter on the registry match stats() exactly.
+  EXPECT_EQ(registry.gauge("crowdweb_http_cache_entries", "").value(), 3.0);
+  EXPECT_EQ(registry.gauge("crowdweb_http_cache_bytes", "").value(),
+            static_cast<double>(stats.bytes));
+  EXPECT_EQ(registry.counter("crowdweb_http_cache_superseded_total", "").value(), 20u);
+
+  // A body rendered from the superseded epoch keeps its ETag but is not
+  // stored.
+  Response late = body_response("late");
+  late.rendered_at = RenderedEpoch{0, "0"};
+  const auto entry = cache.insert("GET", "/late", late);
+  ASSERT_NE(entry, nullptr);
+  EXPECT_EQ(entry->etag.rfind("\"0-", 0), 0u) << entry->etag;
+  EXPECT_EQ(cache.stats().entries, 3u);
+  EXPECT_EQ(registry.gauge("crowdweb_http_cache_entries", "").value(), 3.0);
+}
+
+TEST(ResponseCacheTest, ConcurrentPublishesLeaveOnlyTheFinalEpochResident) {
+  telemetry::Registry registry;
+  ResponseCacheConfig config;
+  config.metrics = &registry;
+  config.shards = 4;
+  ResponseCache cache(config);
+  constexpr std::uint64_t kFinalEpoch = 300;
+  constexpr int kTargets = 16;
+  const auto target = [](int i) { return "/t/" + std::to_string(i); };
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> inserted{0};
+  std::vector<std::thread> inserters;
+  for (int t = 0; t < 4; ++t) {
+    inserters.emplace_back([&, t] {
+      for (int i = 0; !stop.load(std::memory_order_relaxed); i = (i + 1) % kTargets) {
+        Response response = body_response("body of " + target(i));
+        if (t % 2 == 0) {  // pinned renders; the other threads insert unpinned
+          const std::uint64_t pinned = cache.epoch();
+          response.rendered_at = RenderedEpoch{pinned, "t" + std::to_string(pinned)};
+        }
+        (void)cache.insert("GET", target(i), response);
+        inserted.fetch_add(1);
+      }
+    });
+  }
+  // Every epoch sees inserts land before the next publish.
+  const auto wait_for_inserts = [&inserted](int count) {
+    const int goal = inserted.load() + count;
+    while (inserted.load() < goal) std::this_thread::yield();
+  };
+  for (std::uint64_t epoch = 1; epoch <= kFinalEpoch; ++epoch) {
+    cache.set_epoch(epoch, "t" + std::to_string(epoch));
+    wait_for_inserts(8);
+  }
+  wait_for_inserts(4 * kTargets);  // let the final epoch fill
+  stop.store(true);
+  for (std::thread& thread : inserters) thread.join();
+
+  // Every resident entry is reachable at the final epoch and tagged
+  // with it; re-inserting exactly those bodies into an empty cache
+  // reproduces the resident byte count.
+  ResponseCache reference;
+  reference.set_epoch(kFinalEpoch, "t" + std::to_string(kFinalEpoch));
+  std::size_t reachable = 0;
+  for (int i = 0; i < kTargets; ++i) {
+    const auto entry = cache.lookup("GET", target(i), /*record_miss=*/false);
+    if (entry == nullptr) continue;
+    ++reachable;
+    EXPECT_EQ(entry->epoch, kFinalEpoch);
+    EXPECT_EQ(entry->etag.rfind("\"t" + std::to_string(kFinalEpoch) + "-", 0), 0u)
+        << entry->etag;
+    (void)reference.insert("GET", target(i), body_response(entry->body));
+  }
+  EXPECT_GT(reachable, 0u);
+  const ResponseCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.entries, reachable);
+  EXPECT_EQ(stats.bytes, reference.stats().bytes);
+  EXPECT_EQ(stats.evictions, 0u);
+  EXPECT_EQ(registry.gauge("crowdweb_http_cache_entries", "").value(),
+            static_cast<double>(stats.entries));
+  EXPECT_EQ(registry.gauge("crowdweb_http_cache_bytes", "").value(),
+            static_cast<double>(stats.bytes));
 }
 
 TEST(ResponseCacheTest, EvictsLeastRecentlyUsedUnderByteBudget) {
@@ -287,6 +397,8 @@ TEST_F(CachedServerFixture, BodyIsFiledUnderTheEpochItWasRenderedFrom) {
   EXPECT_EQ(first->body, "{\"epoch\":0}");
   EXPECT_EQ(first->headers.at("etag").rfind("\"0-", 0), 0u) << first->headers.at("etag");
   EXPECT_EQ(cache_->epoch(), 1u);
+  // No lookup can reach epoch 0 any more, so the body was not stored.
+  EXPECT_EQ(cache_->stats().entries, 0u);
 
   // Epoch 0's body must not answer for epoch 1: the next GET executes.
   const auto second = fetch_path("/pinned");

@@ -438,6 +438,60 @@ TEST(IngestApiTest, UsersAndCrowdServeTheSameEpochAfterIngest) {
   worker->stop();
 }
 
+TEST(IngestApiTest, CacheHoldsOnlyTheTargetsReadSinceTheLastPublish) {
+  // A live worker bumps the cache on every publish. After each publish
+  // the cache holds exactly the targets read since, so superseded
+  // epochs never pile up behind the current one.
+  const core::Platform& platform = test_platform();
+  ingest::IngestWorkerConfig config;
+  config.rebuild_interval = 20ms;
+  auto worker = core::make_ingest_worker(platform, config);
+  http::ResponseCache cache;
+  worker->hub().on_publish(
+      [&cache](const ingest::PlatformSnapshot& snapshot) { cache.set_epoch(snapshot.epoch); });
+  ASSERT_TRUE(worker->start().is_ok());
+  http::ServerConfig server_config;
+  server_config.cache = &cache;
+  http::Server server(core::make_api_router(platform, {worker.get(), nullptr}), server_config);
+  ASSERT_TRUE(server.start().is_ok());
+
+  const std::vector<std::string> targets{"/api/crowd/9", "/api/crowd/12", "/api/users",
+                                         "/api/flow/12/13", "/api/crowd/18", "/api/groups/12"};
+  std::size_t resident = 0;
+  std::uint64_t superseded = 0;
+  for (std::uint64_t round = 0; round < 6; ++round) {
+    const std::uint64_t epoch = worker->hub().epoch() + 1;
+    const std::vector<ingest::IngestEvent> events{
+        valid_event(7, 1'000 + static_cast<std::int64_t>(round) * 3'600)};
+    ASSERT_EQ(worker->submit(events).accepted, 1u);
+    ASSERT_TRUE(worker->wait_for_epoch(epoch, 5s));
+    // The hook runs just after the swap wait_for_epoch observes.
+    for (int spins = 0; cache.epoch() < epoch && spins < 5'000; ++spins)
+      std::this_thread::sleep_for(1ms);
+    ASSERT_EQ(cache.epoch(), epoch);
+    // The publish freed exactly what the previous round left resident.
+    EXPECT_EQ(cache.stats().superseded - superseded, resident);
+    EXPECT_EQ(cache.stats().entries, 0u);
+
+    // Round r reads r + 1 distinct targets, each twice (the repeat hits).
+    const std::size_t reads = std::min<std::size_t>(round + 1, targets.size());
+    for (std::size_t i = 0; i < reads; ++i) {
+      for (int repeat = 0; repeat < 2; ++repeat) {
+        const auto response = http::get("127.0.0.1", server.port(), targets[i]);
+        ASSERT_TRUE(response.is_ok());
+        ASSERT_EQ(response->status, 200) << targets[i] << ": " << response->body;
+      }
+    }
+    ASSERT_EQ(worker->hub().epoch(), epoch) << "an unplanned publish raced the reads";
+    resident = cache.stats().entries;
+    superseded = cache.stats().superseded;
+    EXPECT_EQ(resident, reads) << "after publish " << epoch;
+  }
+  EXPECT_EQ(cache.stats().evictions, 0u);
+  server.stop();
+  worker->stop();
+}
+
 TEST(IngestApiTest, BadHeaderAndBodyAre400) {
   const core::Platform& platform = test_platform();
   auto worker = core::make_ingest_worker(platform);

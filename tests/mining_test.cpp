@@ -11,6 +11,7 @@
 #include "mining/seqdb.hpp"
 #include "reference/gsp.hpp"
 #include "reference/naive.hpp"
+#include "reference/pattern_oracle.hpp"
 #include "reference/spade.hpp"
 #include "util/civil_time.hpp"
 #include "util/rng.hpp"
@@ -760,20 +761,23 @@ TEST(RegistryTest, MineWithServesClosedMinersCompact) {
 
   // A closed miner always serves its closed set, flagged as such; the
   // full set is one expand_closed_patterns call away.
-  options.algorithm = "bide";
-  const MiningResult compact = mine_with(columns_of(db).view(), options);
+  const IMiningAlgorithm& closed_miner = miner_for("bide");
+  EXPECT_TRUE(closed_miner.closed_output());
+  const MiningResult compact = closed_miner.mine(columns_of(db).view(), options);
   EXPECT_EQ(compact.patterns, closed_patterns(full));
-  EXPECT_TRUE(compact.closed);
   EXPECT_EQ(compact.stats.emitted, compact.patterns.size());
   EXPECT_EQ(compact.stats.expanded, 0u);
   EXPECT_EQ(expand_closed_patterns(compact.patterns, db.size(), options), full);
 
   // A full miner always serves the full set.
-  options.algorithm = "prefixspan";
-  const MiningResult expanded = mine_with(columns_of(db).view(), options);
+  const IMiningAlgorithm& full_miner = miner_for("prefixspan");
+  EXPECT_FALSE(full_miner.closed_output());
+  const MiningResult expanded = full_miner.mine(columns_of(db).view(), options);
   EXPECT_EQ(expanded.patterns, full);
-  EXPECT_FALSE(expanded.closed);
   EXPECT_EQ(expanded.stats.expanded, 0u);
+
+  // An unknown name runs PrefixSpan, as the pipeline does.
+  EXPECT_EQ(&miner_for("apriori"), &full_miner);
 }
 
 TEST(RegistryTest, SubsumedSupportAnswersExactlyFromClosedSets) {

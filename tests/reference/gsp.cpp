@@ -5,6 +5,8 @@
 #include <set>
 #include <unordered_map>
 
+#include "reference/pattern_oracle.hpp"
+
 namespace crowdweb::mining {
 
 namespace {

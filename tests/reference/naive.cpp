@@ -4,6 +4,8 @@
 #include <cmath>
 #include <unordered_map>
 
+#include "reference/pattern_oracle.hpp"
+
 namespace crowdweb::mining {
 
 namespace {
