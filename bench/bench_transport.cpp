@@ -1,6 +1,6 @@
 // Transport bench: the pluggable ingest edge + SSE push.
 //
-// Two claims, measured over real loopback sockets:
+// Three claims, measured over real loopback sockets:
 //
 //   1. Binary frames: the framed TCP listener ingests the same event
 //      stream at a multiple of the CSV-over-HTTP route's rate. Both
@@ -10,6 +10,10 @@
 //   2. SSE push: publish -> subscriber delivery is push, not poll; the
 //      bench measures publish-to-read latency over a real subscriber
 //      socket and requires every published event to arrive in order.
+//   3. Wakeups per epoch: paced single-event frames into a live
+//      IngestWorker (100 ms epochs) wake its thread at most 4 times per
+//      published epoch — the queue signals only when a drain batch is
+//      waiting, not on every push.
 //
 // Emits BENCH_transport.json (override with --out). --smoke shrinks the
 // workload for CI and relaxes the 2x throughput bar to a direction
@@ -35,7 +39,9 @@
 #include "http/router.hpp"
 #include "http/server.hpp"
 #include "ingest/replay.hpp"
+#include "ingest/worker.hpp"
 #include "json/json.hpp"
+#include "telemetry/metrics.hpp"
 #include "transport/csv_source.hpp"
 #include "transport/frame_client.hpp"
 #include "transport/frame_server.hpp"
@@ -370,6 +376,83 @@ int main(int argc, char** argv) {
                                   {"p99_us", pct(0.99)}}));
   check(delivered == sse_events, "every published event was delivered", &failures);
   check(in_order, "events arrived in publish order with their payloads", &failures);
+
+  // -------------------------------------------- 3. worker wakeups/epoch
+  // Paced single-event frames into a real IngestWorker: each push that
+  // does not fill a drain batch must leave the worker asleep until its
+  // epoch is due, so a steady feed costs about two wakeups per epoch
+  // (the first event after a publish, then the deadline), not one per
+  // event.
+  std::printf("=== 3. ingest worker: wakeups per epoch under a paced feed ===\n");
+  const double wake_seconds = args.smoke ? 0.6 : 2.0;
+  telemetry::Registry wake_registry;
+  ingest::IngestWorkerConfig wake_config;
+  wake_config.rebuild_interval = std::chrono::milliseconds(100);
+  wake_config.metrics = &wake_registry;
+  // The worker starts from an empty corpus; a fixed grid box covering
+  // the generated positions gives its first epoch a grid.
+  ingest::IngestPipelineConfig wake_pipeline_config;
+  wake_pipeline_config.mining_threads = 1;
+  wake_pipeline_config.fixed_grid_bounds = geo::BoundingBox{40.69, 40.82, -74.02, -73.90};
+  ingest::IngestWorker worker(data::Dataset{}, {}, taxonomy, wake_pipeline_config,
+                              wake_config);
+  if (const Status started = worker.start(); !started.is_ok()) {
+    std::fprintf(stderr, "ingest worker start failed: %s\n", started.to_string().c_str());
+    return 1;
+  }
+  transport::IngestPipeline wake_pipeline(
+      [&worker](std::span<const ingest::IngestEvent> batch) { return worker.submit(batch); });
+  transport::FrameServer wake_server(wake_pipeline, {});
+  transport::FrameClient wake_client;
+  if (!wake_server.start().is_ok() ||
+      !wake_client.connect_tcp("127.0.0.1", wake_server.port()).is_ok()) {
+    std::fprintf(stderr, "frame listener for the wake section failed\n");
+    return 1;
+  }
+  const auto wake_events = make_events(1'000);
+  std::uint64_t sent = 0;
+  const auto wake_start = Clock::now();
+  const auto wake_end = wake_start + std::chrono::duration_cast<Clock::duration>(
+                                         std::chrono::duration<double>(wake_seconds));
+  for (auto next = wake_start; next < wake_end; next += std::chrono::milliseconds(1)) {
+    std::this_thread::sleep_until(next);
+    const auto ack = wake_client.send(
+        std::span<const ingest::IngestEvent>(&wake_events[sent % wake_events.size()], 1));
+    if (!ack.is_ok() || ack->accepted != 1) {
+      std::fprintf(stderr, "paced frame %llu was not accepted\n",
+                   static_cast<unsigned long long>(sent));
+      return 1;
+    }
+    ++sent;
+  }
+  // Read the counters once the last event is visible, before idle
+  // timeouts add wakeups that no event caused.
+  const auto visible_deadline = Clock::now() + std::chrono::seconds(10);
+  while (worker.stats().live_checkins < sent && Clock::now() < visible_deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  const std::uint64_t wakeups =
+      wake_registry.counter("crowdweb_ingest_worker_wakeups_total", "").value();
+  const ingest::IngestStats wake_stats = worker.stats();
+  wake_client.close();
+  wake_server.stop();
+  worker.stop();
+  const double wakeups_per_epoch =
+      wake_stats.epochs_published > 0
+          ? static_cast<double>(wakeups) / static_cast<double>(wake_stats.epochs_published)
+          : 0.0;
+  std::printf("%llu events, %llu epochs, %llu wakeups: %.1f wakeups/epoch\n\n",
+              static_cast<unsigned long long>(sent),
+              static_cast<unsigned long long>(wake_stats.epochs_published),
+              static_cast<unsigned long long>(wakeups), wakeups_per_epoch);
+  report.set("wake",
+             json::object({{"events", static_cast<std::int64_t>(sent)},
+                           {"visible", static_cast<std::int64_t>(wake_stats.live_checkins)},
+                           {"epochs", static_cast<std::int64_t>(wake_stats.epochs_published)},
+                           {"wakeups", static_cast<std::int64_t>(wakeups)},
+                           {"wakeups_per_epoch", wakeups_per_epoch}}));
+  check(wake_stats.live_checkins == sent, "every paced event reached a published epoch",
+        &failures);
+  check(wakeups_per_epoch <= 4.0, "the worker wakes at most 4 times per epoch", &failures);
 
   report.set("passed", failures == 0);
   const Status written = data::write_file(args.out, json::dump(report) + "\n");

@@ -16,7 +16,7 @@ bool IngestQueue::try_push(const IngestEvent& event) {
     const std::lock_guard<std::mutex> lock(mutex_);
     if (!closed_ && events_.size() < capacity_) {
       events_.push_back(event);
-      not_empty_.notify_one();
+      notify_if_crossed(1);
       return true;
     }
   }
@@ -32,7 +32,7 @@ std::size_t IngestQueue::push_batch(std::span<const IngestEvent> events) {
       const std::size_t room = capacity_ - std::min(capacity_, events_.size());
       accepted = std::min(room, events.size());
       events_.insert(events_.end(), events.begin(), events.begin() + accepted);
-      if (accepted > 0) not_empty_.notify_one();
+      if (accepted > 0) notify_if_crossed(accepted);
     }
   }
   count_rejected(events.size() - accepted);
@@ -40,14 +40,25 @@ std::size_t IngestQueue::push_batch(std::span<const IngestEvent> events) {
 }
 
 std::size_t IngestQueue::drain(std::vector<IngestEvent>& out, std::size_t max_events,
-                               std::chrono::milliseconds timeout) {
+                               std::chrono::milliseconds timeout, std::size_t wake_at) {
   std::unique_lock<std::mutex> lock(mutex_);
+  // Set under the lock before the predicate is checked, so a push that
+  // crosses the new threshold either is seen here or signals the wait.
+  wake_at_ = std::clamp<std::size_t>(wake_at, 1, capacity_);
   not_empty_.wait_for(lock, timeout,
-                      [this] { return !events_.empty() || closed_ || woken_; });
+                      [this] { return events_.size() >= wake_at_ || closed_ || woken_; });
   woken_ = false;
   const std::size_t count = std::min(max_events, events_.size());
   out.insert(out.end(), events_.begin(), events_.begin() + count);
   events_.erase(events_.begin(), events_.begin() + count);
+  return count;
+}
+
+std::size_t IngestQueue::take_all(std::vector<IngestEvent>& out) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  const std::size_t count = events_.size();
+  out.insert(out.end(), events_.begin(), events_.end());
+  events_.clear();
   return count;
 }
 

@@ -5,7 +5,10 @@
 // backpressure: a full queue rejects the push (and counts the rejection)
 // instead of blocking or silently dropping, so callers can report a
 // structured "try again" to their own clients. The consumer drains in
-// batches, amortizing wakeups under load.
+// batches and names the depth worth waking for: a push signals it only
+// when it lifts the depth from below that threshold to at or above it,
+// so a steady feed costs the consumer one wakeup per batch (or per
+// timeout), not one per event.
 #pragma once
 
 #include <atomic>
@@ -42,11 +45,18 @@ class IngestQueue {
   /// number accepted. Rejected events are counted.
   std::size_t push_batch(std::span<const IngestEvent> events);
 
-  /// Consumer side: blocks up to `timeout` for at least one event, then
-  /// appends up to `max_events` to `out`. Returns the number drained
+  /// Consumer side: blocks up to `timeout` until at least `wake_at`
+  /// events are queued (clamped to [1, capacity]), then appends up to
+  /// `max_events` to `out` — whatever is queued on timeout, wake() or
+  /// close(), which end the wait regardless of depth. Pushes below the
+  /// threshold do not signal the consumer. Returns the number drained
   /// (0 on timeout, on wake(), or when closed and empty).
   std::size_t drain(std::vector<IngestEvent>& out, std::size_t max_events,
-                    std::chrono::milliseconds timeout);
+                    std::chrono::milliseconds timeout, std::size_t wake_at = 1);
+
+  /// Consumer side, non-blocking: appends every queued event to `out`
+  /// in one lock hold. A pending wake() stays for the next drain().
+  std::size_t take_all(std::vector<IngestEvent>& out);
 
   /// Rejects all future pushes and wakes the consumer. Already-queued
   /// events remain drainable. Idempotent.
@@ -70,6 +80,13 @@ class IngestQueue {
   }
 
  private:
+  /// Signals the consumer when a push of `added` events lifted the depth
+  /// across its wake threshold. Caller holds `mutex_`.
+  void notify_if_crossed(std::size_t added) {
+    const std::size_t depth = events_.size();
+    if (depth >= wake_at_ && depth - added < wake_at_) not_empty_.notify_one();
+  }
+
   void count_rejected(std::uint64_t n) noexcept {
     if (n == 0) return;
     rejected_.fetch_add(n, std::memory_order_relaxed);
@@ -83,6 +100,7 @@ class IngestQueue {
   std::deque<IngestEvent> events_;
   bool closed_ = false;
   bool woken_ = false;  ///< wake() not yet consumed by drain()
+  std::size_t wake_at_ = 1;  ///< the consumer's threshold of its latest drain()
   std::atomic<std::uint64_t> rejected_{0};
   std::atomic<telemetry::Counter*> rejected_counter_{nullptr};
 };

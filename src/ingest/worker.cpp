@@ -70,6 +70,8 @@ void IngestWorker::init_metrics() {
                                 "Events that failed validation.");
   epochs_published_ =
       &metrics_->counter("crowdweb_ingest_epochs_published_total", "Epochs published.");
+  wakeups_ = &metrics_->counter("crowdweb_ingest_worker_wakeups_total",
+                                "Returns of the worker thread from its ingest queue wait.");
   queue_.attach_rejected_counter(
       &metrics_->counter("crowdweb_ingest_rejected_total",
                          "Events refused by the full (or closed) ingest queue."));
@@ -314,16 +316,22 @@ void IngestWorker::run() {
   auto last_publish = Clock::now();
   while (true) {
     batch.clear();
-    // With a delta pending, wake no later than its publication is due;
-    // a full interval after every wakeup could hold it back for nearly
-    // two intervals when the feed pauses.
+    // Idle, the first event wakes the worker: it starts the cadence (and
+    // publishes at once when the interval already ran out). With a delta
+    // pending, wake when its publication is due — a full interval after
+    // every wakeup could hold it back for nearly two intervals when the
+    // feed pauses — or early for a full drain batch only: nothing merged
+    // before the epoch is due is visible to readers.
     std::chrono::milliseconds wait = config_.rebuild_interval;
+    std::size_t wake_at = 1;
     if (!pending_users_.empty()) {
       const auto due = last_publish + config_.rebuild_interval;
       wait = std::max(std::chrono::milliseconds{0},
                       std::chrono::ceil<std::chrono::milliseconds>(due - Clock::now()));
+      wake_at = config_.drain_batch;
     }
-    queue_.drain(batch, config_.drain_batch, wait);
+    queue_.drain(batch, config_.drain_batch, wait, wake_at);
+    wakeups_->increment();
     apply(batch);
     if (store_ != nullptr) {
       const std::uint64_t auto_bytes = config_.store.checkpoint_wal_bytes;
@@ -336,6 +344,10 @@ void IngestWorker::run() {
         stop_requested_.load(std::memory_order_acquire) && queue_.size() == 0;
     if (!pending_users_.empty() &&
         (stopping || Clock::now() - last_publish >= config_.rebuild_interval)) {
+      // The epoch carries every event admitted before its rebuild starts.
+      batch.clear();
+      queue_.take_all(batch);
+      apply(batch);
       const Status status = rebuild_and_publish();
       if (!status.is_ok())
         log_error("epoch rebuild failed: {}", status.to_string());

@@ -65,7 +65,9 @@ struct IngestPipelineConfig {
 
 struct IngestWorkerConfig {
   std::size_t queue_capacity = 8192;
-  /// Events drained from the queue per wakeup.
+  /// Events drained from the queue per wakeup, and the queue depth
+  /// that wakes the worker early while a delta waits for its epoch:
+  /// below it, pushes leave the worker asleep until the epoch is due.
   std::size_t drain_batch = 1024;
   /// Minimum spacing between epoch rebuilds; accepted events batch up in
   /// between.
@@ -263,6 +265,7 @@ class IngestWorker {
   telemetry::Counter* accepted_ = nullptr;
   telemetry::Counter* invalid_ = nullptr;
   telemetry::Counter* epochs_published_ = nullptr;
+  telemetry::Counter* wakeups_ = nullptr;
   telemetry::Histogram* rebuild_seconds_ = nullptr;
   telemetry::Histogram* stage_merge_seconds_ = nullptr;
   telemetry::Histogram* stage_mine_seconds_ = nullptr;

@@ -52,6 +52,7 @@ struct FrameServer::Impl {
     std::size_t outbox_offset = 0;
     std::chrono::steady_clock::time_point last_activity;
     bool want_write = false;
+    bool peer_closed = false;  ///< EOF read; stays only to flush acks
   };
   std::unordered_map<int, Connection> connections;  // loop thread only
 
@@ -128,7 +129,7 @@ struct FrameServer::Impl {
 
   bool update_epoll(int fd, Connection& conn) {
     epoll_event event{};
-    event.events = EPOLLIN | (conn.want_write ? EPOLLOUT : 0u);
+    event.events = (conn.peer_closed ? 0u : EPOLLIN) | (conn.want_write ? EPOLLOUT : 0u);
     event.data.fd = fd;
     return ::epoll_ctl(epoll_fd, EPOLL_CTL_MOD, fd, &event) == 0;
   }
@@ -233,13 +234,18 @@ struct FrameServer::Impl {
         conn.inbox.append(chunk, static_cast<std::size_t>(n));
         continue;
       }
-      if (n == 0) return false;  // producer closed
+      if (n == 0) {  // producer closed its write side; answer what we have
+        conn.peer_closed = true;
+        break;
+      }
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) break;
       return false;
     }
     conn.last_activity = std::chrono::steady_clock::now();
-    return drain_inbox(fd, conn);
+    if (!drain_inbox(fd, conn)) return false;
+    // Past EOF, stop polling for input and stay only for unsent acks.
+    return !conn.peer_closed || (!conn.outbox.empty() && update_epoll(fd, conn));
   }
 
   void sweep_idle() {
@@ -282,12 +288,14 @@ struct FrameServer::Impl {
         }
         const auto it = connections.find(fd);
         if (it == connections.end()) continue;
+        Connection& conn = it->second;
         bool alive = true;
+        // Read before honoring a hangup: frames that arrived with it
+        // are still submitted and acked.
+        if ((events[i].events & EPOLLIN) != 0) alive = read_ready(fd, conn);
         if ((events[i].events & (EPOLLHUP | EPOLLERR)) != 0) alive = false;
-        if (alive && (events[i].events & EPOLLIN) != 0)
-          alive = read_ready(fd, it->second);
-        if (alive && (events[i].events & EPOLLOUT) != 0)
-          alive = flush_outbox(fd, it->second);
+        if (alive && (events[i].events & EPOLLOUT) != 0) alive = flush_outbox(fd, conn);
+        if (alive && conn.peer_closed && conn.outbox.empty()) alive = false;
         if (!alive) close_connection(fd);
       }
       sweep_idle();

@@ -1,5 +1,6 @@
 // Live ingestion subsystem tests: the bounded MPSC queue under
-// concurrent producers, the worker's validation and epoch publication,
+// concurrent producers and its wake threshold, the worker's validation,
+// epoch publication and wakeups per epoch,
 // and the /api/ingest routes end to end over a real socket.
 
 #include <gtest/gtest.h>
@@ -21,6 +22,7 @@
 #include "ingest/snapshot.hpp"
 #include "ingest/worker.hpp"
 #include "json/json.hpp"
+#include "telemetry/metrics.hpp"
 #include "util/log.hpp"
 
 namespace crowdweb {
@@ -129,6 +131,61 @@ TEST(IngestQueueTest, WakeEndsOneDrainWaitWithoutEvents) {
   EXPECT_EQ(queue.drain(drained, 10, 20ms), 0u);  // no wake left: times out
   EXPECT_FALSE(queue.closed());
   EXPECT_TRUE(queue.try_push(valid_event()));
+}
+
+TEST(IngestQueueTest, PushBelowWakeThresholdLeavesConsumerAsleep) {
+  ingest::IngestQueue queue(16);
+  std::vector<ingest::IngestEvent> drained;
+  std::size_t count = 0;
+  std::chrono::steady_clock::duration waited{};
+  std::thread consumer([&] {
+    const auto start = std::chrono::steady_clock::now();
+    count = queue.drain(drained, 10, 300ms, /*wake_at=*/4);
+    waited = std::chrono::steady_clock::now() - start;
+  });
+  std::this_thread::sleep_for(20ms);
+  for (int i = 0; i < 3; ++i) EXPECT_TRUE(queue.try_push(valid_event()));
+  consumer.join();
+  EXPECT_EQ(count, 3u);  // the timeout hands over whatever is queued
+  EXPECT_GE(waited, 280ms);
+}
+
+TEST(IngestQueueTest, PushCrossingWakeThresholdWakesConsumer) {
+  ingest::IngestQueue queue(16);
+  std::vector<ingest::IngestEvent> drained;
+  std::size_t count = 0;
+  std::chrono::steady_clock::duration waited{};
+  std::thread consumer([&] {
+    const auto start = std::chrono::steady_clock::now();
+    count = queue.drain(drained, 10, 10s, /*wake_at=*/4);
+    waited = std::chrono::steady_clock::now() - start;
+  });
+  std::this_thread::sleep_for(20ms);
+  const std::vector<ingest::IngestEvent> batch(5, valid_event());
+  EXPECT_EQ(queue.push_batch(batch), 5u);
+  consumer.join();
+  EXPECT_EQ(count, 5u);
+  EXPECT_LT(waited, 5s);
+}
+
+TEST(IngestQueueTest, CloseAndWakeIgnoreTheThreshold) {
+  ingest::IngestQueue queue(16);
+  ASSERT_TRUE(queue.try_push(valid_event()));
+  std::vector<ingest::IngestEvent> drained;
+  const auto start = std::chrono::steady_clock::now();
+  std::thread waker([&] {
+    std::this_thread::sleep_for(20ms);
+    queue.wake();
+  });
+  EXPECT_EQ(queue.drain(drained, 10, 10s, /*wake_at=*/4), 1u);
+  waker.join();
+  std::thread closer([&] {
+    std::this_thread::sleep_for(20ms);
+    queue.close();
+  });
+  EXPECT_EQ(queue.drain(drained, 10, 10s, /*wake_at=*/4), 0u);
+  closer.join();
+  EXPECT_LT(std::chrono::steady_clock::now() - start, 5s);
 }
 
 TEST(IngestQueueTest, MultiProducerTotalsAreAccountedFor) {
@@ -274,6 +331,60 @@ TEST(IngestWorkerTest, PendingDeltaPublishesOneIntervalAfterThePreviousEpoch) {
   EXPECT_EQ(worker->submit(events).accepted, 1u);
   ASSERT_TRUE(worker->wait_for_epoch(2, 5s));
   EXPECT_LT(std::chrono::steady_clock::now() - published, 600ms);
+  EXPECT_EQ(worker->hub().current()->live_checkins, 1u);
+  worker->stop();
+}
+
+TEST(IngestWorkerTest, SteadyFeedWakesTheWorkerAboutOncePerEpoch) {
+  // One event per millisecond: a push that does not fill a drain batch
+  // leaves the worker asleep until its epoch is due, so it wakes for
+  // the first event after a publish and at the deadline, not per event.
+  const core::Platform& platform = test_platform();
+  telemetry::Registry registry;
+  ingest::IngestWorkerConfig config;
+  config.rebuild_interval = 50ms;
+  config.metrics = &registry;
+  auto worker = core::make_ingest_worker(platform, config);
+  ASSERT_TRUE(worker->start().is_ok());
+  const auto start = std::chrono::steady_clock::now();
+  std::size_t sent = 0;
+  for (auto next = start; next - start < 500ms; next += 1ms) {
+    std::this_thread::sleep_until(next);
+    const std::vector<ingest::IngestEvent> events{
+        valid_event(static_cast<data::UserId>(sent % 50))};
+    ASSERT_EQ(worker->submit(events).accepted, 1u);
+    ++sent;
+  }
+  // Nothing is stranded in the queue: the last epoch holds every event.
+  const auto deadline = std::chrono::steady_clock::now() + 10s;
+  while (worker->hub().current()->live_checkins < sent &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(1ms);
+  const std::uint64_t wakeups =
+      registry.counter("crowdweb_ingest_worker_wakeups_total", "").value();
+  const ingest::IngestStats stats = worker->stats();
+  EXPECT_EQ(stats.accepted, sent);
+  EXPECT_EQ(stats.live_checkins, stats.accepted);
+  EXPECT_GE(stats.epochs_published, 3u);
+  EXPECT_LE(wakeups, 3 * stats.epochs_published)
+      << wakeups << " wakeups for " << stats.epochs_published << " epochs";
+  worker->stop();
+}
+
+TEST(IngestWorkerTest, FirstEventAfterIdlePublishesPromptly) {
+  // After an idle spell longer than the interval, the first event wakes
+  // the worker and publishes at once instead of waiting out a cadence.
+  const core::Platform& platform = test_platform();
+  ingest::IngestWorkerConfig config;
+  config.rebuild_interval = 400ms;
+  auto worker = core::make_ingest_worker(platform, config);
+  ASSERT_TRUE(worker->start().is_ok());
+  std::this_thread::sleep_for(450ms);
+  const auto submitted = std::chrono::steady_clock::now();
+  const std::vector<ingest::IngestEvent> events{valid_event(1)};
+  EXPECT_EQ(worker->submit(events).accepted, 1u);
+  ASSERT_TRUE(worker->wait_for_epoch(2, 5s));
+  EXPECT_LT(std::chrono::steady_clock::now() - submitted, 200ms);
   EXPECT_EQ(worker->hub().current()->live_checkins, 1u);
   worker->stop();
 }

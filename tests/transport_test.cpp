@@ -2,7 +2,8 @@
 // adversarial damage (truncation at every length, bit flips at every
 // byte offset), spool drain order and crash adoption, pipeline
 // spill-and-drain, the framed TCP listener end to end over a real
-// socket, SSE framing + subscribe→publish→delivery without polling,
+// socket (including frames that arrive together with the producer's
+// FIN), SSE framing + subscribe→publish→delivery without polling,
 // idle-connection reaping, the 429 body contract, and the
 // corpus-equivalence guarantee across the CSV and binary transports.
 
@@ -387,6 +388,57 @@ TEST(FrameServer, CorruptFrameClosesConnection) {
   ::close(fd);
   EXPECT_TRUE(collector.snapshot().empty());
   EXPECT_GE(server.stats().decode_errors, 1u);
+  server.stop();
+}
+
+TEST(FrameServer, FramesSentWithTheProducersFinAreSubmittedAndAcked) {
+  // Three frames and the FIN can land in one read pass; the listener
+  // must still submit and ack every frame before it closes.
+  Collector collector;
+  transport::IngestPipeline pipeline(collector.submit_fn());
+  transport::FrameServer server(pipeline, {});
+  ASSERT_TRUE(server.start().is_ok());
+
+  std::string wire;
+  std::vector<ingest::IngestEvent> expected;
+  for (std::uint64_t seq = 1; seq <= 3; ++seq) {
+    const auto events = make_events(1, static_cast<std::uint32_t>(seq * 100));
+    wire += transport::encode_data_frame(seq, events);
+    expected.insert(expected.end(), events.begin(), events.end());
+  }
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(server.port());
+  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr), 0);
+  ASSERT_EQ(::send(fd, wire.data(), wire.size(), 0),
+            static_cast<ssize_t>(wire.size()));
+  ASSERT_EQ(::shutdown(fd, SHUT_WR), 0);
+
+  std::string received;
+  char chunk[4096];
+  while (true) {  // the listener closes once its acks are out
+    const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
+    if (n <= 0) break;
+    received.append(chunk, static_cast<std::size_t>(n));
+  }
+  ::close(fd);
+
+  std::vector<std::uint64_t> acked;
+  std::string_view rest = received;
+  while (!rest.empty()) {
+    const transport::FrameDecodeResult decoded = transport::decode_frame(rest);
+    ASSERT_EQ(decoded.state, transport::FrameState::kComplete);
+    ASSERT_EQ(decoded.frame.type, transport::FrameType::kAck);
+    EXPECT_EQ(decoded.frame.ack.accepted, 1u);
+    acked.push_back(decoded.frame.seq);
+    rest.remove_prefix(decoded.consumed);
+  }
+  EXPECT_EQ(acked, (std::vector<std::uint64_t>{1, 2, 3}));
+  expect_events_equal(expected, collector.snapshot());
+  EXPECT_EQ(server.stats().frames, 3u);
   server.stop();
 }
 
