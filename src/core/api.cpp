@@ -24,7 +24,8 @@ using http::Response;
 /// The static batch build, served as epoch 0.
 class BatchDeployment final : public Deployment {
  public:
-  explicit BatchDeployment(const Platform& platform) : view_(batch_view(platform)) {}
+  explicit BatchDeployment(const Platform& platform)
+      : view_(view_of(platform, {platform.snapshot()}, 0)) {}
   ViewPtr pin() const override { return view_; }
   std::vector<ShardSlot> shards() const override { return {}; }
   ingest::SubmitResult submit(std::span<const ingest::IngestEvent>) override { return {}; }

@@ -1,6 +1,7 @@
 #include "core/handlers.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -92,9 +93,10 @@ struct UserRecord {
 UserRecord find_user(const PinnedView& view, const PathParams& params) {
   UserRecord record;
   const auto id = int_param(params, "id");
-  if (!id || *id < 0) {
+  constexpr auto kMaxUser = std::numeric_limits<data::UserId>::max();
+  if (!id || *id < 0 || *id > kMaxUser) {
     record.error = Response::bad_request_400(crowdweb::format(
-        "bad user id '{}': expected a non-negative integer", raw_param(params, "id")));
+        "bad user id '{}': expected an integer in [0, {}]", raw_param(params, "id"), kMaxUser));
     return record;
   }
   record.mobility = view.find_user(static_cast<data::UserId>(*id), &record.dataset);

@@ -1,6 +1,5 @@
 #include "core/platform.hpp"
 
-#include <algorithm>
 #include <chrono>
 
 #include "data/dataset_io.hpp"
@@ -90,8 +89,8 @@ Status Platform::run_pipeline(data::Dataset full) {
   criteria.to = config_.experiment_end;
   criteria.min_days = config_.min_active_days;
   criteria.max_gap_seconds = config_.max_gap_seconds;
-  experiment_ = windowed.filter_active_users(criteria);
-  if (experiment_.empty())
+  data::Dataset experiment = windowed.filter_active_users(criteria);
+  if (experiment.empty())
     return failed_precondition(
         "no active users survive preprocessing; relax min_active_days or widen the window");
   timings_.acquisition_ms = ms_since(phase1_start);
@@ -102,12 +101,13 @@ Status Platform::run_pipeline(data::Dataset full) {
   patterns::MobilityOptions mobility_options;
   mobility_options.sequences = config_.sequences;
   mobility_options.mining = config_.mining;
-  mobility_ = patterns::mine_all_mobility_parallel(experiment_, taxonomy(), mobility_options,
-                                                   config_.mining_threads);
+  patterns::MobilityTable mobility = patterns::MobilityTable::from_entries(
+      patterns::mine_all_mobility_parallel(experiment, taxonomy(), mobility_options,
+                                           config_.mining_threads));
   timings_.mining_ms = ms_since(phase2_start);
   observe_stage(config_.metrics, "mining", timings_.mining_ms);
   mining::MiningStats mining_totals;
-  for (const patterns::UserMobility& entry : mobility_) mining_totals.merge(entry.mining_stats);
+  for (const patterns::UserMobility& entry : mobility) mining_totals.merge(entry.mining_stats);
   if (mining_totals.truncated) {
     log_warn(
         "miner '{}' hit the max_patterns cap ({}) for at least one user; "
@@ -117,39 +117,33 @@ Status Platform::run_pipeline(data::Dataset full) {
 
   // Phase 3: crowd synchronization and aggregation.
   const auto phase3_start = Clock::now();
-  auto grid = geo::SpatialGrid::create(experiment_.bounds().inflated(0.002),
+  auto grid = geo::SpatialGrid::create(experiment.bounds().inflated(0.002),
                                        config_.grid_cell_meters);
   if (!grid) return grid.status();
-  grid_ = *grid;
-  auto crowd = crowd::CrowdModel::build(experiment_, mobility_, *grid_, config_.crowd);
+  auto crowd = crowd::CrowdModel::build(experiment, mobility, *grid, config_.crowd);
   if (!crowd) return crowd.status();
-  crowd_ = std::move(crowd).value();
   timings_.crowd_ms = ms_since(phase3_start);
   observe_stage(config_.metrics, "crowd", timings_.crowd_ms);
 
   log_info(
       "platform ready: {} users ({} active), {} check-ins in window, {} placements; "
       "phases {:.0f}/{:.0f}/{:.0f} ms",
-      full_.user_count(), experiment_.user_count(), experiment_.checkin_count(),
-      crowd_->total_placements(), timings_.acquisition_ms, timings_.mining_ms,
+      full_.user_count(), experiment.user_count(), experiment.checkin_count(),
+      crowd->total_placements(), timings_.acquisition_ms, timings_.mining_ms,
       timings_.crowd_ms);
+  snapshot_ = std::make_shared<const ingest::PlatformSnapshot>(ingest::PlatformSnapshot{
+      0, 0, 0, 0.0, std::move(experiment), std::move(mobility), std::move(*grid),
+      std::move(crowd).value()});
   return Status::ok();
 }
 
-const patterns::UserMobility* Platform::user_mobility(data::UserId user) const noexcept {
-  const auto it = std::lower_bound(
-      mobility_.begin(), mobility_.end(), user,
-      [](const patterns::UserMobility& m, data::UserId id) { return m.user < id; });
-  if (it == mobility_.end() || it->user != user) return nullptr;
-  return &*it;
-}
-
 mining::UserSequences Platform::sequences_for(data::UserId user) const {
-  return mining::build_user_sequences(experiment_, user, taxonomy(), config_.sequences);
+  return mining::build_user_sequences(experiment_dataset(), user, taxonomy(),
+                                      config_.sequences);
 }
 
 patterns::PlaceGraph Platform::place_graph(data::UserId user) const {
-  return place_graph(user_mobility(user), sequences_for(user), experiment_);
+  return place_graph(user_mobility(user), sequences_for(user), experiment_dataset());
 }
 
 patterns::PlaceGraph Platform::place_graph(const patterns::UserMobility* mobility,

@@ -8,17 +8,18 @@
 //      user;
 //   3. crowd synchronization & aggregation — the queryable CrowdModel.
 // Everything downstream (examples, HTTP API, benches) talks to this
-// class. A built Platform is immutable, so concurrent readers are safe.
+// class. The phase 1-3 output is one immutable ingest::PlatformSnapshot
+// at epoch 0 — the same shape every live epoch publishes — so the static
+// deployment serves it through the one view constructor, and live
+// workers and shards seed from its entries by sharing them. A built
+// Platform is immutable, so concurrent readers are safe.
 #pragma once
 
-#include <memory>
 #include <string>
-#include <optional>
-#include <span>
-#include <vector>
 
 #include "crowd/model.hpp"
 #include "data/dataset.hpp"
+#include "ingest/snapshot.hpp"
 #include "patterns/mobility.hpp"
 #include "patterns/place_graph.hpp"
 #include "store/store.hpp"
@@ -98,19 +99,26 @@ class Platform {
 
   /// The full corpus before preprocessing.
   [[nodiscard]] const data::Dataset& full_dataset() const noexcept { return full_; }
+  /// The batch build as epoch 0: the experiment corpus, its mined
+  /// entries, the grid and the crowd model.
+  [[nodiscard]] const ingest::SnapshotPtr& snapshot() const noexcept { return snapshot_; }
   /// The experiment corpus: window-restricted, active users only.
   [[nodiscard]] const data::Dataset& experiment_dataset() const noexcept {
-    return experiment_;
+    return snapshot_->dataset;
   }
 
-  [[nodiscard]] std::span<const patterns::UserMobility> mobility() const noexcept {
-    return mobility_;
+  [[nodiscard]] const patterns::MobilityTable& mobility() const noexcept {
+    return snapshot_->mobility;
   }
   /// A single user's mined mobility (nullptr when unknown).
-  [[nodiscard]] const patterns::UserMobility* user_mobility(data::UserId user) const noexcept;
+  [[nodiscard]] const patterns::UserMobility* user_mobility(data::UserId user) const noexcept {
+    return mobility().find(user);
+  }
 
-  [[nodiscard]] const geo::SpatialGrid& grid() const noexcept { return *grid_; }
-  [[nodiscard]] const crowd::CrowdModel& crowd_model() const noexcept { return *crowd_; }
+  [[nodiscard]] const geo::SpatialGrid& grid() const noexcept { return snapshot_->grid; }
+  [[nodiscard]] const crowd::CrowdModel& crowd_model() const noexcept {
+    return snapshot_->crowd;
+  }
   [[nodiscard]] const PhaseTimings& timings() const noexcept { return timings_; }
 
   /// Rebuilds a user's day-sequence database (phase 2 input).
@@ -132,10 +140,7 @@ class Platform {
 
   PlatformConfig config_;
   data::Dataset full_;
-  data::Dataset experiment_;
-  std::vector<patterns::UserMobility> mobility_;
-  std::optional<geo::SpatialGrid> grid_;
-  std::optional<crowd::CrowdModel> crowd_;
+  ingest::SnapshotPtr snapshot_;
   PhaseTimings timings_;
 };
 

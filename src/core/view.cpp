@@ -1,23 +1,16 @@
 #include "core/view.hpp"
 
-#include <algorithm>
 #include <utility>
 
 namespace crowdweb::core {
 
 const patterns::UserMobility* PinnedView::find_user(
     data::UserId user, const data::Dataset** home) const noexcept {
-  for (const MobilityPart& part : users) {
-    std::size_t lo = 0;
-    std::size_t hi = part.size();
-    while (lo < hi) {
-      const std::size_t mid = lo + (hi - lo) / 2;
-      if (part[mid].user < user) lo = mid + 1;
-      else hi = mid;
-    }
-    if (lo < part.size() && part[lo].user == user) {
-      *home = part.dataset;
-      return &part[lo];
+  for (const ingest::SnapshotPtr& pin : pins) {
+    if (pin == nullptr) continue;
+    if (const patterns::UserMobility* entry = pin->mobility.find(user)) {
+      *home = &pin->dataset;
+      return entry;
     }
   }
   return nullptr;
@@ -25,20 +18,25 @@ const patterns::UserMobility* PinnedView::find_user(
 
 void PinnedView::for_each_user(
     const std::function<void(const patterns::UserMobility&)>& fn) const {
-  std::vector<std::size_t> cursor(users.size(), 0);
+  std::vector<patterns::MobilityTable::const_iterator> cursor;
+  std::vector<patterns::MobilityTable::const_iterator> end;
+  for (const ingest::SnapshotPtr& pin : pins) {
+    if (pin == nullptr) continue;
+    cursor.push_back(pin->mobility.begin());
+    end.push_back(pin->mobility.end());
+  }
   bool emitted = false;
   data::UserId last_user = 0;
   while (true) {
-    std::size_t pick = users.size();
-    for (std::size_t i = 0; i < users.size(); ++i) {
-      while (emitted && cursor[i] < users[i].size() && users[i][cursor[i]].user <= last_user)
+    std::size_t pick = cursor.size();
+    for (std::size_t i = 0; i < cursor.size(); ++i) {
+      while (emitted && cursor[i] != end[i] && cursor[i]->user <= last_user)
         ++cursor[i];  // duplicate of an already-emitted user
-      if (cursor[i] >= users[i].size()) continue;
-      if (pick == users.size() || users[i][cursor[i]].user < users[pick][cursor[pick]].user)
-        pick = i;
+      if (cursor[i] == end[i]) continue;
+      if (pick == cursor.size() || cursor[i]->user < cursor[pick]->user) pick = i;
     }
-    if (pick == users.size()) return;
-    const patterns::UserMobility& entry = users[pick][cursor[pick]++];
+    if (pick == cursor.size()) return;
+    const patterns::UserMobility& entry = *cursor[pick]++;
     last_user = entry.user;
     emitted = true;
     fn(entry);
@@ -47,28 +45,9 @@ void PinnedView::for_each_user(
 
 patterns::MobilityStats PinnedView::mobility_stats() const {
   patterns::MobilityStats stats;
-  for (const MobilityPart& part : users) {
-    if (part.table != nullptr) {
-      stats.merge(part.table->stats());
-    } else {
-      for (const patterns::UserMobility& entry : part.batch) stats.add(entry);
-    }
-  }
+  for (const ingest::SnapshotPtr& pin : pins)
+    if (pin != nullptr) stats.merge(pin->mobility.stats());
   return stats;
-}
-
-ViewPtr batch_view(const Platform& platform) {
-  auto view = std::make_shared<PinnedView>();
-  view->platform = &platform;
-  view->epochs = {0};
-  view->epoch_tag = epoch_tag_of(view->epochs);
-  view->crowd = &platform.crowd_model();
-  view->dataset = &platform.experiment_dataset();
-  view->grid = &platform.grid();
-  view->users.push_back({view->dataset, nullptr, platform.mobility()});
-  view->checkins = view->dataset->checkin_count();
-  view->user_count = view->dataset->user_count();
-  return view;
 }
 
 ViewPtr view_of(const Platform& platform, std::vector<ingest::SnapshotPtr> pins,
@@ -85,7 +64,6 @@ ViewPtr view_of(const Platform& platform, std::vector<ingest::SnapshotPtr> pins,
       continue;
     }
     crowds.push_back(&pin->crowd);
-    view->users.push_back({&pin->dataset, &pin->mobility, {}});
     if (view->dataset == nullptr) {
       view->dataset = &pin->dataset;
       view->grid = &pin->grid;

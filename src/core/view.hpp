@@ -3,9 +3,10 @@
 // A view pins one published epoch per shard slot and exposes what the
 // handlers read: the phase-3 crowd model, the grid, a corpus for
 // labels, and every user's phase-2 entry next to the corpus it was
-// mined from. Three deployment shapes produce one:
-//   - the static batch build, as epoch 0: every pointer aims into the
-//     immutable Platform; nothing is pinned or copied;
+// mined from. Every deployment shape builds it with view_of over one
+// published epoch per slot:
+//   - the static batch build: the Platform's own epoch-0 snapshot,
+//     pinned once;
 //   - one IngestWorker, or one live shard: a passthrough over that
 //     epoch's snapshot, with no merge and no copy;
 //   - N >= 2 live shards: the crowd models are k-way merged by user id
@@ -28,30 +29,14 @@
 
 namespace crowdweb::core {
 
-/// One slot's per-user phase-2 entries, ascending by user id, and the
-/// corpus they were mined from: a published epoch's table, or the batch
-/// build's entries.
-struct MobilityPart {
-  const data::Dataset* dataset = nullptr;
-  const patterns::MobilityTable* table = nullptr;  ///< a published epoch
-  std::span<const patterns::UserMobility> batch;   ///< the batch build
-
-  [[nodiscard]] std::size_t size() const noexcept {
-    return table != nullptr ? table->size() : batch.size();
-  }
-  [[nodiscard]] const patterns::UserMobility& operator[](std::size_t i) const noexcept {
-    return table != nullptr ? (*table)[i] : batch[i];
-  }
-};
-
 struct PinnedView {
   /// Configuration and taxonomy (immutable; outlives the view).
   const Platform* platform = nullptr;
-  /// Epoch per shard slot (0 = down / nothing published; [0] for the
-  /// batch build).
+  /// Epoch per shard slot (0 = down / nothing published, or the batch
+  /// build).
   std::vector<std::uint64_t> epochs;
-  /// Pinned snapshots, parallel to `epochs` (null for down shards;
-  /// empty for the batch build).
+  /// Pinned snapshots, parallel to `epochs` (null for down shards). A
+  /// live pin's `dataset` and `mobility` are the view's user parts.
   std::vector<ingest::SnapshotPtr> pins;
   /// Ids of shard slots that contributed nothing, ascending.
   std::vector<std::size_t> missing;
@@ -70,7 +55,6 @@ struct PinnedView {
   /// only once live events mint shard-local venues.
   const data::Dataset* dataset = nullptr;
   const geo::SpatialGrid* grid = nullptr;
-  std::vector<MobilityPart> users;  ///< one per live slot
   std::size_t live_checkins = 0;    ///< summed over live slots
   std::size_t checkins = 0;         ///< summed corpus size
   std::size_t user_count = 0;       ///< summed corpus users
@@ -80,15 +64,13 @@ struct PinnedView {
   [[nodiscard]] const patterns::UserMobility* find_user(
       data::UserId user, const data::Dataset** home) const noexcept;
   /// Visits every user's entry in ascending user id (k-way over the
-  /// parts; a duplicate id, possible in region mode, keeps the first).
+  /// live pins; a duplicate id, possible in region mode, keeps the
+  /// first).
   void for_each_user(const std::function<void(const patterns::UserMobility&)>& fn) const;
-  /// Resident pattern-set footprint across every part.
+  /// Resident pattern-set footprint across every live pin.
   [[nodiscard]] patterns::MobilityStats mobility_stats() const;
 };
 using ViewPtr = std::shared_ptr<const PinnedView>;
-
-/// The batch build as epoch 0.
-[[nodiscard]] ViewPtr batch_view(const Platform& platform);
 
 /// The view over one snapshot per shard slot (null = down), keyed on
 /// `cache_epoch`. One live slot is a passthrough; several are merged.

@@ -29,7 +29,7 @@ std::uint64_t venue_key(data::CategoryId category, const geo::LatLon& position) 
 }  // namespace
 
 IngestWorker::IngestWorker(const data::Dataset& base,
-                           std::span<const patterns::UserMobility> base_mobility,
+                           const patterns::MobilityTable& base_mobility,
                            const data::Taxonomy& taxonomy, IngestPipelineConfig pipeline,
                            IngestWorkerConfig config)
     : taxonomy_(taxonomy),
@@ -47,8 +47,7 @@ IngestWorker::IngestWorker(const data::Dataset& base,
     // dataset around the worker's so every epoch interns into one pool.
     live_ = data::DatasetBuilder(pool_).build();
   }
-  mobility_ = patterns::MobilityTable::from_entries(
-      {base_mobility.begin(), base_mobility.end()});
+  mobility_ = base_mobility;  // shares every entry
   base_checkin_count_ = checkins_.size();
   venue_index_.reserve(venues_.size());
   for (const data::Venue& venue : venues_)

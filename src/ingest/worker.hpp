@@ -1,7 +1,10 @@
 // Background ingestion worker: queue -> validation -> delta merge ->
 // epoch publication.
 //
-// The worker owns the only mutable copy of the live corpus. It drains
+// The worker seeds its live corpus from a base dataset and mobility
+// table (the batch build's epoch 0, or a shard's slice of it) by
+// sharing their per-user shards and entries, and owns the only mutable
+// state derived from them after that. It drains
 // the ingest queue in batches, validates events against the taxonomy,
 // resolves each event onto a venue (an existing one at that position, or
 // a freshly registered "live" venue), and appends the resulting check-in
@@ -115,10 +118,11 @@ struct SubmitResult {
 
 class IngestWorker {
  public:
-  /// `base` and `base_mobility` seed the live corpus (copied); `taxonomy`
-  /// must outlive the worker.
-  IngestWorker(const data::Dataset& base,
-               std::span<const patterns::UserMobility> base_mobility,
+  /// `base` and `base_mobility` seed the live corpus. Both are shared,
+  /// not copied: the dataset's per-user shards and venue table, and
+  /// every mined entry, alias the seed's until a delta replaces them.
+  /// `taxonomy` must outlive the worker.
+  IngestWorker(const data::Dataset& base, const patterns::MobilityTable& base_mobility,
                const data::Taxonomy& taxonomy, IngestPipelineConfig pipeline = {},
                IngestWorkerConfig config = {});
   ~IngestWorker();

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <memory>
 #include <thread>
+#include <unordered_set>
 
 #include "mining/registry.hpp"
 #include "util/format.hpp"
@@ -320,11 +321,12 @@ MobilityTable::EntryPtr MobilityTable::entry_for(data::UserId user) const noexce
   return *it;
 }
 
-std::vector<UserMobility> MobilityTable::to_vector() const {
-  std::vector<UserMobility> out;
-  out.reserve(entries_.size());
-  for (const EntryPtr& entry : entries_) out.push_back(*entry);
-  return out;
+MobilityTable MobilityTable::filter_users(std::span<const data::UserId> users) const {
+  const std::unordered_set<data::UserId> wanted(users.begin(), users.end());
+  std::vector<EntryPtr> kept;
+  for (const EntryPtr& entry : entries_)
+    if (wanted.contains(entry->user)) kept.push_back(entry);
+  return MobilityTable(std::move(kept));
 }
 
 MobilityStats MobilityTable::stats() const noexcept {

@@ -240,8 +240,9 @@ class MobilityTable {
   /// entry was reused, not recomputed).
   [[nodiscard]] EntryPtr entry_for(data::UserId user) const noexcept;
 
-  /// Deep copy into a flat vector, in user order.
-  [[nodiscard]] std::vector<UserMobility> to_vector() const;
+  /// New table keeping only the given users' entries, shared with this
+  /// table by pointer (mirrors data::Dataset::filter_users).
+  [[nodiscard]] MobilityTable filter_users(std::span<const data::UserId> users) const;
 
   /// Aggregate entry/pattern/byte counts over every entry (O(patterns)).
   [[nodiscard]] MobilityStats stats() const noexcept;

@@ -46,8 +46,9 @@ Result<std::unique_ptr<ShardRouter>> ShardRouter::create(const core::Platform& p
     router->disabled_[id] = true;
 
   // Partition the experiment corpus: every base user goes wholly to one
-  // shard, so seeded corpora are disjoint and the k-way merge of
-  // user-sorted state reproduces single-process order.
+  // shard, with their mined entry shared rather than copied, so seeded
+  // corpora are disjoint and the k-way merge of user-sorted state
+  // reproduces single-process order.
   const data::Dataset& experiment = platform.experiment_dataset();
   std::vector<std::vector<data::UserId>> users_of(count);
   for (const data::UserId user : experiment.users()) {
@@ -55,13 +56,6 @@ Result<std::unique_ptr<ShardRouter>> ShardRouter::create(const core::Platform& p
     const geo::LatLon first =
         records.empty() ? geo::LatLon{} : records.front().position;
     users_of[router->assign_user(user, first)].push_back(user);
-  }
-  std::vector<std::vector<patterns::UserMobility>> mobility_of(count);
-  for (const patterns::UserMobility& entry : platform.mobility()) {
-    const auto records = experiment.checkins_for(entry.user);
-    const geo::LatLon first =
-        records.empty() ? geo::LatLon{} : records.front().position;
-    mobility_of[router->assign_user(entry.user, first)].push_back(entry);
   }
 
   // Every shard renders onto the same city-wide grid: cell ids must
@@ -86,7 +80,7 @@ Result<std::unique_ptr<ShardRouter>> ShardRouter::create(const core::Platform& p
     }
     router->shards_.push_back(std::make_unique<Shard>(
         std::move(spec), experiment.filter_users(users_of[id]),
-        std::move(mobility_of[id]), platform.taxonomy(), pipeline,
+        platform.mobility().filter_users(users_of[id]), platform.taxonomy(), pipeline,
         worker_config_for(router->config_, id)));
   }
 

@@ -5,9 +5,8 @@
 namespace crowdweb::shard {
 
 Shard::Shard(ShardSpec spec, const data::Dataset& base,
-             std::vector<patterns::UserMobility> mobility,
-             const data::Taxonomy& taxonomy, ingest::IngestPipelineConfig pipeline,
-             ingest::IngestWorkerConfig config)
+             const patterns::MobilityTable& mobility, const data::Taxonomy& taxonomy,
+             ingest::IngestPipelineConfig pipeline, ingest::IngestWorkerConfig config)
     : spec_(std::move(spec)),
       worker_(std::make_unique<ingest::IngestWorker>(base, mobility, taxonomy,
                                                      std::move(pipeline),

@@ -47,10 +47,11 @@ class Shard {
   /// `base` seeds the shard's live corpus with its slice of the batch
   /// experiment dataset (sharing the full venue table keeps venue ids
   /// aligned across shards); `mobility` is the matching slice of the
-  /// batch phase-2 output. `taxonomy` must outlive the shard.
-  Shard(ShardSpec spec, const data::Dataset& base,
-        std::vector<patterns::UserMobility> mobility, const data::Taxonomy& taxonomy,
-        ingest::IngestPipelineConfig pipeline, ingest::IngestWorkerConfig config);
+  /// batch phase-2 output, whose entries the shard's worker shares.
+  /// `taxonomy` must outlive the shard.
+  Shard(ShardSpec spec, const data::Dataset& base, const patterns::MobilityTable& mobility,
+        const data::Taxonomy& taxonomy, ingest::IngestPipelineConfig pipeline,
+        ingest::IngestWorkerConfig config);
 
   /// Runs store recovery (when configured) and publishes the shard's
   /// first epoch. Failure leaves the shard down, not broken: up() stays

@@ -1,6 +1,7 @@
 #include "transport/csv_source.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <string>
 
 #include "data/csv.hpp"
@@ -39,7 +40,8 @@ Result<ParsedIngest> parse_ingest_csv(const Request& request,
     data::UserId user = guest;
     if (has_user) {
       const auto parsed_user = parse_int(row[field++]);
-      if (!parsed_user || *parsed_user < 0) {
+      if (!parsed_user || *parsed_user < 0 ||
+          *parsed_user > std::numeric_limits<data::UserId>::max()) {
         ++parsed.invalid;
         continue;
       }

@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include "util/format.hpp"
 
 namespace crowdweb {
@@ -85,6 +86,9 @@ Result<double> parse_double(std::string_view text) {
   const auto [ptr, ec] = std::from_chars(body.data(), body.data() + body.size(), value);
   if (ec != std::errc{} || ptr != body.data() + body.size())
     return parse_error(crowdweb::format("not a number: '{}'", text));
+  // "nan" and "inf" parse, but no caller has a use for them, and NaN
+  // slips past every range check.
+  if (!std::isfinite(value)) return parse_error(crowdweb::format("not finite: '{}'", text));
   return value;
 }
 

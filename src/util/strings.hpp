@@ -27,6 +27,7 @@ namespace crowdweb {
 [[nodiscard]] bool ends_with(std::string_view text, std::string_view suffix) noexcept;
 
 /// Strict integer/double parsing of the full string (after trimming).
+/// parse_double refuses non-finite results ("nan", "inf").
 [[nodiscard]] Result<std::int64_t> parse_int(std::string_view text);
 [[nodiscard]] Result<double> parse_double(std::string_view text);
 

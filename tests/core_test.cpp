@@ -373,6 +373,12 @@ TEST_F(ApiFixture, AnalyzeEndpointValidatesInput) {
   ASSERT_TRUE(bad_support.is_ok());
   EXPECT_EQ(bad_support->status, 400);
 
+  const auto nan_support = http::fetch(
+      "127.0.0.1", server_->port(), "POST", "/api/analyze?support=nan",
+      "category,lat,lon,timestamp\nCoffee Shop,40.7,-74.0,2012-04-02 09:00:00\n");
+  ASSERT_TRUE(nan_support.is_ok());
+  EXPECT_EQ(nan_support->status, 400);
+
   const auto empty = http::fetch("127.0.0.1", server_->port(), "POST", "/api/analyze",
                                  "category,lat,lon,timestamp\n");
   ASSERT_TRUE(empty.is_ok());
@@ -435,6 +441,22 @@ TEST_F(ApiFixture, BadInputsRejected) {
   const auto bad_flow = http::get("127.0.0.1", server_->port(), "/api/flow/9/99");
   ASSERT_TRUE(bad_flow.is_ok());
   EXPECT_EQ(bad_flow->status, 400);
+
+  // One past the largest user id must not wrap onto user 0.
+  for (const char* path :
+       {"/api/user/4294967296/patterns", "/api/user/4294967296/graph.svg",
+        "/api/user/4294967296/timeline.svg", "/api/predict/4294967296"}) {
+    const auto wrapped = http::get("127.0.0.1", server_->port(), path);
+    ASSERT_TRUE(wrapped.is_ok()) << path;
+    EXPECT_EQ(wrapped->status, 400) << path;
+    EXPECT_NE(wrapped->body.find("[0, 4294967295]"), std::string::npos) << wrapped->body;
+  }
+
+  // NaN fails no range test; the parser itself must refuse it.
+  const auto nan_seconds =
+      http::get("127.0.0.1", server_->port(), "/api/animation.svg?seconds=nan");
+  ASSERT_TRUE(nan_seconds.is_ok());
+  EXPECT_EQ(nan_seconds->status, 400);
 
   const auto wrong_method =
       http::fetch("127.0.0.1", server_->port(), "POST", "/api/status");

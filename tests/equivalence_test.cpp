@@ -334,8 +334,7 @@ TEST(DatasetEquivalenceTest, BuilderSharesUntouchedShardsAndVenueTable) {
 TEST(CrowdUpdateTest, MatchesFullRebuildAndSharesUnaffectedWindows) {
   const core::Platform& platform = test_platform();
   const data::Dataset& base = platform.experiment_dataset();
-  const patterns::MobilityTable table = patterns::MobilityTable::from_entries(
-      {platform.mobility().begin(), platform.mobility().end()});
+  const patterns::MobilityTable& table = platform.mobility();
   auto full = crowd::CrowdModel::build(base, table, platform.grid(),
                                        platform.config().crowd);
   ASSERT_TRUE(full.is_ok()) << full.status().to_string();
@@ -374,8 +373,7 @@ TEST(CrowdUpdateTest, MatchesFullRebuildAndSharesUnaffectedWindows) {
 
 TEST(CrowdUpdateTest, EmptyDeltaSharesEveryWindow) {
   const core::Platform& platform = test_platform();
-  const patterns::MobilityTable table = patterns::MobilityTable::from_entries(
-      {platform.mobility().begin(), platform.mobility().end()});
+  const patterns::MobilityTable& table = platform.mobility();
   auto full = crowd::CrowdModel::build(platform.experiment_dataset(), table,
                                        platform.grid(), platform.config().crowd);
   ASSERT_TRUE(full.is_ok());
@@ -451,6 +449,36 @@ TEST(WorkerEquivalenceTest, UntouchedUsersShareStateAcrossEpochs) {
   auto worker = core::make_ingest_worker(platform, config);
   ASSERT_TRUE(worker->start().is_ok());
 
+  // Epoch 1 seeds from the batch build's epoch 0 by sharing every mined
+  // entry, not copying it; so does every shard of a sharded deployment.
+  const ingest::SnapshotPtr seed = worker->hub().current();
+  ASSERT_NE(seed, nullptr);
+  ASSERT_EQ(seed->epoch, 1u);
+  ASSERT_EQ(seed->mobility.size(), platform.mobility().size());
+  for (const patterns::UserMobility& entry : platform.mobility())
+    EXPECT_EQ(seed->mobility.entry_for(entry.user), platform.mobility().entry_for(entry.user))
+        << "user " << entry.user;
+  {
+    shard::ShardRouterConfig shard_config;
+    shard_config.shard_count = 4;
+    shard_config.worker = worker_config();
+    auto router = shard::ShardRouter::create(platform, shard_config);
+    ASSERT_TRUE(router.is_ok()) << router.status().to_string();
+    ASSERT_TRUE((*router)->start().is_ok());
+    std::size_t seeded = 0;
+    for (std::size_t id = 0; id < (*router)->shard_count(); ++id) {
+      const ingest::SnapshotPtr shard_seed = (*router)->shard(id).snapshot();
+      ASSERT_NE(shard_seed, nullptr) << "shard " << id;
+      for (const patterns::UserMobility& entry : shard_seed->mobility)
+        EXPECT_EQ(shard_seed->mobility.entry_for(entry.user),
+                  platform.mobility().entry_for(entry.user))
+            << "shard " << id << " user " << entry.user;
+      seeded += shard_seed->mobility.size();
+    }
+    EXPECT_EQ(seeded, platform.mobility().size());
+    (*router)->stop();
+  }
+
   // Epoch N: traffic over all eleven users.
   const std::vector<ingest::IngestEvent> first = live_traffic(33);
   feed_and_settle(*worker, first, first.size());
@@ -513,10 +541,10 @@ core::Platform make_platform_with_miner(const std::string& algorithm) {
 
 /// Every compact entry expands (lazily, as the full-set routes do) to
 /// exactly the PrefixSpan entry for the same user: the per-user pattern
-/// tables differ only in representation. Takes a batch build's mobility
-/// span or an epoch's MobilityTable.
-template <typename Table>
-void expect_expands_to(const Table& compact, const Table& full, const data::Dataset& dataset,
+/// tables differ only in representation. Takes the batch build's table
+/// (epoch 0) or a live epoch's.
+void expect_expands_to(const patterns::MobilityTable& compact,
+                       const patterns::MobilityTable& full, const data::Dataset& dataset,
                        const core::PlatformConfig& config) {
   ASSERT_EQ(compact.size(), full.size());
   patterns::MobilityOptions options;
@@ -611,6 +639,33 @@ void expect_wire_eq(const http::Router& compact, const http::Router& expanded,
   const std::string patterns_path = "/api/user/" + std::to_string(probe) + "/patterns";
   EXPECT_EQ(body_of(compact, patterns_path), body_of(expanded, patterns_path))
       << patterns_path;
+}
+
+TEST(WorkerEquivalenceTest, StaticBuildAndWorkerEpochOneServeIdenticalBodies) {
+  // The static deployment serves the batch build as epoch 0; a worker
+  // republishes the same corpus as its epoch 1. Both render through the
+  // one view constructor, so every body must match byte for byte.
+  const core::Platform& platform = test_platform();
+  auto worker = core::make_ingest_worker(platform, worker_config());
+  ASSERT_TRUE(worker->start().is_ok());
+  const http::Router static_api = core::make_api_router(platform);
+  const http::Router worker_api = core::make_api_router(platform, {worker.get(), nullptr});
+
+  // Every crowd window, /api/users and one user's patterns...
+  expect_wire_eq(static_api, worker_api, platform.crowd_model().window_count(),
+                 platform.experiment_dataset().users()[0]);
+  // ...and the corpus and pattern-set blocks of /api/status.
+  const auto static_status = json::parse(body_of(static_api, "/api/status"));
+  const auto worker_status = json::parse(body_of(worker_api, "/api/status"));
+  ASSERT_TRUE(static_status.is_ok());
+  ASSERT_TRUE(worker_status.is_ok());
+  for (const char* block : {"experiment", "mining"}) {
+    ASSERT_NE(static_status->find(block), nullptr) << block;
+    ASSERT_NE(worker_status->find(block), nullptr) << block;
+    EXPECT_EQ(json::dump(*static_status->find(block)), json::dump(*worker_status->find(block)))
+        << block;
+  }
+  worker->stop();
 }
 
 TEST(ClosedModeEquivalenceTest, CompactBatchBuildServesByteIdenticalCrowdJson) {

@@ -429,20 +429,23 @@ TEST(IngestApiTest, PostIngestAdvancesEpochOverTheSocket) {
   ASSERT_TRUE(payload.is_ok());
   EXPECT_EQ(payload->find("epoch")->as_int(), 1);
 
-  // Two valid rows, one with an unknown category (counted invalid).
+  // Two valid rows, one with an unknown category and one whose user id
+  // is past the u32 range (both counted invalid; the latter must not
+  // wrap onto user 0).
   const std::string body =
       "user,category,lat,lon,timestamp\n"
       "3000,Eatery,40.75,-73.98,2012-04-10 12:00:00\n"
       "3001,Nightlife Spot,40.74,-73.99,2012-04-10 13:00:00\n"
-      "3002,No Such Category,40.73,-73.97,2012-04-10 14:00:00\n";
+      "3002,No Such Category,40.73,-73.97,2012-04-10 14:00:00\n"
+      "4294967296,Eatery,40.75,-73.98,2012-04-10 15:00:00\n";
   const auto response = http::fetch("127.0.0.1", server.port(), "POST", "/api/ingest", body);
   ASSERT_TRUE(response.is_ok());
   ASSERT_EQ(response->status, 200) << response->body;
   payload = json::parse(response->body);
   ASSERT_TRUE(payload.is_ok());
-  EXPECT_EQ(payload->find("received")->as_int(), 3);
+  EXPECT_EQ(payload->find("received")->as_int(), 4);
   EXPECT_EQ(payload->find("accepted")->as_int(), 2);
-  EXPECT_EQ(payload->find("invalid")->as_int(), 1);
+  EXPECT_EQ(payload->find("invalid")->as_int(), 2);
 
   // The new epoch becomes observable through the stats route.
   ASSERT_TRUE(worker->wait_for_epoch(2, 5s));
@@ -452,7 +455,7 @@ TEST(IngestApiTest, PostIngestAdvancesEpochOverTheSocket) {
   ASSERT_TRUE(payload.is_ok());
   EXPECT_GE(payload->find("epoch")->as_int(), 2);
   EXPECT_EQ(payload->find("accepted")->as_int(), 2);
-  EXPECT_EQ(payload->find("invalid")->as_int(), 1);
+  EXPECT_EQ(payload->find("invalid")->as_int(), 2);
   EXPECT_EQ(payload->find("live_checkins")->as_int(), 2);
 
   // Crowd routes serve the live snapshot, and /api/status reports both

@@ -276,6 +276,9 @@ TEST(StringsTest, ParseDoubleStrict) {
   EXPECT_DOUBLE_EQ(*parse_double("-1e3"), -1000.0);
   EXPECT_FALSE(parse_double("one").is_ok());
   EXPECT_FALSE(parse_double("").is_ok());
+  // Non-finite values parse in from_chars but pass no range check.
+  for (const char* text : {"nan", "-nan", "inf", "-inf"})
+    EXPECT_FALSE(parse_double(text).is_ok()) << text;
 }
 
 TEST(StringsTest, UrlDecodeBasics) {
