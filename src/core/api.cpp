@@ -12,6 +12,7 @@
 #include "telemetry/exposition.hpp"
 #include "transport/csv_source.hpp"
 #include "transport/sse.hpp"
+#include "util/format.hpp"
 
 namespace crowdweb::core {
 
@@ -47,7 +48,7 @@ class WorkerDeployment final : public Deployment {
     return view_of(platform_, {std::move(snapshot)}, epoch);
   }
   std::vector<ShardSlot> shards() const override {
-    return {ShardSlot{0, "hash-0", std::nullopt, worker_.running(), Status::ok(), &worker_}};
+    return {ShardSlot{0, worker_.running(), &worker_}};
   }
   ingest::SubmitResult submit(std::span<const ingest::IngestEvent> events) override {
     return worker_.submit(events);
@@ -136,17 +137,10 @@ json::Value batch_status(const Platform& platform) {
 
 json::Value shard_block(const ShardSlot& slot, const ingest::PlatformSnapshot* pin) {
   json::Value block = json::object(
-      {{"id", static_cast<std::int64_t>(slot.id)}, {"name", slot.name}, {"up", slot.up}});
-  if (slot.region.has_value()) {
-    block.set("region", json::object({{"min_lat", slot.region->min_lat},
-                                      {"max_lat", slot.region->max_lat},
-                                      {"min_lon", slot.region->min_lon},
-                                      {"max_lon", slot.region->max_lon}}));
-  }
-  if (!slot.up) {
-    if (!slot.start_status.is_ok()) block.set("error", slot.start_status.to_string());
-    return block;
-  }
+      {{"id", static_cast<std::int64_t>(slot.id)},
+       {"name", crowdweb::format("hash-{}", slot.id)},
+       {"up", slot.up}});
+  if (!slot.up) return block;
   const ingest::IngestStats stats = slot.worker->stats();
   block.set("epoch", static_cast<std::int64_t>(pin != nullptr ? pin->epoch : 0));
   if (pin != nullptr) {
@@ -550,14 +544,19 @@ std::unique_ptr<transport::EpochStreamPublisher> attach_stream_publisher(
       options);
 }
 
-std::unique_ptr<ingest::IngestWorker> make_ingest_worker(const Platform& platform,
-                                                         ingest::IngestWorkerConfig config) {
+ingest::IngestPipelineConfig ingest_pipeline_config(const Platform& platform) {
   ingest::IngestPipelineConfig pipeline;
   pipeline.grid_cell_meters = platform.config().grid_cell_meters;
   pipeline.crowd = platform.config().crowd;
   pipeline.sequences = platform.config().sequences;
   pipeline.mining = platform.config().mining;
   pipeline.mining_threads = platform.config().mining_threads;
+  pipeline.fixed_grid_bounds = platform.experiment_dataset().bounds();
+  return pipeline;
+}
+
+std::unique_ptr<ingest::IngestWorker> make_ingest_worker(const Platform& platform,
+                                                         ingest::IngestWorkerConfig config) {
   // Inherit the platform's registry so one scrape covers the batch build
   // and the live worker, unless the caller picked a registry explicitly.
   if (config.metrics == nullptr) config.metrics = platform.config().metrics;
@@ -566,7 +565,7 @@ std::unique_ptr<ingest::IngestWorker> make_ingest_worker(const Platform& platfor
   if (config.store.dir.empty()) config.store = platform.config().store;
   return std::make_unique<ingest::IngestWorker>(platform.experiment_dataset(),
                                                 platform.mobility(), platform.taxonomy(),
-                                                pipeline, config);
+                                                ingest_pipeline_config(platform), config);
 }
 
 }  // namespace crowdweb::core

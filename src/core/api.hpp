@@ -59,7 +59,6 @@
 
 #include <functional>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -116,11 +115,8 @@ struct ApiOptions {
 /// One shard slot of a worker-backed deployment, as the status and
 /// admin routes report it.
 struct ShardSlot {
-  std::size_t id = 0;
-  std::string name;  ///< region name, or "hash-<id>"
-  std::optional<geo::BoundingBox> region;
+  std::size_t id = 0;  ///< reported as the name "hash-<id>"
   bool up = false;
-  Status start_status;  ///< why a down shard failed to start
   ingest::IngestWorker* worker = nullptr;
 };
 
@@ -165,10 +161,16 @@ class Deployment {
     http::Server& server, const Platform& platform, ingest::IngestWorker& worker,
     http::ResponseCache* cache = nullptr);
 
+/// The live pipeline of a deployment over `platform`: its phase-2/3
+/// configuration, with the grid pinned to the experiment box — the
+/// batch build's grid — so every worker and shard renders onto the
+/// same cells.
+[[nodiscard]] ingest::IngestPipelineConfig ingest_pipeline_config(const Platform& platform);
+
 /// Builds an ingestion worker seeded with the platform's experiment
-/// corpus and mined mobility (copied), inheriting its phase-2/3
-/// configuration. The worker keeps a reference to the platform's
-/// taxonomy, so the platform must outlive the worker.
+/// corpus and mined mobility (shared), over ingest_pipeline_config().
+/// The worker keeps a reference to the platform's taxonomy, so the
+/// platform must outlive the worker.
 [[nodiscard]] std::unique_ptr<ingest::IngestWorker> make_ingest_worker(
     const Platform& platform, ingest::IngestWorkerConfig config = {});
 

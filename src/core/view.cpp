@@ -25,21 +25,14 @@ void PinnedView::for_each_user(
     cursor.push_back(pin->mobility.begin());
     end.push_back(pin->mobility.end());
   }
-  bool emitted = false;
-  data::UserId last_user = 0;
   while (true) {
     std::size_t pick = cursor.size();
     for (std::size_t i = 0; i < cursor.size(); ++i) {
-      while (emitted && cursor[i] != end[i] && cursor[i]->user <= last_user)
-        ++cursor[i];  // duplicate of an already-emitted user
       if (cursor[i] == end[i]) continue;
       if (pick == cursor.size() || cursor[i]->user < cursor[pick]->user) pick = i;
     }
     if (pick == cursor.size()) return;
-    const patterns::UserMobility& entry = *cursor[pick]++;
-    last_user = entry.user;
-    emitted = true;
-    fn(entry);
+    fn(*cursor[pick]++);
   }
 }
 

@@ -64,8 +64,7 @@ struct PinnedView {
   [[nodiscard]] const patterns::UserMobility* find_user(
       data::UserId user, const data::Dataset** home) const noexcept;
   /// Visits every user's entry in ascending user id (k-way over the
-  /// live pins; a duplicate id, possible in region mode, keeps the
-  /// first).
+  /// live pins; each user lives on one pin).
   void for_each_user(const std::function<void(const patterns::UserMobility&)>& fn) const;
   /// Resident pattern-set footprint across every live pin.
   [[nodiscard]] patterns::MobilityStats mobility_stats() const;

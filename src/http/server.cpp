@@ -195,8 +195,7 @@ struct Server::Impl {
     latency_by_route = &metrics->histogram_family(
         "crowdweb_http_request_duration_seconds",
         "Handler wall time per dispatched request, by route pattern.", {"route"},
-        config.latency_buckets.empty() ? telemetry::default_latency_buckets()
-                                       : config.latency_buckets);
+        telemetry::default_latency_buckets());
     telemetry::CounterFamily& classes = metrics->counter_family(
         "crowdweb_http_responses_total", "Responses written, by status class.",
         {"class"});

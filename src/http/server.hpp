@@ -58,9 +58,6 @@ struct ServerConfig {
   /// either way; sharing one registry with `/metrics` is how the
   /// counters become scrapable.
   telemetry::Registry* metrics = nullptr;
-  /// Upper bounds (seconds) of the request-latency histogram; empty =
-  /// telemetry::default_latency_buckets().
-  std::vector<double> latency_buckets;
   /// Connections (keep-alive or streaming) with no socket traffic for
   /// this long are closed by the loop's sweep. Zero disables the sweep.
   /// Connections with a request still executing are never reaped.

@@ -14,6 +14,17 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Events drained from the queue per wakeup, and the queue depth that
+/// wakes the worker early while a delta waits for its epoch: below it,
+/// pushes leave the worker asleep until the epoch is due.
+constexpr std::size_t kDrainBatch = 1024;
+
+/// The crowd model is rebuilt from scratch every this many epochs, as a
+/// correctness backstop for the incremental update path (which is exact
+/// while the grid and options stay fixed, so it only guards against
+/// drift bugs).
+constexpr std::uint64_t kCrowdFullRebuildEpochs = 64;
+
 double ms_since(Clock::time_point start) {
   return std::chrono::duration<double, std::milli>(Clock::now() - start).count();
 }
@@ -37,6 +48,7 @@ IngestWorker::IngestWorker(const data::Dataset& base,
       config_(config),
       queue_(config.queue_capacity) {
   init_metrics();
+  if (!pipeline_.fixed_grid_bounds) pipeline_.fixed_grid_bounds = base.bounds();
   pool_ = base.name_pool() != nullptr ? base.name_pool()
                                       : std::make_shared<data::StringPool>();
   venues_.assign(base.venues().begin(), base.venues().end());
@@ -74,9 +86,7 @@ void IngestWorker::init_metrics() {
   queue_.attach_rejected_counter(
       &metrics_->counter("crowdweb_ingest_rejected_total",
                          "Events refused by the full (or closed) ingest queue."));
-  const std::vector<double> buckets = config_.rebuild_buckets.empty()
-                                          ? telemetry::default_duration_buckets()
-                                          : config_.rebuild_buckets;
+  const std::vector<double> buckets = telemetry::default_duration_buckets();
   rebuild_seconds_ = &metrics_->histogram(
       "crowdweb_ingest_epoch_rebuild_duration_seconds",
       "End-to-end wall time to rebuild and publish one epoch.", buckets);
@@ -101,12 +111,9 @@ void IngestWorker::init_metrics() {
   delta_shards_rebuilt_ = &metrics_->counter(
       "crowdweb_ingest_delta_shards_rebuilt_total",
       "Per-user dataset shards rebuilt because the epoch's delta touched them.");
-  delta_grid_reused_ = &metrics_->counter(
-      "crowdweb_ingest_delta_grid_reused_total",
-      "Epochs that reused the previous spatial grid (corpus bounds unchanged).");
   delta_crowd_full_rebuilds_ = &metrics_->counter(
       "crowdweb_ingest_delta_crowd_full_rebuilds_total",
-      "Crowd-model full rebuilds (first epoch, grid growth, or the periodic "
+      "Crowd-model full rebuilds (the first epoch, then every 64th as a "
       "backstop) instead of incremental updates.");
   delta_last_events_ =
       &metrics_->gauge("crowdweb_ingest_delta_last_events",
@@ -202,6 +209,17 @@ data::UserId IngestWorker::allocate_guest_id() noexcept {
   return next_guest_id_.fetch_add(1, std::memory_order_relaxed);
 }
 
+data::UserId IngestWorker::next_guest_id() const noexcept {
+  return next_guest_id_.load(std::memory_order_relaxed);
+}
+
+void IngestWorker::reserve_guest_ids(data::UserId next) noexcept {
+  data::UserId current = next_guest_id_.load(std::memory_order_relaxed);
+  while (current < next &&
+         !next_guest_id_.compare_exchange_weak(current, next, std::memory_order_relaxed)) {
+  }
+}
+
 Status IngestWorker::recover_from_store() {
   store::StoreConfig store_config = config_.store;
   if (store_config.metrics == nullptr) store_config.metrics = metrics_;
@@ -228,9 +246,7 @@ Status IngestWorker::recover_from_store() {
     touched_users_.clear();
     touched_users_.insert(checkpoint.touched_users.begin(),
                           checkpoint.touched_users.end());
-    data::UserId next_guest = next_guest_id_.load(std::memory_order_relaxed);
-    next_guest_id_.store(std::max(next_guest, checkpoint.next_guest_id),
-                         std::memory_order_relaxed);
+    reserve_guest_ids(checkpoint.next_guest_id);
     venue_index_.clear();
     venue_index_.reserve(venues_.size());
     for (const data::Venue& venue : venues_)
@@ -244,10 +260,13 @@ Status IngestWorker::recover_from_store() {
   // Replay the WAL tail through the same validate + merge path live
   // events take. Counters stay untouched — these events were counted
   // when first accepted; crowdweb_store_recovery_* records the replay.
+  // A checkpoint is written only every so many WAL bytes, so most
+  // restarts see guest ids only here: raise the allocator past each.
   std::uint64_t replayed_events = 0;
   for (const store::WalRecord& record : recovered.records) {
     for (const IngestEvent& event : record.events) {
       if (merge_event(event)) ++replayed_events;
+      if (event.user >= kFirstGuestId) reserve_guest_ids(event.user + 1);
     }
   }
   // The flat corpus was replaced wholesale (checkpoint) and extended
@@ -327,9 +346,9 @@ void IngestWorker::run() {
       const auto due = last_publish + config_.rebuild_interval;
       wait = std::max(std::chrono::milliseconds{0},
                       std::chrono::ceil<std::chrono::milliseconds>(due - Clock::now()));
-      wake_at = config_.drain_batch;
+      wake_at = kDrainBatch;
     }
-    queue_.drain(batch, config_.drain_batch, wait, wake_at);
+    queue_.drain(batch, kDrainBatch, wait, wake_at);
     wakeups_->increment();
     apply(batch);
     if (store_ != nullptr) {
@@ -562,35 +581,23 @@ Status IngestWorker::rebuild_and_publish() {
   }
   mine_timer.stop();
 
-  // Stage 3: grid — reuse the previous grid unless the delta extended
-  // the corpus bounds (cells are derived from the bounding box, so an
-  // unchanged box means an identical grid).
+  // Stage 3: grid — created on the first epoch over the pinned box and
+  // kept for every later one.
   telemetry::ScopedTimer grid_timer(stage_grid_seconds_);
-  bool grid_rebuilt = false;
-  const geo::BoundingBox grid_source =
-      pipeline_.fixed_grid_bounds.value_or(live_.bounds());
-  if (!grid_.has_value() ||
-      (!pipeline_.fixed_grid_bounds && live_.bounds() != grid_bounds_)) {
-    auto grid = geo::SpatialGrid::create(grid_source.inflated(0.002),
+  if (!grid_.has_value()) {
+    auto grid = geo::SpatialGrid::create(pipeline_.fixed_grid_bounds->inflated(0.002),
                                          pipeline_.grid_cell_meters);
     if (!grid) return grid.status();
     grid_ = std::move(*grid);
-    grid_bounds_ = grid_source;
-    grid_rebuilt = true;
-  } else {
-    delta_grid_reused_->increment();
   }
   grid_timer.stop();
 
   // Stage 4: crowd — retract + replace the changed users' placements in
-  // the previous model, sharing every unaffected time window. A grid
-  // change invalidates every placement's cell, and the periodic
-  // backstop guards the incremental path, so both force a full build.
+  // the previous model, sharing every unaffected time window. The first
+  // epoch and the periodic backstop build it in full.
   telemetry::ScopedTimer crowd_timer(stage_crowd_seconds_);
   const bool full_crowd =
-      !crowd_.has_value() || grid_rebuilt ||
-      (pipeline_.crowd_full_rebuild_epochs > 0 &&
-       crowd_epochs_since_full_ + 1 >= pipeline_.crowd_full_rebuild_epochs);
+      !crowd_.has_value() || crowd_epochs_since_full_ + 1 >= kCrowdFullRebuildEpochs;
   if (full_crowd) {
     auto crowd = crowd::CrowdModel::build(live_, mobility_, *grid_, pipeline_.crowd,
                                           pipeline_.mining_threads);

@@ -10,10 +10,13 @@
 // a freshly registered "live" venue), and appends the resulting check-in
 // to its delta state. On a configurable cadence it rebuilds the derived
 // state — phase-2 re-mining *only* for users whose history changed,
-// phase-3 crowd model and grid occupancy over the merged corpus — and
-// publishes the result as the next immutable epoch through a
-// SnapshotHub. HTTP readers keep loading snapshots, never waiting on
-// the rebuild, while the worker prepares the next one.
+// and the phase-3 crowd model over the merged corpus — and publishes
+// the result as the next immutable epoch through a SnapshotHub. The
+// spatial grid is fixed at the seed: it is created once, on the first
+// epoch, and events outside it clamp to edge cells, so an event lands
+// in the same cell at every shard count. HTTP readers keep loading
+// snapshots, never waiting on the rebuild, while the worker prepares
+// the next one.
 #pragma once
 
 #include <chrono>
@@ -40,6 +43,11 @@
 
 namespace crowdweb::ingest {
 
+/// The first id allocate_guest_id() hands out: anonymous submissions
+/// get ids from here up, above every corpus id range. Recovery raises
+/// the allocator past every guest id it replays.
+inline constexpr data::UserId kFirstGuestId = 3'000'000'000u;
+
 /// How the worker rebuilds derived state (mirrors PlatformConfig's
 /// phase-2/phase-3 knobs; see core::make_ingest_worker).
 struct IngestPipelineConfig {
@@ -52,26 +60,17 @@ struct IngestPipelineConfig {
   /// delta touched, sharded across this many threads; full crowd
   /// rebuilds fan user placement across the same pool.
   unsigned mining_threads = 0;
-  /// Rebuild the crowd model from scratch every N epochs as a
-  /// correctness backstop for the incremental update path (0 = never;
-  /// the incremental update is exact while the grid and options are
-  /// stable, so the backstop only guards against drift bugs).
-  std::uint64_t crowd_full_rebuild_epochs = 64;
-  /// Pins the spatial grid to these bounds (inflated by the same margin
-  /// the dynamic path uses): the grid is created once and never rebuilt,
-  /// regardless of corpus growth. Sharded deployments set every shard's
-  /// grid to the same city-wide box so per-shard cell ids are directly
-  /// mergeable (see shard::ShardRouter); events outside the box clamp
-  /// to edge cells. Unset = the grid tracks the live corpus bounds.
+  /// The box the spatial grid covers (inflated by a small margin); the
+  /// grid is created once and never rebuilt, whatever the corpus grows
+  /// to. core::ingest_pipeline_config pins it to the experiment box, so
+  /// one worker and every shard share cell ids (per-shard crowd models
+  /// merge directly; see shard::ShardRouter). Unset = the seed corpus's
+  /// bounds.
   std::optional<geo::BoundingBox> fixed_grid_bounds;
 };
 
 struct IngestWorkerConfig {
   std::size_t queue_capacity = 8192;
-  /// Events drained from the queue per wakeup, and the queue depth
-  /// that wakes the worker early while a delta waits for its epoch:
-  /// below it, pushes leave the worker asleep until the epoch is due.
-  std::size_t drain_batch = 1024;
   /// Minimum spacing between epoch rebuilds; accepted events batch up in
   /// between.
   std::chrono::milliseconds rebuild_interval{200};
@@ -81,9 +80,6 @@ struct IngestWorkerConfig {
   /// attach at most one worker per registry — the scrape-time gauges
   /// (queue depth, epoch, ...) are registered by name.
   telemetry::Registry* metrics = nullptr;
-  /// Upper bounds (seconds) of the epoch-rebuild and per-stage
-  /// histograms; empty = telemetry::default_duration_buckets().
-  std::vector<double> rebuild_buckets;
   /// Durable storage (WAL + checkpoints). `store.dir` empty = disabled:
   /// the worker keeps the pre-durability behavior (memory only). With a
   /// directory set, start() runs crash recovery before publishing
@@ -151,12 +147,16 @@ class IngestWorker {
   /// A fresh user id for an anonymous submission (outside any corpus
   /// id range). Thread-safe.
   [[nodiscard]] data::UserId allocate_guest_id() noexcept;
+  /// The id allocate_guest_id() hands out next.
+  [[nodiscard]] data::UserId next_guest_id() const noexcept;
+  /// Raises the guest allocator to at least `next`, so ids another
+  /// worker already handed out are never reused. Thread-safe.
+  void reserve_guest_ids(data::UserId next) noexcept;
 
   [[nodiscard]] const SnapshotHub& hub() const noexcept { return hub_; }
   /// Mutable hub access, e.g. to register SnapshotHub::on_publish hooks
   /// (do so before start() to observe the first epoch).
   [[nodiscard]] SnapshotHub& hub() noexcept { return hub_; }
-  [[nodiscard]] IngestQueue& queue() noexcept { return queue_; }
   [[nodiscard]] const data::Taxonomy& taxonomy() const noexcept { return taxonomy_; }
   /// The worker's configuration (e.g. the rebuild interval backing the
   /// Retry-After hint on 429 responses).
@@ -247,11 +247,10 @@ class IngestWorker {
   std::size_t base_checkin_count_ = 0;
 
   // Derived state carried across epochs so unchanged parts are reused:
-  // the grid is rebuilt only when the corpus bounds grow, and the crowd
-  // model is updated incrementally (full rebuild on grid change or on
-  // the crowd_full_rebuild_epochs backstop cadence).
+  // the grid is created on the first epoch and kept, and the crowd
+  // model is updated incrementally (full rebuild on the first epoch and
+  // every kCrowdFullRebuildEpochs as a backstop).
   std::optional<geo::SpatialGrid> grid_;
-  geo::BoundingBox grid_bounds_;
   std::optional<crowd::CrowdModel> crowd_;
   std::uint64_t crowd_epochs_since_full_ = 0;
 
@@ -282,7 +281,6 @@ class IngestWorker {
   telemetry::Counter* delta_users_ = nullptr;
   telemetry::Counter* delta_shards_reused_ = nullptr;
   telemetry::Counter* delta_shards_rebuilt_ = nullptr;
-  telemetry::Counter* delta_grid_reused_ = nullptr;
   telemetry::Counter* delta_crowd_full_rebuilds_ = nullptr;
   telemetry::Gauge* delta_last_events_ = nullptr;
   // Mining accounting (crowdweb_mining_*): what the per-user re-mines of
@@ -296,7 +294,7 @@ class IngestWorker {
   std::vector<std::string> callback_gauge_names_;  ///< removed on destruction
 
   std::atomic<std::uint64_t> snapshot_live_{0};
-  std::atomic<data::UserId> next_guest_id_{3'000'000'000u};
+  std::atomic<data::UserId> next_guest_id_{kFirstGuestId};
 
   // Durable storage. Declared after own_metrics_: the store's
   // destructor unhooks its scrape gauges from the registry, so it must

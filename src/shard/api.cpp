@@ -25,8 +25,7 @@ class RouterDeployment final : public core::Deployment {
     std::vector<core::ShardSlot> slots;
     for (std::size_t id = 0; id < router_.shard_count(); ++id) {
       Shard& shard = router_.shard(id);
-      slots.push_back({id, shard.spec().name, shard.spec().region, shard.up(),
-                       shard.start_status(), &shard.worker()});
+      slots.push_back({id, shard.up(), &shard.worker()});
     }
     return slots;
   }

@@ -3,12 +3,11 @@
 // This is the core route tree (core/api.hpp) with the router as its
 // view source: every request pins the router's merged view of its shard
 // epochs, so the route surface and the bodies are those of a
-// single-process deployment over the same corpus (hash layout; see
-// router.hpp for the region-mode caveat). When one or more shards are
-// down, reads still answer 200, with an explicit "degraded": true
-// marker and the missing shard ids in JSON bodies (SVG routes render
-// the partial merge unmarked), and POST /api/ingest counts rows for a
-// down shard as rejected.
+// single-process deployment over the same corpus. When one or more
+// shards are down, reads still answer 200, with an explicit
+// "degraded": true marker and the missing shard ids in JSON bodies (SVG
+// routes render the partial merge unmarked), and POST /api/ingest
+// counts rows for a down shard as rejected.
 #pragma once
 
 #include <functional>

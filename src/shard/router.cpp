@@ -5,6 +5,7 @@
 #include <thread>
 #include <utility>
 
+#include "core/api.hpp"
 #include "shard/hash.hpp"
 #include "telemetry/timer.hpp"
 #include "util/format.hpp"
@@ -30,20 +31,10 @@ ingest::IngestWorkerConfig worker_config_for(const ShardRouterConfig& config,
 
 Result<std::unique_ptr<ShardRouter>> ShardRouter::create(const core::Platform& platform,
                                                          ShardRouterConfig config) {
-  const std::size_t count =
-      config.regions.empty() ? std::max<std::size_t>(1, config.shard_count)
-                             : config.regions.size();
-  for (const std::size_t id : config.disabled_shards) {
-    if (id >= count)
-      return invalid_argument(crowdweb::format("disabled shard {} out of range", id));
-  }
-
+  const std::size_t count = std::max<std::size_t>(1, config.shard_count);
   std::unique_ptr<ShardRouter> router(new ShardRouter());
   router->platform_ = &platform;
   router->config_ = std::move(config);
-  router->disabled_.assign(count, false);
-  for (const std::size_t id : router->config_.disabled_shards)
-    router->disabled_[id] = true;
 
   // Partition the experiment corpus: every base user goes wholly to one
   // shard, with their mined entry shared rather than copied, so seeded
@@ -51,37 +42,20 @@ Result<std::unique_ptr<ShardRouter>> ShardRouter::create(const core::Platform& p
   // reproduces single-process order.
   const data::Dataset& experiment = platform.experiment_dataset();
   std::vector<std::vector<data::UserId>> users_of(count);
-  for (const data::UserId user : experiment.users()) {
-    const auto records = experiment.checkins_for(user);
-    const geo::LatLon first =
-        records.empty() ? geo::LatLon{} : records.front().position;
-    users_of[router->assign_user(user, first)].push_back(user);
-  }
+  for (const data::UserId user : experiment.users())
+    users_of[shard_of_user(user, count)].push_back(user);
 
-  // Every shard renders onto the same city-wide grid: cell ids must
-  // agree across shards for merged crowd windows to be meaningful.
-  ingest::IngestPipelineConfig pipeline;
-  pipeline.grid_cell_meters = platform.config().grid_cell_meters;
-  pipeline.crowd = platform.config().crowd;
-  pipeline.sequences = platform.config().sequences;
-  pipeline.mining = platform.config().mining;
-  pipeline.mining_threads = router->config_.mining_threads_per_shard;
-  pipeline.fixed_grid_bounds = experiment.bounds();
+  // Every shard renders onto the experiment box, as one worker does:
+  // cell ids must agree across shards for merged crowd windows to be
+  // meaningful.
+  ingest::IngestPipelineConfig pipeline = core::ingest_pipeline_config(platform);
+  pipeline.mining_threads = 1;
 
   router->shards_.reserve(count);
   for (std::size_t id = 0; id < count; ++id) {
-    ShardSpec spec;
-    spec.id = id;
-    if (router->config_.regions.empty()) {
-      spec.name = crowdweb::format("hash-{}", id);
-    } else {
-      spec.name = router->config_.regions[id].name;
-      spec.region = router->config_.regions[id].box;
-    }
     router->shards_.push_back(std::make_unique<Shard>(
-        std::move(spec), experiment.filter_users(users_of[id]),
-        platform.mobility().filter_users(users_of[id]), platform.taxonomy(), pipeline,
-        worker_config_for(router->config_, id)));
+        experiment.filter_users(users_of[id]), platform.mobility().filter_users(users_of[id]),
+        platform.taxonomy(), pipeline, worker_config_for(router->config_, id)));
   }
 
   router->init_metrics();
@@ -104,18 +78,16 @@ Result<std::unique_ptr<ShardRouter>> ShardRouter::create(const core::Platform& p
 ShardRouter::~ShardRouter() { stop(); }
 
 Status ShardRouter::start() {
-  for (std::size_t id = 0; id < shards_.size(); ++id) {
-    if (disabled_[id]) continue;
-    const Status status = shards_[id]->start();
-    if (!status.is_ok() && !config_.allow_degraded_start) {
+  data::UserId next_guest = ingest::kFirstGuestId;
+  for (auto& shard : shards_) {
+    const Status status = shard->start();
+    if (!status.is_ok()) {
       stop();
       return status;
     }
+    next_guest = std::max(next_guest, shard->worker().next_guest_id());
   }
-  if (up_count() == 0) {
-    stop();
-    return unavailable("no shard came up");
-  }
+  shards_.front()->worker().reserve_guest_ids(next_guest);
   // Hooks fired while siblings were still starting saw their epochs as
   // 0; settle the cache key on the complete vector.
   if (cache_ != nullptr) rekey_cache();
@@ -134,19 +106,7 @@ std::size_t ShardRouter::up_count() const noexcept {
   return up;
 }
 
-std::size_t ShardRouter::assign_user(data::UserId user,
-                                     const geo::LatLon& first_position) const noexcept {
-  for (std::size_t id = 0; id < config_.regions.size(); ++id) {
-    if (config_.regions[id].box.contains(first_position)) return id;
-  }
-  return shard_of_user(user, shards_.empty() ? std::max<std::size_t>(1, config_.shard_count)
-                                             : shards_.size());
-}
-
 std::size_t ShardRouter::owner_of(const ingest::IngestEvent& event) const noexcept {
-  for (std::size_t id = 0; id < config_.regions.size(); ++id) {
-    if (config_.regions[id].box.contains(event.position)) return id;
-  }
   return shard_of_user(event.user, shards_.size());
 }
 
@@ -220,16 +180,6 @@ bool ShardRouter::wait_for_live(std::size_t live_checkins,
     if (std::chrono::steady_clock::now() >= deadline) return false;
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
-}
-
-Status ShardRouter::checkpoint_all(std::chrono::milliseconds timeout) {
-  Status first_error = Status::ok();
-  for (auto& shard : shards_) {
-    if (!shard->up()) continue;
-    const Status status = shard->worker().checkpoint_now(timeout);
-    if (!status.is_ok() && first_error.is_ok()) first_error = status;
-  }
-  return first_error;
 }
 
 void ShardRouter::note_degraded_read() const noexcept {

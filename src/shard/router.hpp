@@ -1,27 +1,19 @@
-// Scatter-gather routing across region shards.
+// Scatter-gather routing across hash shards.
 //
 // The ShardRouter owns N Shards (see shard.hpp) under one static
-// layout, fixed at creation:
-//   - region mode: each shard owns a named bounding box; events route
-//     to the first region containing their position (hash fallback for
-//     positions outside every box). Base users are assigned wholly to
-//     one shard by their first check-in's position, so the seeded
-//     corpora are disjoint; a live user roaming across regions can
-//     appear on several shards, which the merge tolerates (their
-//     placements interleave) but double-counts — region mode trades
-//     exactness for locality.
-//   - hash mode: shard = splitmix64(user) % N (see hash.hpp). A user's
-//     whole history lives on exactly one shard, which makes the merged
-//     read path value-identical to a single-process deployment.
+// layout, fixed at creation: shard = splitmix64(user) % N (see
+// hash.hpp), for base users and live events alike. A user's whole
+// history lives on exactly one shard, which makes the merged read path
+// value-identical to a single-process deployment.
 //
 // Writes (`submit`) partition the batch by owning shard. Reads call
 // `merged()`: every shard's current epoch snapshot is pinned into one
 // core::PinnedView, whose per-shard crowd models are k-way merged by
 // user id into one CrowdModel the core handlers render — possible
-// because every shard's grid is pinned to the same city-wide bounds
-// (IngestPipelineConfig::fixed_grid_bounds), so cell ids agree across
-// shards. The merge is cached per epoch vector; it reruns only when
-// some shard publishes.
+// because every shard's grid is pinned to the experiment box
+// (core::ingest_pipeline_config), as one worker's is, so cell ids agree
+// across shards. The merge is cached per epoch vector; it reruns only
+// when some shard publishes.
 //
 // Cross-shard consistency is expressed as the epoch vector
 // (epoch-per-shard, e.g. [3,5,2]): /api/status reports it, ETags embed
@@ -36,7 +28,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -53,18 +44,8 @@
 
 namespace crowdweb::shard {
 
-/// One named region of the static layout (region mode).
-struct ShardRegion {
-  std::string name;
-  geo::BoundingBox box;
-};
-
 struct ShardRouterConfig {
-  /// Hash-mode shard count; ignored when `regions` is non-empty.
   std::size_t shard_count = 2;
-  /// Region mode: one shard per entry, in order (first containing
-  /// region wins for positions in overlapping boxes).
-  std::vector<ShardRegion> regions;
   /// Deployment registry for the crowdweb_shard_* families (see
   /// docs/OBSERVABILITY.md). Null disables router telemetry. Per-shard
   /// workers always keep private registries — their scrape gauges are
@@ -75,23 +56,14 @@ struct ShardRouterConfig {
   /// "<root>/shard-<k>" (empty = durability off). `worker.metrics` is
   /// ignored (see above).
   ingest::IngestWorkerConfig worker;
-  /// Re-mining threads per shard (shards already parallelize the
-  /// deployment, so the default keeps each shard single-threaded).
-  unsigned mining_threads_per_shard = 1;
-  /// start(): keep serving when a shard fails to start (it stays down
-  /// and reads degrade) instead of failing the whole router.
-  bool allow_degraded_start = false;
-  /// Shards never started by start() — they stay down, as if crashed.
-  /// For degraded-read tests and staged region roll-outs.
-  std::vector<std::size_t> disabled_shards;
 };
 
 class ShardRouter {
  public:
   /// Builds the layout over `platform`'s experiment corpus: partitions
-  /// users (hash or region assignment), seeds one Shard per slot with
-  /// its corpus slice + matching phase-2 mobility, and pins every
-  /// shard's grid to the full corpus bounds so merged cell ids agree.
+  /// users by hash, seeds one Shard per slot with its corpus slice +
+  /// matching phase-2 mobility, and runs every shard's pipeline on one
+  /// mining thread (the shards already parallelize the deployment).
   /// `platform` must outlive the router.
   static Result<std::unique_ptr<ShardRouter>> create(const core::Platform& platform,
                                                      ShardRouterConfig config);
@@ -99,11 +71,11 @@ class ShardRouter {
   ShardRouter(const ShardRouter&) = delete;
   ShardRouter& operator=(const ShardRouter&) = delete;
 
-  /// Starts every non-disabled shard (store recovery + first epoch) and
-  /// settles the cache epoch tag. Without `allow_degraded_start`, the
-  /// first failure stops what already started and returns the error;
-  /// with it, failed shards stay down and the router serves degraded.
-  /// Fails either way when nothing came up.
+  /// Starts every shard (store recovery + first epoch), raises shard 0's
+  /// guest-id allocator past every shard's (guest ids are allocated on
+  /// shard 0 but hash to any shard, so each shard's WAL saw only its
+  /// own), and settles the cache epoch tag. The first failure stops
+  /// what already started and returns the error.
   [[nodiscard]] Status start();
 
   /// Stops all shards (idempotent).
@@ -114,8 +86,7 @@ class ShardRouter {
   [[nodiscard]] Shard& shard(std::size_t id) noexcept { return *shards_[id]; }
   [[nodiscard]] const Shard& shard(std::size_t id) const noexcept { return *shards_[id]; }
 
-  /// The shard an event routes to (hash of the user, or the first
-  /// region containing the position — see the header comment).
+  /// The shard an event routes to (hash of the user).
   [[nodiscard]] std::size_t owner_of(const ingest::IngestEvent& event) const noexcept;
 
   /// Partitions the batch by owning shard and submits each slice;
@@ -148,9 +119,6 @@ class ShardRouter {
   [[nodiscard]] bool wait_for_live(std::size_t live_checkins,
                                    std::chrono::milliseconds timeout) const;
 
-  /// Checkpoints every live shard; first error wins (all are attempted).
-  [[nodiscard]] Status checkpoint_all(std::chrono::milliseconds timeout);
-
   /// Accounts one degraded read (crowdweb_shard_degraded_reads_total).
   void note_degraded_read() const noexcept;
 
@@ -163,9 +131,6 @@ class ShardRouter {
  private:
   ShardRouter() = default;
 
-  /// Hash- or region-assignment of a base user (first check-in wins).
-  [[nodiscard]] std::size_t assign_user(data::UserId user,
-                                        const geo::LatLon& first_position) const noexcept;
   void init_metrics();
   /// Sets the cache key and tag from one epoch_vector() read.
   void rekey_cache();
@@ -175,7 +140,6 @@ class ShardRouter {
   const core::Platform* platform_ = nullptr;
   ShardRouterConfig config_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::vector<bool> disabled_;
   http::ResponseCache* cache_ = nullptr;
 
   telemetry::Registry* metrics_ = nullptr;

@@ -4,18 +4,14 @@
 
 namespace crowdweb::shard {
 
-Shard::Shard(ShardSpec spec, const data::Dataset& base,
-             const patterns::MobilityTable& mobility, const data::Taxonomy& taxonomy,
-             ingest::IngestPipelineConfig pipeline, ingest::IngestWorkerConfig config)
-    : spec_(std::move(spec)),
-      worker_(std::make_unique<ingest::IngestWorker>(base, mobility, taxonomy,
+Shard::Shard(const data::Dataset& base, const patterns::MobilityTable& mobility,
+             const data::Taxonomy& taxonomy, ingest::IngestPipelineConfig pipeline,
+             ingest::IngestWorkerConfig config)
+    : worker_(std::make_unique<ingest::IngestWorker>(base, mobility, taxonomy,
                                                      std::move(pipeline),
                                                      std::move(config))) {}
 
-Status Shard::start() {
-  start_status_ = worker_->start();
-  return start_status_;
-}
+Status Shard::start() { return worker_->start(); }
 
 void Shard::stop() { worker_->stop(); }
 

@@ -1,7 +1,7 @@
-// One region shard: the unit of horizontal partitioning.
+// One hash shard: the unit of horizontal partitioning.
 //
 // A Shard bundles everything that used to be process-global state —
-// its slice of the corpus, a durable store directory (WAL +
+// its user-hash slice of the corpus, a durable store directory (WAL +
 // checkpoints), an ingest queue with its IngestWorker, and the epoch
 // SnapshotHub the worker publishes through — behind one lifecycle.
 // The ShardRouter owns N of these, routes writes to the owning shard,
@@ -15,12 +15,8 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
-#include <string>
-#include <vector>
 
 #include "data/dataset.hpp"
-#include "geo/point.hpp"
 #include "ingest/snapshot.hpp"
 #include "ingest/worker.hpp"
 #include "patterns/mobility.hpp"
@@ -28,20 +24,11 @@
 
 namespace crowdweb::shard {
 
-/// Static identity of one shard in the deployment layout.
-struct ShardSpec {
-  std::size_t id = 0;
-  std::string name;  ///< region name, or "hash-<id>" in hash mode
-  /// Region mode: events whose position falls in this box route here.
-  /// Unset = the shard owns a hash slice of the user space.
-  std::optional<geo::BoundingBox> region;
-};
-
 /// A started shard runs its own IngestWorker (queue -> validate ->
 /// delta merge -> epoch publish) over its slice of the corpus, with an
-/// optional durable store directory underneath. A shard that failed to
-/// start — or was deliberately left down — stays constructed: the
-/// router keeps routing around it and serves degraded reads.
+/// optional durable store directory underneath. A stopped shard stays
+/// constructed: the router keeps routing around it and serves degraded
+/// reads.
 class Shard {
  public:
   /// `base` seeds the shard's live corpus with its slice of the batch
@@ -49,13 +36,12 @@ class Shard {
   /// aligned across shards); `mobility` is the matching slice of the
   /// batch phase-2 output, whose entries the shard's worker shares.
   /// `taxonomy` must outlive the shard.
-  Shard(ShardSpec spec, const data::Dataset& base, const patterns::MobilityTable& mobility,
+  Shard(const data::Dataset& base, const patterns::MobilityTable& mobility,
         const data::Taxonomy& taxonomy, ingest::IngestPipelineConfig pipeline,
         ingest::IngestWorkerConfig config);
 
   /// Runs store recovery (when configured) and publishes the shard's
-  /// first epoch. Failure leaves the shard down, not broken: up() stays
-  /// false and start_status() reports why.
+  /// first epoch. Failure leaves the shard down: up() stays false.
   [[nodiscard]] Status start();
 
   /// Stops the worker (idempotent; safe on a shard that never started).
@@ -63,9 +49,6 @@ class Shard {
 
   /// True between a successful start() and stop().
   [[nodiscard]] bool up() const noexcept { return worker_->running(); }
-
-  /// Outcome of the last start() (OK before any attempt).
-  [[nodiscard]] const Status& start_status() const noexcept { return start_status_; }
 
   /// The latest published epoch snapshot, or null while the shard is
   /// down (a stopped shard's last snapshot is deliberately not served —
@@ -79,14 +62,11 @@ class Shard {
     return up() ? worker_->hub().epoch() : 0;
   }
 
-  [[nodiscard]] const ShardSpec& spec() const noexcept { return spec_; }
   [[nodiscard]] ingest::IngestWorker& worker() noexcept { return *worker_; }
   [[nodiscard]] const ingest::IngestWorker& worker() const noexcept { return *worker_; }
 
  private:
-  ShardSpec spec_;
   std::unique_ptr<ingest::IngestWorker> worker_;
-  Status start_status_;
 };
 
 }  // namespace crowdweb::shard

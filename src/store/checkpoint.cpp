@@ -7,6 +7,18 @@
 
 namespace crowdweb::store {
 
+namespace {
+
+// Encoded row sizes (see encode_checkpoint). A count claiming more rows
+// than the bytes left could hold is refused before anything is sized
+// from it, so a corrupt image cannot drive an unbounded allocation.
+constexpr std::size_t kMinNameBytes = 4;       // length prefix
+constexpr std::size_t kVenueRowBytes = 26;     // id, name, category, lat, lon
+constexpr std::size_t kCheckinRowBytes = 34;   // user, venue, category, lat, lon, time
+constexpr std::size_t kUserRowBytes = 4;
+
+}  // namespace
+
 std::string encode_checkpoint(const Checkpoint& checkpoint) {
   std::string out;
   put_u32(out, kCheckpointMagic);
@@ -81,8 +93,12 @@ Result<Checkpoint> decode_checkpoint(std::string_view bytes, const std::string& 
   reader.read_u32(checkpoint.next_guest_id);
   reader.read_u64(checkpoint.base_checkin_count);
 
+  const auto implausible = [&reader](std::uint64_t count, std::size_t row_bytes) {
+    return count > reader.remaining() / row_bytes;
+  };
+
   std::uint32_t name_count = 0;
-  if (!reader.read_u32(name_count) || name_count > payload.size())
+  if (!reader.read_u32(name_count) || implausible(name_count, kMinNameBytes))
     return parse_error(crowdweb::format("{}: implausible checkpoint name count", path));
   checkpoint.names.resize(name_count);
   for (std::string& name : checkpoint.names) reader.read_bytes(name);
@@ -90,6 +106,8 @@ Result<Checkpoint> decode_checkpoint(std::string_view bytes, const std::string& 
   std::uint32_t venue_count = 0;
   if (!reader.read_u32(venue_count))
     return parse_error(crowdweb::format("{}: truncated checkpoint header", path));
+  if (implausible(venue_count, kVenueRowBytes))
+    return parse_error(crowdweb::format("{}: implausible checkpoint venue count", path));
   checkpoint.venues.resize(venue_count);
   for (data::Venue& venue : checkpoint.venues) {
     reader.read_u32(venue.id);
@@ -105,7 +123,7 @@ Result<Checkpoint> decode_checkpoint(std::string_view bytes, const std::string& 
   }
 
   std::uint64_t checkin_count = 0;
-  if (!reader.read_u64(checkin_count) || checkin_count > payload.size()) {
+  if (!reader.read_u64(checkin_count) || implausible(checkin_count, kCheckinRowBytes)) {
     return parse_error(
         crowdweb::format("{}: implausible checkpoint check-in count", path));
   }
@@ -122,6 +140,8 @@ Result<Checkpoint> decode_checkpoint(std::string_view bytes, const std::string& 
   std::uint32_t touched_count = 0;
   if (!reader.read_u32(touched_count))
     return parse_error(crowdweb::format("{}: truncated checkpoint user list", path));
+  if (implausible(touched_count, kUserRowBytes))
+    return parse_error(crowdweb::format("{}: implausible checkpoint user count", path));
   checkpoint.touched_users.resize(touched_count);
   for (data::UserId& user : checkpoint.touched_users) reader.read_u32(user);
 

@@ -96,8 +96,7 @@ void DurableStore::init_metrics() {
   append_seconds_ = &metrics_->histogram(
       "crowdweb_store_append_duration_seconds",
       "Wall time to journal one epoch's record (encode + write + fsync when due).",
-      config_.append_buckets.empty() ? telemetry::default_latency_buckets()
-                                     : config_.append_buckets);
+      telemetry::default_latency_buckets());
   checkpoint_seconds_ = &metrics_->histogram(
       "crowdweb_store_checkpoint_duration_seconds",
       "Wall time to encode, write, and prune for one checkpoint.",

@@ -59,9 +59,6 @@ struct StoreConfig {
   /// Registry for the crowdweb_store_* families. Null = private
   /// registry (stats() still works). Must outlive the store.
   telemetry::Registry* metrics = nullptr;
-  /// Upper bounds (seconds) of the append-latency histogram; empty =
-  /// telemetry::default_latency_buckets().
-  std::vector<double> append_buckets;
 };
 
 /// What open() reconstructed from disk, for the worker to adopt.

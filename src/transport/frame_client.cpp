@@ -5,7 +5,6 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -107,23 +106,6 @@ Status FrameClient::connect_tcp(const std::string& host, std::uint16_t port) {
   }
   const int enable = 1;
   ::setsockopt(impl_->fd, IPPROTO_TCP, TCP_NODELAY, &enable, sizeof(enable));
-  return Status::ok();
-}
-
-Status FrameClient::connect_uds(const std::string& path) {
-  close();
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  if (path.size() >= sizeof(addr.sun_path)) return invalid_argument("uds path too long");
-  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-  impl_->fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (impl_->fd < 0) return io_error("cannot create uds socket");
-  if (::connect(impl_->fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
-    const Status status = io_error(
-        crowdweb::format("cannot connect to {}: {}", path, std::strerror(errno)));
-    impl_->close();
-    return status;
-  }
   return Status::ok();
 }
 

@@ -27,7 +27,6 @@ class FrameClient {
   FrameClient& operator=(const FrameClient&) = delete;
 
   [[nodiscard]] Status connect_tcp(const std::string& host, std::uint16_t port);
-  [[nodiscard]] Status connect_uds(const std::string& path);
   void close();
   [[nodiscard]] bool connected() const noexcept;
 

@@ -6,7 +6,6 @@
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -25,6 +24,8 @@ namespace crowdweb::transport {
 namespace {
 
 constexpr std::size_t kReadChunkBytes = 64 * 1024;
+/// The listener's label on the crowdweb_transport_* families.
+constexpr const char* kSourceName = "tcp";
 
 void close_fd(int& fd) {
   if (fd >= 0) ::close(fd);
@@ -36,7 +37,6 @@ void close_fd(int& fd) {
 struct FrameServer::Impl {
   IngestPipeline& pipeline;
   FrameServerConfig config;
-  std::string source_name;  // "tcp" or "uds"
 
   int listen_fd = -1;
   int epoll_fd = -1;
@@ -69,7 +69,7 @@ struct FrameServer::Impl {
         &config.metrics
              ->gauge_family("crowdweb_transport_connections",
                             "Open producer sockets on a frame listener.", {"source"})
-             .with_labels({source_name});
+             .with_labels({kSourceName});
   }
 
   void set_connection_count(std::size_t n) {
@@ -78,43 +78,26 @@ struct FrameServer::Impl {
   }
 
   Status bind_listener() {
-    if (!config.uds_path.empty()) {
-      sockaddr_un addr{};
-      addr.sun_family = AF_UNIX;
-      if (config.uds_path.size() >= sizeof(addr.sun_path))
-        return invalid_argument("uds path too long");
-      std::memcpy(addr.sun_path, config.uds_path.c_str(), config.uds_path.size() + 1);
-      ::unlink(config.uds_path.c_str());
-      listen_fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-      if (listen_fd < 0) return io_error("cannot create uds socket");
-      if (::bind(listen_fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
-        close_fd(listen_fd);
-        return io_error(crowdweb::format("cannot bind uds socket {}: {}",
-                                         config.uds_path, std::strerror(errno)));
-      }
-    } else {
-      listen_fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-      if (listen_fd < 0) return io_error("cannot create tcp socket");
-      const int enable = 1;
-      ::setsockopt(listen_fd, SOL_SOCKET, SO_REUSEADDR, &enable, sizeof(enable));
-      sockaddr_in addr{};
-      addr.sin_family = AF_INET;
-      addr.sin_port = htons(config.port);
-      if (::inet_pton(AF_INET, config.address.c_str(), &addr.sin_addr) != 1) {
-        close_fd(listen_fd);
-        return invalid_argument(
-            crowdweb::format("bad listen address {}", config.address));
-      }
-      if (::bind(listen_fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
-        close_fd(listen_fd);
-        return io_error(crowdweb::format("cannot bind {}:{}: {}", config.address,
-                                         config.port, std::strerror(errno)));
-      }
-      sockaddr_in bound{};
-      socklen_t len = sizeof(bound);
-      if (::getsockname(listen_fd, reinterpret_cast<sockaddr*>(&bound), &len) == 0)
-        bound_port = ntohs(bound.sin_port);
+    listen_fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
+    if (listen_fd < 0) return io_error("cannot create tcp socket");
+    const int enable = 1;
+    ::setsockopt(listen_fd, SOL_SOCKET, SO_REUSEADDR, &enable, sizeof(enable));
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(config.port);
+    if (::inet_pton(AF_INET, config.address.c_str(), &addr.sin_addr) != 1) {
+      close_fd(listen_fd);
+      return invalid_argument(crowdweb::format("bad listen address {}", config.address));
     }
+    if (::bind(listen_fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
+      close_fd(listen_fd);
+      return io_error(crowdweb::format("cannot bind {}:{}: {}", config.address,
+                                       config.port, std::strerror(errno)));
+    }
+    sockaddr_in bound{};
+    socklen_t len = sizeof(bound);
+    if (::getsockname(listen_fd, reinterpret_cast<sockaddr*>(&bound), &len) == 0)
+      bound_port = ntohs(bound.sin_port);
     if (::listen(listen_fd, 128) != 0) {
       close_fd(listen_fd);
       return io_error(crowdweb::format("cannot listen: {}", std::strerror(errno)));
@@ -149,10 +132,8 @@ struct FrameServer::Impl {
         if (errno == EINTR) continue;
         return;  // EAGAIN or transient accept failure
       }
-      if (config.uds_path.empty()) {
-        const int enable = 1;
-        ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &enable, sizeof(enable));
-      }
+      const int enable = 1;
+      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &enable, sizeof(enable));
       epoll_event event{};
       event.events = EPOLLIN;
       event.data.fd = fd;
@@ -202,8 +183,8 @@ struct FrameServer::Impl {
       if (decoded.state == FrameState::kNeedMore) break;
       if (decoded.state == FrameState::kError) {
         counters.decode_errors.fetch_add(1, std::memory_order_relaxed);
-        pipeline.note_decode_error(source_name);
-        log_warn("{} producer sent a bad frame, closing: {}", source_name,
+        pipeline.note_decode_error(kSourceName);
+        log_warn("{} producer sent a bad frame, closing: {}", kSourceName,
                  decoded.error);
         return false;
       }
@@ -212,7 +193,7 @@ struct FrameServer::Impl {
       counters.frames.fetch_add(1, std::memory_order_relaxed);
       counters.events.fetch_add(decoded.frame.events.size(), std::memory_order_relaxed);
       const PipelineOutcome outcome =
-          pipeline.submit(decoded.frame.events, source_name);
+          pipeline.submit(decoded.frame.events, kSourceName);
       counters.accepted.fetch_add(outcome.accepted, std::memory_order_relaxed);
       counters.rejected.fetch_add(outcome.rejected, std::memory_order_relaxed);
       counters.spooled.fetch_add(outcome.spooled, std::memory_order_relaxed);
@@ -271,7 +252,7 @@ struct FrameServer::Impl {
       const int ready = ::epoll_wait(epoll_fd, events, kMaxEvents, timeout_ms);
       if (ready < 0) {
         if (errno == EINTR) continue;
-        log_error("{} listener epoll_wait failed: {}", source_name,
+        log_error("{} listener epoll_wait failed: {}", kSourceName,
                   std::strerror(errno));
         break;
       }
@@ -322,10 +303,7 @@ struct FrameServer::Impl {
     stop_requested.store(false);
     loop_thread = std::thread([this] { loop(); });
     running.store(true);
-    if (config.uds_path.empty())
-      log_info("frame listener on {}:{}", config.address, bound_port);
-    else
-      log_info("frame listener on {}", config.uds_path);
+    log_info("frame listener on {}:{}", config.address, bound_port);
     return Status::ok();
   }
 
@@ -340,7 +318,6 @@ struct FrameServer::Impl {
     close_fd(listen_fd);
     close_fd(epoll_fd);
     close_fd(wake_fd);
-    if (!config.uds_path.empty()) ::unlink(config.uds_path.c_str());
     running.store(false);
   }
 };
@@ -348,13 +325,12 @@ struct FrameServer::Impl {
 FrameServer::FrameServer(IngestPipeline& pipeline, FrameServerConfig config)
     : impl_(std::make_unique<Impl>(pipeline)) {
   impl_->config = std::move(config);
-  impl_->source_name = impl_->config.uds_path.empty() ? "tcp" : "uds";
   impl_->init_metrics();
 }
 
 FrameServer::~FrameServer() { stop(); }
 
-std::string_view FrameServer::name() const noexcept { return impl_->source_name; }
+std::string_view FrameServer::name() const noexcept { return kSourceName; }
 
 Status FrameServer::start() { return impl_->start(); }
 

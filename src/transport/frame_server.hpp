@@ -1,11 +1,11 @@
 // Framed binary listener: the high-throughput ingest edge.
 //
-// Producers connect over TCP (or a Unix-domain socket), stream
-// length-prefixed checksummed data frames (frame.hpp), and receive one
-// ack frame per data frame echoing its sequence number with the
-// accepted/rejected/spooled/invalid split. One epoll loop thread owns
-// every producer socket: reads, decodes, submits through the
-// IngestPipeline inline (queue push is O(batch)), and writes acks.
+// Producers connect over TCP, stream length-prefixed checksummed data
+// frames (frame.hpp), and receive one ack frame per data frame echoing
+// its sequence number with the accepted/rejected/spooled/invalid split.
+// One epoll loop thread owns every producer socket: reads, decodes,
+// submits through the IngestPipeline inline (queue push is O(batch)),
+// and writes acks.
 // A malformed frame is unrecoverable mid-stream (no resync marker), so
 // the connection is counted and closed. Idle producers are reaped by
 // the same idle-timeout sweep the HTTP server uses.
@@ -25,13 +25,10 @@
 namespace crowdweb::transport {
 
 struct FrameServerConfig {
-  /// TCP listen address; ignored when `uds_path` is set.
+  /// TCP listen address.
   std::string address = "127.0.0.1";
   /// TCP port; 0 binds an ephemeral port (read it back via port()).
   std::uint16_t port = 0;
-  /// Non-empty switches the listener to a Unix-domain socket at this
-  /// path (unlinked and re-bound on start).
-  std::string uds_path;
   /// Close producer sockets with no traffic for this long; zero
   /// disables the sweep.
   std::chrono::milliseconds idle_timeout{60'000};
@@ -56,7 +53,7 @@ class FrameServer final : public IngestSource {
   [[nodiscard]] bool running() const noexcept override;
   [[nodiscard]] SourceStats stats() const noexcept override;
 
-  /// The bound TCP port (after start); 0 for UDS listeners.
+  /// The bound TCP port (after start).
   [[nodiscard]] std::uint16_t port() const noexcept;
 
   /// Producer sockets currently open (racy snapshot).

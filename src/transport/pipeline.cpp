@@ -6,6 +6,7 @@
 #include <thread>
 #include <vector>
 
+#include "transport/source.hpp"
 #include "util/log.hpp"
 
 namespace crowdweb::transport {
@@ -208,10 +209,6 @@ void IngestPipeline::note_decode_error(std::string_view source) {
 }
 
 Spool* IngestPipeline::spool() noexcept { return impl_->spool.get(); }
-
-IngestSource* IngestPipeline::spool_source() noexcept {
-  return impl_->drain_source.get();
-}
 
 bool IngestPipeline::wait_until_drained(std::chrono::milliseconds timeout) {
   if (impl_->spool == nullptr) return true;

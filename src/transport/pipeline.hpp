@@ -1,6 +1,6 @@
 // IngestPipeline: the single funnel every transport submits through.
 //
-// A source (HTTP CSV route, framed TCP/UDS listener, replay sink) hands
+// A source (HTTP CSV route, framed TCP listener, replay sink) hands
 // batches to submit(); the pipeline pushes them into the deployment's
 // queue via the SubmitFn, and — when a spool is configured — absorbs
 // the rejected suffix onto disk instead of bouncing it back to the
@@ -27,7 +27,6 @@
 #include "ingest/event.hpp"
 #include "ingest/worker.hpp"
 #include "telemetry/metrics.hpp"
-#include "transport/source.hpp"
 #include "transport/spool.hpp"
 #include "util/status.hpp"
 
@@ -88,9 +87,6 @@ class IngestPipeline {
 
   /// The spool, or null when not configured.
   [[nodiscard]] Spool* spool() noexcept;
-
-  /// The drain source ("spool"), or null when no spool is configured.
-  [[nodiscard]] IngestSource* spool_source() noexcept;
 
   /// Blocks until the spool is empty and fully drained (true) or the
   /// timeout expires. True immediately without a spool.

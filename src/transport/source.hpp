@@ -1,7 +1,7 @@
 // The pluggable ingest-source interface.
 //
 // Every way check-ins enter the system — the HTTP CSV route, the framed
-// binary TCP/UDS listener, the disk spool drainer — implements
+// binary TCP listener, the disk spool drainer — implements
 // IngestSource and submits through one IngestPipeline (pipeline.hpp),
 // so backpressure, spill-to-spool, and the crowdweb_transport_*
 // accounting behave identically no matter how rows arrive. Mirrors the
@@ -33,7 +33,7 @@ class IngestSource {
  public:
   virtual ~IngestSource() = default;
 
-  /// Stable label ("http_csv", "tcp", "uds", "spool") used for metric
+  /// Stable label ("http_csv", "tcp", "spool") used for metric
   /// series and logs.
   [[nodiscard]] virtual std::string_view name() const noexcept = 0;
 

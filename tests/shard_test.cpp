@@ -73,18 +73,11 @@ const core::Platform& test_platform() {
   return *platform;
 }
 
-/// The pipeline every shard runs — and the single-worker baseline must
-/// run the *same* one (grid pinned to the full corpus bounds) for
-/// byte-level comparisons to be meaningful.
+/// The pipeline every shard runs, which the single-worker baseline
+/// runs too (grid pinned to the experiment box).
 ingest::IngestPipelineConfig pinned_pipeline() {
-  const core::Platform& platform = test_platform();
-  ingest::IngestPipelineConfig pipeline;
-  pipeline.grid_cell_meters = platform.config().grid_cell_meters;
-  pipeline.crowd = platform.config().crowd;
-  pipeline.sequences = platform.config().sequences;
-  pipeline.mining = platform.config().mining;
+  ingest::IngestPipelineConfig pipeline = core::ingest_pipeline_config(test_platform());
   pipeline.mining_threads = 1;
-  pipeline.fixed_grid_bounds = platform.experiment_dataset().bounds();
   return pipeline;
 }
 
@@ -273,22 +266,36 @@ TEST(ShardRouter, HashLayoutPartitionsAllUsers) {
   (*router)->stop();
 }
 
-TEST(ShardRouter, RegionRoutingFallsBackToHash) {
-  shard::ShardRouterConfig config = router_config(2);
-  config.regions = {{"south", {40.0, 40.5, -75.0, -73.0}},
-                    {"north", {40.5, 41.0, -75.0, -73.0}}};
-  auto router = shard::ShardRouter::create(test_platform(), std::move(config));
-  ASSERT_TRUE(router.is_ok()) << router.status().to_string();
-  ingest::IngestEvent south;
-  south.user = 7;
-  south.position = {40.2, -74.0};
-  ingest::IngestEvent north = south;
-  north.position = {40.8, -74.0};
-  ingest::IngestEvent outside = south;
-  outside.position = {10.0, 10.0};
-  EXPECT_EQ((*router)->owner_of(south), 0u);
-  EXPECT_EQ((*router)->owner_of(north), 1u);
-  EXPECT_EQ((*router)->owner_of(outside), shard::shard_of_user(7, 2));
+TEST(ShardRouter, GuestIdsStayFreshAcrossARestartWhenTheLastGuestHashesAway) {
+  // Shard 0 allocates every guest id, but a guest's events hash to any
+  // shard, so shard 0's own WAL may never see the last id it handed
+  // out. start() must raise its allocator past every shard's.
+  ScratchDir dir("guest_ids");
+  shard::ShardRouterConfig config = router_config(4);
+  config.worker.store.dir = dir.str();
+  data::UserId last_guest = 0;
+  {
+    auto before = shard::ShardRouter::create(test_platform(), config);
+    ASSERT_TRUE(before.is_ok()) << before.status().to_string();
+    ASSERT_TRUE((*before)->start().is_ok());
+    do {
+      last_guest = (*before)->shard(0).worker().allocate_guest_id();
+    } while (shard::shard_of_user(last_guest, 4) == 0);
+    const data::Venue& venue = test_platform().experiment_dataset().venues()[0];
+    ingest::IngestEvent event;
+    event.user = last_guest;
+    event.category = venue.category;
+    event.position = venue.position;
+    event.timestamp = 1'334'000'000;
+    feed_and_settle(**before, {&event, 1}, 1);
+    (*before)->stop();
+  }
+
+  auto after = shard::ShardRouter::create(test_platform(), config);
+  ASSERT_TRUE(after.is_ok()) << after.status().to_string();
+  ASSERT_TRUE((*after)->start().is_ok());
+  EXPECT_GT((*after)->shard(0).worker().allocate_guest_id(), last_guest);
+  (*after)->stop();
 }
 
 // ------------------------------------------------- N-vs-1 equivalence
@@ -374,6 +381,55 @@ TEST(ShardEquivalence, FourShardsMatchSingleWorkerAcrossInterleavedIngest) {
   router.stop();
 }
 
+TEST(ShardEquivalence, OutOfBoxEventRendersTheSameCellsAtOneWorkerAndFourShards) {
+  // One event north of the experiment box. Every worker's grid is fixed
+  // at its seed, so it clamps to an edge cell at every shard count
+  // instead of growing one deployment's grid. The user hashes to shard
+  // 0: the live venue the event mints is shard-local, and labels read
+  // shard 0's corpus.
+  const core::Platform& platform = test_platform();
+  auto single = core::make_ingest_worker(platform, worker_config());
+  ASSERT_TRUE(single->start().is_ok());
+  auto router_result = shard::ShardRouter::create(platform, router_config(4));
+  ASSERT_TRUE(router_result.is_ok()) << router_result.status().to_string();
+  shard::ShardRouter& router = **router_result;
+  ASSERT_TRUE(router.start().is_ok());
+
+  const data::Dataset& experiment = platform.experiment_dataset();
+  const auto users = experiment.users();
+  const auto user = std::find_if(users.begin(), users.end(), [](data::UserId id) {
+    return shard::shard_of_user(id, 4) == 0;
+  });
+  ASSERT_NE(user, users.end());
+  const geo::BoundingBox box = experiment.bounds();
+  ingest::IngestEvent event;
+  event.user = *user;
+  event.category = experiment.venues()[0].category;
+  event.position = {box.max_lat + 0.05, (box.min_lon + box.max_lon) / 2.0};
+  event.timestamp = 1'334'000'000;
+  feed_and_settle(*single, {&event, 1}, 1);
+  feed_and_settle(router, {&event, 1}, 1);
+
+  core::ApiOptions single_options;
+  single_options.ingest = single.get();
+  const http::Router single_api = core::make_api_router(platform, single_options);
+  const http::Router shard_api = shard::make_shard_api_router(router);
+  const auto grid_of = [](const http::Router& api) {
+    const auto status = json::parse(body_of(api, "/api/status"));
+    EXPECT_TRUE(status.is_ok());
+    return status.is_ok() ? json::dump(*status->find("grid")) : std::string();
+  };
+  EXPECT_EQ(grid_of(shard_api), grid_of(single_api));
+  EXPECT_EQ(router.merged()->grid->rows(), platform.grid().rows());
+  for (int w = 0; w < platform.crowd_model().window_count(); ++w) {
+    const std::string path = crowdweb::format("/api/crowd/{}", w);
+    EXPECT_EQ(body_of(shard_api, path), body_of(single_api, path)) << path;
+  }
+
+  single->stop();
+  router.stop();
+}
+
 TEST(ShardEquivalence, SurvivesKillAndRestartOfStore) {
   const core::Platform& platform = test_platform();
   ScratchDir dir("restart");
@@ -422,12 +478,12 @@ TEST(ShardDegraded, DownShardYields200WithMarkerAndCounter) {
   telemetry::Registry metrics;
   shard::ShardRouterConfig config = router_config(4);
   config.metrics = &metrics;
-  config.disabled_shards = {2};
 
   auto router_result = shard::ShardRouter::create(test_platform(), std::move(config));
   ASSERT_TRUE(router_result.is_ok()) << router_result.status().to_string();
   shard::ShardRouter& router = **router_result;
   ASSERT_TRUE(router.start().is_ok());
+  router.shard(2).stop();  // the shard crashes
   EXPECT_EQ(router.up_count(), 3u);
 
   shard::ShardApiOptions options;

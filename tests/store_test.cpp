@@ -22,6 +22,7 @@
 #include "json/json.hpp"
 #include "store/checkpoint.hpp"
 #include "store/crc32.hpp"
+#include "store/format.hpp"
 #include "store/store.hpp"
 #include "store/wal.hpp"
 #include "util/log.hpp"
@@ -299,6 +300,41 @@ TEST(CheckpointTest, TruncationAndTrailingGarbageAreDetected) {
 }
 
 // ---------------------------------------------------- data::write_file
+
+TEST(CheckpointTest, ImplausibleCountsAreRefusedWithoutAllocating) {
+  // Each count field in turn claims far more rows than the image holds.
+  // The image is re-signed, so the checksum passes and only the count
+  // plausibility check stands between the decoder and a multi-gigabyte
+  // resize.
+  const store::Checkpoint sample = sample_checkpoint();
+  const std::string bytes = store::encode_checkpoint(sample);
+  const std::size_t name_offset = 44;  // after the fixed header fields
+  std::size_t venue_offset = name_offset + 4;
+  for (const std::string& name : sample.names) venue_offset += 4 + name.size();
+  const std::size_t checkin_offset = venue_offset + 4 + 26 * sample.venues.size();
+  const std::size_t user_offset = checkin_offset + 8 + 34 * sample.checkins.size();
+
+  const auto resigned = [&bytes](std::size_t offset, std::size_t width) {
+    std::string image = bytes;
+    for (std::size_t i = 0; i < width; ++i) image[offset + i] = '\xFF';
+    std::string payload = image.substr(0, image.size() - 4);
+    store::put_u32(payload, store::crc32(payload));
+    return payload;
+  };
+  const struct {
+    const char* field;
+    std::size_t offset;
+    std::size_t width;
+  } counts[] = {{"names", name_offset, 4},
+                {"venues", venue_offset, 4},
+                {"check-ins", checkin_offset, 8},
+                {"touched users", user_offset, 4}};
+  for (const auto& count : counts) {
+    const auto decoded = store::decode_checkpoint(resigned(count.offset, count.width), "f");
+    ASSERT_FALSE(decoded.is_ok()) << count.field;
+    EXPECT_EQ(decoded.status().code(), StatusCode::kParseError) << count.field;
+  }
+}
 
 TEST(AtomicWriteFileTest, ReplacesContentWithoutLeavingTempFiles) {
   ScratchDir dir("write_file");
@@ -802,6 +838,29 @@ TEST(StoreWorkerTest, StopJournalsAcceptedButUnpublishedEvents) {
   const ingest::SnapshotPtr after = restarted->hub().current();
   EXPECT_EQ(after->live_checkins, events.size());
   EXPECT_EQ(corpus_image(after), before);
+  restarted->stop();
+}
+
+TEST(StoreWorkerTest, GuestIdsStayFreshAcrossARestartWithoutACheckpoint) {
+  // Only a checkpoint records the guest allocator, and most restarts
+  // recover from the WAL alone. Replay must still skip every guest id
+  // it sees, or an anonymous submission after the restart is merged
+  // into an earlier visitor's history.
+  ScratchDir dir("guest_ids");
+  auto first = core::make_ingest_worker(test_platform(), worker_config(dir.str()));
+  ASSERT_TRUE(first->start().is_ok());
+  const data::UserId guest = first->allocate_guest_id();
+  const ingest::IngestEvent event = make_event(guest, 1'334'000'000);
+  ASSERT_EQ(first->submit({&event, 1}).accepted, 1u);
+  feed_and_settle(*first, 1);
+  first->stop();
+  ASSERT_EQ(first->store()->stats().checkpoints, 0u);
+
+  auto restarted = core::make_ingest_worker(test_platform(), worker_config(dir.str()));
+  ASSERT_TRUE(restarted->start().is_ok());
+  const data::UserId fresh = restarted->allocate_guest_id();
+  EXPECT_GT(fresh, guest);
+  EXPECT_TRUE(restarted->hub().current()->dataset.checkins_for(fresh).empty());
   restarted->stop();
 }
 
