@@ -75,13 +75,6 @@ ReplaySink worker_sink(IngestWorker& worker) {
   };
 }
 
-ReplaySink queue_sink(IngestQueue& queue) {
-  return [&queue](std::span<const IngestEvent> events) -> Result<SinkReport> {
-    const std::size_t accepted = queue.push_batch(events);
-    return SinkReport{accepted, events.size() - accepted};
-  };
-}
-
 std::string events_csv(std::span<const IngestEvent> events,
                        const data::Taxonomy& taxonomy) {
   std::vector<data::CsvRow> rows;

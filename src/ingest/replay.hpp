@@ -16,7 +16,6 @@
 
 #include "data/checkin.hpp"
 #include "data/dataset.hpp"
-#include "ingest/queue.hpp"
 #include "ingest/worker.hpp"
 #include "util/status.hpp"
 
@@ -64,9 +63,6 @@ using ReplaySink = std::function<Result<SinkReport>(std::span<const IngestEvent>
 
 /// Sink submitting into a worker's queue with backpressure accounting.
 [[nodiscard]] ReplaySink worker_sink(IngestWorker& worker);
-
-/// Sink pushing into a raw queue (for queue-level tests).
-[[nodiscard]] ReplaySink queue_sink(IngestQueue& queue);
 
 /// Sink POSTing CSV batches to `/api/ingest` on a running server. The
 /// taxonomy must outlive the sink (category ids become names).

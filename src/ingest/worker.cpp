@@ -37,6 +37,28 @@ std::uint64_t venue_key(data::CategoryId category, const geo::LatLon& position) 
   return (static_cast<std::uint64_t>(category) << 43) | (lat << 22) | lon;
 }
 
+/// The rule every check-in passes to join the live corpus, whether a
+/// live or WAL event (merge_event) or a checkpoint row (adopt_checkpoint).
+bool admissible(const data::Taxonomy& taxonomy, data::CategoryId category,
+                const geo::LatLon& position, std::int64_t timestamp) {
+  return category < taxonomy.size() && geo::is_valid(position) && timestamp > 0;
+}
+
+/// Feeds a delta to `builder` (the epoch merge and the checkpoint image
+/// share it).
+Status add_rows(data::DatasetBuilder& builder, std::span<const data::Venue> venues,
+                std::span<const data::CheckIn> checkins) {
+  for (const data::Venue& venue : venues) {
+    const Status status = builder.add_venue(venue);
+    if (!status.is_ok()) return status;
+  }
+  for (const data::CheckIn& checkin : checkins) {
+    const Status status = builder.add_checkin(checkin);
+    if (!status.is_ok()) return status;
+  }
+  return Status::ok();
+}
+
 }  // namespace
 
 IngestWorker::IngestWorker(const data::Dataset& base,
@@ -49,20 +71,19 @@ IngestWorker::IngestWorker(const data::Dataset& base,
       queue_(config.queue_capacity) {
   init_metrics();
   if (!pipeline_.fixed_grid_bounds) pipeline_.fixed_grid_bounds = base.bounds();
-  pool_ = base.name_pool() != nullptr ? base.name_pool()
-                                      : std::make_shared<data::StringPool>();
-  venues_.assign(base.venues().begin(), base.venues().end());
-  checkins_.assign(base.checkins().begin(), base.checkins().end());
-  live_ = base;  // shares the base's shards and venue table
-  if (base.name_pool() == nullptr) {
-    // A default-constructed base has no pool; rebuild the (empty) live
-    // dataset around the worker's so every epoch interns into one pool.
-    live_ = data::DatasetBuilder(pool_).build();
-  }
+  // Shares the base's shards and venue table. A default-constructed
+  // base has no pool; an empty build gives the live dataset one, so
+  // every epoch interns into one pool.
+  live_ = base.name_pool() != nullptr ? base : data::DatasetBuilder().build();
   mobility_ = base_mobility;  // shares every entry
-  base_checkin_count_ = checkins_.size();
-  venue_index_.reserve(venues_.size());
-  for (const data::Venue& venue : venues_)
+  base_checkin_count_ = live_.checkin_count();
+  index_venues();
+}
+
+void IngestWorker::index_venues() {
+  venue_index_.clear();
+  venue_index_.reserve(live_.venue_count());
+  for (const data::Venue& venue : live_.venues())
     venue_index_.emplace(venue_key(venue.category, venue.position), venue.id);
 }
 
@@ -230,27 +251,8 @@ Status IngestWorker::recover_from_store() {
 
   store::RecoveredState recovered = store_->take_recovered();
   if (recovered.checkpoint.has_value()) {
-    // The checkpoint replaces the base corpus copies wholesale: it IS
-    // the base corpus plus every delta merged before it was written,
-    // in the original insertion order (which venue resolution depends
-    // on for deterministic ids).
-    store::Checkpoint& checkpoint = *recovered.checkpoint;
-    // Rebuild the interning pool from the checkpoint's names table:
-    // interning in id order into a fresh pool reproduces every NameId
-    // exactly, so the venue rows' name ids resolve unchanged.
-    pool_ = std::make_shared<data::StringPool>();
-    for (const std::string& name : checkpoint.names) pool_->intern(name);
-    venues_ = std::move(checkpoint.venues);
-    checkins_ = std::move(checkpoint.checkins);
-    base_checkin_count_ = checkpoint.base_checkin_count;
-    touched_users_.clear();
-    touched_users_.insert(checkpoint.touched_users.begin(),
-                          checkpoint.touched_users.end());
-    reserve_guest_ids(checkpoint.next_guest_id);
-    venue_index_.clear();
-    venue_index_.reserve(venues_.size());
-    for (const data::Venue& venue : venues_)
-      venue_index_.emplace(venue_key(venue.category, venue.position), venue.id);
+    const Status adopted = adopt_checkpoint(*recovered.checkpoint);
+    if (!adopted.is_ok()) return adopted;
   }
   // Touched users' mobility differs from the base corpus mobility the
   // constructor copied, so every one of them re-mines in the first
@@ -258,10 +260,12 @@ Status IngestWorker::recover_from_store() {
   pending_users_ = touched_users_;
 
   // Replay the WAL tail through the same validate + merge path live
-  // events take. Counters stay untouched — these events were counted
-  // when first accepted; crowdweb_store_recovery_* records the replay.
-  // A checkpoint is written only every so many WAL bytes, so most
-  // restarts see guest ids only here: raise the allocator past each.
+  // events take: into the delta, which the first epoch's merge stage
+  // applies to `live_` like any other. The ingest counters stay
+  // untouched — these events were counted when first accepted;
+  // crowdweb_store_recovery_* records the replay. A checkpoint is
+  // written only every so many WAL bytes, so most restarts see guest
+  // ids only here: raise the allocator past each.
   std::uint64_t replayed_events = 0;
   for (const store::WalRecord& record : recovered.records) {
     for (const IngestEvent& event : record.events) {
@@ -269,11 +273,6 @@ Status IngestWorker::recover_from_store() {
       if (event.user >= kFirstGuestId) reserve_guest_ids(event.user + 1);
     }
   }
-  // The flat corpus was replaced wholesale (checkpoint) and extended
-  // (WAL replay); re-index the live dataset from it through the same
-  // builder the epochs use, so there is exactly one merge path.
-  const Status reindexed = rebuild_live_from_flat();
-  if (!reindexed.is_ok()) return reindexed;
 
   // Resume the epoch counter past everything disk has seen, so the
   // first published epoch after restart is strictly newer than any a
@@ -287,6 +286,40 @@ Status IngestWorker::recover_from_store() {
         recovered.checkpoint ? recovered.checkpoint->seq : 0,
         recovered.records.size(), replayed_events, recovered.truncated_bytes, epoch_);
   }
+  return Status::ok();
+}
+
+Status IngestWorker::adopt_checkpoint(const store::Checkpoint& checkpoint) {
+  // The checkpoint replaces the seed wholesale: it IS the base corpus
+  // plus every delta merged before it was written. Interning its names
+  // table in id order into a fresh pool reproduces every NameId. The
+  // builder orders rows by (user, timestamp, row order), so images in
+  // any row order rebuild the same dataset.
+  auto pool = std::make_shared<data::StringPool>();
+  for (const std::string& name : checkpoint.names) pool->intern(name);
+  data::DatasetBuilder builder(std::move(pool));
+  // A row the live path would refuse never joins the corpus: a category
+  // outside the taxonomy would index past its tables in the crowd build.
+  for (const data::Venue& venue : checkpoint.venues) {
+    if (venue.category >= taxonomy_.size())
+      return parse_error(crowdweb::format(
+          "checkpoint venue {} has category {} outside the taxonomy", venue.id, venue.category));
+    if (Status status = builder.add_venue(venue); !status.is_ok()) return status;
+  }
+  for (std::size_t row = 0; row < checkpoint.checkins.size(); ++row) {
+    const data::CheckIn& c = checkpoint.checkins[row];
+    if (!admissible(taxonomy_, c.category, c.position, c.timestamp))
+      return parse_error(crowdweb::format(
+          "checkpoint check-in row {} (user {}, category {}, timestamp {}) fails the live "
+          "event rule", row, c.user, c.category, c.timestamp));
+    if (Status status = builder.add_checkin(c); !status.is_ok()) return status;
+  }
+  live_ = builder.build();
+  base_checkin_count_ = checkpoint.base_checkin_count;
+  touched_users_.clear();
+  touched_users_.insert(checkpoint.touched_users.begin(), checkpoint.touched_users.end());
+  reserve_guest_ids(checkpoint.next_guest_id);
+  index_venues();
   return Status::ok();
 }
 
@@ -427,34 +460,11 @@ void IngestWorker::journal_barrier() {
   journal_cv_.wait(lock, [this] { return !journal_task_.has_value(); });
 }
 
-Status IngestWorker::rebuild_live_from_flat() {
-  // From-scratch (no base dataset), but against the worker's pool: the
-  // flat venue rows carry NameIds interned there.
-  data::DatasetBuilder builder(pool_);
-  for (const data::Venue& venue : venues_) {
-    const Status status = builder.add_venue(venue);
-    if (!status.is_ok()) return status;
-  }
-  for (const data::CheckIn& checkin : checkins_) {
-    const Status status = builder.add_checkin(checkin);
-    if (!status.is_ok()) return status;
-  }
-  live_ = builder.build();
-  delta_venues_.clear();
-  delta_checkins_.clear();
-  return Status::ok();
-}
-
 bool IngestWorker::merge_event(const IngestEvent& event) {
-  if (event.category >= taxonomy_.size() || !geo::is_valid(event.position) ||
-      event.timestamp <= 0) {
-    return false;
-  }
+  if (!admissible(taxonomy_, event.category, event.position, event.timestamp)) return false;
   const data::VenueId venue = resolve_venue(event.category, event.position);
-  const data::CheckIn checkin{event.user, venue, event.category, event.position,
-                              event.timestamp};
-  checkins_.push_back(checkin);
-  delta_checkins_.push_back(checkin);
+  delta_checkins_.push_back(
+      {event.user, venue, event.category, event.position, event.timestamp});
   pending_users_.insert(event.user);
   touched_users_.insert(event.user);
   return true;
@@ -476,23 +486,32 @@ void IngestWorker::apply(std::span<const IngestEvent> events) {
 }
 
 void IngestWorker::write_checkpoint() {
-  // The image snapshots checkins_, so every event merged into it must
-  // be on the WAL first — otherwise its record would land *after* the
-  // checkpoint and replay as duplicates on recovery. Hand off the
+  // The image holds the pending delta, so every event merged into it
+  // must be on the WAL first — otherwise its record would land *after*
+  // the checkpoint and replay as duplicates on recovery. Hand off the
   // epoch's buffer so far, then wait for it.
   journal_handoff();
   journal_barrier();
+  // The delta joins a scratch copy of the dataset (only its users'
+  // shards are rebuilt); `live_` itself takes it at the next epoch.
+  data::DatasetBuilder builder(live_);
+  Status status = add_rows(builder, delta_venues_, delta_checkins_);
+  if (!status.is_ok()) {
+    log_error("checkpoint failed: {}", status.to_string());
+    return;
+  }
+  const data::Dataset corpus = builder.build();
   store::Checkpoint image;
   image.epoch = epoch_;
   image.next_guest_id = next_guest_id_.load(std::memory_order_relaxed);
   image.base_checkin_count = base_checkin_count_;
-  const data::NamesPtr names = pool_->snapshot();
+  const data::NamesPtr names = corpus.name_pool()->snapshot();
   image.names.reserve(names->size());
   for (const std::string_view name : names->names()) image.names.emplace_back(name);
-  image.venues = venues_;
-  image.checkins = checkins_;
+  image.venues.assign(corpus.venues().begin(), corpus.venues().end());
+  image.checkins.assign(corpus.checkins().begin(), corpus.checkins().end());
   image.touched_users.assign(touched_users_.begin(), touched_users_.end());
-  const Status status = store_->write_checkpoint(std::move(image));
+  status = store_->write_checkpoint(std::move(image));
   if (!status.is_ok()) {
     log_error("checkpoint failed: {}", status.to_string());
     return;
@@ -510,14 +529,13 @@ data::VenueId IngestWorker::resolve_venue(data::CategoryId category,
   const auto it = venue_index_.find(key);
   if (it != venue_index_.end()) return it->second;
   data::Venue venue;
-  venue.id = static_cast<data::VenueId>(venues_.size());
-  venue.name = pool_->intern(crowdweb::format("live-{}", venue.id));
+  venue.id = static_cast<data::VenueId>(live_.venue_count() + delta_venues_.size());
+  venue.name = live_.name_pool()->intern(crowdweb::format("live-{}", venue.id));
   venue.category = category;
   venue.position = position;
   venue_index_.emplace(key, venue.id);
-  venues_.push_back(venue);
-  delta_venues_.push_back(std::move(venue));
-  return venues_.back().id;
+  delta_venues_.push_back(venue);
+  return venue.id;
 }
 
 Status IngestWorker::rebuild_and_publish() {
@@ -533,14 +551,8 @@ Status IngestWorker::rebuild_and_publish() {
   // everything else is shared with the previous epoch by pointer.
   telemetry::ScopedTimer merge_timer(stage_merge_seconds_);
   data::DatasetBuilder builder(live_);
-  for (const data::Venue& venue : delta_venues_) {
-    const Status status = builder.add_venue(venue);
-    if (!status.is_ok()) return status;
-  }
-  for (const data::CheckIn& checkin : delta_checkins_) {
-    const Status status = builder.add_checkin(checkin);
-    if (!status.is_ok()) return status;
-  }
+  const Status merged = add_rows(builder, delta_venues_, delta_checkins_);
+  if (!merged.is_ok()) return merged;
   live_ = builder.build();
   delta_venues_.clear();
   delta_checkins_.clear();
@@ -634,7 +646,7 @@ Status IngestWorker::rebuild_and_publish() {
   // the per-window placements — publishing costs O(users), not
   // O(records).
   auto snapshot = std::make_shared<const PlatformSnapshot>(PlatformSnapshot{
-      epoch_, checkins_.size() - base_checkin_count_, touched_users_.size(),
+      epoch_, live_.checkin_count() - base_checkin_count_, touched_users_.size(),
       elapsed_ms, live_, mobility_, *grid_, *crowd_});
   snapshot_live_.store(snapshot->live_checkins, std::memory_order_relaxed);
   hub_.publish(std::move(snapshot));

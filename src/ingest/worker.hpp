@@ -4,11 +4,13 @@
 // The worker seeds its live corpus from a base dataset and mobility
 // table (the batch build's epoch 0, or a shard's slice of it) by
 // sharing their per-user shards and entries, and owns the only mutable
-// state derived from them after that. It drains
-// the ingest queue in batches, validates events against the taxonomy,
-// resolves each event onto a venue (an existing one at that position, or
-// a freshly registered "live" venue), and appends the resulting check-in
-// to its delta state. On a configurable cadence it rebuilds the derived
+// state derived from them after that. The corpus has one copy: the
+// indexed dataset the last epoch published plus the delta merged since.
+// The worker drains the ingest queue in batches, validates events
+// against the taxonomy, resolves each event onto a venue (an existing
+// one at that position, or a freshly registered "live" venue), and
+// appends the resulting check-in to the delta. On a configurable
+// cadence it applies the delta to the dataset, rebuilds the derived
 // state — phase-2 re-mining *only* for users whose history changed,
 // and the phase-3 crowd model over the merged corpus — and publishes
 // the result as the next immutable epoch through a SnapshotHub. The
@@ -125,10 +127,13 @@ class IngestWorker {
   IngestWorker(const IngestWorker&) = delete;
   IngestWorker& operator=(const IngestWorker&) = delete;
 
-  /// Recovers from the durable store when one is configured (newest
-  /// checkpoint + WAL tail replayed through the merge path), publishes
-  /// the recovered corpus as the first epoch, and spawns the worker
-  /// thread. Without a store, publishes the base corpus as epoch 1.
+  /// Recovers from the durable store when one is configured: the newest
+  /// checkpoint replaces the seed corpus, and the WAL tail is replayed
+  /// into the delta, which the first epoch merges like any live delta.
+  /// Publishes the recovered corpus as the first epoch and spawns the
+  /// worker thread. Without a store, publishes the base corpus as
+  /// epoch 1. Fails, naming the row, on a checkpoint row the live path
+  /// would refuse.
   [[nodiscard]] Status start();
 
   /// Closes the queue, merges what was already accepted into a final
@@ -194,19 +199,20 @@ class IngestWorker {
   /// buffers the accepted subset in `epoch_events_` for the journal.
   /// Worker thread only.
   void apply(std::span<const IngestEvent> events);
-  /// Validates and merges one event (shared by live apply and WAL
-  /// replay). Returns false for invalid events.
+  /// Validates one event and appends it to the delta (shared by live
+  /// apply and WAL replay). Returns false for invalid events.
   bool merge_event(const IngestEvent& event);
-  /// Opens the store, adopts its recovered checkpoint + WAL tail, and
-  /// resumes the epoch counter. Called from start().
+  /// Opens the store, adopts its recovered checkpoint, replays the WAL
+  /// tail into the delta, and resumes the epoch counter. Called from
+  /// start().
   [[nodiscard]] Status recover_from_store();
-  /// Re-indexes `live_` from the flat corpus vectors through the same
-  /// DatasetBuilder merge path epochs use, and empties the delta
-  /// buffers. Used when the flat corpus was replaced wholesale
-  /// (checkpoint adoption + WAL replay).
-  [[nodiscard]] Status rebuild_live_from_flat();
-  /// Snapshots the live corpus into the store as a checkpoint. Worker
-  /// thread only.
+  /// Replaces the seed corpus with a checkpoint image: `live_` is built
+  /// once from its rows. Fails on a row the live path would refuse.
+  [[nodiscard]] Status adopt_checkpoint(const store::Checkpoint& checkpoint);
+  /// Keys every venue of `live_` for resolve_venue().
+  void index_venues();
+  /// Writes `live_` plus the pending delta, in the dataset's (user,
+  /// timestamp) order, to the store as a checkpoint. Worker thread only.
   void write_checkpoint();
   /// Rebuilds derived state and publishes the next epoch. Worker thread
   /// only (also called once from start() before the thread exists).
@@ -220,22 +226,15 @@ class IngestWorker {
   IngestQueue queue_;
   SnapshotHub hub_;
 
-  // Live corpus, owned by the worker thread after start(). The flat
-  // venue/check-in vectors keep the original insertion order — the
-  // order checkpoint images serialize and venue-id resolution depends
-  // on. `live_` is the same corpus in indexed (sharded) form,
-  // maintained incrementally: each epoch applies `delta_venues_` +
-  // `delta_checkins_` through data::DatasetBuilder's incremental path
-  // instead of re-feeding the whole corpus.
-  //
-  // `pool_` interns venue names at this boundary: it starts as the base
-  // corpus's pool (shared — base NameIds stay valid) and every venue a
-  // live event registers interns its generated name here. The pool is
-  // append-only, so ids never move across epochs; checkpoint adoption
-  // replaces it with one rebuilt from the checkpoint's names table.
-  data::StringPoolPtr pool_;
-  std::vector<data::Venue> venues_;
-  std::vector<data::CheckIn> checkins_;
+  // Live corpus, owned by the worker thread after start(): `live_` as
+  // the last epoch published it, plus the delta merged since. Each
+  // epoch applies the delta through data::DatasetBuilder's incremental
+  // path, the one merge path (WAL replay after a restart takes it too).
+  // A new venue's id is live_.venue_count() + delta_venues_.size(), and
+  // its generated name is interned into live_.name_pool(): the base
+  // corpus's pool (shared — base NameIds stay valid), or after recovery
+  // one rebuilt from the checkpoint's names table. The pool is
+  // append-only, so ids never move across epochs.
   data::Dataset live_;
   std::vector<data::Venue> delta_venues_;      // registered since last epoch
   std::vector<data::CheckIn> delta_checkins_;  // merged since last epoch
@@ -244,7 +243,7 @@ class IngestWorker {
   std::unordered_set<data::UserId> pending_users_;  // changed since last epoch
   std::unordered_set<data::UserId> touched_users_;  // ever touched by deltas
   std::uint64_t epoch_ = 0;
-  std::size_t base_checkin_count_ = 0;
+  std::size_t base_checkin_count_ = 0;  // check-ins of `live_` not from live events
 
   // Derived state carried across epochs so unchanged parts are reused:
   // the grid is created on the first epoch and kept, and the crowd

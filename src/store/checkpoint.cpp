@@ -127,6 +127,11 @@ Result<Checkpoint> decode_checkpoint(std::string_view bytes, const std::string& 
     return parse_error(
         crowdweb::format("{}: implausible checkpoint check-in count", path));
   }
+  if (checkpoint.base_checkin_count > checkin_count) {
+    return parse_error(crowdweb::format(
+        "{}: checkpoint counts {} base check-ins but holds {} check-in rows", path,
+        checkpoint.base_checkin_count, checkin_count));
+  }
   checkpoint.checkins.resize(checkin_count);
   for (data::CheckIn& checkin : checkpoint.checkins) {
     reader.read_u32(checkin.user);

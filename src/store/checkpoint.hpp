@@ -13,9 +13,12 @@
 //
 // `last_record_seq` names the WAL prefix the checkpoint covers: recovery
 // loads the checkpoint, then replays only records with seq greater than
-// it. Venues and check-ins are stored in the worker's insertion order —
-// the order the merge path depends on for deterministic venue ids — so
-// a recovered corpus is byte-identical to the one that wrote it.
+// it. Venues are stored in id order and check-ins in the dataset's
+// (user, timestamp) order; since the dataset builder orders records by
+// user, then timestamp, then row order, rebuilding the rows reproduces
+// the corpus that wrote them byte for byte (images whose rows are in
+// any other order, such as the insertion order older writers used,
+// rebuild the same way).
 //
 // The names table is the interning pool in NameId order: entry i is the
 // string NameId i resolves to, and each venue row stores a u32 NameId
@@ -43,8 +46,10 @@ struct Checkpoint {
   /// Largest WAL record seq folded into this image (0 = none).
   std::uint64_t last_record_seq = 0;
   data::UserId next_guest_id = 0;
-  /// Check-ins at the front of `checkins` that came from the base
-  /// corpus, not live ingestion.
+  /// How many of `checkins` came from the base corpus, not live
+  /// ingestion (a count, not a prefix: rows are in (user, timestamp)
+  /// order). Never more than `checkins.size()`; the decoder refuses an
+  /// image that claims more.
   std::uint64_t base_checkin_count = 0;
   /// Interning table in NameId order: names[i] is the string behind
   /// NameId i. Every venue row's `name` indexes this table.

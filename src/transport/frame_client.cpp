@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 
 #include "util/format.hpp"
@@ -129,10 +130,6 @@ Result<FrameAck> FrameClient::send(std::span<const ingest::IngestEvent> events) 
     }
     return frame->ack;
   }
-}
-
-void FrameClient::set_timeout(std::chrono::milliseconds timeout) noexcept {
-  impl_->timeout = timeout;
 }
 
 ingest::ReplaySink frame_sink(std::shared_ptr<FrameClient> client) {

@@ -7,7 +7,6 @@
 // live_monitor example reuse the same pacing loop as the CSV path.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -33,9 +32,6 @@ class FrameClient {
   /// Sends one data frame and waits for its ack (sequence numbers are
   /// assigned by the client and must match).
   [[nodiscard]] Result<FrameAck> send(std::span<const ingest::IngestEvent> events);
-
-  /// Per-ack wait budget (default 5 s).
-  void set_timeout(std::chrono::milliseconds timeout) noexcept;
 
  private:
   struct Impl;

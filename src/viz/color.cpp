@@ -42,13 +42,6 @@ Color sequential_scale(double t) noexcept {
   return ramp(kViridis, t);
 }
 
-Color diverging_scale(double t) noexcept {
-  static constexpr std::array<Color, 3> kBlueRed{{{33, 102, 172},
-                                                  {247, 247, 247},
-                                                  {178, 24, 43}}};
-  return ramp(kBlueRed, t);
-}
-
 Color categorical(std::size_t index) noexcept {
   static constexpr std::array<Color, 12> kPalette{{{31, 119, 180},
                                                    {255, 127, 14},

@@ -25,9 +25,6 @@ struct Color {
 /// teal -> yellow). t is clamped to [0, 1].
 [[nodiscard]] Color sequential_scale(double t) noexcept;
 
-/// Diverging heat scale (blue -> pale -> red) for flow deltas.
-[[nodiscard]] Color diverging_scale(double t) noexcept;
-
 /// A categorical palette of 12 visually distinct colors, cycled by index.
 [[nodiscard]] Color categorical(std::size_t index) noexcept;
 

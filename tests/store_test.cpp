@@ -2,12 +2,17 @@
 // adversarial damage (torn tails at every byte offset, mid-log bit
 // flips), checkpoint round-trips and retention, DurableStore crash
 // recovery, the worker's recover-then-replay path, and the kill-and-
-// restart cycle end to end over a real socket.
+// restart cycle end to end over a real socket, plus the wal_inspect
+// tool run over worker-written stores.
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <string>
 #include <thread>
@@ -334,6 +339,20 @@ TEST(CheckpointTest, ImplausibleCountsAreRefusedWithoutAllocating) {
     ASSERT_FALSE(decoded.is_ok()) << count.field;
     EXPECT_EQ(decoded.status().code(), StatusCode::kParseError) << count.field;
   }
+}
+
+TEST(CheckpointTest, BaseCountAboveTheCheckinRowsIsRefused) {
+  // live_checkins is the check-in rows minus the base count: an image
+  // claiming more base rows than it holds would publish a wrapped count.
+  store::Checkpoint sample = sample_checkpoint();
+  sample.base_checkin_count = sample.checkins.size();
+  EXPECT_TRUE(store::decode_checkpoint(store::encode_checkpoint(sample), "f").is_ok());
+  sample.base_checkin_count = sample.checkins.size() + 5;
+  const auto decoded = store::decode_checkpoint(store::encode_checkpoint(sample), "f");
+  ASSERT_FALSE(decoded.is_ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kParseError);
+  EXPECT_NE(decoded.status().message().find("base check-ins"), std::string::npos)
+      << decoded.status().message();
 }
 
 TEST(AtomicWriteFileTest, ReplacesContentWithoutLeavingTempFiles) {
@@ -864,6 +883,169 @@ TEST(StoreWorkerTest, GuestIdsStayFreshAcrossARestartWithoutACheckpoint) {
   restarted->stop();
 }
 
+/// The check-ins of `dataset`, in its (user, timestamp) order.
+std::vector<data::CheckIn> rows_of(const data::Dataset& dataset) {
+  return {dataset.checkins().begin(), dataset.checkins().end()};
+}
+
+/// Traffic for the WAL tail after a checkpoint: check-ins at positions
+/// no venue holds yet (so they register live venues), and one check-in
+/// of a base user that ties the timestamp of that user's first base
+/// check-in.
+std::vector<ingest::IngestEvent> tail_traffic(const data::Dataset& seed) {
+  std::vector<ingest::IngestEvent> events;
+  for (std::size_t i = 0; i < 12; ++i) {
+    ingest::IngestEvent event = make_event(static_cast<data::UserId>(5'000 + i % 5),
+                                           static_cast<std::int64_t>(1'334'100'000 + i * 60));
+    event.position = {40.60 + static_cast<double>(i) * 0.003, -73.90};
+    events.push_back(event);
+  }
+  const data::UserId base_user = seed.users().front();
+  const data::Dataset::UserColumns base_rows = seed.checkins_for(base_user);
+  ingest::IngestEvent tie;
+  tie.user = base_user;
+  tie.category = base_rows.category(0);
+  tie.position = {40.58, -73.95};
+  tie.timestamp = base_rows.timestamp(0);
+  events.push_back(tie);
+  return events;
+}
+
+/// A running worker over `dir` that ingested `head`, wrote a checkpoint,
+/// then ingested `tail` (published, so on the WAL, not in the image).
+std::unique_ptr<ingest::IngestWorker> checkpoint_then_tail(
+    const ScratchDir& dir, const std::vector<ingest::IngestEvent>& head,
+    const std::vector<ingest::IngestEvent>& tail) {
+  auto worker = core::make_ingest_worker(test_platform(), worker_config(dir.str()));
+  EXPECT_TRUE(worker->start().is_ok());
+  EXPECT_EQ(worker->submit(head).accepted, head.size());
+  feed_and_settle(*worker, head.size());
+  EXPECT_TRUE(worker->checkpoint_now(10s).is_ok());
+  EXPECT_EQ(worker->submit(tail).accepted, tail.size());
+  feed_and_settle(*worker, head.size() + tail.size());
+  return worker;
+}
+
+TEST(StoreWorkerTest, CheckpointPlusWalTailRecoversTheSameCorpus) {
+  ScratchDir dir("ckpt_tail");
+  ScratchDir image("ckpt_tail_copy");
+  ScratchDir legacy("ckpt_tail_legacy");
+  const data::Dataset& seed = test_platform().experiment_dataset();
+  const auto head = live_traffic(30);
+  const auto tail = tail_traffic(seed);
+  auto worker_a = checkpoint_then_tail(dir, head, tail);
+  fs::copy(dir.path(), image.path(), fs::copy_options::recursive);  // a crash image
+  const ingest::SnapshotPtr before = worker_a->hub().current();
+  worker_a->stop();
+  const data::Dataset& corpus = before->dataset;
+  ASSERT_GE(corpus.venue_count(), seed.venue_count() + tail.size());
+  ASSERT_EQ(before->live_checkins, head.size() + tail.size());
+
+  auto worker_b = core::make_ingest_worker(test_platform(), worker_config(image.str()));
+  ASSERT_TRUE(worker_b->start().is_ok());
+  const ingest::SnapshotPtr after = worker_b->hub().current();
+  EXPECT_GT(worker_b->store()->stats().recovery_replayed_records, 0u);
+  EXPECT_EQ(after->live_checkins, before->live_checkins);
+  EXPECT_EQ(corpus_image(after), corpus_image(before));
+  ASSERT_EQ(after->dataset.venue_count(), corpus.venue_count());
+  for (const ingest::IngestEvent& event : tail) {
+    const auto rows = [&event](const data::Dataset& dataset) {
+      std::vector<data::VenueId> venues;
+      for (const data::CheckIn& row : dataset.checkins_for(event.user))
+        if (row.timestamp == event.timestamp) venues.push_back(row.venue);
+      return venues;
+    };
+    EXPECT_EQ(rows(after->dataset), rows(corpus)) << "user " << event.user;
+  }
+  worker_b->stop();
+
+  // An image in the insertion order older writers used: the base rows,
+  // then every live check-in in arrival order. It rebuilds the same
+  // corpus, so stores written before the (user, timestamp) order stay
+  // readable.
+  store::Checkpoint image_rows;
+  image_rows.base_checkin_count = seed.checkin_count();
+  image_rows.next_guest_id = ingest::kFirstGuestId;
+  const data::NamesPtr names = corpus.name_pool()->snapshot();
+  for (const std::string_view name : names->names()) image_rows.names.emplace_back(name);
+  image_rows.venues.assign(corpus.venues().begin(), corpus.venues().end());
+  image_rows.checkins = rows_of(seed);
+  for (const auto* batch : {&head, &tail}) {
+    for (const ingest::IngestEvent& event : *batch) {
+      const auto venue = std::find_if(
+          corpus.venues().begin(), corpus.venues().end(), [&event](const data::Venue& v) {
+            return v.category == event.category && v.position.lat == event.position.lat &&
+                   v.position.lon == event.position.lon;
+          });
+      ASSERT_NE(venue, corpus.venues().end());
+      image_rows.checkins.push_back(
+          {event.user, venue->id, event.category, event.position, event.timestamp});
+      image_rows.touched_users.push_back(event.user);
+    }
+  }
+  std::sort(image_rows.touched_users.begin(), image_rows.touched_users.end());
+  image_rows.touched_users.erase(
+      std::unique(image_rows.touched_users.begin(), image_rows.touched_users.end()),
+      image_rows.touched_users.end());
+  ASSERT_NE(image_rows.checkins, rows_of(corpus));  // the orders really differ
+  {
+    auto opened = store::DurableStore::open(store_config(legacy));
+    ASSERT_TRUE(opened.is_ok()) << opened.status().to_string();
+    ASSERT_TRUE((*opened)->write_checkpoint(std::move(image_rows)).is_ok());
+  }
+  auto worker_c = core::make_ingest_worker(test_platform(), worker_config(legacy.str()));
+  ASSERT_TRUE(worker_c->start().is_ok());
+  EXPECT_EQ(worker_c->hub().current()->live_checkins, before->live_checkins);
+  EXPECT_EQ(corpus_image(worker_c->hub().current()), corpus_image(before));
+  worker_c->stop();
+}
+
+/// Starts a worker over a store holding only `image`; returns start()'s
+/// status, with the worker checked to have published nothing on failure.
+Status start_from_image(const std::string& tag, store::Checkpoint image) {
+  ScratchDir dir(tag);
+  {
+    auto opened = store::DurableStore::open(store_config(dir));
+    if (!opened.is_ok()) return opened.status();
+    const Status written = (*opened)->write_checkpoint(std::move(image));
+    if (!written.is_ok()) return written;
+  }
+  auto worker = core::make_ingest_worker(test_platform(), worker_config(dir.str()));
+  const Status status = worker->start();
+  if (!status.is_ok()) {
+    EXPECT_FALSE(worker->running());
+    EXPECT_EQ(worker->hub().current(), nullptr);
+  }
+  return status;
+}
+
+TEST(StoreWorkerTest, CheckpointRowOutsideTheTaxonomyIsRefused) {
+  // CRC-valid images holding rows the live path refuses. A venue and
+  // check-in at a category the taxonomy lacks would index past its
+  // tables in the crowd build; a check-in at timestamp 0 is an event
+  // merge_event drops. Recovery refuses both and names the row.
+  const data::CategoryId bad = 60'000;
+  ASSERT_GE(bad, test_platform().taxonomy().size());
+  store::Checkpoint outside;
+  outside.names = {"nowhere"};
+  outside.venues.push_back({0, 0, bad, {40.75, -73.98}});
+  outside.checkins.push_back({7, 0, bad, {40.75, -73.98}, 1'334'000'000});
+  outside.touched_users = {7};
+  const Status refused = start_from_image("ckpt_bad_category", outside);
+  EXPECT_EQ(refused.code(), StatusCode::kParseError) << refused.to_string();
+  EXPECT_NE(refused.message().find("venue 0 has category 60000"), std::string::npos)
+      << refused.to_string();
+
+  store::Checkpoint undated = outside;
+  undated.venues[0].category = 3;
+  undated.checkins[0].category = 3;
+  undated.checkins.push_back({7, 0, 3, {40.75, -73.98}, 0});
+  const Status undated_status = start_from_image("ckpt_bad_timestamp", undated);
+  EXPECT_EQ(undated_status.code(), StatusCode::kParseError) << undated_status.to_string();
+  EXPECT_NE(undated_status.message().find("check-in row 1 "), std::string::npos)
+      << undated_status.to_string();
+}
+
 TEST(StoreWorkerTest, CheckpointNowWithoutAStoreIsFailedPrecondition) {
   auto worker = core::make_ingest_worker(test_platform());
   ASSERT_TRUE(worker->start().is_ok());
@@ -871,6 +1053,46 @@ TEST(StoreWorkerTest, CheckpointNowWithoutAStoreIsFailedPrecondition) {
   EXPECT_EQ(worker->checkpoint_now(1s).code(), StatusCode::kFailedPrecondition);
   worker->stop();
   EXPECT_EQ(worker->checkpoint_now(1s).code(), StatusCode::kFailedPrecondition);
+}
+
+// ------------------------------------------------------------- wal_inspect
+
+/// Runs the built wal_inspect over `path`: its exit code and output.
+std::pair<int, std::string> run_wal_inspect(const fs::path& path) {
+  const std::string command =
+      std::string(CROWDWEB_WAL_INSPECT) + " '" + path.string() + "' 2>&1";
+  FILE* pipe = popen(command.c_str(), "r");
+  if (pipe == nullptr) return {-1, "popen failed"};
+  std::string output;
+  char buffer[4096];
+  while (const std::size_t n = std::fread(buffer, 1, sizeof buffer, pipe))
+    output.append(buffer, n);
+  const int status = pclose(pipe);
+  return {WIFEXITED(status) ? WEXITSTATUS(status) : -1, output};
+}
+
+TEST(WalInspectTest, WorkerStoreIsCleanAndAFlippedCheckpointByteIsCorrupt) {
+  ScratchDir dir("wal_inspect");
+  ScratchDir damaged("wal_inspect_damaged");
+  auto worker = checkpoint_then_tail(dir, live_traffic(20),
+                                     tail_traffic(test_platform().experiment_dataset()));
+  worker->stop();
+  ASSERT_EQ(worker->store()->stats().checkpoints, 1u);
+
+  const auto [clean_exit, clean_output] = run_wal_inspect(dir.path());
+  EXPECT_EQ(clean_exit, 0) << clean_output;
+  EXPECT_NE(clean_output.find(": checkpoint 1, "), std::string::npos) << clean_output;
+  EXPECT_NE(clean_output.find("event(s)  crc ok"), std::string::npos) << clean_output;
+
+  fs::copy(dir.path(), damaged.path(), fs::copy_options::recursive);
+  fs::path checkpoint;
+  for (const auto& entry : fs::directory_iterator(damaged.path()))
+    if (is_checkpoint(entry.path().filename().string())) checkpoint = entry.path();
+  ASSERT_FALSE(checkpoint.empty());
+  flip_byte(checkpoint, 20);
+  const auto [damaged_exit, damaged_output] = run_wal_inspect(damaged.path());
+  EXPECT_EQ(damaged_exit, 2) << damaged_output;
+  EXPECT_NE(damaged_output.find("CORRUPT"), std::string::npos) << damaged_output;
 }
 
 // ------------------------------------------------------------- HTTP routes
