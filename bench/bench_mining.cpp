@@ -36,6 +36,11 @@
 // crowd models are value-identical (the closed-mode invariant; this is
 // the CI smoke gate).
 //
+// On the same dense corpus it reports the share of distinct day shapes
+// among all user-days and times each miner over the weighted shapes
+// (what the pipeline mines) against the per-day columns, asserting
+// that both return the same patterns and stats (also a smoke gate).
+//
 // Recorded acceptance bars (asserted in full mode; smoke asserts only
 // the deterministic set-size and equality properties, not timings):
 // at min_support 0.25 on the 10x corpus the closed set is >= 5x smaller
@@ -301,6 +306,73 @@ json::Value serving_mode_block(const char* corpus_name, const data::Dataset& dat
                        {"crowd_equal", equal}});
 }
 
+// ------------------------------------ distinct day shapes (weighted mine)
+
+/// Mines every user of `dataset` twice per miner: over the distinct day
+/// shapes weighted by their day counts (UserSequences::columns(), what
+/// the pipeline runs) and over the per-day columns with no weights.
+/// Reports the shape ratio and both mine times; the two runs must return
+/// equal pattern sets and stats (the deterministic smoke gate).
+json::Value day_shape_block(const data::Dataset& dataset, bool* equal_all) {
+  mining::SequenceOptions sequence_options;
+  sequence_options.mode = mining::LabelMode::kVenue;
+  const std::vector<mining::UserSequences> users =
+      mining::build_all_sequences(dataset, data::Taxonomy::foursquare(), sequence_options);
+  std::size_t days = 0;
+  std::size_t shapes = 0;
+  for (const mining::UserSequences& sequences : users) {
+    days += sequences.day_count();
+    shapes += sequences.shapes.size();
+  }
+  const double ratio =
+      days > 0 ? static_cast<double>(shapes) / static_cast<double>(days) : 0.0;
+  std::printf("--- distinct day shapes, dense corpus: %zu users, %zu days, %zu shapes "
+              "(%.1f%%) ---\n",
+              users.size(), days, shapes, 100.0 * ratio);
+
+  mining::MiningOptions options;
+  options.min_support = 0.25;
+  json::Value miners = json::Value(json::Array{});
+  for (const char* name : {"prefixspan", "bide"}) {
+    const mining::IMiningAlgorithm* miner = mining::find_miner(name);
+    std::vector<mining::MiningResult> weighted;
+    weighted.reserve(users.size());
+    auto start = Clock::now();
+    for (const mining::UserSequences& sequences : users)
+      weighted.push_back(miner->mine(sequences.columns(), options));
+    const double weighted_ms = ms_since(start);
+    std::vector<mining::MiningResult> per_day;
+    per_day.reserve(users.size());
+    start = Clock::now();
+    for (const mining::UserSequences& sequences : users)
+      per_day.push_back(miner->mine({sequences.items, sequences.day_offsets}, options));
+    const double per_day_ms = ms_since(start);
+    bool equal = true;
+    for (std::size_t u = 0; u < users.size(); ++u) {
+      const mining::MiningStats& a = per_day[u].stats;
+      const mining::MiningStats& b = weighted[u].stats;
+      equal = equal && per_day[u].patterns == weighted[u].patterns &&
+              a.explored == b.explored && a.pruned == b.pruned &&
+              a.truncated == b.truncated;
+    }
+    *equal_all = *equal_all && equal;
+    std::printf("%12s weighted %8.1f ms, per-day %8.1f ms (%.2fx), results %s\n", name,
+                weighted_ms, per_day_ms, weighted_ms > 0 ? per_day_ms / weighted_ms : 0.0,
+                equal ? "EQUAL" : "DIVERGED");
+    miners.push_back(json::object({{"miner", name},
+                                   {"weighted_ms", weighted_ms},
+                                   {"per_day_ms", per_day_ms},
+                                   {"equal", equal}}));
+  }
+  std::printf("\n");
+  return json::object({{"corpus", "dense"},
+                       {"min_support", options.min_support},
+                       {"days", static_cast<std::int64_t>(days)},
+                       {"shapes", static_cast<std::int64_t>(shapes)},
+                       {"shape_ratio", ratio},
+                       {"miners", std::move(miners)}});
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -409,6 +481,8 @@ int main(int argc, char** argv) {
       dense_checkin_corpus(args.smoke ? 60 : 400, /*days=*/90);
   serving_modes.push_back(serving_mode_block("dense", dense, /*expect_smaller=*/true,
                                              &crowd_equal_all, &dense_table_ratio));
+  bool shapes_equal = true;
+  json::Value day_shapes = day_shape_block(dense, &shapes_equal);
   auto sparse = synth::small_corpus(42);
   if (!sparse.is_ok()) {
     std::fprintf(stderr, "sparse corpus failed: %s\n", sparse.status().to_string().c_str());
@@ -427,6 +501,9 @@ int main(int argc, char** argv) {
   check(crowd_equal_all,
         "compact BIDE crowd placements identical to PrefixSpan on every corpus",
         &failures);
+  check(shapes_equal,
+        "mining the weighted day shapes equals mining every day, for both miners",
+        &failures);
   check(dense_table_ratio > 1.2,
         "compact BIDE table is smaller than PrefixSpan's table on the dense corpus",
         &failures);
@@ -442,6 +519,7 @@ int main(int argc, char** argv) {
                                      {"mode", args.smoke ? "smoke" : "full"},
                                      {"corpora", std::move(corpora)},
                                      {"serving_modes", std::move(serving_modes)},
+                                     {"day_shapes", std::move(day_shapes)},
                                      {"ratio_patterns_10x_s025", ratio_patterns_10x},
                                      {"ratio_time_10x_s025", ratio_time_10x},
                                      {"ratio_table_bytes_dense", dense_table_ratio},

@@ -18,9 +18,9 @@ struct Projection {
 class Miner {
  public:
   Miner(const SequenceColumns& db, const MiningOptions& options)
-      : db_(db), options_(options) {
+      : db_(db), options_(options), total_weight_(db.total_weight()) {
     min_count_ = static_cast<std::size_t>(
-        std::ceil(options.min_support * static_cast<double>(db.size())));
+        std::ceil(options.min_support * static_cast<double>(total_weight_)));
     if (min_count_ == 0) min_count_ = 1;
 
     // Translate the database onto a dense local alphabet. Per-user
@@ -85,11 +85,13 @@ class Miner {
   ///
   /// Counts live in a flat (period, item) array; a per-call stamp lazily
   /// resets counts and a per-sequence stamp makes each sequence vote at
-  /// most once per (period, item).
+  /// most once per (period, item). Votes are per distinct sequence, not
+  /// by weight: copies of one sequence have the same periods, so "in
+  /// every distinct sequence" and "in every weighted copy" agree.
   bool backward_item_exists(const std::vector<Projection>& supporting, bool semi) {
     const std::size_t n = prefix_.size();
     const std::size_t a = alphabet_.size();
-    const std::size_t support = supporting.size();
+    const std::size_t distinct = supporting.size();
     const std::uint64_t call = ++call_token_;
     std::vector<std::size_t>& f = first_instance_;
     std::vector<std::size_t>& last = last_appearance_;
@@ -130,9 +132,9 @@ class Miner {
             period_count_stamp_[idx] = call;
             period_count_[idx] = 0;
           }
-          // The count can only reach `support` once every sequence
+          // The count can only reach `distinct` once every sequence
           // agrees on this (period, item).
-          if (++period_count_[idx] == support) return true;
+          if (++period_count_[idx] == distinct) return true;
         }
       }
     }
@@ -148,25 +150,27 @@ class Miner {
     pattern.items.reserve(prefix_.size());
     for (const Item dense : prefix_) pattern.items.push_back(alphabet_[dense]);
     pattern.support_count = support_count;
-    pattern.support = static_cast<double>(support_count) / static_cast<double>(db_.size());
+    pattern.support = static_cast<double>(support_count) / static_cast<double>(total_weight_);
     results_.push_back(std::move(pattern));
   }
 
   void grow(const std::vector<Projection>& projection) {
     if (stats_.truncated) return;
     ++stats_.explored;
-    const std::size_t support = projection.size();
+    std::size_t support = 0;
+    for (const Projection& p : projection) support += db_.weight(p.sequence);
 
-    // Count forward items, once per projected sequence (stamped flat
-    // counters, same scheme as the period table). The first occurrence
-    // of each item in each suffix is recorded as it is found, so
-    // projecting a frequent extension below is a table lookup instead
-    // of a second scan over every suffix.
+    // Count forward items, once per projected sequence and by its
+    // weight (stamped flat counters, same scheme as the period table).
+    // The first occurrence of each item in each suffix is recorded as it
+    // is found, so projecting a frequent extension below is a table
+    // lookup instead of a second scan over every suffix.
     const std::uint64_t call = ++call_token_;
     const std::size_t db_size = db_.size();
     for (std::size_t k = 0; k < projection.size(); ++k) {
       const Projection& p = projection[k];
       const auto seq = sequence(p.sequence);
+      const std::size_t weight = db_.weight(p.sequence);
       const std::uint64_t voter = ++sequence_token_;
       for (std::size_t i = p.offset; i < seq.size(); ++i) {
         const Item item = seq[i];
@@ -176,7 +180,7 @@ class Miner {
           forward_count_stamp_[item] = call;
           forward_count_[item] = 0;
         }
-        ++forward_count_[item];
+        forward_count_[item] += weight;
         const std::size_t slot = item * db_size + k;
         first_pos_[slot] = static_cast<std::uint32_t>(i);
         first_pos_stamp_[slot] = call;
@@ -213,7 +217,7 @@ class Miner {
     extensions.reserve(frequent.size());
     for (const auto& [item, count] : frequent) {
       std::vector<Projection> next;
-      next.reserve(count);
+      next.reserve(std::min(count, projection.size()));
       for (std::size_t k = 0; k < projection.size(); ++k) {
         const std::size_t slot = item * db_size + k;
         if (first_pos_stamp_[slot] == call)
@@ -235,6 +239,7 @@ class Miner {
 
   const SequenceColumns& db_;
   const MiningOptions& options_;
+  std::size_t total_weight_ = 0;
   std::size_t min_count_ = 1;
   std::vector<Item> alphabet_;    ///< sorted distinct items; dense id -> item
   std::vector<Item> translated_;  ///< db_.items remapped onto dense ids

@@ -11,6 +11,15 @@
 // non-closed patterns. On the paper's mobility corpora the closed set is
 // several times smaller than the frequent set at the same support, which
 // is the point: smaller tables, faster epochs.
+//
+// Weighted databases (SequenceColumns::weights) count weight wherever
+// BIDE counts support: the min_count threshold, extension counts, the
+// forward-extension test and the emitted support. The BackScan and
+// backward-extension tests ask whether an item lies in a period of
+// *every* supporting sequence, which copies of one sequence answer
+// alike, so those stay per distinct sequence. A weighted run therefore
+// emits exactly what the expanded database would, with the same
+// explored/pruned counts and truncation point.
 #pragma once
 
 #include <vector>

@@ -26,9 +26,17 @@ using SequenceDb = std::vector<std::vector<Item>>;
 /// spans items[offsets[s], offsets[s+1]). `offsets` holds size()+1
 /// entries (or none for an empty database). The miners walk this view
 /// directly; UserSequences::columns() produces one with no copying.
+///
+/// `weights` is the multiplicity column: sequence `s` stands for
+/// weights[s] identical sequences of the database. Empty means every
+/// sequence weighs 1. Supports, min_support thresholds and the
+/// support fraction's denominator all count weight, so a database of
+/// distinct sequences weighted by their multiplicities mines to exactly
+/// the patterns, supports and stats of the expanded database.
 struct SequenceColumns {
   std::span<const Item> items;
   std::span<const std::uint32_t> offsets;
+  std::span<const std::uint32_t> weights = {};
 
   [[nodiscard]] std::size_t size() const noexcept {
     return offsets.empty() ? 0 : offsets.size() - 1;
@@ -39,13 +47,19 @@ struct SequenceColumns {
   [[nodiscard]] std::span<const Item> sequence(std::size_t s) const noexcept {
     return items.subspan(offsets[s], offsets[s + 1] - offsets[s]);
   }
+  /// How many database sequences sequence `s` stands for.
+  [[nodiscard]] std::size_t weight(std::size_t s) const noexcept {
+    return weights.empty() ? 1 : weights[s];
+  }
+  /// Sum of all weights: the size of the database this view expands to.
+  [[nodiscard]] std::size_t total_weight() const noexcept;
 };
 
 /// A frequent sequential pattern.
 struct Pattern {
   std::vector<Item> items;
-  std::size_t support_count = 0;  ///< sequences containing the pattern
-  double support = 0.0;           ///< support_count / |db|
+  std::size_t support_count = 0;  ///< sequences containing the pattern (by weight)
+  double support = 0.0;           ///< support_count / total weight of the db
 
   friend bool operator==(const Pattern&, const Pattern&) = default;
 };

@@ -19,9 +19,9 @@ struct Projection {
 class Miner {
  public:
   Miner(const SequenceColumns& db, const MiningOptions& options)
-      : db_(db), options_(options) {
+      : db_(db), options_(options), total_weight_(db.total_weight()) {
     min_count_ = static_cast<std::size_t>(
-        std::ceil(options.min_support * static_cast<double>(db.size())));
+        std::ceil(options.min_support * static_cast<double>(total_weight_)));
     if (min_count_ == 0) min_count_ = 1;
   }
 
@@ -45,16 +45,17 @@ class Miner {
     if (prefix_.size() >= options_.max_pattern_length) return;
     if (stats_.truncated) return;  // cap already hit; nothing more can be emitted
 
-    // Count each item once per projected sequence, walking the flat
-    // item column directly.
+    // Count each item once per projected sequence, by that sequence's
+    // weight, walking the flat item column directly.
     ++stats_.explored;
     counts_.clear();
     for (const Projection& p : projection) {
       const auto sequence = db_.sequence(p.sequence);
+      const std::size_t weight = db_.weight(p.sequence);
       seen_.clear();
       for (std::size_t i = p.offset; i < sequence.size(); ++i) {
         const Item item = sequence[i];
-        if (seen_.insert(item).second) ++counts_[item];
+        if (seen_.insert(item).second) counts_[item] += weight;
       }
     }
 
@@ -77,13 +78,12 @@ class Miner {
       Pattern pattern;
       pattern.items = prefix_;
       pattern.support_count = count;
-      pattern.support =
-          db_.empty() ? 0.0 : static_cast<double>(count) / static_cast<double>(db_.size());
+      pattern.support = static_cast<double>(count) / static_cast<double>(total_weight_);
       results_.push_back(std::move(pattern));
 
       // Project: advance each sequence past its first occurrence of item.
       std::vector<Projection> next;
-      next.reserve(count);
+      next.reserve(std::min(count, projection.size()));
       for (const Projection& p : projection) {
         const auto sequence = db_.sequence(p.sequence);
         for (std::size_t i = p.offset; i < sequence.size(); ++i) {
@@ -100,6 +100,7 @@ class Miner {
 
   const SequenceColumns& db_;
   const MiningOptions& options_;
+  std::size_t total_weight_ = 0;
   std::size_t min_count_ = 1;
   std::vector<Item> prefix_;
   std::vector<Pattern> results_;

@@ -10,6 +10,10 @@
 // The miner walks the columnar SequenceColumns view (one contiguous
 // item array + offsets), so projections index straight into a flat
 // buffer; the nested SequenceDb overload flattens once and delegates.
+// A projected sequence adds its weight (SequenceColumns::weights) to
+// every item it contains, so mining a user's distinct day shapes
+// weighted by their day counts walks each repeated day once and returns
+// exactly the per-day patterns, supports and stats.
 //
 // This is the miner behind the paper's "modified PrefixSpan" (the
 // modifications — location abstraction, per-day sequences, relative
@@ -23,7 +27,8 @@
 namespace crowdweb::mining {
 
 /// Mines all frequent sequential patterns of `db` at `options.min_support`
-/// (relative). Results are in canonical order (see sort_patterns). When
+/// (relative to db.total_weight()). Results are in canonical order (see
+/// sort_patterns). When
 /// `stats` is non-null it receives emitted/explored counts and the
 /// truncated flag (max_patterns suppressed an emission).
 [[nodiscard]] std::vector<Pattern> prefixspan(const SequenceColumns& db,

@@ -8,8 +8,10 @@
 // one serving mode: PrefixSpan serves the full frequent set, and BIDE,
 // a closed-output miner, serves its closed set compactly (the pattern
 // layer answers full-set questions from it by subsumption and
-// expansion). The classic reference miners the tests check these two
-// against (GSP, SPADE, naive) live in tests/reference/, not here.
+// expansion). Both take weighted columns, so every caller mines a
+// user's distinct day shapes, not each day. The classic reference miners
+// the tests check these two against (GSP, SPADE, naive) live in
+// tests/reference/, not here.
 #pragma once
 
 #include <string_view>
@@ -44,7 +46,11 @@ class IMiningAlgorithm {
   [[nodiscard]] virtual bool closed_output() const noexcept = 0;
 
   /// Mines `db` under `options`; `options.algorithm` is ignored here —
-  /// the caller already chose by resolving this object.
+  /// the caller already chose by resolving this object. `db.weights`
+  /// are multiplicities: sequence s counts as db.weight(s) identical
+  /// sequences, so the distinct day shapes of UserSequences::columns()
+  /// mine to exactly the result of the per-day database (patterns,
+  /// supports, stats and truncation point alike).
   [[nodiscard]] virtual MiningResult mine(const SequenceColumns& db,
                                           const MiningOptions& options) const = 0;
 };

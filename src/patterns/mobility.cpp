@@ -21,26 +21,29 @@ MobilityPattern annotate_pattern(const mining::Pattern& pattern,
   for (const mining::Item item : pattern.items) out.elements.push_back({item, 0.0, 0.0});
 
   // Accumulate minute-of-day per position over the greedy first embedding
-  // in every day that contains the pattern.
+  // in every day that contains the pattern. Days of one shape share the
+  // embedding, so each shape adds its days' per-position minute sums at
+  // once; the sums are exact integers, so the result is bit-identical to
+  // a day-by-day walk.
+  const mining::DayShapes& shapes = sequences.shapes;
   std::vector<double> sum(pattern.items.size(), 0.0);
   std::vector<double> sum_sq(pattern.items.size(), 0.0);
-  std::vector<int> embedding(pattern.items.size(), 0);
+  std::vector<std::uint32_t> embedding(pattern.items.size(), 0);
   std::size_t matched_days = 0;
-  for (std::size_t d = 0; d < sequences.day_count(); ++d) {
-    const auto day = sequences.day(d);
-    const auto minutes = sequences.minutes_of(d);
+  for (std::size_t s = 0; s < shapes.size(); ++s) {
+    const auto shape = shapes.shape(s);
     std::size_t position = 0;
-    for (std::size_t i = 0; i < day.size() && position < pattern.items.size(); ++i) {
-      if (day[i] == pattern.items[position]) {
-        embedding[position] = minutes[i];
+    for (std::size_t i = 0; i < shape.size() && position < pattern.items.size(); ++i) {
+      if (shape[i] == pattern.items[position]) {
+        embedding[position] = shapes.offsets[s] + static_cast<std::uint32_t>(i);
         ++position;
       }
     }
-    if (position != pattern.items.size()) continue;  // day does not support it
-    ++matched_days;
+    if (position != pattern.items.size()) continue;  // shape does not support it
+    matched_days += shapes.days[s];
     for (std::size_t p = 0; p < embedding.size(); ++p) {
-      sum[p] += embedding[p];
-      sum_sq[p] += static_cast<double>(embedding[p]) * embedding[p];
+      sum[p] += shapes.minute_sum[embedding[p]];
+      sum_sq[p] += shapes.minute_sq_sum[embedding[p]];
     }
   }
   if (matched_days > 0) {

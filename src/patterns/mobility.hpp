@@ -253,8 +253,10 @@ class MobilityTable {
   std::vector<EntryPtr> entries_;  // ascending by user
 };
 
-/// Annotates an already-mined pattern with per-position visit times by
-/// scanning the greedy first embedding in every supporting day.
+/// Annotates an already-mined pattern with per-position visit times: the
+/// mean and spread of the minutes at the greedy first embedding in every
+/// supporting day. Walks the distinct day shapes (sequences.shapes) and
+/// their minute sums, not the days themselves.
 [[nodiscard]] MobilityPattern annotate_pattern(const mining::Pattern& pattern,
                                                const mining::UserSequences& sequences);
 

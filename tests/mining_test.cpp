@@ -805,5 +805,150 @@ TEST(RegistryTest, SubsumedSupportAnswersExactlyFromClosedSets) {
   EXPECT_EQ(subsumed_support_count(absent, closed), 0u);
 }
 
+
+// ------------------------------------------- Weighted day shapes (miners)
+
+/// A user history with heavy duplication: `days` days drawn (skewed
+/// toward the first) from a pool of `shapes` random label sequences,
+/// with random minutes, appended through the shape index.
+UserSequences duplicated_history(Rng& rng, int days, int shapes, int alphabet,
+                                 int max_length) {
+  const SequenceDb pool = random_db(rng, shapes, alphabet, max_length);
+  UserSequences out;
+  std::vector<int> minutes;
+  for (int d = 0; d < days; ++d) {
+    const int a = static_cast<int>(rng.uniform_int(0, shapes - 1));
+    const int b = static_cast<int>(rng.uniform_int(0, shapes - 1));
+    const std::vector<Item>& day = pool[static_cast<std::size_t>(std::min(a, b))];
+    minutes.clear();
+    for (std::size_t i = 0; i < day.size(); ++i)
+      minutes.push_back(static_cast<int>(rng.uniform_int(0, 24 * 60 - 1)));
+    out.append_day(day, minutes);
+  }
+  return out;
+}
+
+/// The same history as unweighted per-day columns.
+SequenceColumns per_day_columns(const UserSequences& sequences) {
+  return {sequences.items, sequences.day_offsets};
+}
+
+/// Both registered miners over the weighted shapes and over the
+/// expanded days must agree on everything they report.
+void expect_weighted_equals_per_day(const UserSequences& sequences,
+                                    const MiningOptions& options, const std::string& where) {
+  for (const std::string_view name : miner_names()) {
+    const IMiningAlgorithm* miner = find_miner(name);
+    const MiningResult weighted = miner->mine(sequences.columns(), options);
+    const MiningResult per_day = miner->mine(per_day_columns(sequences), options);
+    EXPECT_EQ(weighted.patterns, per_day.patterns) << name << " " << where;
+    for (std::size_t i = 0; i < std::min(weighted.patterns.size(), per_day.patterns.size());
+         ++i)
+      EXPECT_TRUE(weighted.patterns[i].support == per_day.patterns[i].support)
+          << name << " " << where;
+    EXPECT_EQ(weighted.stats.emitted, per_day.stats.emitted) << name << " " << where;
+    EXPECT_EQ(weighted.stats.explored, per_day.stats.explored) << name << " " << where;
+    EXPECT_EQ(weighted.stats.pruned, per_day.stats.pruned) << name << " " << where;
+    EXPECT_EQ(weighted.stats.truncated, per_day.stats.truncated) << name << " " << where;
+  }
+}
+
+TEST(WeightedMiningTest, ShapeIndexHoldsDistinctDaysInFirstSeenOrder) {
+  UserSequences sequences;
+  const std::vector<Item> a{1, 2, 3};
+  const std::vector<Item> b{2, 1};
+  sequences.append_day(a, std::vector<int>{60, 120, 180});
+  sequences.append_day(b, std::vector<int>{10, 20});
+  sequences.append_day(a, std::vector<int>{70, 130, 190});
+  sequences.append_day(a, std::vector<int>{80, 140, 200});
+  ASSERT_EQ(sequences.day_count(), 4u);
+  const DayShapes& shapes = sequences.shapes;
+  ASSERT_EQ(shapes.size(), 2u);
+  EXPECT_EQ(std::vector<Item>(shapes.shape(0).begin(), shapes.shape(0).end()), a);
+  EXPECT_EQ(std::vector<Item>(shapes.shape(1).begin(), shapes.shape(1).end()), b);
+  EXPECT_EQ(shapes.days, (std::vector<std::uint32_t>{3, 1}));
+  EXPECT_EQ(shapes.minute_sum, (std::vector<double>{210, 390, 570, 10, 20}));
+  EXPECT_EQ(shapes.minute_sq_sum[0], 60.0 * 60 + 70.0 * 70 + 80.0 * 80);
+  EXPECT_EQ(sequences.columns().total_weight(), 4u);
+}
+
+TEST(WeightedMiningTest, ShapeIndexSurvivesTableGrowth) {
+  // Far more distinct shapes than the table's first size, each seen
+  // twice, so every rehash must keep earlier shapes findable.
+  UserSequences sequences;
+  for (int round = 0; round < 2; ++round)
+    for (Item i = 0; i < 500; ++i)
+      sequences.append_day(std::vector<Item>{i, i + 1}, std::vector<int>{0, 1});
+  ASSERT_EQ(sequences.shapes.size(), 500u);
+  for (const std::uint32_t days : sequences.shapes.days) EXPECT_EQ(days, 2u);
+}
+
+TEST(WeightedMiningTest, ShapeColumnsMineLikeTheExpandedDays) {
+  Rng rng(4242);
+  for (int trial = 0; trial < 60; ++trial) {
+    const UserSequences sequences = duplicated_history(
+        rng, 20 + trial * 3, 2 + trial % 7, 3 + trial % 4, 3 + trial % 6);
+    ASSERT_LT(sequences.shapes.size(), sequences.day_count());
+    MiningOptions options;
+    options.min_support = 0.05 + 0.15 * static_cast<double>(trial % 6);
+    expect_weighted_equals_per_day(sequences, options,
+                                   "trial " + std::to_string(trial));
+  }
+}
+
+TEST(WeightedMiningTest, TruncationPointMatchesAtSmallCaps) {
+  Rng rng(808);
+  for (int trial = 0; trial < 20; ++trial) {
+    const UserSequences sequences = duplicated_history(rng, 40, 4, 4, 7);
+    MiningOptions options;
+    options.min_support = 0.1;
+    options.max_patterns = 1 + static_cast<std::size_t>(trial);
+    expect_weighted_equals_per_day(sequences, options, "cap " + std::to_string(trial));
+  }
+}
+
+TEST(WeightedMiningTest, EmptyDatabase) {
+  const UserSequences empty;
+  EXPECT_TRUE(empty.columns().empty());
+  EXPECT_EQ(empty.columns().total_weight(), 0u);
+  expect_weighted_equals_per_day(empty, MiningOptions{}, "empty");
+}
+
+TEST(WeightedMiningTest, AllIdenticalDays) {
+  UserSequences sequences;
+  const std::vector<Item> day{4, 1, 4, 2};
+  for (int d = 0; d < 30; ++d) sequences.append_day(day, std::vector<int>{1, 2, 3, 4});
+  ASSERT_EQ(sequences.shapes.size(), 1u);
+  EXPECT_EQ(sequences.shapes.days[0], 30u);
+  MiningOptions options;
+  options.min_support = 0.5;
+  expect_weighted_equals_per_day(sequences, options, "identical");
+  for (const Pattern& pattern : prefixspan(sequences.columns(), options)) {
+    EXPECT_EQ(pattern.support_count, 30u);
+    EXPECT_EQ(pattern.support, 1.0);
+  }
+}
+
+TEST(WeightedMiningTest, MinSupportOne) {
+  Rng rng(1001);
+  for (int trial = 0; trial < 10; ++trial) {
+    UserSequences sequences = duplicated_history(rng, 25, 3, 3, 6);
+    // A shared tail element makes some pattern frequent at support 1.
+    UserSequences tailed;
+    for (std::size_t d = 0; d < sequences.day_count(); ++d) {
+      std::vector<Item> day(sequences.day(d).begin(), sequences.day(d).end());
+      std::vector<int> minutes(sequences.minutes_of(d).begin(),
+                               sequences.minutes_of(d).end());
+      day.push_back(7);
+      minutes.push_back(1439);
+      tailed.append_day(day, minutes);
+    }
+    MiningOptions options;
+    options.min_support = 1.0;
+    expect_weighted_equals_per_day(tailed, options, "tailed " + std::to_string(trial));
+    EXPECT_FALSE(prefixspan(tailed.columns(), options).empty());
+  }
+}
+
 }  // namespace
 }  // namespace crowdweb::mining

@@ -1,10 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <string>
 
+#include "mining/prefixspan.hpp"
+#include "mining/registry.hpp"
 #include "patterns/mobility.hpp"
 #include "patterns/place_graph.hpp"
+#include "reference/annotate_oracle.hpp"
 #include "util/civil_time.hpp"
+#include "util/rng.hpp"
 
 namespace crowdweb::patterns {
 namespace {
@@ -190,6 +197,176 @@ TEST(MobilityTest, ParallelMiningMatchesSequential) {
       }
     }
   }
+}
+
+// ------------------------------------------- Annotation vs per-day oracle
+
+/// Users 0..users-1, each living a few personal routines (drawn from
+/// seven venues in six root categories) over `days` days, with minute
+/// jitter, an extra leading coffee stop on some days (a repeated label
+/// when the routine also starts at an eatery) and a few irregular days.
+data::Dataset random_routine_dataset(std::uint64_t seed, int users, int days) {
+  data::DatasetBuilder builder;
+  const char* const kinds[] = {"Coffee Shop", "Thai Restaurant", "Office",   "Bar",
+                               "Gym",         "Grocery Store",   "Home (private)"};
+  std::vector<data::VenueSpec> venues;
+  for (int v = 0; v < 7; ++v) {
+    data::VenueSpec venue;
+    venue.id = static_cast<data::VenueId>(v);
+    venue.name = kinds[v];
+    venue.category = *tax().find(kinds[v]);
+    venue.position = {40.70 + 0.01 * v, -74.00 + 0.01 * v};
+    EXPECT_TRUE(builder.add_venue(venue).is_ok());
+    venues.push_back(venue);
+  }
+  Rng rng(seed);
+  for (int u = 0; u < users; ++u) {
+    std::vector<std::vector<int>> routines(2 + static_cast<std::size_t>(u % 3));
+    for (auto& routine : routines) {
+      const int length = static_cast<int>(rng.uniform_int(1, 6));
+      for (int i = 0; i < length; ++i) routine.push_back(static_cast<int>(rng.uniform_int(0, 6)));
+    }
+    for (int day = 0; day < days; ++day) {
+      std::vector<int> stops = routines[static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<int>(routines.size()) - 1))];
+      if (rng.uniform() < 0.1) {
+        stops.clear();
+        const int length = static_cast<int>(rng.uniform_int(1, 4));
+        for (int i = 0; i < length; ++i) stops.push_back(static_cast<int>(rng.uniform_int(0, 6)));
+      }
+      if (rng.uniform() < 0.3) stops.insert(stops.begin(), 0);
+      for (std::size_t i = 0; i < stops.size(); ++i) {
+        const data::VenueSpec& venue = venues[static_cast<std::size_t>(stops[i])];
+        data::CheckIn c;
+        c.user = static_cast<data::UserId>(u);
+        c.venue = venue.id;
+        c.category = venue.category;
+        c.position = venue.position;
+        const int minute = 6 * 60 + static_cast<int>(i) * 100 +
+                           static_cast<int>(rng.uniform_int(0, 59));
+        c.timestamp = to_epoch_seconds({2012, 4, 1, 0, 0, 0}) +
+                      static_cast<std::int64_t>(day) * 86'400 + minute * 60;
+        EXPECT_TRUE(builder.add_checkin(c).is_ok());
+      }
+    }
+  }
+  return builder.build();
+}
+
+/// Labels and supports equal; mean and spread equal to the last bit.
+void expect_bit_identical(const MobilityPattern& actual, const MobilityPattern& oracle,
+                          const std::string& where) {
+  EXPECT_EQ(actual.support_count, oracle.support_count) << where;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(actual.support),
+            std::bit_cast<std::uint64_t>(oracle.support))
+      << where;
+  ASSERT_EQ(actual.elements.size(), oracle.elements.size()) << where;
+  for (std::size_t k = 0; k < actual.elements.size(); ++k) {
+    EXPECT_EQ(actual.elements[k].label, oracle.elements[k].label) << where;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(actual.elements[k].mean_minute),
+              std::bit_cast<std::uint64_t>(oracle.elements[k].mean_minute))
+        << where << " element " << k;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(actual.elements[k].stddev_minute),
+              std::bit_cast<std::uint64_t>(oracle.elements[k].stddev_minute))
+        << where << " element " << k;
+  }
+}
+
+/// Every pattern the per-day columns mine, annotated both ways.
+void expect_annotations_match_oracle(const mining::UserSequences& sequences,
+                                     double min_support, const std::string& where) {
+  mining::MiningOptions options;
+  options.min_support = min_support;
+  const mining::SequenceColumns per_day{sequences.items, sequences.day_offsets};
+  for (const mining::Pattern& pattern : mining::prefixspan(per_day, options))
+    expect_bit_identical(annotate_pattern(pattern, sequences),
+                         annotate_pattern_per_day(pattern, sequences), where);
+}
+
+TEST(AnnotationOracleTest, ShapeSumsMatchPerDayOnRandomUsers) {
+  const data::Dataset dataset = random_routine_dataset(77, 12, 60);
+  mining::SequenceOptions keep_repeats;
+  keep_repeats.collapse_repeats = false;
+  mining::SequenceOptions long_days;
+  long_days.min_day_length = 3;
+  const std::pair<const char*, mining::SequenceOptions> variants[] = {
+      {"default", {}}, {"collapse_repeats=false", keep_repeats}, {"min_day_length=3", long_days}};
+  for (const auto& [name, sequence_options] : variants) {
+    for (const data::UserId user : dataset.users()) {
+      const mining::UserSequences sequences =
+          mining::build_user_sequences(dataset, user, tax(), sequence_options);
+      const std::string where = std::string(name) + " user " + std::to_string(user);
+      ASSERT_GT(sequences.day_count(), 0u) << where;
+      EXPECT_LT(sequences.shapes.size(), sequences.day_count()) << where;
+      expect_annotations_match_oracle(sequences, 0.05, where);
+    }
+  }
+}
+
+TEST(AnnotationOracleTest, MinedEntriesMatchThePerDayPipeline) {
+  // The whole phase-2 path over shapes equals mining the per-day columns
+  // and annotating day by day, with recorded_days still counting days.
+  const data::Dataset dataset = random_routine_dataset(91, 6, 45);
+  for (const char* algorithm : {"prefixspan", "bide"}) {
+    MobilityOptions options;
+    options.mining.min_support = 0.1;
+    options.mining.algorithm = algorithm;
+    options.sequences.min_day_length = 2;
+    for (const data::UserId user : dataset.users()) {
+      const mining::UserSequences sequences =
+          mining::build_user_sequences(dataset, user, tax(), options.sequences);
+      const UserMobility entry = mine_user_mobility(dataset, user, tax(), options);
+      const std::string where = std::string(algorithm) + " user " + std::to_string(user);
+      EXPECT_EQ(entry.recorded_days, sequences.day_count()) << where;
+      const mining::SequenceColumns days{sequences.items, sequences.day_offsets};
+      const mining::MiningResult per_day =
+          mining::miner_for(algorithm).mine(days, options.mining);
+      ASSERT_EQ(entry.patterns.size(), per_day.patterns.size()) << where;
+      for (std::size_t i = 0; i < per_day.patterns.size(); ++i)
+        expect_bit_identical(entry.patterns[i],
+                             annotate_pattern_per_day(per_day.patterns[i], sequences), where);
+      const std::vector<MobilityPattern> full =
+          expand_user_patterns(entry, sequences, options.mining);
+      const std::vector<mining::Pattern> frequent =
+          mining::prefixspan(days, options.mining);
+      ASSERT_EQ(full.size(), frequent.size()) << where;
+      for (std::size_t i = 0; i < frequent.size(); ++i)
+        expect_bit_identical(full[i], annotate_pattern_per_day(frequent[i], sequences), where);
+    }
+  }
+}
+
+TEST(AnnotationOracleTest, OneDayUser) {
+  const data::Dataset dataset = random_routine_dataset(5, 3, 1);
+  for (const data::UserId user : dataset.users()) {
+    const mining::UserSequences sequences = mining::build_user_sequences(dataset, user, tax());
+    ASSERT_EQ(sequences.day_count(), 1u);
+    ASSERT_EQ(sequences.shapes.size(), 1u);
+    expect_annotations_match_oracle(sequences, 1.0, "user " + std::to_string(user));
+    const UserMobility entry = mine_user_mobility(dataset, user, tax());
+    EXPECT_EQ(entry.recorded_days, 1u);
+  }
+}
+
+TEST(AnnotationOracleTest, PatternEmbeddedTwiceInADayUsesTheFirstEmbedding) {
+  // Pattern 1 -> 2 embeds twice in 1 2 1 2; the greedy first embedding
+  // takes minutes 100 and 200 (and 110, 210 on the second such day).
+  mining::UserSequences sequences;
+  const std::vector<mining::Item> twice{1, 2, 1, 2};
+  sequences.append_day(twice, std::vector<int>{100, 200, 300, 400});
+  sequences.append_day(std::vector<mining::Item>{2, 1}, std::vector<int>{50, 60});
+  sequences.append_day(twice, std::vector<int>{110, 210, 310, 410});
+  ASSERT_EQ(sequences.shapes.size(), 2u);
+  mining::Pattern pattern;
+  pattern.items = {1, 2};
+  pattern.support_count = 2;
+  pattern.support = 2.0 / 3.0;
+  const MobilityPattern annotated = annotate_pattern(pattern, sequences);
+  expect_bit_identical(annotated, annotate_pattern_per_day(pattern, sequences), "twice");
+  EXPECT_EQ(annotated.elements[0].mean_minute, 105.0);
+  EXPECT_EQ(annotated.elements[1].mean_minute, 205.0);
+  EXPECT_EQ(annotated.elements[0].stddev_minute, 5.0);
+  expect_annotations_match_oracle(sequences, 0.3, "twice (mined)");
 }
 
 // --------------------------------------------------- Compact (closed) mode
