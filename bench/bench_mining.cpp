@@ -41,6 +41,13 @@
 // (what the pipeline mines) against the per-day columns, asserting
 // that both return the same patterns and stats (also a smoke gate).
 //
+// It then replays that corpus epoch by epoch, three days per epoch, the
+// way the ingest worker grows it, and times each user's kept day-shape
+// index (mining::HistoryIndex, filing only the appended check-ins)
+// against a from-scratch index per epoch, asserting that both give
+// bit-identical shapes every epoch and equal mined entries at the end
+// (a smoke gate with no timing bar).
+//
 // Recorded acceptance bars (asserted in full mode; smoke asserts only
 // the deterministic set-size and equality properties, not timings):
 // at min_support 0.25 on the 10x corpus the closed set is >= 5x smaller
@@ -51,7 +58,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "crowd/model.hpp"
@@ -62,6 +71,7 @@
 #include "mining/seqdb.hpp"
 #include "patterns/mobility.hpp"
 #include "synth/generator.hpp"
+#include "util/civil_time.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
 
@@ -373,6 +383,116 @@ json::Value day_shape_block(const data::Dataset& dataset, bool* equal_all) {
                        {"miners", std::move(miners)}});
 }
 
+// ------------------------------- kept history index (epoch-by-epoch replay)
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+bool shapes_identical(const mining::DayShapes& a, const mining::DayShapes& b) {
+  return a.items == b.items && a.offsets == b.offsets && a.days == b.days &&
+         same_bits(a.minute_sum, b.minute_sum) && same_bits(a.minute_sq_sum, b.minute_sq_sum);
+}
+
+/// Replays `dense` epoch by epoch (kDaysPerEpoch days of every user's
+/// check-ins per epoch, merged through the dataset's incremental
+/// builder, as the ingest worker merges a delta). Per epoch, every
+/// touched user's kept index files only the appended records, and a
+/// fresh index files the whole history; both are timed. The two must
+/// be bit-identical every epoch and mine to equal entries at the end.
+json::Value history_index_block(const data::Dataset& dense, bool* equal_all) {
+  constexpr std::int64_t kDaysPerEpoch = 3;
+  const data::Taxonomy& taxonomy = data::Taxonomy::foursquare();
+  patterns::MobilityOptions options;
+  options.sequences.mode = mining::LabelMode::kVenue;
+  options.mining.min_support = 0.25;
+
+  data::DatasetBuilder seed;
+  for (const data::Venue& venue : dense.venues()) {
+    data::VenueSpec spec;
+    spec.id = venue.id;
+    spec.name = std::string(dense.venue_name(venue.id));
+    spec.category = venue.category;
+    spec.position = venue.position;
+    if (!seed.add_venue(spec).is_ok()) std::abort();
+  }
+  data::Dataset live = seed.build();
+  std::int64_t last_day = 0;
+  for (const data::CheckIn& checkin : dense.checkins())
+    last_day = std::max(last_day, day_index(checkin.timestamp));
+
+  std::unordered_map<data::UserId, mining::HistoryIndex> kept;
+  json::Value epochs = json::Value(json::Array{});
+  double kept_total_ms = 0.0;
+  double scratch_total_ms = 0.0;
+  std::size_t appended_users = 0;
+  std::size_t index_bytes = 0;
+  bool equal = true;
+  std::printf("--- kept day-shape index, dense corpus replayed %lld days per epoch ---\n",
+              static_cast<long long>(kDaysPerEpoch));
+  std::printf("%6s %10s %12s %12s\n", "epoch", "records", "kept ms", "scratch ms");
+  for (std::int64_t first = 0, epoch = 1; first <= last_day; first += kDaysPerEpoch, ++epoch) {
+    data::DatasetBuilder builder(live);
+    for (const data::CheckIn& checkin : dense.checkins()) {
+      const std::int64_t day = day_index(checkin.timestamp);
+      if (day >= first && day < first + kDaysPerEpoch && !builder.add_checkin(checkin).is_ok())
+        std::abort();
+    }
+    live = builder.build();
+
+    double kept_ms = 0.0;
+    double scratch_ms = 0.0;
+    for (const data::UserId user : live.users()) {
+      const data::Dataset::UserColumns records = live.checkins_for(user);
+      auto start = Clock::now();
+      mining::HistoryIndex& history = kept.try_emplace(user, options.sequences).first->second;
+      const std::size_t from = history.resume_point(records);
+      history.extend(records, from, taxonomy);
+      kept_ms += ms_since(start);
+      if (from > 0) ++appended_users;
+      start = Clock::now();
+      mining::HistoryIndex scratch(options.sequences);
+      scratch.extend(records, 0, taxonomy);
+      scratch_ms += ms_since(start);
+      equal = equal && shapes_identical(history.shapes(), scratch.shapes()) &&
+              history.day_count() == scratch.day_count();
+    }
+    kept_total_ms += kept_ms;
+    scratch_total_ms += scratch_ms;
+    if (epoch % 5 == 0)
+      std::printf("%6lld %10zu %12.2f %12.2f\n", static_cast<long long>(epoch),
+                  live.checkin_count(), kept_ms, scratch_ms);
+    epochs.push_back(json::object({{"epoch", epoch},
+                                   {"records", static_cast<std::int64_t>(live.checkin_count())},
+                                   {"kept_ms", kept_ms},
+                                   {"scratch_ms", scratch_ms}}));
+  }
+  for (const auto& [user, history] : kept) {
+    index_bytes += history.resident_bytes();
+    for (const char* algorithm : {"prefixspan", "bide"}) {
+      options.mining.algorithm = algorithm;
+      equal = equal && patterns::mine_user_mobility(user, history.shapes(), history.day_count(),
+                                                    options) ==
+                           patterns::mine_user_mobility(live, user, taxonomy, options);
+    }
+  }
+  *equal_all = *equal_all && equal;
+  std::printf("  total kept %.1f ms vs scratch %.1f ms (%.1fx), %zu appended user-epochs, "
+              "%zu index bytes, results %s\n\n",
+              kept_total_ms, scratch_total_ms,
+              kept_total_ms > 0 ? scratch_total_ms / kept_total_ms : 0.0, appended_users,
+              index_bytes, equal ? "IDENTICAL" : "DIVERGED");
+  return json::object({{"corpus", "dense"},
+                       {"days_per_epoch", kDaysPerEpoch},
+                       {"kept_ms", kept_total_ms},
+                       {"scratch_ms", scratch_total_ms},
+                       {"appended_user_epochs", static_cast<std::int64_t>(appended_users)},
+                       {"index_bytes", static_cast<std::int64_t>(index_bytes)},
+                       {"equal", equal},
+                       {"epochs", std::move(epochs)}});
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -483,6 +603,8 @@ int main(int argc, char** argv) {
                                              &crowd_equal_all, &dense_table_ratio));
   bool shapes_equal = true;
   json::Value day_shapes = day_shape_block(dense, &shapes_equal);
+  bool history_equal = true;
+  json::Value history_index = history_index_block(dense, &history_equal);
   auto sparse = synth::small_corpus(42);
   if (!sparse.is_ok()) {
     std::fprintf(stderr, "sparse corpus failed: %s\n", sparse.status().to_string().c_str());
@@ -504,6 +626,10 @@ int main(int argc, char** argv) {
   check(shapes_equal,
         "mining the weighted day shapes equals mining every day, for both miners",
         &failures);
+  check(history_equal,
+        "the kept day-shape index equals a from-scratch index every epoch, and mines "
+        "to the same entries",
+        &failures);
   check(dense_table_ratio > 1.2,
         "compact BIDE table is smaller than PrefixSpan's table on the dense corpus",
         &failures);
@@ -520,6 +646,7 @@ int main(int argc, char** argv) {
                                      {"corpora", std::move(corpora)},
                                      {"serving_modes", std::move(serving_modes)},
                                      {"day_shapes", std::move(day_shapes)},
+                                     {"history_index", std::move(history_index)},
                                      {"ratio_patterns_10x_s025", ratio_patterns_10x},
                                      {"ratio_time_10x_s025", ratio_time_10x},
                                      {"ratio_table_bytes_dense", dense_table_ratio},

@@ -305,9 +305,12 @@ Response user_patterns_handler(const PinnedView& view, const Request&,
   // expand lazily per request (the response cache absorbs repeats), so
   // the body is byte-identical to expanded mode's.
   std::vector<patterns::MobilityPattern> expanded;
-  if (user.mobility->closed_only)
-    expanded = patterns::expand_user_patterns(
-        *user.mobility, user.sequences(*view.platform), view.platform->config().mining);
+  if (user.mobility->closed_only) {
+    const PlatformConfig& config = view.platform->config();
+    expanded = patterns::expand_user_patterns(*user.mobility, *user.dataset,
+                                              view.platform->taxonomy(),
+                                              {config.sequences, config.mining});
+  }
   json::Value list = json::Value(json::Array{});
   for (const patterns::MobilityPattern& pattern :
        user.mobility->closed_only ? expanded : user.mobility->patterns)
@@ -434,34 +437,21 @@ Response analyze_handler(const PinnedView& view, const Request& request, const P
     events.push_back({taxonomy.root_of(*category), *timestamp});
   }
   if (events.empty()) return Response::bad_request_400("no check-in rows");
-  std::sort(events.begin(), events.end(),
-            [](const Event& a, const Event& b) { return a.timestamp < b.timestamp; });
+  // Row order breaks timestamp ties, as arrival order does in phase 2.
+  std::stable_sort(events.begin(), events.end(),
+                   [](const Event& a, const Event& b) { return a.timestamp < b.timestamp; });
 
-  // Build per-day sequences (same abstraction pipeline as phase 2).
-  mining::UserSequences sequences;
-  std::vector<mining::Item> day_items;
-  std::vector<int> day_minutes;
-  std::int64_t current_day = 0;
-  bool have_day = false;
-  const auto flush_day = [&] {
-    if (have_day) sequences.append_day(day_items, day_minutes);
-    day_items.clear();
-    day_minutes.clear();
-  };
+  // Per-day sequences through phase 2's own day builder and options.
+  std::vector<mining::Item> labels;
+  std::vector<std::int64_t> timestamps;
+  labels.reserve(events.size());
+  timestamps.reserve(events.size());
   for (const Event& event : events) {
-    const std::int64_t day = day_index(event.timestamp);
-    if (!have_day || day != current_day) {
-      flush_day();
-      current_day = day;
-      have_day = true;
-    }
-    if (!day_items.empty() && day_items.back() == event.label)
-      continue;  // collapse repeats
-    day_items.push_back(event.label);
-    const CivilTime civil = to_civil(event.timestamp);
-    day_minutes.push_back(civil.hour * 60 + civil.minute);
+    labels.push_back(event.label);
+    timestamps.push_back(event.timestamp);
   }
-  flush_day();
+  const mining::UserSequences sequences =
+      mining::build_day_sequences(labels, timestamps, platform.config().sequences);
 
   mining::MiningOptions mining_options = platform.config().mining;
   mining_options.min_support = min_support;
@@ -472,7 +462,8 @@ Response analyze_handler(const PinnedView& view, const Request& request, const P
   json::Value list = json::Value(json::Array{});
   for (const mining::Pattern& pattern : mined.patterns) {
     list.push_back(
-        pattern_json(patterns::annotate_pattern(pattern, sequences), platform, *view.dataset));
+        pattern_json(patterns::annotate_pattern(pattern, sequences.shapes), platform,
+                     *view.dataset));
   }
   return Response::json(
       200, json::dump(json::object(

@@ -156,7 +156,8 @@ patterns::PlaceGraph Platform::place_graph(const patterns::UserMobility* mobilit
   // change the rendered graph.
   std::vector<patterns::MobilityPattern> expanded;
   if (mobility != nullptr && mobility->closed_only) {
-    expanded = patterns::expand_user_patterns(*mobility, sequences, config_.mining);
+    expanded = patterns::expand_user_patterns(*mobility, sequences.shapes,
+                                              sequences.day_count(), config_.mining);
     if (!expanded.empty()) options.restrict_to_patterns = &expanded;
   } else if (mobility != nullptr && !mobility->patterns.empty()) {
     options.restrict_to_patterns = &mobility->patterns;

@@ -64,28 +64,29 @@ PlacementTables make_tables(const data::Dataset& dataset, const data::Taxonomy& 
 /// label at any time.
 ///
 /// Columnar and demand-driven: the constructor makes one pass over the
-/// user's timestamp column to precompute each record's window, and each
-/// pick() answers by scanning the venue/window columns for the queried
-/// (label, window). A user is only ever asked about the few elements of
-/// their qualifying patterns, so two O(records) scans per query beat
-/// building any index — and replace the old per-record std::map nest.
-/// Picks are identical to the old maps': highest count wins, ties break
-/// toward the smallest venue id (the old map's ascending iteration
-/// order with a strictly-greater comparison).
+/// user's records to key each one by `(label << 16) | window`, and each
+/// pick() answers by scanning that key column for the queried key (the
+/// fallback compares the label half only). A user is only ever asked
+/// about the few elements of their qualifying patterns, so O(records)
+/// scans of one integer per record beat building any index — and
+/// replace the old per-record std::map nest. Picks are identical to the
+/// old maps': highest count wins, ties break toward the smallest venue
+/// id (the old map's ascending iteration order with a strictly-greater
+/// comparison).
 class RepresentativeVenues {
  public:
   RepresentativeVenues(const data::Dataset::UserColumns& records,
                        const PlacementTables& tables)
-      : venues_(records.venues()), tables_(tables) {
+      : venues_(records.venues()) {
     const std::span<const std::int64_t> timestamps = records.timestamps();
-    windows_.resize(timestamps.size());
+    keys_.resize(timestamps.size());
     for (std::size_t i = 0; i < timestamps.size(); ++i)
-      windows_[i] = tables.window_of_minute[static_cast<std::size_t>(
-          minute_of_day(timestamps[i]))];
+      keys_[i] = key(tables.venue_labels[venues_[i]],
+                     tables.window_of_minute[static_cast<std::size_t>(
+                         minute_of_day(timestamps[i]))]);
   }
 
   [[nodiscard]] std::optional<data::VenueId> pick(mining::Item label, int window) const {
-    const std::span<const mining::Item> venue_labels = tables_.venue_labels;
     // Per-venue counts of the matching records, in first-seen order;
     // users visit few distinct venues per label, so linear probing wins.
     std::vector<std::pair<data::VenueId, std::size_t>> counts;
@@ -98,13 +99,14 @@ class RepresentativeVenues {
       }
       counts.emplace_back(venue, 1);
     };
-    for (std::size_t i = 0; i < venues_.size(); ++i) {
-      if (venue_labels[venues_[i]] == label && windows_[i] == window) bump(venues_[i]);
+    const std::uint64_t wanted = key(label, window);
+    for (std::size_t i = 0; i < keys_.size(); ++i) {
+      if (keys_[i] == wanted) bump(venues_[i]);
     }
     if (counts.empty()) {
       // Fallback: the user's most-visited venue of this label at any time.
-      for (const data::VenueId venue : venues_) {
-        if (venue_labels[venue] == label) bump(venue);
+      for (std::size_t i = 0; i < keys_.size(); ++i) {
+        if (keys_[i] >> 16 == label) bump(venues_[i]);
       }
     }
     if (counts.empty()) return std::nullopt;
@@ -120,9 +122,13 @@ class RepresentativeVenues {
   }
 
  private:
-  std::span<const data::VenueId> venues_;   ///< the user's venue column
-  const PlacementTables& tables_;
-  std::vector<std::uint16_t> windows_;      ///< window of each record
+  /// Windows are below 2^16 (at most 1,440 a day).
+  static std::uint64_t key(mining::Item label, int window) noexcept {
+    return (static_cast<std::uint64_t>(label) << 16) | static_cast<std::uint16_t>(window);
+  }
+
+  std::span<const data::VenueId> venues_;  ///< the user's venue column
+  std::vector<std::uint64_t> keys_;        ///< (label, window) key of each record
 };
 
 /// Closed-mode placement: reads the compact per-user index instead of

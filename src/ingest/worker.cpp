@@ -7,6 +7,7 @@
 #include "telemetry/timer.hpp"
 #include "util/format.hpp"
 #include "util/log.hpp"
+#include "util/parallel.hpp"
 
 namespace crowdweb::ingest {
 
@@ -151,6 +152,17 @@ void IngestWorker::init_metrics() {
       "crowdweb_mining_pruned_total",
       "Search subtrees the miner cut without counting (BIDE's BackScan). "
       "0 for full miners.");
+  telemetry::CounterFamily& history_users = metrics_->counter_family(
+      "crowdweb_ingest_history_users_total",
+      "Re-mined users whose kept day-shape index filed only their appended check-ins "
+      "(path=appended) or was rebuilt from their first record (path=refiled: first "
+      "touch, or a check-in not later than the last one filed).",
+      {"path"});
+  history_appended_ = &history_users.with_labels({"appended"});
+  history_refiled_ = &history_users.with_labels({"refiled"});
+  history_bytes_ = &metrics_->gauge(
+      "crowdweb_ingest_history_bytes",
+      "Heap bytes of the worker's kept per-user day-shape indexes.");
   mining_truncated_ = &metrics_->counter(
       "crowdweb_mining_truncated_total",
       "Per-user re-mines whose pattern set was cut short by the max_patterns cap "
@@ -315,6 +327,10 @@ Status IngestWorker::adopt_checkpoint(const store::Checkpoint& checkpoint) {
     if (Status status = builder.add_checkin(c); !status.is_ok()) return status;
   }
   live_ = builder.build();
+  // The indexes filed the replaced corpus: every user refiles on touch.
+  histories_.clear();
+  history_bytes_total_ = 0;
+  history_bytes_->set(0.0);
   base_checkin_count_ = checkpoint.base_checkin_count;
   touched_users_.clear();
   touched_users_.insert(checkpoint.touched_users.begin(), checkpoint.touched_users.end());
@@ -560,8 +576,11 @@ Status IngestWorker::rebuild_and_publish() {
   merge_timer.stop();
 
   // Stage 2: mine — phase 2 for the touched users only, sharded across
-  // the mining pool; the result batch-merges into the shared mobility
-  // table (untouched entries stay shared with the previous epoch).
+  // the mining pool. Each user's kept day-shape index files just the
+  // records the delta appended (or refiles from the first record when
+  // one landed at or before the last filed), and the user re-mines from
+  // it; the result batch-merges into the shared mobility table
+  // (untouched entries stay shared with the previous epoch).
   telemetry::ScopedTimer mine_timer(stage_mine_seconds_);
   patterns::MobilityOptions mobility_options;
   mobility_options.sequences = pipeline_.sequences;
@@ -569,8 +588,35 @@ Status IngestWorker::rebuild_and_publish() {
   std::vector<data::UserId> changed(pending_users_.begin(), pending_users_.end());
   std::sort(changed.begin(), changed.end());
   if (!changed.empty()) {
-    std::vector<patterns::UserMobility> updates = patterns::mine_users_mobility_parallel(
-        live_, changed, taxonomy_, mobility_options, pipeline_.mining_threads);
+    // Every slot exists before the fan-out, so the threads extend
+    // disjoint entries of a map no thread inserts into. The byte total
+    // drops the changed indexes here and adds them back once extended.
+    std::vector<mining::HistoryIndex*> histories;
+    histories.reserve(changed.size());
+    for (const data::UserId user : changed) {
+      mining::HistoryIndex& history =
+          histories_.try_emplace(user, pipeline_.sequences).first->second;
+      history_bytes_total_ -= history.resident_bytes();
+      histories.push_back(&history);
+    }
+    std::vector<patterns::UserMobility> updates(changed.size());
+    std::vector<std::uint8_t> appended(changed.size(), 0);
+    util::parallel_for(changed.size(), pipeline_.mining_threads, [&](std::size_t i) {
+      mining::HistoryIndex& history = *histories[i];
+      const data::Dataset::UserColumns records = live_.checkins_for(changed[i]);
+      const std::size_t from = history.resume_point(records);
+      history.extend(records, from, taxonomy_);
+      appended[i] = from > 0 ? 1 : 0;
+      updates[i] = patterns::mine_user_mobility(changed[i], history.shapes(),
+                                                history.day_count(), mobility_options);
+    });
+    for (const mining::HistoryIndex* history : histories)
+      history_bytes_total_ += history->resident_bytes();
+    history_bytes_->set(static_cast<double>(history_bytes_total_));
+    const auto appended_users =
+        static_cast<std::uint64_t>(std::count(appended.begin(), appended.end(), 1));
+    history_appended_->increment(appended_users);
+    history_refiled_->increment(changed.size() - appended_users);
     mining::MiningStats epoch_mining;
     std::size_t truncated_users = 0;
     for (const patterns::UserMobility& entry : updates) {

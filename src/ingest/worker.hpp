@@ -242,6 +242,12 @@ class IngestWorker {
   std::unordered_map<std::uint64_t, data::VenueId> venue_index_;
   std::unordered_set<data::UserId> pending_users_;  // changed since last epoch
   std::unordered_set<data::UserId> touched_users_;  // ever touched by deltas
+  // Each re-mined user's days as a kept shape index (never published):
+  // an epoch files only the records its delta appended. Cleared when a
+  // checkpoint replaces the corpus; a user missing here refiles from
+  // their first record.
+  std::unordered_map<data::UserId, mining::HistoryIndex> histories_;
+  std::size_t history_bytes_total_ = 0;  // resident bytes of histories_
   std::uint64_t epoch_ = 0;
   std::size_t base_checkin_count_ = 0;  // check-ins of `live_` not from live events
 
@@ -290,6 +296,10 @@ class IngestWorker {
   telemetry::Counter* mining_expanded_ = nullptr;
   telemetry::Counter* mining_pruned_ = nullptr;
   telemetry::Counter* mining_truncated_ = nullptr;
+  // Kept-index accounting (crowdweb_ingest_history_*).
+  telemetry::Counter* history_appended_ = nullptr;
+  telemetry::Counter* history_refiled_ = nullptr;
+  telemetry::Gauge* history_bytes_ = nullptr;
   std::vector<std::string> callback_gauge_names_;  ///< removed on destruction
 
   std::atomic<std::uint64_t> snapshot_live_{0};

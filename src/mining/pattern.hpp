@@ -100,6 +100,8 @@ struct MiningStats {
     expanded += other.expanded;
     truncated = truncated || other.truncated;
   }
+
+  friend bool operator==(const MiningStats&, const MiningStats&) = default;
 };
 
 /// Shared mining parameters.

@@ -39,6 +39,17 @@ void DayShapes::reserve(std::size_t item_count) {
   minute_sq_sum.reserve(item_count);
 }
 
+std::size_t DayShapes::probe(std::uint64_t hash,
+                             std::span<const Item> day_items) const noexcept {
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t slot = hash & mask;
+  for (; slots_[slot] != 0; slot = (slot + 1) & mask) {
+    const std::size_t s = slots_[slot] - 1;
+    if (hashes_[s] == hash && std::ranges::equal(shape(s), day_items)) break;
+  }
+  return slot;
+}
+
 void DayShapes::add(std::span<const Item> day_items, std::span<const int> day_minutes) {
   const std::uint64_t hash = hash_labels(day_items);
   if (2 * (size() + 1) > slots_.size()) {
@@ -51,11 +62,9 @@ void DayShapes::add(std::span<const Item> day_items, std::span<const int> day_mi
       slots_[slot] = static_cast<std::uint32_t>(s + 1);
     }
   }
-  const std::size_t mask = slots_.size() - 1;
-  std::size_t slot = hash & mask;
-  for (; slots_[slot] != 0; slot = (slot + 1) & mask) {
+  const std::size_t slot = probe(hash, day_items);
+  if (slots_[slot] != 0) {
     const std::size_t s = slots_[slot] - 1;
-    if (hashes_[s] != hash || !std::ranges::equal(shape(s), day_items)) continue;
     ++days[s];
     for (std::size_t i = 0; i < day_minutes.size(); ++i) {
       const double minute = day_minutes[i];
@@ -76,19 +85,46 @@ void DayShapes::add(std::span<const Item> day_items, std::span<const int> day_mi
   offsets.push_back(static_cast<std::uint32_t>(items.size()));
 }
 
-void UserSequences::append_day(std::span<const Item> day_items,
-                               std::span<const int> day_minutes) {
-  items.insert(items.end(), day_items.begin(), day_items.end());
-  item_minutes.insert(item_minutes.end(), day_minutes.begin(), day_minutes.end());
-  end_day();
+void DayShapes::remove_last(std::span<const Item> day_items,
+                            std::span<const int> day_minutes) {
+  const std::size_t slot = probe(hash_labels(day_items), day_items);
+  const std::size_t s = slots_[slot] - 1;
+  if (--days[s] > 0) {
+    // Integer-valued sums: subtracting restores the exact earlier bits.
+    for (std::size_t i = 0; i < day_minutes.size(); ++i) {
+      const double minute = day_minutes[i];
+      minute_sum[offsets[s] + i] -= minute;
+      minute_sq_sum[offsets[s] + i] -= minute * minute;
+    }
+    return;
+  }
+  // The day was the shape's only one, so the shape was created when the
+  // day was added, after every other: it is the newest, and no probe
+  // run of another shape passes its slot, so clearing the slot is safe.
+  slots_[slot] = 0;
+  hashes_.pop_back();
+  days.pop_back();
+  items.resize(offsets[s]);
+  minute_sum.resize(offsets[s]);
+  minute_sq_sum.resize(offsets[s]);
+  offsets.pop_back();
+  if (offsets.size() == 1) offsets.clear();
 }
 
-void UserSequences::end_day() {
-  const std::size_t start = open_day_start();
+std::size_t DayShapes::resident_bytes() const noexcept {
+  return items.capacity() * sizeof(Item) + offsets.capacity() * sizeof(std::uint32_t) +
+         days.capacity() * sizeof(std::uint32_t) +
+         (minute_sum.capacity() + minute_sq_sum.capacity()) * sizeof(double) +
+         slots_.capacity() * sizeof(std::uint32_t) + hashes_.capacity() * sizeof(std::uint64_t);
+}
+
+void UserSequences::append_day(std::span<const Item> day_items,
+                               std::span<const int> day_minutes) {
   if (day_offsets.empty()) day_offsets.push_back(0);
+  items.insert(items.end(), day_items.begin(), day_items.end());
+  item_minutes.insert(item_minutes.end(), day_minutes.begin(), day_minutes.end());
   day_offsets.push_back(static_cast<std::uint32_t>(items.size()));
-  shapes.add(std::span<const Item>(items).subspan(start),
-             std::span<const int>(item_minutes).subspan(start));
+  shapes.add(day_items, day_minutes);
 }
 
 UserSequences UserSequences::slice_days(std::size_t begin, std::size_t end) const {
@@ -98,52 +134,78 @@ UserSequences UserSequences::slice_days(std::size_t begin, std::size_t end) cons
   return out;
 }
 
+std::size_t HistoryIndex::resume_point(
+    const data::Dataset::UserColumns& records) const noexcept {
+  // Records only ever join a user's column, in (timestamp, arrival)
+  // order. If one joined at or before the last filed timestamp, it sits
+  // at or before position filed_, so that position is no longer
+  // strictly later than the last filed record.
+  if (filed_ == 0 || records.size() < filed_) return 0;
+  if (records.size() > filed_ && records.timestamp(filed_) <= last_timestamp_) return 0;
+  return filed_;
+}
+
+void HistoryIndex::extend(const data::Dataset::UserColumns& records, std::size_t from,
+                          const data::Taxonomy& taxonomy) {
+  if (from == 0) {
+    splitter_ = DaySplitter(options_);
+    shapes_ = DayShapes{};
+    days_ = 0;
+  }
+  const auto timestamps = records.timestamps();
+  const auto venues = records.venues();
+  if (from < records.size() && splitter_.filed() && splitter_.on_open_day(timestamps[from])) {
+    // The new records extend the open day: take it back out, refile it
+    // once it is complete again.
+    shapes_.remove_last(splitter_.open_items(), splitter_.open_minutes());
+    --days_;
+    splitter_.reopen();
+  }
+  const auto file = [this](std::span<const Item> day_items, std::span<const int> day_minutes) {
+    shapes_.add(day_items, day_minutes);
+    ++days_;
+  };
+  for (std::size_t i = from; i < records.size(); ++i)
+    splitter_.push(label_of(venues[i], records.category(i), options_.mode, taxonomy),
+                   timestamps[i], file);
+  splitter_.file_open(file);
+  filed_ = records.size();
+  if (filed_ > 0) last_timestamp_ = timestamps[filed_ - 1];
+}
+
+std::size_t HistoryIndex::resident_bytes() const noexcept {
+  return sizeof(HistoryIndex) + shapes_.resident_bytes() + splitter_.resident_bytes();
+}
+
+UserSequences build_day_sequences(std::span<const Item> labels,
+                                  std::span<const std::int64_t> timestamps,
+                                  const SequenceOptions& options) {
+  UserSequences out;
+  // Upper bounds (collapsing and dropped days only shrink them), so the
+  // columns grow without reallocating.
+  out.items.reserve(labels.size());
+  out.item_minutes.reserve(labels.size());
+  out.day_offsets.reserve(labels.size() + 1);
+  out.shapes.reserve(labels.size());
+  DaySplitter splitter(options);
+  const auto file = [&out](std::span<const Item> day_items, std::span<const int> day_minutes) {
+    out.append_day(day_items, day_minutes);
+  };
+  for (std::size_t i = 0; i < labels.size(); ++i) splitter.push(labels[i], timestamps[i], file);
+  splitter.file_open(file);
+  return out;
+}
+
 UserSequences build_user_sequences(const data::Dataset& dataset, data::UserId user,
                                    const data::Taxonomy& taxonomy,
                                    const SequenceOptions& options) {
-  UserSequences out;
-  out.user = user;
-
   const auto records = dataset.checkins_for(user);  // already time-sorted
-  const auto timestamps = records.timestamps();
   const auto venues = records.venues();
-  // Upper bounds (collapsing and dropped days only shrink them), so the
-  // columns grow without reallocating.
-  out.items.reserve(records.size());
-  out.item_minutes.reserve(records.size());
-  out.day_offsets.reserve(records.size() + 1);
-  out.shapes.reserve(records.size());
-  // Each day is written straight into the flat columns; a day that
-  // turns out too short is cut off again when the next one starts.
-  const std::size_t min_length = std::max<std::size_t>(1, options.min_day_length);
-  std::int64_t current_day = 0;
-  bool have_day = false;
-
-  const auto flush = [&] {
-    const std::size_t start = out.open_day_start();
-    if (out.items.size() - start >= min_length) {
-      out.end_day();
-    } else {
-      out.items.resize(start);
-      out.item_minutes.resize(start);
-    }
-  };
-
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    const std::int64_t day = day_index(timestamps[i]);
-    if (!have_day || day != current_day) {
-      flush();
-      current_day = day;
-      have_day = true;
-    }
-    const Item item = label_of(venues[i], records.category(i), options.mode, taxonomy);
-    if (options.collapse_repeats && out.items.size() > out.open_day_start() &&
-        out.items.back() == item)
-      continue;
-    out.items.push_back(item);
-    out.item_minutes.push_back(minute_of_day(timestamps[i]));
-  }
-  flush();
+  std::vector<Item> labels(records.size());
+  for (std::size_t i = 0; i < records.size(); ++i)
+    labels[i] = label_of(venues[i], records.category(i), options.mode, taxonomy);
+  UserSequences out = build_day_sequences(labels, records.timestamps(), options);
+  out.user = user;
   return out;
 }
 

@@ -23,8 +23,15 @@
 // shapes weighted by their day counts (SequenceColumns::weights), which
 // yields exactly the per-day result, and pattern annotation walks shapes
 // instead of days.
+//
+// One day builder (DaySplitter) turns time-ordered records into days for
+// every consumer: the per-day columns of build_user_sequences and
+// /api/analyze, and the HistoryIndex — the shape index alone, which the
+// ingest worker keeps per user across epochs and extends with only the
+// records each epoch appends.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -32,6 +39,7 @@
 
 #include "data/dataset.hpp"
 #include "mining/pattern.hpp"
+#include "util/civil_time.hpp"
 #include "util/status.hpp"
 
 namespace crowdweb::mining {
@@ -57,7 +65,9 @@ struct SequenceOptions {
 /// minute_sq_sum hold, per shape position, the sum of those days'
 /// minute-of-day values and of their squares. Minutes are integers below
 /// 1440, so both sums are integer-valued doubles far below 2^53: they are
-/// exact, and any summation order gives the same bits. Filled by add().
+/// exact, any summation order gives the same bits, and taking a day back
+/// out (remove_last) leaves exactly the bits a build without it has.
+/// Filled by add().
 struct DayShapes {
   std::vector<Item> items;
   std::vector<std::uint32_t> offsets;  ///< size()+1 entries (or none)
@@ -72,6 +82,9 @@ struct DayShapes {
     return std::span<const Item>(items).subspan(offsets[s], offsets[s + 1] - offsets[s]);
   }
 
+  /// The miner-facing view: each shape weighted by its day count.
+  [[nodiscard]] SequenceColumns columns() const noexcept { return {items, offsets, days}; }
+
   /// Reserves room for `item_count` labels across all shapes.
   void reserve(std::size_t item_count);
 
@@ -79,11 +92,95 @@ struct DayShapes {
   /// its minutes to the shape's sums.
   void add(std::span<const Item> day_items, std::span<const int> day_minutes);
 
+  /// Takes the most recently added day back out: its weight and minutes
+  /// leave its shape's sums, and a shape left with no days (it can only
+  /// be the newest) is dropped with its table slot. Afterwards every
+  /// field equals a build that never saw the day.
+  void remove_last(std::span<const Item> day_items, std::span<const int> day_minutes);
+
+  /// Heap bytes held (every column and the lookup table, by capacity).
+  [[nodiscard]] std::size_t resident_bytes() const noexcept;
+
  private:
+  /// The slot holding the shape equal to `day_items`, or the empty slot
+  /// that ends its probe run when no shape equals it.
+  [[nodiscard]] std::size_t probe(std::uint64_t hash,
+                                  std::span<const Item> day_items) const noexcept;
+
   /// Open-addressed table over the shapes: a slot holds shape index + 1,
   /// 0 when empty; `hashes_[s]` is shape s's label hash. Load <= 1/2.
   std::vector<std::uint32_t> slots_;
   std::vector<std::uint64_t> hashes_;
+};
+
+/// The one rule that turns a user's time-ordered, labelled check-ins
+/// into recorded days, shared by every day builder (build_day_sequences,
+/// HistoryIndex): records group by calendar day; under collapse_repeats
+/// an element equal to the previous one of its day is dropped; a day is
+/// recorded once it holds min_day_length elements. The splitter keeps
+/// the open (latest) day, so a caller can file it early and take it
+/// back when later records extend it.
+class DaySplitter {
+ public:
+  explicit DaySplitter(const SequenceOptions& options = {}) noexcept
+      : min_length_(std::max<std::size_t>(1, options.min_day_length)),
+        collapse_(options.collapse_repeats) {}
+
+  /// Adds one record, not earlier than the previous one. When it opens a
+  /// new day, the open day goes to `file(items, minutes)` first (see
+  /// file_open). A filed open day must be reopened before a record of
+  /// its own day is pushed.
+  template <typename File>
+  void push(Item label, std::int64_t timestamp, File&& file) {
+    const std::int64_t day = day_index(timestamp);
+    if (!open_ || day != day_) {
+      file_open(file);
+      items_.clear();
+      minutes_.clear();
+      day_ = day;
+      open_ = true;
+      filed_ = false;
+    }
+    if (collapse_ && !items_.empty() && items_.back() == label) return;
+    items_.push_back(label);
+    minutes_.push_back(minute_of_day(timestamp));
+  }
+
+  /// Hands the open day to `file(items, minutes)` when it is recorded
+  /// (long enough) and not filed yet. The day stays open.
+  template <typename File>
+  void file_open(File&& file) {
+    if (!open_ || filed_ || items_.size() < min_length_) return;
+    file(std::span<const Item>(items_), std::span<const int>(minutes_));
+    filed_ = true;
+  }
+
+  /// Whether `timestamp` falls on the open day.
+  [[nodiscard]] bool on_open_day(std::int64_t timestamp) const noexcept {
+    return open_ && day_index(timestamp) == day_;
+  }
+  /// Whether the open day has been handed to a file callback.
+  [[nodiscard]] bool filed() const noexcept { return filed_; }
+  /// Marks the open day unfiled: the caller took it back out of what it
+  /// was filed into. Its elements stay, so later records extend it.
+  void reopen() noexcept { filed_ = false; }
+
+  [[nodiscard]] std::span<const Item> open_items() const noexcept { return items_; }
+  [[nodiscard]] std::span<const int> open_minutes() const noexcept { return minutes_; }
+
+  /// Heap bytes held by the open day.
+  [[nodiscard]] std::size_t resident_bytes() const noexcept {
+    return items_.capacity() * sizeof(Item) + minutes_.capacity() * sizeof(int);
+  }
+
+ private:
+  std::size_t min_length_ = 1;
+  bool collapse_ = true;
+  bool open_ = false;
+  bool filed_ = false;
+  std::int64_t day_ = 0;
+  std::vector<Item> items_;  ///< the open day's elements
+  std::vector<int> minutes_;
 };
 
 /// A user's mineable history in columnar form: one sequence per day
@@ -117,25 +214,62 @@ struct UserSequences {
   /// The miner-facing view: the distinct day shapes, each weighted by
   /// its day count (no copying). Mines to exactly what the per-day
   /// columns {items, day_offsets} would.
-  [[nodiscard]] SequenceColumns columns() const noexcept {
-    return {shapes.items, shapes.offsets, shapes.days};
-  }
+  [[nodiscard]] SequenceColumns columns() const noexcept { return shapes.columns(); }
 
   /// Appends one day's elements and files the day under its shape.
   void append_day(std::span<const Item> day_items, std::span<const int> day_minutes);
 
-  /// Closes the day whose elements were pushed onto `items` and
-  /// `item_minutes` since the last day ended (append_day without the
-  /// copy): records its offset and files it under its shape.
-  void end_day();
-  /// Where the day being pushed starts in `items`.
-  [[nodiscard]] std::size_t open_day_start() const noexcept {
-    return day_offsets.empty() ? 0 : day_offsets.back();
-  }
-
   /// Days [begin, end) as a new flat history (train/test splits).
   [[nodiscard]] UserSequences slice_days(std::size_t begin, std::size_t end) const;
 };
+
+/// One user's recorded days as a shape index only (no per-day columns),
+/// kept across appends. extend() files the user's records from a given
+/// position on: the ingest worker keeps one per touched user and files
+/// only each epoch's new records, and a one-shot mine files from 0.
+/// Records landing on the open (latest) day take it back out of the
+/// shapes first (DayShapes::remove_last) and refile it, so after every
+/// extend the index equals a from-scratch build over the same records,
+/// bit for bit.
+class HistoryIndex {
+ public:
+  explicit HistoryIndex(const SequenceOptions& options = {}) noexcept
+      : options_(options), splitter_(options) {}
+
+  [[nodiscard]] const DayShapes& shapes() const noexcept { return shapes_; }
+  /// Recorded days filed (the shapes' total weight).
+  [[nodiscard]] std::size_t day_count() const noexcept { return days_; }
+  /// Records of the user's column filed so far.
+  [[nodiscard]] std::size_t filed_records() const noexcept { return filed_; }
+
+  /// Where extend() may resume over `records`, the user's current
+  /// time-ordered column: filed_records() when every record past the
+  /// filed prefix is strictly later than the last filed one (then the
+  /// prefix is exactly what was filed), else 0 (refile).
+  [[nodiscard]] std::size_t resume_point(const data::Dataset::UserColumns& records) const noexcept;
+
+  /// Files records [from, records.size()). `from` is 0 (start over) or
+  /// resume_point(records).
+  void extend(const data::Dataset::UserColumns& records, std::size_t from,
+              const data::Taxonomy& taxonomy);
+
+  /// Heap bytes held (shapes, lookup table and open day) plus the object.
+  [[nodiscard]] std::size_t resident_bytes() const noexcept;
+
+ private:
+  SequenceOptions options_;
+  DaySplitter splitter_;
+  DayShapes shapes_;
+  std::size_t days_ = 0;
+  std::size_t filed_ = 0;
+  std::int64_t last_timestamp_ = 0;
+};
+
+/// The day builder over already-labelled records in time order: per-day
+/// columns plus their shape index (what /api/analyze mines).
+[[nodiscard]] UserSequences build_day_sequences(std::span<const Item> labels,
+                                                std::span<const std::int64_t> timestamps,
+                                                const SequenceOptions& options = {});
 
 /// Builds the per-day sequence database of one user.
 [[nodiscard]] UserSequences build_user_sequences(const data::Dataset& dataset,

@@ -1,19 +1,18 @@
 #include "patterns/mobility.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <memory>
-#include <thread>
 #include <unordered_set>
 
 #include "mining/registry.hpp"
 #include "util/format.hpp"
+#include "util/parallel.hpp"
 
 namespace crowdweb::patterns {
 
 MobilityPattern annotate_pattern(const mining::Pattern& pattern,
-                                 const mining::UserSequences& sequences) {
+                                 const mining::DayShapes& shapes) {
   MobilityPattern out;
   out.support_count = pattern.support_count;
   out.support = pattern.support;
@@ -25,7 +24,6 @@ MobilityPattern annotate_pattern(const mining::Pattern& pattern,
   // embedding, so each shape adds its days' per-position minute sums at
   // once; the sums are exact integers, so the result is bit-identical to
   // a day-by-day walk.
-  const mining::DayShapes& shapes = sequences.shapes;
   std::vector<double> sum(pattern.items.size(), 0.0);
   std::vector<double> sum_sq(pattern.items.size(), 0.0);
   std::vector<std::uint32_t> embedding(pattern.items.size(), 0);
@@ -78,11 +76,11 @@ namespace {
 /// candidate that dominated it would have qualified first in expanded
 /// mode too, contradicting the winner being placed.
 void build_placement_index(UserMobility& out, std::span<const mining::Pattern> closed,
-                           const mining::UserSequences& sequences,
+                           const mining::DayShapes& shapes, std::size_t day_count,
                            const mining::MiningOptions& mining) {
   mining::MiningStats expand_stats;
-  const std::vector<mining::Pattern> full = mining::expand_closed_patterns(
-      closed, sequences.day_count(), mining, &expand_stats);
+  const std::vector<mining::Pattern> full =
+      mining::expand_closed_patterns(closed, day_count, mining, &expand_stats);
   out.mining_stats.expanded += expand_stats.expanded;
   out.mining_stats.truncated = out.mining_stats.truncated || expand_stats.truncated;
   out.frequent_patterns = full.size();
@@ -90,7 +88,7 @@ void build_placement_index(UserMobility& out, std::span<const mining::Pattern> c
   std::vector<PlacementCandidate> candidates;
   std::uint32_t rank = 0;
   for (const mining::Pattern& pattern : full) {
-    const MobilityPattern annotated = annotate_pattern(pattern, sequences);
+    const MobilityPattern annotated = annotate_pattern(pattern, shapes);
     for (const TimedElement& element : annotated.elements) {
       PlacementCandidate candidate;
       candidate.label = element.label;
@@ -137,27 +135,32 @@ void build_placement_index(UserMobility& out, std::span<const mining::Pattern> c
 
 }  // namespace
 
-UserMobility mine_user_mobility(const data::Dataset& dataset, data::UserId user,
-                                const data::Taxonomy& taxonomy,
-                                const MobilityOptions& options) {
+UserMobility mine_user_mobility(data::UserId user, const mining::DayShapes& shapes,
+                                std::size_t day_count, const MobilityOptions& options) {
   UserMobility out;
   out.user = user;
-  const mining::UserSequences sequences =
-      mining::build_user_sequences(dataset, user, taxonomy, options.sequences);
-  out.recorded_days = sequences.day_count();
-  if (sequences.empty()) return out;
+  out.recorded_days = day_count;
+  if (day_count == 0) return out;
 
   const mining::IMiningAlgorithm& miner = mining::miner_for(options.mining.algorithm);
-  const mining::MiningResult mined = miner.mine(sequences.columns(), options.mining);
+  const mining::MiningResult mined = miner.mine(shapes.columns(), options.mining);
   out.mining_stats = mined.stats;
   out.patterns.reserve(mined.patterns.size());
   for (const mining::Pattern& pattern : mined.patterns)
-    out.patterns.push_back(annotate_pattern(pattern, sequences));
+    out.patterns.push_back(annotate_pattern(pattern, shapes));
   if (miner.closed_output()) {
     out.closed_only = true;
-    build_placement_index(out, mined.patterns, sequences, options.mining);
+    build_placement_index(out, mined.patterns, shapes, day_count, options.mining);
   }
   return out;
+}
+
+UserMobility mine_user_mobility(const data::Dataset& dataset, data::UserId user,
+                                const data::Taxonomy& taxonomy,
+                                const MobilityOptions& options) {
+  mining::HistoryIndex history(options.sequences);
+  history.extend(dataset.checkins_for(user), 0, taxonomy);
+  return mine_user_mobility(user, history.shapes(), history.day_count(), options);
 }
 
 std::size_t UserMobility::support_count_of(
@@ -192,7 +195,8 @@ std::size_t UserMobility::resident_bytes() const noexcept {
 }
 
 std::vector<MobilityPattern> expand_user_patterns(const UserMobility& mobility,
-                                                  const mining::UserSequences& sequences,
+                                                  const mining::DayShapes& shapes,
+                                                  std::size_t day_count,
                                                   const mining::MiningOptions& mining) {
   if (!mobility.closed_only) return mobility.patterns;
   // Reconstitute the closed set in miner form (items + supports; the
@@ -209,11 +213,11 @@ std::vector<MobilityPattern> expand_user_patterns(const UserMobility& mobility,
     closed.push_back(std::move(raw));
   }
   const std::vector<mining::Pattern> full =
-      mining::expand_closed_patterns(closed, sequences.day_count(), mining);
+      mining::expand_closed_patterns(closed, day_count, mining);
   std::vector<MobilityPattern> out;
   out.reserve(full.size());
   for (const mining::Pattern& pattern : full)
-    out.push_back(annotate_pattern(pattern, sequences));
+    out.push_back(annotate_pattern(pattern, shapes));
   return out;
 }
 
@@ -222,9 +226,9 @@ std::vector<MobilityPattern> expand_user_patterns(const UserMobility& mobility,
                                                   const data::Taxonomy& taxonomy,
                                                   const MobilityOptions& options) {
   if (!mobility.closed_only) return mobility.patterns;
-  const mining::UserSequences sequences =
-      mining::build_user_sequences(dataset, mobility.user, taxonomy, options.sequences);
-  return expand_user_patterns(mobility, sequences, options.mining);
+  mining::HistoryIndex history(options.sequences);
+  history.extend(dataset.checkins_for(mobility.user), 0, taxonomy);
+  return expand_user_patterns(mobility, history.shapes(), history.day_count(), options.mining);
 }
 
 std::vector<UserMobility> mine_all_mobility(const data::Dataset& dataset,
@@ -250,29 +254,9 @@ std::vector<UserMobility> mine_users_mobility_parallel(const data::Dataset& data
                                                        const MobilityOptions& options,
                                                        unsigned threads) {
   std::vector<UserMobility> out(users.size());
-  if (users.empty()) return out;
-  if (threads == 0) threads = std::max(1u, std::thread::hardware_concurrency());
-  threads = std::min<unsigned>(threads, static_cast<unsigned>(users.size()));
-  if (threads <= 1) {
-    for (std::size_t i = 0; i < users.size(); ++i)
-      out[i] = mine_user_mobility(dataset, users[i], taxonomy, options);
-    return out;
-  }
-
-  // Users are claimed from a shared atomic counter; each result lands in
-  // its own slot, so no further synchronization is needed.
-  std::atomic<std::size_t> next{0};
-  const auto worker = [&] {
-    while (true) {
-      const std::size_t index = next.fetch_add(1, std::memory_order_relaxed);
-      if (index >= users.size()) return;
-      out[index] = mine_user_mobility(dataset, users[index], taxonomy, options);
-    }
-  };
-  std::vector<std::thread> pool;
-  pool.reserve(threads);
-  for (unsigned t = 0; t < threads; ++t) pool.emplace_back(worker);
-  for (std::thread& thread : pool) thread.join();
+  util::parallel_for(users.size(), threads, [&](std::size_t i) {
+    out[i] = mine_user_mobility(dataset, users[i], taxonomy, options);
+  });
   return out;
 }
 

@@ -100,6 +100,8 @@ struct UserMobility {
 
   /// Heap bytes this entry keeps resident (patterns, elements, index).
   [[nodiscard]] std::size_t resident_bytes() const noexcept;
+
+  friend bool operator==(const UserMobility&, const UserMobility&) = default;
 };
 
 struct MobilityOptions {
@@ -107,11 +109,19 @@ struct MobilityOptions {
   mining::MiningOptions mining;
 };
 
-/// Phase 2 of the framework: builds the user's day-sequence database and
-/// mines it with the miner named by options.mining.algorithm (see
+/// Phase 2 of the framework over a user's indexed days (`day_count`
+/// recorded days filed into `shapes`, e.g. a mining::HistoryIndex):
+/// mines them with the miner named by options.mining.algorithm (see
 /// mining/registry.hpp), annotating each pattern with times. A
 /// closed-output miner yields a compact entry: the closed set plus the
 /// placement index built from its expansion.
+[[nodiscard]] UserMobility mine_user_mobility(data::UserId user,
+                                              const mining::DayShapes& shapes,
+                                              std::size_t day_count,
+                                              const MobilityOptions& options = {});
+
+/// Phase 2 for one user of `dataset`: indexes the user's days from
+/// scratch, then mines them as above.
 [[nodiscard]] UserMobility mine_user_mobility(const data::Dataset& dataset,
                                               data::UserId user,
                                               const data::Taxonomy& taxonomy,
@@ -255,25 +265,25 @@ class MobilityTable {
 
 /// Annotates an already-mined pattern with per-position visit times: the
 /// mean and spread of the minutes at the greedy first embedding in every
-/// supporting day. Walks the distinct day shapes (sequences.shapes) and
-/// their minute sums, not the days themselves.
+/// supporting day. Walks the distinct day shapes and their minute sums,
+/// not the days themselves.
 [[nodiscard]] MobilityPattern annotate_pattern(const mining::Pattern& pattern,
-                                               const mining::UserSequences& sequences);
+                                               const mining::DayShapes& shapes);
 
 /// The full frequent pattern set of an entry, annotated — exactly what
 /// the entry's `patterns` would hold had a full miner (PrefixSpan) mined
 /// it. Compact (closed_only) entries expand their closed set lazily
-/// against the user's day-sequence database (same expansion cap, same
+/// against the user's indexed days (same expansion cap, same
 /// canonical order, same greedy-embedding annotation, so the result is
 /// byte-identical to PrefixSpan's output); full entries return a copy
 /// of `patterns` unchanged. This is the per-request path
 /// behind routes whose wire contract needs the full set.
 [[nodiscard]] std::vector<MobilityPattern> expand_user_patterns(
-    const UserMobility& mobility, const mining::UserSequences& sequences,
+    const UserMobility& mobility, const mining::DayShapes& shapes, std::size_t day_count,
     const mining::MiningOptions& mining);
 
-/// Convenience overload that rebuilds the user's sequences from the
-/// dataset first (the shard API has no Platform to ask).
+/// Convenience overload that indexes the user's days from the dataset
+/// first (the shard API has no Platform to ask).
 [[nodiscard]] std::vector<MobilityPattern> expand_user_patterns(
     const UserMobility& mobility, const data::Dataset& dataset,
     const data::Taxonomy& taxonomy, const MobilityOptions& options);

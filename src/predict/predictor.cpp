@@ -148,7 +148,7 @@ class PatternPredictor final : public Predictor {
     const auto mined = mining::prefixspan(history.columns(), mining_options);
     patterns_.reserve(mined.size());
     for (const mining::Pattern& pattern : mined)
-      patterns_.push_back(patterns::annotate_pattern(pattern, history));
+      patterns_.push_back(patterns::annotate_pattern(pattern, history.shapes));
   }
 
   std::vector<Prediction> predict(const Query& query) const override {

@@ -10,6 +10,8 @@
 #include "http/client.hpp"
 #include "http/server.hpp"
 #include "json/json.hpp"
+#include "util/civil_time.hpp"
+#include "util/format.hpp"
 #include "util/log.hpp"
 
 namespace crowdweb::core {
@@ -353,6 +355,84 @@ TEST_F(ApiFixture, AnalyzeEndpointWithBideReturnsTheClosedSet) {
   ASSERT_EQ(closed_patterns.size(), 1u);
   EXPECT_EQ(closed_patterns[0].find("elements")->as_array().size(), 2u);
   EXPECT_EQ(json::dump(closed_patterns[0]), json::dump(full_patterns[2]));
+}
+
+TEST(AnalyzeEndpointTest, MinesPhaseTwosDaysUnderTheSequenceConfig) {
+  // Uploading a corpus user's own history must reproduce that user's
+  // phase-2 entry, also under a non-default day rule.
+  PlatformConfig config = small_config();
+  config.sequences.collapse_repeats = false;
+  config.sequences.min_day_length = 3;
+  auto built = Platform::create(config);
+  ASSERT_TRUE(built.is_ok()) << built.status().to_string();
+  const Platform& p = *built;
+  const patterns::UserMobility* subject = nullptr;
+  for (const patterns::UserMobility& entry : p.mobility()) {
+    if (subject == nullptr || entry.served_pattern_count() > subject->served_pattern_count())
+      subject = &entry;
+  }
+  ASSERT_NE(subject, nullptr);
+  ASSERT_GT(subject->served_pattern_count(), 0u);
+
+  std::string csv = "category,lat,lon,timestamp\n";
+  for (const data::CheckIn& c : p.experiment_dataset().checkins_for(subject->user)) {
+    csv += crowdweb::format("{},{},{},{}\n", p.taxonomy().name(c.category), c.position.lat,
+                            c.position.lon, format_timestamp(c.timestamp));
+  }
+  http::Server server(make_api_router(p));
+  ASSERT_TRUE(server.start().is_ok());
+  const auto analyzed = http::fetch(
+      "127.0.0.1", server.port(), "POST",
+      crowdweb::format("/api/analyze?algorithm=prefixspan&support={}", config.mining.min_support),
+      csv);
+  const json::Value served =
+      get_json(server.port(), crowdweb::format("/api/user/{}/patterns", subject->user));
+  server.stop();
+  ASSERT_TRUE(analyzed.is_ok());
+  ASSERT_EQ(analyzed->status, 200) << analyzed->body;
+  const auto doc = json::parse(analyzed->body);
+  ASSERT_TRUE(doc.is_ok());
+  EXPECT_EQ(doc->find("recorded_days")->as_int(),
+            static_cast<std::int64_t>(subject->recorded_days));
+  EXPECT_EQ(json::dump(*doc->find("patterns")), json::dump(*served.find("patterns")));
+}
+
+TEST_F(ApiFixture, AnalyzeEndpointOrdersEqualTimestampsByRow) {
+  // Coffee, then the office, logged at the same second every day: row
+  // order decides the day's order, on every call.
+  std::string csv = "category,lat,lon,timestamp\n";
+  for (int day = 10; day <= 29; ++day) {
+    const std::string stamp = "2012-04-" + std::to_string(day) + " 08:30:00";
+    csv += "Coffee Shop,40.71,-74.00," + stamp + "\n";
+    csv += "Office,40.75,-73.98," + stamp + "\n";
+  }
+  const auto analyze = [&] {
+    auto response =
+        http::fetch("127.0.0.1", server_->port(), "POST", "/api/analyze?support=0.9", csv);
+    EXPECT_TRUE(response.is_ok());
+    return response.is_ok() ? std::move(response).value() : http::ClientResponse{};
+  };
+  const http::ClientResponse first = analyze();
+  ASSERT_EQ(first.status, 200) << first.body;
+  for (int call = 0; call < 3; ++call) EXPECT_EQ(analyze().body, first.body);
+
+  const data::Taxonomy& taxonomy = platform().taxonomy();
+  const auto root_name = [&](std::string_view category) {
+    return std::string(taxonomy.name(taxonomy.root_of(*taxonomy.find(category))));
+  };
+  const auto doc = json::parse(first.body);
+  ASSERT_TRUE(doc.is_ok());
+  std::vector<std::vector<std::string>> sequences;
+  for (const json::Value& pattern : doc->find("patterns")->as_array()) {
+    std::vector<std::string> labels;
+    for (const json::Value& element : pattern.find("elements")->as_array())
+      labels.push_back(element.find("label")->as_string());
+    sequences.push_back(std::move(labels));
+  }
+  const std::vector<std::string> row_order{root_name("Coffee Shop"), root_name("Office")};
+  const std::vector<std::string> reversed{row_order[1], row_order[0]};
+  EXPECT_NE(std::find(sequences.begin(), sequences.end(), row_order), sequences.end());
+  EXPECT_EQ(std::find(sequences.begin(), sequences.end(), reversed), sequences.end());
 }
 
 TEST_F(ApiFixture, AnalyzeEndpointValidatesInput) {

@@ -371,6 +371,42 @@ TEST(IngestWorkerTest, SteadyFeedWakesTheWorkerAboutOncePerEpoch) {
   worker->stop();
 }
 
+TEST(IngestWorkerTest, KeptHistoryIndexRefilesOnFirstTouchAndOnEarlierEvents) {
+  const core::Platform& platform = test_platform();
+  telemetry::Registry registry;
+  ingest::IngestWorkerConfig config;
+  config.rebuild_interval = 20ms;
+  config.metrics = &registry;
+  auto worker = core::make_ingest_worker(platform, config);
+  ASSERT_TRUE(worker->start().is_ok());
+  telemetry::CounterFamily& users =
+      registry.counter_family("crowdweb_ingest_history_users_total", "", {"path"});
+  const auto appended = [&] { return users.with_labels({"appended"}).value(); };
+  const auto refiled = [&] { return users.with_labels({"refiled"}).value(); };
+  const auto epoch_of = [&](std::vector<ingest::IngestEvent> events) {
+    const std::uint64_t next = worker->hub().epoch() + 1;
+    EXPECT_EQ(worker->submit(events).accepted, events.size());
+    EXPECT_TRUE(worker->wait_for_epoch(next, 5s));
+  };
+
+  // Later than every corpus record, so in-order epochs only append.
+  constexpr std::int64_t kLater = 2'000'000'000;
+  epoch_of({valid_event(7, kLater), valid_event(8, kLater)});
+  EXPECT_EQ(refiled(), 2u);  // first touch
+  EXPECT_EQ(appended(), 0u);
+  epoch_of({valid_event(7, kLater + 60), valid_event(8, kLater + 86'400)});
+  epoch_of({valid_event(7, kLater + 120)});
+  EXPECT_EQ(refiled(), 2u);
+  EXPECT_EQ(appended(), 3u);
+
+  // An event before user 7's last filed one refiles that user only.
+  epoch_of({valid_event(7, kLater + 30), valid_event(8, kLater + 2 * 86'400)});
+  EXPECT_EQ(refiled(), 3u);
+  EXPECT_EQ(appended(), 4u);
+  EXPECT_GT(registry.gauge("crowdweb_ingest_history_bytes", "").value(), 0.0);
+  worker->stop();
+}
+
 TEST(IngestWorkerTest, FirstEventAfterIdlePublishesPromptly) {
   // After an idle spell longer than the interval, the first event wakes
   // the worker and publishes at once instead of waiting out a cadence.

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <vector>
 
 #include "data/dataset.hpp"
@@ -9,6 +10,7 @@
 #include "mining/prefixspan.hpp"
 #include "mining/registry.hpp"
 #include "mining/seqdb.hpp"
+#include "patterns/mobility.hpp"
 #include "reference/gsp.hpp"
 #include "reference/naive.hpp"
 #include "reference/pattern_oracle.hpp"
@@ -948,6 +950,193 @@ TEST(WeightedMiningTest, MinSupportOne) {
     expect_weighted_equals_per_day(tailed, options, "tailed " + std::to_string(trial));
     EXPECT_FALSE(prefixspan(tailed.columns(), options).empty());
   }
+}
+
+// ------------------------------------ Kept history index (appended days)
+
+void expect_shapes_identical(const DayShapes& actual, const DayShapes& expected,
+                             const std::string& where) {
+  EXPECT_EQ(actual.items, expected.items) << where;
+  EXPECT_EQ(actual.offsets, expected.offsets) << where;
+  EXPECT_EQ(actual.days, expected.days) << where;
+  ASSERT_EQ(actual.minute_sum.size(), expected.minute_sum.size()) << where;
+  ASSERT_EQ(actual.minute_sq_sum.size(), expected.minute_sq_sum.size()) << where;
+  for (std::size_t i = 0; i < actual.minute_sum.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(actual.minute_sum[i]),
+              std::bit_cast<std::uint64_t>(expected.minute_sum[i]))
+        << where << " sum " << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(actual.minute_sq_sum[i]),
+              std::bit_cast<std::uint64_t>(expected.minute_sq_sum[i]))
+        << where << " squares " << i;
+  }
+}
+
+TEST(HistoryIndexTest, RemoveLastUndoesAddAcrossTableGrowth) {
+  // Nine distinct shapes: the ninth add grows the 16-slot table, and
+  // taking it back out must leave the eight-shape index, still findable.
+  DayShapes eight;
+  DayShapes nine;
+  for (Item i = 0; i < 8; ++i) {
+    const std::vector<Item> day{i, i + 100};
+    const std::vector<int> minutes{static_cast<int>(i), 600};
+    eight.add(day, minutes);
+    nine.add(day, minutes);
+  }
+  const std::vector<Item> newest{7, 7, 7};
+  const std::vector<int> newest_minutes{1, 2, 3};
+  nine.add(newest, newest_minutes);
+  ASSERT_EQ(nine.size(), 9u);
+  nine.remove_last(newest, newest_minutes);
+  expect_shapes_identical(nine, eight, "popped");
+  for (Item i = 0; i < 8; ++i) {
+    const std::vector<Item> day{i, i + 100};
+    nine.add(day, std::vector<int>{5, 5});
+    eight.add(day, std::vector<int>{5, 5});
+  }
+  expect_shapes_identical(nine, eight, "refound");
+  ASSERT_EQ(nine.size(), 8u);
+
+  // A repeated shape only loses weight and minutes.
+  nine.add(std::vector<Item>{0, 100}, std::vector<int>{9, 9});
+  nine.remove_last(std::vector<Item>{0, 100}, std::vector<int>{9, 9});
+  expect_shapes_identical(nine, eight, "repeat");
+
+  // Popping the only shape leaves an empty index.
+  DayShapes one;
+  one.add(newest, newest_minutes);
+  one.remove_last(newest, newest_minutes);
+  expect_shapes_identical(one, DayShapes{}, "emptied");
+}
+
+/// A user's history grown chunk by chunk through the dataset's
+/// incremental merge, as epochs grow it: same-day appends, new days,
+/// equal timestamps, and now and then a record at or before the last
+/// one filed.
+class GrowingHistory {
+ public:
+  static constexpr data::UserId kUser = 3;
+
+  explicit GrowingHistory(std::uint64_t seed) : rng_(seed) {
+    data::DatasetBuilder builder;
+    for (int v = 0; v < 4; ++v) {
+      data::VenueSpec venue;
+      venue.id = static_cast<data::VenueId>(v);
+      venue.name = "venue-" + std::to_string(v);
+      venue.category = static_cast<data::CategoryId>(v);
+      venue.position = {40.70 + 0.01 * v, -74.00};
+      EXPECT_TRUE(builder.add_venue(venue).is_ok());
+    }
+    dataset_ = builder.build();
+  }
+
+  /// Merges 1-4 new records and returns the user's column.
+  data::Dataset::UserColumns grow(bool allow_earlier) {
+    data::DatasetBuilder builder(dataset_);
+    const int count = static_cast<int>(rng_.uniform_int(1, 4));
+    for (int k = 0; k < count; ++k) {
+      const double roll = rng_.uniform();
+      std::int64_t timestamp = 0;
+      if (allow_earlier && k == 0 && roll < 0.08) {
+        timestamp = last_ - rng_.uniform_int(0, 2 * 86'400);  // forces a refile
+      } else if (roll < 0.2) {
+        timestamp = last_;  // equal timestamps
+      } else if (roll < 0.75) {
+        timestamp = last_ + rng_.uniform_int(1, 4 * 3'600);  // mostly the same day
+      } else {
+        timestamp = last_ + rng_.uniform_int(1, 3) * 86'400;  // a later day
+      }
+      last_ = std::max(last_, timestamp);
+      data::CheckIn checkin;
+      checkin.user = kUser;
+      checkin.venue = static_cast<data::VenueId>(rng_.uniform_int(0, 3));
+      checkin.category = static_cast<data::CategoryId>(checkin.venue);
+      checkin.position = {40.70 + 0.01 * checkin.venue, -74.00};
+      checkin.timestamp = timestamp;
+      EXPECT_TRUE(builder.add_checkin(checkin).is_ok());
+    }
+    dataset_ = builder.build();
+    return dataset_.checkins_for(kUser);
+  }
+
+  [[nodiscard]] const data::Dataset& dataset() const noexcept { return dataset_; }
+
+ private:
+  Rng rng_;
+  data::Dataset dataset_;
+  std::int64_t last_ = 40 * 86'400 + 7 * 3'600;
+};
+
+TEST(HistoryIndexTest, AppendedChunksEqualFromScratchBuilds) {
+  const data::Taxonomy& tax = data::Taxonomy::foursquare();
+  std::size_t appended = 0;
+  std::size_t refiled = 0;
+  for (int trial = 0; trial < 36; ++trial) {
+    SequenceOptions options;
+    options.mode = LabelMode::kVenue;
+    options.collapse_repeats = trial % 2 == 0;
+    options.min_day_length = 1 + static_cast<std::size_t>(trial / 2 % 3);
+    GrowingHistory history(7'000 + static_cast<std::uint64_t>(trial));
+    HistoryIndex kept(options);
+    for (int chunk = 0; chunk < 40; ++chunk) {
+      const std::string where = "trial " + std::to_string(trial) + " chunk " +
+                                std::to_string(chunk);
+      const data::Dataset::UserColumns records = history.grow(/*allow_earlier=*/chunk > 0);
+      const std::size_t from = kept.resume_point(records);
+      ++(from > 0 ? appended : refiled);
+      kept.extend(records, from, tax);
+      EXPECT_EQ(kept.filed_records(), records.size()) << where;
+
+      HistoryIndex scratch(options);
+      scratch.extend(records, 0, tax);
+      const UserSequences days =
+          build_user_sequences(history.dataset(), GrowingHistory::kUser, tax, options);
+      expect_shapes_identical(kept.shapes(), scratch.shapes(), where + " (index)");
+      expect_shapes_identical(kept.shapes(), days.shapes, where + " (per-day build)");
+      EXPECT_EQ(kept.day_count(), days.day_count()) << where;
+      EXPECT_EQ(scratch.day_count(), days.day_count()) << where;
+
+      for (const char* algorithm : {"prefixspan", "bide"}) {
+        patterns::MobilityOptions mobility;
+        mobility.sequences = options;
+        mobility.mining.algorithm = algorithm;
+        mobility.mining.min_support = 0.3;
+        EXPECT_TRUE(patterns::mine_user_mobility(GrowingHistory::kUser, kept.shapes(),
+                                                 kept.day_count(), mobility) ==
+                    patterns::mine_user_mobility(history.dataset(), GrowingHistory::kUser,
+                                                 tax, mobility))
+            << where << " " << algorithm;
+      }
+    }
+  }
+  // Both paths ran: first touches and earlier records refile, the rest
+  // append.
+  EXPECT_GT(refiled, 36u);
+  EXPECT_GT(appended, refiled);
+}
+
+TEST(HistoryIndexTest, OnlyLaterRecordsResumeTheIndex) {
+  const data::Taxonomy& tax = data::Taxonomy::foursquare();
+  GrowingHistory history(11);
+  HistoryIndex kept;
+  const data::Dataset::UserColumns first = history.grow(false);
+  EXPECT_EQ(kept.resume_point(first), 0u);  // nothing filed yet
+  kept.extend(first, 0, tax);
+  EXPECT_EQ(kept.resume_point(first), first.size());  // nothing new
+
+  // A record at the last filed timestamp sorts after the filed ones,
+  // but only strictly later records resume.
+  data::DatasetBuilder builder(history.dataset());
+  data::CheckIn tie = first[first.size() - 1];
+  ASSERT_TRUE(builder.add_checkin(tie).is_ok());
+  const data::Dataset tied = builder.build();
+  EXPECT_EQ(kept.resume_point(tied.checkins_for(GrowingHistory::kUser)), 0u);
+
+  data::DatasetBuilder later_builder(history.dataset());
+  data::CheckIn later = tie;
+  later.timestamp += 1;
+  ASSERT_TRUE(later_builder.add_checkin(later).is_ok());
+  const data::Dataset extended = later_builder.build();
+  EXPECT_EQ(kept.resume_point(extended.checkins_for(GrowingHistory::kUser)), first.size());
 }
 
 }  // namespace

@@ -166,7 +166,7 @@ TEST(MobilityTest, AnnotatePatternEmptySequences) {
   pattern.items = {1, 2};
   pattern.support_count = 0;
   const mining::UserSequences empty;
-  const MobilityPattern annotated = annotate_pattern(pattern, empty);
+  const MobilityPattern annotated = annotate_pattern(pattern, empty.shapes);
   ASSERT_EQ(annotated.elements.size(), 2u);
   EXPECT_DOUBLE_EQ(annotated.elements[0].mean_minute, 0.0);
 }
@@ -279,7 +279,7 @@ void expect_annotations_match_oracle(const mining::UserSequences& sequences,
   options.min_support = min_support;
   const mining::SequenceColumns per_day{sequences.items, sequences.day_offsets};
   for (const mining::Pattern& pattern : mining::prefixspan(per_day, options))
-    expect_bit_identical(annotate_pattern(pattern, sequences),
+    expect_bit_identical(annotate_pattern(pattern, sequences.shapes),
                          annotate_pattern_per_day(pattern, sequences), where);
 }
 
@@ -326,7 +326,7 @@ TEST(AnnotationOracleTest, MinedEntriesMatchThePerDayPipeline) {
         expect_bit_identical(entry.patterns[i],
                              annotate_pattern_per_day(per_day.patterns[i], sequences), where);
       const std::vector<MobilityPattern> full =
-          expand_user_patterns(entry, sequences, options.mining);
+          expand_user_patterns(entry, sequences.shapes, sequences.day_count(), options.mining);
       const std::vector<mining::Pattern> frequent =
           mining::prefixspan(days, options.mining);
       ASSERT_EQ(full.size(), frequent.size()) << where;
@@ -361,7 +361,7 @@ TEST(AnnotationOracleTest, PatternEmbeddedTwiceInADayUsesTheFirstEmbedding) {
   pattern.items = {1, 2};
   pattern.support_count = 2;
   pattern.support = 2.0 / 3.0;
-  const MobilityPattern annotated = annotate_pattern(pattern, sequences);
+  const MobilityPattern annotated = annotate_pattern(pattern, sequences.shapes);
   expect_bit_identical(annotated, annotate_pattern_per_day(pattern, sequences), "twice");
   EXPECT_EQ(annotated.elements[0].mean_minute, 105.0);
   EXPECT_EQ(annotated.elements[1].mean_minute, 205.0);
