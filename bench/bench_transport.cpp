@@ -199,9 +199,10 @@ int main(int argc, char** argv) {
           taken.fetch_add(batch.size(), std::memory_order_relaxed);
           return {batch.size(), 0};
         });
+    // Never started: it only resolves category names for the route.
+    ingest::IngestWorker front(data::Dataset{}, {}, taxonomy);
     transport::HttpCsvSource::Config source_config;
-    source_config.taxonomy = &taxonomy;
-    source_config.allocate_guest = [] { return data::UserId{0}; };
+    source_config.front = &front;
     source_config.stats = [] { return ingest::IngestStats{}; };
     transport::HttpCsvSource source(pipeline, std::move(source_config));
     http::Router router;

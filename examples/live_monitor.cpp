@@ -15,13 +15,13 @@
 //
 // The transport subsystem (src/transport) is on display end to end:
 // --transport binary replays through the framed TCP listener instead of
-// CSV-over-HTTP, --spool-dir absorbs queue-rejected bursts onto disk,
-// and the dashboard subscribes to GET /api/stream/epochs (SSE) so epoch
-// lines arrive as pushes, not polls (it falls back to polling if the
-// subscribe fails).
+// CSV-over-HTTP (both submit through one pipeline; the producer retries
+// what the queue rejects), and the dashboard subscribes to
+// GET /api/stream/epochs (SSE) so epoch lines arrive as pushes, not
+// polls (it falls back to polling if the subscribe fails).
 //
 // Run:  ./live_monitor [--seed N] [--rate R] [--duration S] [--port P]
-//                      [--transport csv|binary] [--spool-dir DIR]
+//                      [--transport csv|binary]
 //                      [--store-dir DIR [--fsync every_batch|never]]
 //                      [--http-workers N] [--http-cache-mb MB]
 //                      [--miner prefixspan|bide] [--min-support F]
@@ -61,7 +61,7 @@ namespace {
 int usage(const char* name) {
   std::fprintf(stderr,
                "usage: %s [--seed N] [--rate R] [--duration S] [--port P] "
-               "[--transport csv|binary] [--spool-dir DIR] "
+               "[--transport csv|binary] "
                "[--store-dir DIR [--fsync every_batch|never]] "
                "[--http-workers N] [--http-cache-mb MB] "
                "[--miner prefixspan|bide] [--min-support F]\n",
@@ -78,7 +78,6 @@ int main(int argc, char** argv) {
   double duration = 10.0;    // replay wall-clock budget, seconds
   std::uint16_t port = 0;    // 0 = ephemeral
   std::string store_dir;     // empty = ephemeral live corpus
-  std::string spool_dir;     // empty = no burst spool
   bool binary = false;       // producer path: CSV-over-HTTP or framed TCP
   store::FsyncPolicy fsync = store::FsyncPolicy::kEveryBatch;
   int http_workers = -1;            // -1 = hardware concurrency, 0 = inline
@@ -105,8 +104,6 @@ int main(int argc, char** argv) {
       port = static_cast<std::uint16_t>(*parsed);
     } else if (flag == "--store-dir" && i + 1 < argc) {
       store_dir = argv[++i];
-    } else if (flag == "--spool-dir" && i + 1 < argc) {
-      spool_dir = argv[++i];
     } else if (flag == "--transport" && i + 1 < argc) {
       const std::string_view mode = argv[++i];
       if (mode == "binary") binary = true;
@@ -188,24 +185,16 @@ int main(int argc, char** argv) {
                        : http_workers;
 
   // Transport funnel: every producer path (HTTP CSV route, framed TCP
-  // listener) submits through one pipeline; with --spool-dir the queue's
-  // rejected suffixes spill to disk and drain back as capacity frees.
+  // listener) submits through one pipeline and shares its
+  // crowdweb_transport_* accounting.
   ingest::IngestWorker* worker_ptr = worker.get();
   transport::PipelineConfig pipeline_config;
-  pipeline_config.spool.dir = spool_dir;
   pipeline_config.metrics = &metrics;
-  pipeline_config.note_invalid = [worker_ptr](std::uint64_t count) {
-    worker_ptr->note_invalid(count);
-  };
   transport::IngestPipeline pipeline(
       [worker_ptr](std::span<const ingest::IngestEvent> events) {
         return worker_ptr->submit(events);
       },
-      std::move(pipeline_config));
-  if (const Status status = pipeline.start(); !status.is_ok()) {
-    std::fprintf(stderr, "spool failed: %s\n", status.to_string().c_str());
-    return 1;
-  }
+      pipeline_config);
 
   core::ApiOptions api_options;
   api_options.ingest = worker.get();
@@ -232,7 +221,7 @@ int main(int argc, char** argv) {
       core::attach_stream_publisher(server, *platform, *worker, cache.get());
 
   // Binary producer edge: the framed TCP listener feeding the same
-  // pipeline (and spool) as the HTTP route.
+  // pipeline as the HTTP route.
   std::unique_ptr<transport::FrameServer> frame_server;
   if (binary) {
     transport::FrameServerConfig frame_config;
@@ -356,26 +345,13 @@ int main(int argc, char** argv) {
   feeder.join();
   poll();
 
-  // Let the spool finish feeding spilled bursts back into the queue
-  // before reading final counters.
-  if (pipeline.spool() != nullptr) {
-    if (!pipeline.wait_until_drained(std::chrono::seconds(10)))
-      std::fprintf(stderr, "spool not fully drained before shutdown\n");
-    const transport::SpoolStats spool_stats = pipeline.spool()->stats();
-    std::printf("spool: %llu frame(s) spooled, %llu drained, %llu dropped, "
-                "%zu frame(s) / %zu byte(s) left\n",
-                static_cast<unsigned long long>(spool_stats.frames_spooled),
-                static_cast<unsigned long long>(spool_stats.frames_drained),
-                static_cast<unsigned long long>(spool_stats.frames_dropped),
-                spool_stats.depth_frames, spool_stats.depth_bytes);
-  }
   if (frame_server != nullptr) {
-    const transport::SourceStats frame_stats = frame_server->stats();
-    std::printf("frames: %llu frame(s), %llu event(s), %llu accepted, %llu spooled\n",
+    const transport::FrameServerStats frame_stats = frame_server->stats();
+    std::printf("frames: %llu frame(s), %llu event(s), %llu accepted, %llu rejected\n",
                 static_cast<unsigned long long>(frame_stats.frames),
                 static_cast<unsigned long long>(frame_stats.events),
                 static_cast<unsigned long long>(frame_stats.accepted),
-                static_cast<unsigned long long>(frame_stats.spooled));
+                static_cast<unsigned long long>(frame_stats.rejected));
   }
 
   if (!report) {
@@ -399,7 +375,6 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(final_stats.current_epoch),
               final_stats.total_rebuild_ms);
   if (frame_server != nullptr) frame_server->stop();
-  pipeline.stop();
   publisher.reset();
   server.stop();
   return 0;

@@ -380,20 +380,6 @@ Response checkpoint_handler(const std::vector<ShardSlot>& slots) {
                 {"wal_segments", static_cast<std::int64_t>(total.wal_segments)}})));
 }
 
-/// POST /api/ingest without a spool: parse, route to the owning shards,
-/// report (guest ids and invalid-row accounting live on shard 0).
-Response ingest_handler(Deployment& deployment, const Request& request) {
-  const std::vector<ShardSlot> slots = deployment.shards();
-  ingest::IngestWorker& front = *slots.front().worker;
-  const auto parsed = transport::parse_ingest_csv(
-      request, front.taxonomy(), [&front] { return front.allocate_guest_id(); });
-  if (!parsed) return transport::bad_ingest_request(parsed.status());
-  if (parsed->invalid > 0) front.note_invalid(parsed->invalid);
-  const ingest::SubmitResult result = deployment.submit(parsed->events);
-  return transport::ingest_response(*parsed, {result.accepted, result.rejected, 0},
-                                    total_stats(slots), front.config().rebuild_interval);
-}
-
 }  // namespace
 
 http::Router make_router(const Platform& platform, std::shared_ptr<Deployment> deployment,
@@ -440,27 +426,28 @@ http::Router make_router(const Platform& platform, std::shared_ptr<Deployment> d
   });
 
   if (!d->shards().empty()) {
-    if (options.pipeline != nullptr) {
-      // Spool-backed route: the shared pipeline absorbs rejected
-      // suffixes onto disk, and the route's accounting lands on the
-      // crowdweb_transport_* families alongside the binary listeners.
-      ingest::IngestWorker* front = d->shards().front().worker;
-      transport::HttpCsvSource::Config source_config;
-      source_config.taxonomy = &front->taxonomy();
-      source_config.allocate_guest = [front] { return front->allocate_guest_id(); };
-      source_config.stats = [d] { return total_stats(d->shards()); };
-      source_config.rebuild_interval = front->config().rebuild_interval;
-      auto source = std::make_shared<transport::HttpCsvSource>(*options.pipeline,
-                                                               std::move(source_config));
-      (void)source->start();
-      router.post("/api/ingest", [source](const Request& request, const PathParams&) {
-        return source->handle(request);
-      });
-    } else {
-      router.post("/api/ingest", [d](const Request& request, const PathParams&) {
-        return ingest_handler(*d, request);
-      });
+    // One ingest route at every shard count: guest ids and invalid rows
+    // live on shard 0, events go to their owning shards, and the route
+    // counts onto the crowdweb_transport_* families as "http_csv".
+    std::shared_ptr<transport::IngestPipeline> own_pipeline;
+    transport::IngestPipeline* pipeline = options.pipeline;
+    if (pipeline == nullptr) {
+      own_pipeline = std::make_shared<transport::IngestPipeline>(
+          [d](std::span<const ingest::IngestEvent> events) { return d->submit(events); },
+          transport::PipelineConfig{options.metrics});
+      pipeline = own_pipeline.get();
     }
+    transport::HttpCsvSource::Config source_config;
+    source_config.front = d->shards().front().worker;
+    source_config.stats = [d] { return total_stats(d->shards()); };
+    auto source = std::make_shared<transport::HttpCsvSource>(*pipeline,
+                                                             std::move(source_config));
+    // The route owns the router-built pipeline, so it lives as long as
+    // the source that submits through it.
+    router.post("/api/ingest", [source, own_pipeline](const Request& request,
+                                                      const PathParams&) {
+      return source->handle(request);
+    });
     router.get("/api/ingest/stats", [d](const Request&, const PathParams&) {
       return ingest_stats_handler(d->shards());
     });

@@ -32,6 +32,8 @@
 //                                   body = CSV with header
 //                                   [user,]category,lat,lon,timestamp;
 //                                   429 when the queue rejects everything
+//                                   (transport::HttpCsvSource; invalid
+//                                   rows are charged to shard 0)
 //   GET /api/ingest/stats           queue depth, accept/reject/invalid
 //                                   counts, epochs, rebuild latency
 //   GET /api/store/stats            WAL + checkpoint counters
@@ -98,12 +100,10 @@ struct ApiOptions {
   /// Resolved ServerConfig::worker_threads, reported as "http.workers"
   /// in /api/status (0 = inline handlers on the event loop).
   int http_workers = 0;
-  /// Transport pipeline for POST /api/ingest (live mode only). When set,
-  /// the route is served through a transport::HttpCsvSource, so bursts
-  /// the queue rejects spill to the pipeline's disk spool instead of
-  /// bouncing back as 429s, and the route shares the
-  /// crowdweb_transport_* accounting with the binary listeners. Must
-  /// outlive the router. Null = direct worker submit (no spool).
+  /// Transport pipeline POST /api/ingest submits through (worker-backed
+  /// deployments only), e.g. the one a frame listener shares. Must
+  /// outlive the router. Null = the router builds its own pipeline over
+  /// Deployment::submit, counting onto `metrics`.
   transport::IngestPipeline* pipeline = nullptr;
   /// Registers the SSE routes GET /api/stream/epochs and
   /// GET /api/stream/crowd/:window (live mode only). The routes only

@@ -404,13 +404,20 @@ Response analyze_handler(const PinnedView& view, const Request& request, const P
     algorithm = std::string(*requested);
   }
 
+  // Rows are labelled by phase 2's rule; a venue-id label needs the
+  // venue, which an upload does not carry.
+  const mining::LabelMode mode = platform.config().sequences.mode;
+  if (mode == mining::LabelMode::kVenue)
+    return Response::bad_request_400(
+        "cannot analyze uploads under sequence label mode kVenue: rows carry no venue ids");
+
   const auto rows = data::parse_csv(request.body);
   if (!rows) return Response::bad_request_400(rows.status().to_string());
   if (rows->empty() || (*rows)[0] != data::CsvRow{"category", "lat", "lon", "timestamp"})
     return Response::bad_request_400(
         "expected header: category,lat,lon,timestamp");
 
-  // Parse the visitor's records into (root label, timestamp) events.
+  // Parse the visitor's records into (label, timestamp) events.
   struct Event {
     mining::Item label;
     std::int64_t timestamp;
@@ -434,7 +441,8 @@ Response analyze_handler(const PinnedView& view, const Request& request, const P
     if (!timestamp)
       return Response::bad_request_400(
           crowdweb::format("row {}: bad timestamp '{}'", i + 1, row[3]));
-    events.push_back({taxonomy.root_of(*category), *timestamp});
+    events.push_back({mining::label_of(data::VenueId{}, *category, mode, taxonomy),
+                      *timestamp});
   }
   if (events.empty()) return Response::bad_request_400("no check-in rows");
   // Row order breaks timestamp ties, as arrival order does in phase 2.

@@ -24,19 +24,8 @@ std::vector<mining::Item> label_venues(const data::Dataset& dataset,
                                        mining::LabelMode mode) {
   const std::span<const data::Venue> venues = dataset.venues();
   std::vector<mining::Item> labels(venues.size());
-  for (std::size_t v = 0; v < venues.size(); ++v) {
-    switch (mode) {
-      case mining::LabelMode::kRootCategory:
-        labels[v] = taxonomy.root_of(venues[v].category);
-        break;
-      case mining::LabelMode::kLeafCategory:
-        labels[v] = venues[v].category;
-        break;
-      case mining::LabelMode::kVenue:
-        labels[v] = venues[v].id;
-        break;
-    }
-  }
+  for (std::size_t v = 0; v < venues.size(); ++v)
+    labels[v] = mining::label_of(venues[v].id, venues[v].category, mode, taxonomy);
   return labels;
 }
 

@@ -106,10 +106,6 @@ ReplaySink http_sink(std::string host, std::uint16_t port,
       report.accepted = static_cast<std::size_t>(accepted->as_int());
     if (const json::Value* rejected = payload->find("rejected"))
       report.rejected = static_cast<std::size_t>(rejected->as_int());
-    // Spool-backed deployments absorb bursts to disk; those events are
-    // on their way into the queue, so the producer treats them as taken.
-    if (const json::Value* spooled = payload->find("spooled"))
-      report.accepted += static_cast<std::size_t>(spooled->as_int());
     return report;
   };
 }

@@ -9,19 +9,6 @@ namespace crowdweb::mining {
 
 namespace {
 
-Item label_of(data::VenueId venue, data::CategoryId category, LabelMode mode,
-              const data::Taxonomy& taxonomy) {
-  switch (mode) {
-    case LabelMode::kRootCategory:
-      return taxonomy.root_of(category);
-    case LabelMode::kLeafCategory:
-      return category;
-    case LabelMode::kVenue:
-      return venue;
-  }
-  return category;
-}
-
 std::uint64_t hash_labels(std::span<const Item> labels) noexcept {
   std::uint64_t hash = 0x9E3779B97F4A7C15ull ^ labels.size();
   for (const Item label : labels) {

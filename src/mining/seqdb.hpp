@@ -50,6 +50,20 @@ enum class LabelMode {
   kVenue,         ///< raw venue id (the ablation baseline)
 };
 
+/// The label phase 2 mines for one check-in under `mode`.
+[[nodiscard]] inline Item label_of(data::VenueId venue, data::CategoryId category,
+                                   LabelMode mode, const data::Taxonomy& taxonomy) {
+  switch (mode) {
+    case LabelMode::kRootCategory:
+      return taxonomy.root_of(category);
+    case LabelMode::kLeafCategory:
+      return category;
+    case LabelMode::kVenue:
+      return venue;
+  }
+  return category;
+}
+
 struct SequenceOptions {
   LabelMode mode = LabelMode::kRootCategory;
   /// Collapse immediately repeated labels within a day ("Eatery, Eatery"

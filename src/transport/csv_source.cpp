@@ -68,18 +68,17 @@ Response bad_ingest_request(const Status& status) {
                                        : status.to_string());
 }
 
-Response ingest_response(const ParsedIngest& parsed, const PipelineOutcome& outcome,
+Response ingest_response(const ParsedIngest& parsed, const ingest::SubmitResult& outcome,
                          const ingest::IngestStats& stats,
                          std::chrono::milliseconds rebuild_interval) {
-  const bool taken = outcome.accepted > 0 || outcome.spooled > 0;
-  const int status = (!parsed.events.empty() && !taken) ? 429 : 200;
+  const int status = (!parsed.events.empty() && outcome.accepted == 0) ? 429 : 200;
   Response response = Response::json(
       status,
       json::dump(json::object(
           {{"received", static_cast<std::int64_t>(parsed.received)},
            {"accepted", static_cast<std::int64_t>(outcome.accepted)},
            {"rejected", static_cast<std::int64_t>(outcome.rejected)},
-           {"spooled", static_cast<std::int64_t>(outcome.spooled)},
+           {"spooled", std::int64_t{0}},
            {"invalid", static_cast<std::int64_t>(parsed.invalid)},
            {"queue_depth", static_cast<std::int64_t>(stats.queue_depth)},
            {"queue_capacity", static_cast<std::int64_t>(stats.queue_capacity)},
@@ -98,40 +97,21 @@ Response ingest_response(const ParsedIngest& parsed, const PipelineOutcome& outc
 HttpCsvSource::HttpCsvSource(IngestPipeline& pipeline, Config config)
     : pipeline_(pipeline), config_(std::move(config)) {}
 
-HttpCsvSource::~HttpCsvSource() = default;
-
 Response HttpCsvSource::handle(const Request& request) {
-  const auto parsed =
-      parse_ingest_csv(request, *config_.taxonomy, config_.allocate_guest);
+  static constexpr std::string_view kSourceName = "http_csv";
+  ingest::IngestWorker& front = *config_.front;
+  const auto parsed = parse_ingest_csv(request, front.taxonomy(),
+                                       [&front] { return front.allocate_guest_id(); });
   if (!parsed.is_ok()) {
-    counters_.decode_errors.fetch_add(1, std::memory_order_relaxed);
-    pipeline_.note_decode_error(name());
+    pipeline_.note_decode_error(kSourceName);
     return bad_ingest_request(parsed.status());
   }
-  counters_.frames.fetch_add(1, std::memory_order_relaxed);
-  counters_.events.fetch_add(parsed->received, std::memory_order_relaxed);
   if (parsed->invalid > 0) {
-    counters_.invalid.fetch_add(parsed->invalid, std::memory_order_relaxed);
-    pipeline_.note_invalid(parsed->invalid, name());
+    front.note_invalid(parsed->invalid);
+    pipeline_.note_invalid(parsed->invalid, kSourceName);
   }
-  const PipelineOutcome outcome = pipeline_.submit(parsed->events, name());
-  counters_.accepted.fetch_add(outcome.accepted, std::memory_order_relaxed);
-  counters_.rejected.fetch_add(outcome.rejected, std::memory_order_relaxed);
-  counters_.spooled.fetch_add(outcome.spooled, std::memory_order_relaxed);
-  return ingest_response(*parsed, outcome, config_.stats(), config_.rebuild_interval);
+  const ingest::SubmitResult outcome = pipeline_.submit(parsed->events, kSourceName);
+  return ingest_response(*parsed, outcome, config_.stats(), front.config().rebuild_interval);
 }
-
-std::string_view HttpCsvSource::name() const noexcept { return "http_csv"; }
-
-Status HttpCsvSource::start() {
-  running_.store(true);
-  return Status::ok();
-}
-
-void HttpCsvSource::stop() { running_.store(false); }
-
-bool HttpCsvSource::running() const noexcept { return running_.load(); }
-
-SourceStats HttpCsvSource::stats() const noexcept { return counters_.snapshot(); }
 
 }  // namespace crowdweb::transport

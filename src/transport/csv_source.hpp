@@ -1,11 +1,10 @@
 // The CSV-over-HTTP ingest source.
 //
 // POST /api/ingest bodies ("[user,]category,lat,lon,timestamp") are the
-// original, human-debuggable transport; this refactor moves the body
-// parsing and response rendering out of core/handlers so the route is
-// just one IngestSource among several feeding the same pipeline. The
-// response body reports the full outcome split — accepted, rejected,
-// spooled, invalid — plus queue depth and capacity so producers can
+// original, human-debuggable transport. HttpCsvSource parses them and
+// funnels the events through the same IngestPipeline as the binary
+// listener. The response body reports the outcome split — accepted,
+// rejected, invalid — plus queue depth and capacity so producers can
 // pace themselves, and a 429 carries Retry-After of one rebuild
 // interval.
 #pragma once
@@ -13,7 +12,6 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "data/dataset.hpp"
@@ -21,7 +19,6 @@
 #include "ingest/event.hpp"
 #include "ingest/worker.hpp"
 #include "transport/pipeline.hpp"
-#include "transport/source.hpp"
 #include "util/status.hpp"
 
 namespace crowdweb::transport {
@@ -36,8 +33,8 @@ struct ParsedIngest {
 /// Parses the ingest CSV body ("[user,]category,lat,lon,timestamp").
 /// `allocate_guest` is invoked once iff the anonymous header form is
 /// used; its id substitutes for the missing user column. Callers must
-/// account `invalid` themselves (IngestWorker::note_invalid or
-/// IngestPipeline::note_invalid). A non-OK status is kInvalidArgument
+/// account `invalid` themselves (HttpCsvSource charges it to the front
+/// worker and the pipeline). A non-OK status is kInvalidArgument
 /// for a bad header (message is the body to serve) or the CSV parser's
 /// own error.
 [[nodiscard]] Result<ParsedIngest> parse_ingest_csv(
@@ -48,51 +45,39 @@ struct ParsedIngest {
 /// bare message; parser errors keep their "<code>: <message>" form.
 [[nodiscard]] http::Response bad_ingest_request(const Status& status);
 
-/// Renders the POST /api/ingest response. 200 when anything was taken
-/// (spooled counts: those events are the deployment's responsibility
-/// now); 429 — with Retry-After of one rebuild interval, rounded up to
-/// whole seconds, floor 1 — when rows were submitted and none were.
+/// Renders the POST /api/ingest response. 200 when anything was
+/// accepted; 429 — with Retry-After of one rebuild interval, rounded up
+/// to whole seconds, floor 1 — when rows were submitted and none were.
 /// The body always carries queue_depth and queue_capacity so a
-/// backpressured producer can size its retry.
+/// backpressured producer can size its retry, and a reserved
+/// "spooled": 0 that older producers still read.
 [[nodiscard]] http::Response ingest_response(const ParsedIngest& parsed,
-                                             const PipelineOutcome& outcome,
+                                             const ingest::SubmitResult& outcome,
                                              const ingest::IngestStats& stats,
                                              std::chrono::milliseconds rebuild_interval);
 
-/// The HTTP CSV route viewed as an IngestSource: passive (the HTTP
-/// server owns the sockets), it parses bodies and funnels them through
-/// the shared pipeline. Register handle() as the POST /api/ingest
-/// target.
-class HttpCsvSource final : public IngestSource {
+/// The POST /api/ingest handler: parses bodies and funnels them through
+/// the shared pipeline under the "http_csv" source label.
+class HttpCsvSource {
  public:
   struct Config {
-    /// Must outlive the source (category names -> ids).
-    const data::Taxonomy* taxonomy = nullptr;
-    /// Guest id allocator for the anonymous header form.
-    std::function<data::UserId()> allocate_guest;
+    /// Resolves category names, hands out guest ids for the anonymous
+    /// header form, is charged invalid rows, and backs Retry-After with
+    /// its rebuild interval (shard 0 in a sharded deployment). Must
+    /// outlive the source.
+    ingest::IngestWorker* front = nullptr;
     /// Snapshot of worker/router stats for the response body.
     std::function<ingest::IngestStats()> stats;
-    /// Retry-After basis for 429s.
-    std::chrono::milliseconds rebuild_interval{2'000};
   };
 
   /// `pipeline` must outlive the source.
   HttpCsvSource(IngestPipeline& pipeline, Config config);
-  ~HttpCsvSource() override;
 
   [[nodiscard]] http::Response handle(const http::Request& request);
-
-  [[nodiscard]] std::string_view name() const noexcept override;
-  [[nodiscard]] Status start() override;
-  void stop() override;
-  [[nodiscard]] bool running() const noexcept override;
-  [[nodiscard]] SourceStats stats() const noexcept override;
 
  private:
   IngestPipeline& pipeline_;
   Config config_;
-  SourceCounters counters_;
-  std::atomic<bool> running_{false};
 };
 
 }  // namespace crowdweb::transport

@@ -18,11 +18,12 @@
 // refused; a truncated buffer reports kNeedMore, never a partial frame.
 // Data payload: u32 event count, then per event u32 user, u16 category,
 // f64 lat, f64 lon, i64 timestamp (30 bytes). Ack payload: u32
-// accepted, u32 rejected, u32 spooled, u32 invalid.
+// accepted, u32 rejected, u32 spooled (reserved, always 0), u32
+// invalid.
 //
 // CRC-32 and byte order are shared with the durable store
-// (store/crc32.hpp, store/format.hpp), so wal_inspect and external
-// tooling verify spooled frames the same way they verify WAL records.
+// (store/crc32.hpp, store/format.hpp), so external tooling verifies
+// frames the same way wal_inspect verifies WAL records.
 #pragma once
 
 #include <cstdint>
@@ -48,8 +49,8 @@ enum class FrameType : std::uint8_t { kData = 1, kAck = 2 };
 /// The receiver's answer to one data frame (echoing its seq).
 struct FrameAck {
   std::uint32_t accepted = 0;
-  std::uint32_t rejected = 0;  ///< queue full and no spool room
-  std::uint32_t spooled = 0;   ///< absorbed by the disk spool
+  std::uint32_t rejected = 0;  ///< queue full; the producer retries them
+  std::uint32_t spooled = 0;   ///< reserved wire field, always 0
   std::uint32_t invalid = 0;   ///< refused before submission
   friend bool operator==(const FrameAck&, const FrameAck&) = default;
 };

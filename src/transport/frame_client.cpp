@@ -138,7 +138,7 @@ ingest::ReplaySink frame_sink(std::shared_ptr<FrameClient> client) {
     Result<FrameAck> ack = client->send(events);
     if (!ack.is_ok()) return ack.status();
     ingest::SinkReport report;
-    report.accepted = ack->accepted + ack->spooled;
+    report.accepted = ack->accepted;
     report.rejected = ack->rejected;
     return report;
   };

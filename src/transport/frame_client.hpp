@@ -39,8 +39,7 @@ class FrameClient {
 };
 
 /// Replay sink delivering batches as binary frames over `client`
-/// (shared so the sink copy stays cheap). Spooled events count as
-/// accepted: the deployment owns them once they are on the spool.
+/// (shared so the sink copy stays cheap).
 [[nodiscard]] ingest::ReplaySink frame_sink(std::shared_ptr<FrameClient> client);
 
 }  // namespace crowdweb::transport

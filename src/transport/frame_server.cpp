@@ -56,7 +56,13 @@ struct FrameServer::Impl {
   };
   std::unordered_map<int, Connection> connections;  // loop thread only
 
-  SourceCounters counters;
+  struct Counters {
+    std::atomic<std::uint64_t> frames{0};
+    std::atomic<std::uint64_t> events{0};
+    std::atomic<std::uint64_t> accepted{0};
+    std::atomic<std::uint64_t> rejected{0};
+    std::atomic<std::uint64_t> decode_errors{0};
+  } counters;
   std::atomic<std::size_t> connection_count{0};
   std::atomic<std::uint64_t> idle_closed{0};
   telemetry::Gauge* connections_gauge = nullptr;
@@ -178,8 +184,7 @@ struct FrameServer::Impl {
     std::size_t offset = 0;
     while (true) {
       const FrameDecodeResult decoded =
-          decode_frame(std::string_view(conn.inbox).substr(offset),
-                       config.max_frame_payload_bytes);
+          decode_frame(std::string_view(conn.inbox).substr(offset));
       if (decoded.state == FrameState::kNeedMore) break;
       if (decoded.state == FrameState::kError) {
         counters.decode_errors.fetch_add(1, std::memory_order_relaxed);
@@ -192,15 +197,12 @@ struct FrameServer::Impl {
       if (decoded.frame.type != FrameType::kData) continue;  // acks are ignored
       counters.frames.fetch_add(1, std::memory_order_relaxed);
       counters.events.fetch_add(decoded.frame.events.size(), std::memory_order_relaxed);
-      const PipelineOutcome outcome =
-          pipeline.submit(decoded.frame.events, kSourceName);
+      const ingest::SubmitResult outcome = pipeline.submit(decoded.frame.events, kSourceName);
       counters.accepted.fetch_add(outcome.accepted, std::memory_order_relaxed);
       counters.rejected.fetch_add(outcome.rejected, std::memory_order_relaxed);
-      counters.spooled.fetch_add(outcome.spooled, std::memory_order_relaxed);
       FrameAck ack;
       ack.accepted = static_cast<std::uint32_t>(outcome.accepted);
       ack.rejected = static_cast<std::uint32_t>(outcome.rejected);
-      ack.spooled = static_cast<std::uint32_t>(outcome.spooled);
       conn.outbox += encode_ack_frame(decoded.frame.seq, ack);
     }
     conn.inbox.erase(0, offset);
@@ -330,15 +332,21 @@ FrameServer::FrameServer(IngestPipeline& pipeline, FrameServerConfig config)
 
 FrameServer::~FrameServer() { stop(); }
 
-std::string_view FrameServer::name() const noexcept { return kSourceName; }
-
 Status FrameServer::start() { return impl_->start(); }
 
 void FrameServer::stop() { impl_->stop(); }
 
 bool FrameServer::running() const noexcept { return impl_->running.load(); }
 
-SourceStats FrameServer::stats() const noexcept { return impl_->counters.snapshot(); }
+FrameServerStats FrameServer::stats() const noexcept {
+  FrameServerStats stats;
+  stats.frames = impl_->counters.frames.load(std::memory_order_relaxed);
+  stats.events = impl_->counters.events.load(std::memory_order_relaxed);
+  stats.accepted = impl_->counters.accepted.load(std::memory_order_relaxed);
+  stats.rejected = impl_->counters.rejected.load(std::memory_order_relaxed);
+  stats.decode_errors = impl_->counters.decode_errors.load(std::memory_order_relaxed);
+  return stats;
+}
 
 std::uint16_t FrameServer::port() const noexcept { return impl_->bound_port; }
 

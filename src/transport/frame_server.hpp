@@ -2,7 +2,7 @@
 //
 // Producers connect over TCP, stream length-prefixed checksummed data
 // frames (frame.hpp), and receive one ack frame per data frame echoing
-// its sequence number with the accepted/rejected/spooled/invalid split.
+// its sequence number with the accepted/rejected split.
 // One epoll loop thread owns every producer socket: reads, decodes,
 // submits through the IngestPipeline inline (queue push is O(batch)),
 // and writes acks.
@@ -19,7 +19,6 @@
 #include "telemetry/metrics.hpp"
 #include "transport/frame.hpp"
 #include "transport/pipeline.hpp"
-#include "transport/source.hpp"
 #include "util/status.hpp"
 
 namespace crowdweb::transport {
@@ -32,26 +31,35 @@ struct FrameServerConfig {
   /// Close producer sockets with no traffic for this long; zero
   /// disables the sweep.
   std::chrono::milliseconds idle_timeout{60'000};
-  /// Per-frame payload cap handed to decode_frame().
-  std::size_t max_frame_payload_bytes = kMaxFramePayloadBytes;
   /// Optional registry for the listener gauge
   /// (crowdweb_transport_connections). Must outlive the server.
   telemetry::Registry* metrics = nullptr;
 };
 
-class FrameServer final : public IngestSource {
+/// Monotonic listener counters.
+struct FrameServerStats {
+  std::uint64_t frames = 0;         ///< data frames received
+  std::uint64_t events = 0;         ///< events carried by those frames
+  std::uint64_t accepted = 0;       ///< events the queue took
+  std::uint64_t rejected = 0;       ///< events refused (queue full)
+  std::uint64_t decode_errors = 0;  ///< malformed frames
+};
+
+class FrameServer {
  public:
   /// `pipeline` must outlive the server.
   FrameServer(IngestPipeline& pipeline, FrameServerConfig config);
-  ~FrameServer() override;
+  ~FrameServer();
   FrameServer(const FrameServer&) = delete;
   FrameServer& operator=(const FrameServer&) = delete;
 
-  [[nodiscard]] std::string_view name() const noexcept override;
-  [[nodiscard]] Status start() override;
-  void stop() override;
-  [[nodiscard]] bool running() const noexcept override;
-  [[nodiscard]] SourceStats stats() const noexcept override;
+  /// Binds the listener and starts the loop thread.
+  [[nodiscard]] Status start();
+  /// Stops accepting, closes every producer socket, and joins
+  /// (idempotent).
+  void stop();
+  [[nodiscard]] bool running() const noexcept;
+  [[nodiscard]] FrameServerStats stats() const noexcept;
 
   /// The bound TCP port (after start).
   [[nodiscard]] std::uint16_t port() const noexcept;

@@ -359,42 +359,68 @@ TEST_F(ApiFixture, AnalyzeEndpointWithBideReturnsTheClosedSet) {
 
 TEST(AnalyzeEndpointTest, MinesPhaseTwosDaysUnderTheSequenceConfig) {
   // Uploading a corpus user's own history must reproduce that user's
-  // phase-2 entry, also under a non-default day rule.
+  // phase-2 entry, also under a non-default day rule, for both category
+  // label modes.
+  for (const mining::LabelMode mode :
+       {mining::LabelMode::kRootCategory, mining::LabelMode::kLeafCategory}) {
+    SCOPED_TRACE(mode == mining::LabelMode::kRootCategory ? "root categories"
+                                                          : "leaf categories");
+    PlatformConfig config = small_config();
+    config.sequences.mode = mode;
+    config.sequences.collapse_repeats = false;
+    config.sequences.min_day_length = 3;
+    auto built = Platform::create(config);
+    ASSERT_TRUE(built.is_ok()) << built.status().to_string();
+    const Platform& p = *built;
+    const patterns::UserMobility* subject = nullptr;
+    for (const patterns::UserMobility& entry : p.mobility()) {
+      if (subject == nullptr ||
+          entry.served_pattern_count() > subject->served_pattern_count())
+        subject = &entry;
+    }
+    ASSERT_NE(subject, nullptr);
+    ASSERT_GT(subject->served_pattern_count(), 0u);
+
+    std::string csv = "category,lat,lon,timestamp\n";
+    for (const data::CheckIn& c : p.experiment_dataset().checkins_for(subject->user)) {
+      csv += crowdweb::format("{},{},{},{}\n", p.taxonomy().name(c.category),
+                              c.position.lat, c.position.lon, format_timestamp(c.timestamp));
+    }
+    http::Server server(make_api_router(p));
+    ASSERT_TRUE(server.start().is_ok());
+    const auto analyzed =
+        http::fetch("127.0.0.1", server.port(), "POST",
+                    crowdweb::format("/api/analyze?algorithm=prefixspan&support={}",
+                                     config.mining.min_support),
+                    csv);
+    const json::Value served =
+        get_json(server.port(), crowdweb::format("/api/user/{}/patterns", subject->user));
+    server.stop();
+    ASSERT_TRUE(analyzed.is_ok());
+    ASSERT_EQ(analyzed->status, 200) << analyzed->body;
+    const auto doc = json::parse(analyzed->body);
+    ASSERT_TRUE(doc.is_ok());
+    EXPECT_EQ(doc->find("recorded_days")->as_int(),
+              static_cast<std::int64_t>(subject->recorded_days));
+    EXPECT_EQ(json::dump(*doc->find("patterns")), json::dump(*served.find("patterns")));
+  }
+}
+
+TEST(AnalyzeEndpointTest, VenueLabelModeIsRefusedByName) {
+  // Venue-id labels need the venue, which an upload does not carry.
   PlatformConfig config = small_config();
-  config.sequences.collapse_repeats = false;
-  config.sequences.min_day_length = 3;
+  config.sequences.mode = mining::LabelMode::kVenue;
   auto built = Platform::create(config);
   ASSERT_TRUE(built.is_ok()) << built.status().to_string();
-  const Platform& p = *built;
-  const patterns::UserMobility* subject = nullptr;
-  for (const patterns::UserMobility& entry : p.mobility()) {
-    if (subject == nullptr || entry.served_pattern_count() > subject->served_pattern_count())
-      subject = &entry;
-  }
-  ASSERT_NE(subject, nullptr);
-  ASSERT_GT(subject->served_pattern_count(), 0u);
-
-  std::string csv = "category,lat,lon,timestamp\n";
-  for (const data::CheckIn& c : p.experiment_dataset().checkins_for(subject->user)) {
-    csv += crowdweb::format("{},{},{},{}\n", p.taxonomy().name(c.category), c.position.lat,
-                            c.position.lon, format_timestamp(c.timestamp));
-  }
-  http::Server server(make_api_router(p));
-  ASSERT_TRUE(server.start().is_ok());
-  const auto analyzed = http::fetch(
-      "127.0.0.1", server.port(), "POST",
-      crowdweb::format("/api/analyze?algorithm=prefixspan&support={}", config.mining.min_support),
-      csv);
-  const json::Value served =
-      get_json(server.port(), crowdweb::format("/api/user/{}/patterns", subject->user));
-  server.stop();
-  ASSERT_TRUE(analyzed.is_ok());
-  ASSERT_EQ(analyzed->status, 200) << analyzed->body;
-  const auto doc = json::parse(analyzed->body);
-  ASSERT_TRUE(doc.is_ok());
-  EXPECT_EQ(doc->find("recorded_days")->as_int(),
-            static_cast<std::int64_t>(subject->recorded_days));
-  EXPECT_EQ(json::dump(*doc->find("patterns")), json::dump(*served.find("patterns")));
+  const http::Router router = make_api_router(*built);
+  http::Request request;
+  request.method = "POST";
+  request.path = "/api/analyze";
+  request.version = "HTTP/1.1";
+  request.body = "category,lat,lon,timestamp\nEatery,40.75,-73.98,2012-04-10 12:00:00\n";
+  const http::Response response = router.dispatch(request);
+  EXPECT_EQ(response.status, 400);
+  EXPECT_NE(response.body.find("kVenue"), std::string::npos) << response.body;
 }
 
 TEST_F(ApiFixture, AnalyzeEndpointOrdersEqualTimestampsByRow) {

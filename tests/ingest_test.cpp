@@ -1,13 +1,15 @@
 // Live ingestion subsystem tests: the bounded MPSC queue under
 // concurrent producers and its wake threshold, the worker's validation,
-// epoch publication and wakeups per epoch,
-// and the /api/ingest routes end to end over a real socket.
+// epoch publication and wakeups per epoch, the /api/ingest routes end
+// to end over a real socket, and one invalid-row account at every
+// deployment shape.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -22,7 +24,10 @@
 #include "ingest/snapshot.hpp"
 #include "ingest/worker.hpp"
 #include "json/json.hpp"
+#include "shard/api.hpp"
+#include "shard/router.hpp"
 #include "telemetry/metrics.hpp"
+#include "transport/pipeline.hpp"
 #include "util/log.hpp"
 
 namespace crowdweb {
@@ -681,6 +686,124 @@ TEST(IngestApiTest, FullQueueAnswers429) {
   ASSERT_TRUE(response->headers.contains("retry-after"));
   EXPECT_EQ(response->headers.at("retry-after"), "2");
   server.stop();
+}
+
+/// Answers `method target` through the route tree, without a socket.
+http::Response dispatch(const http::Router& router, const std::string& method,
+                        const std::string& path, std::string body = {}) {
+  http::Request request;
+  request.method = method;
+  request.path = path;
+  request.version = "HTTP/1.1";
+  request.body = std::move(body);
+  return router.dispatch(request);
+}
+
+/// The value of `series` (name plus label block) in the router's
+/// /metrics scrape, or -1 when the scrape does not carry it.
+double scraped(const http::Router& router, const std::string& series) {
+  const std::string text = dispatch(router, "GET", "/metrics").body;
+  const std::string prefix = series + " ";
+  std::size_t at = text.find("\n" + prefix);
+  if (at == std::string::npos) return -1;
+  at += 1 + prefix.size();
+  return std::stod(text.substr(at, text.find('\n', at) - at));
+}
+
+/// The invalid-row counts one POST /api/ingest leaves behind.
+struct InvalidReading {
+  std::int64_t answered = -1;   ///< the response body's "invalid"
+  std::int64_t stats = -1;      ///< /api/ingest/stats "invalid"
+  double transport = -1;        ///< crowdweb_transport_events_total, outcome invalid
+};
+
+InvalidReading post_one_bad_row(const http::Router& router) {
+  const std::string body =
+      "user,category,lat,lon,timestamp\n"
+      "3000,Eatery,40.75,-73.98,2012-04-10 12:00:00\n"
+      "3001,No Such Category,40.74,-73.99,2012-04-10 13:00:00\n";
+  InvalidReading reading;
+  const http::Response posted = dispatch(router, "POST", "/api/ingest", body);
+  if (const auto payload = json::parse(posted.body); payload.is_ok())
+    reading.answered = payload->find("invalid")->as_int();
+  const http::Response stats = dispatch(router, "GET", "/api/ingest/stats");
+  if (const auto payload = json::parse(stats.body); payload.is_ok())
+    reading.stats = payload->find("invalid")->as_int();
+  reading.transport = scraped(
+      router, R"(crowdweb_transport_events_total{source="http_csv",outcome="invalid"})");
+  return reading;
+}
+
+TEST(IngestApiTest, InvalidRowsAreChargedOnceAtEveryDeploymentShape) {
+  const core::Platform& platform = test_platform();
+  ingest::IngestWorkerConfig config;
+  config.rebuild_interval = 20ms;
+
+  // One worker behind a caller-built pipeline, wired the way the
+  // end-to-end benchmark wires it: metrics only, no other hook.
+  telemetry::Registry piped_metrics;
+  config.metrics = &piped_metrics;
+  auto piped = core::make_ingest_worker(platform, config);
+  ASSERT_TRUE(piped->start().is_ok());
+  transport::PipelineConfig pipeline_config;
+  pipeline_config.metrics = &piped_metrics;
+  transport::IngestPipeline pipeline(
+      [worker = piped.get()](std::span<const ingest::IngestEvent> events) {
+        return worker->submit(events);
+      },
+      pipeline_config);
+  core::ApiOptions piped_options;
+  piped_options.ingest = piped.get();
+  piped_options.metrics = &piped_metrics;
+  piped_options.pipeline = &pipeline;
+  const http::Router piped_router = core::make_api_router(platform, piped_options);
+
+  // One worker, no pipeline: the router builds its own.
+  telemetry::Registry single_metrics;
+  config.metrics = &single_metrics;
+  auto single = core::make_ingest_worker(platform, config);
+  ASSERT_TRUE(single->start().is_ok());
+  core::ApiOptions single_options;
+  single_options.ingest = single.get();
+  single_options.metrics = &single_metrics;
+  const http::Router single_router = core::make_api_router(platform, single_options);
+
+  // Four shards.
+  telemetry::Registry sharded_metrics;
+  shard::ShardRouterConfig shard_config;
+  shard_config.shard_count = 4;
+  shard_config.worker = config;
+  shard_config.metrics = &sharded_metrics;
+  auto shards = shard::ShardRouter::create(platform, shard_config);
+  ASSERT_TRUE(shards.is_ok()) << shards.status().to_string();
+  ASSERT_TRUE((*shards)->start().is_ok());
+  shard::ShardApiOptions shard_api;
+  shard_api.metrics = &sharded_metrics;
+  const http::Router sharded_router = shard::make_shard_api_router(**shards, shard_api);
+
+  const InvalidReading readings[] = {post_one_bad_row(piped_router),
+                                     post_one_bad_row(single_router),
+                                     post_one_bad_row(sharded_router)};
+  // crowdweb_ingest_invalid_total: the one-worker deployments export
+  // their worker's counter; shard workers keep theirs private, so the
+  // sharded total is read from the shards themselves.
+  double sharded_counter = 0;
+  for (std::size_t k = 0; k < (*shards)->shard_count(); ++k)
+    sharded_counter += static_cast<double>((*shards)->shard(k).worker().stats().invalid);
+  const double counters[] = {scraped(piped_router, "crowdweb_ingest_invalid_total"),
+                             scraped(single_router, "crowdweb_ingest_invalid_total"),
+                             sharded_counter};
+  const char* const names[] = {"one worker + pipeline", "one worker", "4 shards"};
+  for (int i = 0; i < 3; ++i) {
+    SCOPED_TRACE(names[i]);
+    EXPECT_EQ(readings[i].answered, 1);
+    EXPECT_EQ(readings[i].stats, 1);
+    EXPECT_EQ(counters[i], 1.0);
+    EXPECT_EQ(readings[i].transport, 1.0);
+  }
+  (*shards)->stop();
+  single->stop();
+  piped->stop();
 }
 
 }  // namespace

@@ -1,11 +1,10 @@
 // Transport subsystem tests: frame wire format round-trips and
 // adversarial damage (truncation at every length, bit flips at every
-// byte offset), spool drain order and crash adoption, pipeline
-// spill-and-drain, the framed TCP listener end to end over a real
-// socket (including frames that arrive together with the producer's
-// FIN), SSE framing + subscribe→publish→delivery without polling,
-// idle-connection reaping, the 429 body contract, and the
-// corpus-equivalence guarantee across the CSV and binary transports.
+// byte offset), the pipeline's outcome split, the framed TCP listener
+// end to end over a real socket (including frames that arrive together
+// with the producer's FIN), SSE framing + subscribe→publish→delivery
+// without polling, idle-connection reaping, the 429 body contract, and
+// the corpus-equivalence guarantee across the CSV and binary transports.
 
 #include <gtest/gtest.h>
 
@@ -14,10 +13,8 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <filesystem>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -35,7 +32,6 @@
 #include "transport/frame_client.hpp"
 #include "transport/frame_server.hpp"
 #include "transport/pipeline.hpp"
-#include "transport/spool.hpp"
 #include "transport/sse.hpp"
 #include "util/civil_time.hpp"
 #include "util/log.hpp"
@@ -43,7 +39,6 @@
 namespace crowdweb {
 namespace {
 
-namespace fs = std::filesystem;
 using namespace std::chrono_literals;
 
 class QuietLogs : public ::testing::Environment {
@@ -52,22 +47,6 @@ class QuietLogs : public ::testing::Environment {
 };
 const auto* const kQuietLogs =
     ::testing::AddGlobalTestEnvironment(new QuietLogs);  // NOLINT(cert-err58-cpp)
-
-class ScratchDir {
- public:
-  explicit ScratchDir(const std::string& tag)
-      : path_(fs::temp_directory_path() / ("crowdweb_transport_test_" + tag)) {
-    fs::remove_all(path_);
-  }
-  ~ScratchDir() {
-    std::error_code ec;
-    fs::remove_all(path_, ec);
-  }
-  [[nodiscard]] std::string str() const { return path_.string(); }
-
- private:
-  fs::path path_;
-};
 
 /// Fixes a coordinate at exactly what the CSV transport's 6-decimal
 /// rendering preserves, so a CSV round-trip is the identity.
@@ -192,113 +171,7 @@ TEST(Frame, OversizedPayloadRefused) {
 }
 
 // ---------------------------------------------------------------------------
-// Spool
-
-TEST(Spool, DrainsInArrivalOrder) {
-  ScratchDir dir("drain_order");
-  transport::SpoolConfig config;
-  config.dir = dir.str();
-  transport::Spool spool(config);
-  ASSERT_TRUE(spool.open().is_ok());
-  const auto first = make_events(3, 1);
-  const auto second = make_events(4, 100);
-  const auto third = make_events(2, 200);
-  ASSERT_TRUE(spool.append(first));
-  ASSERT_TRUE(spool.append(second));
-  ASSERT_TRUE(spool.append(third));
-  EXPECT_EQ(spool.stats().depth_frames, 3u);
-
-  std::vector<ingest::IngestEvent> out;
-  ASSERT_TRUE(spool.peek(out));
-  expect_events_equal(first, out);
-  spool.pop();
-  ASSERT_TRUE(spool.peek(out));
-  expect_events_equal(second, out);
-  spool.pop();
-  ASSERT_TRUE(spool.peek(out));
-  expect_events_equal(third, out);
-  spool.pop();
-  EXPECT_FALSE(spool.peek(out));
-  EXPECT_TRUE(spool.empty());
-  EXPECT_EQ(spool.stats().frames_drained, 3u);
-}
-
-TEST(Spool, AdoptsSegmentsAcrossRestart) {
-  ScratchDir dir("adopt");
-  const auto first = make_events(5, 1);
-  const auto second = make_events(6, 50);
-  {
-    transport::SpoolConfig config;
-    config.dir = dir.str();
-    transport::Spool spool(config);
-    ASSERT_TRUE(spool.open().is_ok());
-    ASSERT_TRUE(spool.append(first));
-    ASSERT_TRUE(spool.append(second));
-  }  // "crash": nothing drained
-  transport::SpoolConfig config;
-  config.dir = dir.str();
-  transport::Spool spool(config);
-  ASSERT_TRUE(spool.open().is_ok());
-  EXPECT_EQ(spool.stats().depth_frames, 2u);
-  std::vector<ingest::IngestEvent> out;
-  ASSERT_TRUE(spool.peek(out));
-  expect_events_equal(first, out);
-  spool.pop();
-  ASSERT_TRUE(spool.peek(out));
-  expect_events_equal(second, out);
-  spool.pop();
-  EXPECT_TRUE(spool.empty());
-}
-
-TEST(Spool, ByteCapRejectsAppends) {
-  ScratchDir dir("cap");
-  transport::SpoolConfig config;
-  config.dir = dir.str();
-  config.max_bytes = 256;  // room for very little
-  transport::Spool spool(config);
-  ASSERT_TRUE(spool.open().is_ok());
-  bool saw_reject = false;
-  for (int i = 0; i < 64 && !saw_reject; ++i)
-    saw_reject = !spool.append(make_events(10));
-  EXPECT_TRUE(saw_reject);
-  EXPECT_LE(spool.stats().depth_bytes, 256u + transport::kSpoolHeaderBytes);
-}
-
-// ---------------------------------------------------------------------------
-// Pipeline: spill to spool, background drain
-
-TEST(Pipeline, SpillsRejectedSuffixAndDrains) {
-  ScratchDir dir("pipeline");
-  std::mutex mutex;
-  std::vector<ingest::IngestEvent> landed;
-  std::atomic<bool> queue_full{true};
-  transport::PipelineConfig config;
-  config.spool.dir = dir.str();
-  config.drain_retry = 5ms;
-  transport::IngestPipeline pipeline(
-      [&](std::span<const ingest::IngestEvent> events) -> ingest::SubmitResult {
-        if (queue_full.load()) return {0, events.size()};
-        std::lock_guard<std::mutex> lock(mutex);
-        landed.insert(landed.end(), events.begin(), events.end());
-        return {events.size(), 0};
-      },
-      std::move(config));
-  ASSERT_TRUE(pipeline.start().is_ok());
-
-  const auto events = make_events(20);
-  const transport::PipelineOutcome outcome = pipeline.submit(events, "tcp");
-  EXPECT_EQ(outcome.accepted, 0u);
-  EXPECT_EQ(outcome.rejected, 0u);
-  EXPECT_EQ(outcome.spooled, events.size());
-
-  queue_full.store(false);
-  ASSERT_TRUE(pipeline.wait_until_drained(5s));
-  {
-    std::lock_guard<std::mutex> lock(mutex);
-    expect_events_equal(events, landed);
-  }
-  pipeline.stop();
-}
+// Pipeline
 
 TEST(Pipeline, WithoutSpoolRejectionsSurface) {
   transport::IngestPipeline pipeline(
@@ -306,10 +179,9 @@ TEST(Pipeline, WithoutSpoolRejectionsSurface) {
         return {events.size() / 2, events.size() - events.size() / 2};
       });
   const auto events = make_events(10);
-  const transport::PipelineOutcome outcome = pipeline.submit(events, "http_csv");
+  const ingest::SubmitResult outcome = pipeline.submit(events, "http_csv");
   EXPECT_EQ(outcome.accepted, 5u);
   EXPECT_EQ(outcome.rejected, 5u);
-  EXPECT_EQ(outcome.spooled, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -348,14 +220,16 @@ TEST(FrameServer, BinaryIngestOverRealSocket) {
   ASSERT_TRUE(ack1.is_ok()) << ack1.status().to_string();
   EXPECT_EQ(ack1->accepted, first.size());
   EXPECT_EQ(ack1->rejected, 0u);
+  EXPECT_EQ(ack1->spooled, 0u);  // reserved wire field
   const auto ack2 = client.send(second);
   ASSERT_TRUE(ack2.is_ok());
   EXPECT_EQ(ack2->accepted, second.size());
+  EXPECT_EQ(ack2->spooled, 0u);
 
   auto expected = first;
   expected.insert(expected.end(), second.begin(), second.end());
   expect_events_equal(expected, collector.snapshot());
-  const transport::SourceStats stats = server.stats();
+  const transport::FrameServerStats stats = server.stats();
   EXPECT_EQ(stats.frames, 2u);
   EXPECT_EQ(stats.events, expected.size());
   EXPECT_EQ(stats.accepted, expected.size());
@@ -509,7 +383,7 @@ TEST(IngestResponse, BackpressureBodyNamesDepthAndCapacity) {
   stats.queue_capacity = 1024;
   stats.current_epoch = 9;
   const http::Response response =
-      transport::ingest_response(parsed, {0, 4, 0}, stats, 2s);
+      transport::ingest_response(parsed, {0, 4}, stats, 2s);
   EXPECT_EQ(response.status, 429);
   const auto body = json::parse(response.body);
   ASSERT_TRUE(body.is_ok()) << response.body;
@@ -518,22 +392,11 @@ TEST(IngestResponse, BackpressureBodyNamesDepthAndCapacity) {
   ASSERT_NE(body->find("queue_capacity"), nullptr) << response.body;
   EXPECT_EQ(body->find("queue_capacity")->as_int(), 1024);
   EXPECT_EQ(body->find("rejected")->as_int(), 4);
+  ASSERT_NE(body->find("spooled"), nullptr) << response.body;
+  EXPECT_EQ(body->find("spooled")->as_int(), 0);  // reserved body field
   EXPECT_EQ(body->find("epoch")->as_int(), 9);
   ASSERT_TRUE(response.headers.contains("Retry-After"));
   EXPECT_EQ(response.headers.at("Retry-After"), "2");
-}
-
-TEST(IngestResponse, SpooledEventsAreNotBackpressure) {
-  transport::ParsedIngest parsed;
-  parsed.events = make_events(4);
-  parsed.received = 4;
-  const http::Response response =
-      transport::ingest_response(parsed, {0, 0, 4}, ingest::IngestStats{}, 2s);
-  EXPECT_EQ(response.status, 200);
-  const auto body = json::parse(response.body);
-  ASSERT_TRUE(body.is_ok()) << response.body;
-  ASSERT_NE(body->find("spooled"), nullptr) << response.body;
-  EXPECT_EQ(body->find("spooled")->as_int(), 4);
 }
 
 // ---------------------------------------------------------------------------

@@ -18,7 +18,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 USERS = ("src", "examples", "bench", "tools", "e2ebench")
 SOURCE_SUFFIXES = {".hpp", ".cpp", ".h", ".cc"}
-CHECKED = ("IngestPipelineConfig", "IngestWorkerConfig", "ShardRouterConfig")
+CHECKED = ("IngestPipelineConfig", "IngestWorkerConfig", "PipelineConfig",
+           "ShardRouterConfig")
 FIELD = re.compile(r"(\w+)\s*(?:=[^;]*|\{[^;]*\})?;$")
 
 

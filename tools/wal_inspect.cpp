@@ -1,17 +1,15 @@
 // wal_inspect — offline inspector for CrowdWeb durable-store files.
 //
 // Dumps WAL segments record by record (offset, seq, epoch, event count)
-// while verifying every checksum, prints checkpoint headers, and walks
-// transport spool segments ("spool-*.spl") frame by frame with frame
-// counts and byte totals. Point it at a store or spool directory to walk
-// everything in order, or at individual files. `-v` additionally prints
-// each event inside each WAL record or spool frame.
+// while verifying every checksum, and prints checkpoint headers. Point
+// it at a store directory to walk everything in order, or at individual
+// files. `-v` additionally prints each event inside each WAL record.
 //
 // Exit code: 0 = everything clean, 1 = a torn tail was found (recovery
 // would truncate it), 2 = corruption or unreadable input (recovery
 // would refuse).
 //
-// Run:  ./wal_inspect [-v] <store-dir | wal-*.log | checkpoint-*.ckpt | spool-*.spl>...
+// Run:  ./wal_inspect [-v] <store-dir | wal-*.log | checkpoint-*.ckpt>...
 
 #include <algorithm>
 #include <cctype>
@@ -22,11 +20,7 @@
 
 #include "data/dataset_io.hpp"
 #include "store/checkpoint.hpp"
-#include "store/crc32.hpp"
-#include "store/format.hpp"
 #include "store/wal.hpp"
-#include "transport/frame.hpp"
-#include "transport/spool.hpp"
 
 using namespace crowdweb;
 namespace fs = std::filesystem;
@@ -81,82 +75,6 @@ void inspect_wal(const std::string& path, std::uint64_t expected_seq, bool verbo
   }
 }
 
-void print_frame_events(const transport::Frame& frame) {
-  for (const ingest::IngestEvent& event : frame.events) {
-    std::printf("      user %u  category %u  (%.5f, %.5f)  t=%lld\n", event.user,
-                static_cast<unsigned>(event.category), event.position.lat,
-                event.position.lon, static_cast<long long>(event.timestamp));
-  }
-}
-
-/// Transport spool segments ("spool-<seq>.spl": 8-byte header +
-/// concatenated binary data frames, see transport/spool.hpp). Same
-/// verdicts as WAL segments: a torn tail is what a restart would skip,
-/// a bad checksum is what the drain would drop.
-void inspect_spool(const std::string& path, std::uint64_t expected_seq, bool verbose) {
-  const auto bytes = data::read_file(path);
-  if (!bytes) {
-    std::printf("%s: UNREADABLE (%s)\n", path.c_str(), bytes.status().message().c_str());
-    note(2);
-    return;
-  }
-  if (bytes->size() < transport::kSpoolHeaderBytes) {
-    std::printf("%s: TORN — %zu byte(s), shorter than the segment header\n",
-                path.c_str(), bytes->size());
-    note(1);
-    return;
-  }
-  store::ByteReader reader(*bytes);
-  std::uint32_t magic = 0;
-  (void)reader.read_u32(magic);
-  const std::uint8_t version = static_cast<std::uint8_t>((*bytes)[4]);
-  if (magic != transport::kSpoolMagic) {
-    std::printf("%s: CORRUPT — bad magic 0x%08x\n", path.c_str(), magic);
-    note(2);
-    return;
-  }
-  if (version != transport::kSpoolVersion) {
-    std::printf("%s: CORRUPT — unsupported version %u\n", path.c_str(),
-                static_cast<unsigned>(version));
-    note(2);
-    return;
-  }
-  std::printf("%s: spool segment %llu, %zu bytes\n", path.c_str(),
-              static_cast<unsigned long long>(expected_seq), bytes->size());
-  std::string_view rest(*bytes);
-  rest.remove_prefix(transport::kSpoolHeaderBytes);
-  std::size_t offset = transport::kSpoolHeaderBytes;
-  std::size_t frames = 0;
-  std::size_t events = 0;
-  std::size_t frame_bytes = 0;
-  while (!rest.empty()) {
-    const transport::FrameDecodeResult decoded = transport::decode_frame(rest);
-    if (decoded.state == transport::FrameState::kNeedMore) {
-      std::printf("  @%-10zu TORN TAIL: %zu byte(s) a restart would skip\n", offset,
-                  rest.size());
-      note(1);
-      break;
-    }
-    if (decoded.state == transport::FrameState::kError) {
-      std::printf("  @%-10zu CORRUPT — %s (drain would drop the rest)\n", offset,
-                  decoded.error.c_str());
-      note(2);
-      break;
-    }
-    std::printf("  @%-10zu seq %-8llu %5zu event(s)  %zu bytes  crc ok\n", offset,
-                static_cast<unsigned long long>(decoded.frame.seq),
-                decoded.frame.events.size(), decoded.consumed);
-    if (verbose) print_frame_events(decoded.frame);
-    ++frames;
-    events += decoded.frame.events.size();
-    frame_bytes += decoded.consumed;
-    offset += decoded.consumed;
-    rest.remove_prefix(decoded.consumed);
-  }
-  std::printf("  total: %zu frame(s), %zu event(s), %zu frame byte(s)\n", frames,
-              events, frame_bytes);
-}
-
 void inspect_checkpoint(const std::string& path) {
   const auto bytes = data::read_file(path);
   if (!bytes) {
@@ -189,13 +107,9 @@ void inspect_path(const std::string& path, bool verbose) {
     inspect_wal(path, *seq, verbose);
   } else if (store::parse_checkpoint_file_name(name)) {
     inspect_checkpoint(path);
-  } else if (const auto spool_seq = transport::parse_spool_segment_name(name)) {
-    inspect_spool(path, *spool_seq, verbose);
   } else {
-    std::printf(
-        "%s: not a store file (expected wal-*.log, checkpoint-*.ckpt, or "
-        "spool-*.spl)\n",
-        path.c_str());
+    std::printf("%s: not a store file (expected wal-*.log or checkpoint-*.ckpt)\n",
+                path.c_str());
     note(2);
   }
 }
@@ -214,8 +128,7 @@ void inspect_dir(const std::string& dir, bool verbose) {
   std::error_code ec;
   for (const fs::directory_entry& entry : fs::directory_iterator(dir, ec)) {
     const std::string name = entry.path().filename().string();
-    if (store::parse_wal_segment_name(name) || store::parse_checkpoint_file_name(name) ||
-        transport::parse_spool_segment_name(name))
+    if (store::parse_wal_segment_name(name) || store::parse_checkpoint_file_name(name))
       files.push_back(entry.path().string());
     else if (entry.is_directory() && is_shard_dir_name(name))
       shard_dirs.push_back(entry.path().string());
@@ -249,7 +162,7 @@ int main(int argc, char** argv) {
     if (arg == "-v" || arg == "--verbose") {
       verbose = true;
     } else if (arg == "-h" || arg == "--help") {
-      std::printf("usage: %s [-v] <store-dir | wal-*.log | checkpoint-*.ckpt | spool-*.spl>...\n",
+      std::printf("usage: %s [-v] <store-dir | wal-*.log | checkpoint-*.ckpt>...\n",
                   argv[0]);
       return 0;
     } else {
@@ -257,7 +170,7 @@ int main(int argc, char** argv) {
     }
   }
   if (paths.empty()) {
-    std::fprintf(stderr, "usage: %s [-v] <store-dir | wal-*.log | checkpoint-*.ckpt | spool-*.spl>...\n",
+    std::fprintf(stderr, "usage: %s [-v] <store-dir | wal-*.log | checkpoint-*.ckpt>...\n",
                  argv[0]);
     return 2;
   }
