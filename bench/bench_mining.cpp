@@ -45,8 +45,12 @@
 // way the ingest worker grows it, and times each user's kept day-shape
 // index (mining::HistoryIndex, filing only the appended check-ins)
 // against a from-scratch index per epoch, asserting that both give
-// bit-identical shapes every epoch and equal mined entries at the end
-// (a smoke gate with no timing bar).
+// bit-identical shapes every epoch and equal mined entries at the end.
+// Beside each index it keeps the user's crowd::VenueTally, adding only
+// the epoch's check-ins, and asserts that every (label, window) pick
+// equals a tally counted from the whole column, and that the merge
+// appended every epoch without copying a base record (smoke gates with
+// no timing bar).
 //
 // Recorded acceptance bars (asserted in full mode; smoke asserts only
 // the deterministic set-size and equality properties, not timings):
@@ -401,7 +405,11 @@ bool shapes_identical(const mining::DayShapes& a, const mining::DayShapes& b) {
 /// touched user's kept index files only the appended records, and a
 /// fresh index files the whole history; both are timed. The two must
 /// be bit-identical every epoch and mine to equal entries at the end.
-json::Value history_index_block(const data::Dataset& dense, bool* equal_all) {
+/// Likewise each user's kept venue tally takes only the epoch's
+/// check-ins, and must pick like a tally counted from the whole column
+/// for every (label, window); and the merge must copy no base record.
+json::Value history_index_block(const data::Dataset& dense, bool* equal_all,
+                                bool* tallies_equal_all, bool* appended_all) {
   constexpr std::int64_t kDaysPerEpoch = 3;
   const data::Taxonomy& taxonomy = data::Taxonomy::foursquare();
   patterns::MobilityOptions options;
@@ -423,29 +431,66 @@ json::Value history_index_block(const data::Dataset& dense, bool* equal_all) {
     last_day = std::max(last_day, day_index(checkin.timestamp));
 
   std::unordered_map<data::UserId, mining::HistoryIndex> kept;
+  std::unordered_map<data::UserId, crowd::VenueTally> tallies;
+  const int window_minutes = crowd::CrowdOptions{}.window_minutes;
   json::Value epochs = json::Value(json::Array{});
   double kept_total_ms = 0.0;
   double scratch_total_ms = 0.0;
+  double tally_kept_ms = 0.0;
+  double tally_counted_ms = 0.0;
   std::size_t appended_users = 0;
   std::size_t index_bytes = 0;
+  std::size_t tally_bytes = 0;
+  std::size_t records_copied = 0;
+  std::size_t shards_appended = 0;
   bool equal = true;
+  bool tallies_equal = true;
   std::printf("--- kept day-shape index, dense corpus replayed %lld days per epoch ---\n",
               static_cast<long long>(kDaysPerEpoch));
   std::printf("%6s %10s %12s %12s\n", "epoch", "records", "kept ms", "scratch ms");
   for (std::int64_t first = 0, epoch = 1; first <= last_day; first += kDaysPerEpoch, ++epoch) {
     data::DatasetBuilder builder(live);
+    std::vector<data::CheckIn> delta;
     for (const data::CheckIn& checkin : dense.checkins()) {
       const std::int64_t day = day_index(checkin.timestamp);
-      if (day >= first && day < first + kDaysPerEpoch && !builder.add_checkin(checkin).is_ok())
-        std::abort();
+      if (day < first || day >= first + kDaysPerEpoch) continue;
+      if (!builder.add_checkin(checkin).is_ok()) std::abort();
+      delta.push_back(checkin);
     }
     live = builder.build();
+    records_copied += builder.stats().records_copied;
+    shards_appended += builder.stats().shards_appended;
+
+    // Kept tallies take the epoch's check-ins; a user's first touch
+    // counts their column.
+    auto start = Clock::now();
+    for (const data::CheckIn& checkin : delta) {
+      if (const auto it = tallies.find(checkin.user); it != tallies.end())
+        it->second.add(checkin);
+    }
+    for (const data::UserId user : live.users()) {
+      if (!tallies.contains(user))
+        tallies.emplace(user, crowd::VenueTally(live.checkins_for(user), window_minutes));
+    }
+    tally_kept_ms += ms_since(start);
+    for (const data::UserId user : live.users()) {
+      start = Clock::now();
+      const crowd::VenueTally counted(live.checkins_for(user), window_minutes);
+      tally_counted_ms += ms_since(start);
+      const crowd::VenueTally& tally = tallies.at(user);
+      tallies_equal = tallies_equal && tally.records() == counted.records();
+      for (const data::CategoryId label : taxonomy.roots()) {
+        for (int window = 0; window < 24 * 60 / window_minutes; ++window)
+          tallies_equal =
+              tallies_equal && tally.pick(label, window) == counted.pick(label, window);
+      }
+    }
 
     double kept_ms = 0.0;
     double scratch_ms = 0.0;
     for (const data::UserId user : live.users()) {
       const data::Dataset::UserColumns records = live.checkins_for(user);
-      auto start = Clock::now();
+      start = Clock::now();
       mining::HistoryIndex& history = kept.try_emplace(user, options.sequences).first->second;
       const std::size_t from = history.resume_point(records);
       history.extend(records, from, taxonomy);
@@ -477,12 +522,19 @@ json::Value history_index_block(const data::Dataset& dense, bool* equal_all) {
                            patterns::mine_user_mobility(live, user, taxonomy, options);
     }
   }
+  for (const auto& [user, tally] : tallies) tally_bytes += tally.resident_bytes();
   *equal_all = *equal_all && equal;
+  *tallies_equal_all = *tallies_equal_all && tallies_equal;
+  *appended_all = *appended_all && records_copied == 0;
   std::printf("  total kept %.1f ms vs scratch %.1f ms (%.1fx), %zu appended user-epochs, "
-              "%zu index bytes, results %s\n\n",
+              "%zu index bytes, results %s\n",
               kept_total_ms, scratch_total_ms,
               kept_total_ms > 0 ? scratch_total_ms / kept_total_ms : 0.0, appended_users,
               index_bytes, equal ? "IDENTICAL" : "DIVERGED");
+  std::printf("  venue tallies: kept %.1f ms vs counted %.1f ms, %zu tally bytes, picks %s; "
+              "merge appended %zu shards, copied %zu records\n\n",
+              tally_kept_ms, tally_counted_ms, tally_bytes,
+              tallies_equal ? "IDENTICAL" : "DIVERGED", shards_appended, records_copied);
   return json::object({{"corpus", "dense"},
                        {"days_per_epoch", kDaysPerEpoch},
                        {"kept_ms", kept_total_ms},
@@ -490,6 +542,12 @@ json::Value history_index_block(const data::Dataset& dense, bool* equal_all) {
                        {"appended_user_epochs", static_cast<std::int64_t>(appended_users)},
                        {"index_bytes", static_cast<std::int64_t>(index_bytes)},
                        {"equal", equal},
+                       {"tally_kept_ms", tally_kept_ms},
+                       {"tally_counted_ms", tally_counted_ms},
+                       {"tally_bytes", static_cast<std::int64_t>(tally_bytes)},
+                       {"tallies_equal", tallies_equal},
+                       {"shards_appended", static_cast<std::int64_t>(shards_appended)},
+                       {"records_copied", static_cast<std::int64_t>(records_copied)},
                        {"epochs", std::move(epochs)}});
 }
 
@@ -604,7 +662,10 @@ int main(int argc, char** argv) {
   bool shapes_equal = true;
   json::Value day_shapes = day_shape_block(dense, &shapes_equal);
   bool history_equal = true;
-  json::Value history_index = history_index_block(dense, &history_equal);
+  bool tallies_equal = true;
+  bool merge_appended = true;
+  json::Value history_index =
+      history_index_block(dense, &history_equal, &tallies_equal, &merge_appended);
   auto sparse = synth::small_corpus(42);
   if (!sparse.is_ok()) {
     std::fprintf(stderr, "sparse corpus failed: %s\n", sparse.status().to_string().c_str());
@@ -630,6 +691,11 @@ int main(int argc, char** argv) {
         "the kept day-shape index equals a from-scratch index every epoch, and mines "
         "to the same entries",
         &failures);
+  check(tallies_equal,
+        "the kept venue tallies pick like a tally counted from the whole column, every "
+        "(label, window) of every epoch",
+        &failures);
+  check(merge_appended, "the replay's merge copied no base record in any epoch", &failures);
   check(dense_table_ratio > 1.2,
         "compact BIDE table is smaller than PrefixSpan's table on the dense corpus",
         &failures);

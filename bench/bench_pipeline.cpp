@@ -10,18 +10,19 @@
 // checks at the largest corpus:
 //
 //   1. Throughput: the columnar stage (geo::clamped_cells over the
-//      coordinate columns + crowd::CrowdModel::build's sorted-run
-//      representative-venue kernel) must beat an in-bench
-//      reimplementation of the pre-refactor stage (clamped_cell_of per
-//      materialized record + the old std::map-nest RepresentativeVenues)
-//      by at least 2x — while producing byte-identical placements.
-//   2. Memory: the SoA epoch-resident set (dataset shards + venue
-//      table + interning pool + the flat mining sequence DB) must keep
-//      at least 30% fewer bytes than the AoS-equivalent accounting of
-//      the same corpus under the pre-refactor layout (40-byte CheckIn
-//      rows, venues with inline std::string names, and the old
-//      vector-of-vectors sequence DB with two heap headers per
-//      user-day).
+//      coordinate columns + crowd::CrowdModel::build's venue tallies)
+//      must beat an in-bench reimplementation of the pre-refactor
+//      stage (clamped_cell_of per materialized record + the old
+//      std::map-nest RepresentativeVenues) by at least 2x — while
+//      producing byte-identical placements.
+//   2. Memory: the SoA epoch-resident set (the dataset's column
+//      buffers at their capacity, for the corpus grown a week per epoch
+//      as a live worker grows it, + venue table + interning pool + the
+//      flat mining sequence DB) must keep at least 30% fewer bytes
+//      than the AoS-equivalent accounting of the same corpus under the
+//      pre-refactor layout (40-byte CheckIn rows, venues with inline
+//      std::string names, and the old vector-of-vectors sequence DB
+//      with two heap headers per user-day).
 //
 // Emits BENCH_pipeline.json (override with --out). --smoke shrinks
 // repetition counts for CI; the corpora stay full-size so the 10x
@@ -92,16 +93,21 @@ std::size_t string_heap_bytes(std::string_view s) {
   return s.size() > 15 ? s.size() + 1 : 0;
 }
 
-/// Bytes the SoA corpus representation keeps resident: the four shard
-/// columns per user (28 bytes per record), the POD venue table, the
-/// interning pool's string arena and snapshot index, and the user
-/// index. Walks the same structures every pipeline stage walks.
+/// Bytes the SoA corpus representation keeps resident: each user's
+/// column buffer at its capacity (28 bytes per slot, so spare slots
+/// kept for appends count too), the POD venue table, the interning
+/// pool's string arena and snapshot index, and the user index. Walks
+/// the same structures every pipeline stage walks.
 std::size_t soa_resident_bytes(const data::Dataset& dataset) {
   std::size_t bytes = 0;
-  const std::size_t per_record = sizeof(std::int64_t) + 2 * sizeof(double) +
-                                 sizeof(data::VenueId);  // 28: ts + lat + lon + venue
+  const std::size_t per_slot = sizeof(std::int64_t) + 2 * sizeof(double) +
+                               sizeof(data::VenueId);  // 28: ts + lat + lon + venue
+  // The column buffer's header (capacity, four column pointers, the
+  // fill count) plus its shared_ptr control block.
+  constexpr std::size_t kBufferHeaderBytes = 48 + 16;
   for (const data::UserId user : dataset.users()) {
-    bytes += dataset.checkins_for(user).size() * per_record;
+    const data::Dataset::ShardPtr shard = dataset.shard_for(user);
+    bytes += shard->capacity() * per_slot + kBufferHeaderBytes;
     // Shard object + shared_ptr control block.
     bytes += sizeof(data::Dataset::UserShard) + 32;
   }
@@ -115,6 +121,29 @@ std::size_t soa_resident_bytes(const data::Dataset& dataset) {
   // users_/offsets_ index vectors.
   bytes += dataset.user_count() * (sizeof(data::UserId) + sizeof(std::size_t));
   return bytes;
+}
+
+/// The same corpus grown a week per epoch through the incremental
+/// builder, as a live worker holds it: each user's column buffer keeps
+/// the spare slots its appends left.
+data::Dataset grown_by_week(const data::Dataset& dataset) {
+  data::DatasetBuilder seed;
+  for (const data::Venue& venue : dataset.venues()) {
+    if (!seed.add_venue(dataset.venue_spec(venue.id)).is_ok()) std::abort();
+  }
+  data::Dataset live = seed.build();
+  const data::DatasetStats stats = dataset.stats();
+  for (std::int64_t from = stats.first_timestamp; from <= stats.last_timestamp;
+       from += 7 * 86'400) {
+    data::DatasetBuilder builder(live);
+    for (const data::CheckIn& checkin : dataset.checkins()) {
+      if (checkin.timestamp >= from && checkin.timestamp < from + 7 * 86'400 &&
+          !builder.add_checkin(checkin).is_ok())
+        std::abort();
+    }
+    live = builder.build();
+  }
+  return live;
 }
 
 /// What the same corpus cost under the pre-refactor layout, from the
@@ -397,7 +426,10 @@ int main(int argc, char** argv) {
     const double records_per_sec =
         p50 > 0 ? static_cast<double>(dataset.checkin_count()) / (p50 / 1000.0) : 0.0;
 
-    const std::size_t dataset_resident = soa_resident_bytes(dataset);
+    // Memory is gated on the corpus as a live worker grows it, spare
+    // append slots included; the from-scratch build has none.
+    const std::size_t scratch_resident = soa_resident_bytes(dataset);
+    const std::size_t dataset_resident = soa_resident_bytes(grown_by_week(dataset));
     const std::size_t seqdb_resident = soa_seqdb_bytes(seqdb);
     const std::size_t resident = dataset_resident + seqdb_resident;
     const std::size_t aos_resident = aos_equivalent_bytes(dataset) + aos_seqdb_bytes(seqdb);
@@ -420,8 +452,9 @@ int main(int argc, char** argv) {
                 p50, records_per_sec, total_placements);
     std::printf("  grid+crowd seed path  %10.2f ms  (speedup %.2fx, identical: %s)\n",
                 legacy_p50, speedup, same ? "yes" : "NO");
-    std::printf("  corpus resident SoA   %10zu bytes  (%.1f bytes/record)\n",
-                dataset_resident, bytes_per_record);
+    std::printf("  corpus resident SoA   %10zu bytes  (%.1f bytes/record, grown a week per "
+                "epoch; %zu from scratch)\n",
+                dataset_resident, bytes_per_record, scratch_resident);
     std::printf("  seqdb resident SoA    %10zu bytes\n", seqdb_resident);
     std::printf("  epoch resident AoS-eq %10zu bytes  (SoA/AoS = %.2f)\n\n", aos_resident,
                 memory_ratio);
@@ -438,6 +471,7 @@ int main(int argc, char** argv) {
          {"placements", static_cast<std::int64_t>(total_placements)},
          {"placements_identical", same},
          {"dataset_resident_bytes", static_cast<std::int64_t>(dataset_resident)},
+         {"dataset_scratch_resident_bytes", static_cast<std::int64_t>(scratch_resident)},
          {"seqdb_resident_bytes", static_cast<std::int64_t>(seqdb_resident)},
          {"epoch_resident_bytes", static_cast<std::int64_t>(resident)},
          {"aos_equivalent_bytes", static_cast<std::int64_t>(aos_resident)},

@@ -1,11 +1,11 @@
 #include "crowd/model.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <map>
 #include <memory>
 #include <set>
 
-#include "util/civil_time.hpp"
 #include "util/format.hpp"
 #include "util/parallel.hpp"
 
@@ -13,111 +13,66 @@ namespace crowdweb::crowd {
 
 namespace {
 
-/// Label of every venue under the given mode, indexed by VenueId.
-///
-/// A check-in's label depends only on its venue (the builder guarantees
-/// checkin.category == venue.category), so the per-checkin taxonomy
-/// lookup of the old row-oriented path collapses into one table
-/// computed per build and shared by every user.
-std::vector<mining::Item> label_venues(const data::Dataset& dataset,
-                                       const data::Taxonomy& taxonomy,
-                                       mining::LabelMode mode) {
-  const std::span<const data::Venue> venues = dataset.venues();
-  std::vector<mining::Item> labels(venues.size());
-  for (std::size_t v = 0; v < venues.size(); ++v)
-    labels[v] = mining::label_of(venues[v].id, venues[v].category, mode, taxonomy);
+/// Windows a day holds at most (one-minute windows).
+constexpr std::uint64_t kWindows = 24 * 60;
+/// No cell: every real key has a window below kWindows.
+constexpr std::uint64_t kNoKey = ~std::uint64_t{0};
+
+/// Root categories are 16-bit CategoryIds, so a (label, window, venue)
+/// triple packs into one integer ordered by label, window, then venue.
+std::uint64_t tally_key(std::uint64_t label, std::uint64_t window,
+                        data::VenueId venue) noexcept {
+  return (label << 48) | (window << 32) | venue;
+}
+
+/// Phase 2's label of every category under root categories, which
+/// synchronization assumes (the platform default), indexed by
+/// CategoryId: one load per record instead of a taxonomy walk.
+const std::vector<mining::Item>& place_labels() {
+  static const std::vector<mining::Item> labels = [] {
+    const data::Taxonomy& taxonomy = data::Taxonomy::foursquare();
+    std::vector<mining::Item> out(taxonomy.size());
+    for (std::size_t c = 0; c < out.size(); ++c)
+      out[c] = mining::label_of(0, static_cast<data::CategoryId>(c),
+                                mining::LabelMode::kRootCategory, taxonomy);
+    return out;
+  }();
   return labels;
 }
 
-/// Loop-invariant lookup tables shared by every user of one build:
-/// the per-venue label column and the minute-of-day -> window map
-/// (replacing a per-record division by the runtime window size).
-struct PlacementTables {
-  std::vector<mining::Item> venue_labels;          ///< indexed by VenueId
-  std::vector<std::uint16_t> window_of_minute;     ///< 1440 entries
-};
-
-PlacementTables make_tables(const data::Dataset& dataset, const data::Taxonomy& taxonomy,
-                            mining::LabelMode mode, int window_minutes) {
-  PlacementTables tables;
-  tables.venue_labels = label_venues(dataset, taxonomy, mode);
-  tables.window_of_minute.resize(24 * 60);
-  for (int minute = 0; minute < 24 * 60; ++minute)
-    tables.window_of_minute[static_cast<std::size_t>(minute)] =
-        static_cast<std::uint16_t>(minute / window_minutes);
-  return tables;
+/// minute_of_day(timestamp) / window_minutes, inline: one floor
+/// division of the second of day.
+std::uint64_t window_of(std::int64_t timestamp, int window_seconds) noexcept {
+  constexpr std::int64_t kDay = 86'400;
+  const auto second = static_cast<int>(((timestamp % kDay) + kDay) % kDay);
+  return static_cast<std::uint64_t>(second / window_seconds);
 }
 
-/// Picks, per (label, window), the venue the user checked into most often
-/// during that window; falls back to their most-visited venue of that
-/// label at any time.
-///
-/// Columnar and demand-driven: the constructor makes one pass over the
-/// user's records to key each one by `(label << 16) | window`, and each
-/// pick() answers by scanning that key column for the queried key (the
-/// fallback compares the label half only). A user is only ever asked
-/// about the few elements of their qualifying patterns, so O(records)
-/// scans of one integer per record beat building any index — and
-/// replace the old per-record std::map nest. Picks are identical to the
-/// old maps': highest count wins, ties break toward the smallest venue
-/// id (the old map's ascending iteration order with a strictly-greater
-/// comparison).
-class RepresentativeVenues {
+/// The tally one user's placement reads: the kept one when it counts at
+/// the model's window minutes, else one counted from the records on the
+/// first pick — most users never clear the support threshold, and
+/// skipping their count is most of the stage's win at scale.
+class UserTally {
  public:
-  RepresentativeVenues(const data::Dataset::UserColumns& records,
-                       const PlacementTables& tables)
-      : venues_(records.venues()) {
-    const std::span<const std::int64_t> timestamps = records.timestamps();
-    keys_.resize(timestamps.size());
-    for (std::size_t i = 0; i < timestamps.size(); ++i)
-      keys_[i] = key(tables.venue_labels[venues_[i]],
-                     tables.window_of_minute[static_cast<std::size_t>(
-                         minute_of_day(timestamps[i]))]);
-  }
+  UserTally(const data::Dataset& dataset, data::UserId user, const VenueTally* kept,
+            int window_minutes)
+      : dataset_(dataset),
+        user_(user),
+        window_minutes_(window_minutes),
+        tally_(kept != nullptr && kept->window_minutes() == window_minutes ? kept : nullptr) {}
 
-  [[nodiscard]] std::optional<data::VenueId> pick(mining::Item label, int window) const {
-    // Per-venue counts of the matching records, in first-seen order;
-    // users visit few distinct venues per label, so linear probing wins.
-    std::vector<std::pair<data::VenueId, std::size_t>> counts;
-    const auto bump = [&counts](data::VenueId venue) {
-      for (auto& [seen, count] : counts) {
-        if (seen == venue) {
-          ++count;
-          return;
-        }
-      }
-      counts.emplace_back(venue, 1);
-    };
-    const std::uint64_t wanted = key(label, window);
-    for (std::size_t i = 0; i < keys_.size(); ++i) {
-      if (keys_[i] == wanted) bump(venues_[i]);
-    }
-    if (counts.empty()) {
-      // Fallback: the user's most-visited venue of this label at any time.
-      for (std::size_t i = 0; i < keys_.size(); ++i) {
-        if (keys_[i] >> 16 == label) bump(venues_[i]);
-      }
-    }
-    if (counts.empty()) return std::nullopt;
-    data::VenueId best_venue = counts.front().first;
-    std::size_t best_count = 0;
-    for (const auto& [venue, count] : counts) {
-      if (count > best_count || (count == best_count && venue < best_venue)) {
-        best_count = count;
-        best_venue = venue;
-      }
-    }
-    return best_venue;
+  [[nodiscard]] std::optional<data::VenueId> pick(mining::Item label, int window) {
+    if (tally_ == nullptr)
+      tally_ = &counted_.emplace(dataset_.checkins_for(user_), window_minutes_);
+    return tally_->pick(label, window);
   }
 
  private:
-  /// Windows are below 2^16 (at most 1,440 a day).
-  static std::uint64_t key(mining::Item label, int window) noexcept {
-    return (static_cast<std::uint64_t>(label) << 16) | static_cast<std::uint16_t>(window);
-  }
-
-  std::span<const data::VenueId> venues_;  ///< the user's venue column
-  std::vector<std::uint64_t> keys_;        ///< (label, window) key of each record
+  const data::Dataset& dataset_;
+  data::UserId user_;
+  int window_minutes_;
+  const VenueTally* tally_;
+  std::optional<VenueTally> counted_;
 };
 
 /// Closed-mode placement: reads the compact per-user index instead of
@@ -131,19 +86,17 @@ class RepresentativeVenues {
 void append_compact_placements(const data::Dataset& dataset,
                                const patterns::UserMobility& user,
                                const geo::SpatialGrid& grid, const CrowdOptions& options,
-                               const PlacementTables& tables,
+                               UserTally& venues,
                                std::vector<std::vector<CrowdPlacement>>& out) {
   if (user.placement_index.empty()) return;
   const int windows = static_cast<int>(out.size());
-  std::optional<RepresentativeVenues> venues;
   std::set<std::pair<int, mining::Item>> placed;
   for (const patterns::PlacementCandidate& candidate : user.placement_index) {
     if (candidate.support < options.min_pattern_support) continue;
-    if (!venues) venues.emplace(dataset.checkins_for(user.user), tables);
     const int window = std::clamp(static_cast<int>(candidate.minute) / options.window_minutes,
                                   0, windows - 1);
     if (!placed.insert({window, candidate.label}).second) continue;
-    const auto venue_id = venues->pick(candidate.label, window);
+    const auto venue_id = venues.pick(candidate.label, window);
     if (!venue_id) continue;
     const data::Venue* venue = dataset.venue(*venue_id);
     if (venue == nullptr) continue;
@@ -163,32 +116,29 @@ void append_compact_placements(const data::Dataset& dataset,
 /// users through this single code path, so their outputs agree
 /// element-for-element. Compact (closed-only) entries branch to the
 /// index-driven path, which reproduces this one's output exactly.
+/// `kept` is the user's kept tally, or null to count their records.
 void append_user_placements(const data::Dataset& dataset, const patterns::UserMobility& user,
                             const geo::SpatialGrid& grid, const CrowdOptions& options,
-                            const PlacementTables& tables,
+                            const VenueTally* kept,
                             std::vector<std::vector<CrowdPlacement>>& out) {
+  UserTally venues(dataset, user.user, kept, options.window_minutes);
   if (user.closed_only) {
-    append_compact_placements(dataset, user, grid, options, tables, out);
+    append_compact_placements(dataset, user, grid, options, venues, out);
     return;
   }
   if (user.patterns.empty()) return;
   const int windows = static_cast<int>(out.size());
-  // Built on the first qualifying pattern: most users never clear the
-  // support threshold, and skipping their index build is most of the
-  // stage's win at scale.
-  std::optional<RepresentativeVenues> venues;
   // A user appears at most once per (window, label): dedupe elements of
   // different patterns that land in the same window.
   std::set<std::pair<int, mining::Item>> placed;
   for (const patterns::MobilityPattern& pattern : user.patterns) {
     if (pattern.support < options.min_pattern_support) continue;
-    if (!venues) venues.emplace(dataset.checkins_for(user.user), tables);
     for (const patterns::TimedElement& element : pattern.elements) {
       const int minute = static_cast<int>(element.mean_minute);
       const int window =
           std::clamp(minute / options.window_minutes, 0, windows - 1);
       if (!placed.insert({window, element.label}).second) continue;
-      const auto venue_id = venues->pick(element.label, window);
+      const auto venue_id = venues.pick(element.label, window);
       if (!venue_id) continue;
       const data::Venue* venue = dataset.venue(*venue_id);
       if (venue == nullptr) continue;
@@ -227,19 +177,13 @@ Result<std::vector<std::vector<CrowdPlacement>>> place_all(const data::Dataset& 
   const int windows = (24 * 60) / options.window_minutes;
   std::vector<std::vector<CrowdPlacement>> scratch(static_cast<std::size_t>(windows));
 
-  // NOTE: synchronization assumes root-category labels, the platform
-  // default; the representative-venue lookup mirrors that.
-  const PlacementTables tables = make_tables(dataset, data::Taxonomy::foursquare(),
-                                             mining::LabelMode::kRootCategory,
-                                             options.window_minutes);
-
   std::vector<const patterns::UserMobility*> entries;
   for (const patterns::UserMobility& user : mobility) entries.push_back(&user);
 
   const unsigned workers = util::effective_threads(threads, entries.size());
   if (workers <= 1) {
     for (const patterns::UserMobility* user : entries)
-      append_user_placements(dataset, *user, grid, options, tables, scratch);
+      append_user_placements(dataset, *user, grid, options, nullptr, scratch);
     return scratch;
   }
 
@@ -249,7 +193,7 @@ Result<std::vector<std::vector<CrowdPlacement>>> place_all(const data::Dataset& 
                         [&](unsigned chunk, std::size_t begin, std::size_t end) {
                           for (std::size_t i = begin; i < end; ++i)
                             append_user_placements(dataset, *entries[i], grid, options,
-                                                   tables, chunk_scratch[chunk]);
+                                                   nullptr, chunk_scratch[chunk]);
                         });
   for (std::size_t w = 0; w < scratch.size(); ++w) {
     std::size_t total = 0;
@@ -262,6 +206,125 @@ Result<std::vector<std::vector<CrowdPlacement>>> place_all(const data::Dataset& 
 }
 
 }  // namespace
+
+VenueTally::VenueTally(const data::Dataset::UserColumns& records, int window_minutes)
+    : window_minutes_(window_minutes), records_(records.size()) {
+  // Count each cell in a small open-addressing table — one probe per
+  // record, none when a record repeats the previous one's cell — then
+  // sort the user's distinct cells once. Routine histories revisit few
+  // cells, so this stays O(records) where sorting the records would not.
+  struct Slot {
+    std::uint64_t key = kNoKey;
+    std::uint32_t count = 0;
+  };
+  std::vector<Slot> slots(std::bit_ceil(2 * std::clamp<std::size_t>(records.size(), 8, 256)));
+  std::size_t used = 0;
+  const auto slot_of = [&slots](std::uint64_t key) -> Slot& {
+    const std::size_t mask = slots.size() - 1;
+    std::size_t at = static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >> 32) & mask;
+    while (slots[at].key != key && slots[at].key != kNoKey) at = (at + 1) & mask;
+    return slots[at];
+  };
+
+  const std::vector<mining::Item>& labels = place_labels();
+  const int window_seconds = 60 * window_minutes;
+  const std::span<const std::int64_t> timestamps = records.timestamps();
+  const std::span<const data::VenueId> venues = records.venues();
+  std::uint64_t last_key = kNoKey;
+  Slot* last = nullptr;
+  for (std::size_t i = 0; i < timestamps.size(); ++i) {
+    const std::uint64_t key = tally_key(labels[records.category(i)],
+                                        window_of(timestamps[i], window_seconds), venues[i]);
+    if (key != last_key) {
+      last = &slot_of(key);
+      if (last->key == kNoKey) {
+        if (2 * ++used > slots.size()) {
+          std::vector<Slot> old(2 * slots.size());
+          old.swap(slots);
+          for (const Slot& slot : old) {
+            if (slot.key != kNoKey) slot_of(slot.key) = slot;
+          }
+          last = &slot_of(key);
+        }
+        last->key = key;
+      }
+      last_key = key;
+    }
+    ++last->count;
+  }
+
+  keys_.reserve(used);
+  for (const Slot& slot : slots) {
+    if (slot.key != kNoKey) keys_.push_back(slot.key);
+  }
+  std::sort(keys_.begin(), keys_.end());
+  counts_.reserve(keys_.size());
+  for (const std::uint64_t key : keys_) counts_.push_back(slot_of(key).count);
+}
+
+void VenueTally::add(const data::CheckIn& checkin) {
+  const std::uint64_t key =
+      tally_key(place_labels()[checkin.category],
+                window_of(checkin.timestamp, 60 * window_minutes_), checkin.venue);
+  const auto it = std::lower_bound(keys_.begin(), keys_.end(), key);
+  const auto at = it - keys_.begin();
+  if (it != keys_.end() && *it == key) {
+    ++counts_[static_cast<std::size_t>(at)];
+  } else {
+    keys_.insert(it, key);
+    counts_.insert(counts_.begin() + at, 1);
+  }
+  ++records_;
+}
+
+std::optional<data::VenueId> VenueTally::pick(mining::Item label, int window) const {
+  if (label > 0xFFFF || window < 0 || static_cast<std::uint64_t>(window) >= kWindows)
+    return std::nullopt;
+  // Per-venue counts in ascending venue order within one cell, so the
+  // first strictly larger count keeps ties at the smallest id.
+  std::optional<data::VenueId> best;
+  std::uint32_t best_count = 0;
+  const std::uint64_t cell = tally_key(label, static_cast<std::uint64_t>(window), 0) >> 32;
+  for (auto it = std::lower_bound(keys_.begin(), keys_.end(), cell << 32);
+       it != keys_.end() && (*it >> 32) == cell; ++it) {
+    const std::uint32_t count = counts_[static_cast<std::size_t>(it - keys_.begin())];
+    if (count > best_count) {
+      best_count = count;
+      best = static_cast<data::VenueId>(*it);
+    }
+  }
+  if (best) return best;
+
+  // Fallback: the label's cells are adjacent; sum each venue over them.
+  // A user visits few distinct venues per label, so linear probing wins.
+  std::vector<std::pair<data::VenueId, std::uint32_t>> totals;
+  const std::uint64_t first = tally_key(label, 0, 0);
+  for (auto it = std::lower_bound(keys_.begin(), keys_.end(), first);
+       it != keys_.end() && (*it >> 48) == label; ++it) {
+    const auto venue = static_cast<data::VenueId>(*it);
+    const std::uint32_t count = counts_[static_cast<std::size_t>(it - keys_.begin())];
+    const auto seen = std::find_if(totals.begin(), totals.end(), [venue](const auto& total) {
+      return total.first == venue;
+    });
+    if (seen != totals.end()) {
+      seen->second += count;
+    } else {
+      totals.emplace_back(venue, count);
+    }
+  }
+  for (const auto& [venue, count] : totals) {
+    if (count > best_count || (count == best_count && venue < *best)) {
+      best_count = count;
+      best = venue;
+    }
+  }
+  return best;
+}
+
+std::size_t VenueTally::resident_bytes() const noexcept {
+  return sizeof(*this) + keys_.capacity() * sizeof(std::uint64_t) +
+         counts_.capacity() * sizeof(std::uint32_t);
+}
 
 void CrowdModel::adopt_windows(std::vector<std::vector<CrowdPlacement>> windows) {
   placements_.clear();
@@ -353,25 +416,34 @@ Result<CrowdModel> CrowdModel::merge(std::span<const CrowdModel* const> parts) {
 Result<CrowdModel> CrowdModel::update(const CrowdModel& previous,
                                       const data::Dataset& dataset,
                                       const patterns::MobilityTable& mobility,
-                                      std::span<const data::UserId> changed_users) {
+                                      std::span<const data::UserId> changed_users,
+                                      std::span<const VenueTally* const> tallies) {
   CrowdModel model(previous.grid_, previous.options_);
   const int windows = previous.window_count();
   if (windows == 0)
     return invalid_argument("cannot update a default-constructed crowd model");
+  if (!tallies.empty() && tallies.size() != changed_users.size())
+    return invalid_argument("tallies must be parallel to the changed users");
 
   // Place the changed users afresh, ascending by user id so each
   // window's fresh block is user-sorted like the full build's output.
-  std::vector<data::UserId> changed(changed_users.begin(), changed_users.end());
-  std::sort(changed.begin(), changed.end());
-  changed.erase(std::unique(changed.begin(), changed.end()), changed.end());
+  std::vector<std::pair<data::UserId, const VenueTally*>> placed_users;
+  placed_users.reserve(changed_users.size());
+  for (std::size_t i = 0; i < changed_users.size(); ++i)
+    placed_users.emplace_back(changed_users[i], tallies.empty() ? nullptr : tallies[i]);
+  std::sort(placed_users.begin(), placed_users.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  const auto same_user = [](const auto& a, const auto& b) { return a.first == b.first; };
+  placed_users.erase(std::unique(placed_users.begin(), placed_users.end(), same_user),
+                     placed_users.end());
+  std::vector<data::UserId> changed;
+  changed.reserve(placed_users.size());
+  for (const auto& [user, tally] : placed_users) changed.push_back(user);
 
-  const PlacementTables tables = make_tables(dataset, data::Taxonomy::foursquare(),
-                                             mining::LabelMode::kRootCategory,
-                                             model.options_.window_minutes);
   std::vector<std::vector<CrowdPlacement>> fresh(static_cast<std::size_t>(windows));
-  for (const data::UserId user : changed) {
+  for (const auto& [user, tally] : placed_users) {
     if (const patterns::UserMobility* entry = mobility.find(user))
-      append_user_placements(dataset, *entry, model.grid_, model.options_, tables, fresh);
+      append_user_placements(dataset, *entry, model.grid_, model.options_, tally, fresh);
   }
 
   const auto is_changed = [&](data::UserId user) {

@@ -4,11 +4,13 @@
 // wall-clock time windows: a user whose pattern says "Eatery around
 // 12:20" *appears* in the city during the 12:00-13:00 window, placed at
 // their representative eatery (their most-visited venue of that label in
-// that window). Aggregating the placements over the microcell grid gives
-// the crowd distribution the map displays; following users across
-// consecutive windows gives the crowd flows.
+// that window, read from a per-user VenueTally). Aggregating the
+// placements over the microcell grid gives the crowd distribution the
+// map displays; following users across consecutive windows gives the
+// crowd flows.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <span>
@@ -46,6 +48,47 @@ struct CrowdOptions {
   /// Only pattern elements from patterns at or above this support place a
   /// user on the map.
   double min_pattern_support = 0.25;
+};
+
+/// One user's check-ins counted per (place label, time window, venue):
+/// what placing the user reads. A user
+/// appears at their representative venue for a (label, window) — the
+/// venue they checked into most often in that window, ties broken
+/// toward the smallest venue id — or, with no check-in of that label in
+/// the window, at their most-visited venue of that label at any time.
+/// Labels are root categories, the platform's default.
+///
+/// Counts do not depend on record order, so a tally kept beside a
+/// growing history takes each added check-in with add() and always
+/// equals a tally counted from the user's whole column.
+class VenueTally {
+ public:
+  VenueTally() = default;
+  /// Counts every record of `records` in windows of `window_minutes`
+  /// (which must divide a day).
+  VenueTally(const data::Dataset::UserColumns& records, int window_minutes);
+
+  /// Counts one more check-in of the user.
+  void add(const data::CheckIn& checkin);
+
+  /// The representative venue for (label, window), or nullopt when the
+  /// user never checked in at that label.
+  [[nodiscard]] std::optional<data::VenueId> pick(mining::Item label, int window) const;
+
+  [[nodiscard]] int window_minutes() const noexcept { return window_minutes_; }
+  /// Check-ins counted.
+  [[nodiscard]] std::size_t records() const noexcept { return records_; }
+  /// Heap bytes held plus the object.
+  [[nodiscard]] std::size_t resident_bytes() const noexcept;
+
+ private:
+  int window_minutes_ = 60;
+  std::size_t records_ = 0;
+  /// (label << 48) | (window << 32) | venue of every counted cell,
+  /// ascending: a (label, window)'s venues are adjacent, and so are a
+  /// label's cells.
+  std::vector<std::uint64_t> keys_;
+  std::vector<std::uint32_t> counts_;  ///< parallel to keys_
 };
 
 /// The synchronized, aggregated crowd — queryable per time window.
@@ -94,10 +137,16 @@ class CrowdModel {
   /// while grid and options are unchanged (a grid or option change
   /// requires a full build); under that contract the result equals
   /// `build(dataset, mobility, previous.grid(), previous.options())`.
+  ///
+  /// `tallies`, when not empty, is parallel to `changed_users`: entry i
+  /// is user i's kept tally over their records in `dataset`, or null to
+  /// count those records here. A tally kept at other window minutes
+  /// than the model's is not used.
   static Result<CrowdModel> update(const CrowdModel& previous,
                                    const data::Dataset& dataset,
                                    const patterns::MobilityTable& mobility,
-                                   std::span<const data::UserId> changed_users);
+                                   std::span<const data::UserId> changed_users,
+                                   std::span<const VenueTally* const> tallies = {});
 
   [[nodiscard]] const geo::SpatialGrid& grid() const noexcept { return grid_; }
   [[nodiscard]] const CrowdOptions& options() const noexcept { return options_; }

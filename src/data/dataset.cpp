@@ -1,6 +1,7 @@
 #include "data/dataset.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <set>
 #include <unordered_set>
 #include <utility>
@@ -11,6 +12,65 @@
 #include "util/format.hpp"
 
 namespace crowdweb::data {
+
+/// `capacity` slots of each of a user's four record columns. Slots
+/// [0, filled) hold records and are never written again: a builder
+/// writes only slots it created the buffer with or claimed past
+/// `filled`, so readers of any version's prefix never race with a
+/// writer.
+struct ColumnBuffer {
+  /// A buffer whose first `filled_slots` slots the creator fills before
+  /// sharing it.
+  ColumnBuffer(std::size_t slots, std::size_t filled_slots)
+      : capacity(slots),
+        timestamps(std::make_unique_for_overwrite<std::int64_t[]>(slots)),
+        lats(std::make_unique_for_overwrite<double[]>(slots)),
+        lons(std::make_unique_for_overwrite<double[]>(slots)),
+        venues(std::make_unique_for_overwrite<VenueId[]>(slots)),
+        filled(filled_slots) {}
+
+  /// Claims slots [from, to) for the version of length `from`: succeeds
+  /// only while that version is the buffer's longest filled one and the
+  /// slots fit.
+  bool claim(std::size_t from, std::size_t to) noexcept {
+    return to <= capacity &&
+           filled.compare_exchange_strong(from, to, std::memory_order_acq_rel);
+  }
+
+  /// Newest version's length: another builder may have claimed past a
+  /// base that reads less.
+  [[nodiscard]] std::size_t newest() const noexcept {
+    return filled.load(std::memory_order_acquire);
+  }
+
+  void put(std::size_t slot, const CheckIn& c) noexcept {
+    timestamps[slot] = c.timestamp;
+    lats[slot] = c.position.lat;
+    lons[slot] = c.position.lon;
+    venues[slot] = c.venue;
+  }
+
+  const std::size_t capacity;
+  const std::unique_ptr<std::int64_t[]> timestamps;
+  const std::unique_ptr<double[]> lats;
+  const std::unique_ptr<double[]> lons;
+  const std::unique_ptr<VenueId[]> venues;
+
+ private:
+  std::atomic<std::size_t> filled;
+};
+
+Dataset::UserShard::UserShard(UserId user, std::shared_ptr<ColumnBuffer> buffer,
+                              std::size_t size) noexcept
+    : user_(user),
+      size_(size),
+      buffer_(std::move(buffer)),
+      timestamps_(buffer_->timestamps.get()),
+      lats_(buffer_->lats.get()),
+      lons_(buffer_->lons.get()),
+      venues_(buffer_->venues.get()) {}
+
+std::size_t Dataset::UserShard::capacity() const noexcept { return buffer_->capacity; }
 
 void Dataset::CheckInIterator::seek(std::size_t index) noexcept {
   index_ = index;
@@ -69,12 +129,12 @@ DatasetStats Dataset::stats() const {
   s.mean_records_per_user = stats::mean(per_user);
   s.median_records_per_user = stats::median(per_user);
 
-  std::int64_t first = shards_.front()->timestamps.front();
+  std::int64_t first = shards_.front()->timestamps().front();
   std::int64_t last = first;
   for (const ShardPtr& shard : shards_) {
     // Shards are time-sorted: front/back bound the user's range.
-    first = std::min(first, shard->timestamps.front());
-    last = std::max(last, shard->timestamps.back());
+    first = std::min(first, shard->timestamps().front());
+    last = std::max(last, shard->timestamps().back());
   }
   s.first_timestamp = first;
   s.last_timestamp = last;
@@ -90,7 +150,7 @@ std::vector<std::pair<std::string, std::size_t>> Dataset::monthly_counts() const
   // timestamp column matters, so walk it directly.
   std::vector<std::pair<std::int64_t, std::size_t>> keyed;
   for (const ShardPtr& shard : shards_) {
-    for (const std::int64_t timestamp : shard->timestamps) {
+    for (const std::int64_t timestamp : shard->timestamps()) {
       const CivilTime civil = to_civil(timestamp);
       const std::int64_t key = static_cast<std::int64_t>(civil.year) * 12 + civil.month - 1;
       const auto it = std::lower_bound(
@@ -164,10 +224,10 @@ void Dataset::adopt(VenueTablePtr venues, StringPoolPtr pool, NamesPtr names,
   bounds_ = bounds;
   const bool derive_bounds = bounds_.empty();
   for (const ShardPtr& shard : shards_) {
-    users_.push_back(shard->user);
+    users_.push_back(shard->user());
     offsets_.push_back(total);
     total += shard->size();
-    if (derive_bounds) geo::extend_bounds(bounds_, shard->lats, shard->lons);
+    if (derive_bounds) geo::extend_bounds(bounds_, shard->lats(), shard->lons());
   }
   offsets_.push_back(total);
 }
@@ -179,20 +239,10 @@ Dataset Dataset::subset(std::vector<CheckIn> keep) const {
   std::size_t begin = 0;
   for (std::size_t i = 1; i <= keep.size(); ++i) {
     if (i == keep.size() || keep[i].user != keep[begin].user) {
-      auto shard = std::make_shared<UserShard>();
-      shard->user = keep[begin].user;
       const std::size_t n = i - begin;
-      shard->timestamps.reserve(n);
-      shard->lats.reserve(n);
-      shard->lons.reserve(n);
-      shard->venues.reserve(n);
-      for (std::size_t k = begin; k < i; ++k) {
-        shard->timestamps.push_back(keep[k].timestamp);
-        shard->lats.push_back(keep[k].position.lat);
-        shard->lons.push_back(keep[k].position.lon);
-        shard->venues.push_back(keep[k].venue);
-      }
-      shards.push_back(std::move(shard));
+      auto buffer = std::make_shared<ColumnBuffer>(n, n);
+      for (std::size_t k = begin; k < i; ++k) buffer->put(k - begin, keep[k]);
+      shards.push_back(ShardPtr(new UserShard(keep[begin].user, std::move(buffer), n)));
       begin = i;
     }
   }
@@ -326,16 +376,19 @@ Dataset DatasetBuilder::build() {
   std::sort(touched.begin(), touched.end());
 
   // Merge the base's user-sorted shards with the touched users: an
-  // untouched shard is shared by pointer; a touched one is rebuilt by a
-  // stable columnar time-merge of base records (first on ties) and the
-  // delta.
+  // untouched shard is shared by pointer; a touched one gets a new
+  // version. An in-order delta is written past the base's prefix (in
+  // the base's buffer when the base is its newest version and the delta
+  // fits, else after moving the prefix into a buffer 1.5x as large); any
+  // other delta is a stable columnar time-merge of base records (first
+  // on ties) and the delta into a fresh buffer.
   std::vector<Dataset::ShardPtr> shards;
   shards.reserve(base_.shards_.size() + touched.size());
   std::size_t bi = 0;
   std::size_t ti = 0;
   while (bi < base_.shards_.size() || ti < touched.size()) {
     if (ti == touched.size() ||
-        (bi < base_.shards_.size() && base_.shards_[bi]->user < touched[ti])) {
+        (bi < base_.shards_.size() && base_.shards_[bi]->user() < touched[ti])) {
       shards.push_back(base_.shards_[bi]);
       ++stats_.shards_reused;
       ++bi;
@@ -343,39 +396,51 @@ Dataset DatasetBuilder::build() {
     }
     const UserId user = touched[ti];
     std::vector<CheckIn>& delta = pending_[user];
-    auto shard = std::make_shared<Dataset::UserShard>();
-    shard->user = user;
     const Dataset::UserShard* existing = nullptr;
-    if (bi < base_.shards_.size() && base_.shards_[bi]->user == user) {
+    if (bi < base_.shards_.size() && base_.shards_[bi]->user() == user) {
       existing = base_.shards_[bi].get();
       ++bi;
     }
     const std::size_t base_n = existing ? existing->size() : 0;
     const std::size_t n = base_n + delta.size();
-    shard->timestamps.reserve(n);
-    shard->lats.reserve(n);
-    shard->lons.reserve(n);
-    shard->venues.reserve(n);
-    std::size_t i = 0;  // base cursor
-    std::size_t j = 0;  // delta cursor
-    while (i < base_n || j < delta.size()) {
-      // Base wins timestamp ties, matching std::merge's stable order.
-      if (j == delta.size() ||
-          (i < base_n && existing->timestamps[i] <= delta[j].timestamp)) {
-        shard->timestamps.push_back(existing->timestamps[i]);
-        shard->lats.push_back(existing->lats[i]);
-        shard->lons.push_back(existing->lons[i]);
-        shard->venues.push_back(existing->venues[i]);
-        ++i;
-      } else {
-        shard->timestamps.push_back(delta[j].timestamp);
-        shard->lats.push_back(delta[j].position.lat);
-        shard->lons.push_back(delta[j].position.lon);
-        shard->venues.push_back(delta[j].venue);
-        ++j;
+    std::shared_ptr<ColumnBuffer> buffer;
+    if (base_n > 0 && delta.front().timestamp >= existing->timestamps_[base_n - 1]) {
+      ColumnBuffer& held = *existing->buffer_;
+      if (held.claim(base_n, n)) {
+        buffer = existing->buffer_;
+      } else if (held.newest() == base_n) {
+        const std::size_t grown = std::max(n, held.capacity + held.capacity / 2);
+        buffer = std::make_shared<ColumnBuffer>(grown, n);
+        std::copy_n(existing->timestamps_, base_n, buffer->timestamps.get());
+        std::copy_n(existing->lats_, base_n, buffer->lats.get());
+        std::copy_n(existing->lons_, base_n, buffer->lons.get());
+        std::copy_n(existing->venues_, base_n, buffer->venues.get());
       }
     }
-    shards.push_back(std::move(shard));
+    if (buffer) {
+      for (std::size_t j = 0; j < delta.size(); ++j) buffer->put(base_n + j, delta[j]);
+      ++stats_.shards_appended;
+    } else {
+      buffer = std::make_shared<ColumnBuffer>(n, n);
+      stats_.records_copied += base_n;
+      std::size_t i = 0;  // base cursor
+      std::size_t j = 0;  // delta cursor
+      for (std::size_t k = 0; k < n; ++k) {
+        // Base wins timestamp ties, matching std::merge's stable order.
+        if (j == delta.size() ||
+            (i < base_n && existing->timestamps_[i] <= delta[j].timestamp)) {
+          buffer->timestamps[k] = existing->timestamps_[i];
+          buffer->lats[k] = existing->lats_[i];
+          buffer->lons[k] = existing->lons_[i];
+          buffer->venues[k] = existing->venues_[i];
+          ++i;
+        } else {
+          buffer->put(k, delta[j]);
+          ++j;
+        }
+      }
+    }
+    shards.push_back(Dataset::ShardPtr(new Dataset::UserShard(user, std::move(buffer), n)));
     ++stats_.shards_rebuilt;
     ++ti;
   }

@@ -9,17 +9,25 @@
 // distinct days, check-ins less than two hours apart).
 //
 // Storage is sharded per user and columnar: each user's time-sorted
-// records live in one immutable structure-of-arrays shard (parallel
-// timestamp / lat / lon / venue-id columns) held by shared_ptr, and
-// the venue table is one shared immutable vector of POD rows whose
-// names are interned NameIds into a shared StringPool. The category
-// column is not stored per record: add_checkin enforces that a
-// check-in's category equals its venue's, so kernels derive it from
-// the venue-id column and the venue table. Copying a Dataset copies
-// only the shard pointers, and an incremental build (DatasetBuilder
-// seeded `from` a base dataset) rebuilds only the shards the delta
-// touched — every other shard is shared with the base, and the name
-// pool is append-only so base ids never change. A dataset built
+// records are the filled prefix of one column buffer (parallel
+// timestamp / lat / lon / venue-id columns), viewed through a
+// `UserShard` held by shared_ptr, and the venue table is one shared
+// immutable vector of POD rows whose names are interned NameIds into a
+// shared StringPool. The category column is not stored per record:
+// add_checkin enforces that a check-in's category equals its venue's,
+// so kernels derive it from the venue-id column and the venue table.
+//
+// A filled slot of a column buffer is never written again; a shard is
+// the buffer plus the length its dataset version sees. Copying a
+// Dataset copies only the shard pointers, and an incremental build
+// (DatasetBuilder seeded `from` a base dataset) gives new shards only to
+// the users the delta touched — every other shard is shared with the
+// base. A touched user whose delta is not earlier than their last
+// record, and whose base version is the newest one of its buffer, gets
+// the delta written into the buffer's spare slots past that prefix:
+// older versions keep seeing their shorter prefix, unchanged, so no
+// history is copied. Any other touched user gets a fresh buffer. The
+// name pool is append-only so base ids never change. A dataset built
 // incrementally is value-identical to one built from scratch over the
 // same records.
 //
@@ -70,24 +78,50 @@ struct ActiveUserCriteria {
   std::int64_t max_gap_seconds = 2 * 3600;
 };
 
+/// The raw column storage behind a user's shard versions (dataset.cpp).
+struct ColumnBuffer;
+
 /// An immutable, indexed check-in corpus.
 ///
 /// Build with `DatasetBuilder`; all accessors require the built state.
 class Dataset {
  public:
-  /// One user's time-sorted records as structure-of-arrays columns,
-  /// immutable and shared between the dataset versions whose delta
-  /// never touched this user. All four columns have the same length;
-  /// index i across them is one check-in. The per-record category is
-  /// derived, not stored: it always equals the venue's category.
-  struct UserShard {
-    UserId user = 0;
-    std::vector<std::int64_t> timestamps;  ///< sorted ascending (stable)
-    std::vector<double> lats;
-    std::vector<double> lons;
-    std::vector<VenueId> venues;
+  /// One version of a user's time-sorted records as structure-of-arrays
+  /// columns: the first size() slots of a column buffer shared along the
+  /// user's versions. A version is immutable, and shared between the
+  /// dataset versions whose delta never touched this user; later
+  /// versions may append past its length in the same buffer, which the
+  /// version never sees. All four columns have the same length; index i
+  /// across them is one check-in. The per-record category is derived,
+  /// not stored: it always equals the venue's category.
+  class UserShard {
+   public:
+    [[nodiscard]] UserId user() const noexcept { return user_; }
+    [[nodiscard]] std::size_t size() const noexcept { return size_; }
+    /// Slots of the underlying buffer, this version's size() included:
+    /// what it holds resident for this user, append slack and all.
+    [[nodiscard]] std::size_t capacity() const noexcept;
 
-    [[nodiscard]] std::size_t size() const noexcept { return timestamps.size(); }
+    /// Sorted ascending (stable).
+    [[nodiscard]] std::span<const std::int64_t> timestamps() const noexcept {
+      return {timestamps_, size_};
+    }
+    [[nodiscard]] std::span<const double> lats() const noexcept { return {lats_, size_}; }
+    [[nodiscard]] std::span<const double> lons() const noexcept { return {lons_, size_}; }
+    [[nodiscard]] std::span<const VenueId> venues() const noexcept { return {venues_, size_}; }
+
+   private:
+    friend class Dataset;
+    friend class DatasetBuilder;
+    UserShard(UserId user, std::shared_ptr<ColumnBuffer> buffer, std::size_t size) noexcept;
+
+    UserId user_ = 0;
+    std::size_t size_ = 0;
+    std::shared_ptr<ColumnBuffer> buffer_;
+    const std::int64_t* timestamps_ = nullptr;
+    const double* lats_ = nullptr;
+    const double* lons_ = nullptr;
+    const VenueId* venues_ = nullptr;
   };
   using ShardPtr = std::shared_ptr<const UserShard>;
   using VenueTablePtr = std::shared_ptr<const std::vector<Venue>>;
@@ -100,46 +134,45 @@ class Dataset {
    public:
     UserColumns() = default;
 
-    [[nodiscard]] UserId user() const noexcept { return shard_ ? shard_->user : 0; }
+    [[nodiscard]] UserId user() const noexcept { return shard_ ? shard_->user() : 0; }
     [[nodiscard]] std::size_t size() const noexcept { return shard_ ? shard_->size() : 0; }
     [[nodiscard]] bool empty() const noexcept { return size() == 0; }
 
     /// Raw columns (empty spans for an unknown user).
     [[nodiscard]] std::span<const std::int64_t> timestamps() const noexcept {
-      return shard_ ? std::span<const std::int64_t>(shard_->timestamps)
-                    : std::span<const std::int64_t>{};
+      return shard_ ? shard_->timestamps() : std::span<const std::int64_t>{};
     }
     [[nodiscard]] std::span<const double> lats() const noexcept {
-      return shard_ ? std::span<const double>(shard_->lats) : std::span<const double>{};
+      return shard_ ? shard_->lats() : std::span<const double>{};
     }
     [[nodiscard]] std::span<const double> lons() const noexcept {
-      return shard_ ? std::span<const double>(shard_->lons) : std::span<const double>{};
+      return shard_ ? shard_->lons() : std::span<const double>{};
     }
     [[nodiscard]] std::span<const VenueId> venues() const noexcept {
-      return shard_ ? std::span<const VenueId>(shard_->venues) : std::span<const VenueId>{};
+      return shard_ ? shard_->venues() : std::span<const VenueId>{};
     }
 
     /// Per-record field accessors (no bounds check; i < size()).
     [[nodiscard]] std::int64_t timestamp(std::size_t i) const noexcept {
-      return shard_->timestamps[i];
+      return shard_->timestamps()[i];
     }
     [[nodiscard]] geo::LatLon position(std::size_t i) const noexcept {
-      return {shard_->lats[i], shard_->lons[i]};
+      return {shard_->lats()[i], shard_->lons()[i]};
     }
-    [[nodiscard]] VenueId venue(std::size_t i) const noexcept { return shard_->venues[i]; }
+    [[nodiscard]] VenueId venue(std::size_t i) const noexcept { return shard_->venues()[i]; }
     [[nodiscard]] CategoryId category(std::size_t i) const noexcept {
-      return venue_table_ ? (*venue_table_)[shard_->venues[i]].category : kNoCategory;
+      return venue_table_ ? (*venue_table_)[venue(i)].category : kNoCategory;
     }
 
     /// Materialized record i (by value — the struct does not exist in
     /// storage).
     [[nodiscard]] CheckIn operator[](std::size_t i) const noexcept {
       CheckIn c;
-      c.user = shard_->user;
-      c.venue = shard_->venues[i];
+      c.user = shard_->user();
+      c.venue = venue(i);
       c.category = category(i);
-      c.position = {shard_->lats[i], shard_->lons[i]};
-      c.timestamp = shard_->timestamps[i];
+      c.position = position(i);
+      c.timestamp = timestamp(i);
       return c;
     }
     [[nodiscard]] CheckIn front() const noexcept { return (*this)[0]; }
@@ -426,11 +459,11 @@ class Dataset {
   /// the venue table).
   [[nodiscard]] CheckIn materialize(const UserShard& shard, std::size_t local) const noexcept {
     CheckIn c;
-    c.user = shard.user;
-    c.venue = shard.venues[local];
+    c.user = shard.user();
+    c.venue = shard.venues()[local];
     c.category = venues_ ? (*venues_)[c.venue].category : kNoCategory;
-    c.position = {shard.lats[local], shard.lons[local]};
-    c.timestamp = shard.timestamps[local];
+    c.position = {shard.lats()[local], shard.lons()[local]};
+    c.timestamp = shard.timestamps()[local];
     return c;
   }
 
@@ -506,7 +539,17 @@ class DatasetBuilder {
   /// How the last `build()` assembled its shards, for delta telemetry.
   struct BuildStats {
     std::size_t shards_reused = 0;    ///< base shards shared untouched
-    std::size_t shards_rebuilt = 0;   ///< shards merged or newly created
+    /// Touched users given a new shard version: appended in place,
+    /// copied, or new.
+    std::size_t shards_rebuilt = 0;
+    /// Of those, versions that wrote the delta past their base's prefix
+    /// instead of copying it (a full buffer first moves the prefix into
+    /// a buffer 1.5x as large; that move is amortised, not counted below).
+    std::size_t shards_appended = 0;
+    /// Base records copied into a fresh buffer by touched users that
+    /// could not append: a delta earlier than the user's last record, or
+    /// a base that is not its buffer's newest version.
+    std::size_t records_copied = 0;
     bool venue_table_shared = false;  ///< base venue table adopted as-is
   };
 

@@ -132,7 +132,17 @@ void IngestWorker::init_metrics() {
       "Per-user dataset shards shared with the previous epoch (not copied).");
   delta_shards_rebuilt_ = &metrics_->counter(
       "crowdweb_ingest_delta_shards_rebuilt_total",
-      "Per-user dataset shards rebuilt because the epoch's delta touched them.");
+      "Per-user dataset shards given a new version because the epoch's delta touched "
+      "them (appended in place, copied, or new).");
+  delta_shards_appended_ = &metrics_->counter(
+      "crowdweb_ingest_delta_shards_appended_total",
+      "New shard versions that wrote the delta past the previous version's records "
+      "instead of copying them.");
+  delta_records_copied_ = &metrics_->counter(
+      "crowdweb_ingest_delta_records_copied_total",
+      "Base records the merge copied for touched users that could not append (a "
+      "check-in earlier than the user's last one, or a base that is not the newest "
+      "version).");
   delta_crowd_full_rebuilds_ = &metrics_->counter(
       "crowdweb_ingest_delta_crowd_full_rebuilds_total",
       "Crowd-model full rebuilds (the first epoch, then every 64th as a "
@@ -162,7 +172,8 @@ void IngestWorker::init_metrics() {
   history_refiled_ = &history_users.with_labels({"refiled"});
   history_bytes_ = &metrics_->gauge(
       "crowdweb_ingest_history_bytes",
-      "Heap bytes of the worker's kept per-user day-shape indexes.");
+      "Heap bytes of the worker's kept per-user state: day-shape indexes and venue "
+      "tallies.");
   mining_truncated_ = &metrics_->counter(
       "crowdweb_mining_truncated_total",
       "Per-user re-mines whose pattern set was cut short by the max_patterns cap "
@@ -327,9 +338,10 @@ Status IngestWorker::adopt_checkpoint(const store::Checkpoint& checkpoint) {
     if (Status status = builder.add_checkin(c); !status.is_ok()) return status;
   }
   live_ = builder.build();
-  // The indexes filed the replaced corpus: every user refiles on touch.
-  histories_.clear();
-  history_bytes_total_ = 0;
+  // The kept state counted the replaced corpus: every user refiles and
+  // recounts on touch.
+  kept_.clear();
+  kept_bytes_total_ = 0;
   history_bytes_->set(0.0);
   base_checkin_count_ = checkpoint.base_checkin_count;
   touched_users_.clear();
@@ -571,6 +583,8 @@ Status IngestWorker::rebuild_and_publish() {
   if (!merged.is_ok()) return merged;
   live_ = builder.build();
   delta_venues_.clear();
+  // The crowd stage adds the merged check-ins to the kept tallies.
+  std::vector<data::CheckIn> merged_checkins = std::move(delta_checkins_);
   delta_checkins_.clear();
   const data::DatasetBuilder::BuildStats& merge_stats = builder.stats();
   merge_timer.stop();
@@ -587,22 +601,21 @@ Status IngestWorker::rebuild_and_publish() {
   mobility_options.mining = pipeline_.mining;
   std::vector<data::UserId> changed(pending_users_.begin(), pending_users_.end());
   std::sort(changed.begin(), changed.end());
+  // Every slot exists before the fan-outs, so the threads extend
+  // disjoint entries of a map no thread inserts into. The byte total
+  // drops the changed indexes here and adds them back once extended.
+  std::vector<KeptUser*> kept;
+  kept.reserve(changed.size());
+  for (const data::UserId user : changed) {
+    KeptUser& state = kept_.try_emplace(user, pipeline_.sequences).first->second;
+    kept_bytes_total_ -= state.history.resident_bytes();
+    kept.push_back(&state);
+  }
   if (!changed.empty()) {
-    // Every slot exists before the fan-out, so the threads extend
-    // disjoint entries of a map no thread inserts into. The byte total
-    // drops the changed indexes here and adds them back once extended.
-    std::vector<mining::HistoryIndex*> histories;
-    histories.reserve(changed.size());
-    for (const data::UserId user : changed) {
-      mining::HistoryIndex& history =
-          histories_.try_emplace(user, pipeline_.sequences).first->second;
-      history_bytes_total_ -= history.resident_bytes();
-      histories.push_back(&history);
-    }
     std::vector<patterns::UserMobility> updates(changed.size());
     std::vector<std::uint8_t> appended(changed.size(), 0);
     util::parallel_for(changed.size(), pipeline_.mining_threads, [&](std::size_t i) {
-      mining::HistoryIndex& history = *histories[i];
+      mining::HistoryIndex& history = kept[i]->history;
       const data::Dataset::UserColumns records = live_.checkins_for(changed[i]);
       const std::size_t from = history.resume_point(records);
       history.extend(records, from, taxonomy_);
@@ -610,9 +623,8 @@ Status IngestWorker::rebuild_and_publish() {
       updates[i] = patterns::mine_user_mobility(changed[i], history.shapes(),
                                                 history.day_count(), mobility_options);
     });
-    for (const mining::HistoryIndex* history : histories)
-      history_bytes_total_ += history->resident_bytes();
-    history_bytes_->set(static_cast<double>(history_bytes_total_));
+    for (const KeptUser* state : kept) kept_bytes_total_ += state->history.resident_bytes();
+    history_bytes_->set(static_cast<double>(kept_bytes_total_));
     const auto appended_users =
         static_cast<std::uint64_t>(std::count(appended.begin(), appended.end(), 1));
     history_appended_->increment(appended_users);
@@ -650,10 +662,31 @@ Status IngestWorker::rebuild_and_publish() {
   }
   grid_timer.stop();
 
-  // Stage 4: crowd — retract + replace the changed users' placements in
-  // the previous model, sharing every unaffected time window. The first
-  // epoch and the periodic backstop build it in full.
+  // Stage 4: crowd — each changed user's kept tally takes the check-ins
+  // the delta merged for them (counts do not depend on record order); a
+  // user without one, or whose count disagrees with their column after
+  // a failed epoch, counts the whole column. Then retract + replace the
+  // changed users' placements in the previous model, sharing every
+  // unaffected time window. The first epoch and the periodic backstop
+  // build it in full.
   telemetry::ScopedTimer crowd_timer(stage_crowd_seconds_);
+  std::ranges::sort(merged_checkins, {}, &data::CheckIn::user);
+  std::vector<const crowd::VenueTally*> tallies(changed.size());
+  for (const KeptUser* state : kept) kept_bytes_total_ -= state->tally.resident_bytes();
+  util::parallel_for(changed.size(), pipeline_.mining_threads, [&](std::size_t i) {
+    const auto delta = std::ranges::equal_range(merged_checkins, changed[i], {},
+                                                &data::CheckIn::user);
+    const data::Dataset::UserColumns records = live_.checkins_for(changed[i]);
+    crowd::VenueTally& tally = kept[i]->tally;
+    if (tally.records() > 0 && tally.records() + delta.size() == records.size()) {
+      for (const data::CheckIn& checkin : delta) tally.add(checkin);
+    } else {
+      tally = crowd::VenueTally(records, pipeline_.crowd.window_minutes);
+    }
+    tallies[i] = &tally;
+  });
+  for (const KeptUser* state : kept) kept_bytes_total_ += state->tally.resident_bytes();
+  history_bytes_->set(static_cast<double>(kept_bytes_total_));
   const bool full_crowd =
       !crowd_.has_value() || crowd_epochs_since_full_ + 1 >= kCrowdFullRebuildEpochs;
   if (full_crowd) {
@@ -664,7 +697,7 @@ Status IngestWorker::rebuild_and_publish() {
     crowd_epochs_since_full_ = 0;
     delta_crowd_full_rebuilds_->increment();
   } else {
-    auto crowd = crowd::CrowdModel::update(*crowd_, live_, mobility_, changed);
+    auto crowd = crowd::CrowdModel::update(*crowd_, live_, mobility_, changed, tallies);
     if (!crowd) return crowd.status();
     crowd_ = std::move(*crowd);
     ++crowd_epochs_since_full_;
@@ -676,6 +709,8 @@ Status IngestWorker::rebuild_and_publish() {
   delta_users_->increment(changed.size());
   delta_shards_reused_->increment(merge_stats.shards_reused);
   delta_shards_rebuilt_->increment(merge_stats.shards_rebuilt);
+  delta_shards_appended_->increment(merge_stats.shards_appended);
+  delta_records_copied_->increment(merge_stats.records_copied);
   delta_last_events_->set(static_cast<double>(delta_events));
 
   // Durability barrier: every event merged into this epoch must be

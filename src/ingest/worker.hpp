@@ -242,12 +242,18 @@ class IngestWorker {
   std::unordered_map<std::uint64_t, data::VenueId> venue_index_;
   std::unordered_set<data::UserId> pending_users_;  // changed since last epoch
   std::unordered_set<data::UserId> touched_users_;  // ever touched by deltas
-  // Each re-mined user's days as a kept shape index (never published):
-  // an epoch files only the records its delta appended. Cleared when a
-  // checkpoint replaces the corpus; a user missing here refiles from
-  // their first record.
-  std::unordered_map<data::UserId, mining::HistoryIndex> histories_;
-  std::size_t history_bytes_total_ = 0;  // resident bytes of histories_
+  // Each re-mined user's kept state (never published): their days as a
+  // shape index, which an epoch extends by the records its delta
+  // appended, and their check-ins as a venue tally, which takes the
+  // delta's check-ins. Cleared when a checkpoint replaces the corpus; a
+  // user missing here refiles and recounts from their first record.
+  struct KeptUser {
+    explicit KeptUser(const mining::SequenceOptions& sequences) : history(sequences) {}
+    mining::HistoryIndex history;
+    crowd::VenueTally tally;
+  };
+  std::unordered_map<data::UserId, KeptUser> kept_;
+  std::size_t kept_bytes_total_ = 0;  // resident bytes of kept_
   std::uint64_t epoch_ = 0;
   std::size_t base_checkin_count_ = 0;  // check-ins of `live_` not from live events
 
@@ -286,6 +292,8 @@ class IngestWorker {
   telemetry::Counter* delta_users_ = nullptr;
   telemetry::Counter* delta_shards_reused_ = nullptr;
   telemetry::Counter* delta_shards_rebuilt_ = nullptr;
+  telemetry::Counter* delta_shards_appended_ = nullptr;
+  telemetry::Counter* delta_records_copied_ = nullptr;
   telemetry::Counter* delta_crowd_full_rebuilds_ = nullptr;
   telemetry::Gauge* delta_last_events_ = nullptr;
   // Mining accounting (crowdweb_mining_*): what the per-user re-mines of
@@ -296,7 +304,7 @@ class IngestWorker {
   telemetry::Counter* mining_expanded_ = nullptr;
   telemetry::Counter* mining_pruned_ = nullptr;
   telemetry::Counter* mining_truncated_ = nullptr;
-  // Kept-index accounting (crowdweb_ingest_history_*).
+  // Kept per-user state accounting (crowdweb_ingest_history_*).
   telemetry::Counter* history_appended_ = nullptr;
   telemetry::Counter* history_refiled_ = nullptr;
   telemetry::Gauge* history_bytes_ = nullptr;

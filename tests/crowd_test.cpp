@@ -1,10 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <optional>
+#include <random>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "crowd/distribution.hpp"
 #include "crowd/model.hpp"
+#include "reference/venue_oracle.hpp"
 #include "synth/generator.hpp"
 #include "util/civil_time.hpp"
 #include "util/log.hpp"
@@ -284,6 +290,233 @@ TEST(CrowdModelTest, HalfHourWindows) {
   // Finer windows can only split (window, label) dedupe buckets, never
   // merge them, so the placement count is monotone in granularity.
   EXPECT_GE(model->total_placements(), f.model.total_placements());
+}
+
+// ------------------------------------------------------------ VenueTally
+
+/// Three root labels, each with two venues at the root category and two
+/// at its first leaf: label l (roots[l]) spans venues 4l to 4l + 3, so
+/// counts tie often.
+struct TallyCity {
+  data::Dataset venues;
+  std::vector<data::CategoryId> roots;
+  std::vector<data::VenueSpec> specs;
+};
+
+const TallyCity& tally_city() {
+  static const TallyCity* instance = [] {
+    const data::Taxonomy& taxonomy = data::Taxonomy::foursquare();
+    auto* city = new TallyCity;
+    data::DatasetBuilder builder;
+    for (std::size_t r = 0; r < 3; ++r) {
+      const data::CategoryId root = taxonomy.roots()[r];
+      city->roots.push_back(root);
+      const data::CategoryId leaf = taxonomy.children(root).front();
+      for (const data::CategoryId category : {root, root, leaf, leaf}) {
+        data::VenueSpec spec;
+        spec.id = static_cast<data::VenueId>(city->specs.size());
+        spec.name = "venue-" + std::to_string(spec.id);
+        spec.category = category;
+        spec.position = {40.70 + 0.001 * spec.id, -74.00};
+        EXPECT_TRUE(builder.add_venue(spec).is_ok());
+        city->specs.push_back(spec);
+      }
+    }
+    city->venues = builder.build();
+    return city;
+  }();
+  return *instance;
+}
+
+data::CheckIn tally_checkin(data::VenueId venue, std::int64_t timestamp) {
+  const data::VenueSpec& spec = tally_city().specs[venue];
+  return {1, venue, spec.category, spec.position, timestamp};
+}
+
+/// A seeded history of user 1 in time order: labels 0 and 1 only (label
+/// 2 is never visited), venues from a few per label, at a handful of
+/// hours with repeated timestamps, over a week.
+std::vector<data::CheckIn> seeded_history(std::uint32_t seed, std::size_t count) {
+  std::mt19937 rng(seed);
+  const std::int64_t day0 = to_epoch_seconds({2012, 5, 7, 0, 0, 0});
+  std::vector<data::CheckIn> out;
+  for (std::size_t i = 0; i < count; ++i) {
+    const auto venue = static_cast<data::VenueId>(rng() % 8);  // labels 0 and 1
+    const std::int64_t hour = std::array<std::int64_t, 5>{8, 9, 12, 13, 20}[rng() % 5];
+    const std::int64_t timestamp =
+        day0 + static_cast<std::int64_t>(rng() % 7) * 86'400 + hour * 3'600 +
+        static_cast<std::int64_t>(rng() % 3) * 900;
+    out.push_back(tally_checkin(venue, timestamp));
+  }
+  std::stable_sort(out.begin(), out.end(),
+                   [](const data::CheckIn& a, const data::CheckIn& b) {
+                     return a.timestamp < b.timestamp;
+                   });
+  return out;
+}
+
+/// Every (label, window) pick of `tally` equals the scanning oracle's
+/// over user 1's column of `dataset` — every label, visited or not, and
+/// every window, so the fallbacks are compared too.
+void expect_picks_match_oracle(const VenueTally& tally, const data::Dataset& dataset,
+                               int window_minutes, const std::string& where) {
+  const data::Dataset::UserColumns records = dataset.checkins_for(1);
+  ASSERT_EQ(tally.records(), records.size()) << where;
+  const RepresentativeVenues oracle(records, window_minutes);
+  for (const data::CategoryId label : tally_city().roots) {
+    for (int window = 0; window < 24 * 60 / window_minutes; ++window) {
+      EXPECT_EQ(tally.pick(label, window), oracle.pick(label, window))
+          << where << ", label " << label << ", window " << window;
+    }
+  }
+}
+
+TEST(VenueTallyOracleTest, AppendedChunksMatchTheScanEveryPick) {
+  for (const int window_minutes : {60, 30, 1440}) {
+    for (std::uint32_t seed = 1; seed <= 12; ++seed) {
+      const std::vector<data::CheckIn> history = seeded_history(seed, 120);
+      std::mt19937 rng(seed * 7919);
+      data::Dataset live = tally_city().venues;
+      std::optional<VenueTally> kept;
+      std::size_t at = 0;
+      for (int chunk = 0; at < history.size(); ++chunk) {
+        const std::size_t end = std::min(history.size(), at + 1 + rng() % 12);
+        data::DatasetBuilder builder(live);
+        for (std::size_t i = at; i < end; ++i)
+          ASSERT_TRUE(builder.add_checkin(history[i]).is_ok());
+        live = builder.build();
+        if (!kept) {
+          kept.emplace(live.checkins_for(1), window_minutes);  // first touch
+        } else {
+          for (std::size_t i = at; i < end; ++i) kept->add(history[i]);
+        }
+        at = end;
+        const std::string where = "minutes " + std::to_string(window_minutes) + ", seed " +
+                                  std::to_string(seed) + ", chunk " + std::to_string(chunk);
+        expect_picks_match_oracle(*kept, live, window_minutes, where);
+        expect_picks_match_oracle(VenueTally(live.checkins_for(1), window_minutes), live,
+                                  window_minutes, where + " (counted)");
+      }
+    }
+  }
+}
+
+TEST(VenueTallyOracleTest, OutOfOrderChunksCountTheSame) {
+  // Counts do not depend on record order: chunks arriving earlier than
+  // the column's last record are added like any other.
+  for (std::uint32_t seed = 1; seed <= 6; ++seed) {
+    std::vector<data::CheckIn> history = seeded_history(seed, 90);
+    std::mt19937 rng(seed);
+    std::shuffle(history.begin(), history.end(), rng);
+    data::Dataset live = tally_city().venues;
+    VenueTally kept;
+    for (std::size_t at = 0; at < history.size(); at += 9) {
+      data::DatasetBuilder builder(live);
+      for (std::size_t i = at; i < at + 9; ++i)
+        ASSERT_TRUE(builder.add_checkin(history[i]).is_ok());
+      live = builder.build();
+      if (at == 0) {
+        kept = VenueTally(live.checkins_for(1), 60);
+      } else {
+        for (std::size_t i = at; i < at + 9; ++i) kept.add(history[i]);
+      }
+      expect_picks_match_oracle(kept, live, 60,
+                                "seed " + std::to_string(seed) + ", at " + std::to_string(at));
+    }
+  }
+}
+
+TEST(VenueTallyOracleTest, EqualTimestampsCountEveryRecord) {
+  // Every record at one instant, across chunks: ties in time are
+  // separate check-ins, and a chunk at the column's last timestamp is an
+  // in-order append.
+  const std::int64_t noon = to_epoch_seconds({2012, 5, 7, 12, 0, 0});
+  data::Dataset live = tally_city().venues;
+  VenueTally kept;
+  const std::vector<std::vector<data::VenueId>> chunks = {{3, 1}, {1, 3, 3}, {0}, {1, 1}};
+  for (std::size_t c = 0; c < chunks.size(); ++c) {
+    data::DatasetBuilder builder(live);
+    for (const data::VenueId venue : chunks[c])
+      ASSERT_TRUE(builder.add_checkin(tally_checkin(venue, noon)).is_ok());
+    live = builder.build();
+    if (c == 0) {
+      kept = VenueTally(live.checkins_for(1), 60);
+    } else {
+      for (const data::VenueId venue : chunks[c]) kept.add(tally_checkin(venue, noon));
+    }
+    expect_picks_match_oracle(kept, live, 60, "chunk " + std::to_string(c));
+  }
+  EXPECT_EQ(kept.pick(tally_city().roots[0], 12), 1u);  // venue 1: 4 check-ins, venue 3: 3
+}
+
+TEST(VenueTallyOracleTest, VenueIdTiesBreakTowardTheSmallestId) {
+  const std::int64_t day = to_epoch_seconds({2012, 5, 7, 0, 0, 0});
+  data::DatasetBuilder builder(tally_city().venues);
+  // Window 9 (09:00-10:00): venues 3 and 2 twice each, both label 0.
+  // Label 0 overall: venues 3, 2 and 0 twice each.
+  for (const auto& [venue, hour] : std::vector<std::pair<data::VenueId, int>>{
+           {3, 9}, {2, 9}, {3, 9}, {2, 9}, {0, 18}, {0, 19}})
+    ASSERT_TRUE(builder.add_checkin(tally_checkin(venue, day + hour * 3'600)).is_ok());
+  const data::Dataset live = builder.build();
+  const VenueTally tally(live.checkins_for(1), 60);
+  expect_picks_match_oracle(tally, live, 60, "ties");
+  const mining::Item label = tally_city().roots[0];
+  EXPECT_EQ(tally.pick(label, 9), 2u);
+  EXPECT_EQ(tally.pick(label, 11), 0u);  // fallback: three-way tie over the day
+}
+
+TEST(VenueTallyOracleTest, LabelWithNoRecordInTheWindowFallsBack) {
+  const std::int64_t day = to_epoch_seconds({2012, 5, 7, 0, 0, 0});
+  data::DatasetBuilder builder(tally_city().venues);
+  // Label 1 (venues 4-7) at lunch only; venue 6 most often over the day.
+  for (const auto& [venue, hour] : std::vector<std::pair<data::VenueId, int>>{
+           {5, 12}, {6, 13}, {6, 13}, {4, 12}})
+    ASSERT_TRUE(builder.add_checkin(tally_checkin(venue, day + hour * 3'600)).is_ok());
+  const data::Dataset live = builder.build();
+  const VenueTally tally(live.checkins_for(1), 60);
+  expect_picks_match_oracle(tally, live, 60, "fallback");
+  const mining::Item label = tally_city().roots[1];
+  EXPECT_EQ(tally.pick(label, 12), 4u);  // in-window tie 4 vs 5: smallest id
+  EXPECT_EQ(tally.pick(label, 8), 6u);   // no record at 08:00: most visited overall
+  EXPECT_EQ(tally.pick(tally_city().roots[2], 12), std::nullopt);  // never visited
+}
+
+TEST(VenueTallyOracleTest, FirstTouchAndAdoptCountTheWholeColumn) {
+  // A kept tally starts from the column on a user's first touch, and
+  // again after a checkpoint adopt rebuilds the corpus from its rows; in
+  // both cases it then takes appended chunks, and every pick agrees
+  // with the oracle and with a tally kept since the first touch.
+  const std::vector<data::CheckIn> history = seeded_history(99, 160);
+  data::Dataset live = tally_city().venues;
+  std::optional<VenueTally> since_first_touch;
+  std::optional<VenueTally> since_adopt;
+  for (std::size_t at = 0; at < history.size(); at += 10) {
+    data::DatasetBuilder builder(live);
+    for (std::size_t i = at; i < at + 10; ++i)
+      ASSERT_TRUE(builder.add_checkin(history[i]).is_ok());
+    live = builder.build();
+    if (!since_first_touch) {
+      since_first_touch.emplace(live.checkins_for(1), 60);
+    } else {
+      for (std::size_t i = at; i < at + 10; ++i) since_first_touch->add(history[i]);
+    }
+    if (at == 80) {
+      // Adopt: a fresh builder over the corpus's rows, as a checkpoint
+      // image rebuilds it, then a tally counted from that column.
+      data::DatasetBuilder image;
+      for (const data::VenueSpec& spec : tally_city().specs)
+        ASSERT_TRUE(image.add_venue(spec).is_ok());
+      for (const data::CheckIn& c : live.checkins()) ASSERT_TRUE(image.add_checkin(c).is_ok());
+      live = image.build();
+      since_adopt.emplace(live.checkins_for(1), 60);
+    } else if (since_adopt) {
+      for (std::size_t i = at; i < at + 10; ++i) since_adopt->add(history[i]);
+    }
+    const std::string where = "at " + std::to_string(at);
+    expect_picks_match_oracle(*since_first_touch, live, 60, where);
+    if (since_adopt) expect_picks_match_oracle(*since_adopt, live, 60, where + " (adopted)");
+  }
+  ASSERT_TRUE(since_adopt.has_value());
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "data/categories.hpp"
@@ -273,6 +275,191 @@ TEST(DatasetTest, FilterActiveUsers) {
   const Dataset active = d.filter_active_users(criteria);
   EXPECT_EQ(active.user_count(), 1u);
   EXPECT_EQ(active.users()[0], 5u);
+}
+
+// ------------------------------------------------------ append in place
+
+/// A shard version's columns copied out, and where it read them from.
+struct ColumnCopy {
+  const std::int64_t* data = nullptr;
+  std::vector<std::int64_t> timestamps;
+  std::vector<double> lats;
+  std::vector<double> lons;
+  std::vector<VenueId> venues;
+};
+
+ColumnCopy copy_columns(const Dataset::UserShard& shard) {
+  return {shard.timestamps().data(),
+          {shard.timestamps().begin(), shard.timestamps().end()},
+          {shard.lats().begin(), shard.lats().end()},
+          {shard.lons().begin(), shard.lons().end()},
+          {shard.venues().begin(), shard.venues().end()}};
+}
+
+void expect_columns_unchanged(const Dataset::UserShard& shard, const ColumnCopy& copy,
+                              const std::string& where) {
+  EXPECT_EQ(shard.timestamps().data(), copy.data) << where;
+  EXPECT_TRUE(std::equal(shard.timestamps().begin(), shard.timestamps().end(),
+                         copy.timestamps.begin(), copy.timestamps.end()))
+      << where;
+  EXPECT_TRUE(std::equal(shard.lats().begin(), shard.lats().end(), copy.lats.begin(),
+                         copy.lats.end()))
+      << where;
+  EXPECT_TRUE(std::equal(shard.lons().begin(), shard.lons().end(), copy.lons.begin(),
+                         copy.lons.end()))
+      << where;
+  EXPECT_TRUE(std::equal(shard.venues().begin(), shard.venues().end(), copy.venues.begin(),
+                         copy.venues.end()))
+      << where;
+}
+
+std::vector<CheckIn> all_records(const Dataset& dataset) {
+  return {dataset.checkins().begin(), dataset.checkins().end()};
+}
+
+/// Venues 0 (Thai) and 1 (Office) plus `records`, built from scratch.
+Dataset scratch_build(const std::vector<CheckIn>& records) {
+  DatasetBuilder builder;
+  EXPECT_TRUE(builder.add_venue(make_venue(0, thai(), 40.70, -74.00)).is_ok());
+  EXPECT_TRUE(builder.add_venue(make_venue(1, office(), 40.75, -73.98)).is_ok());
+  for (const CheckIn& c : records) EXPECT_TRUE(builder.add_checkin(c).is_ok());
+  return builder.build();
+}
+
+/// Record k of user 7: alternating venues, positions that differ per k.
+CheckIn append_record(std::size_t k, std::int64_t timestamp) {
+  const VenueId venue = static_cast<VenueId>(k % 2);
+  return make_checkin(7, venue, venue == 0 ? thai() : office(), timestamp,
+                      40.70 + 1e-6 * static_cast<double>(k), -74.00);
+}
+
+Dataset appended(const Dataset& base, const std::vector<CheckIn>& delta) {
+  DatasetBuilder builder(base);
+  for (const CheckIn& c : delta) EXPECT_TRUE(builder.add_checkin(c).is_ok());
+  return builder.build();
+}
+
+TEST(DatasetAppendTest, OlderVersionsStayUnchangedAcrossAppendsAndReallocations) {
+  std::vector<CheckIn> records;
+  std::int64_t t = to_epoch_seconds({2012, 4, 2, 8, 0, 0});
+  for (std::size_t k = 0; k < 5; ++k) records.push_back(append_record(k, t += 600));
+  records.push_back(make_checkin(8, 1, office(), t));  // user 8 is never touched
+  Dataset live = scratch_build(records);
+
+  // Pinned versions of user 7 and the bytes they saw when published.
+  std::vector<std::pair<Dataset, ColumnCopy>> pinned;
+  pinned.emplace_back(live, copy_columns(*live.shard_for(7)));
+  Rng rng(25);
+  std::size_t reallocations = 0;
+  for (int chunk = 1; chunk <= 200; ++chunk) {
+    const Dataset::ShardPtr before = live.shard_for(7);
+    std::vector<CheckIn> delta;
+    const auto count = static_cast<std::size_t>(rng.uniform_int(1, 5));
+    for (std::size_t i = 0; i < count; ++i) {
+      // Some records repeat the previous timestamp: an in-order tie.
+      t += rng.uniform_int(0, 2) == 0 ? 0 : 300;
+      delta.push_back(append_record(records.size(), t));
+      records.push_back(delta.back());
+    }
+    DatasetBuilder builder(live);
+    for (const CheckIn& c : delta) ASSERT_TRUE(builder.add_checkin(c).is_ok());
+    live = builder.build();
+    const std::string where = "chunk " + std::to_string(chunk);
+    EXPECT_EQ(builder.stats().shards_appended, 1u) << where;
+    EXPECT_EQ(builder.stats().records_copied, 0u) << where;
+    EXPECT_EQ(builder.stats().shards_reused, 1u) << where;
+    const Dataset::ShardPtr after = live.shard_for(7);
+    if (after->capacity() != before->capacity()) {
+      ++reallocations;
+      EXPECT_GE(after->capacity(), before->capacity() + before->capacity() / 2) << where;
+    } else {
+      EXPECT_EQ(after->timestamps().data(), before->timestamps().data()) << where;
+    }
+    if (chunk % 20 == 0) pinned.emplace_back(live, copy_columns(*after));
+    for (std::size_t p = 0; p < pinned.size(); ++p)
+      expect_columns_unchanged(*pinned[p].first.shard_for(7), pinned[p].second,
+                               where + ", pinned version " + std::to_string(p));
+  }
+  EXPECT_GE(reallocations, 3u);
+  EXPECT_EQ(all_records(live), all_records(scratch_build(records)));
+}
+
+TEST(DatasetAppendTest, TwoBuildersFromOneBaseEachEqualAFromScratchBuild) {
+  std::vector<CheckIn> records;
+  std::int64_t t = to_epoch_seconds({2012, 4, 2, 8, 0, 0});
+  for (std::size_t k = 0; k < 4; ++k) records.push_back(append_record(k, t += 600));
+  // One append moves user 7 into a buffer with spare slots.
+  records.push_back(append_record(4, t += 600));
+  const Dataset base = appended(scratch_build({records.begin(), records.end() - 1}),
+                                {records.back()});
+  const ColumnCopy base_columns = copy_columns(*base.shard_for(7));
+  ASSERT_GT(base.shard_for(7)->capacity(), base.shard_for(7)->size());
+
+  // Two builders over the same base, both in order. The first claims the
+  // spare slots; the second finds the base is no longer the newest
+  // version and copies.
+  const CheckIn a = append_record(5, t + 60);
+  const CheckIn b = make_checkin(7, 0, thai(), t + 120, 40.9, -73.9);
+  DatasetBuilder first(base);
+  ASSERT_TRUE(first.add_checkin(a).is_ok());
+  const Dataset with_a = first.build();
+  EXPECT_EQ(first.stats().shards_appended, 1u);
+  EXPECT_EQ(first.stats().records_copied, 0u);
+  EXPECT_EQ(with_a.shard_for(7)->timestamps().data(), base.shard_for(7)->timestamps().data());
+  DatasetBuilder second(base);
+  ASSERT_TRUE(second.add_checkin(b).is_ok());
+  const Dataset with_b = second.build();
+  EXPECT_EQ(second.stats().shards_appended, 0u);
+  EXPECT_EQ(second.stats().records_copied, base.checkin_count());
+
+  std::vector<CheckIn> expect_a = records;
+  expect_a.push_back(a);
+  std::vector<CheckIn> expect_b = records;
+  expect_b.push_back(b);
+  EXPECT_EQ(all_records(with_a), all_records(scratch_build(expect_a)));
+  EXPECT_EQ(all_records(with_b), all_records(scratch_build(expect_b)));
+  expect_columns_unchanged(*base.shard_for(7), base_columns, "base");
+
+  // Each result is the newest version of its own buffer, so each keeps
+  // appending without copying, and neither sees the other's records.
+  const CheckIn c = append_record(6, t + 600);
+  const Dataset a_then_c = appended(with_a, {c});
+  const Dataset b_then_c = appended(with_b, {c});
+  expect_a.push_back(c);
+  expect_b.push_back(c);
+  EXPECT_EQ(all_records(a_then_c), all_records(scratch_build(expect_a)));
+  EXPECT_EQ(all_records(b_then_c), all_records(scratch_build(expect_b)));
+}
+
+TEST(DatasetAppendTest, OutOfOrderDeltaFallsBackToACopy) {
+  std::vector<CheckIn> records;
+  std::int64_t t = to_epoch_seconds({2012, 4, 2, 8, 0, 0});
+  for (std::size_t k = 0; k < 6; ++k) records.push_back(append_record(k, t += 600));
+  const Dataset base = appended(scratch_build({records.begin(), records.end() - 1}),
+                                {records.back()});
+  const ColumnCopy base_columns = copy_columns(*base.shard_for(7));
+
+  // One record earlier than the user's last: a stable merge into a
+  // fresh buffer, base records first on ties.
+  const CheckIn early = append_record(6, records[2].timestamp);
+  DatasetBuilder builder(base);
+  ASSERT_TRUE(builder.add_checkin(early).is_ok());
+  const Dataset merged = builder.build();
+  EXPECT_EQ(builder.stats().shards_appended, 0u);
+  EXPECT_EQ(builder.stats().records_copied, records.size());
+  EXPECT_NE(merged.shard_for(7)->timestamps().data(), base.shard_for(7)->timestamps().data());
+  std::vector<CheckIn> expect = records;
+  expect.push_back(early);
+  EXPECT_EQ(all_records(merged), all_records(scratch_build(expect)));
+  EXPECT_EQ(merged.checkins_for(7)[3], early);
+  expect_columns_unchanged(*base.shard_for(7), base_columns, "base");
+
+  // The copy claimed nothing: the base still appends in place.
+  DatasetBuilder later(base);
+  ASSERT_TRUE(later.add_checkin(append_record(7, t + 60)).is_ok());
+  const Dataset next = later.build();
+  EXPECT_EQ(later.stats().shards_appended, 1u);
+  EXPECT_EQ(next.shard_for(7)->timestamps().data(), base.shard_for(7)->timestamps().data());
 }
 
 // -------------------------------------------------------------------- CSV

@@ -371,6 +371,65 @@ TEST(CrowdUpdateTest, MatchesFullRebuildAndSharesUnaffectedWindows) {
   }
 }
 
+TEST(CrowdUpdateTest, KeptTalliesPlaceLikeTheRecords) {
+  // The worker hands update() each changed user's kept venue tally
+  // instead of the records: one counted before the delta and then given
+  // the delta's check-ins places exactly like the full build. A tally
+  // kept at other window minutes is ignored, not misread.
+  const core::Platform& platform = test_platform();
+  const data::Dataset& base = platform.experiment_dataset();
+  const patterns::MobilityTable& table = platform.mobility();
+  const crowd::CrowdOptions& options = platform.config().crowd;
+  auto full = crowd::CrowdModel::build(base, table, platform.grid(), options);
+  ASSERT_TRUE(full.is_ok()) << full.status().to_string();
+
+  std::vector<data::UserId> changed(base.users().begin(), base.users().begin() + 4);
+  std::vector<crowd::VenueTally> kept;
+  data::DatasetBuilder builder(base);
+  for (const data::UserId user : changed) {
+    kept.emplace_back(base.checkins_for(user), options.window_minutes);
+    const data::CheckIn seed = base.checkins_for(user).back();
+    for (int day = 1; day <= 3; ++day) {
+      data::CheckIn extra = seed;
+      extra.timestamp += day * 86'400 - day * 3'600;
+      ASSERT_TRUE(builder.add_checkin(extra).is_ok());
+      kept.back().add(extra);
+    }
+  }
+  const data::Dataset extended = builder.build();
+  const patterns::MobilityTable updated = table.with_updates(
+      patterns::mine_users_mobility_parallel(extended, changed, platform.taxonomy(),
+                                             mobility_options()));
+  auto rebuilt = crowd::CrowdModel::build(extended, updated, platform.grid(), options);
+  ASSERT_TRUE(rebuilt.is_ok());
+  std::size_t placed_windows = 0;
+  for (int w = 0; w < rebuilt->window_count(); ++w) {
+    for (const data::UserId user : changed)
+      placed_windows += window_has_user(*rebuilt, w, user) ? 1 : 0;
+  }
+  ASSERT_GT(placed_windows, 0u);  // the tallies are read
+
+  std::vector<const crowd::VenueTally*> tallies;
+  for (const crowd::VenueTally& tally : kept) tallies.push_back(&tally);
+  auto incremental = crowd::CrowdModel::update(*full, extended, updated, changed, tallies);
+  ASSERT_TRUE(incremental.is_ok()) << incremental.status().to_string();
+  expect_crowd_eq(*incremental, *rebuilt);
+
+  // Counted at other window minutes: its windows mean other hours.
+  std::vector<crowd::VenueTally> other;
+  for (const data::UserId user : changed)
+    other.emplace_back(extended.checkins_for(user), options.window_minutes == 60 ? 30 : 60);
+  std::vector<const crowd::VenueTally*> other_tallies;
+  for (const crowd::VenueTally& tally : other) other_tallies.push_back(&tally);
+  auto ignored = crowd::CrowdModel::update(*full, extended, updated, changed, other_tallies);
+  ASSERT_TRUE(ignored.is_ok());
+  expect_crowd_eq(*ignored, *rebuilt);
+
+  EXPECT_FALSE(crowd::CrowdModel::update(*full, extended, updated, changed,
+                                         std::span(tallies).first(1))
+                   .is_ok());
+}
+
 TEST(CrowdUpdateTest, EmptyDeltaSharesEveryWindow) {
   const core::Platform& platform = test_platform();
   const patterns::MobilityTable& table = platform.mobility();

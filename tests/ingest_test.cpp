@@ -1,6 +1,7 @@
 // Live ingestion subsystem tests: the bounded MPSC queue under
 // concurrent producers and its wake threshold, the worker's validation,
-// epoch publication and wakeups per epoch, the /api/ingest routes end
+// epoch publication and wakeups per epoch, in-place appends under a
+// reader of a pinned epoch, the /api/ingest routes end
 // to end over a real socket, and one invalid-row account at every
 // deployment shape.
 
@@ -409,6 +410,98 @@ TEST(IngestWorkerTest, KeptHistoryIndexRefilesOnFirstTouchAndOnEarlierEvents) {
   EXPECT_EQ(refiled(), 3u);
   EXPECT_EQ(appended(), 4u);
   EXPECT_GT(registry.gauge("crowdweb_ingest_history_bytes", "").value(), 0.0);
+  worker->stop();
+}
+
+TEST(IngestWorkerTest, MergeAppendsInOrderDeltasWithoutCopyingHistories) {
+  const core::Platform& platform = test_platform();
+  telemetry::Registry registry;
+  ingest::IngestWorkerConfig config;
+  config.rebuild_interval = 20ms;
+  config.metrics = &registry;
+  auto worker = core::make_ingest_worker(platform, config);
+  ASSERT_TRUE(worker->start().is_ok());
+  const auto counter = [&](const char* name) { return registry.counter(name, "").value(); };
+  const auto epoch_of = [&](std::vector<ingest::IngestEvent> events) {
+    const std::uint64_t next = worker->hub().epoch() + 1;
+    EXPECT_EQ(worker->submit(events).accepted, events.size());
+    EXPECT_TRUE(worker->wait_for_epoch(next, 5s));
+  };
+
+  const data::UserId user = platform.experiment_dataset().users().front();
+  constexpr std::int64_t kLater = 2'000'000'000;
+  for (int i = 0; i < 6; ++i)
+    epoch_of({valid_event(user, kLater + i * 60), valid_event(user, kLater + i * 60)});
+  EXPECT_EQ(counter("crowdweb_ingest_delta_shards_appended_total"), 6u);
+  EXPECT_EQ(counter("crowdweb_ingest_delta_records_copied_total"), 0u);
+
+  // A check-in before the user's last one merges by copying the history.
+  const std::size_t history = worker->hub().current()->dataset.checkins_for(user).size();
+  epoch_of({valid_event(user, kLater - 60)});
+  EXPECT_EQ(counter("crowdweb_ingest_delta_shards_appended_total"), 6u);
+  EXPECT_EQ(counter("crowdweb_ingest_delta_records_copied_total"), history);
+  worker->stop();
+}
+
+/// FNV-1a over every column byte of `dataset`.
+std::uint64_t column_hash(const data::Dataset& dataset) {
+  std::uint64_t hash = 1469598103934665603ull;
+  const auto mix = [&hash](const auto span) {
+    const auto* bytes = reinterpret_cast<const unsigned char*>(span.data());
+    for (std::size_t i = 0; i < span.size_bytes(); ++i)
+      hash = (hash ^ bytes[i]) * 1099511628211ull;
+  };
+  for (const data::UserId user : dataset.users()) {
+    const data::Dataset::UserColumns records = dataset.checkins_for(user);
+    mix(records.timestamps());
+    mix(records.lats());
+    mix(records.lons());
+    mix(records.venues());
+  }
+  return hash;
+}
+
+TEST(IngestWorkerTest, PinnedSnapshotColumnsHoldStillWhileEpochsAppend) {
+  // Epochs append in place into the column buffers a pinned snapshot
+  // reads from; its records, read concurrently, never change.
+  const core::Platform& platform = test_platform();
+  ingest::IngestWorkerConfig config;
+  config.rebuild_interval = 5ms;
+  auto worker = core::make_ingest_worker(platform, config);
+  ASSERT_TRUE(worker->start().is_ok());
+  const std::span<const data::UserId> users = platform.experiment_dataset().users();
+  ASSERT_GE(users.size(), 4u);
+  constexpr std::int64_t kLater = 2'000'000'000;
+  std::int64_t t = kLater;
+  const auto feed = [&] {
+    std::vector<ingest::IngestEvent> events;
+    for (std::size_t u = 0; u < 4; ++u) events.push_back(valid_event(users[u], t));
+    t += 60;
+    const std::uint64_t next = worker->hub().epoch() + 1;
+    EXPECT_EQ(worker->submit(events).accepted, events.size());
+    EXPECT_TRUE(worker->wait_for_epoch(next, 5s));
+  };
+  for (int i = 0; i < 3; ++i) feed();  // past each user's first, growing move
+
+  const ingest::SnapshotPtr pinned = worker->hub().current();
+  const std::uint64_t expected = column_hash(pinned->dataset);
+  std::atomic<bool> done{false};
+  std::atomic<int> mismatches{0};
+  std::atomic<int> passes{0};
+  std::thread reader([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      if (column_hash(pinned->dataset) != expected) mismatches.fetch_add(1);
+      (void)column_hash(worker->hub().current()->dataset);  // the newest epoch too
+      passes.fetch_add(1);
+    }
+  });
+  for (int i = 0; i < 30; ++i) feed();
+  while (passes.load() < 2) std::this_thread::sleep_for(1ms);
+  done.store(true, std::memory_order_release);
+  reader.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(worker->hub().current()->dataset.checkin_count(),
+            pinned->dataset.checkin_count() + 30 * 4);
   worker->stop();
 }
 
