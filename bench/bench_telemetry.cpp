@@ -101,7 +101,7 @@ telemetry::Registry& service_shaped_registry() {
     telemetry::HistogramFamily& stages = r.histogram_family(
         "crowdweb_ingest_rebuild_stage_duration_seconds", "Stages.", {"stage"},
         telemetry::default_duration_buckets());
-    for (const char* stage : {"merge", "mine", "grid", "crowd"})
+    for (const char* stage : {"merge", "mine", "crowd"})
       for (int i = 0; i < 50; ++i) stages.with_labels({stage}).observe(0.01 * i);
     return true;
   }();

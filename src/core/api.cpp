@@ -533,12 +533,9 @@ std::unique_ptr<transport::EpochStreamPublisher> attach_stream_publisher(
 
 ingest::IngestPipelineConfig ingest_pipeline_config(const Platform& platform) {
   ingest::IngestPipelineConfig pipeline;
-  pipeline.grid_cell_meters = platform.config().grid_cell_meters;
-  pipeline.crowd = platform.config().crowd;
   pipeline.sequences = platform.config().sequences;
   pipeline.mining = platform.config().mining;
   pipeline.mining_threads = platform.config().mining_threads;
-  pipeline.fixed_grid_bounds = platform.experiment_dataset().bounds();
   return pipeline;
 }
 
@@ -550,8 +547,7 @@ std::unique_ptr<ingest::IngestWorker> make_ingest_worker(const Platform& platfor
   // Same for durability: the platform-level store config applies unless
   // the worker config already names a directory.
   if (config.store.dir.empty()) config.store = platform.config().store;
-  return std::make_unique<ingest::IngestWorker>(platform.experiment_dataset(),
-                                                platform.mobility(), platform.taxonomy(),
+  return std::make_unique<ingest::IngestWorker>(*platform.snapshot(), platform.taxonomy(),
                                                 ingest_pipeline_config(platform), config);
 }
 

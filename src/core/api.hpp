@@ -161,14 +161,15 @@ class Deployment {
     http::Server& server, const Platform& platform, ingest::IngestWorker& worker,
     http::ResponseCache* cache = nullptr);
 
-/// The live pipeline of a deployment over `platform`: its phase-2/3
-/// configuration, with the grid pinned to the experiment box — the
-/// batch build's grid — so every worker and shard renders onto the
-/// same cells.
+/// The live pipeline of a deployment over `platform`: its phase-2
+/// configuration, which is all a seeded worker reads. The grid and the
+/// crowd options come with the seed (the batch build's crowd model), so
+/// every worker and shard renders onto the batch build's cells.
 [[nodiscard]] ingest::IngestPipelineConfig ingest_pipeline_config(const Platform& platform);
 
-/// Builds an ingestion worker seeded with the platform's experiment
-/// corpus and mined mobility (shared), over ingest_pipeline_config().
+/// Builds an ingestion worker seeded with the platform's epoch-0
+/// snapshot — experiment corpus, mined mobility and crowd model, all
+/// shared — over ingest_pipeline_config().
 /// The worker keeps a reference to the platform's taxonomy, so the
 /// platform must outlive the worker.
 [[nodiscard]] std::unique_ptr<ingest::IngestWorker> make_ingest_worker(

@@ -7,7 +7,6 @@
 #include <set>
 
 #include "util/format.hpp"
-#include "util/parallel.hpp"
 
 namespace crowdweb::crowd {
 
@@ -112,10 +111,10 @@ void append_compact_placements(const data::Dataset& dataset,
 }
 
 /// Appends one user's placements into per-window scratch vectors. The
-/// full build, the parallel chunks, and the incremental update place
-/// users through this single code path, so their outputs agree
-/// element-for-element. Compact (closed-only) entries branch to the
-/// index-driven path, which reproduces this one's output exactly.
+/// full build and the incremental update place users through this
+/// single code path, so their outputs agree element-for-element.
+/// Compact (closed-only) entries branch to the index-driven path, which
+/// reproduces this one's output exactly.
 /// `kept` is the user's kept tally, or null to count their records.
 void append_user_placements(const data::Dataset& dataset, const patterns::UserMobility& user,
                             const geo::SpatialGrid& grid, const CrowdOptions& options,
@@ -159,49 +158,19 @@ void append_user_placements(const data::Dataset& dataset, const patterns::UserMo
 /// UserMobility) through the shared placement path. Entries must be in
 /// ascending user order — that is what makes each window's placements
 /// user-sorted, which the incremental update relies on.
-///
-/// With threads > 1 the entries are split into contiguous chunks, each
-/// placed into its own scratch windows on the worker pool, and the
-/// per-window results are concatenated in chunk order — reproducing the
-/// sequential output exactly.
 template <typename MobilityRange>
 Result<std::vector<std::vector<CrowdPlacement>>> place_all(const data::Dataset& dataset,
                                                            const MobilityRange& mobility,
                                                            const geo::SpatialGrid& grid,
-                                                           const CrowdOptions& options,
-                                                           unsigned threads) {
+                                                           const CrowdOptions& options) {
   if (options.window_minutes <= 0 || (24 * 60) % options.window_minutes != 0)
     return invalid_argument(
         crowdweb::format("window_minutes must divide a day, got {}", options.window_minutes));
 
   const int windows = (24 * 60) / options.window_minutes;
   std::vector<std::vector<CrowdPlacement>> scratch(static_cast<std::size_t>(windows));
-
-  std::vector<const patterns::UserMobility*> entries;
-  for (const patterns::UserMobility& user : mobility) entries.push_back(&user);
-
-  const unsigned workers = util::effective_threads(threads, entries.size());
-  if (workers <= 1) {
-    for (const patterns::UserMobility* user : entries)
-      append_user_placements(dataset, *user, grid, options, nullptr, scratch);
-    return scratch;
-  }
-
-  std::vector<std::vector<std::vector<CrowdPlacement>>> chunk_scratch(
-      workers, std::vector<std::vector<CrowdPlacement>>(static_cast<std::size_t>(windows)));
-  util::parallel_chunks(entries.size(), workers,
-                        [&](unsigned chunk, std::size_t begin, std::size_t end) {
-                          for (std::size_t i = begin; i < end; ++i)
-                            append_user_placements(dataset, *entries[i], grid, options,
-                                                   nullptr, chunk_scratch[chunk]);
-                        });
-  for (std::size_t w = 0; w < scratch.size(); ++w) {
-    std::size_t total = 0;
-    for (const auto& chunk : chunk_scratch) total += chunk[w].size();
-    scratch[w].reserve(total);
-    for (auto& chunk : chunk_scratch)
-      scratch[w].insert(scratch[w].end(), chunk[w].begin(), chunk[w].end());
-  }
+  for (const patterns::UserMobility& user : mobility)
+    append_user_placements(dataset, user, grid, options, nullptr, scratch);
   return scratch;
 }
 
@@ -336,8 +305,8 @@ void CrowdModel::adopt_windows(std::vector<std::vector<CrowdPlacement>> windows)
 Result<CrowdModel> CrowdModel::build(const data::Dataset& dataset,
                                      std::span<const patterns::UserMobility> mobility,
                                      const geo::SpatialGrid& grid,
-                                     const CrowdOptions& options, unsigned threads) {
-  auto placed = place_all(dataset, mobility, grid, options, threads);
+                                     const CrowdOptions& options) {
+  auto placed = place_all(dataset, mobility, grid, options);
   if (!placed) return placed.status();
   CrowdModel model(grid, options);
   model.adopt_windows(std::move(*placed));
@@ -347,8 +316,8 @@ Result<CrowdModel> CrowdModel::build(const data::Dataset& dataset,
 Result<CrowdModel> CrowdModel::build(const data::Dataset& dataset,
                                      const patterns::MobilityTable& mobility,
                                      const geo::SpatialGrid& grid,
-                                     const CrowdOptions& options, unsigned threads) {
-  auto placed = place_all(dataset, mobility, grid, options, threads);
+                                     const CrowdOptions& options) {
+  auto placed = place_all(dataset, mobility, grid, options);
   if (!placed) return placed.status();
   CrowdModel model(grid, options);
   model.adopt_windows(std::move(*placed));
@@ -409,6 +378,29 @@ Result<CrowdModel> CrowdModel::merge(std::span<const CrowdModel* const> parts) {
       merged->push_back((**live[pick])[cursor[pick]++]);
     }
     model.placements_[w] = std::move(merged);
+  }
+  return model;
+}
+
+CrowdModel CrowdModel::filter_users(std::span<const data::UserId> users) const {
+  std::vector<data::UserId> wanted(users.begin(), users.end());
+  std::sort(wanted.begin(), wanted.end());
+  CrowdModel model(grid_, options_);
+  model.placements_.reserve(placements_.size());
+  for (const WindowPtr& window : placements_) {
+    // Placements are user-sorted: one walk with a cursor into `wanted`.
+    auto kept = std::make_shared<std::vector<CrowdPlacement>>();
+    auto next = wanted.begin();
+    for (const CrowdPlacement& placement : *window) {
+      while (next != wanted.end() && *next < placement.user) ++next;
+      if (next == wanted.end()) break;
+      if (*next == placement.user) kept->push_back(placement);
+    }
+    if (kept->size() == window->size()) {
+      model.placements_.push_back(window);  // every placement kept: share
+    } else {
+      model.placements_.push_back(std::move(kept));
+    }
   }
   return model;
 }

@@ -99,37 +99,38 @@ class VenueTally {
 /// model is value-identical to a full rebuild over the same inputs.
 class CrowdModel {
  public:
-  /// Builds the model. `grid` is copied; `dataset` is only read during
-  /// construction. Fails when window_minutes does not divide a day.
-  ///
-  /// `threads` fans user placement out over a transient worker pool
-  /// (0 = hardware concurrency, 1 = sequential). Users are split into
-  /// contiguous chunks whose per-window results are concatenated in
-  /// chunk order, so the model is identical at any thread count.
+  /// Builds the model, placing users in ascending id order. `grid` is
+  /// copied; `dataset` is only read during construction. Fails when
+  /// window_minutes does not divide a day.
   static Result<CrowdModel> build(const data::Dataset& dataset,
                                   std::span<const patterns::UserMobility> mobility,
                                   const geo::SpatialGrid& grid,
-                                  const CrowdOptions& options = {},
-                                  unsigned threads = 1);
+                                  const CrowdOptions& options = {});
 
   /// Same, over a shared mobility table.
   static Result<CrowdModel> build(const data::Dataset& dataset,
                                   const patterns::MobilityTable& mobility,
                                   const geo::SpatialGrid& grid,
-                                  const CrowdOptions& options = {},
-                                  unsigned threads = 1);
+                                  const CrowdOptions& options = {});
 
   /// Merges partition models whose user sets are disjoint into one model
   /// equal to a full build over the union of their inputs. Every part
   /// must share the grid geometry, options, and window count — sharded
-  /// deployments guarantee this by pinning each shard's grid to the same
-  /// city-wide box (ingest::IngestPipelineConfig::fixed_grid_bounds).
+  /// deployments guarantee this by seeding each shard with a
+  /// filter_users() slice of the batch build's model, whose grid every
+  /// later epoch keeps.
   /// Each window is a k-way merge of the parts' placements by user id;
   /// windows populated by only one part are shared with it by pointer.
   /// Because windows are user-sorted and each user lives in exactly one
   /// part, the result is value-identical to a single model built over
   /// the combined corpus.
   static Result<CrowdModel> merge(std::span<const CrowdModel* const> parts);
+
+  /// The placements of `users` only, on the same grid and options: equal
+  /// to a build over those users' records and mobility entries. One
+  /// pass per window (placements are user-sorted); a window that keeps
+  /// every placement is shared by pointer.
+  [[nodiscard]] CrowdModel filter_users(std::span<const data::UserId> users) const;
 
   /// Incremental form: retracts the changed users' previous placements,
   /// places them afresh from `mobility`, and shares every window no

@@ -20,12 +20,6 @@ using Clock = std::chrono::steady_clock;
 /// pushes leave the worker asleep until the epoch is due.
 constexpr std::size_t kDrainBatch = 1024;
 
-/// The crowd model is rebuilt from scratch every this many epochs, as a
-/// correctness backstop for the incremental update path (which is exact
-/// while the grid and options stay fixed, so it only guards against
-/// drift bugs).
-constexpr std::uint64_t kCrowdFullRebuildEpochs = 64;
-
 double ms_since(Clock::time_point start) {
   return std::chrono::duration<double, std::milli>(Clock::now() - start).count();
 }
@@ -62,21 +56,47 @@ Status add_rows(data::DatasetBuilder& builder, std::span<const data::Venue> venu
 
 }  // namespace
 
+IngestWorker::IngestWorker(const data::Taxonomy& taxonomy, IngestPipelineConfig pipeline,
+                           IngestWorkerConfig config)
+    : taxonomy_(taxonomy),
+      pipeline_(std::move(pipeline)),
+      config_(config),
+      queue_(config.queue_capacity) {
+  init_metrics();
+}
+
+IngestWorker::IngestWorker(const PlatformSnapshot& seed, const data::Taxonomy& taxonomy,
+                           IngestPipelineConfig pipeline, IngestWorkerConfig config)
+    : IngestWorker(taxonomy, std::move(pipeline), config) {
+  adopt_seed(seed.dataset, seed.mobility, seed.crowd);
+}
+
 IngestWorker::IngestWorker(const data::Dataset& base,
                            const patterns::MobilityTable& base_mobility,
                            const data::Taxonomy& taxonomy, IngestPipelineConfig pipeline,
                            IngestWorkerConfig config)
-    : taxonomy_(taxonomy),
-      pipeline_(pipeline),
-      config_(config),
-      queue_(config.queue_capacity) {
-  init_metrics();
-  if (!pipeline_.fixed_grid_bounds) pipeline_.fixed_grid_bounds = base.bounds();
+    : IngestWorker(taxonomy, std::move(pipeline), config) {
+  auto grid = geo::SpatialGrid::create(
+      pipeline_.fixed_grid_bounds.value_or(base.bounds()).inflated(0.002),
+      pipeline_.grid_cell_meters);
+  auto crowd = grid ? crowd::CrowdModel::build(base, base_mobility, *grid, pipeline_.crowd)
+                    : Result<crowd::CrowdModel>(grid.status());
+  if (!crowd) {
+    seed_status_ = crowd.status();
+    return;
+  }
+  adopt_seed(base, base_mobility, std::move(crowd).value());
+}
+
+void IngestWorker::adopt_seed(const data::Dataset& base,
+                              const patterns::MobilityTable& base_mobility,
+                              crowd::CrowdModel crowd) {
   // Shares the base's shards and venue table. A default-constructed
   // base has no pool; an empty build gives the live dataset one, so
   // every epoch interns into one pool.
   live_ = base.name_pool() != nullptr ? base : data::DatasetBuilder().build();
   mobility_ = base_mobility;  // shares every entry
+  crowd_ = std::move(crowd);  // shares every window
   base_checkin_count_ = live_.checkin_count();
   index_venues();
 }
@@ -115,11 +135,10 @@ void IngestWorker::init_metrics() {
   telemetry::HistogramFamily& stages = metrics_->histogram_family(
       "crowdweb_ingest_rebuild_stage_duration_seconds",
       "Wall time of one epoch-rebuild stage: merge (dataset rebuild), mine "
-      "(incremental per-user re-mining), grid, crowd (model aggregation).",
+      "(incremental per-user re-mining), crowd (model update).",
       {"stage"}, buckets);
   stage_merge_seconds_ = &stages.with_labels({"merge"});
   stage_mine_seconds_ = &stages.with_labels({"mine"});
-  stage_grid_seconds_ = &stages.with_labels({"grid"});
   stage_crowd_seconds_ = &stages.with_labels({"crowd"});
   last_rebuild_seconds_ = &metrics_->gauge("crowdweb_ingest_last_rebuild_seconds",
                                            "Wall time of the most recent epoch rebuild.");
@@ -143,10 +162,6 @@ void IngestWorker::init_metrics() {
       "Base records the merge copied for touched users that could not append (a "
       "check-in earlier than the user's last one, or a base that is not the newest "
       "version).");
-  delta_crowd_full_rebuilds_ = &metrics_->counter(
-      "crowdweb_ingest_delta_crowd_full_rebuilds_total",
-      "Crowd-model full rebuilds (the first epoch, then every 64th as a "
-      "backstop) instead of incremental updates.");
   delta_last_events_ =
       &metrics_->gauge("crowdweb_ingest_delta_last_events",
                        "Check-ins merged by the most recent epoch's delta.");
@@ -206,6 +221,7 @@ Status IngestWorker::start() {
   if (running_.load(std::memory_order_acquire))
     return failed_precondition("ingest worker already running");
   if (queue_.closed()) return failed_precondition("ingest worker cannot restart");
+  if (!seed_status_.is_ok()) return seed_status_;
   if (!config_.store.dir.empty() && store_ == nullptr) {
     const Status recovered = recover_from_store();
     if (!recovered.is_ok()) return recovered;
@@ -277,9 +293,10 @@ Status IngestWorker::recover_from_store() {
     const Status adopted = adopt_checkpoint(*recovered.checkpoint);
     if (!adopted.is_ok()) return adopted;
   }
-  // Touched users' mobility differs from the base corpus mobility the
-  // constructor copied, so every one of them re-mines in the first
-  // rebuild (later epochs go back to re-mining only fresh deltas).
+  // Touched users' mobility and placements differ from the seed's, so
+  // every one of them re-mines and is re-placed (CrowdModel::update) in
+  // the first rebuild; later epochs go back to fresh deltas only. An
+  // untouched user's rows in the checkpoint are the seed's.
   pending_users_ = touched_users_;
 
   // Replay the WAL tail through the same validate + merge path live
@@ -651,27 +668,16 @@ Status IngestWorker::rebuild_and_publish() {
   }
   mine_timer.stop();
 
-  // Stage 3: grid — created on the first epoch over the pinned box and
-  // kept for every later one.
-  telemetry::ScopedTimer grid_timer(stage_grid_seconds_);
-  if (!grid_.has_value()) {
-    auto grid = geo::SpatialGrid::create(pipeline_.fixed_grid_bounds->inflated(0.002),
-                                         pipeline_.grid_cell_meters);
-    if (!grid) return grid.status();
-    grid_ = std::move(*grid);
-  }
-  grid_timer.stop();
-
-  // Stage 4: crowd — each changed user's kept tally takes the check-ins
+  // Stage 3: crowd — each changed user's kept tally takes the check-ins
   // the delta merged for them (counts do not depend on record order); a
   // user without one, or whose count disagrees with their column after
   // a failed epoch, counts the whole column. Then retract + replace the
   // changed users' placements in the previous model, sharing every
-  // unaffected time window. The first epoch and the periodic backstop
-  // build it in full.
+  // unaffected time window.
   telemetry::ScopedTimer crowd_timer(stage_crowd_seconds_);
   std::ranges::sort(merged_checkins, {}, &data::CheckIn::user);
   std::vector<const crowd::VenueTally*> tallies(changed.size());
+  const int window_minutes = crowd_->options().window_minutes;
   for (const KeptUser* state : kept) kept_bytes_total_ -= state->tally.resident_bytes();
   util::parallel_for(changed.size(), pipeline_.mining_threads, [&](std::size_t i) {
     const auto delta = std::ranges::equal_range(merged_checkins, changed[i], {},
@@ -681,27 +687,15 @@ Status IngestWorker::rebuild_and_publish() {
     if (tally.records() > 0 && tally.records() + delta.size() == records.size()) {
       for (const data::CheckIn& checkin : delta) tally.add(checkin);
     } else {
-      tally = crowd::VenueTally(records, pipeline_.crowd.window_minutes);
+      tally = crowd::VenueTally(records, window_minutes);
     }
     tallies[i] = &tally;
   });
   for (const KeptUser* state : kept) kept_bytes_total_ += state->tally.resident_bytes();
   history_bytes_->set(static_cast<double>(kept_bytes_total_));
-  const bool full_crowd =
-      !crowd_.has_value() || crowd_epochs_since_full_ + 1 >= kCrowdFullRebuildEpochs;
-  if (full_crowd) {
-    auto crowd = crowd::CrowdModel::build(live_, mobility_, *grid_, pipeline_.crowd,
-                                          pipeline_.mining_threads);
-    if (!crowd) return crowd.status();
-    crowd_ = std::move(*crowd);
-    crowd_epochs_since_full_ = 0;
-    delta_crowd_full_rebuilds_->increment();
-  } else {
-    auto crowd = crowd::CrowdModel::update(*crowd_, live_, mobility_, changed, tallies);
-    if (!crowd) return crowd.status();
-    crowd_ = std::move(*crowd);
-    ++crowd_epochs_since_full_;
-  }
+  auto crowd = crowd::CrowdModel::update(*crowd_, live_, mobility_, changed, tallies);
+  if (!crowd) return crowd.status();
+  crowd_ = std::move(*crowd);
   crowd_timer.stop();
 
   // Delta accounting: how much of this epoch was recomputed vs shared.
@@ -728,7 +722,7 @@ Status IngestWorker::rebuild_and_publish() {
   // O(records).
   auto snapshot = std::make_shared<const PlatformSnapshot>(PlatformSnapshot{
       epoch_, live_.checkin_count() - base_checkin_count_, touched_users_.size(),
-      elapsed_ms, live_, mobility_, *grid_, *crowd_});
+      elapsed_ms, live_, mobility_, crowd_->grid(), *crowd_});
   snapshot_live_.store(snapshot->live_checkins, std::memory_order_relaxed);
   hub_.publish(std::move(snapshot));
   pending_users_.clear();

@@ -1,24 +1,24 @@
 // Background ingestion worker: queue -> validation -> delta merge ->
 // epoch publication.
 //
-// The worker seeds its live corpus from a base dataset and mobility
-// table (the batch build's epoch 0, or a shard's slice of it) by
-// sharing their per-user shards and entries, and owns the only mutable
-// state derived from them after that. The corpus has one copy: the
-// indexed dataset the last epoch published plus the delta merged since.
-// The worker drains the ingest queue in batches, validates events
-// against the taxonomy, resolves each event onto a venue (an existing
-// one at that position, or a freshly registered "live" venue), and
-// appends the resulting check-in to the delta. On a configurable
-// cadence it applies the delta to the dataset, rebuilds the derived
-// state — phase-2 re-mining *only* for users whose history changed,
-// and the phase-3 crowd model over the merged corpus — and publishes
-// the result as the next immutable epoch through a SnapshotHub. The
-// spatial grid is fixed at the seed: it is created once, on the first
-// epoch, and events outside it clamp to edge cells, so an event lands
-// in the same cell at every shard count. HTTP readers keep loading
-// snapshots, never waiting on the rebuild, while the worker prepares
-// the next one.
+// The worker is seeded with an epoch-0 state — the batch build's
+// snapshot, or a shard's slice of it — and shares its dataset's
+// per-user shards, its mined entries and its crowd model's windows. It
+// owns the only mutable state derived from them after that. The corpus
+// has one copy: the indexed dataset the last epoch published plus the
+// delta merged since. The worker drains the ingest queue in batches,
+// validates events against the taxonomy, resolves each event onto a
+// venue (an existing one at that position, or a freshly registered
+// "live" venue), and appends the resulting check-in to the delta. On a
+// configurable cadence it applies the delta to the dataset, re-mines
+// phase 2 *only* for users whose history changed, updates the seed's
+// phase-3 crowd model for those users (CrowdModel::update; the worker
+// never builds one in full), and publishes the result as the next
+// immutable epoch through a SnapshotHub. The seed model fixes the
+// spatial grid and the crowd options for every epoch: events outside
+// the grid clamp to edge cells, so an event lands in the same cell at
+// every shard count. HTTP readers keep loading snapshots, never waiting
+// on the rebuild, while the worker prepares the next one.
 #pragma once
 
 #include <chrono>
@@ -51,23 +51,23 @@ namespace crowdweb::ingest {
 inline constexpr data::UserId kFirstGuestId = 3'000'000'000u;
 
 /// How the worker rebuilds derived state (mirrors PlatformConfig's
-/// phase-2/phase-3 knobs; see core::make_ingest_worker).
+/// phase-2/phase-3 knobs; see core::ingest_pipeline_config).
+///
+/// A seeded worker reads `sequences`, `mining` and `mining_threads`
+/// only: its seed's crowd model fixes the grid and the crowd options.
+/// `grid_cell_meters`, `crowd` and `fixed_grid_bounds` are read only by
+/// the constructor that builds its own seed.
 struct IngestPipelineConfig {
   double grid_cell_meters = 500.0;
   crowd::CrowdOptions crowd;
   mining::SequenceOptions sequences;
   mining::MiningOptions mining;
-  /// Worker threads for delta re-mining and crowd placement
-  /// (0 = hardware concurrency). Epochs re-mine only the users the
-  /// delta touched, sharded across this many threads; full crowd
-  /// rebuilds fan user placement across the same pool.
+  /// Worker threads for delta re-mining and tally counting (0 =
+  /// hardware concurrency). Epochs re-mine only the users the delta
+  /// touched, sharded across this many threads.
   unsigned mining_threads = 0;
-  /// The box the spatial grid covers (inflated by a small margin); the
-  /// grid is created once and never rebuilt, whatever the corpus grows
-  /// to. core::ingest_pipeline_config pins it to the experiment box, so
-  /// one worker and every shard share cell ids (per-shard crowd models
-  /// merge directly; see shard::ShardRouter). Unset = the seed corpus's
-  /// bounds.
+  /// The box the unseeded constructor's grid covers (inflated by a
+  /// small margin). Unset = the base corpus's bounds.
   std::optional<geo::BoundingBox> fixed_grid_bounds;
 };
 
@@ -116,10 +116,18 @@ struct SubmitResult {
 
 class IngestWorker {
  public:
-  /// `base` and `base_mobility` seed the live corpus. Both are shared,
-  /// not copied: the dataset's per-user shards and venue table, and
-  /// every mined entry, alias the seed's until a delta replaces them.
-  /// `taxonomy` must outlive the worker.
+  /// `seed` is the epoch-0 state: its dataset, mobility table and crowd
+  /// model are shared, not copied — the per-user shards and venue
+  /// table, every mined entry and every crowd window alias the seed's
+  /// until a delta replaces them. The seed's crowd model fixes the grid
+  /// and crowd options. `taxonomy` must outlive the worker.
+  IngestWorker(const PlatformSnapshot& seed, const data::Taxonomy& taxonomy,
+               IngestPipelineConfig pipeline = {}, IngestWorkerConfig config = {});
+  /// Builds the seed itself: a grid over `pipeline.fixed_grid_bounds`
+  /// (or `base.bounds()`) at `pipeline.grid_cell_meters`, and one
+  /// CrowdModel::build over `base` and `base_mobility` with
+  /// `pipeline.crowd`. A seed that cannot be built makes start() return
+  /// its status.
   IngestWorker(const data::Dataset& base, const patterns::MobilityTable& base_mobility,
                const data::Taxonomy& taxonomy, IngestPipelineConfig pipeline = {},
                IngestWorkerConfig config = {});
@@ -129,11 +137,13 @@ class IngestWorker {
 
   /// Recovers from the durable store when one is configured: the newest
   /// checkpoint replaces the seed corpus, and the WAL tail is replayed
-  /// into the delta, which the first epoch merges like any live delta.
-  /// Publishes the recovered corpus as the first epoch and spawns the
-  /// worker thread. Without a store, publishes the base corpus as
-  /// epoch 1. Fails, naming the row, on a checkpoint row the live path
-  /// would refuse.
+  /// into the delta, which the first epoch merges like any live delta;
+  /// that epoch re-mines and re-places every user the checkpoint or the
+  /// tail touched. Publishes the recovered corpus as the first epoch and
+  /// spawns the worker thread. Without a store, publishes the seed as
+  /// epoch 1, sharing every crowd window. Fails, naming the row, on a
+  /// checkpoint row the live path would refuse, and with the seed's
+  /// status when it could not be built (nothing published, no thread).
   [[nodiscard]] Status start();
 
   /// Closes the queue, merges what was already accepted into a final
@@ -184,6 +194,9 @@ class IngestWorker {
                                     std::chrono::milliseconds timeout) const;
 
  private:
+  /// The constructors' common head: configuration and telemetry.
+  IngestWorker(const data::Taxonomy& taxonomy, IngestPipelineConfig pipeline,
+               IngestWorkerConfig config);
   void run();
   /// Appends each handed-off record to the WAL. Runs on journal_thread_
   /// while a store is configured.
@@ -214,6 +227,9 @@ class IngestWorker {
   /// Writes `live_` plus the pending delta, in the dataset's (user,
   /// timestamp) order, to the store as a checkpoint. Worker thread only.
   void write_checkpoint();
+  /// Shares the seed's state; the constructors' common tail.
+  void adopt_seed(const data::Dataset& base, const patterns::MobilityTable& base_mobility,
+                  crowd::CrowdModel crowd);
   /// Rebuilds derived state and publishes the next epoch. Worker thread
   /// only (also called once from start() before the thread exists).
   Status rebuild_and_publish();
@@ -257,13 +273,12 @@ class IngestWorker {
   std::uint64_t epoch_ = 0;
   std::size_t base_checkin_count_ = 0;  // check-ins of `live_` not from live events
 
-  // Derived state carried across epochs so unchanged parts are reused:
-  // the grid is created on the first epoch and kept, and the crowd
-  // model is updated incrementally (full rebuild on the first epoch and
-  // every kCrowdFullRebuildEpochs as a backstop).
-  std::optional<geo::SpatialGrid> grid_;
+  // The crowd model, carried across epochs: the seed's, then each
+  // epoch's CrowdModel::update of the last, sharing every window no
+  // changed user touched. Its grid is the epoch's grid. Empty, with
+  // seed_status_ set, when the unseeded constructor could not build it.
   std::optional<crowd::CrowdModel> crowd_;
-  std::uint64_t crowd_epochs_since_full_ = 0;
+  Status seed_status_;
 
   std::thread thread_;
   std::atomic<bool> running_{false};
@@ -283,7 +298,6 @@ class IngestWorker {
   telemetry::Histogram* rebuild_seconds_ = nullptr;
   telemetry::Histogram* stage_merge_seconds_ = nullptr;
   telemetry::Histogram* stage_mine_seconds_ = nullptr;
-  telemetry::Histogram* stage_grid_seconds_ = nullptr;
   telemetry::Histogram* stage_crowd_seconds_ = nullptr;
   telemetry::Gauge* last_rebuild_seconds_ = nullptr;
   // Delta-pipeline accounting (crowdweb_ingest_delta_*): how much of
@@ -294,7 +308,6 @@ class IngestWorker {
   telemetry::Counter* delta_shards_rebuilt_ = nullptr;
   telemetry::Counter* delta_shards_appended_ = nullptr;
   telemetry::Counter* delta_records_copied_ = nullptr;
-  telemetry::Counter* delta_crowd_full_rebuilds_ = nullptr;
   telemetry::Gauge* delta_last_events_ = nullptr;
   // Mining accounting (crowdweb_mining_*): what the per-user re-mines of
   // each epoch emitted (the miner's own output), reconstructed by

@@ -36,26 +36,27 @@ Result<std::unique_ptr<ShardRouter>> ShardRouter::create(const core::Platform& p
   router->platform_ = &platform;
   router->config_ = std::move(config);
 
-  // Partition the experiment corpus: every base user goes wholly to one
-  // shard, with their mined entry shared rather than copied, so seeded
-  // corpora are disjoint and the k-way merge of user-sorted state
-  // reproduces single-process order.
+  // Partition the batch build: every base user goes wholly to one
+  // shard — their records, their mined entry (shared, not copied) and
+  // their crowd placements — so seeded corpora are disjoint and the
+  // k-way merge of user-sorted state reproduces single-process order.
+  // Every seed keeps the batch grid, so cell ids agree across shards.
   const data::Dataset& experiment = platform.experiment_dataset();
   std::vector<std::vector<data::UserId>> users_of(count);
   for (const data::UserId user : experiment.users())
     users_of[shard_of_user(user, count)].push_back(user);
 
-  // Every shard renders onto the experiment box, as one worker does:
-  // cell ids must agree across shards for merged crowd windows to be
-  // meaningful.
   ingest::IngestPipelineConfig pipeline = core::ingest_pipeline_config(platform);
   pipeline.mining_threads = 1;
 
   router->shards_.reserve(count);
   for (std::size_t id = 0; id < count; ++id) {
-    router->shards_.push_back(std::make_unique<Shard>(
-        experiment.filter_users(users_of[id]), platform.mobility().filter_users(users_of[id]),
-        platform.taxonomy(), pipeline, worker_config_for(router->config_, id)));
+    const std::vector<data::UserId>& users = users_of[id];
+    const ingest::PlatformSnapshot seed{
+        0, 0, 0, 0.0, experiment.filter_users(users), platform.mobility().filter_users(users),
+        platform.grid(), platform.crowd_model().filter_users(users)};
+    router->shards_.push_back(std::make_unique<Shard>(seed, platform.taxonomy(), pipeline,
+                                                      worker_config_for(router->config_, id)));
   }
 
   router->init_metrics();

@@ -10,9 +10,9 @@
 // `merged()`: every shard's current epoch snapshot is pinned into one
 // core::PinnedView, whose per-shard crowd models are k-way merged by
 // user id into one CrowdModel the core handlers render — possible
-// because every shard's grid is pinned to the experiment box
-// (core::ingest_pipeline_config), as one worker's is, so cell ids agree
-// across shards. The merge is cached per epoch vector; it reruns only
+// because every shard is seeded with a slice of the batch build's crowd
+// model (CrowdModel::filter_users), whose grid it keeps, as one worker
+// does, so cell ids agree across shards. The merge is cached per epoch vector; it reruns only
 // when some shard publishes.
 //
 // Cross-shard consistency is expressed as the epoch vector

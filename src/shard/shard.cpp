@@ -4,11 +4,9 @@
 
 namespace crowdweb::shard {
 
-Shard::Shard(const data::Dataset& base, const patterns::MobilityTable& mobility,
-             const data::Taxonomy& taxonomy, ingest::IngestPipelineConfig pipeline,
-             ingest::IngestWorkerConfig config)
-    : worker_(std::make_unique<ingest::IngestWorker>(base, mobility, taxonomy,
-                                                     std::move(pipeline),
+Shard::Shard(const ingest::PlatformSnapshot& seed, const data::Taxonomy& taxonomy,
+             ingest::IngestPipelineConfig pipeline, ingest::IngestWorkerConfig config)
+    : worker_(std::make_unique<ingest::IngestWorker>(seed, taxonomy, std::move(pipeline),
                                                      std::move(config))) {}
 
 Status Shard::start() { return worker_->start(); }

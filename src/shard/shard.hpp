@@ -1,7 +1,8 @@
 // One hash shard: the unit of horizontal partitioning.
 //
 // A Shard bundles everything that used to be process-global state —
-// its user-hash slice of the corpus, a durable store directory (WAL +
+// its user-hash slice of the batch build (corpus, mined entries and
+// crowd placements), a durable store directory (WAL +
 // checkpoints), an ingest queue with its IngestWorker, and the epoch
 // SnapshotHub the worker publishes through — behind one lifecycle.
 // The ShardRouter owns N of these, routes writes to the owning shard,
@@ -16,10 +17,8 @@
 #include <cstdint>
 #include <memory>
 
-#include "data/dataset.hpp"
 #include "ingest/snapshot.hpp"
 #include "ingest/worker.hpp"
-#include "patterns/mobility.hpp"
 #include "util/status.hpp"
 
 namespace crowdweb::shard {
@@ -31,14 +30,14 @@ namespace crowdweb::shard {
 /// reads.
 class Shard {
  public:
-  /// `base` seeds the shard's live corpus with its slice of the batch
-  /// experiment dataset (sharing the full venue table keeps venue ids
-  /// aligned across shards); `mobility` is the matching slice of the
-  /// batch phase-2 output, whose entries the shard's worker shares.
-  /// `taxonomy` must outlive the shard.
-  Shard(const data::Dataset& base, const patterns::MobilityTable& mobility,
-        const data::Taxonomy& taxonomy, ingest::IngestPipelineConfig pipeline,
-        ingest::IngestWorkerConfig config);
+  /// `seed` is the shard's slice of the batch build's epoch 0: the
+  /// experiment dataset's, mobility table's and crowd model's
+  /// filter_users() slices for the shard's users, on the batch grid
+  /// (sharing the full venue table keeps venue ids aligned across
+  /// shards). The shard's worker shares all three. `taxonomy` must
+  /// outlive the shard.
+  Shard(const ingest::PlatformSnapshot& seed, const data::Taxonomy& taxonomy,
+        ingest::IngestPipelineConfig pipeline, ingest::IngestWorkerConfig config);
 
   /// Runs store recovery (when configured) and publishes the shard's
   /// first epoch. Failure leaves the shard down: up() stays false.

@@ -11,6 +11,7 @@
 #include "crowd/distribution.hpp"
 #include "crowd/model.hpp"
 #include "reference/venue_oracle.hpp"
+#include "shard/hash.hpp"
 #include "synth/generator.hpp"
 #include "util/civil_time.hpp"
 #include "util/log.hpp"
@@ -290,6 +291,55 @@ TEST(CrowdModelTest, HalfHourWindows) {
   // Finer windows can only split (window, label) dedupe buckets, never
   // merge them, so the placement count is monotone in granularity.
   EXPECT_GE(model->total_placements(), f.model.total_placements());
+}
+
+void expect_same_placements(const CrowdModel& a, const CrowdModel& b) {
+  ASSERT_EQ(a.window_count(), b.window_count());
+  for (int w = 0; w < a.window_count(); ++w) {
+    const auto pa = a.placements(w);
+    const auto pb = b.placements(w);
+    ASSERT_EQ(pa.size(), pb.size()) << "window " << w;
+    for (std::size_t i = 0; i < pa.size(); ++i) {
+      EXPECT_EQ(pa[i].user, pb[i].user) << "window " << w << " slot " << i;
+      EXPECT_EQ(pa[i].label, pb[i].label);
+      EXPECT_EQ(pa[i].venue, pb[i].venue);
+      EXPECT_EQ(pa[i].position, pb[i].position);
+      EXPECT_EQ(pa[i].cell, pb[i].cell);
+      EXPECT_EQ(pa[i].pattern_support, pb[i].pattern_support);
+    }
+  }
+}
+
+TEST(CrowdModelTest, FilterUsersSlicesEqualSliceBuildsAndMergeBack) {
+  const Fixture& f = fixture();
+  constexpr std::size_t kSlices = 4;
+  std::vector<std::vector<data::UserId>> users_of(kSlices);
+  for (const data::UserId user : f.active.users())
+    users_of[shard::shard_of_user(user, kSlices)].push_back(user);
+
+  std::vector<CrowdModel> slices;
+  for (const std::vector<data::UserId>& users : users_of) {
+    ASSERT_FALSE(users.empty());
+    std::vector<patterns::UserMobility> mobility;
+    for (const patterns::UserMobility& entry : f.mobility)
+      if (std::binary_search(users.begin(), users.end(), entry.user)) mobility.push_back(entry);
+    const auto built =
+        CrowdModel::build(f.active.filter_users(users), mobility, f.grid, f.model.options());
+    ASSERT_TRUE(built.is_ok());
+    slices.push_back(f.model.filter_users(users));
+    expect_same_placements(slices.back(), *built);
+  }
+
+  std::vector<const CrowdModel*> parts;
+  for (const CrowdModel& slice : slices) parts.push_back(&slice);
+  const auto merged = CrowdModel::merge(parts);
+  ASSERT_TRUE(merged.is_ok());
+  expect_same_placements(*merged, f.model);
+
+  // A slice over every user keeps every window by pointer.
+  const CrowdModel whole = f.model.filter_users(f.active.users());
+  for (int w = 0; w < f.model.window_count(); ++w)
+    EXPECT_EQ(whole.window_identity(w), f.model.window_identity(w)) << "window " << w;
 }
 
 // ------------------------------------------------------------ VenueTally

@@ -13,6 +13,7 @@
 #include <chrono>
 #include <filesystem>
 #include <memory>
+#include <set>
 #include <span>
 #include <sstream>
 #include <string>
@@ -210,6 +211,31 @@ bool window_has_user(const crowd::CrowdModel& model, int window, data::UserId us
   const auto placements = model.placements(window);
   return std::any_of(placements.begin(), placements.end(),
                      [user](const crowd::CrowdPlacement& p) { return p.user == user; });
+}
+
+/// The crowd model a from-scratch derivation gives over `snapshot`'s
+/// corpus: phase 2 re-mined for every user, phase 3 built over that.
+crowd::CrowdModel rebuilt_crowd(const ingest::PlatformSnapshot& snapshot) {
+  const std::vector<patterns::UserMobility> mobility = patterns::mine_all_mobility_parallel(
+      snapshot.dataset, test_platform().taxonomy(), mobility_options());
+  auto model = crowd::CrowdModel::build(snapshot.dataset, mobility, snapshot.grid,
+                                        test_platform().config().crowd);
+  if (!model.is_ok()) std::abort();
+  return std::move(model).value();
+}
+
+/// Every `GET /api/crowd/:w` body `api` serves, in window order.
+std::vector<std::string> crowd_bodies(const http::Router& api, int windows) {
+  std::vector<std::string> bodies;
+  for (int w = 0; w < windows; ++w) {
+    http::Request request;
+    request.method = "GET";
+    request.path = "/api/crowd/" + std::to_string(w);
+    const http::Response response = api.dispatch(request);
+    EXPECT_EQ(response.status, 200) << request.path;
+    bodies.push_back(response.body);
+  }
+  return bodies;
 }
 
 /// Value of an unlabeled metric in a Prometheus exposition, or -1.
@@ -517,6 +543,11 @@ TEST(WorkerEquivalenceTest, UntouchedUsersShareStateAcrossEpochs) {
   for (const patterns::UserMobility& entry : platform.mobility())
     EXPECT_EQ(seed->mobility.entry_for(entry.user), platform.mobility().entry_for(entry.user))
         << "user " << entry.user;
+  // Its crowd model is the batch build's, adopted: every window shared.
+  ASSERT_EQ(seed->crowd.window_count(), platform.crowd_model().window_count());
+  for (int w = 0; w < seed->crowd.window_count(); ++w)
+    EXPECT_EQ(seed->crowd.window_identity(w), platform.crowd_model().window_identity(w))
+        << "window " << w;
   {
     shard::ShardRouterConfig shard_config;
     shard_config.shard_count = 4;
@@ -580,6 +611,132 @@ TEST(WorkerEquivalenceTest, UntouchedUsersShareStateAcrossEpochs) {
   const std::string scrape = telemetry::render_prometheus(registry);
   EXPECT_GT(metric_value(scrape, "crowdweb_ingest_delta_shards_reused_total"), 0.0);
   EXPECT_GT(metric_value(scrape, "crowdweb_ingest_delta_events_total"), 0.0);
+  worker->stop();
+}
+
+TEST(WorkerEquivalenceTest, UpdatedCrowdMatchesAFullBuildAcrossOneHundredThirtyEpochs) {
+  // The worker never builds a crowd model: every epoch updates the last
+  // one. Past two points where a periodic full rebuild used to run
+  // (epochs 65 and 129), the updated model must still equal a full
+  // build over the same corpus.
+  const core::Platform& platform = test_platform();
+  const data::Dataset& base = platform.experiment_dataset();
+  const data::Taxonomy& taxonomy = platform.taxonomy();
+  telemetry::Registry registry;
+  ingest::IngestWorkerConfig config = worker_config();
+  config.rebuild_interval = 1ms;
+  config.metrics = &registry;
+  auto worker = core::make_ingest_worker(platform, config);
+  ASSERT_TRUE(worker->start().is_ok());
+  const crowd::CrowdModel& seed_crowd = platform.crowd_model();
+
+  // The fading user: the placed corpus user with the fewest recorded
+  // days. Each epoch gives them a new day at a label they never used,
+  // so their old patterns' supports fall below min_pattern_support.
+  const patterns::UserMobility* fading = nullptr;
+  for (const patterns::UserMobility& entry : platform.mobility()) {
+    bool placed = false;
+    for (int w = 0; w < seed_crowd.window_count() && !placed; ++w)
+      placed = window_has_user(seed_crowd, w, entry.user);
+    if (placed && (fading == nullptr || entry.recorded_days < fading->recorded_days))
+      fading = &entry;
+  }
+  ASSERT_NE(fading, nullptr);
+  std::vector<data::CategoryId> used;
+  for (const data::CheckIn& checkin : base.checkins_for(fading->user))
+    used.push_back(taxonomy.root_of(checkin.category));
+  const auto fresh_label = std::find_if(
+      taxonomy.roots().begin(), taxonomy.roots().end(), [&](data::CategoryId root) {
+        return std::find(used.begin(), used.end(), root) == used.end();
+      });
+  ASSERT_NE(fresh_label, taxonomy.roots().end());
+  std::set<std::pair<int, mining::Item>> fading_seed_pairs;
+  for (int w = 0; w < seed_crowd.window_count(); ++w) {
+    for (const crowd::CrowdPlacement& p : seed_crowd.placements(w))
+      if (p.user == fading->user) fading_seed_pairs.insert({w, p.label});
+  }
+
+  // New days start after the corpus ends.
+  std::int64_t last = 0;
+  for (const data::CheckIn& checkin : base.checkins()) last = std::max(last, checkin.timestamp);
+  constexpr std::int64_t kDay = 86'400;
+  const std::int64_t day0 = (last / kDay + 1) * kDay;
+  const std::vector<data::UserId> guests = {worker->allocate_guest_id(),
+                                            worker->allocate_guest_id()};
+  const auto users = base.users();
+  const auto at = [](data::UserId user, data::CategoryId category, geo::LatLon position,
+                     std::int64_t timestamp) {
+    ingest::IngestEvent event;
+    event.user = user;
+    event.category = category;
+    event.position = position;
+    event.timestamp = timestamp;
+    return event;
+  };
+
+  std::size_t live = 0;
+  std::uint64_t epoch = worker->hub().epoch();
+  for (std::size_t step = 0; epoch < 131 || epoch % 64 <= 1; ++step) {
+    const std::int64_t day = day0 + static_cast<std::int64_t>(2 * step) * kDay;
+    std::vector<ingest::IngestEvent> delta;
+    // Two new days for the fading user, at 03:10.
+    delta.push_back(at(fading->user, *fresh_label, {40.75, -73.99}, day + 3 * 3600 + 600));
+    delta.push_back(
+        at(fading->user, *fresh_label, {40.75, -73.99}, day + kDay + 3 * 3600 + 600));
+    // Guests keep a routine at venues of their own, new live venues.
+    for (std::size_t g = 0; g < guests.size(); ++g) {
+      const double offset = 0.01 * static_cast<double>(g + 1);
+      delta.push_back(at(guests[g], taxonomy.roots()[g], {40.701 + offset, -73.951},
+                         day + 8 * 3600 + 900));
+      delta.push_back(at(guests[g], taxonomy.roots()[g + 2], {40.702 + offset, -73.952},
+                         day + 19 * 3600 + 1800));
+    }
+    // A corpus user appends a check-in at their first record's spot.
+    const data::UserId appender = users[(step * 13) % users.size()];
+    const data::Dataset::UserColumns appended = base.checkins_for(appender);
+    delta.push_back(at(appender, appended.category(0), appended.position(0),
+                       day + 12 * 3600));
+    // Every fourth epoch, another checks in before their last record
+    // (out of order: their history is refiled and copied).
+    if (step % 4 == 0) {
+      const data::UserId late = users[(step * 7 + 3) % users.size()];
+      const data::Dataset::UserColumns records = base.checkins_for(late);
+      delta.push_back(
+          at(late, records.category(0), records.position(0), records.timestamp(0) + 60));
+    }
+    live += delta.size();
+    feed_and_settle(*worker, delta, live);
+    const ingest::SnapshotPtr snapshot = worker->hub().current();
+    ASSERT_NE(snapshot, nullptr);
+    epoch = snapshot->epoch;
+    if (step % 40 == 0) expect_crowd_eq(snapshot->crowd, rebuilt_crowd(*snapshot));
+  }
+
+  const ingest::SnapshotPtr last_epoch = worker->hub().current();
+  ASSERT_NE(last_epoch, nullptr);
+  EXPECT_GE(last_epoch->epoch, 131u);
+  expect_crowd_eq(last_epoch->crowd, rebuilt_crowd(*last_epoch));
+
+  // Every kind of delta happened: guests placed, live venues minted,
+  // histories copied, and the fading user's seed placements retracted.
+  for (const data::UserId guest : guests) {
+    bool placed = false;
+    for (int w = 0; w < last_epoch->crowd.window_count() && !placed; ++w)
+      placed = window_has_user(last_epoch->crowd, w, guest);
+    EXPECT_TRUE(placed) << "guest " << guest;
+  }
+  EXPECT_GT(last_epoch->dataset.venue_count(), base.venue_count());
+  const std::string scrape = telemetry::render_prometheus(registry);
+  EXPECT_GT(metric_value(scrape, "crowdweb_ingest_delta_records_copied_total"), 0.0);
+  ASSERT_FALSE(fading_seed_pairs.empty());
+  for (int w = 0; w < last_epoch->crowd.window_count(); ++w) {
+    for (const crowd::CrowdPlacement& p : last_epoch->crowd.placements(w)) {
+      if (p.user != fading->user) continue;
+      EXPECT_FALSE(fading_seed_pairs.contains({w, p.label}))
+          << "user " << fading->user << " (" << fading->recorded_days
+          << " seed days) still placed at window " << w;
+    }
+  }
   worker->stop();
 }
 
@@ -1001,6 +1158,66 @@ TEST(RecoveryEquivalenceTest, ReplayedStateMatchesThePreCrashEpoch) {
   ASSERT_EQ(crowd_after->status, 200);
   EXPECT_EQ(crowd_after->body, crowd_before->body);
   server_b.stop();
+  worker_b->stop();
+}
+
+TEST(RecoveryEquivalenceTest, CheckpointAdoptUpdatesTheSeedToThePreCrashCrowd) {
+  const core::Platform& platform = test_platform();
+  const data::Dataset& base = platform.experiment_dataset();
+  ScratchDir dir("checkpoint");
+  ScratchDir image("checkpoint_image");
+
+  // Live users plus corpus users checking in again at their first
+  // record's spot: recovery must re-place both kinds.
+  std::vector<ingest::IngestEvent> events = live_traffic(40);
+  for (std::size_t i = 0; i < 20; ++i) {
+    const data::UserId user = base.users()[(i * 5) % base.user_count()];
+    const data::Dataset::UserColumns records = base.checkins_for(user);
+    ingest::IngestEvent event;
+    event.user = user;
+    event.category = records.category(0);
+    event.position = records.position(0);
+    event.timestamp = records.timestamp(records.size() - 1) + 3'600;
+    events.insert(events.begin() + static_cast<std::ptrdiff_t>(2 * i), event);
+  }
+  const std::span<const ingest::IngestEvent> all(events);
+
+  ingest::IngestWorkerConfig config = worker_config();
+  config.store.dir = dir.str();
+  config.store.fsync = store::FsyncPolicy::kEveryBatch;
+  auto worker_a = core::make_ingest_worker(platform, config);
+  ASSERT_TRUE(worker_a->start().is_ok());
+  feed_and_settle(*worker_a, all.first(30), 30);
+  ASSERT_TRUE(worker_a->checkpoint_now(10s).is_ok());
+  feed_and_settle(*worker_a, all.subspan(30), all.size());
+  const ingest::SnapshotPtr before = worker_a->hub().current();
+  ASSERT_NE(before, nullptr);
+  const std::vector<std::string> bodies_before = crowd_bodies(
+      core::make_api_router(platform, {worker_a.get(), nullptr}), before->crowd.window_count());
+
+  // Crash image: the checkpoint plus the WAL tail written after it.
+  fs::copy(dir.str(), image.str(), fs::copy_options::recursive);
+  worker_a->stop();
+
+  ingest::IngestWorkerConfig recovered_config = worker_config();
+  recovered_config.store.dir = image.str();
+  recovered_config.store.fsync = store::FsyncPolicy::kEveryBatch;
+  auto worker_b = core::make_ingest_worker(platform, recovered_config);
+  ASSERT_TRUE(worker_b->start().is_ok());
+  const ingest::SnapshotPtr after = worker_b->hub().current();
+  ASSERT_NE(after, nullptr);
+  EXPECT_EQ(after->live_checkins, all.size());
+
+  // The first epoch updated the seed's model for the recovered users;
+  // it equals the pre-crash model and a full build.
+  expect_dataset_eq(after->dataset, before->dataset);
+  expect_mobility_eq(after->mobility, before->mobility);
+  expect_crowd_eq(after->crowd, before->crowd);
+  expect_crowd_eq(after->crowd, rebuilt_crowd(*after));
+
+  EXPECT_EQ(crowd_bodies(core::make_api_router(platform, {worker_b.get(), nullptr}),
+                         after->crowd.window_count()),
+            bodies_before);
   worker_b->stop();
 }
 

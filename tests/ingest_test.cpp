@@ -248,6 +248,29 @@ TEST(IngestWorkerTest, StartPublishesBaseCorpusAsEpochOne) {
   EXPECT_FALSE(worker->running());
 }
 
+TEST(IngestWorkerTest, UnbuildableSeedFailsStartAndPublishesNothing) {
+  const core::Platform& platform = test_platform();
+  ingest::IngestPipelineConfig bad_window;
+  bad_window.crowd.window_minutes = 7;  // does not divide a day
+  ingest::IngestPipelineConfig bad_cell;
+  bad_cell.grid_cell_meters = 0.0;
+  for (const ingest::IngestPipelineConfig& pipeline : {bad_window, bad_cell}) {
+    telemetry::Registry registry;
+    ingest::IngestWorkerConfig config;
+    config.metrics = &registry;
+    ingest::IngestWorker worker(platform.experiment_dataset(), platform.mobility(),
+                                platform.taxonomy(), pipeline, config);
+    const Status status = worker.start();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.to_string();
+    EXPECT_FALSE(worker.running());
+    EXPECT_EQ(worker.hub().current(), nullptr);
+    EXPECT_EQ(worker.stats().epochs_published, 0u);
+    worker.stop();  // no thread to join
+    worker.stop();
+    EXPECT_FALSE(worker.running());
+  }
+}
+
 TEST(IngestWorkerTest, AcceptedEventsAdvanceTheEpoch) {
   const core::Platform& platform = test_platform();
   ingest::IngestWorkerConfig config;

@@ -73,11 +73,18 @@ const core::Platform& test_platform() {
   return *platform;
 }
 
-/// The pipeline every shard runs, which the single-worker baseline
-/// runs too (grid pinned to the experiment box).
+/// The pipeline every shard runs, plus what the single-worker baseline
+/// needs to build its own seed: the platform's grid cell and crowd
+/// options, with the grid pinned to the experiment box. The baseline
+/// stays on the unseeded constructor, so a built seed is checked
+/// against the shards' adopted slices.
 ingest::IngestPipelineConfig pinned_pipeline() {
-  ingest::IngestPipelineConfig pipeline = core::ingest_pipeline_config(test_platform());
+  const core::Platform& platform = test_platform();
+  ingest::IngestPipelineConfig pipeline = core::ingest_pipeline_config(platform);
   pipeline.mining_threads = 1;
+  pipeline.grid_cell_meters = platform.config().grid_cell_meters;
+  pipeline.crowd = platform.config().crowd;
+  pipeline.fixed_grid_bounds = platform.experiment_dataset().bounds();
   return pipeline;
 }
 
