@@ -268,12 +268,16 @@ Dataset Dataset::filter_active_users(const ActiveUserCriteria& criteria) const {
 }
 
 Dataset Dataset::filter_users(std::span<const UserId> users) const {
+  // The wanted users' shards themselves, not copies: a later append by
+  // either dataset's lineage claims past the other's length or copies.
   const std::unordered_set<UserId> wanted(users.begin(), users.end());
-  std::vector<CheckIn> keep;
-  for (const CheckIn& c : checkins()) {
-    if (wanted.contains(c.user)) keep.push_back(c);
+  std::vector<ShardPtr> shards;
+  for (const ShardPtr& shard : shards_) {
+    if (wanted.contains(shard->user())) shards.push_back(shard);
   }
-  return subset(std::move(keep));
+  Dataset out;
+  out.adopt(venues_, name_pool_, names_, std::move(shards), geo::BoundingBox{});
+  return out;
 }
 
 const Venue* DatasetBuilder::venue_at(VenueId id) const noexcept {

@@ -443,7 +443,8 @@ class Dataset {
   /// records, not just those inside the window).
   [[nodiscard]] Dataset filter_active_users(const ActiveUserCriteria& criteria) const;
 
-  /// New dataset keeping only the given users.
+  /// New dataset keeping only the given users. It shares their shards
+  /// and the venue table with this one (no record is copied).
   [[nodiscard]] Dataset filter_users(std::span<const UserId> users) const;
 
  private:

@@ -21,6 +21,7 @@
 
 #include "util/format.hpp"
 #include "util/log.hpp"
+#include "util/thread_name.hpp"
 
 namespace crowdweb::http {
 
@@ -915,11 +916,17 @@ Status Server::start() {
   impl_->queue_depth->set(0.0);
   impl_->workers.reserve(static_cast<std::size_t>(impl_->resolved_workers));
   for (int i = 0; i < impl_->resolved_workers; ++i)
-    impl_->workers.emplace_back([this] { impl_->worker_run(); });
+    impl_->workers.emplace_back([this] {
+      util::name_this_thread("cw-http-worker");
+      impl_->worker_run();
+    });
 
   impl_->stop_requested.store(false, std::memory_order_release);
   impl_->running.store(true, std::memory_order_release);
-  impl_->loop_thread = std::thread([this] { impl_->loop(); });
+  impl_->loop_thread = std::thread([this] {
+    util::name_this_thread("cw-http-loop");
+    impl_->loop();
+  });
   log_info("http server listening on {}:{} ({} worker thread(s))",
            impl_->config.bind_address, impl_->bound_port, impl_->resolved_workers);
   return Status::ok();

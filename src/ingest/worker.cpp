@@ -8,6 +8,7 @@
 #include "util/format.hpp"
 #include "util/log.hpp"
 #include "util/parallel.hpp"
+#include "util/thread_name.hpp"
 
 namespace crowdweb::ingest {
 
@@ -234,9 +235,15 @@ Status IngestWorker::start() {
   running_.store(true, std::memory_order_release);
   if (store_ != nullptr) {
     journal_stop_ = false;
-    journal_thread_ = std::thread([this] { journal_run(); });
+    journal_thread_ = std::thread([this] {
+      util::name_this_thread("cw-journal");
+      journal_run();
+    });
   }
-  thread_ = std::thread([this] { run(); });
+  thread_ = std::thread([this] {
+    util::name_this_thread("cw-ingest");
+    run();
+  });
   log_info("ingest worker started: queue capacity {}, rebuild interval {} ms",
            queue_.capacity(), config_.rebuild_interval.count());
   return Status::ok();

@@ -12,18 +12,28 @@
 #include <atomic>
 #include <cerrno>
 #include <cstring>
+#include <optional>
 #include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "util/format.hpp"
 #include "util/log.hpp"
+#include "util/thread_name.hpp"
 
 namespace crowdweb::transport {
 
 namespace {
 
 constexpr std::size_t kReadChunkBytes = 64 * 1024;
+/// A data frame of at least this many events is "full": its ack, and
+/// every ack held before it, goes out at once.
+constexpr std::size_t kFullFrameEvents = 64;
+/// How long a small frame's ack waits for company (Nagle's rule): a
+/// stop-and-wait producer's next frame then carries every event that
+/// came due meanwhile. The ack leaves on the listener's first wake
+/// after this deadline. Submission is never delayed, only the ack.
+constexpr std::chrono::microseconds kAckHold{1'000};
 /// The listener's label on the crowdweb_transport_* families.
 constexpr const char* kSourceName = "tcp";
 
@@ -51,6 +61,8 @@ struct FrameServer::Impl {
     std::string outbox;
     std::size_t outbox_offset = 0;
     std::chrono::steady_clock::time_point last_activity;
+    /// When the acks held in the outbox are due; nullopt = none held.
+    std::optional<std::chrono::steady_clock::time_point> ack_due;
     bool want_write = false;
     bool peer_closed = false;  ///< EOF read; stays only to flush acks
   };
@@ -62,10 +74,12 @@ struct FrameServer::Impl {
     std::atomic<std::uint64_t> accepted{0};
     std::atomic<std::uint64_t> rejected{0};
     std::atomic<std::uint64_t> decode_errors{0};
+    std::atomic<std::uint64_t> acks_held{0};
   } counters;
   std::atomic<std::size_t> connection_count{0};
   std::atomic<std::uint64_t> idle_closed{0};
   telemetry::Gauge* connections_gauge = nullptr;
+  telemetry::Counter* acks_held_counter = nullptr;
 
   explicit Impl(IngestPipeline& pipeline_ref) : pipeline(pipeline_ref) {}
 
@@ -75,6 +89,12 @@ struct FrameServer::Impl {
         &config.metrics
              ->gauge_family("crowdweb_transport_connections",
                             "Open producer sockets on a frame listener.", {"source"})
+             .with_labels({kSourceName});
+    acks_held_counter =
+        &config.metrics
+             ->counter_family("crowdweb_transport_acks_held_total",
+                              "Frame acks held back to coalesce a producer's next frame.",
+                              {"source"})
              .with_labels({kSourceName});
   }
 
@@ -123,7 +143,18 @@ struct FrameServer::Impl {
     return ::epoll_ctl(epoll_fd, EPOLL_CTL_MOD, fd, &event) == 0;
   }
 
+  /// One last non-blocking try at the unsent acks before `fd` closes:
+  /// their frames were submitted, held or not.
+  static void send_remaining_acks(int fd, const Connection& conn) {
+    if (conn.outbox_offset >= conn.outbox.size()) return;
+    [[maybe_unused]] const ssize_t n =
+        ::send(fd, conn.outbox.data() + conn.outbox_offset,
+               conn.outbox.size() - conn.outbox_offset, MSG_NOSIGNAL | MSG_DONTWAIT);
+  }
+
   void close_connection(int fd) {
+    if (const auto it = connections.find(fd); it != connections.end())
+      send_remaining_acks(fd, it->second);
     connections.erase(fd);
     ::epoll_ctl(epoll_fd, EPOLL_CTL_DEL, fd, nullptr);
     ::close(fd);
@@ -153,9 +184,10 @@ struct FrameServer::Impl {
     }
   }
 
-  /// Writes as much pending ack bytes as the socket takes. False when
-  /// the connection died.
+  /// Writes as much pending ack bytes as the socket takes, held ones
+  /// included. False when the connection died.
   bool flush_outbox(int fd, Connection& conn) {
+    conn.ack_due.reset();
     while (conn.outbox_offset < conn.outbox.size()) {
       const ssize_t n = ::send(fd, conn.outbox.data() + conn.outbox_offset,
                                conn.outbox.size() - conn.outbox_offset, MSG_NOSIGNAL);
@@ -178,10 +210,14 @@ struct FrameServer::Impl {
     return true;
   }
 
-  /// Decodes every complete frame in the inbox. False when the
-  /// connection must close (EOF-worthy protocol damage).
+  /// Decodes and submits every complete frame in the inbox. Their acks
+  /// are held when every one was small and the producer is still
+  /// sending; a full frame or the FIN flushes them, held ones included.
+  /// False when the connection must close (EOF-worthy protocol damage).
   bool drain_inbox(int fd, Connection& conn) {
     std::size_t offset = 0;
+    std::uint64_t small_acks = 0;
+    bool full_frame = false;
     while (true) {
       const FrameDecodeResult decoded =
           decode_frame(std::string_view(conn.inbox).substr(offset));
@@ -204,9 +240,37 @@ struct FrameServer::Impl {
       ack.accepted = static_cast<std::uint32_t>(outcome.accepted);
       ack.rejected = static_cast<std::uint32_t>(outcome.rejected);
       conn.outbox += encode_ack_frame(decoded.frame.seq, ack);
+      if (decoded.frame.events.size() >= kFullFrameEvents)
+        full_frame = true;
+      else
+        ++small_acks;
     }
     conn.inbox.erase(0, offset);
-    return flush_outbox(fd, conn);
+    if (full_frame || conn.peer_closed) return flush_outbox(fd, conn);
+    if (small_acks > 0) {
+      counters.acks_held.fetch_add(small_acks, std::memory_order_relaxed);
+      if (acks_held_counter != nullptr) acks_held_counter->increment(small_acks);
+      if (!conn.ack_due) conn.ack_due = conn.last_activity + kAckHold;
+    }
+    return true;
+  }
+
+  /// Flushes every connection whose held acks are due and returns the
+  /// earliest deadline still pending.
+  std::optional<std::chrono::steady_clock::time_point> flush_due_acks() {
+    const auto now = std::chrono::steady_clock::now();
+    std::optional<std::chrono::steady_clock::time_point> next;
+    std::vector<int> dead;
+    for (auto& [fd, conn] : connections) {
+      if (!conn.ack_due) continue;
+      if (*conn.ack_due > now) {
+        next = next ? std::min(*next, *conn.ack_due) : *conn.ack_due;
+      } else if (!flush_outbox(fd, conn)) {
+        dead.push_back(fd);
+      }
+    }
+    for (const int fd : dead) close_connection(fd);
+    return next;
   }
 
   bool read_ready(int fd, Connection& conn) {
@@ -246,10 +310,11 @@ struct FrameServer::Impl {
   void loop() {
     constexpr int kMaxEvents = 64;
     epoll_event events[kMaxEvents];
-    int timeout_ms = 500;
+    int sweep_ms = 500;
     if (config.idle_timeout.count() > 0)
-      timeout_ms = static_cast<int>(
+      sweep_ms = static_cast<int>(
           std::min<std::int64_t>(250, config.idle_timeout.count() / 2 + 1));
+    int timeout_ms = sweep_ms;
     while (!stop_requested.load(std::memory_order_acquire)) {
       const int ready = ::epoll_wait(epoll_fd, events, kMaxEvents, timeout_ms);
       if (ready < 0) {
@@ -281,6 +346,15 @@ struct FrameServer::Impl {
         if (alive && conn.peer_closed && conn.outbox.empty()) alive = false;
         if (!alive) close_connection(fd);
       }
+      // Wake again when the earliest held ack is due, rounded up to
+      // epoll's millisecond so the wake never comes early.
+      timeout_ms = sweep_ms;
+      if (const auto due = flush_due_acks()) {
+        const auto wait = std::chrono::ceil<std::chrono::milliseconds>(
+            *due - std::chrono::steady_clock::now());
+        timeout_ms = static_cast<int>(
+            std::clamp<std::int64_t>(wait.count(), 0, sweep_ms));
+      }
       sweep_idle();
     }
   }
@@ -303,7 +377,10 @@ struct FrameServer::Impl {
     event.data.fd = wake_fd;
     ::epoll_ctl(epoll_fd, EPOLL_CTL_ADD, wake_fd, &event);
     stop_requested.store(false);
-    loop_thread = std::thread([this] { loop(); });
+    loop_thread = std::thread([this] {
+      util::name_this_thread("cw-frames");
+      loop();
+    });
     running.store(true);
     log_info("frame listener on {}:{}", config.address, bound_port);
     return Status::ok();
@@ -314,7 +391,10 @@ struct FrameServer::Impl {
     stop_requested.store(true, std::memory_order_release);
     wake();
     if (loop_thread.joinable()) loop_thread.join();
-    for (const auto& [fd, conn] : connections) ::close(fd);
+    for (const auto& [fd, conn] : connections) {
+      send_remaining_acks(fd, conn);
+      ::close(fd);
+    }
     connections.clear();
     set_connection_count(0);
     close_fd(listen_fd);
@@ -345,6 +425,7 @@ FrameServerStats FrameServer::stats() const noexcept {
   stats.accepted = impl_->counters.accepted.load(std::memory_order_relaxed);
   stats.rejected = impl_->counters.rejected.load(std::memory_order_relaxed);
   stats.decode_errors = impl_->counters.decode_errors.load(std::memory_order_relaxed);
+  stats.acks_held = impl_->counters.acks_held.load(std::memory_order_relaxed);
   return stats;
 }
 

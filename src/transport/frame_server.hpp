@@ -6,6 +6,12 @@
 // One epoll loop thread owns every producer socket: reads, decodes,
 // submits through the IngestPipeline inline (queue push is O(batch)),
 // and writes acks.
+// Acks follow Nagle's rule: a wake that decoded only small frames
+// (under 64 events) holds their acks until about 1 ms after the first
+// arrived (they go out on the first wake after that deadline), so a stop-and-wait producer's next frame carries every
+// event that came due meanwhile. A full frame, the producer's FIN or a
+// close sends held acks at once. Submission is never delayed, and acks
+// keep their order.
 // A malformed frame is unrecoverable mid-stream (no resync marker), so
 // the connection is counted and closed. Idle producers are reaped by
 // the same idle-timeout sweep the HTTP server uses.
@@ -31,8 +37,9 @@ struct FrameServerConfig {
   /// Close producer sockets with no traffic for this long; zero
   /// disables the sweep.
   std::chrono::milliseconds idle_timeout{60'000};
-  /// Optional registry for the listener gauge
-  /// (crowdweb_transport_connections). Must outlive the server.
+  /// Optional registry for the listener's series
+  /// (crowdweb_transport_connections, crowdweb_transport_acks_held_total).
+  /// Must outlive the server.
   telemetry::Registry* metrics = nullptr;
 };
 
@@ -43,6 +50,7 @@ struct FrameServerStats {
   std::uint64_t accepted = 0;       ///< events the queue took
   std::uint64_t rejected = 0;       ///< events refused (queue full)
   std::uint64_t decode_errors = 0;  ///< malformed frames
+  std::uint64_t acks_held = 0;      ///< acks of small frames held back
 };
 
 class FrameServer {

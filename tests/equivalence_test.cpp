@@ -549,6 +549,10 @@ TEST(WorkerEquivalenceTest, UntouchedUsersShareStateAcrossEpochs) {
     EXPECT_EQ(seed->crowd.window_identity(w), platform.crowd_model().window_identity(w))
         << "window " << w;
   {
+    // Shards share the users' record columns with the batch corpus too.
+    const data::Dataset& corpus = platform.experiment_dataset();
+    const std::vector<data::CheckIn> epoch0(corpus.checkins().begin(),
+                                            corpus.checkins().end());
     shard::ShardRouterConfig shard_config;
     shard_config.shard_count = 4;
     shard_config.worker = worker_config();
@@ -556,6 +560,8 @@ TEST(WorkerEquivalenceTest, UntouchedUsersShareStateAcrossEpochs) {
     ASSERT_TRUE(router.is_ok()) << router.status().to_string();
     ASSERT_TRUE((*router)->start().is_ok());
     std::size_t seeded = 0;
+    std::size_t seeded_users = 0;
+    std::vector<ingest::IngestEvent> appended;
     for (std::size_t id = 0; id < (*router)->shard_count(); ++id) {
       const ingest::SnapshotPtr shard_seed = (*router)->shard(id).snapshot();
       ASSERT_NE(shard_seed, nullptr) << "shard " << id;
@@ -564,9 +570,32 @@ TEST(WorkerEquivalenceTest, UntouchedUsersShareStateAcrossEpochs) {
                   platform.mobility().entry_for(entry.user))
             << "shard " << id << " user " << entry.user;
       seeded += shard_seed->mobility.size();
+      EXPECT_EQ(shard_seed->dataset.venue_table(), corpus.venue_table()) << "shard " << id;
+      for (const data::UserId user : shard_seed->dataset.users()) {
+        EXPECT_EQ(shard_seed->dataset.shard_for(user), corpus.shard_for(user))
+            << "shard " << id << " user " << user;
+        // One in-order check-in per seeded user: the shard appends to
+        // the columns it shares with the batch corpus.
+        appended.push_back(make_event(user, corpus.checkins_for(user).timestamps().back() + 60));
+      }
+      seeded_users += shard_seed->dataset.user_count();
     }
     EXPECT_EQ(seeded, platform.mobility().size());
+    EXPECT_EQ(seeded_users, corpus.user_count());
+    ASSERT_EQ((*router)->submit(appended).accepted, appended.size());
+    ASSERT_TRUE((*router)->wait_for_live(appended.size(), 10s));
     (*router)->stop();
+    // The batch corpus still reads its epoch-0 records, every column.
+    ASSERT_EQ(corpus.checkin_count(), epoch0.size());
+    std::size_t i = 0;
+    for (const data::CheckIn& record : corpus.checkins()) {
+      EXPECT_EQ(record.user, epoch0[i].user) << "record " << i;
+      EXPECT_EQ(record.venue, epoch0[i].venue) << "record " << i;
+      EXPECT_EQ(record.timestamp, epoch0[i].timestamp) << "record " << i;
+      EXPECT_EQ(record.position.lat, epoch0[i].position.lat) << "record " << i;
+      EXPECT_EQ(record.position.lon, epoch0[i].position.lon) << "record " << i;
+      ++i;
+    }
   }
 
   // Epoch N: traffic over all eleven users.

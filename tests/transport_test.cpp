@@ -2,7 +2,8 @@
 // adversarial damage (truncation at every length, bit flips at every
 // byte offset), the pipeline's outcome split, the framed TCP listener
 // end to end over a real socket (including frames that arrive together
-// with the producer's FIN), SSE framing + subscribe→publish→delivery
+// with the producer's FIN), ack coalescing (a small frame's ack is held,
+// a full frame's is not), SSE framing + subscribe→publish→delivery
 // without polling, idle-connection reaping, the 429 body contract, and
 // the corpus-equivalence guarantee across the CSV and binary transports.
 
@@ -27,6 +28,7 @@
 #include "http/server.hpp"
 #include "ingest/event.hpp"
 #include "ingest/replay.hpp"
+#include "telemetry/metrics.hpp"
 #include "transport/csv_source.hpp"
 #include "transport/frame.hpp"
 #include "transport/frame_client.hpp"
@@ -330,6 +332,149 @@ TEST(FrameServer, IdleProducersAreReaped) {
     std::this_thread::sleep_for(10ms);
   EXPECT_GE(server.idle_closed(), 1u);
   EXPECT_EQ(server.connections(), 0u);
+  server.stop();
+}
+
+// ---------------------------------------------------------------------------
+// Ack coalescing: a small frame's ack is held up to 1 ms, a full one is not
+
+/// A blocking raw socket to the listener, so a test controls exactly
+/// which bytes arrive in one read.
+int connect_raw(std::uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+/// Reads acks off `fd` until `count` have arrived (or the socket
+/// closes) and returns them in arrival order.
+std::vector<transport::Frame> read_acks(int fd, std::size_t count) {
+  std::vector<transport::Frame> acks;
+  std::string buffer;
+  char chunk[4096];
+  while (acks.size() < count) {
+    const transport::FrameDecodeResult decoded = transport::decode_frame(buffer);
+    if (decoded.state == transport::FrameState::kComplete) {
+      acks.push_back(decoded.frame);
+      buffer.erase(0, decoded.consumed);
+      continue;
+    }
+    if (decoded.state == transport::FrameState::kError) break;
+    const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
+    if (n <= 0) break;
+    buffer.append(chunk, static_cast<std::size_t>(n));
+  }
+  return acks;
+}
+
+TEST(FrameServer, SmallFrameAckIsHeldAndArrivesWithoutFurtherTraffic) {
+  // No later frame and no FIN: only the listener's own timer can send
+  // the held ack.
+  Collector collector;
+  transport::IngestPipeline pipeline(collector.submit_fn());
+  telemetry::Registry registry;
+  transport::FrameServerConfig config;
+  config.metrics = &registry;
+  transport::FrameServer server(pipeline, config);
+  ASSERT_TRUE(server.start().is_ok());
+  transport::FrameClient client;
+  ASSERT_TRUE(client.connect_tcp("127.0.0.1", server.port()).is_ok());
+  const auto events = make_events(1);
+  const auto ack = client.send(events);
+  ASSERT_TRUE(ack.is_ok()) << ack.status().to_string();
+  EXPECT_EQ(ack->accepted, 1u);
+  expect_events_equal(events, collector.snapshot());
+  EXPECT_EQ(server.stats().acks_held, 1u);
+  EXPECT_EQ(registry
+                .counter_family("crowdweb_transport_acks_held_total", "", {"source"})
+                .with_labels({"tcp"})
+                .value(),
+            1u);
+  client.close();
+  server.stop();
+}
+
+TEST(FrameServer, FullFrameIsAckedWithoutAHold) {
+  Collector collector;
+  transport::IngestPipeline pipeline(collector.submit_fn());
+  transport::FrameServer server(pipeline, {});
+  ASSERT_TRUE(server.start().is_ok());
+  transport::FrameClient client;
+  ASSERT_TRUE(client.connect_tcp("127.0.0.1", server.port()).is_ok());
+  const auto events = make_events(64);
+  const auto ack = client.send(events);
+  ASSERT_TRUE(ack.is_ok()) << ack.status().to_string();
+  EXPECT_EQ(ack->accepted, events.size());
+  EXPECT_EQ(server.stats().acks_held, 0u);
+  client.close();
+  server.stop();
+}
+
+TEST(FrameServer, SmallThenFullFrameInOneReadAreBothAckedInOrder) {
+  Collector collector;
+  transport::IngestPipeline pipeline(collector.submit_fn());
+  transport::FrameServer server(pipeline, {});
+  ASSERT_TRUE(server.start().is_ok());
+  const auto small = make_events(1, 100);
+  const auto full = make_events(64, 200);
+  // One send of both frames. Whether they land in one read or two, the
+  // full frame flushes the small one's ack ahead of its own.
+  const std::string wire =
+      transport::encode_data_frame(1, small) + transport::encode_data_frame(2, full);
+  const int fd = connect_raw(server.port());
+  ASSERT_GE(fd, 0);
+  ASSERT_EQ(::send(fd, wire.data(), wire.size(), 0), static_cast<ssize_t>(wire.size()));
+  const std::vector<transport::Frame> acks = read_acks(fd, 2);
+  ::close(fd);
+  ASSERT_EQ(acks.size(), 2u);
+  EXPECT_EQ(acks[0].seq, 1u);
+  EXPECT_EQ(acks[0].ack.accepted, small.size());
+  EXPECT_EQ(acks[1].seq, 2u);
+  EXPECT_EQ(acks[1].ack.accepted, full.size());
+  auto expected = small;
+  expected.insert(expected.end(), full.begin(), full.end());
+  expect_events_equal(expected, collector.snapshot());
+  server.stop();
+}
+
+TEST(FrameServer, PacedStopAndWaitProducerSendsFewerFramesThanEvents) {
+  // One event due every 100 us, sent open loop by a stop-and-wait
+  // client: every frame carries the events that came due while the
+  // previous ack was held, so frames fall well below events.
+  Collector collector;
+  transport::IngestPipeline pipeline(collector.submit_fn());
+  transport::FrameServer server(pipeline, {});
+  ASSERT_TRUE(server.start().is_ok());
+  transport::FrameClient client;
+  ASSERT_TRUE(client.connect_tcp("127.0.0.1", server.port()).is_ok());
+  const auto events = make_events(2'000);
+  const auto start = std::chrono::steady_clock::now();
+  const auto due_of = [&](std::size_t i) { return start + i * 100us; };
+  std::size_t next = 0;
+  std::size_t frames = 0;
+  while (next < events.size()) {
+    std::this_thread::sleep_until(due_of(next));
+    const auto now = std::chrono::steady_clock::now();
+    std::size_t last = next + 1;
+    while (last < events.size() && due_of(last) <= now) ++last;
+    const auto ack = client.send(std::span(events).subspan(next, last - next));
+    ASSERT_TRUE(ack.is_ok()) << ack.status().to_string();
+    ASSERT_EQ(ack->accepted, last - next);
+    ++frames;
+    next = last;
+  }
+  client.close();
+  expect_events_equal(events, collector.snapshot());
+  EXPECT_EQ(server.stats().frames, frames);
+  EXPECT_LT(frames, events.size() / 2);
   server.stop();
 }
 
