@@ -92,9 +92,8 @@ int main() {
   }
 
   // Durability overhead. The worker group-commits: each epoch's events
-  // become one WAL record, written (and synced) on a side thread while
-  // that epoch's rebuild stages run and barriered at publication. So
-  // the honest number is end-to-end: submit the whole stream (retrying
+  // become one WAL record, written (and synced) on the worker thread
+  // before that epoch's rebuild stages run. So the honest number is end-to-end: submit the whole stream (retrying
   // backpressure) and wait until a published epoch *serves* every
   // event — merge, journal, and the epoch rebuilds all included; the
   // shutdown flush is not timed. fsync=never isolates the encode+write
@@ -102,8 +101,7 @@ int main() {
   // no-store run); every_batch pays one fsync per epoch inside the
   // measured window and shows what the full durability contract costs.
   // merge ms is also shown: the time until the worker has merged every
-  // event, during which the journal thread only runs inside epoch
-  // rebuilds.
+  // event, during which the WAL is written only inside epoch rebuilds.
   constexpr std::size_t kDurabilityEvents = 200'000;  // cycle the feed with
                                                       // shifted days so runs
                                                       // last long enough to

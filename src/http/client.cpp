@@ -31,9 +31,12 @@ class Fd {
   int fd_;
 };
 
-Status wait_readable(int fd, int timeout_ms) {
+/// How long fetch() waits for each read of the response.
+constexpr int kReadTimeoutMs = 5'000;
+
+Status wait_readable(int fd) {
   pollfd pfd{fd, POLLIN, 0};
-  const int r = ::poll(&pfd, 1, timeout_ms);
+  const int r = ::poll(&pfd, 1, kReadTimeoutMs);
   if (r < 0) return io_error(crowdweb::format("poll failed: {}", std::strerror(errno)));
   if (r == 0) return unavailable("response timed out");
   return Status::ok();
@@ -74,7 +77,7 @@ Result<ClientResponse> fetch(const std::string& host, std::uint16_t port,
   std::string raw;
   char buffer[16 * 1024];
   while (true) {
-    const Status ready = wait_readable(fd.get(), options.timeout_ms);
+    const Status ready = wait_readable(fd.get());
     if (!ready.is_ok()) return ready;
     const ssize_t n = ::read(fd.get(), buffer, sizeof buffer);
     if (n < 0) return io_error(crowdweb::format("read failed: {}", std::strerror(errno)));

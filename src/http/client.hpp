@@ -22,7 +22,6 @@ struct ClientResponse {
 };
 
 struct ClientOptions {
-  int timeout_ms = 5'000;
   /// Extra request headers (e.g. {"If-None-Match", "\"1-abc\""}).
   std::map<std::string, std::string> headers;
 };

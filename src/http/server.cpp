@@ -32,6 +32,13 @@ namespace {
 /// flush, so a hostile pipeliner can't grow the work queue unboundedly.
 constexpr std::uint64_t kMaxInflightPerConnection = 64;
 
+/// Open connections past which accept() closes new ones at once.
+constexpr std::size_t kMaxConnections = 256;
+
+/// Interval between ": ping" comment frames on streaming connections
+/// (liveness for proxies and dead-peer detection).
+constexpr std::chrono::milliseconds kStreamPingInterval{15'000};
+
 /// Owning file descriptor.
 class Fd {
  public:
@@ -373,7 +380,7 @@ struct Server::Impl {
       const int fd = ::accept4(listener.get(), nullptr, nullptr,
                                SOCK_NONBLOCK | SOCK_CLOEXEC);
       if (fd < 0) return;  // EAGAIN or transient error: try again on next event
-      if (connections.size() >= static_cast<std::size_t>(config.max_connections)) {
+      if (connections.size() >= kMaxConnections) {
         ::close(fd);
         continue;
       }
@@ -567,7 +574,7 @@ struct Server::Impl {
   void parse_available(Connection& connection) {
     while (!connection.stop_parsing && !connection.inbox.empty() &&
            connection.inflight() < kMaxInflightPerConnection) {
-      ParseResult parsed = parse_request(connection.inbox, config.limits);
+      ParseResult parsed = parse_request(connection.inbox);
       if (parsed.state == ParseState::kNeedMore) break;
       if (parsed.state == ParseState::kError) {
         parse_errors->increment();
@@ -761,10 +768,10 @@ struct Server::Impl {
   /// Loop thread: ": ping" comments keep proxies from timing streams
   /// out and surface dead peers as write errors.
   void send_pings() {
-    if (config.stream_ping_interval.count() <= 0 || stream_subs.empty()) return;
+    if (stream_subs.empty()) return;
     const auto now = std::chrono::steady_clock::now();
     if (now < next_ping) return;
-    next_ping = now + config.stream_ping_interval;
+    next_ping = now + kStreamPingInterval;
     std::vector<int> evict;
     for (const auto& [channel, subs] : stream_subs) fan_out(channel, ": ping\n\n", &evict);
     for (const int fd : evict) close_connection(fd);
@@ -830,15 +837,12 @@ struct Server::Impl {
 
   void loop() {
     epoll_event events[64];
-    // The sweep and ping cadence bound the wait; 500 ms remains the
-    // ceiling so stop() stays responsive either way.
+    // The sweep cadence bounds the wait; 500 ms remains the ceiling so
+    // stop() stays responsive and pings go out on time.
     int wait_ms = 500;
     if (config.idle_timeout.count() > 0)
       wait_ms = static_cast<int>(std::min<std::int64_t>(
           wait_ms, std::max<std::int64_t>(1, config.idle_timeout.count() / 2)));
-    if (config.stream_ping_interval.count() > 0)
-      wait_ms = static_cast<int>(std::min<std::int64_t>(
-          wait_ms, std::max<std::int64_t>(1, config.stream_ping_interval.count() / 2)));
     while (!stop_requested.load(std::memory_order_acquire)) {
       const int n = ::epoll_wait(epoll.get(), events, std::size(events), wait_ms);
       if (n < 0) {

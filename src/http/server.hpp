@@ -38,8 +38,6 @@ struct ServerConfig {
   std::string bind_address = "127.0.0.1";
   /// 0 picks an ephemeral port (see Server::port()).
   std::uint16_t port = 0;
-  ParseLimits limits;
-  int max_connections = 256;
   /// Handler threads. < 0 = one per hardware thread
   /// (std::thread::hardware_concurrency); 0 = run handlers inline on
   /// the event-loop thread; >= 1 = a fixed pool of that size.
@@ -66,9 +64,6 @@ struct ServerConfig {
   /// that falls further behind than this is evicted (closed) so one
   /// slow consumer cannot pin memory.
   std::size_t stream_buffer_bytes = 256 * 1024;
-  /// Interval between ": ping" comment frames on streaming connections
-  /// (liveness for proxies and dead-peer detection). Zero disables.
-  std::chrono::milliseconds stream_ping_interval{15'000};
 };
 
 /// Monotonic counters exposed by a running server. Since the telemetry

@@ -233,13 +233,6 @@ Status IngestWorker::start() {
   if (!status.is_ok()) return status;
   stop_requested_.store(false, std::memory_order_release);
   running_.store(true, std::memory_order_release);
-  if (store_ != nullptr) {
-    journal_stop_ = false;
-    journal_thread_ = std::thread([this] {
-      util::name_this_thread("cw-journal");
-      journal_run();
-    });
-  }
   thread_ = std::thread([this] {
     util::name_this_thread("cw-ingest");
     run();
@@ -437,9 +430,11 @@ void IngestWorker::run() {
     wakeups_->increment();
     apply(batch);
     if (store_ != nullptr) {
-      const std::uint64_t auto_bytes = config_.store.checkpoint_wal_bytes;
+      // WAL bytes appended since the last checkpoint that trigger an
+      // automatic one; checkpoint_now() requests one at any size.
+      constexpr std::uint64_t kCheckpointWalBytes = 256ull << 20;
       if (checkpoint_requested_.exchange(false, std::memory_order_acq_rel) ||
-          (auto_bytes > 0 && store_->wal_bytes_since_checkpoint() >= auto_bytes)) {
+          store_->wal_bytes_since_checkpoint() >= kCheckpointWalBytes) {
         write_checkpoint();
       }
     }
@@ -458,14 +453,6 @@ void IngestWorker::run() {
     }
     if (stopping) break;
   }
-  if (journal_thread_.joinable()) {
-    {
-      const std::lock_guard<std::mutex> lock(journal_mutex_);
-      journal_stop_ = true;
-    }
-    journal_cv_.notify_all();
-    journal_thread_.join();  // writes a handed-off record before exiting
-  }
   if (store_ != nullptr) {
     // Clean shutdown: everything accepted is on disk regardless of the
     // fsync policy.
@@ -475,41 +462,14 @@ void IngestWorker::run() {
   running_.store(false, std::memory_order_release);
 }
 
-void IngestWorker::journal_run() {
-  std::unique_lock<std::mutex> lock(journal_mutex_);
-  while (true) {
-    journal_cv_.wait(lock, [this] { return journal_stop_ || journal_task_.has_value(); });
-    if (!journal_task_.has_value()) return;  // stopping, nothing left to write
-    // The slot stays set while the record is written: the worker hands
-    // off again only after its barrier saw it cleared.
-    const JournalTask& task = *journal_task_;
-    lock.unlock();
-    // A failed append is logged and counted
-    // (crowdweb_store_append_failures_total) but does not stop serving:
-    // the events stay live in memory, they are just not durable.
-    const Status status = store_->append(task.epoch, task.events);
-    if (!status.is_ok()) log_error("WAL append failed: {}", status.to_string());
-    lock.lock();
-    journal_task_.reset();
-    journal_cv_.notify_all();
-  }
-}
-
-void IngestWorker::journal_handoff() {
+void IngestWorker::journal() {
   if (epoch_events_.empty()) return;
-  journal_barrier();  // a rebuild that failed mid-way never reached its barrier
-  {
-    const std::lock_guard<std::mutex> lock(journal_mutex_);
-    journal_task_.emplace(JournalTask{epoch_, std::move(epoch_events_)});
-  }
-  epoch_events_.clear();  // moved-from: make it a valid empty buffer again
-  journal_cv_.notify_all();
-}
-
-void IngestWorker::journal_barrier() {
-  if (store_ == nullptr) return;
-  std::unique_lock<std::mutex> lock(journal_mutex_);
-  journal_cv_.wait(lock, [this] { return !journal_task_.has_value(); });
+  // A failed append is logged and counted
+  // (crowdweb_store_append_failures_total) but does not stop serving:
+  // the events stay live in memory, they are just not durable.
+  const Status status = store_->append(epoch_, epoch_events_);
+  if (!status.is_ok()) log_error("WAL append failed: {}", status.to_string());
+  epoch_events_.clear();
 }
 
 bool IngestWorker::merge_event(const IngestEvent& event) {
@@ -529,7 +489,7 @@ void IngestWorker::apply(std::span<const IngestEvent> events) {
       ++invalid;
       continue;
     }
-    // Buffered for the epoch's one WAL record (see journal_handoff()).
+    // Buffered for the epoch's one WAL record (see journal()).
     if (store_ != nullptr) epoch_events_.push_back(event);
   }
   if (invalid > 0) invalid_->increment(invalid);
@@ -540,10 +500,9 @@ void IngestWorker::apply(std::span<const IngestEvent> events) {
 void IngestWorker::write_checkpoint() {
   // The image holds the pending delta, so every event merged into it
   // must be on the WAL first — otherwise its record would land *after*
-  // the checkpoint and replay as duplicates on recovery. Hand off the
-  // epoch's buffer so far, then wait for it.
-  journal_handoff();
-  journal_barrier();
+  // the checkpoint and replay as duplicates on recovery. Write the
+  // epoch's buffer so far.
+  journal();
   // The delta joins a scratch copy of the dataset (only its users'
   // shards are rebuilt); `live_` itself takes it at the next epoch.
   data::DatasetBuilder builder(live_);
@@ -594,9 +553,10 @@ Status IngestWorker::rebuild_and_publish() {
   const auto start = Clock::now();
   telemetry::ScopedTimer rebuild_timer(rebuild_seconds_);
   const std::size_t delta_events = delta_checkins_.size();
-  // Group commit: the epoch's events go to the journal thread as one
-  // record now, so its write and fsync overlap the stages below.
-  journal_handoff();
+  // Group commit and durability: the epoch's events go to the WAL as one
+  // record (synced, per the fsync policy) before any stage runs, so
+  // they are durable before a reader can see them.
+  journal();
 
   // Stage 1: merge — apply the delta to the live dataset through the
   // incremental builder: only the shards of touched users are rebuilt,
@@ -713,12 +673,6 @@ Status IngestWorker::rebuild_and_publish() {
   delta_shards_appended_->increment(merge_stats.shards_appended);
   delta_records_copied_->increment(merge_stats.records_copied);
   delta_last_events_->set(static_cast<double>(delta_events));
-
-  // Durability barrier: every event merged into this epoch must be
-  // journaled (and synced, per the fsync policy) before a reader can
-  // see it. Waiting here, after the rebuild stages, means the WAL
-  // write overlapped all of the work above.
-  journal_barrier();
 
   const double elapsed_ms = ms_since(start);
   ++epoch_;

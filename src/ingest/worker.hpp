@@ -85,9 +85,10 @@ struct IngestWorkerConfig {
   /// Durable storage (WAL + checkpoints). `store.dir` empty = disabled:
   /// the worker keeps the pre-durability behavior (memory only). With a
   /// directory set, start() runs crash recovery before publishing
-  /// epoch 1, and each epoch's accepted events are journaled as one WAL
-  /// record before that epoch is published (group commit: one record
-  /// and, under every_batch, one fsync per epoch). Acceptance alone
+  /// epoch 1, and the worker thread writes each epoch's accepted events
+  /// as one WAL record before that epoch's rebuild stages run, so they
+  /// are on the WAL before the epoch is published (group commit: one
+  /// record and, under every_batch, one fsync per epoch). Acceptance alone
   /// promises nothing durable. `store.metrics` null inherits the
   /// worker's registry.
   store::StoreConfig store;
@@ -198,16 +199,11 @@ class IngestWorker {
   IngestWorker(const data::Taxonomy& taxonomy, IngestPipelineConfig pipeline,
                IngestWorkerConfig config);
   void run();
-  /// Appends each handed-off record to the WAL. Runs on journal_thread_
-  /// while a store is configured.
-  void journal_run();
-  /// Moves `epoch_events_` to the journal thread as one WAL record (a
-  /// no-op when it is empty). Worker thread only.
-  void journal_handoff();
-  /// Blocks until the handed-off record is on the WAL (and synced, per
-  /// the fsync policy). Called before an epoch publishes or a
-  /// checkpoint snapshots the corpus.
-  void journal_barrier();
+  /// Appends `epoch_events_` to the WAL as one record (synced, per the
+  /// fsync policy) and clears it; a no-op when it is empty. Called
+  /// before an epoch's stages run and before a checkpoint snapshots the
+  /// corpus. Worker thread only.
+  void journal();
   /// Validates and applies drained events to the delta state, and
   /// buffers the accepted subset in `epoch_events_` for the journal.
   /// Worker thread only.
@@ -332,23 +328,11 @@ class IngestWorker {
   std::unique_ptr<store::DurableStore> store_;
   std::atomic<bool> checkpoint_requested_{false};
 
-  // Group commit: apply() buffers accepted events in epoch_events_;
-  // rebuild_and_publish() hands the buffer to the journal thread as one
-  // record at its top, so the encode + write (+ fsync) overlaps the
-  // rebuild stages, and barriers on it right before the snapshot swap.
-  // write_checkpoint() hands off and barriers before it snapshots the
-  // corpus. Every hand-off is followed by a barrier before the next, so
-  // one slot carries the work.
-  struct JournalTask {
-    std::uint64_t epoch = 0;
-    std::vector<IngestEvent> events;
-  };
-  std::vector<IngestEvent> epoch_events_;  // accepted since the last hand-off
-  std::thread journal_thread_;
-  std::mutex journal_mutex_;
-  std::condition_variable journal_cv_;       // hand-off, completion or stop
-  std::optional<JournalTask> journal_task_;  // guarded; set until appended
-  bool journal_stop_ = false;                // guarded by journal_mutex_
+  // Group commit: apply() buffers accepted events in epoch_events_, and
+  // journal() writes the buffer as one record on the worker thread, at
+  // the top of rebuild_and_publish() (before the merge stage) and before
+  // write_checkpoint() snapshots the corpus.
+  std::vector<IngestEvent> epoch_events_;  // accepted since the last record
 
   mutable std::mutex epoch_mutex_;
   mutable std::condition_variable epoch_cv_;

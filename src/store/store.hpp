@@ -3,7 +3,7 @@
 //
 // The store is owned by an IngestWorker, which group-commits: each
 // epoch's accepted events become one WAL record, appended (and synced)
-// on the worker's journal thread while the epoch's rebuild stages run.
+// on the worker thread before the epoch's rebuild stages run.
 // append()/sync()/write_checkpoint() are called by one thread at a
 // time; stats() and the scrape-time gauges may be called from any
 // thread.
@@ -50,9 +50,6 @@ struct StoreConfig {
   FsyncPolicy fsync = FsyncPolicy::kEveryBatch;
   /// Active segment rotates once it grows past this.
   std::uint64_t segment_bytes = 64ull << 20;
-  /// WAL bytes appended since the last checkpoint that trigger an
-  /// automatic one (0 = only explicit checkpoint_now()/admin requests).
-  std::uint64_t checkpoint_wal_bytes = 256ull << 20;
   /// Checkpoint files retained; older ones (and the WAL segments they
   /// cover) are pruned after each successful checkpoint. Minimum 1.
   std::size_t keep_checkpoints = 2;

@@ -809,11 +809,52 @@ TEST(StoreWorkerTest, GroupCommitWritesOneRecordPerEpochThatCarriedEvents) {
   EXPECT_LE(stats.fsyncs, stats.append_records + 1);  // + the fresh header's sync
 }
 
+TEST(StoreWorkerTest, EveryEpochIsOnTheWalAndSyncedBeforeItPublishes) {
+  // The durability contract, seen from a reader: when an epoch becomes
+  // visible, its record is already appended and, under every_batch,
+  // fsynced. The hook runs on the publishing thread, right after the
+  // snapshot swap.
+  ScratchDir dir("publish_order");
+  struct Seen {
+    std::uint64_t carried = 0;  // epochs so far that carried events
+    std::uint64_t records = 0;
+    std::uint64_t fsyncs = 0;
+  };
+  std::vector<Seen> seen;  // written by the publishing thread
+  std::uint64_t last_live = 0;
+  auto worker = core::make_ingest_worker(test_platform(), worker_config(dir.str()));
+  worker->hub().on_publish([&](const ingest::PlatformSnapshot& snapshot) {
+    Seen now;
+    now.carried = (seen.empty() ? 0 : seen.back().carried) +
+                  (snapshot.live_checkins > last_live ? 1 : 0);
+    last_live = snapshot.live_checkins;
+    const store::StoreStats stats = worker->store()->stats();
+    now.records = stats.append_records;
+    now.fsyncs = stats.fsyncs;
+    seen.push_back(now);
+  });
+  ASSERT_TRUE(worker->start().is_ok());
+  const auto events = live_traffic(40);
+  for (std::size_t i = 0; i < events.size(); i += 8) {
+    EXPECT_EQ(worker->submit({&events[i], 8}).accepted, 8u);
+    std::this_thread::sleep_for(30ms);
+  }
+  feed_and_settle(*worker, events.size());
+  worker->stop();
+
+  ASSERT_FALSE(seen.empty());
+  EXPECT_GE(seen.back().carried, 2u);
+  for (std::size_t i = 0; i < seen.size(); ++i) {
+    EXPECT_EQ(seen[i].records, seen[i].carried) << "epoch " << i + 1;
+    EXPECT_GE(seen[i].fsyncs, seen[i].records) << "epoch " << i + 1;
+  }
+}
+
 TEST(StoreWorkerTest, CheckpointBeforeTheEpochPublishesJournalsNothingTwice) {
   // The checkpoint image holds events merged since the last epoch. Their
   // record must reach the WAL *before* the image, or the epoch's later
-  // hand-off would journal them after it and recovery would replay
-  // them on top of the image.
+  // record would journal them after it and recovery would replay them
+  // on top of the image.
   ScratchDir dir("ckpt_mid_epoch");
   ScratchDir image("ckpt_mid_epoch_copy");
   ingest::IngestWorkerConfig config = worker_config(dir.str());

@@ -19,7 +19,8 @@ ROOT = Path(__file__).resolve().parent.parent
 USERS = ("src", "examples", "bench", "tools", "e2ebench")
 SOURCE_SUFFIXES = {".hpp", ".cpp", ".h", ".cc"}
 CHECKED = ("IngestPipelineConfig", "IngestWorkerConfig", "PipelineConfig",
-           "ShardRouterConfig")
+           "ShardRouterConfig", "ResponseCacheConfig", "ApiOptions",
+           "ShardApiOptions", "EpochStreamOptions")
 FIELD = re.compile(r"(\w+)\s*(?:=[^;]*|\{[^;]*\})?;$")
 
 
