@@ -21,6 +21,7 @@
 #include "core/platform.hpp"
 #include "ingest/replay.hpp"
 #include "ingest/worker.hpp"
+#include "stats/summary.hpp"
 
 using namespace crowdweb;
 using Clock = std::chrono::steady_clock;
@@ -93,23 +94,22 @@ int main() {
 
   // Durability overhead. The worker group-commits: each epoch's events
   // become one WAL record, written (and synced) on the worker thread
-  // before that epoch's rebuild stages run. So the honest number is end-to-end: submit the whole stream (retrying
-  // backpressure) and wait until a published epoch *serves* every
-  // event — merge, journal, and the epoch rebuilds all included; the
-  // shutdown flush is not timed. fsync=never isolates the encode+write
-  // cost (the acceptance bar: < 5% end-to-end regression vs the
-  // no-store run); every_batch pays one fsync per epoch inside the
-  // measured window and shows what the full durability contract costs.
-  // merge ms is also shown: the time until the worker has merged every
-  // event, during which the WAL is written only inside epoch rebuilds.
+  // before that epoch's rebuild stages run. So the honest number is
+  // end-to-end: submit the whole stream (retrying backpressure) and wait
+  // until a published epoch *serves* every event — merge, journal, and
+  // the epoch rebuilds all included; the shutdown flush is not timed.
+  // fsync=never isolates the encode+write cost (the acceptance bar: < 5%
+  // end-to-end regression vs the no-store run); every_batch pays one
+  // fsync per epoch inside the measured window and shows what the full
+  // durability contract costs. merge ms is also shown: the time until
+  // the worker has merged every event, during which the WAL is written
+  // only inside epoch rebuilds.
   constexpr std::size_t kDurabilityEvents = 200'000;  // cycle the feed with
                                                       // shifted days so runs
                                                       // last long enough to
                                                       // measure steady state
   std::printf("\n--- durability overhead: submit -> published, %zu events ---\n",
               kDurabilityEvents);
-  std::printf("%12s %12s %10s %10s %10s %10s %10s\n", "store", "events/s", "e2e ms",
-              "merge ms", "overhead", "wal MB", "fsyncs");
   std::vector<ingest::IngestEvent> durability_events;
   durability_events.reserve(kDurabilityEvents);
   for (std::size_t cycle = 0; durability_events.size() < kDurabilityEvents; ++cycle)
@@ -119,21 +119,23 @@ int main() {
       event.timestamp += static_cast<std::int64_t>(cycle) * 86'400;
       durability_events.push_back(event);
     }
-  // Reps interleave the modes round-robin so slow machine drift (cache
-  // state, noisy neighbors) lands on every mode equally; best-of then
-  // suppresses the remaining scheduler noise.
+  // Each rep runs all three modes back to back, starting from a
+  // different mode each rep, so neither machine drift nor a fixed
+  // position in the rep favours a mode. The overhead is read per rep, as
+  // that rep's mode_ms / off_ms, and summarised by its median and
+  // quartiles across reps.
   constexpr int kDurabilityReps = 5;
-  struct DurabilityBest {
-    double e2e_ms = 0.0;
-    double merge_ms = 0.0;
-    std::size_t merged = 0;
+  struct DurabilityRuns {
+    std::vector<double> e2e_ms;
+    std::vector<double> merge_ms;
+    std::vector<double> events_per_s;
     double wal_mb = 0.0;
     unsigned long long fsyncs = 0;
-    int reps = 0;
   };
-  std::array<DurabilityBest, 3> durability{};
+  std::array<DurabilityRuns, 3> durability{};
   for (int rep = 0; rep < kDurabilityReps; ++rep) {
-    for (const int mode : {0, 1, 2}) {
+    for (int slot = 0; slot < 3; ++slot) {
+      const int mode = (rep + slot) % 3;
       ingest::IngestWorkerConfig worker_config;
       worker_config.queue_capacity = 4'096;
       worker_config.rebuild_interval = std::chrono::milliseconds(250);
@@ -170,32 +172,35 @@ int main() {
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
       const double elapsed_ms = ms_since(start);
       worker->stop();  // untimed: shutdown flush is not ingest work
-      DurabilityBest& best = durability[static_cast<std::size_t>(mode)];
-      if (best.reps == 0 || elapsed_ms < best.e2e_ms) {
-        best.e2e_ms = elapsed_ms;
-        best.merge_ms = merge_ms;
-        best.merged = rep_merged;
-        if (const store::DurableStore* durable = worker->store(); durable != nullptr) {
-          const store::StoreStats store_stats = durable->stats();
-          best.wal_mb = static_cast<double>(store_stats.wal_bytes) / 1e6;
-          best.fsyncs = store_stats.fsyncs;
-        }
+      DurabilityRuns& runs = durability[static_cast<std::size_t>(mode)];
+      runs.e2e_ms.push_back(elapsed_ms);
+      runs.merge_ms.push_back(merge_ms);
+      runs.events_per_s.push_back(static_cast<double>(rep_merged) / (elapsed_ms / 1e3));
+      if (const store::DurableStore* durable = worker->store(); durable != nullptr) {
+        const store::StoreStats store_stats = durable->stats();
+        runs.wal_mb = static_cast<double>(store_stats.wal_bytes) / 1e6;
+        runs.fsyncs = store_stats.fsyncs;
       }
-      ++best.reps;
       worker.reset();
       if (mode != 0) std::filesystem::remove_all(store_dir);
     }
   }
+  std::printf("%12s %12s %10s %10s %10s %18s %8s %8s\n", "store", "events/s", "e2e ms",
+              "merge ms", "overhead", "(q1 .. q3)", "wal MB", "fsyncs");
   for (const int mode : {0, 1, 2}) {
-    const DurabilityBest& best = durability[static_cast<std::size_t>(mode)];
-    const double overhead =
-        durability[0].e2e_ms > 0.0 ? (best.e2e_ms / durability[0].e2e_ms - 1.0) * 100.0
-                                   : 0.0;
-    std::printf("%12s %12.0f %10.1f %10.1f %9.1f%% %10.1f %10llu\n",
+    const DurabilityRuns& runs = durability[static_cast<std::size_t>(mode)];
+    std::vector<double> overhead;  // per rep, percent over that rep's off run
+    for (int rep = 0; rep < kDurabilityReps; ++rep)
+      overhead.push_back((runs.e2e_ms[rep] / durability[0].e2e_ms[rep] - 1.0) * 100.0);
+    std::printf("%12s %12.0f %10.1f %10.1f %9.1f%% %8.1f .. %5.1f%% %8.1f %8llu\n",
                 mode == 0 ? "off" : (mode == 1 ? "fsync=never" : "every_batch"),
-                static_cast<double>(best.merged) / (best.e2e_ms / 1e3), best.e2e_ms,
-                best.merge_ms, overhead, best.wal_mb, best.fsyncs);
+                stats::median(runs.events_per_s), stats::median(runs.e2e_ms),
+                stats::median(runs.merge_ms), stats::median(overhead),
+                stats::quantile(overhead, 0.25), stats::quantile(overhead, 0.75), runs.wal_mb,
+                runs.fsyncs);
   }
+  std::printf("(medians over %d reps; overhead is each rep's mode_ms / off_ms - 1)\n",
+              kDurabilityReps);
 
   std::printf("\n--- epoch-publish latency: 1000-event burst -> next epoch ---\n");
   std::printf("%9s %12s %12s\n", "capacity", "publish ms", "rebuild ms");

@@ -432,7 +432,9 @@ int main(int argc, char** argv) {
   while (worker.stats().live_checkins < sent && Clock::now() < visible_deadline)
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   const std::uint64_t wakeups =
-      wake_registry.counter("crowdweb_ingest_worker_wakeups_total", "").value();
+      wake_registry.counter_family("crowdweb_ingest_worker_wakeups_total", "", {"shard"})
+          .with_labels({"0"})
+          .value();
   const ingest::IngestStats wake_stats = worker.stats();
   wake_client.close();
   wake_server.stop();

@@ -16,6 +16,7 @@ bool IngestQueue::try_push(const IngestEvent& event) {
     const std::lock_guard<std::mutex> lock(mutex_);
     if (!closed_ && events_.size() < capacity_) {
       events_.push_back(event);
+      publish_depth();
       notify_if_crossed(1);
       return true;
     }
@@ -32,7 +33,10 @@ std::size_t IngestQueue::push_batch(std::span<const IngestEvent> events) {
       const std::size_t room = capacity_ - std::min(capacity_, events_.size());
       accepted = std::min(room, events.size());
       events_.insert(events_.end(), events.begin(), events.begin() + accepted);
-      if (accepted > 0) notify_if_crossed(accepted);
+      if (accepted > 0) {
+        publish_depth();
+        notify_if_crossed(accepted);
+      }
     }
   }
   count_rejected(events.size() - accepted);
@@ -51,6 +55,7 @@ std::size_t IngestQueue::drain(std::vector<IngestEvent>& out, std::size_t max_ev
   const std::size_t count = std::min(max_events, events_.size());
   out.insert(out.end(), events_.begin(), events_.begin() + count);
   events_.erase(events_.begin(), events_.begin() + count);
+  publish_depth();
   return count;
 }
 
@@ -59,6 +64,7 @@ std::size_t IngestQueue::take_all(std::vector<IngestEvent>& out) {
   const std::size_t count = events_.size();
   out.insert(out.end(), events_.begin(), events_.end());
   events_.clear();
+  publish_depth();
   return count;
 }
 

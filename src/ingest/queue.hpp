@@ -79,12 +79,26 @@ class IngestQueue {
     rejected_counter_.store(counter, std::memory_order_release);
   }
 
+  /// Mirrors the depth onto a registry gauge (the
+  /// crowdweb_ingest_queue_depth series; attached by the worker), set
+  /// under the queue mutex by every push, drain() and take_all(). Same
+  /// contract as attach_rejected_counter().
+  void attach_depth_gauge(telemetry::Gauge* gauge) noexcept {
+    depth_gauge_.store(gauge, std::memory_order_release);
+  }
+
  private:
   /// Signals the consumer when a push of `added` events lifted the depth
   /// across its wake threshold. Caller holds `mutex_`.
   void notify_if_crossed(std::size_t added) {
     const std::size_t depth = events_.size();
     if (depth >= wake_at_ && depth - added < wake_at_) not_empty_.notify_one();
+  }
+
+  /// Sets the attached depth gauge. Caller holds `mutex_`.
+  void publish_depth() noexcept {
+    if (telemetry::Gauge* gauge = depth_gauge_.load(std::memory_order_acquire))
+      gauge->set(static_cast<double>(events_.size()));
   }
 
   void count_rejected(std::uint64_t n) noexcept {
@@ -103,6 +117,7 @@ class IngestQueue {
   std::size_t wake_at_ = 1;  ///< the consumer's threshold of its latest drain()
   std::atomic<std::uint64_t> rejected_{0};
   std::atomic<telemetry::Counter*> rejected_counter_{nullptr};
+  std::atomic<telemetry::Gauge*> depth_gauge_{nullptr};
 };
 
 }  // namespace crowdweb::ingest

@@ -116,106 +116,104 @@ void IngestWorker::init_metrics() {
     own_metrics_ = std::make_unique<telemetry::Registry>();
     metrics_ = own_metrics_.get();
   }
-  submitted_ = &metrics_->counter("crowdweb_ingest_submitted_total",
-                                  "Events offered through submit().");
-  accepted_ = &metrics_->counter("crowdweb_ingest_accepted_total",
-                                 "Events validated and merged into the live corpus.");
-  invalid_ = &metrics_->counter("crowdweb_ingest_invalid_total",
-                                "Events that failed validation.");
-  epochs_published_ =
-      &metrics_->counter("crowdweb_ingest_epochs_published_total", "Epochs published.");
-  wakeups_ = &metrics_->counter("crowdweb_ingest_worker_wakeups_total",
-                                "Returns of the worker thread from its ingest queue wait.");
+  // Every series carries the worker's constant shard label, so N workers
+  // record into one registry.
+  const std::string shard = std::to_string(config_.shard);
+  const auto counter = [&](const std::string& name, const std::string& help) {
+    return &metrics_->counter_family(name, help, {"shard"}).with_labels({shard});
+  };
+  const auto gauge = [&](const std::string& name, const std::string& help) {
+    return &metrics_->gauge_family(name, help, {"shard"}).with_labels({shard});
+  };
+  submitted_ = counter("crowdweb_ingest_submitted_total", "Events offered through submit().");
+  accepted_ = counter("crowdweb_ingest_accepted_total",
+                      "Events validated and merged into the live corpus.");
+  invalid_ = counter("crowdweb_ingest_invalid_total", "Events that failed validation.");
+  epochs_published_ = counter("crowdweb_ingest_epochs_published_total", "Epochs published.");
+  wakeups_ = counter("crowdweb_ingest_worker_wakeups_total",
+                     "Returns of the worker thread from its ingest queue wait.");
   queue_.attach_rejected_counter(
-      &metrics_->counter("crowdweb_ingest_rejected_total",
-                         "Events refused by the full (or closed) ingest queue."));
+      counter("crowdweb_ingest_rejected_total",
+              "Events refused by the full (or closed) ingest queue."));
+  queue_.attach_depth_gauge(
+      gauge("crowdweb_ingest_queue_depth", "Events waiting in the queue."));
+  gauge("crowdweb_ingest_queue_capacity", "Bounded queue capacity.")
+      ->set(static_cast<double>(queue_.capacity()));
+  epoch_gauge_ = gauge("crowdweb_ingest_epoch", "Epoch visible in the snapshot hub.");
+  live_checkins_ =
+      gauge("crowdweb_ingest_live_checkins", "Accepted deltas in the published epoch.");
   const std::vector<double> buckets = telemetry::default_duration_buckets();
-  rebuild_seconds_ = &metrics_->histogram(
-      "crowdweb_ingest_epoch_rebuild_duration_seconds",
-      "End-to-end wall time to rebuild and publish one epoch.", buckets);
+  rebuild_seconds_ =
+      &metrics_
+           ->histogram_family("crowdweb_ingest_epoch_rebuild_duration_seconds",
+                              "End-to-end wall time to rebuild and publish one epoch.",
+                              {"shard"}, buckets)
+           .with_labels({shard});
   telemetry::HistogramFamily& stages = metrics_->histogram_family(
       "crowdweb_ingest_rebuild_stage_duration_seconds",
       "Wall time of one epoch-rebuild stage: merge (dataset rebuild), mine "
       "(incremental per-user re-mining), crowd (model update).",
-      {"stage"}, buckets);
-  stage_merge_seconds_ = &stages.with_labels({"merge"});
-  stage_mine_seconds_ = &stages.with_labels({"mine"});
-  stage_crowd_seconds_ = &stages.with_labels({"crowd"});
-  last_rebuild_seconds_ = &metrics_->gauge("crowdweb_ingest_last_rebuild_seconds",
-                                           "Wall time of the most recent epoch rebuild.");
-  delta_events_ = &metrics_->counter("crowdweb_ingest_delta_events_total",
-                                     "Check-ins applied through the delta merge path.");
-  delta_users_ = &metrics_->counter("crowdweb_ingest_delta_users_total",
-                                    "Per-user delta re-minings across all epochs.");
-  delta_shards_reused_ = &metrics_->counter(
-      "crowdweb_ingest_delta_shards_reused_total",
-      "Per-user dataset shards shared with the previous epoch (not copied).");
-  delta_shards_rebuilt_ = &metrics_->counter(
+      {"shard", "stage"}, buckets);
+  stage_merge_seconds_ = &stages.with_labels({shard, "merge"});
+  stage_mine_seconds_ = &stages.with_labels({shard, "mine"});
+  stage_crowd_seconds_ = &stages.with_labels({shard, "crowd"});
+  last_rebuild_seconds_ = gauge("crowdweb_ingest_last_rebuild_seconds",
+                                "Wall time of the most recent epoch rebuild.");
+  delta_events_ = counter("crowdweb_ingest_delta_events_total",
+                          "Check-ins applied through the delta merge path.");
+  delta_users_ = counter("crowdweb_ingest_delta_users_total",
+                         "Per-user delta re-minings across all epochs.");
+  delta_shards_reused_ =
+      counter("crowdweb_ingest_delta_shards_reused_total",
+              "Per-user dataset shards shared with the previous epoch (not copied).");
+  delta_shards_rebuilt_ = counter(
       "crowdweb_ingest_delta_shards_rebuilt_total",
       "Per-user dataset shards given a new version because the epoch's delta touched "
       "them (appended in place, copied, or new).");
-  delta_shards_appended_ = &metrics_->counter(
+  delta_shards_appended_ = counter(
       "crowdweb_ingest_delta_shards_appended_total",
       "New shard versions that wrote the delta past the previous version's records "
       "instead of copying them.");
-  delta_records_copied_ = &metrics_->counter(
+  delta_records_copied_ = counter(
       "crowdweb_ingest_delta_records_copied_total",
       "Base records the merge copied for touched users that could not append (a "
       "check-in earlier than the user's last one, or a base that is not the newest "
       "version).");
-  delta_last_events_ =
-      &metrics_->gauge("crowdweb_ingest_delta_last_events",
-                       "Check-ins merged by the most recent epoch's delta.");
-  mining_emitted_ = &metrics_->counter(
+  delta_last_events_ = gauge("crowdweb_ingest_delta_last_events",
+                             "Check-ins merged by the most recent epoch's delta.");
+  mining_emitted_ = counter(
       "crowdweb_mining_patterns_emitted_total",
       "Patterns the miner itself returned in per-user re-mines across all epochs "
       "(for closed miners this is the closed set, before any expansion).");
-  mining_expanded_ = &metrics_->counter(
+  mining_expanded_ = counter(
       "crowdweb_mining_patterns_expanded_total",
       "Frequent patterns reconstructed from closed sets by expansion across all "
       "epochs, streamed through the placement-index build. 0 for full miners.");
-  mining_pruned_ = &metrics_->counter(
-      "crowdweb_mining_pruned_total",
-      "Search subtrees the miner cut without counting (BIDE's BackScan). "
-      "0 for full miners.");
+  mining_pruned_ = counter("crowdweb_mining_pruned_total",
+                           "Search subtrees the miner cut without counting (BIDE's "
+                           "BackScan). 0 for full miners.");
   telemetry::CounterFamily& history_users = metrics_->counter_family(
       "crowdweb_ingest_history_users_total",
       "Re-mined users whose kept day-shape index filed only their appended check-ins "
       "(path=appended) or was rebuilt from their first record (path=refiled: first "
       "touch, or a check-in not later than the last one filed).",
-      {"path"});
-  history_appended_ = &history_users.with_labels({"appended"});
-  history_refiled_ = &history_users.with_labels({"refiled"});
-  history_bytes_ = &metrics_->gauge(
+      {"shard", "path"});
+  history_appended_ = &history_users.with_labels({shard, "appended"});
+  history_refiled_ = &history_users.with_labels({shard, "refiled"});
+  history_bytes_ = gauge(
       "crowdweb_ingest_history_bytes",
       "Heap bytes of the worker's kept per-user state: day-shape indexes and venue "
       "tallies.");
-  mining_truncated_ = &metrics_->counter(
+  mining_truncated_ = counter(
       "crowdweb_mining_truncated_total",
       "Per-user re-mines whose pattern set was cut short by the max_patterns cap "
       "(the published tables are incomplete for those users).");
-  // Scrape-time gauges: sampled when /metrics renders, so readers see
-  // live queue state without the worker pushing updates.
-  metrics_->gauge_callback("crowdweb_ingest_queue_depth", "Events waiting in the queue.",
-                           [this] { return static_cast<double>(queue_.size()); });
-  metrics_->gauge_callback("crowdweb_ingest_queue_capacity", "Bounded queue capacity.",
-                           [this] { return static_cast<double>(queue_.capacity()); });
-  metrics_->gauge_callback("crowdweb_ingest_epoch", "Epoch visible in the snapshot hub.",
-                           [this] { return static_cast<double>(hub_.epoch()); });
-  metrics_->gauge_callback(
-      "crowdweb_ingest_live_checkins", "Accepted deltas in the published epoch.", [this] {
-        return static_cast<double>(snapshot_live_.load(std::memory_order_relaxed));
-      });
-  callback_gauge_names_ = {"crowdweb_ingest_queue_depth", "crowdweb_ingest_queue_capacity",
-                           "crowdweb_ingest_epoch", "crowdweb_ingest_live_checkins"};
 }
 
 IngestWorker::~IngestWorker() {
   stop();
-  // The scrape callbacks capture `this`; unhook them before members die
-  // so a shared registry can never sample a destroyed worker.
-  for (const std::string& name : callback_gauge_names_) metrics_->remove(name);
   queue_.attach_rejected_counter(nullptr);
+  queue_.attach_depth_gauge(nullptr);
 }
 
 Status IngestWorker::start() {
@@ -234,7 +232,7 @@ Status IngestWorker::start() {
   stop_requested_.store(false, std::memory_order_release);
   running_.store(true, std::memory_order_release);
   thread_ = std::thread([this] {
-    util::name_this_thread("cw-ingest");
+    util::name_this_thread(crowdweb::format("cw-ingest-{}", config_.shard).c_str());
     run();
   });
   log_info("ingest worker started: queue capacity {}, rebuild interval {} ms",
@@ -283,6 +281,7 @@ void IngestWorker::reserve_guest_ids(data::UserId next) noexcept {
 Status IngestWorker::recover_from_store() {
   store::StoreConfig store_config = config_.store;
   if (store_config.metrics == nullptr) store_config.metrics = metrics_;
+  store_config.shard = config_.shard;
   Result<std::unique_ptr<store::DurableStore>> opened =
       store::DurableStore::open(std::move(store_config));
   if (!opened) return opened.status();
@@ -394,7 +393,7 @@ IngestStats IngestWorker::stats() const {
   stats.current_epoch = hub_.epoch();
   stats.queue_depth = queue_.size();
   stats.queue_capacity = queue_.capacity();
-  stats.live_checkins = snapshot_live_.load(std::memory_order_relaxed);
+  stats.live_checkins = static_cast<std::uint64_t>(live_checkins_->value());
   stats.last_rebuild_ms = last_rebuild_seconds_->value() * 1e3;
   stats.total_rebuild_ms = rebuild_seconds_->sum() * 1e3;
   return stats;
@@ -684,8 +683,9 @@ Status IngestWorker::rebuild_and_publish() {
   auto snapshot = std::make_shared<const PlatformSnapshot>(PlatformSnapshot{
       epoch_, live_.checkin_count() - base_checkin_count_, touched_users_.size(),
       elapsed_ms, live_, mobility_, crowd_->grid(), *crowd_});
-  snapshot_live_.store(snapshot->live_checkins, std::memory_order_relaxed);
+  live_checkins_->set(static_cast<double>(snapshot->live_checkins));
   hub_.publish(std::move(snapshot));
+  epoch_gauge_->set(static_cast<double>(epoch_));
   pending_users_.clear();
   epochs_published_->increment();
   last_rebuild_seconds_->set(rebuild_timer.stop());

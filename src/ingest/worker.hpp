@@ -19,6 +19,12 @@
 // the grid clamp to edge cells, so an event lands in the same cell at
 // every shard count. HTTP readers keep loading snapshots, never waiting
 // on the rebuild, while the worker prepares the next one.
+//
+// The worker and its store record every crowdweb_ingest_*,
+// crowdweb_mining_* and crowdweb_store_* series under the worker's
+// constant `shard` label (IngestWorkerConfig::shard; "0" for a lone
+// worker), setting each gauge when its value changes, so the N workers
+// of a sharded deployment share its one registry.
 #pragma once
 
 #include <chrono>
@@ -76,12 +82,17 @@ struct IngestWorkerConfig {
   /// Minimum spacing between epoch rebuilds; accepted events batch up in
   /// between.
   std::chrono::milliseconds rebuild_interval{200};
-  /// Telemetry registry the worker records onto (crowdweb_ingest_*
-  /// families; see docs/OBSERVABILITY.md). Must outlive the worker.
-  /// Null = the worker keeps a private registry (stats() still works);
-  /// attach at most one worker per registry — the scrape-time gauges
-  /// (queue depth, epoch, ...) are registered by name.
+  /// Telemetry registry the worker records onto (crowdweb_ingest_* and
+  /// crowdweb_mining_* families; see docs/OBSERVABILITY.md). Must
+  /// outlive the worker. Null = the worker keeps a private registry
+  /// (stats() still works).
   telemetry::Registry* metrics = nullptr;
+  /// The worker's shard index: the constant `shard` label on every
+  /// series the worker and its store record, and the suffix of its
+  /// thread's name (`cw-ingest-<shard>`). A lone worker is shard 0; the
+  /// ShardRouter numbers its workers 0..N-1. Workers sharing a registry
+  /// need distinct indexes.
+  std::size_t shard = 0;
   /// Durable storage (WAL + checkpoints). `store.dir` empty = disabled:
   /// the worker keeps the pre-durability behavior (memory only). With a
   /// directory set, start() runs crash recovery before publishing
@@ -90,7 +101,7 @@ struct IngestWorkerConfig {
   /// are on the WAL before the epoch is published (group commit: one
   /// record and, under every_batch, one fsync per epoch). Acceptance alone
   /// promises nothing durable. `store.metrics` null inherits the
-  /// worker's registry.
+  /// worker's registry; the worker sets `store.shard` to `shard`.
   store::StoreConfig store;
 };
 
@@ -280,9 +291,10 @@ class IngestWorker {
   std::atomic<bool> running_{false};
   std::atomic<bool> stop_requested_{false};
 
-  // Telemetry: the crowdweb_ingest_* families are the worker's only
-  // accounting — IngestStats reads them back. `own_metrics_` backs
-  // workers constructed without an external registry.
+  // Telemetry: the worker's `shard`-labelled series of the
+  // crowdweb_ingest_* families are its only accounting — IngestStats
+  // reads them back. `own_metrics_` backs workers constructed without an
+  // external registry.
   void init_metrics();
   std::unique_ptr<telemetry::Registry> own_metrics_;
   telemetry::Registry* metrics_ = nullptr;
@@ -296,6 +308,8 @@ class IngestWorker {
   telemetry::Histogram* stage_mine_seconds_ = nullptr;
   telemetry::Histogram* stage_crowd_seconds_ = nullptr;
   telemetry::Gauge* last_rebuild_seconds_ = nullptr;
+  telemetry::Gauge* epoch_gauge_ = nullptr;    // set after each publish
+  telemetry::Gauge* live_checkins_ = nullptr;  // set before each publish
   // Delta-pipeline accounting (crowdweb_ingest_delta_*): how much of
   // each epoch was actually recomputed vs shared with the previous one.
   telemetry::Counter* delta_events_ = nullptr;
@@ -317,14 +331,10 @@ class IngestWorker {
   telemetry::Counter* history_appended_ = nullptr;
   telemetry::Counter* history_refiled_ = nullptr;
   telemetry::Gauge* history_bytes_ = nullptr;
-  std::vector<std::string> callback_gauge_names_;  ///< removed on destruction
 
-  std::atomic<std::uint64_t> snapshot_live_{0};
   std::atomic<data::UserId> next_guest_id_{kFirstGuestId};
 
-  // Durable storage. Declared after own_metrics_: the store's
-  // destructor unhooks its scrape gauges from the registry, so it must
-  // die first. Set once in start(), before the thread exists.
+  // Durable storage. Set once in start(), before the thread exists.
   std::unique_ptr<store::DurableStore> store_;
   std::atomic<bool> checkpoint_requested_{false};
 

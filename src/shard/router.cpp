@@ -14,16 +14,16 @@ namespace crowdweb::shard {
 
 namespace {
 
-/// Per-shard worker config derived from the deployment template: a
-/// private registry (worker scrape gauges are name-keyed) and a
-/// "shard-<k>" store subdirectory under the deployment root.
+/// Per-shard worker config derived from the deployment template: the
+/// deployment registry, the shard index that labels the worker's series,
+/// and a "shard-<k>" store subdirectory under the deployment root.
 ingest::IngestWorkerConfig worker_config_for(const ShardRouterConfig& config,
                                              std::size_t id) {
   ingest::IngestWorkerConfig worker = config.worker;
-  worker.metrics = nullptr;
+  worker.metrics = config.metrics;
+  worker.shard = id;
   if (!worker.store.dir.empty())
     worker.store.dir = crowdweb::format("{}/shard-{}", worker.store.dir, id);
-  worker.store.metrics = nullptr;
   return worker;
 }
 
@@ -61,17 +61,14 @@ Result<std::unique_ptr<ShardRouter>> ShardRouter::create(const core::Platform& p
 
   router->init_metrics();
 
-  // Publish hooks: per-shard epoch gauge plus a response-cache re-key,
-  // registered before start() so the first epoch is observed too. The
-  // hook runs on the publishing shard's worker thread.
-  for (std::size_t id = 0; id < count; ++id) {
+  // Publish hooks: a response-cache re-key, registered before start()
+  // so the first epoch is observed too. The hook runs on the publishing
+  // shard's worker thread.
+  for (const auto& shard : router->shards_) {
     ShardRouter* self = router.get();
-    router->shards_[id]->worker().hub().on_publish(
-        [self, id](const ingest::PlatformSnapshot& snapshot) {
-          if (self->epoch_gauge_[id] != nullptr)
-            self->epoch_gauge_[id]->set(static_cast<double>(snapshot.epoch));
-          if (self->cache_ != nullptr) self->rekey_cache();
-        });
+    shard->worker().hub().on_publish([self](const ingest::PlatformSnapshot&) {
+      if (self->cache_ != nullptr) self->rekey_cache();
+    });
   }
   return router;
 }
@@ -128,8 +125,6 @@ ingest::SubmitResult ShardRouter::submit(std::span<const ingest::IngestEvent> ev
     const ingest::SubmitResult result = shards_[id]->worker().submit(slices[id]);
     total.accepted += result.accepted;
     total.rejected += result.rejected;
-    if (events_total_.size() > id && events_total_[id] != nullptr)
-      events_total_[id]->increment(result.accepted);
   }
   return total;
 }
@@ -189,39 +184,23 @@ void ShardRouter::note_degraded_read() const noexcept {
 
 void ShardRouter::init_metrics() {
   metrics_ = config_.metrics;
-  up_gauge_.assign(shards_.size(), nullptr);
-  epoch_gauge_.assign(shards_.size(), nullptr);
-  lag_gauge_.assign(shards_.size(), nullptr);
-  depth_gauge_.assign(shards_.size(), nullptr);
-  live_gauge_.assign(shards_.size(), nullptr);
-  events_total_.assign(shards_.size(), nullptr);
   if (metrics_ == nullptr) return;
 
   metrics_->gauge("crowdweb_shard_count", "Shards in the deployment layout")
       .set(static_cast<double>(shards_.size()));
   auto& up = metrics_->gauge_family("crowdweb_shard_up",
                                     "1 when the shard serves, 0 when down", {"shard"});
-  auto& epoch = metrics_->gauge_family("crowdweb_shard_epoch",
-                                       "Published epoch per shard", {"shard"});
   auto& lag = metrics_->gauge_family(
       "crowdweb_shard_epoch_lag",
       "Distance from the shard's epoch to the deployment's max epoch", {"shard"});
-  auto& depth = metrics_->gauge_family("crowdweb_shard_queue_depth",
-                                       "Ingest queue depth per shard", {"shard"});
   auto& live = metrics_->gauge_family("crowdweb_shard_live_checkins",
                                       "Accepted live events in the shard's epoch",
                                       {"shard"});
-  auto& events = metrics_->counter_family("crowdweb_shard_ingest_events_total",
-                                          "Events routed to and accepted by the shard",
-                                          {"shard"});
   for (std::size_t id = 0; id < shards_.size(); ++id) {
     const std::vector<std::string> labels{std::to_string(id)};
-    up_gauge_[id] = &up.with_labels(labels);
-    epoch_gauge_[id] = &epoch.with_labels(labels);
-    lag_gauge_[id] = &lag.with_labels(labels);
-    depth_gauge_[id] = &depth.with_labels(labels);
-    live_gauge_[id] = &live.with_labels(labels);
-    events_total_[id] = &events.with_labels(labels);
+    up_gauge_.push_back(&up.with_labels(labels));
+    lag_gauge_.push_back(&lag.with_labels(labels));
+    live_gauge_.push_back(&live.with_labels(labels));
   }
   merge_seconds_ = &metrics_->histogram(
       "crowdweb_shard_merge_duration_seconds",
@@ -240,13 +219,10 @@ void ShardRouter::refresh_gauges() const {
   for (const auto& shard : shards_) max_epoch = std::max(max_epoch, shard->epoch());
   for (std::size_t id = 0; id < shards_.size(); ++id) {
     const bool up = shards_[id]->up();
-    const std::uint64_t epoch = shards_[id]->epoch();
-    const ingest::IngestStats stats = shards_[id]->worker().stats();
     up_gauge_[id]->set(up ? 1.0 : 0.0);
-    epoch_gauge_[id]->set(static_cast<double>(epoch));
-    lag_gauge_[id]->set(static_cast<double>(max_epoch - epoch));
-    depth_gauge_[id]->set(static_cast<double>(stats.queue_depth));
-    live_gauge_[id]->set(up ? static_cast<double>(stats.live_checkins) : 0.0);
+    lag_gauge_[id]->set(static_cast<double>(max_epoch - shards_[id]->epoch()));
+    live_gauge_[id]->set(
+        up ? static_cast<double>(shards_[id]->worker().stats().live_checkins) : 0.0);
   }
 }
 

@@ -22,6 +22,13 @@
 // can never mix state across epoch-vector changes. A shard that is
 // down simply drops out: reads return a partial merge with an explicit
 // "degraded" marker (HTTP 200) and its slot reads 0 in the vector.
+//
+// Telemetry: every shard's worker and store record into the deployment
+// registry under shard="<k>" (so the per-shard epoch, queue depth and
+// ingest counters are the workers' own crowdweb_ingest_* series), and
+// the router adds only what no single worker knows: the layout, which
+// shards are up, each shard's epoch lag and live count, and the
+// scatter-gather merge (crowdweb_shard_*).
 #pragma once
 
 #include <chrono>
@@ -46,15 +53,15 @@ namespace crowdweb::shard {
 
 struct ShardRouterConfig {
   std::size_t shard_count = 2;
-  /// Deployment registry for the crowdweb_shard_* families (see
-  /// docs/OBSERVABILITY.md). Null disables router telemetry. Per-shard
-  /// workers always keep private registries — their scrape gauges are
-  /// name-keyed and cannot share one registry.
+  /// Deployment registry for the crowdweb_shard_* families and every
+  /// shard worker's and store's series, each labelled `shard="<k>"` (see
+  /// docs/OBSERVABILITY.md). Null disables router telemetry, and each
+  /// worker keeps a private registry.
   telemetry::Registry* metrics = nullptr;
   /// Template for every shard's worker. `worker.store.dir` is the
   /// deployment's store *root*: shard k persists under
-  /// "<root>/shard-<k>" (empty = durability off). `worker.metrics` is
-  /// ignored (see above).
+  /// "<root>/shard-<k>" (empty = durability off). The router replaces
+  /// `worker.metrics` with `metrics` and `worker.shard` with k.
   ingest::IngestWorkerConfig worker;
 };
 
@@ -134,7 +141,7 @@ class ShardRouter {
   void init_metrics();
   /// Sets the cache key and tag from one epoch_vector() read.
   void rekey_cache();
-  /// Pushes per-shard gauges (up/epoch/lag/queue/live) to the registry.
+  /// Pushes per-shard gauges (up/lag/live) to the registry.
   void refresh_gauges() const;
 
   const core::Platform* platform_ = nullptr;
@@ -144,11 +151,8 @@ class ShardRouter {
 
   telemetry::Registry* metrics_ = nullptr;
   std::vector<telemetry::Gauge*> up_gauge_;
-  std::vector<telemetry::Gauge*> epoch_gauge_;
   std::vector<telemetry::Gauge*> lag_gauge_;
-  std::vector<telemetry::Gauge*> depth_gauge_;
   std::vector<telemetry::Gauge*> live_gauge_;
-  std::vector<telemetry::Counter*> events_total_;
   telemetry::Histogram* merge_seconds_ = nullptr;
   telemetry::Counter* merges_ = nullptr;
   telemetry::Counter* degraded_reads_ = nullptr;

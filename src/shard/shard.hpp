@@ -8,10 +8,9 @@
 // The ShardRouter owns N of these, routes writes to the owning shard,
 // and scatter-gathers reads across their snapshots (see router.hpp).
 //
-// Each shard's worker keeps a private telemetry registry: the worker's
-// scrape-time gauges are registered by name, so N workers cannot share
-// one registry. The router re-exports the interesting per-shard series
-// as labeled crowdweb_shard_* families on the deployment registry.
+// Each shard's worker and store record into the deployment registry,
+// every series labelled with the shard's index (shard="<k>"), the same
+// families a lone worker records as shard="0".
 #pragma once
 
 #include <cstdint>

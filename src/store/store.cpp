@@ -66,7 +66,6 @@ DurableStore::~DurableStore() {
     ::close(active_fd_);
     active_fd_ = -1;
   }
-  for (const std::string& name : callback_gauge_names_) metrics_->remove(name);
 }
 
 void DurableStore::init_metrics() {
@@ -76,44 +75,45 @@ void DurableStore::init_metrics() {
     own_metrics_ = std::make_unique<telemetry::Registry>();
     metrics_ = own_metrics_.get();
   }
-  append_records_ = &metrics_->counter("crowdweb_store_append_records_total",
-                                       "WAL records appended (one per epoch that carried events).");
-  append_bytes_ = &metrics_->counter("crowdweb_store_append_bytes_total",
-                                     "Bytes appended to the write-ahead log.");
-  append_failures_ = &metrics_->counter(
-      "crowdweb_store_append_failures_total",
-      "WAL appends that failed (events stayed in memory only).");
-  fsyncs_ = &metrics_->counter("crowdweb_store_fsyncs_total",
-                               "fsync(2) calls issued against WAL segments.");
-  checkpoints_total_ =
-      &metrics_->counter("crowdweb_store_checkpoints_total", "Checkpoints written.");
-  recovery_replayed_ = &metrics_->counter(
-      "crowdweb_store_recovery_replayed_records_total",
-      "WAL records replayed through the merge path during startup recovery.");
-  recovery_truncated_ = &metrics_->counter(
-      "crowdweb_store_recovery_truncated_bytes_total",
-      "Torn-tail bytes truncated from the final WAL segment during recovery.");
-  append_seconds_ = &metrics_->histogram(
-      "crowdweb_store_append_duration_seconds",
-      "Wall time to journal one epoch's record (encode + write + fsync when due).",
-      telemetry::default_latency_buckets());
-  checkpoint_seconds_ = &metrics_->histogram(
-      "crowdweb_store_checkpoint_duration_seconds",
-      "Wall time to encode, write, and prune for one checkpoint.",
-      telemetry::default_duration_buckets());
-  metrics_->gauge_callback("crowdweb_store_wal_segments",
-                           "WAL segment files (sealed + active).", [this] {
-                             std::lock_guard<std::mutex> lock(mutex_);
-                             return static_cast<double>(sealed_.size() + 1);
-                           });
-  metrics_->gauge_callback("crowdweb_store_wal_bytes",
-                           "Total bytes across WAL segment files.", [this] {
-                             std::lock_guard<std::mutex> lock(mutex_);
-                             std::uint64_t bytes = active_.bytes;
-                             for (const SegmentInfo& seg : sealed_) bytes += seg.bytes;
-                             return static_cast<double>(bytes);
-                           });
-  callback_gauge_names_ = {"crowdweb_store_wal_segments", "crowdweb_store_wal_bytes"};
+  // Every series carries the owning worker's constant shard label, so
+  // the stores of N workers record into one registry.
+  const std::string shard = std::to_string(config_.shard);
+  const auto counter = [&](const std::string& name, const std::string& help) {
+    return &metrics_->counter_family(name, help, {"shard"}).with_labels({shard});
+  };
+  const auto gauge = [&](const std::string& name, const std::string& help) {
+    return &metrics_->gauge_family(name, help, {"shard"}).with_labels({shard});
+  };
+  const auto histogram = [&](const std::string& name, const std::string& help,
+                             std::vector<double> bounds) {
+    return &metrics_->histogram_family(name, help, {"shard"}, std::move(bounds))
+                .with_labels({shard});
+  };
+  append_records_ = counter("crowdweb_store_append_records_total",
+                            "WAL records appended (one per epoch that carried events).");
+  append_bytes_ =
+      counter("crowdweb_store_append_bytes_total", "Bytes appended to the write-ahead log.");
+  append_failures_ = counter("crowdweb_store_append_failures_total",
+                             "WAL appends that failed (events stayed in memory only).");
+  fsyncs_ =
+      counter("crowdweb_store_fsyncs_total", "fsync(2) calls issued against WAL segments.");
+  checkpoints_total_ = counter("crowdweb_store_checkpoints_total", "Checkpoints written.");
+  recovery_replayed_ =
+      counter("crowdweb_store_recovery_replayed_records_total",
+              "WAL records replayed through the merge path during startup recovery.");
+  recovery_truncated_ =
+      counter("crowdweb_store_recovery_truncated_bytes_total",
+              "Torn-tail bytes truncated from the final WAL segment during recovery.");
+  append_seconds_ =
+      histogram("crowdweb_store_append_duration_seconds",
+                "Wall time to journal one epoch's record (encode + write + fsync when due).",
+                telemetry::default_latency_buckets());
+  checkpoint_seconds_ =
+      histogram("crowdweb_store_checkpoint_duration_seconds",
+                "Wall time to encode, write, and prune for one checkpoint.",
+                telemetry::default_duration_buckets());
+  wal_segments_ = gauge("crowdweb_store_wal_segments", "WAL segment files (sealed + active).");
+  wal_bytes_ = gauge("crowdweb_store_wal_bytes", "Total bytes across WAL segment files.");
 }
 
 Result<std::unique_ptr<DurableStore>> DurableStore::open(StoreConfig config) {
@@ -266,6 +266,7 @@ Status DurableStore::open_active_segment(std::uint64_t segment_seq, bool fresh) 
     dirty_ = true;
   }
   active_fd_ = fd;
+  set_wal_gauges_locked();
   return Status::ok();
 }
 
@@ -297,6 +298,7 @@ Status DurableStore::append(std::uint64_t epoch,
   dirty_ = true;
   append_records_->increment();
   append_bytes_->increment(encode_buffer_.size());
+  set_wal_gauges_locked();
 
   if (config_.fsync == FsyncPolicy::kEveryBatch) {
     const Status sync_status = sync_locked();
@@ -390,6 +392,18 @@ void DurableStore::prune_locked() {
     }
     sealed_.erase(sealed_.begin());
   }
+  set_wal_gauges_locked();
+}
+
+std::uint64_t DurableStore::wal_bytes_locked() const {
+  std::uint64_t bytes = active_.bytes;
+  for (const SegmentInfo& seg : sealed_) bytes += seg.bytes;
+  return bytes;
+}
+
+void DurableStore::set_wal_gauges_locked() {
+  wal_segments_->set(static_cast<double>(sealed_.size() + 1));
+  wal_bytes_->set(static_cast<double>(wal_bytes_locked()));
 }
 
 std::uint64_t DurableStore::wal_bytes_since_checkpoint() const {
@@ -404,8 +418,7 @@ StoreStats DurableStore::stats() const {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     stats.wal_segments = sealed_.size() + 1;
-    stats.wal_bytes = active_.bytes;
-    for (const SegmentInfo& seg : sealed_) stats.wal_bytes += seg.bytes;
+    stats.wal_bytes = wal_bytes_locked();
     stats.wal_bytes_since_checkpoint = wal_bytes_since_checkpoint_;
     stats.last_record_seq = next_record_seq_ - 1;
     stats.last_checkpoint_seq = last_checkpoint_seq_;

@@ -5,8 +5,10 @@
 // epoch's accepted events become one WAL record, appended (and synced)
 // on the worker thread before the epoch's rebuild stages run.
 // append()/sync()/write_checkpoint() are called by one thread at a
-// time; stats() and the scrape-time gauges may be called from any
-// thread.
+// time; stats() may be called from any thread. Every crowdweb_store_*
+// series carries the owning worker's constant `shard` label, and the
+// WAL gauges are set wherever the segment list or a segment's size
+// changes.
 //
 // Durability contract by fsync policy:
 //   every_batch — every append is fsynced before it returns, so an
@@ -56,6 +58,9 @@ struct StoreConfig {
   /// Registry for the crowdweb_store_* families. Null = private
   /// registry (stats() still works). Must outlive the store.
   telemetry::Registry* metrics = nullptr;
+  /// The `shard` label of every series; the owning worker sets it from
+  /// IngestWorkerConfig::shard.
+  std::size_t shard = 0;
 };
 
 /// What open() reconstructed from disk, for the worker to adopt.
@@ -140,6 +145,10 @@ class DurableStore {
   [[nodiscard]] Status rotate_locked();
   [[nodiscard]] Status sync_locked();
   void prune_locked();
+  /// Bytes across the sealed and active segments. Caller holds `mutex_`.
+  [[nodiscard]] std::uint64_t wal_bytes_locked() const;
+  /// Sets the WAL segment and byte gauges. Caller holds `mutex_`.
+  void set_wal_gauges_locked();
   void init_metrics();
 
   struct SegmentInfo {
@@ -178,7 +187,8 @@ class DurableStore {
   telemetry::Counter* recovery_truncated_ = nullptr;
   telemetry::Histogram* append_seconds_ = nullptr;
   telemetry::Histogram* checkpoint_seconds_ = nullptr;
-  std::vector<std::string> callback_gauge_names_;
+  telemetry::Gauge* wal_segments_ = nullptr;
+  telemetry::Gauge* wal_bytes_ = nullptr;
 };
 
 }  // namespace crowdweb::store

@@ -124,14 +124,6 @@ class ExpositionWalker {
           }
           break;
         }
-        case Registry::Kind::kCallbackGauge: {
-          append_header(out, entry->name, entry->help, "gauge");
-          out += entry->name;
-          out += ' ';
-          out += number(entry->callback ? entry->callback() : 0.0);
-          out += '\n';
-          break;
-        }
         case Registry::Kind::kHistogram: {
           append_header(out, entry->name, entry->help, "histogram");
           const auto& names = entry->histograms->label_names();
@@ -174,13 +166,6 @@ class ExpositionWalker {
         }
       }
     }
-    append_header(out, "crowdweb_telemetry_dropped_label_sets_total",
-                  "Label sets collapsed into an overflow series by a family's "
-                  "max-series cap.",
-                  "counter");
-    out += "crowdweb_telemetry_dropped_label_sets_total ";
-    out += number(registry.dropped_.value());
-    out += '\n';
     return out;
   }
 
@@ -213,11 +198,6 @@ class ExpositionWalker {
           metric.set("series", std::move(series_list));
           break;
         }
-        case Registry::Kind::kCallbackGauge: {
-          metric.set("type", "gauge");
-          metric.set("value", entry->callback ? entry->callback() : 0.0);
-          break;
-        }
         case Registry::Kind::kHistogram: {
           metric.set("type", "histogram");
           json::Value series_list = json::Value(json::Array{});
@@ -244,12 +224,6 @@ class ExpositionWalker {
       }
       root.set(entry->name, std::move(metric));
     }
-    root.set("crowdweb_telemetry_dropped_label_sets_total",
-             json::object({{"help",
-                            "Label sets collapsed into an overflow series by a "
-                            "family's max-series cap."},
-                           {"type", "counter"},
-                           {"value", static_cast<std::int64_t>(registry.dropped_.value())}}));
     return root;
   }
 };

@@ -111,7 +111,11 @@ bool valid_metric_name(std::string_view name) noexcept {
   return true;
 }
 
-Registry::Registry() = default;
+Registry::Registry() {
+  dropped_ = &counter("crowdweb_telemetry_dropped_label_sets_total",
+                      "Label sets collapsed into an overflow series by a family's "
+                      "max-series cap.");
+}
 
 Registry::Entry* Registry::find_locked(const std::string& name) {
   for (const auto& entry : entries_) {
@@ -159,7 +163,7 @@ CounterFamily& Registry::counter_family(const std::string& name, const std::stri
   entry.name = name;
   entry.kind = Kind::kCounter;
   entry.counters.reset(
-      new CounterFamily(name, std::move(label_names), max_series, &dropped_));
+      new CounterFamily(name, std::move(label_names), max_series, dropped_));
   return *entry.counters;
 }
 
@@ -179,7 +183,7 @@ GaugeFamily& Registry::gauge_family(const std::string& name, const std::string& 
                         : emplace_locked(name, help, Kind::kGauge);
   entry.name = name;
   entry.kind = Kind::kGauge;
-  entry.gauges.reset(new GaugeFamily(name, std::move(label_names), max_series, &dropped_));
+  entry.gauges.reset(new GaugeFamily(name, std::move(label_names), max_series, dropped_));
   return *entry.gauges;
 }
 
@@ -204,7 +208,7 @@ HistogramFamily& Registry::histogram_family(const std::string& name, const std::
   entry.name = name;
   entry.kind = Kind::kHistogram;
   entry.histograms.reset(new HistogramFamily(name, std::move(label_names), max_series,
-                                             &dropped_, std::move(bounds)));
+                                             dropped_, std::move(bounds)));
   return *entry.histograms;
 }
 
@@ -219,38 +223,6 @@ Gauge& Registry::gauge(const std::string& name, const std::string& help) {
 Histogram& Registry::histogram(const std::string& name, const std::string& help,
                                std::vector<double> bounds) {
   return histogram_family(name, help, {}, std::move(bounds)).with_labels({});
-}
-
-void Registry::gauge_callback(const std::string& name, const std::string& help,
-                              std::function<double()> fn) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  if (!valid_metric_name(name)) {
-    log_error("telemetry: invalid callback gauge name '{}'; ignored", name);
-    return;
-  }
-  Entry* existing = find_locked(name);
-  if (existing != nullptr) {
-    if (existing->kind != Kind::kCallbackGauge) {
-      log_error("telemetry: callback gauge '{}' conflicts with an existing metric; ignored",
-                name);
-      return;
-    }
-    existing->callback = std::move(fn);
-    return;
-  }
-  Entry& entry = emplace_locked(name, help, Kind::kCallbackGauge);
-  entry.callback = std::move(fn);
-}
-
-bool Registry::remove(const std::string& name) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-    if ((*it)->name == name) {
-      entries_.erase(it);
-      return true;
-    }
-  }
-  return false;
 }
 
 }  // namespace crowdweb::telemetry

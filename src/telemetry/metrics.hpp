@@ -9,6 +9,12 @@
 // stable for the registry's lifetime), so the lookup happens once per
 // (instrument, label set), not per event.
 //
+// Every value is recorded when it changes: there are no scrape-time
+// callbacks, so rendering reads atomic cells and never calls into a
+// component. A component that runs once per shard (the ingest worker and
+// its durable store) labels each of its series with a constant `shard`
+// label — "0" for a lone worker — so N of them record into one registry.
+//
 // Two exposition formats are rendered on demand (see exposition.hpp):
 // Prometheus text format for `GET /metrics` and a JSON mirror folded
 // into `/api/status`.
@@ -24,7 +30,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -149,11 +154,10 @@ using CounterFamily = Family<Counter>;
 using GaugeFamily = Family<Gauge>;
 using HistogramFamily = Family<Histogram>;
 
-/// The registry: owns every metric family plus scrape-time callback
-/// gauges. Registration is idempotent — asking for an existing name with
-/// the same kind returns the existing family; a kind mismatch is a
-/// programming error (logged, and a detached shadow family is returned
-/// so the process keeps running).
+/// The registry: owns every metric family. Registration is idempotent —
+/// asking for an existing name with the same kind returns the existing
+/// family; a kind mismatch is a programming error (logged, and a
+/// detached shadow family is returned so the process keeps running).
 ///
 /// Lifetime: instruments hand out references into the registry, so the
 /// registry must outlive every component it meters (server, worker,
@@ -183,28 +187,16 @@ class Registry {
   Histogram& histogram(const std::string& name, const std::string& help,
                        std::vector<double> bounds);
 
-  /// A gauge whose value is sampled at scrape time. Re-registering the
-  /// same name replaces the callback (restart-friendly). The callback
-  /// must stay valid until remove()d or the registry dies; it runs under
-  /// the registry mutex, so it must not call back into this registry.
-  void gauge_callback(const std::string& name, const std::string& help,
-                      std::function<double()> fn);
-
-  /// Unregisters a metric by name (components with scrape-time
-  /// callbacks call this from their destructor). Returns false when the
-  /// name is unknown.
-  bool remove(const std::string& name);
-
   /// Counter of label sets collapsed into overflow series.
   [[nodiscard]] std::uint64_t dropped_label_sets() const noexcept {
-    return dropped_.value();
+    return dropped_->value();
   }
 
  private:
   // Renderers (exposition.hpp) walk the entries under the mutex.
   friend class ExpositionWalker;
 
-  enum class Kind { kCounter, kGauge, kHistogram, kCallbackGauge };
+  enum class Kind { kCounter, kGauge, kHistogram };
 
   struct Entry {
     std::string name;
@@ -213,7 +205,6 @@ class Registry {
     std::unique_ptr<CounterFamily> counters;
     std::unique_ptr<GaugeFamily> gauges;
     std::unique_ptr<HistogramFamily> histograms;
-    std::function<double()> callback;
   };
 
   Entry* find_locked(const std::string& name);
@@ -221,7 +212,9 @@ class Registry {
 
   mutable std::mutex mutex_;
   std::vector<std::unique_ptr<Entry>> entries_;  ///< insertion order
-  Counter dropped_;
+  /// crowdweb_telemetry_dropped_label_sets_total, registered like any
+  /// other counter by the constructor.
+  Counter* dropped_ = nullptr;
   /// Families returned on kind mismatch, detached from exposition.
   std::vector<std::unique_ptr<Entry>> shadows_;
 };

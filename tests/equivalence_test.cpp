@@ -638,8 +638,9 @@ TEST(WorkerEquivalenceTest, UntouchedUsersShareStateAcrossEpochs) {
 
   // The delta telemetry saw it: untouched shards were shared.
   const std::string scrape = telemetry::render_prometheus(registry);
-  EXPECT_GT(metric_value(scrape, "crowdweb_ingest_delta_shards_reused_total"), 0.0);
-  EXPECT_GT(metric_value(scrape, "crowdweb_ingest_delta_events_total"), 0.0);
+  EXPECT_GT(metric_value(scrape, R"(crowdweb_ingest_delta_shards_reused_total{shard="0"})"),
+            0.0);
+  EXPECT_GT(metric_value(scrape, R"(crowdweb_ingest_delta_events_total{shard="0"})"), 0.0);
   worker->stop();
 }
 
@@ -756,7 +757,8 @@ TEST(WorkerEquivalenceTest, UpdatedCrowdMatchesAFullBuildAcrossOneHundredThirtyE
   }
   EXPECT_GT(last_epoch->dataset.venue_count(), base.venue_count());
   const std::string scrape = telemetry::render_prometheus(registry);
-  EXPECT_GT(metric_value(scrape, "crowdweb_ingest_delta_records_copied_total"), 0.0);
+  EXPECT_GT(
+      metric_value(scrape, R"(crowdweb_ingest_delta_records_copied_total{shard="0"})"), 0.0);
   ASSERT_FALSE(fading_seed_pairs.empty());
   for (int w = 0; w < last_epoch->crowd.window_count(); ++w) {
     for (const crowd::CrowdPlacement& p : last_epoch->crowd.placements(w)) {

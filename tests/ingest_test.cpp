@@ -390,7 +390,9 @@ TEST(IngestWorkerTest, SteadyFeedWakesTheWorkerAboutOncePerEpoch) {
          std::chrono::steady_clock::now() < deadline)
     std::this_thread::sleep_for(1ms);
   const std::uint64_t wakeups =
-      registry.counter("crowdweb_ingest_worker_wakeups_total", "").value();
+      registry.counter_family("crowdweb_ingest_worker_wakeups_total", "", {"shard"})
+          .with_labels({"0"})
+          .value();
   const ingest::IngestStats stats = worker->stats();
   EXPECT_EQ(stats.accepted, sent);
   EXPECT_EQ(stats.live_checkins, stats.accepted);
@@ -409,9 +411,9 @@ TEST(IngestWorkerTest, KeptHistoryIndexRefilesOnFirstTouchAndOnEarlierEvents) {
   auto worker = core::make_ingest_worker(platform, config);
   ASSERT_TRUE(worker->start().is_ok());
   telemetry::CounterFamily& users =
-      registry.counter_family("crowdweb_ingest_history_users_total", "", {"path"});
-  const auto appended = [&] { return users.with_labels({"appended"}).value(); };
-  const auto refiled = [&] { return users.with_labels({"refiled"}).value(); };
+      registry.counter_family("crowdweb_ingest_history_users_total", "", {"shard", "path"});
+  const auto appended = [&] { return users.with_labels({"0", "appended"}).value(); };
+  const auto refiled = [&] { return users.with_labels({"0", "refiled"}).value(); };
   const auto epoch_of = [&](std::vector<ingest::IngestEvent> events) {
     const std::uint64_t next = worker->hub().epoch() + 1;
     EXPECT_EQ(worker->submit(events).accepted, events.size());
@@ -432,7 +434,10 @@ TEST(IngestWorkerTest, KeptHistoryIndexRefilesOnFirstTouchAndOnEarlierEvents) {
   epoch_of({valid_event(7, kLater + 30), valid_event(8, kLater + 2 * 86'400)});
   EXPECT_EQ(refiled(), 3u);
   EXPECT_EQ(appended(), 4u);
-  EXPECT_GT(registry.gauge("crowdweb_ingest_history_bytes", "").value(), 0.0);
+  EXPECT_GT(registry.gauge_family("crowdweb_ingest_history_bytes", "", {"shard"})
+                .with_labels({"0"})
+                .value(),
+            0.0);
   worker->stop();
 }
 
@@ -444,7 +449,9 @@ TEST(IngestWorkerTest, MergeAppendsInOrderDeltasWithoutCopyingHistories) {
   config.metrics = &registry;
   auto worker = core::make_ingest_worker(platform, config);
   ASSERT_TRUE(worker->start().is_ok());
-  const auto counter = [&](const char* name) { return registry.counter(name, "").value(); };
+  const auto counter = [&](const char* name) {
+    return registry.counter_family(name, "", {"shard"}).with_labels({"0"}).value();
+  };
   const auto epoch_of = [&](std::vector<ingest::IngestEvent> events) {
     const std::uint64_t next = worker->hub().epoch() + 1;
     EXPECT_EQ(worker->submit(events).accepted, events.size());
@@ -482,6 +489,47 @@ std::uint64_t column_hash(const data::Dataset& dataset) {
     mix(records.venues());
   }
   return hash;
+}
+
+TEST(IngestWorkerTest, PushedGaugesEqualTheWorkersStats) {
+  // The queue, epoch and live-count gauges are set when their values
+  // change, under the worker's shard label, not sampled at scrape time.
+  const core::Platform& platform = test_platform();
+  telemetry::Registry registry;
+  ingest::IngestWorkerConfig config;
+  config.rebuild_interval = 20ms;
+  config.metrics = &registry;
+  config.shard = 5;
+  auto worker = core::make_ingest_worker(platform, config);
+  const auto gauge = [&](const char* name) {
+    return registry.gauge_family(name, "", {"shard"}).with_labels({"5"}).value();
+  };
+  const auto expect_gauges_match = [&] {
+    const ingest::IngestStats stats = worker->stats();
+    EXPECT_EQ(gauge("crowdweb_ingest_queue_depth"), static_cast<double>(stats.queue_depth));
+    EXPECT_EQ(gauge("crowdweb_ingest_queue_capacity"),
+              static_cast<double>(stats.queue_capacity));
+    EXPECT_EQ(gauge("crowdweb_ingest_epoch"), static_cast<double>(stats.current_epoch));
+    EXPECT_EQ(gauge("crowdweb_ingest_live_checkins"),
+              static_cast<double>(stats.live_checkins));
+  };
+
+  // Queued before start(): nothing drains them yet.
+  const std::vector<ingest::IngestEvent> events{valid_event(7, 2'000'000'000),
+                                                valid_event(8, 2'000'000'000),
+                                                valid_event(9, 2'000'000'000)};
+  ASSERT_EQ(worker->submit(events).accepted, events.size());
+  EXPECT_EQ(gauge("crowdweb_ingest_queue_depth"), 3.0);
+  expect_gauges_match();
+
+  ASSERT_TRUE(worker->start().is_ok());
+  ASSERT_TRUE(worker->wait_for_epoch(2, 5s));
+  // Idle: the epoch that carried the events drained the queue.
+  EXPECT_EQ(gauge("crowdweb_ingest_queue_depth"), 0.0);
+  EXPECT_EQ(gauge("crowdweb_ingest_live_checkins"), 3.0);
+  expect_gauges_match();
+  worker->stop();
+  expect_gauges_match();
 }
 
 TEST(IngestWorkerTest, PinnedSnapshotColumnsHoldStillWhileEpochsAppend) {
@@ -900,15 +948,12 @@ TEST(IngestApiTest, InvalidRowsAreChargedOnceAtEveryDeploymentShape) {
   const InvalidReading readings[] = {post_one_bad_row(piped_router),
                                      post_one_bad_row(single_router),
                                      post_one_bad_row(sharded_router)};
-  // crowdweb_ingest_invalid_total: the one-worker deployments export
-  // their worker's counter; shard workers keep theirs private, so the
-  // sharded total is read from the shards themselves.
-  double sharded_counter = 0;
-  for (std::size_t k = 0; k < (*shards)->shard_count(); ++k)
-    sharded_counter += static_cast<double>((*shards)->shard(k).worker().stats().invalid);
-  const double counters[] = {scraped(piped_router, "crowdweb_ingest_invalid_total"),
-                             scraped(single_router, "crowdweb_ingest_invalid_total"),
-                             sharded_counter};
+  // crowdweb_ingest_invalid_total: every deployment charges skipped rows
+  // to its (first) worker, shard="0", on the scrape.
+  const std::string invalid_series = R"(crowdweb_ingest_invalid_total{shard="0"})";
+  const double counters[] = {scraped(piped_router, invalid_series),
+                             scraped(single_router, invalid_series),
+                             scraped(sharded_router, invalid_series)};
   const char* const names[] = {"one worker + pipeline", "one worker", "4 shards"};
   for (int i = 0; i < 3; ++i) {
     SCOPED_TRACE(names[i]);

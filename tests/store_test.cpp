@@ -30,6 +30,7 @@
 #include "store/format.hpp"
 #include "store/store.hpp"
 #include "store/wal.hpp"
+#include "telemetry/metrics.hpp"
 #include "util/log.hpp"
 
 namespace crowdweb {
@@ -581,6 +582,52 @@ TEST(DurableStoreTest, CheckpointCoversTheLogAndPrunesSegments) {
   ASSERT_EQ(recovered.records.size(), 1u);
   EXPECT_EQ(recovered.records[0].seq, 11u);
   EXPECT_EQ(recovered.max_epoch, 6u);
+}
+
+TEST(DurableStoreTest, WalGaugesFollowAppendsRotationPruneAndRecovery) {
+  // crowdweb_store_wal_{segments,bytes} are set where the segment list
+  // or a segment's size changes, under the store's shard label.
+  ScratchDir dir("wal_gauges");
+  telemetry::Registry registry;
+  store::StoreConfig config = store_config(dir);
+  config.segment_bytes = 512;
+  config.keep_checkpoints = 1;
+  config.metrics = &registry;
+  config.shard = 3;
+  const auto expect_gauges_match = [](telemetry::Registry& metrics,
+                                      const store::DurableStore& store, const char* after) {
+    SCOPED_TRACE(after);
+    const auto gauge = [&](const char* name) {
+      return metrics.gauge_family(name, "", {"shard"}).with_labels({"3"}).value();
+    };
+    const store::StoreStats stats = store.stats();
+    EXPECT_EQ(gauge("crowdweb_store_wal_segments"), static_cast<double>(stats.wal_segments));
+    EXPECT_EQ(gauge("crowdweb_store_wal_bytes"), static_cast<double>(stats.wal_bytes));
+  };
+  {
+    auto opened = store::DurableStore::open(config);
+    ASSERT_TRUE(opened.is_ok());
+    store::DurableStore& store = **opened;
+    expect_gauges_match(registry, store, "open");
+    ASSERT_TRUE(store.append(1, make_record(1, 1, 2).events).is_ok());
+    EXPECT_EQ(store.stats().wal_segments, 1u);
+    expect_gauges_match(registry, store, "append");
+    for (std::uint64_t seq = 2; seq <= 20; ++seq)
+      ASSERT_TRUE(store.append(1, make_record(seq, 1, 2).events).is_ok());
+    EXPECT_GT(store.stats().wal_segments, 2u);
+    expect_gauges_match(registry, store, "rotation");
+    ASSERT_TRUE(store.write_checkpoint(sample_checkpoint()).is_ok());
+    EXPECT_EQ(store.stats().wal_segments, 1u);
+    expect_gauges_match(registry, store, "checkpoint prune");
+    ASSERT_TRUE(store.append(6, make_record(21, 6, 3).events).is_ok());
+    expect_gauges_match(registry, store, "append after the checkpoint");
+  }
+  telemetry::Registry recovered_registry;
+  config.metrics = &recovered_registry;
+  auto reopened = store::DurableStore::open(config);
+  ASSERT_TRUE(reopened.is_ok()) << reopened.status().to_string();
+  EXPECT_GT((*reopened)->stats().wal_bytes, 0u);
+  expect_gauges_match(recovered_registry, **reopened, "recovery");
 }
 
 TEST(DurableStoreTest, CorruptNewestCheckpointFallsBackToTheOlderOne) {

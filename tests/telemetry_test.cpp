@@ -10,10 +10,13 @@
 
 #include <algorithm>
 #include <cctype>
+#include <chrono>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <regex>
 #include <set>
+#include <span>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -24,6 +27,9 @@
 #include "http/client.hpp"
 #include "http/server.hpp"
 #include "json/json.hpp"
+#include "shard/api.hpp"
+#include "shard/router.hpp"
+#include "store/store.hpp"
 #include "telemetry/exposition.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/timer.hpp"
@@ -109,21 +115,6 @@ TEST(TelemetryRegistryTest, HistogramBoundaryValueLandsInLowerBucket) {
   histogram.observe(0.1);  // le is inclusive
   EXPECT_EQ(histogram.cell(0), 1u);
   EXPECT_EQ(histogram.cell(1), 0u);
-}
-
-TEST(TelemetryRegistryTest, CallbackGaugeSampledAtScrape) {
-  Registry registry;
-  double depth = 3.0;
-  registry.gauge_callback("test_queue_depth", "Sampled.", [&depth] { return depth; });
-  EXPECT_NE(telemetry::render_prometheus(registry).find("test_queue_depth 3"),
-            std::string::npos);
-  depth = 9.0;
-  EXPECT_NE(telemetry::render_prometheus(registry).find("test_queue_depth 9"),
-            std::string::npos);
-  EXPECT_TRUE(registry.remove("test_queue_depth"));
-  EXPECT_FALSE(registry.remove("test_queue_depth"));
-  EXPECT_EQ(telemetry::render_prometheus(registry).find("test_queue_depth"),
-            std::string::npos);
 }
 
 TEST(TelemetryRegistryTest, LabeledFamilyKeepsSeriesApart) {
@@ -358,6 +349,10 @@ TEST(TelemetryExpositionTest, JsonMirrorCarriesValues) {
   const json::Value* histogram = root.find("test_seconds");
   ASSERT_NE(histogram, nullptr);
   EXPECT_EQ(histogram->find("series")->as_array().at(0).find("count")->as_int(), 1);
+  // One shape for every family, the registry's own counter included.
+  for (const auto& [name, metric] : root.as_object())
+    EXPECT_NE(metric.find("series"), nullptr) << name;
+  EXPECT_NE(root.find("crowdweb_telemetry_dropped_label_sets_total"), nullptr);
 }
 
 // ----------------------------------------------------- route labels e2e
@@ -420,6 +415,37 @@ std::map<std::string, std::string> families_of(const std::string& text) {
   return families;
 }
 
+/// Every line of `text` parses as Prometheus text format.
+void expect_parses(const std::string& text) {
+  const std::regex comment_line(R"(^# (HELP|TYPE) [a-zA-Z_:][a-zA-Z0-9_:]* .*$)");
+  const std::regex sample_line(
+      R"(^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[a-zA-Z_][a-zA-Z0-9_]*="(\\.|[^"\\])*"(,[a-zA-Z_][a-zA-Z0-9_]*="(\\.|[^"\\])*")*\})? (NaN|[+-]?Inf|[-+0-9.eE]+)$)");
+  for (const std::string& line : lines_of(text)) {
+    EXPECT_TRUE(std::regex_match(line, comment_line) ||
+                std::regex_match(line, sample_line))
+        << "invalid exposition line: " << line;
+  }
+}
+
+/// Acceptance cross-check: every exported family is documented in
+/// docs/OBSERVABILITY.md by its exact name.
+void expect_documented(const std::map<std::string, std::string>& families) {
+#ifdef CROWDWEB_DOCS_DIR
+  std::ifstream docs(std::string(CROWDWEB_DOCS_DIR) + "/OBSERVABILITY.md");
+  ASSERT_TRUE(docs.is_open()) << "docs/OBSERVABILITY.md missing";
+  std::stringstream buffer;
+  buffer << docs.rdbuf();
+  const std::string docs_text = buffer.str();
+  for (const auto& [name, type] : families) {
+    EXPECT_NE(docs_text.find(name), std::string::npos)
+        << "metric " << name << " (" << type << ") is not documented in "
+        << "docs/OBSERVABILITY.md";
+  }
+#else
+  (void)families;
+#endif
+}
+
 TEST(TelemetryMetricsEndpointTest, ScrapeCoversEverySubsystemAndParses) {
   Registry registry;
   auto platform = core::Platform::create(e2e_config(&registry));
@@ -443,15 +469,7 @@ TEST(TelemetryMetricsEndpointTest, ScrapeCoversEverySubsystemAndParses) {
   EXPECT_EQ(response->status, 200);
   EXPECT_EQ(response->headers.at("content-type"), telemetry::kPrometheusContentType);
 
-  // Every line parses as Prometheus text format.
-  const std::regex comment_line(R"(^# (HELP|TYPE) [a-zA-Z_:][a-zA-Z0-9_:]* .*$)");
-  const std::regex sample_line(
-      R"(^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[a-zA-Z_][a-zA-Z0-9_]*="(\\.|[^"\\])*"(,[a-zA-Z_][a-zA-Z0-9_]*="(\\.|[^"\\])*")*\})? (NaN|[+-]?Inf|[-+0-9.eE]+)$)");
-  for (const std::string& line : lines_of(response->body)) {
-    EXPECT_TRUE(std::regex_match(line, comment_line) ||
-                std::regex_match(line, sample_line))
-        << "invalid exposition line: " << line;
-  }
+  expect_parses(response->body);
 
   // The scrape covers all four subsystems of the issue: http, ingest
   // (queue + epoch), pipeline stages, and the platform batch build.
@@ -470,7 +488,7 @@ TEST(TelemetryMetricsEndpointTest, ScrapeCoversEverySubsystemAndParses) {
   EXPECT_EQ(families.at("crowdweb_ingest_epoch_rebuild_duration_seconds"), "histogram");
 
   // The worker published at least the base epoch before the scrape.
-  const std::regex epoch_line(R"(crowdweb_ingest_epoch (\d+))");
+  const std::regex epoch_line(R"(crowdweb_ingest_epoch\{shard="0"\} (\d+))");
   std::smatch match;
   const std::string& body = response->body;
   ASSERT_TRUE(std::regex_search(body, match, epoch_line));
@@ -488,20 +506,210 @@ TEST(TelemetryMetricsEndpointTest, ScrapeCoversEverySubsystemAndParses) {
   server.stop();
   worker->stop();
 
-#ifdef CROWDWEB_DOCS_DIR
-  // Acceptance cross-check: every exported family is documented in
-  // docs/OBSERVABILITY.md by its exact name.
-  std::ifstream docs(std::string(CROWDWEB_DOCS_DIR) + "/OBSERVABILITY.md");
-  ASSERT_TRUE(docs.is_open()) << "docs/OBSERVABILITY.md missing";
-  std::stringstream buffer;
-  buffer << docs.rdbuf();
-  const std::string docs_text = buffer.str();
-  for (const auto& [name, type] : families) {
-    EXPECT_NE(docs_text.find(name), std::string::npos)
-        << "metric " << name << " (" << type << ") is not documented in "
-        << "docs/OBSERVABILITY.md";
+  expect_documented(families);
+}
+
+/// The `shard` label values on the sample lines of the per-worker
+/// families (crowdweb_ingest_*, crowdweb_mining_*, crowdweb_store_*);
+/// "(none)" for a line without one.
+std::set<std::string> worker_shard_labels(const std::string& text) {
+  const std::regex worker_line(R"(^crowdweb_(ingest|mining|store)_.*)");
+  const std::regex shard_label(R"(shard="([^"]*)\")");
+  std::set<std::string> shards;
+  for (const std::string& line : lines_of(text)) {
+    if (!std::regex_match(line, worker_line)) continue;
+    std::smatch match;
+    shards.insert(std::regex_search(line, match, shard_label) ? match[1].str() : "(none)");
   }
-#endif
+  return shards;
+}
+
+/// The per-worker family names among `names`.
+template <typename Names>
+std::set<std::string> worker_families(const Names& names) {
+  std::set<std::string> out;
+  for (const auto& entry : names) {
+    const std::string& name = entry.first;
+    if (name.starts_with("crowdweb_ingest_") || name.starts_with("crowdweb_mining_") ||
+        name.starts_with("crowdweb_store_"))
+      out.insert(name);
+  }
+  return out;
+}
+
+/// The value of the sample line `series` (name plus label block), or -1.
+double series_value(const std::string& text, const std::string& series) {
+  for (const std::string& line : lines_of(text))
+    if (line.starts_with(series + " ")) return std::stod(line.substr(series.size() + 1));
+  return -1.0;
+}
+
+/// A scratch store root, wiped on construction and destruction.
+class ScratchDir {
+ public:
+  explicit ScratchDir(const std::string& tag)
+      : path_(std::filesystem::temp_directory_path() / ("crowdweb_telemetry_test_" + tag)) {
+    std::filesystem::remove_all(path_);
+  }
+  ~ScratchDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path_, ec);
+  }
+  [[nodiscard]] std::string str(const std::string& child) const {
+    return (path_ / child).string();
+  }
+
+ private:
+  std::filesystem::path path_;
+};
+
+TEST(TelemetryMetricsEndpointTest, FourShardsRecordEveryWorkerSeriesIntoOneRegistry) {
+  // Four shard workers and their stores record into the registry the
+  // platform and the server share, each series under shard="k", while
+  // /metrics renders; a lone worker records the same families as
+  // shard="0".
+  using namespace std::chrono_literals;
+  Registry registry;
+  auto platform = core::Platform::create(e2e_config(&registry));
+  ASSERT_TRUE(platform.is_ok()) << platform.status().to_string();
+  ScratchDir dir("four_shards");
+
+  shard::ShardRouterConfig config;
+  config.shard_count = 4;
+  config.metrics = &registry;
+  config.worker.rebuild_interval = 20ms;
+  config.worker.store.dir = dir.str("shards");
+  config.worker.store.fsync = store::FsyncPolicy::kNever;
+  auto router = shard::ShardRouter::create(*platform, config);
+  ASSERT_TRUE(router.is_ok()) << router.status().to_string();
+  ASSERT_TRUE((*router)->start().is_ok());
+  shard::ShardApiOptions api;
+  api.metrics = &registry;
+  http::ServerConfig server_config;
+  server_config.metrics = &registry;
+  http::Server server(shard::make_shard_api_router(**router, api), server_config);
+  ASSERT_TRUE(server.start().is_ok());
+
+  // One check-in per corpus user, so every shard journals and re-mines.
+  const data::Dataset& corpus = platform->experiment_dataset();
+  const data::Venue& venue = corpus.venues()[0];
+  std::vector<ingest::IngestEvent> events;
+  std::set<std::size_t> owners;
+  for (const data::UserId user : corpus.users()) {
+    ingest::IngestEvent event;
+    event.user = user;
+    event.category = venue.category;
+    event.position = venue.position;
+    event.timestamp = corpus.checkins_for(user).timestamps().back() + 60;
+    events.push_back(event);
+    owners.insert((*router)->owner_of(event));
+  }
+  ASSERT_EQ(owners.size(), 4u);
+
+  // Scrape while the shards record.
+  std::thread feeder([&] {
+    for (std::size_t at = 0; at < events.size(); at += 8) {
+      const std::size_t end = std::min(events.size(), at + 8);
+      (*router)->submit(std::span(events).subspan(at, end - at));
+      std::this_thread::sleep_for(1ms);
+    }
+  });
+  for (int i = 0; i < 5; ++i) {
+    const auto scrape = http::get("127.0.0.1", server.port(), "/metrics");
+    EXPECT_TRUE(scrape.is_ok()) << scrape.status().to_string();
+    if (scrape.is_ok()) expect_parses(scrape->body);
+  }
+  feeder.join();
+  ASSERT_TRUE((*router)->wait_for_live(events.size(), 10s));
+
+  const auto response = http::get("127.0.0.1", server.port(), "/metrics");
+  ASSERT_TRUE(response.is_ok()) << response.status().to_string();
+  const std::string& sharded = response->body;
+  expect_parses(sharded);
+  for (std::size_t k = 0; k < 4; ++k) {
+    SCOPED_TRACE("shard " + std::to_string(k));
+    const std::string shard = "shard=\"" + std::to_string(k) + "\"";
+    EXPECT_GE(series_value(sharded, "crowdweb_ingest_rebuild_stage_duration_seconds_count{" +
+                                         shard + ",stage=\"mine\"}"),
+              1.0);
+    EXPECT_GE(series_value(sharded, "crowdweb_mining_patterns_emitted_total{" + shard + "}"),
+              0.0);
+    EXPECT_GE(series_value(sharded, "crowdweb_store_append_records_total{" + shard + "}"),
+              1.0);
+  }
+  EXPECT_EQ(worker_shard_labels(sharded), (std::set<std::string>{"0", "1", "2", "3"}));
+  const auto status_response = http::get("127.0.0.1", server.port(), "/api/status");
+  ASSERT_TRUE(status_response.is_ok()) << status_response.status().to_string();
+  const auto status = json::parse(status_response->body);
+  ASSERT_TRUE(status.is_ok());
+  const json::Value* sharded_mirror = status->find("telemetry");
+  ASSERT_NE(sharded_mirror, nullptr);
+  expect_documented(families_of(sharded));
+
+  // Each shard's stats() reads its own labelled cells.
+  server.stop();
+  (*router)->stop();
+  const std::string stopped = telemetry::render_prometheus(registry);
+  for (std::size_t k = 0; k < 4; ++k) {
+    SCOPED_TRACE("shard " + std::to_string(k));
+    const ingest::IngestStats stats = (*router)->shard(k).worker().stats();
+    const auto cell = [&](const std::string& name) {
+      return series_value(stopped, name + "{shard=\"" + std::to_string(k) + "\"}");
+    };
+    EXPECT_GT(stats.accepted, 0u);
+    EXPECT_EQ(cell("crowdweb_ingest_submitted_total"), static_cast<double>(stats.submitted));
+    EXPECT_EQ(cell("crowdweb_ingest_accepted_total"), static_cast<double>(stats.accepted));
+    EXPECT_EQ(cell("crowdweb_ingest_rejected_total"), static_cast<double>(stats.rejected));
+    EXPECT_EQ(cell("crowdweb_ingest_invalid_total"), static_cast<double>(stats.invalid));
+    EXPECT_EQ(cell("crowdweb_ingest_epochs_published_total"),
+              static_cast<double>(stats.epochs_published));
+    EXPECT_EQ(cell("crowdweb_ingest_epoch"), static_cast<double>(stats.current_epoch));
+    EXPECT_EQ(cell("crowdweb_ingest_queue_depth"), static_cast<double>(stats.queue_depth));
+    EXPECT_EQ(cell("crowdweb_ingest_live_checkins"), static_cast<double>(stats.live_checkins));
+    const store::StoreStats store = (*router)->shard(k).worker().store()->stats();
+    EXPECT_EQ(cell("crowdweb_store_append_records_total"),
+              static_cast<double>(store.append_records));
+    EXPECT_EQ(cell("crowdweb_store_wal_bytes"), static_cast<double>(store.wal_bytes));
+  }
+
+  // A lone worker: the same families, all shard="0".
+  Registry single_registry;
+  ingest::IngestWorkerConfig single_config;
+  single_config.rebuild_interval = 20ms;
+  single_config.metrics = &single_registry;
+  single_config.store.dir = dir.str("single");
+  single_config.store.fsync = store::FsyncPolicy::kNever;
+  auto worker = core::make_ingest_worker(*platform, single_config);
+  ASSERT_TRUE(worker->start().is_ok());
+  ASSERT_EQ(worker->submit(std::span(events).first(4)).accepted, 4u);
+  ASSERT_TRUE(worker->wait_for_epoch(2, 10s));
+  core::ApiOptions single_api;
+  single_api.ingest = worker.get();
+  single_api.metrics = &single_registry;
+  http::ServerConfig single_server_config;
+  single_server_config.metrics = &single_registry;
+  http::Server single_server(core::make_api_router(*platform, single_api),
+                             single_server_config);
+  ASSERT_TRUE(single_server.start().is_ok());
+  const auto single_response = http::get("127.0.0.1", single_server.port(), "/metrics");
+  ASSERT_TRUE(single_response.is_ok()) << single_response.status().to_string();
+  const std::string& single = single_response->body;
+  expect_parses(single);
+  EXPECT_EQ(worker_shard_labels(single), std::set<std::string>{"0"});
+  EXPECT_EQ(worker_families(families_of(single)), worker_families(families_of(sharded)));
+  const auto single_status_response =
+      http::get("127.0.0.1", single_server.port(), "/api/status");
+  ASSERT_TRUE(single_status_response.is_ok()) << single_status_response.status().to_string();
+  const auto single_status = json::parse(single_status_response->body);
+  ASSERT_TRUE(single_status.is_ok());
+  const json::Value* single_mirror = single_status->find("telemetry");
+  ASSERT_NE(single_mirror, nullptr);
+  EXPECT_EQ(worker_families(single_mirror->as_object()),
+            worker_families(sharded_mirror->as_object()));
+  EXPECT_EQ(worker_families(single_mirror->as_object()), worker_families(families_of(single)));
+  expect_documented(families_of(single));
+  single_server.stop();
+  worker->stop();
 }
 
 TEST(TelemetryMetricsEndpointTest, NoRegistryMeansNoMetricsRoute) {
