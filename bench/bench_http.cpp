@@ -15,6 +15,12 @@
 //      (the cache key changed), the ETag rotates, and the publish frees
 //      the superseded epoch's entry (one entry resident after re-warm).
 //
+// Section 4 reports what one cache miss costs to render per hot route
+// (/api/status with a started worker's registry in its telemetry mirror,
+// crowd JSON, map and GeoJSON, flow JSON and map), dispatched in-process
+// so no socket time is included. It gates only that every body is
+// non-empty and parses; the times are for reading, not a bar.
+//
 // Emits BENCH_http.json (override with --out). --smoke shrinks the
 // workload for CI and relaxes the throughput assertions to direction
 // checks; the full run enforces the 5x pool and 10x cache bars.
@@ -43,6 +49,7 @@
 #include "ingest/worker.hpp"
 #include "json/json.hpp"
 #include "synth/generator.hpp"
+#include "telemetry/metrics.hpp"
 #include "util/log.hpp"
 
 using namespace crowdweb;
@@ -517,6 +524,77 @@ int main(int argc, char** argv) {
         &failures);
   check(live_stats.superseded >= 1, "the publish freed the superseded epoch's entry",
         &failures);
+
+  // ------------------------------------------------ 4. render cost
+  std::printf("\n=== 4. render cost per hot route (in-process dispatch) ===\n");
+  telemetry::Registry render_registry;
+  ingest::IngestWorkerConfig render_worker_config;
+  render_worker_config.metrics = &render_registry;
+  auto render_worker = core::make_ingest_worker(*platform, render_worker_config);
+  if (!render_worker->start().is_ok() ||
+      !render_worker->wait_for_epoch(1, std::chrono::seconds(30))) {
+    std::fprintf(stderr, "render worker start failed\n");
+    return 1;
+  }
+  core::ApiOptions render_api;
+  render_api.ingest = render_worker.get();
+  render_api.metrics = &render_registry;
+  const http::Router render_router = core::make_api_router(*platform, render_api);
+  struct RenderRoute {
+    const char* name;
+    const char* target;
+    bool svg;
+  };
+  const RenderRoute render_routes[] = {
+      {"status", "/api/status", false},
+      {"crowd", "/api/crowd/8", false},
+      {"crowd_map", "/api/crowd/8/map.svg", true},
+      {"crowd_geojson", "/api/crowd/8/geojson", false},
+      {"flow", "/api/flow/8/9", false},
+      {"flow_map", "/api/flow/8/9/map.svg", true},
+  };
+  const int render_reps = args.smoke ? 50 : 500;
+  std::printf("%14s %10s %10s %10s\n", "route", "p50 us", "mean us", "bytes");
+  json::Value render_report = json::Value(json::Object{});
+  bool bodies_ok = true;
+  for (const RenderRoute& route : render_routes) {
+    http::Request request;
+    request.method = "GET";
+    request.path = route.target;
+    std::vector<double> times_us;
+    times_us.reserve(static_cast<std::size_t>(render_reps));
+    std::string body;
+    for (int rep = 0; rep < render_reps; ++rep) {
+      const auto start = Clock::now();
+      http::Response response = render_router.dispatch(request);
+      times_us.push_back(
+          std::chrono::duration<double, std::micro>(Clock::now() - start).count());
+      if (response.status != 200) bodies_ok = false;
+      body = std::move(response.body);
+    }
+    const bool parses = route.svg ? body.starts_with("<svg ") && body.ends_with("</svg>\n")
+                                  : json::parse(body).is_ok();
+    if (body.empty() || !parses) {
+      std::fprintf(stderr, "%s: empty or malformed body\n", route.target);
+      bodies_ok = false;
+    }
+    double mean_us = 0.0;
+    for (const double t : times_us) mean_us += t;
+    mean_us /= static_cast<double>(times_us.size());
+    const LatencySummary summary = summarize(times_us, 1.0);
+    std::printf("%14s %10.1f %10.1f %10zu\n", route.name, summary.p50_us, mean_us,
+                body.size());
+    render_report.set(route.name,
+                      json::object({{"target", route.target},
+                                    {"p50_us", summary.p50_us},
+                                    {"p99_us", summary.p99_us},
+                                    {"mean_us", mean_us},
+                                    {"bytes", static_cast<std::int64_t>(body.size())},
+                                    {"reps", static_cast<std::int64_t>(render_reps)}}));
+  }
+  render_worker->stop();
+  report.set("render", std::move(render_report));
+  check(bodies_ok, "every rendered body is non-empty, 200 and parses", &failures);
 
   report.set("passed", failures == 0);
   const Status written = data::write_file(args.out, json::dump(report) + "\n");

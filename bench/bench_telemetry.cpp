@@ -123,10 +123,14 @@ BENCHMARK(BM_RenderPrometheus);
 
 void BM_RenderJson(benchmark::State& state) {
   telemetry::Registry& registry = service_shaped_registry();
+  std::size_t bytes = 0;
   for (auto _ : state) {
-    const json::Value mirror = telemetry::render_json(registry);
+    std::string mirror;
+    telemetry::render_json(registry, mirror);
+    bytes = mirror.size();
     benchmark::DoNotOptimize(mirror);
   }
+  state.counters["mirror_bytes"] = static_cast<double>(bytes);
 }
 BENCHMARK(BM_RenderJson);
 

@@ -260,9 +260,16 @@ Response status_handler(const Deployment& deployment, const json::Value& batch,
     }
     payload.set("http", std::move(http_block));
   }
-  if (options.metrics != nullptr)
-    payload.set("telemetry", telemetry::render_json(*options.metrics));
-  return Response::json(200, json::dump(payload));
+  std::string body = json::dump(payload);
+  if (options.metrics != nullptr) {
+    // "telemetry" is the last key: reopen the object and write the
+    // mirror straight into the body.
+    body.pop_back();
+    body += ",\"telemetry\":";
+    telemetry::render_json(*options.metrics, body);
+    body += '}';
+  }
+  return Response::json(200, std::move(body));
 }
 
 Response ingest_stats_handler(const std::vector<ShardSlot>& slots) {

@@ -3,7 +3,6 @@
 #include <cassert>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 #include "util/format.hpp"
 
 namespace crowdweb::json {
@@ -308,19 +307,6 @@ void append_indent(const DumpOptions& options, int level, std::string& out) {
   out.append(static_cast<std::size_t>(options.indent) * static_cast<std::size_t>(level), ' ');
 }
 
-void dump_double(double d, std::string& out) {
-  if (std::isnan(d) || std::isinf(d)) {
-    // JSON has no NaN/Inf; emit null (matches common library behaviour).
-    out += "null";
-    return;
-  }
-  char buffer[32];
-  const auto [ptr, ec] = std::to_chars(buffer, buffer + sizeof buffer, d);
-  std::string_view token(buffer, static_cast<std::size_t>(ptr - buffer));
-  out += token;
-  if (token.find_first_of(".eE") == std::string_view::npos) out += ".0";
-}
-
 void dump_value(const Value& value, const DumpOptions& options, int level, std::string& out) {
   switch (value.type()) {
     case Type::kNull:
@@ -330,14 +316,14 @@ void dump_value(const Value& value, const DumpOptions& options, int level, std::
       out += value.as_bool() ? "true" : "false";
       return;
     case Type::kInt:
-      out += crowdweb::format("{}", value.as_int());
+      append_int(out, value.as_int());
       return;
     case Type::kDouble:
-      dump_double(value.as_double(), out);
+      append_double(out, value.as_double());
       return;
     case Type::kString:
       out += '"';
-      out += escape_string(value.as_string());
+      append_escaped(out, value.as_string());
       out += '"';
       return;
     case Type::kArray: {
@@ -367,7 +353,7 @@ void dump_value(const Value& value, const DumpOptions& options, int level, std::
         if (i > 0) out += ',';
         append_indent(options, level + 1, out);
         out += '"';
-        out += escape_string(members[i].first);
+        append_escaped(out, members[i].first);
         out += "\":";
         if (options.indent > 0) out += ' ';
         dump_value(members[i].second, options, level + 1, out);
@@ -391,10 +377,35 @@ std::string dump(const Value& value, DumpOptions options) {
   return out;
 }
 
-std::string escape_string(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
+void append_int(std::string& out, std::int64_t value) {
+  char buffer[24];
+  const auto [end, ec] = std::to_chars(buffer, buffer + sizeof buffer, value);
+  out.append(buffer, end);
+}
+
+void append_double(std::string& out, double value) {
+  if (std::isnan(value) || std::isinf(value)) {
+    // JSON has no NaN/Inf; emit null (matches common library behaviour).
+    out += "null";
+    return;
+  }
+  char buffer[32];
+  const auto [end, ec] = std::to_chars(buffer, buffer + sizeof buffer, value);
+  const std::string_view token(buffer, static_cast<std::size_t>(end - buffer));
+  out += token;
+  if (token.find_first_of(".eE") == std::string_view::npos) out += ".0";
+}
+
+void append_escaped(std::string& out, std::string_view text) {
+  // Clean runs are copied whole; only '"', '\\' and control bytes are
+  // rewritten.
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    const auto c = static_cast<unsigned char>(text[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(text.data() + run, i - run);
+    run = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
@@ -403,15 +414,13 @@ std::string escape_string(std::string_view text) {
       case '\n': out += "\\n"; break;
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += crowdweb::format("\\u{:04x}", static_cast<unsigned>(c));
-        } else {
-          out += c;
-        }
+      default: {
+        const char escape[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xF]};
+        out.append(escape, sizeof escape);
+      }
     }
   }
-  return out;
+  out.append(text.data() + run, text.size() - run);
 }
 
 }  // namespace crowdweb::json

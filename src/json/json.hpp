@@ -115,7 +115,18 @@ struct DumpOptions {
 /// keep a trailing ".0" so round-trips preserve the type.
 [[nodiscard]] std::string dump(const Value& value, DumpOptions options = {});
 
-/// Escapes `text` as the *contents* of a JSON string (no surrounding quotes).
-[[nodiscard]] std::string escape_string(std::string_view text);
+// Appenders for writers that emit JSON straight into a body; each writes
+// exactly the bytes dump() writes for the same value.
+
+/// Appends an integer.
+void append_int(std::string& out, std::int64_t value);
+
+/// Appends a double: shortest round-trip form, ".0" on integral values,
+/// null for NaN and ±Inf.
+void append_double(std::string& out, double value);
+
+/// Appends `text` escaped as the *contents* of a JSON string (no
+/// surrounding quotes): '"', '\\' and bytes below 0x20 are escaped.
+void append_escaped(std::string& out, std::string_view text);
 
 }  // namespace crowdweb::json

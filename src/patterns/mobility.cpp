@@ -260,6 +260,10 @@ std::vector<UserMobility> mine_users_mobility_parallel(const data::Dataset& data
   return out;
 }
 
+MobilityTable::MobilityTable(std::vector<EntryPtr> entries) : entries_(std::move(entries)) {
+  for (const EntryPtr& entry : entries_) stats_.add(*entry);
+}
+
 MobilityTable MobilityTable::from_entries(std::vector<UserMobility> entries) {
   std::vector<EntryPtr> owned;
   owned.reserve(entries.size());
@@ -276,6 +280,7 @@ MobilityTable MobilityTable::with_updates(std::vector<UserMobility> updates) con
             [](const UserMobility& a, const UserMobility& b) { return a.user < b.user; });
   std::vector<EntryPtr> merged;
   merged.reserve(entries_.size() + updates.size());
+  MobilityStats stats = stats_;
   std::size_t bi = 0;
   std::size_t ui = 0;
   while (bi < entries_.size() || ui < updates.size()) {
@@ -285,11 +290,13 @@ MobilityTable MobilityTable::with_updates(std::vector<UserMobility> updates) con
       ++bi;
       continue;
     }
-    if (bi < entries_.size() && entries_[bi]->user == updates[ui].user) ++bi;
+    if (bi < entries_.size() && entries_[bi]->user == updates[ui].user)
+      stats.remove(*entries_[bi++]);
     merged.push_back(std::make_shared<const UserMobility>(std::move(updates[ui])));
+    stats.add(*merged.back());
     ++ui;
   }
-  return MobilityTable(std::move(merged));
+  return MobilityTable(std::move(merged), stats);
 }
 
 const UserMobility* MobilityTable::find(data::UserId user) const noexcept {
@@ -314,12 +321,6 @@ MobilityTable MobilityTable::filter_users(std::span<const data::UserId> users) c
   for (const EntryPtr& entry : entries_)
     if (wanted.contains(entry->user)) kept.push_back(entry);
   return MobilityTable(std::move(kept));
-}
-
-MobilityStats MobilityTable::stats() const noexcept {
-  MobilityStats stats;
-  for (const EntryPtr& entry : entries_) stats.add(*entry);
-  return stats;
 }
 
 double average_pattern_length(const std::vector<MobilityPattern>& patterns) {

@@ -166,6 +166,15 @@ struct MobilityStats {
     bytes += entry.resident_bytes();
   }
 
+  /// Takes back what add(entry) counted (an entry a table replaced).
+  void remove(const UserMobility& entry) noexcept {
+    --entries;
+    if (entry.closed_only) --compact_entries;
+    patterns -= entry.patterns.size();
+    placement_candidates -= entry.placement_index.size();
+    bytes -= entry.resident_bytes();
+  }
+
   /// Folds another table's totals in (shard scatter-gather status).
   void merge(const MobilityStats& other) noexcept {
     entries += other.entries;
@@ -174,6 +183,8 @@ struct MobilityStats {
     placement_candidates += other.placement_candidates;
     bytes += other.bytes;
   }
+
+  friend bool operator==(const MobilityStats&, const MobilityStats&) = default;
 };
 
 /// Immutable per-user mobility entries in ascending user order, each
@@ -254,13 +265,20 @@ class MobilityTable {
   /// table by pointer (mirrors data::Dataset::filter_users).
   [[nodiscard]] MobilityTable filter_users(std::span<const data::UserId> users) const;
 
-  /// Aggregate entry/pattern/byte counts over every entry (O(patterns)).
-  [[nodiscard]] MobilityStats stats() const noexcept;
+  /// Aggregate entry/pattern/byte counts over every entry. Kept with
+  /// the table: built once by from_entries/filter_users and adjusted by
+  /// with_updates for the entries it replaces and inserts, so reading it
+  /// does not walk the users.
+  [[nodiscard]] const MobilityStats& stats() const noexcept { return stats_; }
 
  private:
-  explicit MobilityTable(std::vector<EntryPtr> entries) : entries_(std::move(entries)) {}
+  /// Adopts `entries` and counts them.
+  explicit MobilityTable(std::vector<EntryPtr> entries);
+  MobilityTable(std::vector<EntryPtr> entries, const MobilityStats& stats)
+      : entries_(std::move(entries)), stats_(stats) {}
 
   std::vector<EntryPtr> entries_;  // ascending by user
+  MobilityStats stats_;            // over entries_
 };
 
 /// Annotates an already-mined pattern with per-position visit times: the

@@ -61,13 +61,14 @@ Result<std::unique_ptr<ShardRouter>> ShardRouter::create(const core::Platform& p
 
   router->init_metrics();
 
-  // Publish hooks: a response-cache re-key, registered before start()
-  // so the first epoch is observed too. The hook runs on the publishing
-  // shard's worker thread.
+  // Publish hooks: a response-cache re-key and the per-shard gauges,
+  // registered before start() so the first epoch is observed too. The
+  // hook runs on the publishing shard's worker thread.
   for (const auto& shard : router->shards_) {
     ShardRouter* self = router.get();
     shard->worker().hub().on_publish([self](const ingest::PlatformSnapshot&) {
       if (self->cache_ != nullptr) self->rekey_cache();
+      self->refresh_gauges();
     });
   }
   return router;
@@ -95,6 +96,7 @@ Status ShardRouter::start() {
 
 void ShardRouter::stop() {
   for (auto& shard : shards_) shard->stop();
+  refresh_gauges();
 }
 
 std::size_t ShardRouter::up_count() const noexcept {
@@ -144,7 +146,9 @@ core::ViewPtr ShardRouter::merged() const {
     merge_cache_ = core::view_of(*platform_, std::move(pins), mix_epoch_vector(epochs));
   }
   if (merges_ != nullptr && merge_cache_->crowd != nullptr) merges_->increment();
-  refresh_gauges();
+  // A shard that went down published nothing; the merge that misses it
+  // is where the router learns of it.
+  if (!merge_cache_->missing.empty()) refresh_gauges();
   return merge_cache_;
 }
 
@@ -215,14 +219,21 @@ void ShardRouter::init_metrics() {
 
 void ShardRouter::refresh_gauges() const {
   if (metrics_ == nullptr) return;
+  // One snapshot read per shard, applied under one mutex: hooks of
+  // different shards run concurrently, and the one that reads later
+  // also writes later, so an older read never lands last.
+  const std::lock_guard<std::mutex> lock(gauge_mutex_);
+  std::vector<ingest::SnapshotPtr> pins(shards_.size());
   std::uint64_t max_epoch = 0;
-  for (const auto& shard : shards_) max_epoch = std::max(max_epoch, shard->epoch());
   for (std::size_t id = 0; id < shards_.size(); ++id) {
-    const bool up = shards_[id]->up();
-    up_gauge_[id]->set(up ? 1.0 : 0.0);
-    lag_gauge_[id]->set(static_cast<double>(max_epoch - shards_[id]->epoch()));
-    live_gauge_[id]->set(
-        up ? static_cast<double>(shards_[id]->worker().stats().live_checkins) : 0.0);
+    pins[id] = shards_[id]->snapshot();
+    if (pins[id] != nullptr) max_epoch = std::max(max_epoch, pins[id]->epoch);
+  }
+  for (std::size_t id = 0; id < shards_.size(); ++id) {
+    const ingest::PlatformSnapshot* pin = pins[id].get();
+    up_gauge_[id]->set(pin != nullptr ? 1.0 : 0.0);
+    lag_gauge_[id]->set(static_cast<double>(max_epoch - (pin != nullptr ? pin->epoch : 0)));
+    live_gauge_[id]->set(pin != nullptr ? static_cast<double>(pin->live_checkins) : 0.0);
   }
 }
 

@@ -141,7 +141,9 @@ class ShardRouter {
   void init_metrics();
   /// Sets the cache key and tag from one epoch_vector() read.
   void rekey_cache();
-  /// Pushes per-shard gauges (up/lag/live) to the registry.
+  /// Sets the per-shard gauges (up, epoch lag, live check-ins) from one
+  /// snapshot read per shard. Runs in every shard's publish hook, at
+  /// start() and stop(), and on a merge that finds a shard down.
   void refresh_gauges() const;
 
   const core::Platform* platform_ = nullptr;
@@ -158,6 +160,7 @@ class ShardRouter {
   telemetry::Counter* degraded_reads_ = nullptr;
 
   std::mutex rekey_mutex_;
+  mutable std::mutex gauge_mutex_;
   mutable std::mutex merge_mutex_;
   mutable core::ViewPtr merge_cache_;  // guarded by merge_mutex_
 };

@@ -3,9 +3,10 @@
 #include <charconv>
 #include <cmath>
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <vector>
+
+#include "json/json.hpp"
 
 namespace crowdweb::telemetry {
 
@@ -82,158 +83,193 @@ void append_header(std::string& out, const std::string& name, const std::string&
   out += '\n';
 }
 
-json::Value labels_json(const std::vector<std::string>& names,
+void append_json_key(std::string& out, std::string_view key) {
+  out += '"';
+  json::append_escaped(out, key);
+  out += "\":";
+}
+
+/// `"labels":{"name":"value",...}` for one series.
+void append_json_labels(std::string& out, const std::vector<std::string>& names,
                         const std::vector<std::string>& values) {
-  json::Value labels = json::Value(json::Object{});
-  for (std::size_t i = 0; i < names.size(); ++i)
-    labels.set(names[i], i < values.size() ? values[i] : std::string());
-  return labels;
+  out += "\"labels\":{";
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    if (i > 0) out += ',';
+    append_json_key(out, names[i]);
+    out += '"';
+    json::append_escaped(out, i < values.size() ? std::string_view(values[i]) : "");
+    out += '"';
+  }
+  out += '}';
+}
+
+/// Appends `"series":[{"labels":{...}<rest>},...]` for a family;
+/// `rest(series)` appends the members after the labels, each led by a
+/// comma.
+template <typename T, typename Rest>
+void append_json_series(std::string& out, const Family<T>& family, Rest&& rest) {
+  out += "\"series\":[";
+  bool first = true;
+  family.for_each_series([&](const std::vector<std::string>& values, const T& series) {
+    if (!first) out += ',';
+    first = false;
+    out += '{';
+    append_json_labels(out, family.label_names(), values);
+    rest(series);
+    out += '}';
+  });
+  out += ']';
 }
 
 }  // namespace
 
-/// Friend of Registry: walks the entries under the registry mutex and
-/// renders each family in registration order.
-class ExpositionWalker {
- public:
-  static std::string prometheus(const Registry& registry) {
-    const std::lock_guard<std::mutex> lock(registry.mutex_);
-    std::string out;
-    out.reserve(4096);
-    for (const auto& entry : registry.entries_) {
-      switch (entry->kind) {
-        case Registry::Kind::kCounter: {
-          append_header(out, entry->name, entry->help, "counter");
-          for (const auto& [values, series] : entry->counters->snapshot()) {
-            out += entry->name;
-            out += label_block(entry->counters->label_names(), values);
-            out += ' ';
-            out += number(series->value());
-            out += '\n';
-          }
-          break;
-        }
-        case Registry::Kind::kGauge: {
-          append_header(out, entry->name, entry->help, "gauge");
-          for (const auto& [values, series] : entry->gauges->snapshot()) {
-            out += entry->name;
-            out += label_block(entry->gauges->label_names(), values);
-            out += ' ';
-            out += number(series->value());
-            out += '\n';
-          }
-          break;
-        }
-        case Registry::Kind::kHistogram: {
-          append_header(out, entry->name, entry->help, "histogram");
-          const auto& names = entry->histograms->label_names();
-          for (const auto& [values, series] : entry->histograms->snapshot()) {
-            const std::vector<double>& bounds = series->bounds();
-            // One cell snapshot so cumulative buckets and _count agree.
-            std::uint64_t cumulative = 0;
-            std::vector<std::uint64_t> cells(bounds.size() + 1);
-            for (std::size_t i = 0; i <= bounds.size(); ++i) cells[i] = series->cell(i);
-            for (std::size_t i = 0; i < bounds.size(); ++i) {
-              cumulative += cells[i];
-              out += entry->name;
-              out += "_bucket";
-              out += label_block(names, values, "le", number(bounds[i]));
-              out += ' ';
-              out += number(cumulative);
-              out += '\n';
-            }
-            cumulative += cells[bounds.size()];
-            out += entry->name;
-            out += "_bucket";
-            out += label_block(names, values, "le", "+Inf");
-            out += ' ';
-            out += number(cumulative);
-            out += '\n';
-            out += entry->name;
-            out += "_sum";
-            out += label_block(names, values);
-            out += ' ';
-            out += number(series->sum());
-            out += '\n';
-            out += entry->name;
-            out += "_count";
-            out += label_block(names, values);
-            out += ' ';
-            out += number(cumulative);
-            out += '\n';
-          }
-          break;
-        }
-      }
-    }
-    return out;
-  }
-
-  static json::Value json(const Registry& registry) {
-    const std::lock_guard<std::mutex> lock(registry.mutex_);
-    json::Value root = json::Value(json::Object{});
-    for (const auto& entry : registry.entries_) {
-      json::Value metric = json::Value(json::Object{});
-      metric.set("help", entry->help);
-      switch (entry->kind) {
-        case Registry::Kind::kCounter: {
-          metric.set("type", "counter");
-          json::Value series_list = json::Value(json::Array{});
-          for (const auto& [values, series] : entry->counters->snapshot()) {
-            series_list.push_back(json::object(
-                {{"labels", labels_json(entry->counters->label_names(), values)},
-                 {"value", static_cast<std::int64_t>(series->value())}}));
-          }
-          metric.set("series", std::move(series_list));
-          break;
-        }
-        case Registry::Kind::kGauge: {
-          metric.set("type", "gauge");
-          json::Value series_list = json::Value(json::Array{});
-          for (const auto& [values, series] : entry->gauges->snapshot()) {
-            series_list.push_back(json::object(
-                {{"labels", labels_json(entry->gauges->label_names(), values)},
-                 {"value", series->value()}}));
-          }
-          metric.set("series", std::move(series_list));
-          break;
-        }
-        case Registry::Kind::kHistogram: {
-          metric.set("type", "histogram");
-          json::Value series_list = json::Value(json::Array{});
-          for (const auto& [values, series] : entry->histograms->snapshot()) {
-            const std::vector<double>& bounds = series->bounds();
-            json::Value buckets = json::Value(json::Array{});
-            std::uint64_t cumulative = 0;
-            for (std::size_t i = 0; i < bounds.size(); ++i) {
-              cumulative += series->cell(i);
-              buckets.push_back(
-                  json::object({{"le", bounds[i]},
-                                {"count", static_cast<std::int64_t>(cumulative)}}));
-            }
-            cumulative += series->cell(bounds.size());
-            series_list.push_back(json::object(
-                {{"labels", labels_json(entry->histograms->label_names(), values)},
-                 {"count", static_cast<std::int64_t>(cumulative)},
-                 {"sum", series->sum()},
-                 {"buckets", std::move(buckets)}}));
-          }
-          metric.set("series", std::move(series_list));
-          break;
-        }
-      }
-      root.set(entry->name, std::move(metric));
-    }
-    return root;
-  }
-};
-
 std::string render_prometheus(const Registry& registry) {
-  return ExpositionWalker::prometheus(registry);
+  std::string out;
+  out.reserve(4096);
+  registry.for_each_family([&](const Registry::Entry& entry) {
+    switch (entry.kind) {
+      case Registry::Kind::kCounter: {
+        append_header(out, entry.name, entry.help, "counter");
+        const auto& names = entry.counters->label_names();
+        entry.counters->for_each_series(
+            [&](const std::vector<std::string>& values, const Counter& series) {
+              out += entry.name;
+              out += label_block(names, values);
+              out += ' ';
+              out += number(series.value());
+              out += '\n';
+            });
+        break;
+      }
+      case Registry::Kind::kGauge: {
+        append_header(out, entry.name, entry.help, "gauge");
+        const auto& names = entry.gauges->label_names();
+        entry.gauges->for_each_series(
+            [&](const std::vector<std::string>& values, const Gauge& series) {
+              out += entry.name;
+              out += label_block(names, values);
+              out += ' ';
+              out += number(series.value());
+              out += '\n';
+            });
+        break;
+      }
+      case Registry::Kind::kHistogram: {
+        append_header(out, entry.name, entry.help, "histogram");
+        const auto& names = entry.histograms->label_names();
+        std::vector<std::uint64_t> cells;
+        entry.histograms->for_each_series([&](const std::vector<std::string>& values,
+                                              const Histogram& series) {
+          const std::vector<double>& bounds = series.bounds();
+          // One cell snapshot so cumulative buckets and _count agree.
+          std::uint64_t cumulative = 0;
+          cells.resize(bounds.size() + 1);
+          for (std::size_t i = 0; i <= bounds.size(); ++i) cells[i] = series.cell(i);
+          for (std::size_t i = 0; i < bounds.size(); ++i) {
+            cumulative += cells[i];
+            out += entry.name;
+            out += "_bucket";
+            out += label_block(names, values, "le", number(bounds[i]));
+            out += ' ';
+            out += number(cumulative);
+            out += '\n';
+          }
+          cumulative += cells[bounds.size()];
+          out += entry.name;
+          out += "_bucket";
+          out += label_block(names, values, "le", "+Inf");
+          out += ' ';
+          out += number(cumulative);
+          out += '\n';
+          out += entry.name;
+          out += "_sum";
+          out += label_block(names, values);
+          out += ' ';
+          out += number(series.sum());
+          out += '\n';
+          out += entry.name;
+          out += "_count";
+          out += label_block(names, values);
+          out += ' ';
+          out += number(cumulative);
+          out += '\n';
+        });
+        break;
+      }
+    }
+  });
+  return out;
 }
 
-json::Value render_json(const Registry& registry) {
-  return ExpositionWalker::json(registry);
+void render_json(const Registry& registry, std::string& out) {
+  out += '{';
+  bool first = true;
+  std::vector<std::uint64_t> cells;
+  registry.for_each_family([&](const Registry::Entry& entry) {
+    if (!first) out += ',';
+    first = false;
+    append_json_key(out, entry.name);
+    out += "{\"help\":\"";
+    json::append_escaped(out, entry.help);
+    out += "\",";
+    switch (entry.kind) {
+      case Registry::Kind::kCounter:
+        out += "\"type\":\"counter\",";
+        append_json_series(out, *entry.counters, [&](const Counter& series) {
+          out += ",\"value\":";
+          json::append_int(out, static_cast<std::int64_t>(series.value()));
+        });
+        break;
+      case Registry::Kind::kGauge:
+        out += "\"type\":\"gauge\",";
+        append_json_series(out, *entry.gauges, [&](const Gauge& series) {
+          out += ",\"value\":";
+          json::append_double(out, series.value());
+        });
+        break;
+      case Registry::Kind::kHistogram: {
+        out += "\"type\":\"histogram\",";
+        // Every series of a family has the family's bounds: spell each
+        // bucket's `{"le":<bound>,"count":` once per family, not per series.
+        std::vector<std::string> heads;
+        append_json_series(out, *entry.histograms, [&](const Histogram& series) {
+          const std::vector<double>& bounds = series.bounds();
+          if (heads.size() != bounds.size()) {
+            heads.clear();
+            for (const double bound : bounds) {
+              std::string& head = heads.emplace_back("{\"le\":");
+              json::append_double(head, bound);
+              head += ",\"count\":";
+            }
+          }
+          // Each cell is read once; "count" is the last cumulative count.
+          std::uint64_t total = 0;
+          cells.resize(bounds.size() + 1);
+          for (std::size_t i = 0; i <= bounds.size(); ++i) {
+            cells[i] = series.cell(i);
+            total += cells[i];
+          }
+          out += ",\"count\":";
+          json::append_int(out, static_cast<std::int64_t>(total));
+          out += ",\"sum\":";
+          json::append_double(out, series.sum());
+          out += ",\"buckets\":[";
+          std::uint64_t cumulative = 0;
+          for (std::size_t i = 0; i < bounds.size(); ++i) {
+            cumulative += cells[i];
+            if (i > 0) out += ',';
+            out += heads[i];
+            json::append_int(out, static_cast<std::int64_t>(cumulative));
+            out += '}';
+          }
+          out += ']';
+        });
+        break;
+      }
+    }
+    out += '}';
+  });
+  out += '}';
 }
 
 }  // namespace crowdweb::telemetry

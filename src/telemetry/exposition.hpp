@@ -4,8 +4,9 @@
 //   - render_prometheus(): Prometheus text exposition format 0.0.4
 //     (the body of `GET /metrics`; serve it with content type
 //     "text/plain; version=0.0.4; charset=utf-8");
-//   - render_json(): the same families as a JSON object, folded into
-//     `/api/status` under "telemetry".
+//   - render_json(): the same families as a JSON object, appended to
+//     `/api/status` under "telemetry" (written straight into the body,
+//     no json::Value tree).
 //
 // Rendering walks every family under the registry mutex and reads the
 // atomic cells with relaxed loads: scrapes never stop writers, so a
@@ -18,7 +19,6 @@
 
 #include <string>
 
-#include "json/json.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace crowdweb::telemetry {
@@ -26,8 +26,12 @@ namespace crowdweb::telemetry {
 /// Prometheus text exposition of every registered family.
 [[nodiscard]] std::string render_prometheus(const Registry& registry);
 
-/// JSON mirror: {"metric_name": {"type": ..., "help": ..., "series": [...]}}.
-[[nodiscard]] json::Value render_json(const Registry& registry);
+/// Appends the JSON mirror to `out`:
+/// {"metric_name": {"help": ..., "type": ..., "series": [...]}}.
+/// Counter series carry "value" (integer), gauge series "value" (number
+/// as json::append_double writes it), histogram series "count", "sum"
+/// and cumulative "buckets" [{"le": bound, "count": n}].
+void render_json(const Registry& registry, std::string& out);
 
 /// The content type `GET /metrics` must answer with.
 inline constexpr const char* kPrometheusContentType =

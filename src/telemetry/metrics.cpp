@@ -83,15 +83,6 @@ std::uint64_t Family<T>::total() const
   return sum;
 }
 
-template <typename T>
-std::vector<std::pair<std::vector<std::string>, const T*>> Family<T>::snapshot() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::pair<std::vector<std::string>, const T*>> out;
-  out.reserve(series_.size());
-  for (const auto& [labels, series] : series_) out.emplace_back(labels, series.get());
-  return out;
-}
-
 template class Family<Counter>;
 template class Family<Gauge>;
 template class Family<Histogram>;
@@ -135,11 +126,12 @@ Registry::Entry& Registry::emplace_locked(std::string name, std::string help, Ki
 
 namespace {
 
-/// Label-name sanity: reject invalid identifiers early so exposition
-/// can never emit an unparsable line.
+/// Label-name sanity: reject invalid and repeated identifiers early so
+/// exposition can never emit an unparsable line.
 bool valid_label_names(const std::vector<std::string>& names) {
   for (const std::string& name : names) {
     if (!valid_metric_name(name) || name.starts_with("__")) return false;
+    if (std::count(names.begin(), names.end(), name) > 1) return false;
   }
   return true;
 }

@@ -126,8 +126,13 @@ class Family {
   [[nodiscard]] std::uint64_t total() const
     requires std::is_same_v<T, Counter>;
 
-  /// Ordered (label values, series) snapshot for exposition.
-  [[nodiscard]] std::vector<std::pair<std::vector<std::string>, const T*>> snapshot() const;
+  /// Calls `fn(label_values, series)` for every series in label order,
+  /// under the family mutex (exposition; `fn` must not touch the family).
+  template <typename Fn>
+  void for_each_series(Fn&& fn) const {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    for (const auto& [values, series] : series_) fn(values, static_cast<const T&>(*series));
+  }
 
  private:
   friend class Registry;
@@ -192,12 +197,9 @@ class Registry {
     return dropped_->value();
   }
 
- private:
-  // Renderers (exposition.hpp) walk the entries under the mutex.
-  friend class ExpositionWalker;
-
   enum class Kind { kCounter, kGauge, kHistogram };
 
+  /// One registered family; the pointer matching `kind` is set.
   struct Entry {
     std::string name;
     std::string help;
@@ -207,6 +209,15 @@ class Registry {
     std::unique_ptr<HistogramFamily> histograms;
   };
 
+  /// Calls `fn(entry)` for every family in registration order, under the
+  /// registry mutex (exposition; `fn` must not register families).
+  template <typename Fn>
+  void for_each_family(Fn&& fn) const {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    for (const auto& entry : entries_) fn(static_cast<const Entry&>(*entry));
+  }
+
+ private:
   Entry* find_locked(const std::string& name);
   Entry& emplace_locked(std::string name, std::string help, Kind kind);
 

@@ -3,12 +3,21 @@
 #include <algorithm>
 #include <array>
 
-#include "util/format.hpp"
-
 namespace crowdweb::viz {
 
+void append_hex(std::string& out, const Color& color) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  const char hex[] = {'#',
+                      kHex[color.r >> 4], kHex[color.r & 0xF],
+                      kHex[color.g >> 4], kHex[color.g & 0xF],
+                      kHex[color.b >> 4], kHex[color.b & 0xF]};
+  out.append(hex, sizeof hex);
+}
+
 std::string to_hex(const Color& color) {
-  return crowdweb::format("#{:02x}{:02x}{:02x}", color.r, color.g, color.b);
+  std::string out;
+  append_hex(out, color);
+  return out;
 }
 
 Color lerp(const Color& a, const Color& b, double t) noexcept {

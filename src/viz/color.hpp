@@ -17,6 +17,8 @@ struct Color {
 
 /// "#rrggbb".
 [[nodiscard]] std::string to_hex(const Color& color);
+/// Appends to_hex(color) to `out`.
+void append_hex(std::string& out, const Color& color);
 
 /// Linear interpolation in sRGB, t clamped to [0, 1].
 [[nodiscard]] Color lerp(const Color& a, const Color& b, double t) noexcept;

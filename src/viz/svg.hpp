@@ -17,6 +17,11 @@ namespace crowdweb::viz {
 /// Escapes &, <, >, ", ' for XML attribute/text contexts.
 [[nodiscard]] std::string xml_escape(std::string_view text);
 
+/// Appends a coordinate as every SVG attribute writes it: fixed with two
+/// decimals ("{:.2f}"), "0" for NaN and ±Inf, and "?" when the fixed form
+/// exceeds 64 bytes (|value| ≥ 1e62 or so).
+void append_number(std::string& out, double value);
+
 /// Style of a drawn shape.
 struct Style {
   std::string fill = "none";      ///< "#rrggbb" or "none"

@@ -10,6 +10,8 @@
 #include "http/client.hpp"
 #include "http/server.hpp"
 #include "json/json.hpp"
+#include "reference/render_oracle.hpp"
+#include "telemetry/metrics.hpp"
 #include "util/civil_time.hpp"
 #include "util/format.hpp"
 #include "util/log.hpp"
@@ -167,6 +169,30 @@ TEST_F(ApiFixture, StatusEndpoint) {
             static_cast<std::int64_t>(platform().full_dataset().user_count()));
   EXPECT_EQ(status.find("windows")->as_int(), 24);
   EXPECT_GT(status.find("placements")->as_int(), 0);
+}
+
+TEST(StatusMirrorTest, TelemetryIsTheLastKeyAndEqualsTheTreeDump) {
+  telemetry::Registry registry;
+  registry.counter_family("test_requests_total", "Requests.", {"route"})
+      .with_labels({"/api/\"x\""})
+      .increment(5);
+  registry.gauge("test_depth", "Depth.").set(-0.0);
+  registry.histogram("test_seconds", "Seconds.", {0.1, 1.0}).observe(0.5);
+  ApiOptions options;
+  options.metrics = &registry;
+  const http::Router router = make_api_router(platform(), options);
+  http::Request request;
+  request.method = "GET";
+  request.path = "/api/status";
+  const std::string body = router.dispatch(request).body;
+  const std::string tail =
+      ",\"telemetry\":" + json::dump_per_token(telemetry::render_json_tree(registry)) + "}";
+  ASSERT_GE(body.size(), tail.size());
+  EXPECT_EQ(body.substr(body.size() - tail.size()), tail);
+  const auto parsed = json::parse(body);
+  ASSERT_TRUE(parsed.is_ok()) << body;
+  EXPECT_EQ(parsed->as_object().back().first, "telemetry");
+  EXPECT_EQ(parsed->as_object().front().first, "full");
 }
 
 TEST_F(ApiFixture, UsersEndpoint) {
@@ -568,6 +594,140 @@ TEST_F(ApiFixture, BadInputsRejected) {
       http::fetch("127.0.0.1", server_->port(), "POST", "/api/status");
   ASSERT_TRUE(wrong_method.is_ok());
   EXPECT_EQ(wrong_method->status, 405);
+}
+
+// ------------------------------------------------------------ golden bytes
+
+/// FNV-1a 64 over a body.
+std::uint64_t fnv1a64(std::string_view bytes) {
+  std::uint64_t hash = 14695981039346656037ull;
+  for (const char c : bytes) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 1099511628211ull;
+  }
+  return hash;
+}
+
+/// Every rendered read route on the fixed-seed test corpus. The
+/// equivalence suites compare deployments with each other, so a change
+/// to how a body is written (number spelling, escaping, key order) would
+/// pass them unseen; these fingerprints pin the bytes themselves.
+std::vector<std::string> golden_targets() {
+  std::vector<std::string> targets = {"/api/users", "/api/animation.svg", "/api/rhythm.svg",
+                                      "/api/communities"};
+  for (const int window : {0, 8, 9, 13, 17, 23}) {
+    const std::string base = "/api/crowd/" + std::to_string(window);
+    targets.push_back(base);
+    targets.push_back(base + "/map.svg");
+    targets.push_back(base + "/geojson");
+    targets.push_back("/api/groups/" + std::to_string(window));
+  }
+  for (const auto& [from, to] : {std::pair{8, 9}, std::pair{9, 12}, std::pair{17, 18}}) {
+    const std::string base = "/api/flow/" + std::to_string(from) + "/" + std::to_string(to);
+    targets.push_back(base);
+    targets.push_back(base + "/map.svg");
+  }
+  // The first four users with patterns, and the first without if any.
+  int with_patterns = 0;
+  int without_patterns = 0;
+  for (const patterns::UserMobility& mobility : platform().mobility()) {
+    int& picked = mobility.patterns.empty() ? without_patterns : with_patterns;
+    if (picked == (mobility.patterns.empty() ? 1 : 4)) continue;
+    ++picked;
+    const std::string base = "/api/user/" + std::to_string(mobility.user);
+    targets.push_back(base + "/patterns");
+    targets.push_back(base + "/graph.svg");
+    targets.push_back(base + "/timeline.svg");
+    targets.push_back("/api/predict/" + std::to_string(mobility.user));
+  }
+  return targets;
+}
+
+struct GoldenBody {
+  const char* target;
+  std::size_t length;
+  std::uint64_t fnv;
+};
+
+// Regenerate only for an intended change of the bytes; the failure
+// message prints the new table.
+constexpr GoldenBody kGoldenBodies[] = {
+    {"/api/users", 2274, 0xa35a58c7404adfe1ull},
+    {"/api/animation.svg", 42419, 0x22bfb88267fb0687ull},
+    {"/api/rhythm.svg", 17735, 0x35abded32a746ca1ull},
+    {"/api/communities", 49, 0xeed9d54ea2b2d8feull},
+    {"/api/crowd/0", 78, 0x2557bb2997c64b66ull},
+    {"/api/crowd/0/map.svg", 9583, 0x3ebf2e886a03dff9ull},
+    {"/api/crowd/0/geojson", 42, 0x52397dcff1cb45d6ull},
+    {"/api/groups/0", 13, 0x37843c78294022bfull},
+    {"/api/crowd/8", 945, 0x8c15c5383a312e76ull},
+    {"/api/crowd/8/map.svg", 13441, 0xe73c7259ef6e0125ull},
+    {"/api/crowd/8/geojson", 3749, 0xb621971e8da46016ull},
+    {"/api/groups/8", 338, 0x5f4d9176e9f93fbull},
+    {"/api/crowd/9", 2263, 0xd9f20eadcde4638ull},
+    {"/api/crowd/9/map.svg", 15242, 0xb6b977187a91452cull},
+    {"/api/crowd/9/geojson", 9331, 0xeec16b6ab9c22cdbull},
+    {"/api/groups/9", 133, 0x3124c1b6d9083a91ull},
+    {"/api/crowd/13", 367, 0xb5813ec5e7b2f498ull},
+    {"/api/crowd/13/map.svg", 11307, 0xaf503a9f8cd51fe0ull},
+    {"/api/crowd/13/geojson", 1289, 0x60d3a8d315144f32ull},
+    {"/api/groups/13", 106, 0x5657be3b070f2b46ull},
+    {"/api/crowd/17", 366, 0xfb4ee50c5d1087ebull},
+    {"/api/crowd/17/map.svg", 11311, 0x537bdee577f3c3bdull},
+    {"/api/crowd/17/geojson", 1284, 0x817f3dc924165f18ull},
+    {"/api/groups/17", 122, 0xa81c47dcb507f9fbull},
+    {"/api/crowd/23", 79, 0x27dcb06bc4843d41ull},
+    {"/api/crowd/23/map.svg", 9583, 0xd84e571c358da1e3ull},
+    {"/api/crowd/23/geojson", 42, 0x52397dcff1cb45d6ull},
+    {"/api/groups/23", 13, 0x37843c78294022bfull},
+    {"/api/flow/8/9", 719, 0x9c9a05733466a249ull},
+    {"/api/flow/8/9/map.svg", 13581, 0xee798c5e0ae14e5eull},
+    {"/api/flow/9/12", 1130, 0xedd704d461958898ull},
+    {"/api/flow/9/12/map.svg", 12754, 0xcc91f0dc18a19536ull},
+    {"/api/flow/17/18", 188, 0x99977b573e0cd34ull},
+    {"/api/flow/17/18/map.svg", 10097, 0x9f2608c262c46562ull},
+    {"/api/user/0/patterns", 559, 0xd8cf8fe60d9fe6f0ull},
+    {"/api/user/0/graph.svg", 2397, 0x2302c5c20de528c9ull},
+    {"/api/user/0/timeline.svg", 12885, 0x279b8a703ca7dd8aull},
+    {"/api/predict/0", 298, 0x9a9400c746ad8988ull},
+    {"/api/user/1/patterns", 500, 0xe3ece9dcaf3363f7ull},
+    {"/api/user/1/graph.svg", 2397, 0x88784adebd2339f4ull},
+    {"/api/user/1/timeline.svg", 11134, 0x220f61de2fec0cc8ull},
+    {"/api/predict/1", 298, 0xdd2df7f8f126b82bull},
+    {"/api/user/2/patterns", 385, 0xb20e675ae86c9992ull},
+    {"/api/user/2/graph.svg", 1533, 0x2a1e205427abc61eull},
+    {"/api/user/2/timeline.svg", 8224, 0x4af0fdbc1af0c8a8ull},
+    {"/api/predict/2", 297, 0x58f6236a15a3bd16ull},
+    {"/api/user/3/patterns", 4131, 0x85c6a9f8a0bd5557ull},
+    {"/api/user/3/graph.svg", 3671, 0x54f430ef10427038ull},
+    {"/api/user/3/timeline.svg", 20622, 0xac45930c476f007dull},
+    {"/api/predict/3", 331, 0x9fafef01eadaed43ull},
+};
+
+TEST(GoldenBytesTest, EveryRenderedRouteKeepsItsBytes) {
+  const http::Router router = make_api_router(platform());
+  const std::vector<std::string> targets = golden_targets();
+  std::string actual_table;
+  std::size_t mismatches = 0;
+  ASSERT_EQ(targets.size(), std::size(kGoldenBodies));
+  for (std::size_t i = 0; i < targets.size(); ++i) {
+    http::Request request;
+    request.method = "GET";
+    request.path = targets[i];
+    const http::Response response = router.dispatch(request);
+    EXPECT_EQ(response.status, 200) << targets[i];
+    const std::uint64_t fnv = fnv1a64(response.body);
+    actual_table += crowdweb::format("    {{\"{}\", {}, 0x{:x}ull}},\n", targets[i],
+                                     response.body.size(), fnv);
+    const GoldenBody& golden = kGoldenBodies[i];
+    if (targets[i] != golden.target || response.body.size() != golden.length ||
+        fnv != golden.fnv) {
+      ++mismatches;
+      ADD_FAILURE() << targets[i] << ": " << response.body.size() << " bytes, fnv 0x"
+                    << std::hex << fnv;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "actual table:\n" << actual_table;
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <string>
 
 #include "json/json.hpp"
+#include "reference/render_oracle.hpp"
 #include "util/rng.hpp"
 
 namespace crowdweb::json {
@@ -265,6 +266,43 @@ TEST(JsonRoundTripTest, IndentedAlsoSurvives) {
     ASSERT_TRUE(reparsed.is_ok());
     EXPECT_EQ(*reparsed, original);
   }
+}
+
+// ------------------------------------------- direct writer vs per token
+
+// dump() appends integers and escaped strings straight into the output;
+// dump_per_token() is the formatting-temporaries path it replaced. The
+// bytes must be the same.
+
+TEST(JsonDumpOracleTest, RandomDocumentsMatchThePerTokenDump) {
+  crowdweb::Rng rng(2026);
+  for (int i = 0; i < 300; ++i) {
+    const Value document = random_value(rng, 4);
+    EXPECT_EQ(dump(document), dump_per_token(document));
+    EXPECT_EQ(dump(document, {.indent = 2}), dump_per_token(document, {.indent = 2}));
+  }
+}
+
+TEST(JsonDumpOracleTest, EverySingleByteStringAsKeyAndValue) {
+  for (int byte = 0; byte < 256; ++byte) {
+    const std::string text(1, static_cast<char>(byte));
+    const Value document = object({{text, text}, {"a" + text + "b", Value{text + text}}});
+    EXPECT_EQ(dump(document), dump_per_token(document)) << "byte " << byte;
+    std::string escaped;
+    append_escaped(escaped, text);
+    EXPECT_EQ(escaped, escape_string_per_char(text)) << "byte " << byte;
+  }
+  // Clean runs around escapes, and UTF-8 passed through untouched.
+  const std::string mixed = "caf\xc3\xa9 \"q\" \\ tab\tnl\n\x01\x1f end";
+  EXPECT_EQ(dump(Value{mixed}), dump_per_token(Value{mixed}));
+}
+
+TEST(JsonDumpOracleTest, IntegerExtremes) {
+  const Value document = array({Value{std::numeric_limits<std::int64_t>::min()},
+                                Value{std::numeric_limits<std::int64_t>::max()}, Value{0},
+                                Value{-1}, Value{1}});
+  EXPECT_EQ(dump(document), dump_per_token(document));
+  EXPECT_EQ(dump(document), "[-9223372036854775808,9223372036854775807,0,-1,1]");
 }
 
 }  // namespace

@@ -484,6 +484,60 @@ TEST(CompactMobilityTest, ResidentBytesShrinkWithTheClosedSet) {
   EXPECT_LT(compact_stats.bytes, expanded_stats.bytes);
 }
 
+// ---------------------------------------------------------- MobilityTable
+
+/// A synthetic entry: random pattern, element and index counts.
+UserMobility random_entry(Rng& rng, data::UserId user) {
+  UserMobility entry;
+  entry.user = user;
+  entry.recorded_days = static_cast<std::size_t>(rng.uniform_int(1, 200));
+  entry.closed_only = rng.bernoulli(0.4);
+  const auto patterns = rng.uniform_int(0, 6);
+  for (std::int64_t p = 0; p < patterns; ++p) {
+    MobilityPattern pattern;
+    pattern.elements.resize(static_cast<std::size_t>(rng.uniform_int(1, 4)));
+    entry.patterns.push_back(std::move(pattern));
+  }
+  if (entry.closed_only)
+    entry.placement_index.resize(static_cast<std::size_t>(rng.uniform_int(0, 9)));
+  return entry;
+}
+
+MobilityStats walked_stats(const MobilityTable& table) {
+  MobilityStats stats;
+  for (const UserMobility& entry : table) stats.add(entry);
+  return stats;
+}
+
+TEST(MobilityTableTest, KeptStatsEqualAFreshWalkAfterRandomUpdates) {
+  Rng rng(29);
+  for (int trial = 0; trial < 20; ++trial) {
+    std::vector<UserMobility> seed;
+    for (data::UserId user = 0; user < 60; user += 2) seed.push_back(random_entry(rng, user));
+    MobilityTable table = MobilityTable::from_entries(std::move(seed));
+    ASSERT_EQ(table.stats(), walked_stats(table));
+    for (int step = 0; step < 25; ++step) {
+      // Replacements of existing users and inserts of new ones, in any
+      // order; the table sorts them.
+      std::vector<UserMobility> updates;
+      std::vector<data::UserId> users;
+      const auto count = rng.uniform_int(0, 12);
+      for (std::int64_t u = 0; u < count; ++u) {
+        const auto user = static_cast<data::UserId>(rng.uniform_int(0, 90));
+        if (std::find(users.begin(), users.end(), user) != users.end()) continue;
+        users.push_back(user);
+        updates.push_back(random_entry(rng, user));
+      }
+      table = table.with_updates(std::move(updates));
+      ASSERT_EQ(table.stats(), walked_stats(table)) << "trial " << trial << " step " << step;
+    }
+    const std::vector<data::UserId> kept = {0, 4, 10, 61, 88};
+    const MobilityTable filtered = table.filter_users(kept);
+    EXPECT_EQ(filtered.stats(), walked_stats(filtered));
+  }
+  EXPECT_EQ(MobilityTable{}.stats(), MobilityStats{});
+}
+
 TEST(MobilityTest, ParallelMiningEmptyDataset) {
   const data::Dataset empty;
   EXPECT_TRUE(mine_all_mobility_parallel(empty, tax(), {}, 4).empty());

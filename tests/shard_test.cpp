@@ -637,6 +637,60 @@ TEST(ShardEpochs, ConcurrentPublishesLeaveTheNewestVectorInstalled) {
   router.stop();
 }
 
+TEST(ShardMetrics, GaugesFollowEveryPublishWithoutARead) {
+  // Rows that all hash to one shard: its publish hook alone must move
+  // the live and lag gauges on /metrics, with no read merging in between.
+  const core::Platform& platform = test_platform();
+  telemetry::Registry registry;
+  shard::ShardRouterConfig config = router_config(4);
+  config.metrics = &registry;
+  auto router_result = shard::ShardRouter::create(platform, config);
+  ASSERT_TRUE(router_result.is_ok()) << router_result.status().to_string();
+  shard::ShardRouter& router = **router_result;
+  ASSERT_TRUE(router.start().is_ok());
+  const double merges_before =
+      metric_value(telemetry::render_prometheus(registry), "crowdweb_shard_merges_total");
+
+  std::vector<ingest::IngestEvent> rows;
+  std::size_t target = router.shard_count();
+  for (std::size_t i = 0; rows.size() < 24; ++i) {
+    const ingest::IngestEvent event = venue_traffic(1, i).front();
+    if (target == router.shard_count()) target = router.owner_of(event);
+    if (router.owner_of(event) == target) rows.push_back(event);
+  }
+  ASSERT_EQ(router.submit(rows).accepted, rows.size());
+
+  const std::string live_series =
+      "crowdweb_shard_live_checkins{shard=\"" + std::to_string(target) + "\"}";
+  std::string scrape;
+  const auto deadline = std::chrono::steady_clock::now() + 10s;
+  while (std::chrono::steady_clock::now() < deadline) {
+    scrape = telemetry::render_prometheus(registry);
+    if (metric_value(scrape, live_series) == static_cast<double>(rows.size())) break;
+    std::this_thread::sleep_for(5ms);
+  }
+  ASSERT_EQ(metric_value(scrape, live_series), static_cast<double>(rows.size())) << scrape;
+  const std::uint64_t target_epoch = router.shard(target).epoch();
+  ASSERT_GT(target_epoch, 1u);
+  for (std::size_t k = 0; k < router.shard_count(); ++k) {
+    SCOPED_TRACE("shard " + std::to_string(k));
+    const std::string label = "{shard=\"" + std::to_string(k) + "\"}";
+    EXPECT_EQ(metric_value(scrape, "crowdweb_shard_up" + label), 1.0);
+    EXPECT_EQ(metric_value(scrape, "crowdweb_shard_epoch_lag" + label),
+              static_cast<double>(target_epoch - router.shard(k).epoch()));
+    if (k != target) {
+      EXPECT_GT(metric_value(scrape, "crowdweb_shard_epoch_lag" + label), 0.0);
+    }
+  }
+  EXPECT_EQ(metric_value(scrape, "crowdweb_shard_merges_total"), merges_before);
+
+  // A stopped deployment reads down with no live events.
+  router.stop();
+  const std::string stopped = telemetry::render_prometheus(registry);
+  EXPECT_EQ(metric_value(stopped, "crowdweb_shard_up{shard=\"0\"}"), 0.0);
+  EXPECT_EQ(metric_value(stopped, live_series), 0.0);
+}
+
 TEST(ShardStatus, ReportsPerShardBlocksAndAggregates) {
   auto router_result = shard::ShardRouter::create(test_platform(), router_config(2));
   ASSERT_TRUE(router_result.is_ok()) << router_result.status().to_string();

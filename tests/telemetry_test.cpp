@@ -10,9 +10,12 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
+#include <cstdint>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <regex>
 #include <set>
@@ -27,6 +30,7 @@
 #include "http/client.hpp"
 #include "http/server.hpp"
 #include "json/json.hpp"
+#include "reference/render_oracle.hpp"
 #include "shard/api.hpp"
 #include "shard/router.hpp"
 #include "store/store.hpp"
@@ -340,7 +344,11 @@ TEST(TelemetryExpositionTest, JsonMirrorCarriesValues) {
   Registry registry;
   registry.counter("test_events_total", "Events.").increment(7);
   registry.histogram("test_seconds", "Durations.", {1.0}).observe(0.5);
-  const json::Value root = telemetry::render_json(registry);
+  std::string mirror;
+  telemetry::render_json(registry, mirror);
+  const auto parsed = json::parse(mirror);
+  ASSERT_TRUE(parsed.is_ok()) << mirror;
+  const json::Value& root = *parsed;
   const json::Value* counter = root.find("test_events_total");
   ASSERT_NE(counter, nullptr);
   const json::Value* series = counter->find("series");
@@ -353,6 +361,61 @@ TEST(TelemetryExpositionTest, JsonMirrorCarriesValues) {
   for (const auto& [name, metric] : root.as_object())
     EXPECT_NE(metric.find("series"), nullptr) << name;
   EXPECT_NE(root.find("crowdweb_telemetry_dropped_label_sets_total"), nullptr);
+}
+
+/// The mirror appended straight into a body, as /api/status writes it.
+std::string mirror_of(const Registry& registry) {
+  std::string out;
+  telemetry::render_json(registry, out);
+  return out;
+}
+
+TEST(TelemetryExpositionTest, JsonMirrorEqualsTheTreeDump) {
+  // The direct writer against json::dump of the json::Value tree it
+  // replaced, on every kind, empty families, bound-less histograms,
+  // label values and help text that need escaping, and every special
+  // gauge value.
+  Registry registry;
+  registry.counter("test_events_total", "Events \"quoted\" \\ and\nnewline.").increment(7);
+  registry.counter("test_huge_total", "Past INT64_MAX.").increment(~std::uint64_t{0} - 3);
+  auto& labelled = registry.counter_family("test_labelled_total", "Labelled.", {"path", "code"});
+  for (const char* value : {"plain", "quote\"", "back\\slash", "new\nline", "ctl\x01",
+                            "caf\xc3\xa9 \xe2\x98\x95", ""})
+    labelled.with_labels({value, "200"}).increment(3);
+  registry.counter_family("test_empty_total", "No series.", {"path"});
+  auto& gauges = registry.gauge_family("test_gauge", "Gauges.", {"value"});
+  const double kInf = std::numeric_limits<double>::infinity();
+  const std::pair<const char*, double> specials[] = {
+      {"nan", std::nan("")}, {"inf", kInf},  {"-inf", -kInf}, {"-0", -0.0},
+      {"3", 3.0},            {"0.1", 0.1},   {"1e300", 1e300}, {"-2", -2.0}};
+  for (const auto& [label, value] : specials) gauges.with_labels({label}).set(value);
+  registry.gauge_family("test_empty_gauge", "No series.", {"shard"});
+  registry.histogram("test_unbounded_seconds", "No bounds.", {}).observe(0.25);
+  registry.histogram("test_idle_seconds", "Never observed.", {0.5, 1.0});
+  auto& stages = registry.histogram_family("test_stage_seconds", "Stages.", {"stage"},
+                                           telemetry::default_duration_buckets());
+  for (const char* stage : {"merge", "mine", "crowd\"x"})
+    for (int i = 0; i < 40; ++i) stages.with_labels({stage}).observe(0.013 * i);
+  registry.histogram_family("test_empty_seconds", "No series.", {"stage"}, {1.0});
+
+  const std::string mirror = mirror_of(registry);
+  const json::Value tree = telemetry::render_json_tree(registry);
+  EXPECT_EQ(mirror, json::dump(tree));
+  EXPECT_EQ(mirror, json::dump_per_token(tree));
+  EXPECT_TRUE(json::parse(mirror).is_ok()) << mirror;
+
+  // An empty registry still holds its own drop counter.
+  const Registry fresh;
+  EXPECT_EQ(mirror_of(fresh), json::dump_per_token(telemetry::render_json_tree(fresh)));
+}
+
+TEST(TelemetryRegistryTest, RepeatedLabelNamesReturnDetachedShadow) {
+  // {a="x",a="y"} is not valid exposition; such a family is detached.
+  Registry registry;
+  registry.counter_family("test_twice_total", "Twice.", {"a", "a"}).with_labels({"x", "y"})
+      .increment();
+  EXPECT_EQ(telemetry::render_prometheus(registry).find("test_twice_total"),
+            std::string::npos);
 }
 
 // ----------------------------------------------------- route labels e2e
@@ -650,6 +713,8 @@ TEST(TelemetryMetricsEndpointTest, FourShardsRecordEveryWorkerSeriesIntoOneRegis
   server.stop();
   (*router)->stop();
   const std::string stopped = telemetry::render_prometheus(registry);
+  // At rest, the mirror of the service registry equals the tree dump.
+  EXPECT_EQ(mirror_of(registry), json::dump_per_token(telemetry::render_json_tree(registry)));
   for (std::size_t k = 0; k < 4; ++k) {
     SCOPED_TRACE("shard " + std::to_string(k));
     const ingest::IngestStats stats = (*router)->shard(k).worker().stats();

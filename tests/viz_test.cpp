@@ -2,8 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 
 #include "json/json.hpp"
+#include "reference/render_oracle.hpp"
+#include "util/rng.hpp"
 #include "viz/charts.hpp"
 #include "viz/citymap.hpp"
 #include "viz/color.hpp"
@@ -100,6 +104,58 @@ TEST(SvgTest, ArrowHasShaftAndHead) {
   const std::string out = svg.to_string();
   EXPECT_NE(out.find("<line"), std::string::npos);
   EXPECT_NE(out.find("<polygon"), std::string::npos);
+}
+
+// Every SVG attribute number is appended by append_number; it must spell
+// each value as crowdweb::format("{:.2f}") did, including the two
+// fallbacks: "0" for a non-finite value and "?" past the 64-byte buffer.
+std::string appended_number(double value) {
+  std::string out;
+  append_number(out, value);
+  return out;
+}
+
+TEST(SvgNumberOracleTest, EdgeValuesMatchTheFormatSpelling) {
+  const double kInf = std::numeric_limits<double>::infinity();
+  for (const double value : {0.0, -0.0, -0.004, 0.005, 0.015, 2.675, 1e15, 1e70,
+                             std::nan(""), kInf, -kInf, -1e70, 1e61, 1e62, 1e63,
+                             std::numeric_limits<double>::max(),
+                             std::numeric_limits<double>::denorm_min()})
+    EXPECT_EQ(appended_number(value), format_number_2f(value)) << value;
+  EXPECT_EQ(appended_number(-0.0), "-0.00");
+  EXPECT_EQ(appended_number(1e70), "?");
+  EXPECT_EQ(appended_number(std::nan("")), "0");
+  EXPECT_EQ(appended_number(-kInf), "0");
+}
+
+TEST(SvgNumberOracleTest, RandomDoublesMatchTheFormatSpelling) {
+  crowdweb::Rng rng(30);
+  for (int i = 0; i < 100'000; ++i) {
+    double value = 0.0;
+    switch (i % 5) {
+      case 0:  // canvas coordinates
+        value = rng.uniform(-2000.0, 2000.0);
+        break;
+      case 1:  // half-cent ties and their neighbours
+        value = static_cast<double>(rng.uniform_int(-200'000, 200'000)) / 1000.0 +
+                static_cast<double>(rng.uniform_int(-1, 1)) * 1e-12;
+        break;
+      case 2: {  // k/200 (exact ties when representable) and the next doubles
+        const double tie = static_cast<double>(rng.uniform_int(-20'000'000, 20'000'000)) / 200.0;
+        const auto step = rng.uniform_int(-1, 1);
+        value = step == 0 ? tie : std::nextafter(tie, step > 0 ? 1e300 : -1e300);
+        break;
+      }
+      case 3:  // large magnitudes, where a cent is below the double's precision
+        value = rng.uniform(-1e16, 1e16) * std::pow(10.0, -static_cast<double>(rng.uniform_int(0, 6)));
+        break;
+      default: {  // any bit pattern: subnormals, huge values, NaN, Inf
+        const std::uint64_t bits = rng();
+        std::memcpy(&value, &bits, sizeof value);
+      }
+    }
+    ASSERT_EQ(appended_number(value), format_number_2f(value)) << value;
+  }
 }
 
 // ----------------------------------------------------------------- Charts
