@@ -20,7 +20,7 @@
 // Run:  ./city_dashboard [--seed N] [--port P] [--paper-scale] [--offline DIR]
 //                        [--shards N] [--store-dir DIR [--fsync every_batch|never]]
 //                        [--http-workers N] [--http-cache-mb MB]
-//                        [--miner prefixspan|bide] [--min-support F]
+//                        [--min-support F]
 
 #include <csignal>
 #include <cstdio>
@@ -37,7 +37,6 @@
 #include "http/cache.hpp"
 #include "http/server.hpp"
 #include "json/json.hpp"
-#include "mining/registry.hpp"
 #include "shard/api.hpp"
 #include "shard/router.hpp"
 #include "telemetry/metrics.hpp"
@@ -65,7 +64,6 @@ struct Args {
   store::FsyncPolicy fsync = store::FsyncPolicy::kEveryBatch;
   int http_workers = -1;         // -1 = hardware concurrency, 0 = inline
   std::int64_t http_cache_mb = 64;  // response cache byte budget; 0 = off
-  std::string miner = "prefixspan";  // registered mining algorithm
   double min_support = 0.25;
 };
 
@@ -117,14 +115,6 @@ bool parse_args(int argc, char** argv, Args& args) {
       const auto parsed = v != nullptr ? parse_int(v) : Result<std::int64_t>(parse_error(""));
       if (!parsed || *parsed < 0) return false;
       args.http_cache_mb = *parsed;
-    } else if (flag == "--miner") {
-      const char* v = next();
-      if (v == nullptr || mining::find_miner(v) == nullptr) {
-        if (v != nullptr)
-          std::fprintf(stderr, "%s\n", mining::resolve_miner(v).status().to_string().c_str());
-        return false;
-      }
-      args.miner = v;
     } else if (flag == "--min-support") {
       const char* v = next();
       const auto parsed = v != nullptr ? parse_double(v) : Result<double>(parse_error(""));
@@ -201,7 +191,7 @@ int main(int argc, char** argv) {
                  "[--data DIR] [--shards N] "
                  "[--store-dir DIR [--fsync every_batch|never]] "
                  "[--http-workers N] [--http-cache-mb MB] "
-                 "[--miner prefixspan|bide] [--min-support F]\n",
+                 "[--min-support F]\n",
                  argv[0]);
     return 2;
   }
@@ -215,7 +205,6 @@ int main(int argc, char** argv) {
   config.small_corpus = !args.paper_scale;
   config.min_active_days = args.paper_scale ? 50 : 20;
   config.mining.min_support = args.min_support;
-  config.mining.algorithm = args.miner;
   config.metrics = &metrics;
   config.store.dir = args.store_dir;
   config.store.fsync = args.fsync;

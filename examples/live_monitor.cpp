@@ -24,7 +24,7 @@
 //                      [--transport csv|binary]
 //                      [--store-dir DIR [--fsync every_batch|never]]
 //                      [--http-workers N] [--http-cache-mb MB]
-//                      [--miner prefixspan|bide] [--min-support F]
+//                      [--min-support F]
 
 #include <algorithm>
 #include <chrono>
@@ -43,7 +43,6 @@
 #include "http/server.hpp"
 #include "ingest/replay.hpp"
 #include "json/json.hpp"
-#include "mining/registry.hpp"
 #include "synth/generator.hpp"
 #include "telemetry/metrics.hpp"
 #include "transport/frame_client.hpp"
@@ -64,7 +63,7 @@ int usage(const char* name) {
                "[--transport csv|binary] "
                "[--store-dir DIR [--fsync every_batch|never]] "
                "[--http-workers N] [--http-cache-mb MB] "
-               "[--miner prefixspan|bide] [--min-support F]\n",
+               "[--min-support F]\n",
                name);
   return 2;
 }
@@ -82,7 +81,6 @@ int main(int argc, char** argv) {
   store::FsyncPolicy fsync = store::FsyncPolicy::kEveryBatch;
   int http_workers = -1;            // -1 = hardware concurrency, 0 = inline
   std::int64_t http_cache_mb = 64;  // response cache byte budget; 0 = off
-  std::string miner = "prefixspan";  // registered mining algorithm
   double min_support = 0.5;
   for (int i = 1; i < argc; ++i) {
     const std::string_view flag = argv[i];
@@ -120,12 +118,6 @@ int main(int argc, char** argv) {
       const auto parsed = parse_int(argv[++i]);
       if (!parsed || *parsed < 0) return usage(argv[0]);
       http_cache_mb = *parsed;
-    } else if (flag == "--miner" && i + 1 < argc) {
-      miner = argv[++i];
-      if (mining::find_miner(miner) == nullptr) {
-        std::fprintf(stderr, "%s\n", mining::resolve_miner(miner).status().to_string().c_str());
-        return usage(argv[0]);
-      }
     } else if (flag == "--min-support" && i + 1 < argc) {
       const auto parsed = parse_double(argv[++i]);
       if (!parsed || *parsed <= 0.0 || *parsed > 1.0) return usage(argv[0]);
@@ -144,7 +136,6 @@ int main(int argc, char** argv) {
   config.seed = seed;
   config.small_corpus = true;
   config.min_active_days = 20;
-  config.mining.algorithm = miner;
   config.mining.min_support = min_support;
   config.metrics = &metrics;
   config.store.dir = store_dir;

@@ -8,7 +8,6 @@
 
 #include "core/handlers.hpp"
 #include "json/json.hpp"
-#include "mining/registry.hpp"
 #include "telemetry/exposition.hpp"
 #include "transport/csv_source.hpp"
 #include "transport/sse.hpp"
@@ -188,27 +187,18 @@ Response status_handler(const Deployment& deployment, const json::Value& batch,
                                       {"cell_meters", view->grid->cell_size_meters()}}));
   }
 
-  // The mining block: the configured miner and its serving mode ("closed"
-  // for a closed-output miner: compact tables + placement indexes feed
-  // the crowd layer), plus the resident pattern-set footprint of the
-  // pinned epochs.
+  // The mining block: the configured thresholds plus the resident
+  // pattern-set footprint of the pinned epochs.
   const mining::MiningOptions& mining_config = platform.config().mining;
-  const bool closed_mode = mining::miner_for(mining_config.algorithm).closed_output();
   const patterns::MobilityStats set_stats = view->mobility_stats();
   payload.set(
       "mining",
       json::object(
-          {{"algorithm", mining_config.algorithm},
-           {"min_support", mining_config.min_support},
+          {{"min_support", mining_config.min_support},
            {"max_patterns", static_cast<std::int64_t>(mining_config.max_patterns)},
-           {"mode", closed_mode ? "closed" : "expanded"},
            {"pattern_set",
             json::object({{"entries", static_cast<std::int64_t>(set_stats.entries)},
-                          {"compact_entries",
-                           static_cast<std::int64_t>(set_stats.compact_entries)},
                           {"patterns", static_cast<std::int64_t>(set_stats.patterns)},
-                          {"placement_candidates",
-                           static_cast<std::int64_t>(set_stats.placement_candidates)},
                           {"bytes", static_cast<std::int64_t>(set_stats.bytes)}})}}));
 
   payload.set("shards", shard_blocks(*view, slots));

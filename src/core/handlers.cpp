@@ -8,7 +8,7 @@
 #include "crowd/communities.hpp"
 #include "data/csv.hpp"
 #include "json/json.hpp"
-#include "mining/registry.hpp"
+#include "mining/prefixspan.hpp"
 #include "predict/predictor.hpp"
 #include "util/civil_time.hpp"
 #include "util/format.hpp"
@@ -287,12 +287,10 @@ Response communities_handler(const PinnedView& view, const Request&, const PathP
 Response users_handler(const PinnedView& view, const Request&, const PathParams&) {
   json::Value users = json::Value(json::Array{});
   view.for_each_user([&](const patterns::UserMobility& mobility) {
-    // served_pattern_count keeps the reported count equal to expanded
-    // mode's even when the entry stores only the closed set.
     users.push_back(json::object(
         {{"id", static_cast<std::int64_t>(mobility.user)},
          {"recorded_days", static_cast<std::int64_t>(mobility.recorded_days)},
-         {"patterns", static_cast<std::int64_t>(mobility.served_pattern_count())}}));
+         {"patterns", static_cast<std::int64_t>(mobility.patterns.size())}}));
   });
   return json_response(view, json::object({{"users", std::move(users)}}));
 }
@@ -301,19 +299,8 @@ Response user_patterns_handler(const PinnedView& view, const Request&,
                                const PathParams& params) {
   const UserRecord user = find_user(view, params);
   if (user.mobility == nullptr) return user.error;
-  // The route's wire contract is the full frequent set; compact entries
-  // expand lazily per request (the response cache absorbs repeats), so
-  // the body is byte-identical to expanded mode's.
-  std::vector<patterns::MobilityPattern> expanded;
-  if (user.mobility->closed_only) {
-    const PlatformConfig& config = view.platform->config();
-    expanded = patterns::expand_user_patterns(*user.mobility, *user.dataset,
-                                              view.platform->taxonomy(),
-                                              {config.sequences, config.mining});
-  }
   json::Value list = json::Value(json::Array{});
-  for (const patterns::MobilityPattern& pattern :
-       user.mobility->closed_only ? expanded : user.mobility->patterns)
+  for (const patterns::MobilityPattern& pattern : user.mobility->patterns)
     list.push_back(pattern_json(pattern, *view.platform, *user.dataset));
   const patterns::UserMobility& mobility = *user.mobility;
   return json_response(
@@ -397,12 +384,10 @@ Response analyze_handler(const PinnedView& view, const Request& request, const P
       return Response::bad_request_400("support must be in (0, 1]");
     min_support = *parsed;
   }
-  std::string algorithm = platform.config().mining.algorithm;
-  if (const auto requested = request.query_param("algorithm")) {
-    if (const auto miner = mining::resolve_miner(*requested); !miner)
-      return Response::bad_request_400(miner.status().message());
-    algorithm = std::string(*requested);
-  }
+  if (const auto requested = request.query_param("algorithm");
+      requested && *requested != "prefixspan")
+    return Response::bad_request_400(crowdweb::format(
+        "unknown mining algorithm '{}' (the only miner is prefixspan)", *requested));
 
   // Rows are labelled by phase 2's rule; a venue-id label needs the
   // venue, which an upload does not carry.
@@ -463,12 +448,12 @@ Response analyze_handler(const PinnedView& view, const Request& request, const P
 
   mining::MiningOptions mining_options = platform.config().mining;
   mining_options.min_support = min_support;
-  mining_options.algorithm = algorithm;
-  const mining::IMiningAlgorithm& miner = mining::miner_for(algorithm);
-  const mining::MiningResult mined = miner.mine(sequences.columns(), mining_options);
+  mining::MiningStats stats;
+  const std::vector<mining::Pattern> mined =
+      mining::prefixspan(sequences.columns(), mining_options, &stats);
 
   json::Value list = json::Value(json::Array{});
-  for (const mining::Pattern& pattern : mined.patterns) {
+  for (const mining::Pattern& pattern : mined) {
     list.push_back(
         pattern_json(patterns::annotate_pattern(pattern, sequences.shapes), platform,
                      *view.dataset));
@@ -478,9 +463,7 @@ Response analyze_handler(const PinnedView& view, const Request& request, const P
                {{"records", static_cast<std::int64_t>(events.size())},
                 {"recorded_days", static_cast<std::int64_t>(sequences.day_count())},
                 {"min_support", min_support},
-                {"algorithm", algorithm},
-                {"truncated", mined.stats.truncated},
-                {"closed", miner.closed_output()},
+                {"truncated", stats.truncated},
                 {"patterns", std::move(list)}})));
 }
 

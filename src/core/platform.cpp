@@ -3,7 +3,6 @@
 #include <chrono>
 
 #include "data/dataset_io.hpp"
-#include "mining/registry.hpp"
 #include "util/log.hpp"
 
 namespace crowdweb::core {
@@ -74,10 +73,6 @@ Result<Platform> Platform::from_csv_files(const std::string& venues_path,
 
 Status Platform::run_pipeline(data::Dataset full) {
   if (full.empty()) return failed_precondition("dataset is empty");
-  // Fail fast on a miner name nothing downstream could resolve (the
-  // ingest worker and shard workers inherit this config verbatim).
-  if (const auto miner = mining::resolve_miner(config_.mining.algorithm); !miner)
-    return miner.status();
   full_ = std::move(full);
 
   // Phase 1: window restriction + active-user selection.
@@ -96,7 +91,7 @@ Status Platform::run_pipeline(data::Dataset full) {
   timings_.acquisition_ms = ms_since(phase1_start);
   observe_stage(config_.metrics, "acquisition", timings_.acquisition_ms);
 
-  // Phase 2: per-user mining with the configured miner.
+  // Phase 2: per-user PrefixSpan mining.
   const auto phase2_start = Clock::now();
   patterns::MobilityOptions mobility_options;
   mobility_options.sequences = config_.sequences;
@@ -110,9 +105,9 @@ Status Platform::run_pipeline(data::Dataset full) {
   for (const patterns::UserMobility& entry : mobility) mining_totals.merge(entry.mining_stats);
   if (mining_totals.truncated) {
     log_warn(
-        "miner '{}' hit the max_patterns cap ({}) for at least one user; "
+        "PrefixSpan hit the max_patterns cap ({}) for at least one user; "
         "mined tables are incomplete — raise max_patterns or min_support",
-        config_.mining.algorithm, config_.mining.max_patterns);
+        config_.mining.max_patterns);
   }
 
   // Phase 3: crowd synchronization and aggregation.
@@ -150,18 +145,8 @@ patterns::PlaceGraph Platform::place_graph(const patterns::UserMobility* mobilit
                                            const mining::UserSequences& sequences,
                                            const data::Dataset& dataset) const {
   patterns::PlaceGraphOptions options;
-  // Closed-mode entries expand lazily for this request: the graph's
-  // pattern restriction keys on consecutive element pairs, which the
-  // closed set does not preserve, so restricting to it directly would
-  // change the rendered graph.
-  std::vector<patterns::MobilityPattern> expanded;
-  if (mobility != nullptr && mobility->closed_only) {
-    expanded = patterns::expand_user_patterns(*mobility, sequences.shapes,
-                                              sequences.day_count(), config_.mining);
-    if (!expanded.empty()) options.restrict_to_patterns = &expanded;
-  } else if (mobility != nullptr && !mobility->patterns.empty()) {
+  if (mobility != nullptr && !mobility->patterns.empty())
     options.restrict_to_patterns = &mobility->patterns;
-  }
   return patterns::build_place_graph(sequences, taxonomy(), dataset, config_.sequences.mode,
                                      options);
 }

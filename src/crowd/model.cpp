@@ -74,58 +74,16 @@ class UserTally {
   std::optional<VenueTally> counted_;
 };
 
-/// Closed-mode placement: reads the compact per-user index instead of
-/// the expanded pattern set. The index holds, in ascending rank (the
-/// canonical expanded-mode emission order), every (label, minute)
-/// candidate that can win a placement at some threshold; replaying the
-/// expanded path's rules over it — support filter, first-qualifying
-/// (window, label) wins, same venue pick — therefore emits placements
-/// value-identical to the expanded build, in the same order (winners
-/// surface at their winning element's rank in both paths).
-void append_compact_placements(const data::Dataset& dataset,
-                               const patterns::UserMobility& user,
-                               const geo::SpatialGrid& grid, const CrowdOptions& options,
-                               UserTally& venues,
-                               std::vector<std::vector<CrowdPlacement>>& out) {
-  if (user.placement_index.empty()) return;
-  const int windows = static_cast<int>(out.size());
-  std::set<std::pair<int, mining::Item>> placed;
-  for (const patterns::PlacementCandidate& candidate : user.placement_index) {
-    if (candidate.support < options.min_pattern_support) continue;
-    const int window = std::clamp(static_cast<int>(candidate.minute) / options.window_minutes,
-                                  0, windows - 1);
-    if (!placed.insert({window, candidate.label}).second) continue;
-    const auto venue_id = venues.pick(candidate.label, window);
-    if (!venue_id) continue;
-    const data::Venue* venue = dataset.venue(*venue_id);
-    if (venue == nullptr) continue;
-    CrowdPlacement placement;
-    placement.user = user.user;
-    placement.label = candidate.label;
-    placement.venue = *venue_id;
-    placement.position = venue->position;
-    placement.cell = grid.clamped_cell_of(venue->position);
-    placement.pattern_support = candidate.support;
-    out[static_cast<std::size_t>(window)].push_back(placement);
-  }
-}
-
 /// Appends one user's placements into per-window scratch vectors. The
 /// full build and the incremental update place users through this
 /// single code path, so their outputs agree element-for-element.
-/// Compact (closed-only) entries branch to the index-driven path, which
-/// reproduces this one's output exactly.
 /// `kept` is the user's kept tally, or null to count their records.
 void append_user_placements(const data::Dataset& dataset, const patterns::UserMobility& user,
                             const geo::SpatialGrid& grid, const CrowdOptions& options,
                             const VenueTally* kept,
                             std::vector<std::vector<CrowdPlacement>>& out) {
-  UserTally venues(dataset, user.user, kept, options.window_minutes);
-  if (user.closed_only) {
-    append_compact_placements(dataset, user, grid, options, venues, out);
-    return;
-  }
   if (user.patterns.empty()) return;
+  UserTally venues(dataset, user.user, kept, options.window_minutes);
   const int windows = static_cast<int>(out.size());
   // A user appears at most once per (window, label): dedupe elements of
   // different patterns that land in the same window.

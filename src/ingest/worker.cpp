@@ -183,15 +183,7 @@ void IngestWorker::init_metrics() {
                              "Check-ins merged by the most recent epoch's delta.");
   mining_emitted_ = counter(
       "crowdweb_mining_patterns_emitted_total",
-      "Patterns the miner itself returned in per-user re-mines across all epochs "
-      "(for closed miners this is the closed set, before any expansion).");
-  mining_expanded_ = counter(
-      "crowdweb_mining_patterns_expanded_total",
-      "Frequent patterns reconstructed from closed sets by expansion across all "
-      "epochs, streamed through the placement-index build. 0 for full miners.");
-  mining_pruned_ = counter("crowdweb_mining_pruned_total",
-                           "Search subtrees the miner cut without counting (BIDE's "
-                           "BackScan). 0 for full miners.");
+      "Patterns the miner returned in per-user re-mines across all epochs.");
   telemetry::CounterFamily& history_users = metrics_->counter_family(
       "crowdweb_ingest_history_users_total",
       "Re-mined users whose kept day-shape index filed only their appended check-ins "
@@ -612,22 +604,20 @@ Status IngestWorker::rebuild_and_publish() {
         static_cast<std::uint64_t>(std::count(appended.begin(), appended.end(), 1));
     history_appended_->increment(appended_users);
     history_refiled_->increment(changed.size() - appended_users);
-    mining::MiningStats epoch_mining;
+    std::size_t emitted = 0;
     std::size_t truncated_users = 0;
     for (const patterns::UserMobility& entry : updates) {
-      epoch_mining.merge(entry.mining_stats);
+      emitted += entry.mining_stats.emitted;
       if (entry.mining_stats.truncated) ++truncated_users;
     }
-    mining_emitted_->increment(epoch_mining.emitted);
-    mining_expanded_->increment(epoch_mining.expanded);
-    mining_pruned_->increment(epoch_mining.pruned);
+    mining_emitted_->increment(emitted);
     if (truncated_users > 0) {
       mining_truncated_->increment(truncated_users);
       // Once per epoch, not per user: the cap repeats until raised.
       log_warn(
-          "epoch {}: miner '{}' truncated {} of {} re-mined users at max_patterns={}; "
+          "epoch {}: PrefixSpan truncated {} of {} re-mined users at max_patterns={}; "
           "their published tables are incomplete",
-          epoch_ + 1, pipeline_.mining.algorithm, truncated_users, updates.size(),
+          epoch_ + 1, truncated_users, updates.size(),
           pipeline_.mining.max_patterns);
     }
     mobility_ = mobility_.with_updates(std::move(updates));

@@ -320,12 +320,9 @@ class IngestWorker {
   telemetry::Counter* delta_records_copied_ = nullptr;
   telemetry::Gauge* delta_last_events_ = nullptr;
   // Mining accounting (crowdweb_mining_*): what the per-user re-mines of
-  // each epoch emitted (the miner's own output), reconstructed by
-  // closed-set expansion, pruned, and — the one worth alerting on —
+  // each epoch emitted and — the one worth alerting on — how many were
   // truncated at the max_patterns cap.
   telemetry::Counter* mining_emitted_ = nullptr;
-  telemetry::Counter* mining_expanded_ = nullptr;
-  telemetry::Counter* mining_pruned_ = nullptr;
   telemetry::Counter* mining_truncated_ = nullptr;
   // Kept per-user state accounting (crowdweb_ingest_history_*).
   telemetry::Counter* history_appended_ = nullptr;

@@ -3,14 +3,13 @@
 // A *sequence* is one day of a user's visits, reduced to labels (items).
 // A *pattern* is a subsequence that occurs in at least `min_support`
 // fraction of the user's day-sequences (relative support, as the paper
-// sweeps it from 0.25 to 0.75). Both production miners (PrefixSpan and
-// the closed-set BIDE) and the test-only reference miners emit the same
-// `Pattern` type so tests can cross-check them.
+// sweeps it from 0.25 to 0.75). The production miner (PrefixSpan) and
+// the test-only reference miners emit the same `Pattern` type so tests
+// can cross-check them.
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
 namespace crowdweb::mining {
@@ -73,21 +72,16 @@ struct Pattern {
 /// miner outputs directly comparable.
 void sort_patterns(std::vector<Pattern>& patterns);
 
-/// What one mine() call did, beyond the patterns it returned. Every
-/// miner fills one of these (through the optional out-params below or
-/// through the registry interface), so callers can tell a complete
-/// result from a capped one instead of silently losing patterns.
+/// What one mine call did, beyond the patterns it returned. Every miner
+/// fills one of these through its optional out-param, so callers can
+/// tell a complete result from a capped one instead of silently losing
+/// patterns.
 struct MiningStats {
   std::size_t emitted = 0;   ///< patterns the miner itself returned
   std::size_t explored = 0;  ///< search nodes / candidates support-counted
-  /// Search work cut before counting: BIDE's BackScan subtrees (the
-  /// test-only reference GSP counts its apriori-rejected candidates).
+  /// Search work cut before counting: the test-only reference GSP
+  /// counts its apriori-rejected candidates; PrefixSpan prunes nothing.
   std::size_t pruned = 0;
-  /// Frequent patterns reconstructed by expand_closed_patterns from a
-  /// closed set (the placement-index build streams them) — 0 for full
-  /// miners. Kept separate from `emitted` so the miner's true output
-  /// size is visible even when the pipeline expands behind it.
-  std::size_t expanded = 0;
   /// True when the max_patterns cap suppressed at least one emission —
   /// the returned set is incomplete.
   bool truncated = false;
@@ -97,7 +91,6 @@ struct MiningStats {
     emitted += other.emitted;
     explored += other.explored;
     pruned += other.pruned;
-    expanded += other.expanded;
     truncated = truncated || other.truncated;
   }
 
@@ -113,34 +106,6 @@ struct MiningOptions {
   std::size_t max_pattern_length = 12;
   /// Hard cap on emitted patterns (safety valve for tiny supports).
   std::size_t max_patterns = 200'000;
-  /// Which registered miner the pipeline runs (see mining/registry.hpp):
-  /// "prefixspan" (default, serves the full frequent set) or "bide"
-  /// (serves the closed set compactly). Carried inside MiningOptions so
-  /// it flows through MobilityOptions -> PlatformConfig ->
-  /// IngestPipelineConfig -> shard workers untouched.
-  std::string algorithm = "prefixspan";
 };
-
-/// Recovers the full frequent set from a *closed* pattern set: every
-/// subsequence of a closed pattern is frequent, and its support is the
-/// maximum support over the closed patterns containing it. With an
-/// uncapped closed set this reproduces the full miner's output exactly
-/// (same items, same supports, canonical order). Stops admitting new
-/// patterns at options.max_patterns (flagged via stats->truncated);
-/// supports of admitted patterns stay exact.
-[[nodiscard]] std::vector<Pattern> expand_closed_patterns(std::span<const Pattern> closed,
-                                                          std::size_t db_size,
-                                                          const MiningOptions& options,
-                                                          MiningStats* stats = nullptr);
-
-/// Exact support count of `items` answered from a *closed* pattern set
-/// by subsumption: the maximum support over the closed patterns that
-/// contain `items` as a subsequence. Closure guarantees every frequent
-/// sequence has a closed super-pattern of equal support, so for any
-/// frequent `items` this equals the full miner's count; infrequent
-/// sequences return 0. Also correct over a full frequent set (a pattern
-/// subsumes itself).
-[[nodiscard]] std::size_t subsumed_support_count(std::span<const Item> items,
-                                                 std::span<const Pattern> closed) noexcept;
 
 }  // namespace crowdweb::mining

@@ -40,65 +40,17 @@ struct MobilityPattern {
   friend bool operator==(const MobilityPattern&, const MobilityPattern&) = default;
 };
 
-/// One element of the compact placement index a closed-mode entry
-/// carries instead of the expanded pattern set. `rank` is the element's
-/// position in the canonical expanded-mode emission order (pattern-major
-/// over the canonically sorted frequent set), `minute` is the element's
-/// annotated mean minute-of-day truncated to an int — the two inputs the
-/// crowd layer's first-qualifying-wins placement rule consumes. Only the
-/// per-(label, minute) support frontier is kept: a candidate whose
-/// support does not exceed every earlier-rank candidate of the same key
-/// can never win a placement at any threshold or window size, so it is
-/// pruned at mine time (see mobility.cpp for the argument).
-struct PlacementCandidate {
-  mining::Item label = 0;
-  std::uint16_t minute = 0;        ///< int(mean_minute), in [0, 1440)
-  std::uint32_t rank = 0;          ///< canonical expanded emission order
-  std::uint32_t support_count = 0; ///< days supporting the source pattern
-  double support = 0.0;            ///< support_count / recorded_days
-
-  friend bool operator==(const PlacementCandidate&, const PlacementCandidate&) = default;
-};
-
 /// Everything phase 2 derives for one user.
 struct UserMobility {
   data::UserId user = 0;
   std::size_t recorded_days = 0;  ///< sequences in the user's database
   std::vector<MobilityPattern> patterns;
-  /// What the miner did for this user (explored/pruned counts and the
+  /// What the miner did for this user (emitted/explored counts and the
   /// max_patterns truncation flag). Carried per user so the pipeline can
   /// aggregate an epoch's mining telemetry from the entries it re-mined.
   mining::MiningStats mining_stats;
-  /// True when `patterns` holds only the *closed* set (closed-output
-  /// miner, e.g. BIDE). Support queries answer by
-  /// subsumption and crowd placement reads `placement_index`; routes
-  /// whose wire contract needs the full set expand lazily (see
-  /// expand_user_patterns).
-  bool closed_only = false;
-  /// Size of the full frequent set (known at mine time even when only
-  /// the closed set is stored). Meaningful only when closed_only.
-  std::size_t frequent_patterns = 0;
-  /// Closed-mode placement index, sorted by rank. Empty when
-  /// closed_only is false (the expanded patterns are their own index).
-  std::vector<PlacementCandidate> placement_index;
 
-  /// Patterns a full-set consumer would see: the stored count in
-  /// expanded mode, the expansion's size in closed mode.
-  [[nodiscard]] std::size_t served_pattern_count() const noexcept {
-    return closed_only ? frequent_patterns : patterns.size();
-  }
-
-  /// Exact support count of a label sequence, answered by subsumption
-  /// over the stored pattern set. Over a closed set this equals the full
-  /// miner's count for every frequent sequence (closure guarantees a
-  /// closed super-pattern of equal support); infrequent sequences return
-  /// 0. Also correct over an expanded set (a pattern subsumes itself).
-  [[nodiscard]] std::size_t support_count_of(
-      std::span<const mining::Item> labels) const noexcept;
-  /// support_count_of divided by recorded_days (0 when no days).
-  [[nodiscard]] double support_of(std::span<const mining::Item> labels) const noexcept;
-
-  /// Heap bytes this entry keeps resident (patterns, elements, index).
+  /// Heap bytes this entry keeps resident (patterns and elements).
   [[nodiscard]] std::size_t resident_bytes() const noexcept;
 
   friend bool operator==(const UserMobility&, const UserMobility&) = default;
@@ -111,10 +63,7 @@ struct MobilityOptions {
 
 /// Phase 2 of the framework over a user's indexed days (`day_count`
 /// recorded days filed into `shapes`, e.g. a mining::HistoryIndex):
-/// mines them with the miner named by options.mining.algorithm (see
-/// mining/registry.hpp), annotating each pattern with times. A
-/// closed-output miner yields a compact entry: the closed set plus the
-/// placement index built from its expansion.
+/// mines them with PrefixSpan, annotating each pattern with times.
 [[nodiscard]] UserMobility mine_user_mobility(data::UserId user,
                                               const mining::DayShapes& shapes,
                                               std::size_t day_count,
@@ -149,38 +98,29 @@ struct MobilityOptions {
     unsigned threads = 0);
 
 /// Aggregate size of a set of mobility entries — what /api/status and
-/// bench_mining report per epoch to make the closed-mode memory win (or
-/// its absence on sparse corpora) observable.
+/// bench_mining report per epoch.
 struct MobilityStats {
-  std::size_t entries = 0;               ///< users with a mined entry
-  std::size_t compact_entries = 0;       ///< entries stored closed-only
-  std::size_t patterns = 0;              ///< resident annotated patterns
-  std::size_t placement_candidates = 0;  ///< resident index candidates
-  std::size_t bytes = 0;                 ///< resident heap bytes
+  std::size_t entries = 0;   ///< users with a mined entry
+  std::size_t patterns = 0;  ///< resident annotated patterns
+  std::size_t bytes = 0;     ///< resident heap bytes
 
   void add(const UserMobility& entry) noexcept {
     ++entries;
-    if (entry.closed_only) ++compact_entries;
     patterns += entry.patterns.size();
-    placement_candidates += entry.placement_index.size();
     bytes += entry.resident_bytes();
   }
 
   /// Takes back what add(entry) counted (an entry a table replaced).
   void remove(const UserMobility& entry) noexcept {
     --entries;
-    if (entry.closed_only) --compact_entries;
     patterns -= entry.patterns.size();
-    placement_candidates -= entry.placement_index.size();
     bytes -= entry.resident_bytes();
   }
 
   /// Folds another table's totals in (shard scatter-gather status).
   void merge(const MobilityStats& other) noexcept {
     entries += other.entries;
-    compact_entries += other.compact_entries;
     patterns += other.patterns;
-    placement_candidates += other.placement_candidates;
     bytes += other.bytes;
   }
 
@@ -287,24 +227,6 @@ class MobilityTable {
 /// not the days themselves.
 [[nodiscard]] MobilityPattern annotate_pattern(const mining::Pattern& pattern,
                                                const mining::DayShapes& shapes);
-
-/// The full frequent pattern set of an entry, annotated — exactly what
-/// the entry's `patterns` would hold had a full miner (PrefixSpan) mined
-/// it. Compact (closed_only) entries expand their closed set lazily
-/// against the user's indexed days (same expansion cap, same
-/// canonical order, same greedy-embedding annotation, so the result is
-/// byte-identical to PrefixSpan's output); full entries return a copy
-/// of `patterns` unchanged. This is the per-request path
-/// behind routes whose wire contract needs the full set.
-[[nodiscard]] std::vector<MobilityPattern> expand_user_patterns(
-    const UserMobility& mobility, const mining::DayShapes& shapes, std::size_t day_count,
-    const mining::MiningOptions& mining);
-
-/// Convenience overload that indexes the user's days from the dataset
-/// first (the shard API has no Platform to ask).
-[[nodiscard]] std::vector<MobilityPattern> expand_user_patterns(
-    const UserMobility& mobility, const data::Dataset& dataset,
-    const data::Taxonomy& taxonomy, const MobilityOptions& options);
 
 /// Mean pattern length of a user (0 for no patterns) — the Figure 7/8
 /// metric.

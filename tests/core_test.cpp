@@ -348,39 +348,41 @@ TEST_F(ApiFixture, AnalyzeEndpointMinesUploadedHistory) {
   EXPECT_DOUBLE_EQ(patterns[0].find("support")->as_double(), 1.0);
 }
 
-TEST_F(ApiFixture, AnalyzeEndpointWithBideReturnsTheClosedSet) {
+TEST_F(ApiFixture, AnalyzeEndpointMinesWithPrefixSpanOnly) {
   // Every day: coffee, then the office. PrefixSpan finds Eatery, the
-  // office label and Eatery -> office; only the pair is closed.
+  // office label and Eatery -> office.
   std::string csv = "category,lat,lon,timestamp\n";
   for (int day = 2; day <= 8; ++day) {
     const std::string date = "2012-04-0" + std::to_string(day);
     csv += "Coffee Shop,40.71,-74.00," + date + " 08:30:00\n";
     csv += "Office,40.75,-73.98," + date + " 09:10:00\n";
   }
-  const auto analyze = [&](const std::string& algorithm) {
-    auto response = http::fetch("127.0.0.1", server_->port(), "POST",
-                                "/api/analyze?algorithm=" + algorithm, csv);
-    EXPECT_TRUE(response.is_ok()) << algorithm;
+  const auto analyze = [&](const std::string& target) {
+    auto response = http::fetch("127.0.0.1", server_->port(), "POST", target, csv);
+    EXPECT_TRUE(response.is_ok()) << target;
     return response.is_ok() ? std::move(response).value() : http::ClientResponse{};
   };
 
-  const http::ClientResponse full = analyze("prefixspan");
-  const http::ClientResponse closed = analyze("bide");
-  ASSERT_EQ(full.status, 200) << full.body;
-  ASSERT_EQ(closed.status, 200) << closed.body;
-  const auto full_doc = json::parse(full.body);
-  const auto closed_doc = json::parse(closed.body);
-  ASSERT_TRUE(full_doc.is_ok() && closed_doc.is_ok());
-  EXPECT_FALSE(full_doc->find("closed")->as_bool());
-  EXPECT_TRUE(closed_doc->find("closed")->as_bool());
-  const auto& full_patterns = full_doc->find("patterns")->as_array();
-  const auto& closed_patterns = closed_doc->find("patterns")->as_array();
-  ASSERT_EQ(full_patterns.size(), 3u);
-  // BIDE answers with the closed set itself: the one two-stop pattern,
-  // rendered exactly as PrefixSpan renders it.
-  ASSERT_EQ(closed_patterns.size(), 1u);
-  EXPECT_EQ(closed_patterns[0].find("elements")->as_array().size(), 2u);
-  EXPECT_EQ(json::dump(closed_patterns[0]), json::dump(full_patterns[2]));
+  // Naming the one miner changes nothing.
+  const http::ClientResponse implicit = analyze("/api/analyze");
+  const http::ClientResponse named = analyze("/api/analyze?algorithm=prefixspan");
+  ASSERT_EQ(implicit.status, 200) << implicit.body;
+  ASSERT_EQ(named.status, 200) << named.body;
+  EXPECT_EQ(named.body, implicit.body);
+  const auto doc = json::parse(implicit.body);
+  ASSERT_TRUE(doc.is_ok());
+  EXPECT_EQ(doc->find("patterns")->as_array().size(), 3u);
+  EXPECT_EQ(doc->find("algorithm"), nullptr);
+  EXPECT_EQ(doc->find("closed"), nullptr);
+
+  // Any other miner name is refused, naming the one there is.
+  for (const char* algorithm : {"bide", "gsp"}) {
+    const http::ClientResponse refused =
+        analyze(std::string("/api/analyze?algorithm=") + algorithm);
+    EXPECT_EQ(refused.status, 400) << algorithm;
+    EXPECT_NE(refused.body.find("the only miner is prefixspan"), std::string::npos)
+        << refused.body;
+  }
 }
 
 TEST(AnalyzeEndpointTest, MinesPhaseTwosDaysUnderTheSequenceConfig) {
@@ -400,12 +402,11 @@ TEST(AnalyzeEndpointTest, MinesPhaseTwosDaysUnderTheSequenceConfig) {
     const Platform& p = *built;
     const patterns::UserMobility* subject = nullptr;
     for (const patterns::UserMobility& entry : p.mobility()) {
-      if (subject == nullptr ||
-          entry.served_pattern_count() > subject->served_pattern_count())
+      if (subject == nullptr || entry.patterns.size() > subject->patterns.size())
         subject = &entry;
     }
     ASSERT_NE(subject, nullptr);
-    ASSERT_GT(subject->served_pattern_count(), 0u);
+    ASSERT_GT(subject->patterns.size(), 0u);
 
     std::string csv = "category,lat,lon,timestamp\n";
     for (const data::CheckIn& c : p.experiment_dataset().checkins_for(subject->user)) {
@@ -522,7 +523,7 @@ TEST_F(ApiFixture, AnalyzeEndpointValidatesInput) {
       "category,lat,lon,timestamp\nCoffee Shop,40.7,-74.0,2012-04-02 09:00:00\n");
   ASSERT_TRUE(gsp.is_ok());
   EXPECT_EQ(gsp->status, 400);
-  EXPECT_NE(gsp->body.find("registered: prefixspan, bide"), std::string::npos) << gsp->body;
+  EXPECT_NE(gsp->body.find("the only miner is prefixspan"), std::string::npos) << gsp->body;
 
   const auto wrong_method = http::get("127.0.0.1", server_->port(), "/api/analyze");
   ASSERT_TRUE(wrong_method.is_ok());

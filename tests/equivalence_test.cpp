@@ -4,8 +4,7 @@
 // records, at every layer (dataset, mobility, crowd model) and on the
 // wire (byte-identical /api/crowd/:window JSON). Also pins the sharing
 // contract: state the delta did not touch is reused by pointer, never
-// copied. And pins the miner contract: BIDE's compact closed-set tables
-// serve the same bytes as PrefixSpan's full tables.
+// copied.
 
 #include <gtest/gtest.h>
 
@@ -771,91 +770,7 @@ TEST(WorkerEquivalenceTest, UpdatedCrowdMatchesAFullBuildAcrossOneHundredThirtyE
   worker->stop();
 }
 
-// ---------------------- closed-mode (compact BIDE vs PrefixSpan) serving
-
-core::Platform make_platform_with_miner(const std::string& algorithm) {
-  core::PlatformConfig config;
-  config.small_corpus = true;
-  config.min_active_days = 20;
-  config.mining.algorithm = algorithm;
-  auto result = core::Platform::create(config);
-  EXPECT_TRUE(result.is_ok()) << result.status().to_string();
-  if (!result.is_ok()) std::abort();
-  return std::move(result).value();
-}
-
-/// Every compact entry expands (lazily, as the full-set routes do) to
-/// exactly the PrefixSpan entry for the same user: the per-user pattern
-/// tables differ only in representation. Takes the batch build's table
-/// (epoch 0) or a live epoch's.
-void expect_expands_to(const patterns::MobilityTable& compact,
-                       const patterns::MobilityTable& full, const data::Dataset& dataset,
-                       const core::PlatformConfig& config) {
-  ASSERT_EQ(compact.size(), full.size());
-  patterns::MobilityOptions options;
-  options.sequences = config.sequences;
-  options.mining = config.mining;
-  auto it = full.begin();
-  for (const patterns::UserMobility& entry : compact) {
-    const patterns::UserMobility& reference = *it++;
-    ASSERT_EQ(entry.user, reference.user);
-    EXPECT_TRUE(entry.closed_only) << "user " << entry.user;
-    EXPECT_EQ(patterns::expand_user_patterns(entry, dataset, data::Taxonomy::foursquare(),
-                                             options),
-              reference.patterns)
-        << "user " << entry.user;
-  }
-}
-
-TEST(MinerEquivalenceTest, ClosedMinerPublishesByteIdenticalCrowdJson) {
-  // A platform mining with BIDE (closed set kept compact) must be
-  // indistinguishable from the PrefixSpan baseline everywhere the crowd
-  // model surfaces: the batch mobility tables, every live epoch, and
-  // every byte of /api/crowd/:window as served over a real socket.
-  const core::Platform baseline = make_platform_with_miner("prefixspan");
-  const core::Platform closed = make_platform_with_miner("bide");
-
-  // Batch phase: the closed tables expand to the baseline's.
-  expect_expands_to(closed.mobility(), baseline.mobility(), closed.experiment_dataset(),
-                    closed.config());
-
-  // Live phase: same traffic through both workers, then byte-compare
-  // the crowd endpoints.
-  auto worker_a = core::make_ingest_worker(baseline, worker_config());
-  auto worker_b = core::make_ingest_worker(closed, worker_config());
-  ASSERT_TRUE(worker_a->start().is_ok());
-  ASSERT_TRUE(worker_b->start().is_ok());
-  const std::vector<ingest::IngestEvent> events = live_traffic(44);
-  for (std::size_t offset = 0; offset < events.size(); offset += 11) {
-    const std::span<const ingest::IngestEvent> chunk(events.data() + offset, 11);
-    feed_and_settle(*worker_a, chunk, offset + 11);
-    feed_and_settle(*worker_b, chunk, offset + 11);
-  }
-  const ingest::SnapshotPtr a = worker_a->hub().current();
-  const ingest::SnapshotPtr b = worker_b->hub().current();
-  ASSERT_NE(a, nullptr);
-  ASSERT_NE(b, nullptr);
-  expect_expands_to(b->mobility, a->mobility, b->dataset, closed.config());
-  expect_crowd_eq(a->crowd, b->crowd);
-
-  http::Server server_a(core::make_api_router(baseline, {worker_a.get(), nullptr}));
-  http::Server server_b(core::make_api_router(closed, {worker_b.get(), nullptr}));
-  ASSERT_TRUE(server_a.start().is_ok());
-  ASSERT_TRUE(server_b.start().is_ok());
-  for (int w = 0; w < a->crowd.window_count(); ++w) {
-    const std::string path = "/api/crowd/" + std::to_string(w);
-    const auto from_a = http::get("127.0.0.1", server_a.port(), path);
-    const auto from_b = http::get("127.0.0.1", server_b.port(), path);
-    ASSERT_TRUE(from_a.is_ok());
-    ASSERT_TRUE(from_b.is_ok());
-    ASSERT_EQ(from_a->status, 200) << path;
-    EXPECT_EQ(from_a->body, from_b->body) << path;
-  }
-  server_a.stop();
-  server_b.stop();
-  worker_a->stop();
-  worker_b->stop();
-}
+// ------------------------------------------- static build vs worker
 
 http::Request get_request(std::string path) {
   http::Request request;
@@ -870,20 +785,17 @@ std::string body_of(const http::Router& router, const std::string& path) {
   return response.body;
 }
 
-/// Byte-compares every route whose payload must not depend on the
-/// pattern-set representation: all crowd windows, the user roster, and
-/// one user's full (lazily expanded) pattern list. `compact` serves
-/// BIDE's closed set, `expanded` PrefixSpan's full frequent set.
-void expect_wire_eq(const http::Router& compact, const http::Router& expanded,
-                    int windows, data::UserId probe) {
+/// Byte-compares every crowd window, the user roster, and one user's
+/// full pattern list as served by two deployments.
+void expect_wire_eq(const http::Router& a, const http::Router& b, int windows,
+                    data::UserId probe) {
   for (int w = 0; w < windows; ++w) {
     const std::string path = "/api/crowd/" + std::to_string(w);
-    EXPECT_EQ(body_of(compact, path), body_of(expanded, path)) << path;
+    EXPECT_EQ(body_of(a, path), body_of(b, path)) << path;
   }
-  EXPECT_EQ(body_of(compact, "/api/users"), body_of(expanded, "/api/users"));
+  EXPECT_EQ(body_of(a, "/api/users"), body_of(b, "/api/users"));
   const std::string patterns_path = "/api/user/" + std::to_string(probe) + "/patterns";
-  EXPECT_EQ(body_of(compact, patterns_path), body_of(expanded, patterns_path))
-      << patterns_path;
+  EXPECT_EQ(body_of(a, patterns_path), body_of(b, patterns_path)) << patterns_path;
 }
 
 TEST(WorkerEquivalenceTest, StaticBuildAndWorkerEpochOneServeIdenticalBodies) {
@@ -911,218 +823,6 @@ TEST(WorkerEquivalenceTest, StaticBuildAndWorkerEpochOneServeIdenticalBodies) {
         << block;
   }
   worker->stop();
-}
-
-TEST(ClosedModeEquivalenceTest, CompactBatchBuildServesByteIdenticalCrowdJson) {
-  // BIDE always serves its closed set compactly; everywhere the crowd
-  // model surfaces it must be indistinguishable from PrefixSpan.
-  const core::Platform expanded = make_platform_with_miner("prefixspan");
-  const core::Platform compact = make_platform_with_miner("bide");
-
-  // The compact tables really are compact: every entry is closed-only,
-  // and strictly fewer patterns are resident in total.
-  std::size_t expanded_patterns = 0;
-  std::size_t compact_patterns = 0;
-  ASSERT_EQ(compact.mobility().size(), expanded.mobility().size());
-  for (std::size_t i = 0; i < compact.mobility().size(); ++i) {
-    const patterns::UserMobility& entry = compact.mobility()[i];
-    EXPECT_TRUE(entry.closed_only) << "user " << entry.user;
-    EXPECT_EQ(entry.served_pattern_count(), expanded.mobility()[i].patterns.size());
-    expanded_patterns += expanded.mobility()[i].patterns.size();
-    compact_patterns += entry.patterns.size();
-  }
-  // Never more resident patterns than expanded mode; on this small
-  // corpus the mined routines can already be entirely closed, so the
-  // strict dense-corpus reduction is asserted by bench_mining instead.
-  EXPECT_LE(compact_patterns, expanded_patterns);
-
-  // The closed tables expand to PrefixSpan's, and the crowd model built
-  // from the placement indexes is value-identical to PrefixSpan's.
-  expect_expands_to(compact.mobility(), expanded.mobility(), compact.experiment_dataset(),
-                    compact.config());
-  expect_crowd_eq(compact.crowd_model(), expanded.crowd_model());
-
-  const http::Router compact_api = core::make_api_router(compact, {});
-  const http::Router expanded_api = core::make_api_router(expanded, {});
-  expect_wire_eq(compact_api, expanded_api, compact.crowd_model().window_count(),
-                 compact.experiment_dataset().users()[0]);
-
-  // /api/status reports the serving mode and the compact footprint.
-  const auto status = json::parse(body_of(compact_api, "/api/status"));
-  ASSERT_TRUE(status.is_ok());
-  const json::Value* mining = status->find("mining");
-  ASSERT_NE(mining, nullptr);
-  ASSERT_NE(mining->find("mode"), nullptr);
-  EXPECT_EQ(mining->find("mode")->as_string(), "closed");
-  // One serving mode per miner: there is no expansion switch to report.
-  EXPECT_EQ(mining->find("expand_closed"), nullptr);
-  const json::Value* pattern_set = mining->find("pattern_set");
-  ASSERT_NE(pattern_set, nullptr);
-  EXPECT_EQ(pattern_set->find("compact_entries")->as_int(),
-            pattern_set->find("entries")->as_int());
-  EXPECT_GT(pattern_set->find("placement_candidates")->as_int(), 0);
-  const auto expanded_status = json::parse(body_of(expanded_api, "/api/status"));
-  ASSERT_TRUE(expanded_status.is_ok());
-  EXPECT_EQ(expanded_status->find("mining")->find("mode")->as_string(), "expanded");
-  EXPECT_EQ(expanded_status->find("mining")->find("expand_closed"), nullptr);
-  EXPECT_EQ(expanded_status->find("mining")->find("pattern_set")
-                ->find("compact_entries")->as_int(),
-            0);
-}
-
-TEST(ClosedModeEquivalenceTest, WorkerReMiningKeepsCompactCrowdBytesIdentical) {
-  // Incremental epochs: the worker re-mines touched users with the
-  // configured miner in parallel — which is what puts this test's
-  // `ingest` label on the TSan matrix — so compact entries are rebuilt
-  // live. Every epoch's tables and crowd bytes must still match a
-  // PrefixSpan worker fed the same interleaving.
-  const core::Platform expanded = make_platform_with_miner("prefixspan");
-  const core::Platform compact = make_platform_with_miner("bide");
-  auto worker_expanded = core::make_ingest_worker(expanded, worker_config());
-  auto worker_compact = core::make_ingest_worker(compact, worker_config());
-  ASSERT_TRUE(worker_expanded->start().is_ok());
-  ASSERT_TRUE(worker_compact->start().is_ok());
-
-  const std::vector<ingest::IngestEvent> events = live_traffic(44);
-  for (std::size_t offset = 0; offset < events.size(); offset += 11) {
-    const std::span<const ingest::IngestEvent> chunk(events.data() + offset, 11);
-    feed_and_settle(*worker_expanded, chunk, offset + 11);
-    feed_and_settle(*worker_compact, chunk, offset + 11);
-  }
-  const ingest::SnapshotPtr a = worker_compact->hub().current();
-  const ingest::SnapshotPtr b = worker_expanded->hub().current();
-  ASSERT_NE(a, nullptr);
-  ASSERT_NE(b, nullptr);
-  expect_expands_to(a->mobility, b->mobility, a->dataset, compact.config());
-  expect_crowd_eq(a->crowd, b->crowd);
-  // Re-mined entries stayed compact across epochs.
-  const patterns::MobilityStats live_stats = a->mobility.stats();
-  EXPECT_EQ(live_stats.compact_entries, live_stats.entries);
-
-  const http::Router compact_api =
-      core::make_api_router(compact, {worker_compact.get(), nullptr});
-  const http::Router expanded_api =
-      core::make_api_router(expanded, {worker_expanded.get(), nullptr});
-  expect_wire_eq(compact_api, expanded_api, a->crowd.window_count(),
-                 compact.experiment_dataset().users()[0]);
-  worker_expanded->stop();
-  worker_compact->stop();
-}
-
-TEST(ClosedModeEquivalenceTest, RecoveredCompactStateServesIdenticalBytes) {
-  // Kill-and-restart: recovery re-mines from the replayed corpus, so the
-  // rebuilt compact tables must serve the pre-crash bytes — which are
-  // themselves PrefixSpan's bytes.
-  const core::Platform expanded = make_platform_with_miner("prefixspan");
-  const core::Platform compact = make_platform_with_miner("bide");
-  ScratchDir dir("compact_replay");
-  ScratchDir image("compact_replay_image");
-
-  ingest::IngestWorkerConfig config = worker_config();
-  config.store.dir = dir.str();
-  config.store.fsync = store::FsyncPolicy::kEveryBatch;
-  auto worker_a = core::make_ingest_worker(compact, config);
-  ASSERT_TRUE(worker_a->start().is_ok());
-  const std::vector<ingest::IngestEvent> events = live_traffic(40);
-  feed_and_settle(*worker_a, events, events.size());
-  const http::Router api_a = core::make_api_router(compact, {worker_a.get(), nullptr});
-  const std::string crowd_before = body_of(api_a, "/api/crowd/12");
-
-  fs::copy(dir.str(), image.str(), fs::copy_options::recursive);
-  worker_a->stop();
-
-  ingest::IngestWorkerConfig recovered_config = worker_config();
-  recovered_config.store.dir = image.str();
-  recovered_config.store.fsync = store::FsyncPolicy::kEveryBatch;
-  auto worker_b = core::make_ingest_worker(compact, recovered_config);
-  ASSERT_TRUE(worker_b->start().is_ok());
-  const ingest::SnapshotPtr after = worker_b->hub().current();
-  ASSERT_NE(after, nullptr);
-  EXPECT_EQ(after->live_checkins, events.size());
-  const patterns::MobilityStats recovered_stats = after->mobility.stats();
-  EXPECT_EQ(recovered_stats.compact_entries, recovered_stats.entries);
-
-  const http::Router api_b = core::make_api_router(compact, {worker_b.get(), nullptr});
-  EXPECT_EQ(body_of(api_b, "/api/crowd/12"), crowd_before);
-
-  // The recovered compact epoch equals a PrefixSpan worker fed the same
-  // events, byte for byte.
-  auto worker_c = core::make_ingest_worker(expanded, worker_config());
-  ASSERT_TRUE(worker_c->start().is_ok());
-  feed_and_settle(*worker_c, events, events.size());
-  const http::Router api_c = core::make_api_router(expanded, {worker_c.get(), nullptr});
-  expect_wire_eq(api_b, api_c, after->crowd.window_count(),
-                 compact.experiment_dataset().users()[0]);
-  worker_b->stop();
-  worker_c->stop();
-}
-
-TEST(ClosedModeEquivalenceTest, FourShardScatterGatherMatchesExpandedMode) {
-  // The same 4-shard layout over compact BIDE and PrefixSpan: hash
-  // partitioning, per-shard re-mining, and the k-way merged read path
-  // must all be representation-blind.
-  const core::Platform expanded = make_platform_with_miner("prefixspan");
-  const core::Platform compact = make_platform_with_miner("bide");
-
-  shard::ShardRouterConfig shard_config;
-  shard_config.shard_count = 4;
-  shard_config.worker = worker_config();
-  auto router_compact = shard::ShardRouter::create(compact, shard_config);
-  auto router_expanded = shard::ShardRouter::create(expanded, shard_config);
-  ASSERT_TRUE(router_compact.is_ok()) << router_compact.status().to_string();
-  ASSERT_TRUE(router_expanded.is_ok()) << router_expanded.status().to_string();
-  ASSERT_TRUE((*router_compact)->start().is_ok());
-  ASSERT_TRUE((*router_expanded)->start().is_ok());
-
-  const http::Router compact_api = shard::make_shard_api_router(**router_compact);
-  const http::Router expanded_api = shard::make_shard_api_router(**router_expanded);
-
-  // Seed epoch: batch tables sharded, nothing live yet.
-  const int windows = compact.crowd_model().window_count();
-  expect_wire_eq(compact_api, expanded_api, windows,
-                 compact.experiment_dataset().users()[0]);
-
-  // Identical interleaved live chunks through both deployments; both
-  // partition identically (same hash layout), so every shard re-mines
-  // the same users in the same epochs.
-  const std::vector<ingest::IngestEvent> events = live_traffic(44);
-  std::size_t live = 0;
-  for (const std::size_t chunk : {22u, 11u, 11u}) {
-    const std::span<const ingest::IngestEvent> span(events.data() + live, chunk);
-    ASSERT_EQ((*router_compact)->submit(span).accepted, chunk);
-    ASSERT_EQ((*router_expanded)->submit(span).accepted, chunk);
-    live += chunk;
-    ASSERT_TRUE((*router_compact)->wait_for_live(live, 10s));
-    ASSERT_TRUE((*router_expanded)->wait_for_live(live, 10s));
-  }
-  expect_wire_eq(compact_api, expanded_api, windows, 5'000);
-
-  // The sharded status aggregates the compact footprint across pins.
-  const auto status = json::parse(body_of(compact_api, "/api/status"));
-  ASSERT_TRUE(status.is_ok());
-  const json::Value* mining = status->find("mining");
-  ASSERT_NE(mining, nullptr);
-  EXPECT_EQ(mining->find("mode")->as_string(), "closed");
-  EXPECT_EQ(mining->find("pattern_set")->find("compact_entries")->as_int(),
-            mining->find("pattern_set")->find("entries")->as_int());
-  (*router_compact)->stop();
-  (*router_expanded)->stop();
-}
-
-TEST(MinerEquivalenceTest, UnknownMinerIsRejectedAtPlatformCreation) {
-  // A test-only reference miner ("spade") is as unknown to a
-  // deployment as a made-up name.
-  for (const char* name : {"apriori", "spade"}) {
-    core::PlatformConfig config;
-    config.small_corpus = true;
-    config.mining.algorithm = name;
-    const auto result = core::Platform::create(config);
-    ASSERT_FALSE(result.is_ok()) << name;
-    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
-    EXPECT_NE(result.status().message().find(name), std::string::npos);
-    EXPECT_NE(result.status().message().find("(registered: prefixspan, bide)"),
-              std::string::npos);
-  }
 }
 
 // ------------------------------------------------- crash-recovery replay

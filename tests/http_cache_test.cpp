@@ -171,7 +171,9 @@ TEST(ResponseCacheTest, ConcurrentPublishesLeaveOnlyTheFinalEpochResident) {
     while (inserted.load() < goal) std::this_thread::yield();
   };
   for (std::uint64_t epoch = 1; epoch <= kFinalEpoch; ++epoch) {
-    cache.set_epoch(epoch, "t" + std::to_string(epoch));
+    std::string tag = "t";
+    tag += std::to_string(epoch);
+    cache.set_epoch(epoch, std::move(tag));
     wait_for_inserts(8);
   }
   wait_for_inserts(4 * kTargets);  // let the final epoch fill

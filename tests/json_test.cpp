@@ -208,8 +208,11 @@ Value random_value(crowdweb::Rng& rng, int depth) {
     default: {
       Value obj{Object{}};
       const int len = static_cast<int>(rng.uniform_int(0, 4));
-      for (int i = 0; i < len; ++i)
-        obj.set("k" + std::to_string(i), random_value(rng, depth - 1));
+      for (int i = 0; i < len; ++i) {
+        std::string key = "k";
+        key += std::to_string(i);
+        obj.set(std::move(key), random_value(rng, depth - 1));
+      }
       return obj;
     }
   }

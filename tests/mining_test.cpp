@@ -5,10 +5,8 @@
 #include <vector>
 
 #include "data/dataset.hpp"
-#include "mining/bide.hpp"
 #include "mining/pattern.hpp"
 #include "mining/prefixspan.hpp"
-#include "mining/registry.hpp"
 #include "mining/seqdb.hpp"
 #include "patterns/mobility.hpp"
 #include "reference/gsp.hpp"
@@ -569,108 +567,7 @@ TEST(SeqDbTest, LocationAbstractionRecoversFlexiblePatterns) {
   EXPECT_EQ(patterns[0].support_count, 3u);
 }
 
-// ---------------------------------------------------- Closed miners (BIDE)
-
-/// Owning flattened form of a SequenceDb, for the columns-only registry
-/// interface.
-struct OwnedColumns {
-  std::vector<Item> items;
-  std::vector<std::uint32_t> offsets;
-  [[nodiscard]] SequenceColumns view() const noexcept { return {items, offsets}; }
-};
-
-OwnedColumns columns_of(const SequenceDb& db) {
-  OwnedColumns out;
-  out.offsets.push_back(0);
-  for (const auto& sequence : db) {
-    out.items.insert(out.items.end(), sequence.begin(), sequence.end());
-    out.offsets.push_back(static_cast<std::uint32_t>(out.items.size()));
-  }
-  return out;
-}
-
-TEST(BideTest, EmptyDatabase) {
-  EXPECT_TRUE(bide(SequenceDb{}, {}).empty());
-}
-
-TEST(BideTest, TextbookClosedSet) {
-  // db: {a b} x2, {a} x1 -> frequent: a(3), b(2), ab(2); closed: a, ab.
-  const SequenceDb db{{1, 2}, {1, 2}, {1}};
-  MiningOptions options;
-  options.min_support = 0.5;
-  const auto closed = bide(db, options);
-  ASSERT_EQ(closed.size(), 2u);
-  EXPECT_EQ(closed[0].items, (std::vector<Item>{1}));
-  EXPECT_EQ(closed[0].support_count, 3u);
-  EXPECT_EQ(closed[1].items, (std::vector<Item>{1, 2}));
-  EXPECT_EQ(closed[1].support_count, 2u);
-}
-
-TEST(BideTest, BackwardExtensionDetected) {
-  // Every occurrence of b is preceded by a, so [b] is not closed (its
-  // backward extension [a b] has the same support) — a forward-only
-  // check would miss this.
-  const SequenceDb db{{1, 2}, {3, 1, 2}, {1, 3, 2}};
-  MiningOptions options;
-  options.min_support = 1.0;
-  const auto closed = bide(db, options);
-  ASSERT_EQ(closed.size(), 1u);
-  EXPECT_EQ(closed[0].items, (std::vector<Item>{1, 2}));
-  EXPECT_EQ(closed[0].support_count, 3u);
-}
-
-TEST(BideTest, MatchesPostfilteredPrefixSpanOnRandomDbs) {
-  Rng rng(31337);
-  for (int trial = 0; trial < 40; ++trial) {
-    const SequenceDb db = random_db(rng, 25, 4, 8);
-    MiningOptions options;
-    options.min_support = 0.1 + 0.2 * static_cast<double>(trial % 4);
-    const auto oracle = closed_patterns(prefixspan(db, options));
-    EXPECT_EQ(bide(db, options), oracle) << "trial " << trial;
-  }
-}
-
-TEST(BideTest, ClosedIsSubsetOfFrequentWithEqualSupports) {
-  Rng rng(99);
-  for (int trial = 0; trial < 10; ++trial) {
-    const SequenceDb db = random_db(rng, 30, 5, 9);
-    MiningOptions options;
-    options.min_support = 0.2;
-    const auto frequent = prefixspan(db, options);
-    for (const Pattern& p : bide(db, options)) {
-      const auto it = std::find_if(frequent.begin(), frequent.end(),
-                                   [&](const Pattern& q) { return q.items == p.items; });
-      ASSERT_NE(it, frequent.end());
-      EXPECT_EQ(it->support_count, p.support_count);
-    }
-  }
-}
-
-TEST(BideTest, ExpansionRecoversFullFrequentSetExactly) {
-  Rng rng(2024);
-  for (int trial = 0; trial < 20; ++trial) {
-    const SequenceDb db = random_db(rng, 20, 4, 8);
-    MiningOptions options;
-    options.min_support = 0.15 + 0.1 * static_cast<double>(trial % 5);
-    const auto full = prefixspan(db, options);
-    const auto expanded = expand_closed_patterns(bide(db, options), db.size(), options);
-    EXPECT_EQ(expanded, full) << "trial " << trial;  // items, supports, order
-  }
-}
-
-TEST(BideTest, ExpansionHonorsMaxPatternsCap) {
-  const SequenceDb db{{1, 2, 3, 4}, {1, 2, 3, 4}};
-  MiningOptions options;
-  options.min_support = 1.0;
-  const auto closed = bide(db, options);  // just [1 2 3 4]
-  ASSERT_EQ(closed.size(), 1u);
-  options.max_patterns = 5;
-  MiningStats stats;
-  const auto expanded = expand_closed_patterns(closed, db.size(), options, &stats);
-  EXPECT_EQ(expanded.size(), 5u);
-  EXPECT_TRUE(stats.truncated);
-  for (const Pattern& p : expanded) EXPECT_EQ(p.support_count, 2u);
-}
+// ------------------------------------------------------------ MiningStats
 
 TEST(MiningStatsTest, TruncationFlagTracksMaxPatternsCap) {
   Rng rng(7);
@@ -684,129 +581,21 @@ TEST(MiningStatsTest, TruncationFlagTracksMaxPatternsCap) {
   EXPECT_EQ(stats.emitted, full.size());
 
   options.max_patterns = 3;
-  for (const std::string_view name : miner_names()) {
-    options.algorithm = name;
-    const auto capped = find_miner(name)->mine(columns_of(db).view(), options);
-    EXPECT_LE(capped.patterns.size(), 3u) << name;
-    EXPECT_TRUE(capped.stats.truncated) << name;
-  }
+  MiningStats capped_stats;
+  const auto capped = prefixspan(db, options, &capped_stats);
+  EXPECT_LE(capped.size(), 3u);
+  EXPECT_TRUE(capped_stats.truncated);
 }
 
 TEST(MiningStatsTest, MergeAccumulates) {
-  MiningStats a{10, 5, 2, 4, false};
-  const MiningStats b{1, 2, 3, 6, true};
+  MiningStats a{10, 5, 2, false};
+  const MiningStats b{1, 2, 3, true};
   a.merge(b);
   EXPECT_EQ(a.emitted, 11u);
   EXPECT_EQ(a.explored, 7u);
   EXPECT_EQ(a.pruned, 5u);
-  EXPECT_EQ(a.expanded, 10u);
   EXPECT_TRUE(a.truncated);
 }
-
-// --------------------------------------------------------------- Registry
-
-TEST(RegistryTest, NamesRoundTrip) {
-  const auto names = miner_names();
-  EXPECT_EQ(names, (std::vector<std::string_view>{"prefixspan", "bide"}));
-  for (const std::string_view name : names) {
-    const IMiningAlgorithm* miner = find_miner(name);
-    ASSERT_NE(miner, nullptr) << name;
-    EXPECT_EQ(miner->name(), name);
-    const auto resolved = resolve_miner(name);
-    ASSERT_TRUE(resolved.is_ok()) << name;
-    EXPECT_EQ(*resolved, miner);
-  }
-  EXPECT_TRUE(find_miner("bide")->closed_output());
-  EXPECT_FALSE(find_miner("prefixspan")->closed_output());
-}
-
-TEST(RegistryTest, UnknownNameIsAnError) {
-  // Only the two served miners resolve: CloSpan and the test-only
-  // references (GSP, SPADE, naive) are as unknown as a made-up name.
-  for (const char* name : {"apriori", "clospan", "gsp", "spade", "naive"}) {
-    EXPECT_EQ(find_miner(name), nullptr) << name;
-    const auto resolved = resolve_miner(name);
-    ASSERT_FALSE(resolved.is_ok()) << name;
-    EXPECT_EQ(resolved.status().code(), StatusCode::kInvalidArgument);
-    // The message names the offender and exactly the registered miners.
-    EXPECT_EQ(resolved.status().message(), "unknown mining algorithm '" +
-                                               std::string(name) +
-                                               "' (registered: prefixspan, bide)");
-  }
-}
-
-TEST(RegistryTest, AllMinersAgreeThroughTheInterface) {
-  Rng rng(555);
-  const SequenceDb db = random_db(rng, 30, 5, 8);
-  MiningOptions options;
-  options.min_support = 0.2;
-  const auto full = prefixspan(db, options);
-  const auto closed_oracle = closed_patterns(full);
-  for (const std::string_view name : miner_names()) {
-    const IMiningAlgorithm* miner = find_miner(name);
-    const MiningResult result = miner->mine(columns_of(db).view(), options);
-    if (miner->closed_output()) {
-      EXPECT_EQ(result.patterns, closed_oracle) << name;
-    } else {
-      EXPECT_EQ(result.patterns, full) << name;
-    }
-    EXPECT_EQ(result.stats.emitted, result.patterns.size()) << name;
-  }
-}
-
-TEST(RegistryTest, MineWithServesClosedMinersCompact) {
-  Rng rng(777);
-  const SequenceDb db = random_db(rng, 25, 4, 8);
-  MiningOptions options;
-  options.min_support = 0.2;
-  const auto full = prefixspan(db, options);
-
-  // A closed miner always serves its closed set, flagged as such; the
-  // full set is one expand_closed_patterns call away.
-  const IMiningAlgorithm& closed_miner = miner_for("bide");
-  EXPECT_TRUE(closed_miner.closed_output());
-  const MiningResult compact = closed_miner.mine(columns_of(db).view(), options);
-  EXPECT_EQ(compact.patterns, closed_patterns(full));
-  EXPECT_EQ(compact.stats.emitted, compact.patterns.size());
-  EXPECT_EQ(compact.stats.expanded, 0u);
-  EXPECT_EQ(expand_closed_patterns(compact.patterns, db.size(), options), full);
-
-  // A full miner always serves the full set.
-  const IMiningAlgorithm& full_miner = miner_for("prefixspan");
-  EXPECT_FALSE(full_miner.closed_output());
-  const MiningResult expanded = full_miner.mine(columns_of(db).view(), options);
-  EXPECT_EQ(expanded.patterns, full);
-  EXPECT_EQ(expanded.stats.expanded, 0u);
-
-  // An unknown name runs PrefixSpan, as the pipeline does.
-  EXPECT_EQ(&miner_for("apriori"), &full_miner);
-}
-
-TEST(RegistryTest, SubsumedSupportAnswersExactlyFromClosedSets) {
-  // Ten days of 1→2→3 plus five days of 1→2: the full frequent set has
-  // seven patterns but only {1,2} (15) and {1,2,3} (10) are closed.
-  SequenceDb db;
-  for (int i = 0; i < 10; ++i) db.push_back({1, 2, 3});
-  for (int i = 0; i < 5; ++i) db.push_back({1, 2});
-  MiningOptions options;
-  options.min_support = 0.2;
-  const auto full = prefixspan(db, options);
-  const auto closed = closed_patterns(full);
-  ASSERT_EQ(full.size(), 7u);
-  ASSERT_EQ(closed.size(), 2u);
-  // Every frequent pattern's support is answered exactly by subsumption
-  // over the closed set (closure: some closed super-pattern shares it).
-  for (const Pattern& pattern : full)
-    EXPECT_EQ(subsumed_support_count(pattern.items, closed), pattern.support_count)
-        << "pattern of length " << pattern.items.size();
-  // A full set answers via self-subsumption too.
-  for (const Pattern& pattern : full)
-    EXPECT_EQ(subsumed_support_count(pattern.items, full), pattern.support_count);
-  // An infrequent / unknown sequence has no subsuming pattern.
-  const std::vector<Item> absent{901, 902, 903, 904};
-  EXPECT_EQ(subsumed_support_count(absent, closed), 0u);
-}
-
 
 // ------------------------------------------- Weighted day shapes (miners)
 
@@ -835,24 +624,21 @@ SequenceColumns per_day_columns(const UserSequences& sequences) {
   return {sequences.items, sequences.day_offsets};
 }
 
-/// Both registered miners over the weighted shapes and over the
-/// expanded days must agree on everything they report.
+/// PrefixSpan over the weighted shapes and over the expanded days must
+/// agree on everything it reports.
 void expect_weighted_equals_per_day(const UserSequences& sequences,
                                     const MiningOptions& options, const std::string& where) {
-  for (const std::string_view name : miner_names()) {
-    const IMiningAlgorithm* miner = find_miner(name);
-    const MiningResult weighted = miner->mine(sequences.columns(), options);
-    const MiningResult per_day = miner->mine(per_day_columns(sequences), options);
-    EXPECT_EQ(weighted.patterns, per_day.patterns) << name << " " << where;
-    for (std::size_t i = 0; i < std::min(weighted.patterns.size(), per_day.patterns.size());
-         ++i)
-      EXPECT_TRUE(weighted.patterns[i].support == per_day.patterns[i].support)
-          << name << " " << where;
-    EXPECT_EQ(weighted.stats.emitted, per_day.stats.emitted) << name << " " << where;
-    EXPECT_EQ(weighted.stats.explored, per_day.stats.explored) << name << " " << where;
-    EXPECT_EQ(weighted.stats.pruned, per_day.stats.pruned) << name << " " << where;
-    EXPECT_EQ(weighted.stats.truncated, per_day.stats.truncated) << name << " " << where;
-  }
+  MiningStats weighted_stats;
+  MiningStats per_day_stats;
+  const auto weighted = prefixspan(sequences.columns(), options, &weighted_stats);
+  const auto per_day = prefixspan(per_day_columns(sequences), options, &per_day_stats);
+  EXPECT_EQ(weighted, per_day) << where;
+  for (std::size_t i = 0; i < std::min(weighted.size(), per_day.size()); ++i)
+    EXPECT_TRUE(weighted[i].support == per_day[i].support) << where;
+  EXPECT_EQ(weighted_stats.emitted, per_day_stats.emitted) << where;
+  EXPECT_EQ(weighted_stats.explored, per_day_stats.explored) << where;
+  EXPECT_EQ(weighted_stats.pruned, per_day_stats.pruned) << where;
+  EXPECT_EQ(weighted_stats.truncated, per_day_stats.truncated) << where;
 }
 
 TEST(WeightedMiningTest, ShapeIndexHoldsDistinctDaysInFirstSeenOrder) {
@@ -1095,17 +881,14 @@ TEST(HistoryIndexTest, AppendedChunksEqualFromScratchBuilds) {
       EXPECT_EQ(kept.day_count(), days.day_count()) << where;
       EXPECT_EQ(scratch.day_count(), days.day_count()) << where;
 
-      for (const char* algorithm : {"prefixspan", "bide"}) {
-        patterns::MobilityOptions mobility;
-        mobility.sequences = options;
-        mobility.mining.algorithm = algorithm;
-        mobility.mining.min_support = 0.3;
-        EXPECT_TRUE(patterns::mine_user_mobility(GrowingHistory::kUser, kept.shapes(),
-                                                 kept.day_count(), mobility) ==
-                    patterns::mine_user_mobility(history.dataset(), GrowingHistory::kUser,
-                                                 tax, mobility))
-            << where << " " << algorithm;
-      }
+      patterns::MobilityOptions mobility;
+      mobility.sequences = options;
+      mobility.mining.min_support = 0.3;
+      EXPECT_TRUE(patterns::mine_user_mobility(GrowingHistory::kUser, kept.shapes(),
+                                               kept.day_count(), mobility) ==
+                  patterns::mine_user_mobility(history.dataset(), GrowingHistory::kUser,
+                                               tax, mobility))
+          << where;
     }
   }
   // Both paths ran: first touches and earlier records refile, the rest

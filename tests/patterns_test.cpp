@@ -6,7 +6,6 @@
 #include <string>
 
 #include "mining/prefixspan.hpp"
-#include "mining/registry.hpp"
 #include "patterns/mobility.hpp"
 #include "patterns/place_graph.hpp"
 #include "reference/annotate_oracle.hpp"
@@ -307,32 +306,21 @@ TEST(AnnotationOracleTest, MinedEntriesMatchThePerDayPipeline) {
   // The whole phase-2 path over shapes equals mining the per-day columns
   // and annotating day by day, with recorded_days still counting days.
   const data::Dataset dataset = random_routine_dataset(91, 6, 45);
-  for (const char* algorithm : {"prefixspan", "bide"}) {
-    MobilityOptions options;
-    options.mining.min_support = 0.1;
-    options.mining.algorithm = algorithm;
-    options.sequences.min_day_length = 2;
-    for (const data::UserId user : dataset.users()) {
-      const mining::UserSequences sequences =
-          mining::build_user_sequences(dataset, user, tax(), options.sequences);
-      const UserMobility entry = mine_user_mobility(dataset, user, tax(), options);
-      const std::string where = std::string(algorithm) + " user " + std::to_string(user);
-      EXPECT_EQ(entry.recorded_days, sequences.day_count()) << where;
-      const mining::SequenceColumns days{sequences.items, sequences.day_offsets};
-      const mining::MiningResult per_day =
-          mining::miner_for(algorithm).mine(days, options.mining);
-      ASSERT_EQ(entry.patterns.size(), per_day.patterns.size()) << where;
-      for (std::size_t i = 0; i < per_day.patterns.size(); ++i)
-        expect_bit_identical(entry.patterns[i],
-                             annotate_pattern_per_day(per_day.patterns[i], sequences), where);
-      const std::vector<MobilityPattern> full =
-          expand_user_patterns(entry, sequences.shapes, sequences.day_count(), options.mining);
-      const std::vector<mining::Pattern> frequent =
-          mining::prefixspan(days, options.mining);
-      ASSERT_EQ(full.size(), frequent.size()) << where;
-      for (std::size_t i = 0; i < frequent.size(); ++i)
-        expect_bit_identical(full[i], annotate_pattern_per_day(frequent[i], sequences), where);
-    }
+  MobilityOptions options;
+  options.mining.min_support = 0.1;
+  options.sequences.min_day_length = 2;
+  for (const data::UserId user : dataset.users()) {
+    const mining::UserSequences sequences =
+        mining::build_user_sequences(dataset, user, tax(), options.sequences);
+    const UserMobility entry = mine_user_mobility(dataset, user, tax(), options);
+    const std::string where = "user " + std::to_string(user);
+    EXPECT_EQ(entry.recorded_days, sequences.day_count()) << where;
+    const mining::SequenceColumns days{sequences.items, sequences.day_offsets};
+    const std::vector<mining::Pattern> per_day = mining::prefixspan(days, options.mining);
+    ASSERT_EQ(entry.patterns.size(), per_day.size()) << where;
+    for (std::size_t i = 0; i < per_day.size(); ++i)
+      expect_bit_identical(entry.patterns[i], annotate_pattern_per_day(per_day[i], sequences),
+                           where);
   }
 }
 
@@ -369,137 +357,19 @@ TEST(AnnotationOracleTest, PatternEmbeddedTwiceInADayUsesTheFirstEmbedding) {
   expect_annotations_match_oracle(sequences, 0.3, "twice (mined)");
 }
 
-// --------------------------------------------------- Compact (closed) mode
-
-/// Mines the routine user in both serving modes: the full set
-/// (PrefixSpan) and the compact closed set (BIDE).
-struct BothModes {
-  UserMobility expanded;
-  UserMobility compact;
-};
-
-BothModes mine_both_modes(const data::Dataset& dataset, double min_support = 0.4) {
-  MobilityOptions options;
-  options.mining.min_support = min_support;
-  BothModes modes;
-  options.mining.algorithm = "prefixspan";
-  modes.expanded = mine_user_mobility(dataset, 7, tax(), options);
-  options.mining.algorithm = "bide";
-  modes.compact = mine_user_mobility(dataset, 7, tax(), options);
-  return modes;
-}
-
-TEST(CompactMobilityTest, ClosedModeStoresOnlyClosedPatterns) {
-  const data::Dataset dataset = routine_dataset();
-  const BothModes modes = mine_both_modes(dataset);
-  ASSERT_FALSE(modes.expanded.closed_only);
-  ASSERT_TRUE(modes.compact.closed_only);
-  EXPECT_LT(modes.compact.patterns.size(), modes.expanded.patterns.size());
-  // Served counts stay byte-identical: the compact entry remembers the
-  // size of the frequent set it stands in for.
-  EXPECT_EQ(modes.compact.frequent_patterns, modes.expanded.patterns.size());
-  EXPECT_EQ(modes.compact.served_pattern_count(), modes.expanded.served_pattern_count());
-  // The sidecar index never grows past the expanded element count.
-  std::size_t expanded_elements = 0;
-  for (const MobilityPattern& pattern : modes.expanded.patterns)
-    expanded_elements += pattern.elements.size();
-  EXPECT_LE(modes.compact.placement_index.size(), expanded_elements);
-  EXPECT_FALSE(modes.compact.placement_index.empty());
-  // The expansion work is accounted in the stats split.
-  EXPECT_EQ(modes.compact.mining_stats.expanded, modes.expanded.patterns.size());
-}
-
-TEST(CompactMobilityTest, SupportQueriesMatchAcrossModes) {
-  const data::Dataset dataset = routine_dataset();
-  const BothModes modes = mine_both_modes(dataset);
-  ASSERT_TRUE(modes.compact.closed_only);
-  // Every frequent pattern's support is answered exactly by subsumption
-  // over the compact entry's closed set.
-  for (const MobilityPattern& pattern : modes.expanded.patterns) {
-    std::vector<mining::Item> labels;
-    for (const TimedElement& element : pattern.elements) labels.push_back(element.label);
-    EXPECT_EQ(modes.compact.support_count_of(labels), pattern.support_count);
-    EXPECT_DOUBLE_EQ(modes.compact.support_of(labels), pattern.support);
-    EXPECT_EQ(modes.expanded.support_count_of(labels), pattern.support_count);
-  }
-  const std::vector<mining::Item> absent{991, 992, 993};
-  EXPECT_EQ(modes.compact.support_count_of(absent), 0u);
-  EXPECT_DOUBLE_EQ(modes.compact.support_of(absent), 0.0);
-}
-
-TEST(CompactMobilityTest, ExpandUserPatternsReproducesTheExpandedTable) {
-  const data::Dataset dataset = routine_dataset();
-  MobilityOptions options;
-  options.mining.algorithm = "bide";
-  options.mining.min_support = 0.4;
-  const BothModes modes = mine_both_modes(dataset);
-  ASSERT_TRUE(modes.compact.closed_only);
-  const std::vector<MobilityPattern> lazily =
-      expand_user_patterns(modes.compact, dataset, tax(), options);
-  EXPECT_EQ(lazily, modes.expanded.patterns);
-  // An expanded entry passes through untouched.
-  EXPECT_EQ(expand_user_patterns(modes.expanded, dataset, tax(), options),
-            modes.expanded.patterns);
-}
-
-TEST(CompactMobilityTest, PlacementIndexKeepsTheSupportFrontierInRankOrder) {
-  const data::Dataset dataset = routine_dataset();
-  const BothModes modes = mine_both_modes(dataset);
-  ASSERT_TRUE(modes.compact.closed_only);
-  const auto& index = modes.compact.placement_index;
-  for (std::size_t i = 1; i < index.size(); ++i)
-    EXPECT_LT(index[i - 1].rank, index[i].rank);  // canonical emission order
-  for (std::size_t i = 0; i < index.size(); ++i) {
-    EXPECT_LT(index[i].minute, 24 * 60);
-    // Frontier property: among earlier-rank candidates with the same
-    // (label, minute) key, each survivor strictly raises the support.
-    for (std::size_t j = 0; j < i; ++j) {
-      if (index[j].label != index[i].label || index[j].minute != index[i].minute)
-        continue;
-      EXPECT_GT(index[i].support_count, index[j].support_count);
-    }
-  }
-}
-
-TEST(CompactMobilityTest, ResidentBytesShrinkWithTheClosedSet) {
-  const data::Dataset dataset = routine_dataset(12);
-  const BothModes modes = mine_both_modes(dataset, 0.25);
-  ASSERT_TRUE(modes.compact.closed_only);
-  const MobilityStats expanded_stats = [&] {
-    MobilityStats stats;
-    stats.add(modes.expanded);
-    return stats;
-  }();
-  const MobilityStats compact_stats = [&] {
-    MobilityStats stats;
-    stats.add(modes.compact);
-    return stats;
-  }();
-  EXPECT_EQ(expanded_stats.compact_entries, 0u);
-  EXPECT_EQ(compact_stats.compact_entries, 1u);
-  EXPECT_LT(compact_stats.patterns, expanded_stats.patterns);
-  // On this dense routine the closed set + sidecar index is smaller than
-  // the expanded table (sparse corpora can invert this — see
-  // docs/PERFORMANCE.md).
-  EXPECT_LT(compact_stats.bytes, expanded_stats.bytes);
-}
-
 // ---------------------------------------------------------- MobilityTable
 
-/// A synthetic entry: random pattern, element and index counts.
+/// A synthetic entry: random pattern and element counts.
 UserMobility random_entry(Rng& rng, data::UserId user) {
   UserMobility entry;
   entry.user = user;
   entry.recorded_days = static_cast<std::size_t>(rng.uniform_int(1, 200));
-  entry.closed_only = rng.bernoulli(0.4);
   const auto patterns = rng.uniform_int(0, 6);
   for (std::int64_t p = 0; p < patterns; ++p) {
     MobilityPattern pattern;
     pattern.elements.resize(static_cast<std::size_t>(rng.uniform_int(1, 4)));
     entry.patterns.push_back(std::move(pattern));
   }
-  if (entry.closed_only)
-    entry.placement_index.resize(static_cast<std::size_t>(rng.uniform_int(0, 9)));
   return entry;
 }
 

@@ -5,7 +5,7 @@
 // patterns, pruned by the Apriori property, and counted with a full
 // database scan per level. Kept deliberately faithful (including the scan
 // cost) so the miner-ablation bench shows the textbook gap. A test-only
-// reference: the production pipeline mines with PrefixSpan or BIDE.
+// reference: the production pipeline mines with PrefixSpan.
 #pragma once
 
 #include <vector>

@@ -18,8 +18,7 @@ namespace {
 /// Candidate indices bucketed by pattern length, ascending. A subsuming
 /// super-pattern is strictly longer than its victim, so each candidate
 /// only scans the buckets above its own length — typically a thin tail,
-/// which is what lets the post-filters serve as a cross-check oracle
-/// against the native closed miners at corpus scale.
+/// which keeps the post-filters usable at corpus scale.
 std::map<std::size_t, std::vector<std::size_t>> bucket_by_length(
     const std::vector<Pattern>& patterns) {
   std::map<std::size_t, std::vector<std::size_t>> buckets;

@@ -1,8 +1,7 @@
 // Brute-force pattern oracles the miner tests check against: support by
 // a full database scan, and the closed / maximal post-filters over a
-// full frequent set. The production miners never call these (BIDE emits
-// closed sets natively); the reference miners GSP and naive DFS count
-// support with count_support.
+// full frequent set. The production miner never calls these; the
+// reference miners GSP and naive DFS count support with count_support.
 #pragma once
 
 #include <cstddef>
@@ -18,9 +17,8 @@ namespace crowdweb::mining {
 
 /// Keeps only *closed* patterns: those with no super-pattern of equal
 /// support in `patterns`. Candidates are bucketed by length (and, within
-/// a length, only equal-support candidates are swept), so the filter is
-/// usable as a cross-check oracle against native closed miners even on
-/// large pattern sets.
+/// a length, only equal-support candidates are swept), so the filter
+/// stays usable on large pattern sets.
 [[nodiscard]] std::vector<Pattern> closed_patterns(std::vector<Pattern> patterns);
 
 /// Keeps only *maximal* patterns: those with no frequent super-pattern in

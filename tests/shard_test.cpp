@@ -789,6 +789,30 @@ TEST(RouteSurface, OneWorkerAndFourShardsServeEveryRoute) {
   shard_options.metrics = &shard_metrics;
   const http::Router shard_api = shard::make_shard_api_router(**router, shard_options);
 
+  // The /api/status mining block, before any event: the same keys and
+  // the same values at 1 and 4 shards (the 4-shard pattern set sums the
+  // shards' slices of the one seed table).
+  const auto mining_of = [](const http::Router& api) {
+    const auto status = json::parse(body_of(api, "/api/status"));
+    EXPECT_TRUE(status.is_ok());
+    const json::Value* mining = status.is_ok() ? status->find("mining") : nullptr;
+    EXPECT_NE(mining, nullptr);
+    return mining != nullptr ? *mining : json::Value{};
+  };
+  const json::Value single_mining = mining_of(single_api);
+  const json::Value shard_mining = mining_of(shard_api);
+  EXPECT_EQ(keys_of(json::dump(single_mining)),
+            (std::vector<std::string>{"max_patterns", "min_support", "pattern_set"}));
+  const json::Value* pattern_set = single_mining.find("pattern_set");
+  ASSERT_NE(pattern_set, nullptr);
+  EXPECT_EQ(keys_of(json::dump(*pattern_set)),
+            (std::vector<std::string>{"bytes", "entries", "patterns"}));
+  EXPECT_EQ(pattern_set->find("entries")->as_int(),
+            static_cast<std::int64_t>(platform.mobility().size()));
+  EXPECT_EQ(pattern_set->find("bytes")->as_int(),
+            static_cast<std::int64_t>(platform.mobility().stats().bytes));
+  EXPECT_EQ(json::dump(single_mining), json::dump(shard_mining));
+
   const data::UserId user = platform.experiment_dataset().users()[0];
   for (const http::Router* api : {&single_api, &shard_api}) {
     const char* name = api == &single_api ? "1 worker" : "4 shards";
