@@ -1,63 +1,28 @@
 #include "http/client.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <cstring>
+#include <chrono>
 
 #include "util/format.hpp"
+#include "util/socket.hpp"
 #include "util/strings.hpp"
 
 namespace crowdweb::http {
 
 namespace {
 
-class Fd {
- public:
-  explicit Fd(int fd) noexcept : fd_(fd) {}
-  ~Fd() {
-    if (fd_ >= 0) ::close(fd_);
-  }
-  Fd(const Fd&) = delete;
-  Fd& operator=(const Fd&) = delete;
-  [[nodiscard]] int get() const noexcept { return fd_; }
-  [[nodiscard]] bool valid() const noexcept { return fd_ >= 0; }
-
- private:
-  int fd_;
-};
-
 /// How long fetch() waits for each read of the response.
-constexpr int kReadTimeoutMs = 5'000;
-
-Status wait_readable(int fd) {
-  pollfd pfd{fd, POLLIN, 0};
-  const int r = ::poll(&pfd, 1, kReadTimeoutMs);
-  if (r < 0) return io_error(crowdweb::format("poll failed: {}", std::strerror(errno)));
-  if (r == 0) return unavailable("response timed out");
-  return Status::ok();
-}
+constexpr std::chrono::milliseconds kReadTimeout{5'000};
 
 }  // namespace
 
 Result<ClientResponse> fetch(const std::string& host, std::uint16_t port,
                              std::string_view method, std::string_view target,
                              std::string_view body, ClientOptions options) {
-  Fd fd(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0));
-  if (!fd.valid()) return io_error("socket() failed");
-
-  sockaddr_in address{};
-  address.sin_family = AF_INET;
-  address.sin_port = htons(port);
-  if (::inet_pton(AF_INET, host.c_str(), &address.sin_addr) != 1)
-    return invalid_argument(crowdweb::format("bad host address '{}'", host));
-  if (::connect(fd.get(), reinterpret_cast<sockaddr*>(&address), sizeof address) != 0)
-    return unavailable(
-        crowdweb::format("connect({}:{}) failed: {}", host, port, std::strerror(errno)));
+  Result<net::Fd> fd = net::connect_tcp(host, port);
+  // A server that is not there is unavailable, not an I/O fault.
+  if (!fd.is_ok() && fd.status().code() == StatusCode::kIoError)
+    return unavailable(fd.status().message());
+  if (!fd.is_ok()) return fd.status();
 
   std::string request = crowdweb::format("{} {} HTTP/1.1\r\nHost: {}:{}\r\n", method, target,
                                          host, port);
@@ -67,22 +32,15 @@ Result<ClientResponse> fetch(const std::string& host, std::uint16_t port,
   request += "Connection: close\r\n\r\n";
   request += body;
 
-  std::size_t sent = 0;
-  while (sent < request.size()) {
-    const ssize_t n = ::write(fd.get(), request.data() + sent, request.size() - sent);
-    if (n <= 0) return io_error("short write to server");
-    sent += static_cast<std::size_t>(n);
-  }
+  if (Status sent = net::send_all(fd->get(), request); !sent.is_ok()) return sent;
 
   std::string raw;
   char buffer[16 * 1024];
   while (true) {
-    const Status ready = wait_readable(fd.get());
-    if (!ready.is_ok()) return ready;
-    const ssize_t n = ::read(fd.get(), buffer, sizeof buffer);
-    if (n < 0) return io_error(crowdweb::format("read failed: {}", std::strerror(errno)));
-    if (n == 0) break;
-    raw.append(buffer, static_cast<std::size_t>(n));
+    const Result<std::size_t> read = net::read_before(
+        fd->get(), buffer, raw, std::chrono::steady_clock::now() + kReadTimeout);
+    if (!read.is_ok()) return read.status();
+    if (*read == 0) break;
     if (raw.size() > 64 * 1024 * 1024) return io_error("response too large");
   }
 

@@ -1,14 +1,5 @@
 #include "http/server.hpp"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/epoll.h>
-#include <sys/eventfd.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
@@ -21,6 +12,7 @@
 
 #include "util/format.hpp"
 #include "util/log.hpp"
+#include "util/socket.hpp"
 #include "util/thread_name.hpp"
 
 namespace crowdweb::http {
@@ -38,35 +30,6 @@ constexpr std::size_t kMaxConnections = 256;
 /// Interval between ": ping" comment frames on streaming connections
 /// (liveness for proxies and dead-peer detection).
 constexpr std::chrono::milliseconds kStreamPingInterval{15'000};
-
-/// Owning file descriptor.
-class Fd {
- public:
-  Fd() = default;
-  explicit Fd(int fd) noexcept : fd_(fd) {}
-  ~Fd() { reset(); }
-  Fd(Fd&& other) noexcept : fd_(other.fd_) { other.fd_ = -1; }
-  Fd& operator=(Fd&& other) noexcept {
-    if (this != &other) {
-      reset();
-      fd_ = other.fd_;
-      other.fd_ = -1;
-    }
-    return *this;
-  }
-  Fd(const Fd&) = delete;
-  Fd& operator=(const Fd&) = delete;
-
-  [[nodiscard]] int get() const noexcept { return fd_; }
-  [[nodiscard]] bool valid() const noexcept { return fd_ >= 0; }
-  void reset() noexcept {
-    if (fd_ >= 0) ::close(fd_);
-    fd_ = -1;
-  }
-
- private:
-  int fd_ = -1;
-};
 
 /// A finished response on its way back to the loop thread: serialized
 /// bytes plus what the loop needs for metrics and ordering.
@@ -86,7 +49,7 @@ struct Completion {
 };
 
 struct Connection {
-  Fd fd;
+  net::Fd fd;
   std::uint64_t id = 0;
   std::string inbox;   ///< bytes read, not yet parsed
   std::string outbox;  ///< bytes to write
@@ -128,9 +91,8 @@ std::string_view method_label(std::string_view method) {
 struct Server::Impl {
   Router router;
   ServerConfig config;
-  Fd listener;
-  Fd wakeup;  // eventfd: stop() and workers interrupt epoll_wait with it
-  Fd epoll;
+  net::Fd listener;
+  net::Poller poller;  // its wake: stop(), workers and publishers interrupt the wait
   std::uint16_t bound_port = 0;
   std::thread loop_thread;
   std::atomic<bool> running{false};
@@ -317,56 +279,19 @@ struct Server::Impl {
     publish_counts(connection.stream_channel);
   }
 
-  Status bind_and_listen() {
-    listener = Fd(::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0));
-    if (!listener.valid()) return io_error("socket() failed");
-    const int one = 1;
-    ::setsockopt(listener.get(), SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-
-    sockaddr_in address{};
-    address.sin_family = AF_INET;
-    address.sin_port = htons(config.port);
-    if (::inet_pton(AF_INET, config.bind_address.c_str(), &address.sin_addr) != 1)
-      return invalid_argument(crowdweb::format("bad bind address '{}'", config.bind_address));
-    if (::bind(listener.get(), reinterpret_cast<sockaddr*>(&address), sizeof address) != 0)
-      return io_error(crowdweb::format("bind({}:{}) failed: {}", config.bind_address,
-                                       config.port, std::strerror(errno)));
-    if (::listen(listener.get(), config.listen_backlog) != 0)
-      return io_error(crowdweb::format("listen() failed: {}", std::strerror(errno)));
-
-    sockaddr_in bound{};
-    socklen_t length = sizeof bound;
-    if (::getsockname(listener.get(), reinterpret_cast<sockaddr*>(&bound), &length) == 0)
-      bound_port = ntohs(bound.sin_port);
+  Status listen_and_poll() {
+    Result<net::Listener> bound =
+        net::listen_tcp(config.bind_address, config.port, config.listen_backlog);
+    if (!bound.is_ok()) return bound.status();
+    listener = std::move(bound->fd);
+    bound_port = bound->port;
+    if (Status status = poller.open(); !status.is_ok()) return status;
+    if (!poller.add(listener.get(), EPOLLIN)) return io_error("epoll_ctl(ADD) failed");
     return Status::ok();
-  }
-
-  Status setup_epoll() {
-    epoll = Fd(::epoll_create1(EPOLL_CLOEXEC));
-    if (!epoll.valid()) return io_error("epoll_create1() failed");
-    wakeup = Fd(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC));
-    if (!wakeup.valid()) return io_error("eventfd() failed");
-    if (!watch(listener.get(), EPOLLIN) || !watch(wakeup.get(), EPOLLIN))
-      return io_error("epoll_ctl(ADD) failed");
-    return Status::ok();
-  }
-
-  bool watch(int fd, std::uint32_t events) {
-    epoll_event event{};
-    event.events = events;
-    event.data.fd = fd;
-    return ::epoll_ctl(epoll.get(), EPOLL_CTL_ADD, fd, &event) == 0;
-  }
-
-  bool rearm(int fd, std::uint32_t events) {
-    epoll_event event{};
-    event.events = events;
-    event.data.fd = fd;
-    return ::epoll_ctl(epoll.get(), EPOLL_CTL_MOD, fd, &event) == 0;
   }
 
   void close_connection(int fd) {
-    ::epoll_ctl(epoll.get(), EPOLL_CTL_DEL, fd, nullptr);
+    poller.remove(fd);
     if (const auto it = connections.find(fd); it != connections.end()) {
       unsubscribe(it->second);
       conn_by_id.erase(it->second.id);
@@ -376,29 +301,19 @@ struct Server::Impl {
   }
 
   void accept_new() {
-    while (true) {
-      const int fd = ::accept4(listener.get(), nullptr, nullptr,
-                               SOCK_NONBLOCK | SOCK_CLOEXEC);
-      if (fd < 0) return;  // EAGAIN or transient error: try again on next event
-      if (connections.size() >= kMaxConnections) {
-        ::close(fd);
-        continue;
-      }
-      // Small JSON/SVG responses must not wait for delayed ACKs.
-      const int one = 1;
-      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+    net::accept_all(listener.get(), [this](net::Fd fd) {
+      if (connections.size() >= kMaxConnections) return;  // fd closes here
       connections_total->increment();
+      const int raw = fd.get();
+      if (!poller.add(raw, EPOLLIN)) return;
       Connection connection;
-      connection.fd = Fd(fd);
+      connection.fd = std::move(fd);
       connection.id = next_conn_id++;
       connection.last_activity = std::chrono::steady_clock::now();
-      if (!watch(fd, EPOLLIN)) {
-        continue;  // connection's Fd closes on scope exit
-      }
-      conn_by_id.emplace(connection.id, fd);
-      connections.emplace(fd, std::move(connection));
+      conn_by_id.emplace(connection.id, raw);
+      connections.emplace(raw, std::move(connection));
       connections_active->set(static_cast<double>(connections.size()));
-    }
+    });
   }
 
   /// Runs the request: cache lookup for cacheable GETs, handler
@@ -626,38 +541,23 @@ struct Server::Impl {
 
   void read_socket(Connection& connection) {
     char buffer[16 * 1024];
-    while (true) {
-      const ssize_t n = ::read(connection.fd.get(), buffer, sizeof buffer);
-      if (n > 0) {
-        connection.inbox.append(buffer, static_cast<std::size_t>(n));
-        connection.last_activity = std::chrono::steady_clock::now();
-        continue;
-      }
-      if (n == 0) {  // peer closed its write side; answer what we have
-        connection.close_after_write = true;
-        break;
-      }
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      connection.close_after_write = true;
-      break;
-    }
+    const net::ReadResult read =
+        net::read_available(connection.fd.get(), buffer, connection.inbox);
+    if (read.bytes > 0) connection.last_activity = std::chrono::steady_clock::now();
+    // EOF (the peer closed its write side) or an error: answer what we have.
+    if (read.end != net::ReadEnd::kWouldBlock) connection.close_after_write = true;
   }
 
-  /// Returns false on a fatal write error.
+  /// Writes what the socket takes; the rest waits for EPOLLOUT. Returns
+  /// false on a fatal write error.
   bool flush_outbox(Connection& connection) {
-    while (!connection.outbox.empty()) {
-      const ssize_t n =
-          ::write(connection.fd.get(), connection.outbox.data(), connection.outbox.size());
-      if (n > 0) {
-        bytes_total->increment(static_cast<std::uint64_t>(n));
-        connection.outbox.erase(0, static_cast<std::size_t>(n));
-        connection.last_activity = std::chrono::steady_clock::now();
-        continue;
-      }
-      if (errno == EAGAIN || errno == EWOULDBLOCK) return true;  // wait for EPOLLOUT
-      return false;
+    const net::SendResult sent = net::send_bytes(connection.fd.get(), connection.outbox);
+    if (sent.sent > 0) {
+      bytes_total->increment(sent.sent);
+      connection.outbox.erase(0, sent.sent);
+      connection.last_activity = std::chrono::steady_clock::now();
     }
-    return true;
+    return sent.error == 0;
   }
 
   /// Advances a connection after any state change (bytes read, work
@@ -688,7 +588,7 @@ struct Server::Impl {
     const std::uint32_t wanted =
         (want_read ? static_cast<std::uint32_t>(EPOLLIN) : 0u) |
         (connection.outbox.empty() ? 0u : static_cast<std::uint32_t>(EPOLLOUT));
-    rearm(fd, wanted);
+    poller.modify(fd, wanted);
   }
 
   /// Loop thread: drains worker completions and pushes them into their
@@ -830,8 +730,7 @@ struct Server::Impl {
         std::lock_guard<std::mutex> lock(done_mutex);
         done_queue.push_back(std::move(done));
       }
-      const std::uint64_t one = 1;
-      [[maybe_unused]] const ssize_t r = ::write(wakeup.get(), &one, sizeof one);
+      poller.wake();
     }
   }
 
@@ -844,18 +743,15 @@ struct Server::Impl {
       wait_ms = static_cast<int>(std::min<std::int64_t>(
           wait_ms, std::max<std::int64_t>(1, config.idle_timeout.count() / 2)));
     while (!stop_requested.load(std::memory_order_acquire)) {
-      const int n = ::epoll_wait(epoll.get(), events, std::size(events), wait_ms);
+      const int n = poller.wait(events, wait_ms);
       if (n < 0) {
-        if (errno == EINTR) continue;
         log_error("epoll_wait failed: {}", std::strerror(errno));
         break;
       }
       for (int i = 0; i < n; ++i) {
         const int fd = events[i].data.fd;
-        if (fd == wakeup.get()) {
-          std::uint64_t drained = 0;
-          [[maybe_unused]] const ssize_t r =
-              ::read(wakeup.get(), &drained, sizeof drained);
+        if (poller.is_wake(events[i])) {
+          poller.drain();
           drain_done();
           drain_streams();
           continue;
@@ -896,10 +792,7 @@ Server::~Server() { stop(); }
 Status Server::start() {
   if (impl_->running.load(std::memory_order_acquire))
     return failed_precondition("server already running");
-  Status status = impl_->bind_and_listen();
-  if (!status.is_ok()) return status;
-  status = impl_->setup_epoll();
-  if (!status.is_ok()) return status;
+  if (Status status = impl_->listen_and_poll(); !status.is_ok()) return status;
 
   impl_->resolved_workers =
       impl_->config.worker_threads < 0
@@ -938,8 +831,8 @@ Status Server::start() {
 
 void Server::stop() {
   if (!impl_->loop_thread.joinable()) return;
-  // Workers first: they may still hold the wakeup fd, which must stay
-  // open until they are joined.
+  // Workers first: they may still wake the poller, whose wake fd must
+  // stay open until they are joined.
   {
     std::lock_guard<std::mutex> lock(impl_->work_mutex);
     impl_->workers_stop = true;
@@ -950,14 +843,10 @@ void Server::stop() {
   impl_->queue_depth->set(0.0);
 
   impl_->stop_requested.store(true, std::memory_order_release);
-  const std::uint64_t one = 1;
-  if (impl_->wakeup.valid()) {
-    [[maybe_unused]] const ssize_t r = ::write(impl_->wakeup.get(), &one, sizeof one);
-  }
+  impl_->poller.wake();
   impl_->loop_thread.join();
   impl_->listener.reset();
-  impl_->epoll.reset();
-  impl_->wakeup.reset();
+  impl_->poller.close();
 }
 
 bool Server::running() const noexcept {
@@ -975,10 +864,7 @@ void Server::publish_stream(const std::string& channel, std::string_view bytes) 
     if (impl_->stream_counts.find(channel) == impl_->stream_counts.end()) return;
     impl_->stream_queue.emplace_back(channel, std::string(bytes));
   }
-  const std::uint64_t one = 1;
-  if (impl_->wakeup.valid()) {
-    [[maybe_unused]] const ssize_t r = ::write(impl_->wakeup.get(), &one, sizeof one);
-  }
+  impl_->poller.wake();
 }
 
 std::size_t Server::stream_subscribers(const std::string& channel) const {

@@ -79,9 +79,6 @@ void sort_patterns(std::vector<Pattern>& patterns);
 struct MiningStats {
   std::size_t emitted = 0;   ///< patterns the miner itself returned
   std::size_t explored = 0;  ///< search nodes / candidates support-counted
-  /// Search work cut before counting: the test-only reference GSP
-  /// counts its apriori-rejected candidates; PrefixSpan prunes nothing.
-  std::size_t pruned = 0;
   /// True when the max_patterns cap suppressed at least one emission —
   /// the returned set is incomplete.
   bool truncated = false;
@@ -90,7 +87,6 @@ struct MiningStats {
   void merge(const MiningStats& other) noexcept {
     emitted += other.emitted;
     explored += other.explored;
-    pruned += other.pruned;
     truncated = truncated || other.truncated;
   }
 

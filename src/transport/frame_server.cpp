@@ -1,13 +1,5 @@
 #include "transport/frame_server.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/epoll.h>
-#include <sys/eventfd.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
@@ -17,8 +9,8 @@
 #include <unordered_map>
 #include <vector>
 
-#include "util/format.hpp"
 #include "util/log.hpp"
+#include "util/socket.hpp"
 #include "util/thread_name.hpp"
 
 namespace crowdweb::transport {
@@ -37,26 +29,21 @@ constexpr std::chrono::microseconds kAckHold{1'000};
 /// The listener's label on the crowdweb_transport_* families.
 constexpr const char* kSourceName = "tcp";
 
-void close_fd(int& fd) {
-  if (fd >= 0) ::close(fd);
-  fd = -1;
-}
-
 }  // namespace
 
 struct FrameServer::Impl {
   IngestPipeline& pipeline;
   FrameServerConfig config;
 
-  int listen_fd = -1;
-  int epoll_fd = -1;
-  int wake_fd = -1;
+  net::Fd listener;
+  net::Poller poller;
   std::uint16_t bound_port = 0;
   std::thread loop_thread;
   std::atomic<bool> running{false};
   std::atomic<bool> stop_requested{false};
 
   struct Connection {
+    net::Fd fd;
     std::string inbox;
     std::string outbox;
     std::size_t outbox_offset = 0;
@@ -103,101 +90,46 @@ struct FrameServer::Impl {
     if (connections_gauge != nullptr) connections_gauge->set(static_cast<double>(n));
   }
 
-  Status bind_listener() {
-    listen_fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-    if (listen_fd < 0) return io_error("cannot create tcp socket");
-    const int enable = 1;
-    ::setsockopt(listen_fd, SOL_SOCKET, SO_REUSEADDR, &enable, sizeof(enable));
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(config.port);
-    if (::inet_pton(AF_INET, config.address.c_str(), &addr.sin_addr) != 1) {
-      close_fd(listen_fd);
-      return invalid_argument(crowdweb::format("bad listen address {}", config.address));
-    }
-    if (::bind(listen_fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
-      close_fd(listen_fd);
-      return io_error(crowdweb::format("cannot bind {}:{}: {}", config.address,
-                                       config.port, std::strerror(errno)));
-    }
-    sockaddr_in bound{};
-    socklen_t len = sizeof(bound);
-    if (::getsockname(listen_fd, reinterpret_cast<sockaddr*>(&bound), &len) == 0)
-      bound_port = ntohs(bound.sin_port);
-    if (::listen(listen_fd, 128) != 0) {
-      close_fd(listen_fd);
-      return io_error(crowdweb::format("cannot listen: {}", std::strerror(errno)));
-    }
-    return Status::ok();
-  }
-
-  void wake() {
-    const std::uint64_t one = 1;
-    [[maybe_unused]] const ssize_t n = ::write(wake_fd, &one, sizeof(one));
-  }
-
   bool update_epoll(int fd, Connection& conn) {
-    epoll_event event{};
-    event.events = (conn.peer_closed ? 0u : EPOLLIN) | (conn.want_write ? EPOLLOUT : 0u);
-    event.data.fd = fd;
-    return ::epoll_ctl(epoll_fd, EPOLL_CTL_MOD, fd, &event) == 0;
+    return poller.modify(
+        fd, (conn.peer_closed ? 0u : EPOLLIN) | (conn.want_write ? EPOLLOUT : 0u));
   }
 
-  /// One last non-blocking try at the unsent acks before `fd` closes:
-  /// their frames were submitted, held or not.
-  static void send_remaining_acks(int fd, const Connection& conn) {
+  /// One last non-blocking try at the unsent acks before the connection
+  /// closes: their frames were submitted, held or not.
+  static void send_remaining_acks(const Connection& conn) {
     if (conn.outbox_offset >= conn.outbox.size()) return;
-    [[maybe_unused]] const ssize_t n =
-        ::send(fd, conn.outbox.data() + conn.outbox_offset,
-               conn.outbox.size() - conn.outbox_offset, MSG_NOSIGNAL | MSG_DONTWAIT);
+    net::send_bytes(conn.fd.get(), std::string_view(conn.outbox).substr(conn.outbox_offset));
   }
 
   void close_connection(int fd) {
-    if (const auto it = connections.find(fd); it != connections.end())
-      send_remaining_acks(fd, it->second);
-    connections.erase(fd);
-    ::epoll_ctl(epoll_fd, EPOLL_CTL_DEL, fd, nullptr);
-    ::close(fd);
+    const auto it = connections.find(fd);
+    if (it == connections.end()) return;
+    send_remaining_acks(it->second);
+    poller.remove(fd);
+    connections.erase(it);  // closes the socket
     set_connection_count(connections.size());
   }
 
   void accept_ready() {
-    while (true) {
-      const int fd = ::accept4(listen_fd, nullptr, nullptr,
-                               SOCK_NONBLOCK | SOCK_CLOEXEC);
-      if (fd < 0) {
-        if (errno == EINTR) continue;
-        return;  // EAGAIN or transient accept failure
-      }
-      const int enable = 1;
-      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &enable, sizeof(enable));
-      epoll_event event{};
-      event.events = EPOLLIN;
-      event.data.fd = fd;
-      if (::epoll_ctl(epoll_fd, EPOLL_CTL_ADD, fd, &event) != 0) {
-        ::close(fd);
-        continue;
-      }
-      Connection& conn = connections[fd];
+    net::accept_all(listener.get(), [this](net::Fd fd) {
+      const int raw = fd.get();
+      if (!poller.add(raw, EPOLLIN)) return;  // fd closes here
+      Connection& conn = connections[raw];
+      conn.fd = std::move(fd);
       conn.last_activity = std::chrono::steady_clock::now();
       set_connection_count(connections.size());
-    }
+    });
   }
 
   /// Writes as much pending ack bytes as the socket takes, held ones
   /// included. False when the connection died.
   bool flush_outbox(int fd, Connection& conn) {
     conn.ack_due.reset();
-    while (conn.outbox_offset < conn.outbox.size()) {
-      const ssize_t n = ::send(fd, conn.outbox.data() + conn.outbox_offset,
-                               conn.outbox.size() - conn.outbox_offset, MSG_NOSIGNAL);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-        return false;
-      }
-      conn.outbox_offset += static_cast<std::size_t>(n);
-    }
+    const net::SendResult sent =
+        net::send_bytes(fd, std::string_view(conn.outbox).substr(conn.outbox_offset));
+    conn.outbox_offset += sent.sent;
+    if (sent.error != 0) return false;
     if (conn.outbox_offset >= conn.outbox.size()) {
       conn.outbox.clear();
       conn.outbox_offset = 0;
@@ -275,20 +207,10 @@ struct FrameServer::Impl {
 
   bool read_ready(int fd, Connection& conn) {
     char chunk[kReadChunkBytes];
-    while (true) {
-      const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-      if (n > 0) {
-        conn.inbox.append(chunk, static_cast<std::size_t>(n));
-        continue;
-      }
-      if (n == 0) {  // producer closed its write side; answer what we have
-        conn.peer_closed = true;
-        break;
-      }
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      return false;
-    }
+    const net::ReadResult read = net::read_available(fd, chunk, conn.inbox);
+    if (read.end == net::ReadEnd::kError) return false;
+    // The producer closed its write side: answer what we have.
+    if (read.end == net::ReadEnd::kEof) conn.peer_closed = true;
     conn.last_activity = std::chrono::steady_clock::now();
     if (!drain_inbox(fd, conn)) return false;
     // Past EOF, stop polling for input and stay only for unsent acks.
@@ -316,21 +238,19 @@ struct FrameServer::Impl {
           std::min<std::int64_t>(250, config.idle_timeout.count() / 2 + 1));
     int timeout_ms = sweep_ms;
     while (!stop_requested.load(std::memory_order_acquire)) {
-      const int ready = ::epoll_wait(epoll_fd, events, kMaxEvents, timeout_ms);
+      const int ready = poller.wait(events, timeout_ms);
       if (ready < 0) {
-        if (errno == EINTR) continue;
         log_error("{} listener epoll_wait failed: {}", kSourceName,
                   std::strerror(errno));
         break;
       }
       for (int i = 0; i < ready; ++i) {
         const int fd = events[i].data.fd;
-        if (fd == wake_fd) {
-          std::uint64_t drained = 0;
-          [[maybe_unused]] const ssize_t n = ::read(wake_fd, &drained, sizeof(drained));
+        if (poller.is_wake(events[i])) {
+          poller.drain();
           continue;
         }
-        if (fd == listen_fd) {
+        if (fd == listener.get()) {
           accept_ready();
           continue;
         }
@@ -361,21 +281,12 @@ struct FrameServer::Impl {
 
   Status start() {
     if (running.load()) return Status::ok();
-    if (Status status = bind_listener(); !status.is_ok()) return status;
-    epoll_fd = ::epoll_create1(EPOLL_CLOEXEC);
-    wake_fd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-    if (epoll_fd < 0 || wake_fd < 0) {
-      close_fd(listen_fd);
-      close_fd(epoll_fd);
-      close_fd(wake_fd);
-      return io_error("cannot create epoll/eventfd for frame listener");
-    }
-    epoll_event event{};
-    event.events = EPOLLIN;
-    event.data.fd = listen_fd;
-    ::epoll_ctl(epoll_fd, EPOLL_CTL_ADD, listen_fd, &event);
-    event.data.fd = wake_fd;
-    ::epoll_ctl(epoll_fd, EPOLL_CTL_ADD, wake_fd, &event);
+    Result<net::Listener> bound = net::listen_tcp(config.address, config.port, 128);
+    if (!bound.is_ok()) return bound.status();
+    if (Status status = poller.open(); !status.is_ok()) return status;
+    if (!poller.add(bound->fd.get(), EPOLLIN)) return io_error("cannot watch the frame listener");
+    listener = std::move(bound->fd);
+    bound_port = bound->port;
     stop_requested.store(false);
     loop_thread = std::thread([this] {
       util::name_this_thread("cw-frames");
@@ -389,17 +300,13 @@ struct FrameServer::Impl {
   void stop() {
     if (!running.load()) return;
     stop_requested.store(true, std::memory_order_release);
-    wake();
+    poller.wake();
     if (loop_thread.joinable()) loop_thread.join();
-    for (const auto& [fd, conn] : connections) {
-      send_remaining_acks(fd, conn);
-      ::close(fd);
-    }
-    connections.clear();
+    for (const auto& [fd, conn] : connections) send_remaining_acks(conn);
+    connections.clear();  // closes every socket
     set_connection_count(0);
-    close_fd(listen_fd);
-    close_fd(epoll_fd);
-    close_fd(wake_fd);
+    listener.reset();
+    poller.close();
     running.store(false);
   }
 };

@@ -1,18 +1,10 @@
 #include "transport/sse.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <atomic>
-#include <cerrno>
-#include <cstring>
 #include <utility>
 
 #include "json/json.hpp"
+#include "util/socket.hpp"
 #include "util/strings.hpp"
 
 namespace crowdweb::transport {
@@ -157,47 +149,21 @@ std::string EpochStreamPublisher::epoch_event_json(
 // SseClient
 
 struct SseClient::Impl {
-  int fd = -1;
+  net::Fd fd;
   int http_status = 0;
   std::string buffer;       // bytes past the response head, unparsed
   bool saw_eof = false;
 
-  ~Impl() { close(); }
-
-  void close() {
-    if (fd >= 0) {
-      ::close(fd);
-      fd = -1;
-    }
-  }
-
   [[nodiscard]] Status fill(std::chrono::steady_clock::time_point deadline) {
     if (saw_eof) return io_error("stream closed by server");
-    while (true) {
-      const auto now = std::chrono::steady_clock::now();
-      if (now >= deadline) return unavailable("timed out waiting for SSE data");
-      pollfd pfd{fd, POLLIN, 0};
-      const auto left =
-          std::chrono::duration_cast<std::chrono::milliseconds>(deadline - now);
-      const int ready = ::poll(&pfd, 1, static_cast<int>(left.count()));
-      if (ready < 0) {
-        if (errno == EINTR) continue;
-        return io_error("poll: " + std::string(std::strerror(errno)));
-      }
-      if (ready == 0) return unavailable("timed out waiting for SSE data");
-      char chunk[4096];
-      const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
-      if (n < 0) {
-        if (errno == EINTR || errno == EAGAIN) continue;
-        return io_error("recv: " + std::string(std::strerror(errno)));
-      }
-      if (n == 0) {
-        saw_eof = true;
-        return io_error("stream closed by server");
-      }
-      buffer.append(chunk, static_cast<std::size_t>(n));
-      return Status::ok();
+    char chunk[4096];
+    const Result<std::size_t> read = net::read_before(fd.get(), chunk, buffer, deadline);
+    if (!read.is_ok()) return read.status();
+    if (*read == 0) {
+      saw_eof = true;
+      return io_error("stream closed by server");
     }
+    return Status::ok();
   }
 
   /// Pops one "...\n\n" frame off the buffer, or nullopt if incomplete.
@@ -226,37 +192,16 @@ SseClient::~SseClient() = default;
 Status SseClient::connect(const std::string& host, std::uint16_t port,
                           const std::string& path) {
   close();
-  impl_->fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (impl_->fd < 0) return io_error("socket: " + std::string(std::strerror(errno)));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    close();
-    return invalid_argument("bad address: " + host);
-  }
-  if (::connect(impl_->fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) != 0) {
-    const Status status = io_error("connect: " + std::string(std::strerror(errno)));
-    close();
-    return status;
-  }
-  const int one = 1;
-  ::setsockopt(impl_->fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+  Result<net::Fd> fd = net::connect_tcp(host, port);
+  if (!fd.is_ok()) return fd.status();
+  impl_->fd = std::move(*fd);
 
   const std::string request = "GET " + path +
                               " HTTP/1.1\r\nHost: " + host +
                               "\r\nAccept: text/event-stream\r\n\r\n";
-  std::size_t sent = 0;
-  while (sent < request.size()) {
-    const ssize_t n = ::send(impl_->fd, request.data() + sent, request.size() - sent,
-                             MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      const Status status = io_error("send: " + std::string(std::strerror(errno)));
-      close();
-      return status;
-    }
-    sent += static_cast<std::size_t>(n);
+  if (Status sent = net::send_all(impl_->fd.get(), request); !sent.is_ok()) {
+    close();
+    return sent;
   }
 
   // Read until the end of the response head, then parse the status line
@@ -299,17 +244,17 @@ Status SseClient::connect(const std::string& host, std::uint16_t port,
 }
 
 void SseClient::close() {
-  impl_->close();
+  impl_->fd.reset();
   impl_->buffer.clear();
   impl_->saw_eof = false;
 }
 
-bool SseClient::connected() const noexcept { return impl_->fd >= 0; }
+bool SseClient::connected() const noexcept { return impl_->fd.valid(); }
 
 int SseClient::status() const noexcept { return impl_->http_status; }
 
 Result<SseClient::Event> SseClient::next_event(std::chrono::milliseconds timeout) {
-  if (impl_->fd < 0) return failed_precondition("not connected");
+  if (!impl_->fd.valid()) return failed_precondition("not connected");
   const auto deadline = std::chrono::steady_clock::now() + timeout;
   while (true) {
     while (const auto frame = impl_->pop_frame()) {

@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstdlib>
 #include <string>
@@ -17,6 +18,7 @@
 #include "http/router.hpp"
 #include "http/server.hpp"
 #include "util/log.hpp"
+#include "util/socket.hpp"
 
 namespace crowdweb::http {
 namespace {
@@ -418,10 +420,175 @@ TEST(ServerTest, BadBindAddressFails) {
   EXPECT_FALSE(server.start().is_ok());
 }
 
+TEST(ServerTest, PeerThatLeavesBeforeALargeResponseDoesNotKillTheServer) {
+  // The client sends one request and closes at once; the route answers
+  // 8 MiB after it has gone. The first write fills the socket and draws
+  // a reset, so the next write fails with EPIPE. That must close the one
+  // connection, not raise a SIGPIPE that ends the process.
+  Router router;
+  router.get("/big", [](const Request&, const PathParams&) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    return Response::text(200, std::string(8 * 1024 * 1024, 'x'));
+  });
+  router.get("/hello", [](const Request&, const PathParams&) {
+    return Response::text(200, "hi");
+  });
+  ServerConfig config;
+  config.worker_threads = 1;
+  Server server(std::move(router), config);
+  ASSERT_TRUE(server.start().is_ok());
+
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in address{};
+  address.sin_family = AF_INET;
+  address.sin_port = htons(server.port());
+  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &address.sin_addr), 1);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&address), sizeof address), 0);
+  const std::string request = "GET /big HTTP/1.1\r\nHost: x\r\n\r\n";
+  ASSERT_EQ(::write(fd, request.data(), request.size()),
+            static_cast<ssize_t>(request.size()));
+  ::close(fd);
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));  // the response is written
+
+  const auto response = get("127.0.0.1", server.port(), "/hello");
+  ASSERT_TRUE(response.is_ok()) << response.status().to_string();
+  EXPECT_EQ(response->status, 200);
+  EXPECT_EQ(response->body, "hi");
+  server.stop();
+}
+
 TEST(ClientTest, ConnectionRefused) {
   // Port 1 on loopback is almost certainly closed.
   const auto response = get("127.0.0.1", 1, "/");
   EXPECT_FALSE(response.is_ok());
+}
+
+// ----------------------------------------------------------- Socket layer
+
+/// A listener on an ephemeral loopback port, a client connected to it
+/// and the accepted server side of that connection.
+struct SocketPair {
+  net::Listener listener;
+  net::Fd client;
+  net::Fd server;
+};
+
+SocketPair connected_pair() {
+  SocketPair pair;
+  Result<net::Listener> listener = net::listen_tcp("127.0.0.1", 0, 8);
+  EXPECT_TRUE(listener.is_ok()) << listener.status().to_string();
+  if (!listener.is_ok()) return pair;
+  pair.listener = std::move(*listener);
+  Result<net::Fd> client = net::connect_tcp("127.0.0.1", pair.listener.port);
+  EXPECT_TRUE(client.is_ok()) << client.status().to_string();
+  if (client.is_ok()) pair.client = std::move(*client);
+  // Loopback queues the connection before connect() returns.
+  net::accept_all(pair.listener.fd.get(), [&](net::Fd fd) { pair.server = std::move(fd); });
+  EXPECT_TRUE(pair.server.valid());
+  return pair;
+}
+
+double seconds_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+}
+
+TEST(SocketTest, PortZeroBindsAndReportsTheRealPort) {
+  Result<net::Listener> listener = net::listen_tcp("127.0.0.1", 0, 8);
+  ASSERT_TRUE(listener.is_ok()) << listener.status().to_string();
+  ASSERT_NE(listener->port, 0);
+  sockaddr_in bound{};
+  socklen_t length = sizeof bound;
+  ASSERT_EQ(::getsockname(listener->fd.get(), reinterpret_cast<sockaddr*>(&bound), &length), 0);
+  EXPECT_EQ(ntohs(bound.sin_port), listener->port);
+  EXPECT_TRUE(net::connect_tcp("127.0.0.1", listener->port).is_ok());
+}
+
+TEST(SocketTest, BadAddressIsInvalidArgument) {
+  EXPECT_EQ(net::listen_tcp("not-an-ip", 0, 8).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(net::connect_tcp("127.0.0.300", 80).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(SocketTest, ConnectToAClosedPortFailsWithoutHanging) {
+  std::uint16_t port = 0;
+  {
+    Result<net::Listener> listener = net::listen_tcp("127.0.0.1", 0, 8);
+    ASSERT_TRUE(listener.is_ok());
+    port = listener->port;
+  }  // closed: nothing listens there now
+  const auto start = std::chrono::steady_clock::now();
+  const Result<net::Fd> fd = net::connect_tcp("127.0.0.1", port);
+  EXPECT_EQ(fd.status().code(), StatusCode::kIoError);
+  EXPECT_LT(seconds_since(start), 1.0);
+}
+
+TEST(SocketTest, DeadlineReadWithNoDataIsUnavailableOnTime) {
+  SocketPair pair = connected_pair();
+  ASSERT_TRUE(pair.server.valid());
+  char chunk[64];
+  std::string into;
+  const auto start = std::chrono::steady_clock::now();
+  const Result<std::size_t> read = net::read_before(
+      pair.client.get(), chunk, into, start + std::chrono::milliseconds(50));
+  const double waited = seconds_since(start);
+  EXPECT_EQ(read.status().code(), StatusCode::kUnavailable);
+  EXPECT_GE(waited, 0.050);
+  EXPECT_LT(waited, 1.0);
+  EXPECT_TRUE(into.empty());
+}
+
+TEST(SocketTest, ReadAvailableTakesEverythingThenReportsEof) {
+  SocketPair pair = connected_pair();
+  ASSERT_TRUE(pair.server.valid());
+  const std::string sent(20'000, 'y');
+  ASSERT_TRUE(net::send_all(pair.client.get(), sent).is_ok());
+  pair.client.reset();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));  // FIN follows the data
+  char chunk[4096];
+  std::string into;
+  const net::ReadResult read = net::read_available(pair.server.get(), chunk, into);
+  EXPECT_EQ(read.end, net::ReadEnd::kEof);
+  EXPECT_EQ(read.bytes, sent.size());
+  EXPECT_EQ(into, sent);
+}
+
+TEST(SocketTest, SendToAResetPeerFailsWithoutASignal) {
+  SocketPair pair = connected_pair();
+  ASSERT_TRUE(pair.server.valid());
+  // Linger 0: the close sends a reset instead of a FIN.
+  const linger reset{1, 0};
+  ASSERT_EQ(::setsockopt(pair.server.get(), SOL_SOCKET, SO_LINGER, &reset, sizeof reset), 0);
+  pair.server.reset();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const std::string bytes(64 * 1024, 'z');
+  // The first send reports the reset, the next one EPIPE: without
+  // MSG_NOSIGNAL that one would raise SIGPIPE and end this process.
+  const net::SendResult first = net::send_bytes(pair.client.get(), bytes);
+  const net::SendResult second = net::send_bytes(pair.client.get(), bytes);
+  EXPECT_NE(first.error, 0);
+  EXPECT_EQ(second.error, EPIPE);
+  EXPECT_EQ(net::send_all(pair.client.get(), bytes).code(), StatusCode::kIoError);
+}
+
+TEST(SocketTest, WakeInterruptsABlockedWait) {
+  net::Poller poller;
+  ASSERT_TRUE(poller.open().is_ok());
+  std::thread waker([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    poller.wake();
+  });
+  epoll_event events[4];
+  const auto start = std::chrono::steady_clock::now();
+  const int ready = poller.wait(events, 10'000);
+  const double waited = seconds_since(start);
+  waker.join();
+  ASSERT_EQ(ready, 1);
+  EXPECT_TRUE(poller.is_wake(events[0]));
+  EXPECT_LT(waited, 5.0);
+  poller.drain();
+  EXPECT_EQ(poller.wait(events, 0), 0);  // drained: no longer ready
 }
 
 // ------------------------------------------------------------ Worker pool

@@ -51,26 +51,6 @@ TEST(PatternTest, SortPatternsCanonicalOrder) {
   EXPECT_EQ(patterns[3].items, (std::vector<Item>{2, 1}));
 }
 
-TEST(PatternTest, ClosedAndMaximalFilters) {
-  // db: {a b} x2, {a} x1 -> patterns: a(3), b(2), ab(2).
-  const SequenceDb db{{1, 2}, {1, 2}, {1}};
-  MiningOptions options;
-  options.min_support = 0.5;
-  const auto all = prefixspan(db, options);
-  ASSERT_EQ(all.size(), 3u);
-
-  const auto closed = closed_patterns(all);
-  // b(2) is subsumed by ab(2) (same support); a(3) is closed.
-  ASSERT_EQ(closed.size(), 2u);
-  EXPECT_EQ(closed[0].items, (std::vector<Item>{1}));
-  EXPECT_EQ(closed[1].items, (std::vector<Item>{1, 2}));
-
-  const auto maximal = maximal_patterns(all);
-  // Only ab survives: a and b have the frequent super-pattern ab.
-  ASSERT_EQ(maximal.size(), 1u);
-  EXPECT_EQ(maximal[0].items, (std::vector<Item>{1, 2}));
-}
-
 // ------------------------------------------------------------- PrefixSpan
 
 TEST(PrefixSpanTest, EmptyDatabase) {
@@ -197,52 +177,6 @@ TEST_P(SupportSweepTest, AntiMonotoneAndThresholded) {
 
 INSTANTIATE_TEST_SUITE_P(Sweep, SupportSweepTest,
                          ::testing::Values(0.1, 0.25, 0.375, 0.5, 0.625, 0.75, 0.9));
-
-TEST(PatternTest, ClosedMaximalPropertiesOnRandomDbs) {
-  Rng rng(4242);
-  for (int trial = 0; trial < 20; ++trial) {
-    SequenceDb db;
-    for (int s2 = 0; s2 < 25; ++s2) {
-      std::vector<Item> sequence;
-      const int length = static_cast<int>(rng.uniform_int(0, 6));
-      for (int i = 0; i < length; ++i)
-        sequence.push_back(static_cast<Item>(rng.uniform_int(0, 3)));
-      db.push_back(std::move(sequence));
-    }
-    MiningOptions options;
-    options.min_support = 0.2;
-    const auto all = prefixspan(db, options);
-    const auto closed = closed_patterns(all);
-    const auto maximal = maximal_patterns(all);
-
-    // maximal subset-of closed subset-of all.
-    EXPECT_LE(maximal.size(), closed.size());
-    EXPECT_LE(closed.size(), all.size());
-    const auto contains = [](const std::vector<Pattern>& set, const Pattern& p) {
-      return std::any_of(set.begin(), set.end(),
-                         [&](const Pattern& q) { return q.items == p.items; });
-    };
-    for (const Pattern& p : maximal) EXPECT_TRUE(contains(closed, p));
-    for (const Pattern& p : closed) EXPECT_TRUE(contains(all, p));
-
-    // Definition check against brute force.
-    for (const Pattern& candidate : all) {
-      const bool has_equal_support_super = std::any_of(
-          all.begin(), all.end(), [&](const Pattern& other) {
-            return other.items.size() > candidate.items.size() &&
-                   other.support_count == candidate.support_count &&
-                   is_subsequence(candidate.items, other.items);
-          });
-      EXPECT_EQ(!has_equal_support_super, contains(closed, candidate));
-      const bool has_any_super = std::any_of(
-          all.begin(), all.end(), [&](const Pattern& other) {
-            return other.items.size() > candidate.items.size() &&
-                   is_subsequence(candidate.items, other.items);
-          });
-      EXPECT_EQ(!has_any_super, contains(maximal, candidate));
-    }
-  }
-}
 
 // ------------------------------------------- Reference miners (oracles)
 
@@ -588,12 +522,11 @@ TEST(MiningStatsTest, TruncationFlagTracksMaxPatternsCap) {
 }
 
 TEST(MiningStatsTest, MergeAccumulates) {
-  MiningStats a{10, 5, 2, false};
-  const MiningStats b{1, 2, 3, true};
+  MiningStats a{10, 5, false};
+  const MiningStats b{1, 2, true};
   a.merge(b);
   EXPECT_EQ(a.emitted, 11u);
   EXPECT_EQ(a.explored, 7u);
-  EXPECT_EQ(a.pruned, 5u);
   EXPECT_TRUE(a.truncated);
 }
 
@@ -637,7 +570,6 @@ void expect_weighted_equals_per_day(const UserSequences& sequences,
     EXPECT_TRUE(weighted[i].support == per_day[i].support) << where;
   EXPECT_EQ(weighted_stats.emitted, per_day_stats.emitted) << where;
   EXPECT_EQ(weighted_stats.explored, per_day_stats.explored) << where;
-  EXPECT_EQ(weighted_stats.pruned, per_day_stats.pruned) << where;
   EXPECT_EQ(weighted_stats.truncated, per_day_stats.truncated) << where;
 }
 

@@ -102,10 +102,8 @@ std::vector<Pattern> gsp(const SequenceDb& db, const MiningOptions& options,
     std::vector<std::vector<Item>> candidates = join_level(level);
     std::vector<std::vector<Item>> next;
     for (auto& candidate : candidates) {
-      if (!all_subpatterns_frequent(candidate, frequent_set)) {
-        ++local.pruned;  // apriori: cut before the counting scan
-        continue;
-      }
+      // Apriori: cut before the counting scan.
+      if (!all_subpatterns_frequent(candidate, frequent_set)) continue;
       ++local.explored;
       if (count_support(candidate, db) >= min_count) next.push_back(std::move(candidate));
     }

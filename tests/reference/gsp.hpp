@@ -15,7 +15,7 @@
 namespace crowdweb::mining {
 
 /// Mines the same pattern set as `prefixspan` (identical output order).
-/// `stats` (optional) receives emitted/explored/pruned counts and the
+/// `stats` (optional) receives emitted/explored counts and the
 /// max_patterns truncation flag.
 [[nodiscard]] std::vector<Pattern> gsp(const SequenceDb& db, const MiningOptions& options = {},
                                        MiningStats* stats = nullptr);
