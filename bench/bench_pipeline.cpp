@@ -24,6 +24,12 @@
 //      std::string names, and the old vector-of-vectors sequence DB
 //      with two heap headers per user-day).
 //
+// A load block round-trips each corpus through the CSV writers and
+// data::dataset_from_csv, reporting rows, MB, MB/s and ms; a third
+// check fails unless the restored corpus equals the original record
+// for record (coordinates after the writer's 7-decimal rounding). It
+// has no timing bar.
+//
 // Emits BENCH_pipeline.json (override with --out). --smoke shrinks
 // repetition counts for CI; the corpora stay full-size so the 10x
 // numbers mean something.
@@ -50,7 +56,9 @@
 #include "patterns/mobility.hpp"
 #include "synth/generator.hpp"
 #include "util/civil_time.hpp"
+#include "util/format.hpp"
 #include "util/log.hpp"
+#include "util/strings.hpp"
 
 using namespace crowdweb;
 using Clock = std::chrono::steady_clock;
@@ -311,6 +319,39 @@ bool placements_equal(const crowd::CrowdPlacement& a, const crowd::CrowdPlacemen
          a.cell == b.cell && a.pattern_support == b.pattern_support;
 }
 
+/// A coordinate as the CSV writer's 7 decimals read it back.
+double written(double degrees) {
+  return parse_double(crowdweb::format("{:.7f}", degrees)).value_or(degrees);
+}
+
+/// True when `restored` is `original` record for record: same users in
+/// the same order, same check-ins, same venues, same interned names in
+/// the same order, with every coordinate compared after the writer's
+/// rounding.
+bool restored_equal(const data::Dataset& original, const data::Dataset& restored) {
+  if (original.checkin_count() != restored.checkin_count() ||
+      original.venue_count() != restored.venue_count() ||
+      !std::ranges::equal(original.users(), restored.users()))
+    return false;
+  const auto same_place = [](geo::LatLon a, geo::LatLon b) {
+    return written(a.lat) == b.lat && written(a.lon) == b.lon;
+  };
+  const auto restored_checkins = restored.checkins();
+  auto it = restored_checkins.begin();
+  for (const data::CheckIn a : original.checkins()) {
+    const data::CheckIn b = *it++;
+    if (a.user != b.user || a.venue != b.venue || a.category != b.category ||
+        a.timestamp != b.timestamp || !same_place(a.position, b.position))
+      return false;
+  }
+  for (const data::Venue& a : original.venues()) {
+    const data::Venue& b = *restored.venue(a.id);
+    if (a.name != b.name || a.category != b.category || !same_place(a.position, b.position))
+      return false;
+  }
+  return std::ranges::equal(original.names()->names(), restored.names()->names());
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -343,6 +384,7 @@ int main(int argc, char** argv) {
   double largest_speedup = 0.0;
   double largest_memory_ratio = 1.0;
   bool identical = true;
+  bool restored_all = true;
   for (const std::size_t users : corpus_users) {
     synth::GeneratorConfig generator;
     generator.user_count = users;
@@ -420,6 +462,29 @@ int main(int argc, char** argv) {
     }
     identical = identical && same;
 
+    // Load: the corpus as the two CSV files, read back in one pass.
+    const data::Taxonomy& taxonomy = data::Taxonomy::foursquare();
+    const std::string venues_csv = data::venues_to_csv(dataset, taxonomy);
+    const std::string checkins_csv = data::checkins_to_csv(dataset, taxonomy);
+    std::vector<double> load_samples;
+    bool restored_same = true;
+    for (int rep = 0; rep < reps; ++rep) {
+      const auto start = Clock::now();
+      auto restored = data::dataset_from_csv(venues_csv, checkins_csv, taxonomy);
+      load_samples.push_back(ms_since(start));
+      if (!restored.is_ok()) {
+        std::fprintf(stderr, "load failed: %s\n", restored.status().to_string().c_str());
+        return 1;
+      }
+      if (rep == 0) restored_same = restored_equal(dataset, *restored);
+    }
+    restored_all = restored_all && restored_same;
+    const double load_ms = percentile(load_samples, 0.50);
+    const double load_mb =
+        static_cast<double>(venues_csv.size() + checkins_csv.size()) / 1'000'000.0;
+    const double load_mb_per_s = load_ms > 0 ? load_mb / (load_ms / 1000.0) : 0.0;
+    const std::size_t load_rows = dataset.venue_count() + dataset.checkin_count() + 2;
+
     const double p50 = percentile(columnar_samples, 0.50);
     const double legacy_p50 = percentile(legacy_samples, 0.50);
     const double speedup = p50 > 0 ? legacy_p50 / p50 : 0.0;
@@ -455,6 +520,9 @@ int main(int argc, char** argv) {
     std::printf("  corpus resident SoA   %10zu bytes  (%.1f bytes/record, grown a week per "
                 "epoch; %zu from scratch)\n",
                 dataset_resident, bytes_per_record, scratch_resident);
+    std::printf("  csv load              %10.2f ms  (%zu rows, %.1f MB, %.0f MB/s, "
+                "restored equal: %s)\n",
+                load_ms, load_rows, load_mb, load_mb_per_s, restored_same ? "yes" : "NO");
     std::printf("  seqdb resident SoA    %10zu bytes\n", seqdb_resident);
     std::printf("  epoch resident AoS-eq %10zu bytes  (SoA/AoS = %.2f)\n\n", aos_resident,
                 memory_ratio);
@@ -476,16 +544,22 @@ int main(int argc, char** argv) {
          {"epoch_resident_bytes", static_cast<std::int64_t>(resident)},
          {"aos_equivalent_bytes", static_cast<std::int64_t>(aos_resident)},
          {"memory_ratio", memory_ratio},
-         {"bytes_per_record", bytes_per_record}}));
+         {"bytes_per_record", bytes_per_record},
+         {"load", json::object({{"rows", static_cast<std::int64_t>(load_rows)},
+                                {"mb", load_mb},
+                                {"ms", load_ms},
+                                {"mb_per_s", load_mb_per_s},
+                                {"restored_equal", restored_same}})}}));
   }
 
-  std::printf("=== checks (largest corpus) ===\n");
+  std::printf("=== checks (largest corpus; the round trip on every corpus) ===\n");
   check(identical, "columnar stage output byte-identical to the seed path", failures);
   check(largest_speedup >= 2.0, "grid+crowd build at least 2x faster than the seed path",
         failures);
   check(largest_memory_ratio <= 0.70,
         "SoA epoch-resident set at least 30% smaller than the AoS-equivalent layout",
         failures);
+  check(restored_all, "CSV round trip restores every corpus record for record", failures);
 
   const std::size_t peak = peak_rss_bytes();
   std::printf("\nprocess peak RSS: %.1f MiB\n\n",

@@ -1,8 +1,11 @@
 #include "core/handlers.hpp"
 
 #include <algorithm>
+#include <array>
 #include <limits>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "crowd/communities.hpp"
@@ -396,9 +399,12 @@ Response analyze_handler(const PinnedView& view, const Request& request, const P
     return Response::bad_request_400(
         "cannot analyze uploads under sequence label mode kVenue: rows carry no venue ids");
 
-  const auto rows = data::parse_csv(request.body);
-  if (!rows) return Response::bad_request_400(rows.status().to_string());
-  if (rows->empty() || (*rows)[0] != data::CsvRow{"category", "lat", "lon", "timestamp"})
+  static constexpr std::array<std::string_view, 4> kHeader{"category", "lat", "lon",
+                                                           "timestamp"};
+  data::CsvReader reader(request.body);
+  const auto header = reader.next();
+  if (!header) return Response::bad_request_400(header.status().to_string());
+  if (!std::ranges::equal(*header, kHeader))
     return Response::bad_request_400(
         "expected header: category,lat,lon,timestamp");
 
@@ -409,23 +415,27 @@ Response analyze_handler(const PinnedView& view, const Request& request, const P
   };
   std::vector<Event> events;
   const data::Taxonomy& taxonomy = platform.taxonomy();
-  for (std::size_t i = 1; i < rows->size(); ++i) {
-    const data::CsvRow& row = (*rows)[i];
+  for (;;) {
+    const auto next = reader.next();
+    if (!next) return Response::bad_request_400(next.status().to_string());
+    const std::span<const std::string_view> row = *next;
+    if (row.empty()) break;
+    const std::size_t number = reader.row_number();
     if (row.size() != 4)
       return Response::bad_request_400(
-          crowdweb::format("row {} has {} fields, expected 4", i + 1, row.size()));
+          crowdweb::format("row {} has {} fields, expected 4", number, row.size()));
     const auto category = taxonomy.find(row[0]);
     const auto lat = parse_double(row[1]);
     const auto lon = parse_double(row[2]);
     const auto timestamp = parse_timestamp(row[3]);
     if (!category)
       return Response::bad_request_400(
-          crowdweb::format("row {}: unknown category '{}'", i + 1, row[0]));
+          crowdweb::format("row {}: unknown category '{}'", number, row[0]));
     if (!lat || !lon || !geo::is_valid({*lat, *lon}))
-      return Response::bad_request_400(crowdweb::format("row {}: bad position", i + 1));
+      return Response::bad_request_400(crowdweb::format("row {}: bad position", number));
     if (!timestamp)
       return Response::bad_request_400(
-          crowdweb::format("row {}: bad timestamp '{}'", i + 1, row[3]));
+          crowdweb::format("row {}: bad timestamp '{}'", number, row[3]));
     events.push_back({mining::label_of(data::VenueId{}, *category, mode, taxonomy),
                       *timestamp});
   }

@@ -74,6 +74,7 @@ Result<Taxonomy> Taxonomy::create(std::vector<Category> categories) {
             crowdweb::format("category '{}' nests deeper than two levels", cat.name));
       tax.children_[tax.root_position_[cat.parent]].push_back(cat.id);
     }
+    tax.by_name_.emplace(cat.name, cat.id);  // a repeated name keeps its first id
   }
   return tax;
 }
@@ -100,10 +101,9 @@ const Category& Taxonomy::category(CategoryId id) const {
 }
 
 std::optional<CategoryId> Taxonomy::find(std::string_view name) const noexcept {
-  for (const Category& cat : categories_) {
-    if (cat.name == name) return cat.id;
-  }
-  return std::nullopt;
+  const auto it = by_name_.find(name);
+  if (it == by_name_.end()) return std::nullopt;
+  return it->second;
 }
 
 CategoryId Taxonomy::root_of(CategoryId id) const {

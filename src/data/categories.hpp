@@ -13,6 +13,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "util/status.hpp"
@@ -61,12 +62,22 @@ class Taxonomy {
   [[nodiscard]] const std::string& name(CategoryId id) const { return category(id).name; }
 
  private:
+  /// Hashes std::string keys and std::string_view probes alike.
+  struct NameHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view name) const noexcept {
+      return std::hash<std::string_view>{}(name);
+    }
+  };
+
   Taxonomy() = default;
 
   std::vector<Category> categories_;
   std::vector<CategoryId> roots_;
   std::vector<std::vector<CategoryId>> children_;  // indexed by root position
   std::vector<std::size_t> root_position_;         // category id -> index into roots_
+  // name -> lowest id carrying it; owns its keys, so copies stay valid
+  std::unordered_map<std::string, CategoryId, NameHash, std::equal_to<>> by_name_;
 };
 
 }  // namespace crowdweb::data

@@ -4,68 +4,88 @@
 
 namespace crowdweb::data {
 
-Result<std::vector<CsvRow>> parse_csv(std::string_view text, CsvOptions options) {
-  std::vector<CsvRow> rows;
-  CsvRow row;
-  std::string field;
-  bool in_quotes = false;
-  bool field_was_quoted = false;
-  std::size_t line = 1;
+CsvReader::CsvReader(std::string_view text, CsvOptions options) noexcept
+    : text_(text) {
+  for (const char c : {options.delimiter, '"', '\r', '\n'})
+    ends_field_[static_cast<unsigned char>(c)] = true;
+}
 
-  const auto end_field = [&] {
-    row.push_back(std::move(field));
-    field.clear();
-    field_was_quoted = false;
-  };
-  const auto end_row = [&] {
-    end_field();
-    rows.push_back(std::move(row));
-    row.clear();
-  };
+Status CsvReader::fail(std::string_view what) {
+  pos_ = text_.size();
+  return parse_error(crowdweb::format("{} at line {}", what, line_));
+}
 
-  for (std::size_t i = 0; i < text.size(); ++i) {
-    const char c = text[i];
-    if (in_quotes) {
-      if (c == '"') {
-        if (i + 1 < text.size() && text[i + 1] == '"') {
-          field += '"';
-          ++i;
-        } else {
-          in_quotes = false;
+Result<std::span<const std::string_view>> CsvReader::next() {
+  fields_.clear();
+  owned_.clear();
+  unescaped_.clear();
+  const std::size_t n = text_.size();
+  std::size_t i = pos_;
+  if (i >= n) return std::span<const std::string_view>{};
+
+  for (;;) {
+    if (text_[i] == '"') {
+      // Quoted: unescape into the owned buffer up to the closing quote.
+      const std::size_t offset = unescaped_.size();
+      for (++i;; ++i) {
+        if (i >= n) return fail("unterminated quote");
+        const char c = text_[i];
+        if (c == '"') {
+          if (i + 1 < n && text_[i + 1] == '"') {
+            ++i;
+          } else {
+            break;
+          }
+        } else if (c == '\n') {
+          ++line_;
         }
-      } else {
-        if (c == '\n') ++line;
-        field += c;
+        unescaped_ += c;
       }
-      continue;
+      // Text after the closing quote joins the field.
+      for (++i; i < n; ++i) {
+        const char c = text_[i];
+        if (c == '"') return fail("stray quote");
+        if (ends_field_[static_cast<unsigned char>(c)]) break;
+        unescaped_ += c;
+      }
+      owned_.push_back({fields_.size(), offset, unescaped_.size() - offset});
+      fields_.emplace_back();
+    } else {
+      const std::size_t begin = i;
+      while (i < n && !ends_field_[static_cast<unsigned char>(text_[i])]) ++i;
+      if (i < n && text_[i] == '"') return fail("stray quote");
+      fields_.push_back(text_.substr(begin, i - begin));
     }
-    switch (c) {
-      case '"':
-        if (!field.empty() || field_was_quoted)
-          return parse_error(crowdweb::format("stray quote at line {}", line));
-        in_quotes = true;
-        field_was_quoted = true;
-        break;
-      case '\r':
-        // Swallow CR of CRLF; a bare CR is treated as a row break too.
-        if (i + 1 < text.size() && text[i + 1] == '\n') break;
-        [[fallthrough]];
-      case '\n':
-        end_row();
-        ++line;
-        break;
-      default:
-        if (c == options.delimiter) {
-          end_field();
-        } else {
-          field += c;
-        }
+
+    if (i >= n) break;  // a final row without a newline
+    const char c = text_[i++];
+    if (c == '\r' || c == '\n') {
+      if (c == '\r' && i < n && text_[i] == '\n') ++i;  // CRLF is one break
+      ++line_;
+      break;
+    }
+    // The delimiter: another field follows, empty at the end of input.
+    if (i >= n) {
+      fields_.emplace_back();
+      break;
     }
   }
-  if (in_quotes) return parse_error(crowdweb::format("unterminated quote at line {}", line));
-  // Flush a final row without trailing newline.
-  if (!field.empty() || field_was_quoted || !row.empty()) end_row();
-  return rows;
+  pos_ = i;
+  for (const OwnedField& field : owned_)
+    fields_[field.index] = std::string_view(unescaped_).substr(field.offset, field.size);
+  ++rows_;
+  return std::span<const std::string_view>(fields_);
+}
+
+Result<std::vector<CsvRow>> parse_csv(std::string_view text, CsvOptions options) {
+  CsvReader reader(text, options);
+  std::vector<CsvRow> rows;
+  for (;;) {
+    const auto row = reader.next();
+    if (!row) return row.status();
+    if (row->empty()) return rows;
+    rows.emplace_back(row->begin(), row->end());
+  }
 }
 
 std::string csv_escape(std::string_view field, char delimiter) {

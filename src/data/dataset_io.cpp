@@ -1,14 +1,13 @@
 #include "data/dataset_io.hpp"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 
 #include "data/csv.hpp"
 #include "util/civil_time.hpp"
@@ -49,8 +48,8 @@ std::string checkins_to_csv(const Dataset& dataset, const Taxonomy& taxonomy) {
 
 namespace {
 
-Status check_header(const CsvRow& row, std::initializer_list<std::string_view> expected,
-                    std::string_view what) {
+Status check_header(std::span<const std::string_view> row,
+                    std::initializer_list<std::string_view> expected, std::string_view what) {
   if (row.size() != expected.size())
     return parse_error(crowdweb::format("{} header has {} fields, expected {}", what,
                                         row.size(), expected.size()));
@@ -64,73 +63,88 @@ Status check_header(const CsvRow& row, std::initializer_list<std::string_view> e
   return Status::ok();
 }
 
+/// Reads one table: checks its header row against `header`, then hands
+/// every data row to `add_row` with its 1-based row number.
+template <typename AddRow>
+Status read_table(std::string_view text, std::initializer_list<std::string_view> header,
+                  std::string_view what, AddRow add_row) {
+  CsvReader reader(text);
+  auto row = reader.next();
+  if (!row) return row.status();
+  if (row->empty()) return parse_error(crowdweb::format("{} file is empty", what));
+  if (Status status = check_header(*row, header, what); !status.is_ok()) return status;
+  for (;;) {
+    row = reader.next();
+    if (!row) return row.status();
+    if (row->empty()) return Status::ok();
+    if (Status status = add_row(*row, reader.row_number()); !status.is_ok()) return status;
+  }
+}
+
+Status add_venue_row(std::span<const std::string_view> row, std::size_t number,
+                     const Taxonomy& taxonomy, DatasetBuilder& builder) {
+  if (row.size() != 5)
+    return parse_error(crowdweb::format("venues row {} has {} fields", number, row.size()));
+  const auto id = parse_int(row[0]);
+  const auto lat = parse_double(row[3]);
+  const auto lon = parse_double(row[4]);
+  const auto category = taxonomy.find(row[2]);
+  if (!id || !lat || !lon)
+    return parse_error(crowdweb::format("venues row {} is malformed", number));
+  if (!category)
+    return parse_error(
+        crowdweb::format("venues row {}: unknown category '{}'", number, row[2]));
+  VenueSpec venue;
+  venue.id = static_cast<VenueId>(*id);
+  venue.name = row[1];
+  venue.category = *category;
+  venue.position = {*lat, *lon};
+  return builder.add_venue(venue);
+}
+
+Status add_checkin_row(std::span<const std::string_view> row, std::size_t number,
+                       const Taxonomy& taxonomy, DatasetBuilder& builder) {
+  if (row.size() != 6)
+    return parse_error(crowdweb::format("checkins row {} has {} fields", number, row.size()));
+  const auto user = parse_int(row[0]);
+  const auto venue = parse_int(row[1]);
+  const auto category = taxonomy.find(row[2]);
+  const auto lat = parse_double(row[3]);
+  const auto lon = parse_double(row[4]);
+  const auto timestamp = parse_timestamp(row[5]);
+  if (!user || !venue || !lat || !lon || !timestamp)
+    return parse_error(crowdweb::format("checkins row {} is malformed", number));
+  if (!category)
+    return parse_error(
+        crowdweb::format("checkins row {}: unknown category '{}'", number, row[2]));
+  CheckIn checkin;
+  checkin.user = static_cast<UserId>(*user);
+  checkin.venue = static_cast<VenueId>(*venue);
+  checkin.category = *category;
+  checkin.position = {*lat, *lon};
+  checkin.timestamp = *timestamp;
+  if (Status status = builder.add_checkin(checkin); !status.is_ok())
+    return parse_error(crowdweb::format("checkins row {}: {}", number, status.to_string()));
+  return Status::ok();
+}
+
 }  // namespace
 
 Result<Dataset> dataset_from_csv(std::string_view venues_csv, std::string_view checkins_csv,
                                  const Taxonomy& taxonomy) {
-  auto venue_rows = parse_csv(venues_csv);
-  if (!venue_rows) return venue_rows.status();
-  auto checkin_rows = parse_csv(checkins_csv);
-  if (!checkin_rows) return checkin_rows.status();
-  if (venue_rows->empty()) return parse_error("venues file is empty");
-  if (checkin_rows->empty()) return parse_error("checkins file is empty");
-
-  Status status =
-      check_header((*venue_rows)[0], {"venue_id", "name", "category", "lat", "lon"}, "venues");
-  if (!status.is_ok()) return status;
-  status = check_header((*checkin_rows)[0],
-                        {"user_id", "venue_id", "category", "lat", "lon", "timestamp"},
-                        "checkins");
-  if (!status.is_ok()) return status;
-
   DatasetBuilder builder;
-  for (std::size_t i = 1; i < venue_rows->size(); ++i) {
-    const CsvRow& row = (*venue_rows)[i];
-    if (row.size() != 5)
-      return parse_error(crowdweb::format("venues row {} has {} fields", i + 1, row.size()));
-    const auto id = parse_int(row[0]);
-    const auto lat = parse_double(row[3]);
-    const auto lon = parse_double(row[4]);
-    const auto category = taxonomy.find(row[2]);
-    if (!id || !lat || !lon)
-      return parse_error(crowdweb::format("venues row {} is malformed", i + 1));
-    if (!category)
-      return parse_error(crowdweb::format("venues row {}: unknown category '{}'", i + 1, row[2]));
-    VenueSpec venue;
-    venue.id = static_cast<VenueId>(*id);
-    venue.name = row[1];
-    venue.category = *category;
-    venue.position = {*lat, *lon};
-    status = builder.add_venue(venue);
-    if (!status.is_ok()) return status;
-  }
-
-  for (std::size_t i = 1; i < checkin_rows->size(); ++i) {
-    const CsvRow& row = (*checkin_rows)[i];
-    if (row.size() != 6)
-      return parse_error(crowdweb::format("checkins row {} has {} fields", i + 1, row.size()));
-    const auto user = parse_int(row[0]);
-    const auto venue = parse_int(row[1]);
-    const auto category = taxonomy.find(row[2]);
-    const auto lat = parse_double(row[3]);
-    const auto lon = parse_double(row[4]);
-    const auto timestamp = parse_timestamp(row[5]);
-    if (!user || !venue || !lat || !lon || !timestamp)
-      return parse_error(crowdweb::format("checkins row {} is malformed", i + 1));
-    if (!category)
-      return parse_error(
-          crowdweb::format("checkins row {}: unknown category '{}'", i + 1, row[2]));
-    CheckIn checkin;
-    checkin.user = static_cast<UserId>(*user);
-    checkin.venue = static_cast<VenueId>(*venue);
-    checkin.category = *category;
-    checkin.position = {*lat, *lon};
-    checkin.timestamp = *timestamp;
-    status = builder.add_checkin(checkin);
-    if (!status.is_ok())
-      return parse_error(
-          crowdweb::format("checkins row {}: {}", i + 1, status.to_string()));
-  }
+  Status status = read_table(
+      venues_csv, {"venue_id", "name", "category", "lat", "lon"}, "venues",
+      [&](std::span<const std::string_view> row, std::size_t number) {
+        return add_venue_row(row, number, taxonomy, builder);
+      });
+  if (!status.is_ok()) return status;
+  status = read_table(
+      checkins_csv, {"user_id", "venue_id", "category", "lat", "lon", "timestamp"},
+      "checkins", [&](std::span<const std::string_view> row, std::size_t number) {
+        return add_checkin_row(row, number, taxonomy, builder);
+      });
+  if (!status.is_ok()) return status;
   return builder.build();
 }
 
@@ -188,12 +202,30 @@ Status write_file(const std::string& path, std::string_view content) {
 }
 
 Result<std::string> read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return io_error(crowdweb::format("cannot open '{}'", path));
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (in.bad()) return io_error(crowdweb::format("read error on '{}'", path));
-  return std::move(buffer).str();
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return io_error(crowdweb::format("cannot open '{}'", path));
+  // Size the buffer from the file, one byte over so the EOF read lands
+  // in it, but read until EOF: procfs files report size 0.
+  struct stat info {};
+  std::size_t capacity = 4096;
+  if (::fstat(fd, &info) == 0 && info.st_size > 0)
+    capacity = static_cast<std::size_t>(info.st_size) + 1;
+  std::string content(capacity, '\0');
+  std::size_t size = 0;
+  for (;;) {
+    if (size == content.size()) content.resize(2 * content.size());
+    const ssize_t n = ::read(fd, content.data() + size, content.size() - size);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      ::close(fd);
+      return io_error(crowdweb::format("read error on '{}'", path));
+    }
+    if (n == 0) break;
+    size += static_cast<std::size_t>(n);
+  }
+  ::close(fd);
+  content.resize(size);
+  return content;
 }
 
 }  // namespace crowdweb::data

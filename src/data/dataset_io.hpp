@@ -23,8 +23,12 @@ namespace crowdweb::data {
 /// Serializes the check-in table.
 [[nodiscard]] std::string checkins_to_csv(const Dataset& dataset, const Taxonomy& taxonomy);
 
-/// Parses both tables back into a dataset. Fails on unknown categories,
-/// malformed rows, or check-ins referencing missing venues.
+/// Parses both tables back into a dataset in one streaming pass: each
+/// row goes into the builder as it is read, so no copy of the text is
+/// kept. Fails on unknown categories, malformed rows, or check-ins
+/// referencing missing venues. When an input has several faults, the
+/// first in reading order wins: the venues file top to bottom, then the
+/// check-ins file.
 [[nodiscard]] Result<Dataset> dataset_from_csv(std::string_view venues_csv,
                                                std::string_view checkins_csv,
                                                const Taxonomy& taxonomy);
@@ -32,7 +36,8 @@ namespace crowdweb::data {
 /// Writes `content` to `path` (overwrites).
 [[nodiscard]] Status write_file(const std::string& path, std::string_view content);
 
-/// Reads a whole file.
+/// Reads a whole file, up to EOF (procfs files, which report size 0,
+/// included).
 [[nodiscard]] Result<std::string> read_file(const std::string& path);
 
 }  // namespace crowdweb::data

@@ -581,10 +581,14 @@ struct Server::Impl {
     // Read only while we accept new requests; wait for writability only
     // while output is pending. Streaming connections stay readable for
     // FIN detection (recomputed: the subscription may have just
-    // happened inside parse_available above).
-    const bool want_read = !connection.stream_channel.empty() ||
-                           (!connection.stop_parsing &&
-                            connection.inflight() < kMaxInflightPerConnection);
+    // happened inside parse_available above). After EOF nothing more
+    // can arrive, and the level-triggered EOF would wake the loop on
+    // every pass until the last response is written; requests already
+    // in the inbox are still parsed above.
+    const bool want_read = !connection.close_after_write &&
+                           (!connection.stream_channel.empty() ||
+                            (!connection.stop_parsing &&
+                             connection.inflight() < kMaxInflightPerConnection));
     const std::uint32_t wanted =
         (want_read ? static_cast<std::uint32_t>(EPOLLIN) : 0u) |
         (connection.outbox.empty() ? 0u : static_cast<std::uint32_t>(EPOLLOUT));

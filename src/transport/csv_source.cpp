@@ -1,8 +1,11 @@
 #include "transport/csv_source.hpp"
 
 #include <algorithm>
+#include <array>
 #include <limits>
+#include <span>
 #include <string>
+#include <string_view>
 
 #include "data/csv.hpp"
 #include "geo/grid.hpp"
@@ -18,26 +21,30 @@ using http::Response;
 Result<ParsedIngest> parse_ingest_csv(const Request& request,
                                       const data::Taxonomy& taxonomy,
                                       const std::function<data::UserId()>& allocate_guest) {
-  const auto rows = data::parse_csv(request.body);
-  if (!rows) return rows.status();
-  const data::CsvRow with_user{"user", "category", "lat", "lon", "timestamp"};
-  const data::CsvRow anonymous{"category", "lat", "lon", "timestamp"};
-  if (rows->empty() || ((*rows)[0] != with_user && (*rows)[0] != anonymous))
+  static constexpr std::array<std::string_view, 5> kWithUser{"user", "category", "lat",
+                                                             "lon", "timestamp"};
+  static constexpr std::array<std::string_view, 4> kAnonymous{"category", "lat", "lon",
+                                                              "timestamp"};
+  data::CsvReader reader(request.body);
+  const auto header = reader.next();
+  if (!header) return header.status();
+  const bool has_user = std::ranges::equal(*header, kWithUser);
+  if (!has_user && !std::ranges::equal(*header, kAnonymous))
     return invalid_argument("expected header: [user,]category,lat,lon,timestamp");
-  const bool has_user = (*rows)[0] == with_user;
-  const data::UserId guest = has_user ? 0 : allocate_guest();
 
   ParsedIngest parsed;
-  parsed.received = rows->size() - 1;
-  parsed.events.reserve(rows->size() - 1);
-  for (std::size_t i = 1; i < rows->size(); ++i) {
-    const data::CsvRow& row = (*rows)[i];
+  for (;;) {
+    const auto next = reader.next();
+    if (!next) return next.status();
+    const std::span<const std::string_view> row = *next;
+    if (row.empty()) break;
+    ++parsed.received;
     if (row.size() != (has_user ? 5u : 4u)) {
       ++parsed.invalid;
       continue;
     }
     std::size_t field = 0;
-    data::UserId user = guest;
+    data::UserId user = 0;
     if (has_user) {
       const auto parsed_user = parse_int(row[field++]);
       if (!parsed_user || *parsed_user < 0 ||
@@ -58,6 +65,11 @@ Result<ParsedIngest> parse_ingest_csv(const Request& request,
       continue;
     }
     parsed.events.push_back({user, *category, {*lat, *lon}, *timestamp});
+  }
+  // The guest id is handed out only for a body that read to its end.
+  if (!has_user) {
+    const data::UserId guest = allocate_guest();
+    for (ingest::IngestEvent& event : parsed.events) event.user = guest;
   }
   return parsed;
 }

@@ -1,7 +1,8 @@
 #include "util/civil_time.hpp"
 
-#include "util/format.hpp"
+#include <optional>
 
+#include "util/format.hpp"
 #include "util/strings.hpp"
 
 namespace crowdweb {
@@ -106,7 +107,43 @@ int days_in_month(int year, int month) noexcept {
   return kDays[month - 1];
 }
 
+namespace {
+
+/// "YYYY-MM-DD HH:MM:SS" (or 'T' between date and time) with every digit
+/// an ASCII digit and every field in range; nullopt for anything else,
+/// which parse_timestamp's general path then accepts or refuses.
+std::optional<std::int64_t> parse_fixed_timestamp(std::string_view text) noexcept {
+  if (text.size() != 19 || text[4] != '-' || text[7] != '-' ||
+      (text[10] != ' ' && text[10] != 'T') || text[13] != ':' || text[16] != ':')
+    return std::nullopt;
+  const auto digits = [&](std::size_t pos, std::size_t len) -> int {
+    int value = 0;
+    for (std::size_t i = pos; i < pos + len; ++i) {
+      const unsigned digit = static_cast<unsigned char>(text[i]) - unsigned{'0'};
+      if (digit > 9) return -1;
+      value = value * 10 + static_cast<int>(digit);
+    }
+    return value;
+  };
+  CivilTime civil;
+  civil.year = digits(0, 4);
+  civil.month = digits(5, 2);
+  civil.day = digits(8, 2);
+  civil.hour = digits(11, 2);
+  civil.minute = digits(14, 2);
+  civil.second = digits(17, 2);
+  if (civil.year < 0 || civil.month < 1 || civil.month > 12 || civil.day < 1 ||
+      civil.day > days_in_month(civil.year, civil.month) || civil.hour < 0 ||
+      civil.hour > 23 || civil.minute < 0 || civil.minute > 59 || civil.second < 0 ||
+      civil.second > 59)
+    return std::nullopt;
+  return to_epoch_seconds(civil);
+}
+
+}  // namespace
+
 Result<std::int64_t> parse_timestamp(std::string_view text) {
+  if (const auto fixed = parse_fixed_timestamp(text)) return *fixed;
   const std::string_view body = trim(text);
   if (body.size() != 10 && body.size() != 19)
     return parse_error(crowdweb::format("bad timestamp length: '{}'", text));

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -9,6 +11,7 @@
 #include "data/csv.hpp"
 #include "data/dataset.hpp"
 #include "data/dataset_io.hpp"
+#include "reference/load_oracle.hpp"
 #include "util/civil_time.hpp"
 #include "util/rng.hpp"
 
@@ -610,5 +613,365 @@ TEST(DatasetIoTest, FileRoundTrip) {
   EXPECT_FALSE(read_file("/nonexistent/path/file.csv").is_ok());
 }
 
+
+// ------------------------------------------- CsvReader vs the char loop
+
+/// Every row of `text` through CsvReader, copied, or its error.
+Result<std::vector<CsvRow>> read_all(std::string_view text) {
+  CsvReader reader(text);
+  std::vector<CsvRow> rows;
+  for (;;) {
+    const auto row = reader.next();
+    if (!row) return row.status();
+    if (row->empty()) break;
+    rows.emplace_back(row->begin(), row->end());
+    EXPECT_EQ(reader.row_number(), rows.size());
+  }
+  return rows;
+}
+
+/// CsvReader must give the char loop's rows, or its error text.
+void expect_reader_matches_loop(std::string_view text) {
+  const auto expected = parse_csv_per_char(text);
+  const auto actual = read_all(text);
+  ASSERT_EQ(actual.is_ok(), expected.is_ok())
+      << "input: '" << text << "' reader: " << actual.status().to_string()
+      << " loop: " << expected.status().to_string();
+  if (expected.is_ok()) {
+    EXPECT_EQ(*actual, *expected) << "input: '" << text << "'";
+  } else {
+    EXPECT_EQ(actual.status().to_string(), expected.status().to_string())
+        << "input: '" << text << "'";
+  }
+}
+
+/// A document of quoted and plain fields, embedded delimiters, '""',
+/// embedded CR and LF, empty fields and rows, mixed row ends, and a
+/// final newline only sometimes.
+std::string random_document(Rng& rng) {
+  static constexpr std::string_view kPlain[] = {"", "a", "bc", "x y", "12.5", "\t"};
+  static constexpr std::string_view kQuoted[] = {"\"\"",         "\"a,b\"",   "\"say \"\"hi\"\"\"",
+                                                 "\"line\nbreak\"", "\"cr\rin\"", "\"crlf\r\nin\"",
+                                                 "\"\"\"\"",     "\"q\"tail"};
+  static constexpr std::string_view kRowEnd[] = {"\n", "\r\n", "\r"};
+  std::string doc;
+  const auto rows = rng.uniform_int(0, 8);
+  for (std::int64_t r = 0; r < rows; ++r) {
+    const auto fields = rng.uniform_int(1, 5);
+    for (std::int64_t f = 0; f < fields; ++f) {
+      if (f > 0) doc += ',';
+      if (rng.bernoulli(0.4)) {
+        doc += kQuoted[rng.uniform_int(0, std::size(kQuoted) - 1)];
+      } else {
+        doc += kPlain[rng.uniform_int(0, std::size(kPlain) - 1)];
+      }
+    }
+    if (r + 1 < rows || rng.bernoulli(0.5)) doc += kRowEnd[rng.uniform_int(0, 2)];
+  }
+  return doc;
+}
+
+TEST(CsvReaderTest, SeededDocumentsAndTheirMutationsMatchTheCharLoop) {
+  static constexpr char kBytes[] = {'"', ',', '\r', '\n', 'a', ' '};
+  Rng rng(20121);
+  for (int doc_index = 0; doc_index < 300; ++doc_index) {
+    const std::string doc = random_document(rng);
+    SCOPED_TRACE("document " + std::to_string(doc_index));
+    expect_reader_matches_loop(doc);
+    // Truncation at every length.
+    for (std::size_t len = 0; len < doc.size(); ++len)
+      expect_reader_matches_loop(std::string_view(doc).substr(0, len));
+    if (doc.empty()) continue;
+    // A fixed budget of byte flips and inserted quotes.
+    for (int m = 0; m < 24; ++m) {
+      std::string mutated = doc;
+      const auto at = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(doc.size()) - 1));
+      if (m % 2 == 0) {
+        mutated[at] = kBytes[rng.uniform_int(0, std::size(kBytes) - 1)];
+      } else {
+        mutated.insert(at, 1, '"');
+      }
+      expect_reader_matches_loop(mutated);
+    }
+  }
+}
+
+TEST(CsvReaderTest, ErrorsNamePhysicalLines) {
+  EXPECT_EQ(read_all("a\n\"x\ny\"\nb\"c\n").status().to_string(),
+            parse_error("stray quote at line 4").to_string());
+  EXPECT_EQ(read_all("a\r\nb,\"open\n\n").status().to_string(),
+            parse_error("unterminated quote at line 4").to_string());
+  EXPECT_EQ(read_all("\"q\"\"").status().to_string(),
+            parse_error("unterminated quote at line 1").to_string());
+  EXPECT_EQ(read_all("\"q\"x\"").status().to_string(),
+            parse_error("stray quote at line 1").to_string());
+}
+
+TEST(CsvReaderTest, PlainFieldsViewTheInputAndQuotedOnesTheReader) {
+  const std::string text = "plain,\"a \"\"b\"\"\",\"c,d\"tail\nnext\n";
+  CsvReader reader(text);
+  const auto row = reader.next();
+  ASSERT_TRUE(row.is_ok());
+  ASSERT_EQ(row->size(), 3u);
+  EXPECT_EQ((*row)[0], "plain");
+  EXPECT_EQ((*row)[0].data(), text.data());
+  EXPECT_EQ((*row)[1], "a \"b\"");
+  EXPECT_EQ((*row)[2], "c,dtail");
+  const auto in_text = [&](std::string_view field) {
+    return field.data() >= text.data() && field.data() < text.data() + text.size();
+  };
+  EXPECT_FALSE(in_text((*row)[1]));
+  EXPECT_FALSE(in_text((*row)[2]));
+  const auto second = reader.next();
+  ASSERT_TRUE(second.is_ok());
+  ASSERT_EQ(second->size(), 1u);
+  EXPECT_EQ((*second)[0], "next");
+  const auto end = reader.next();
+  ASSERT_TRUE(end.is_ok());
+  EXPECT_TRUE(end->empty());
+  EXPECT_EQ(reader.row_number(), 2u);
+}
+
+// ------------------------------------- Streaming load vs the two passes
+
+void expect_same_dataset(const Dataset& a, const Dataset& b) {
+  ASSERT_EQ(a.checkin_count(), b.checkin_count());
+  ASSERT_EQ(a.venue_count(), b.venue_count());
+  EXPECT_TRUE(std::ranges::equal(a.users(), b.users()));
+  EXPECT_TRUE(std::ranges::equal(a.checkins(), b.checkins()));
+  for (std::size_t id = 0; id < a.venue_count(); ++id) {
+    const Venue& x = *a.venue(static_cast<VenueId>(id));
+    const Venue& y = *b.venue(static_cast<VenueId>(id));
+    EXPECT_EQ(x.name, y.name) << "venue " << id;
+    EXPECT_EQ(x.category, y.category) << "venue " << id;
+    EXPECT_EQ(x.position.lat, y.position.lat) << "venue " << id;
+    EXPECT_EQ(x.position.lon, y.position.lon) << "venue " << id;
+  }
+  ASSERT_TRUE(a.names() && b.names());
+  EXPECT_TRUE(std::ranges::equal(a.names()->names(), b.names()->names()));
+}
+
+/// A corpus whose venue names need quoting and repeat (interning order
+/// shows), with users checking in out of time order.
+Dataset quoting_corpus() {
+  const Taxonomy& tax = Taxonomy::foursquare();
+  static constexpr std::string_view kNames[] = {"Thai, Pothong", "Joe's \"Best\" Pizza",
+                                                "Plain", "Line\nBreak", "Plain"};
+  static constexpr std::string_view kCategories[] = {"Thai Restaurant", "Pizza Place",
+                                                     "Office", "Bar", "Park"};
+  DatasetBuilder builder;
+  for (std::size_t i = 0; i < std::size(kNames); ++i) {
+    VenueSpec venue;
+    venue.id = static_cast<VenueId>(i);
+    venue.name = kNames[i];
+    venue.category = *tax.find(kCategories[i]);
+    venue.position = {40.70 + 0.01 * static_cast<double>(i), -74.00};
+    EXPECT_TRUE(builder.add_venue(venue).is_ok());
+  }
+  Rng rng(7);
+  const std::int64_t start = to_epoch_seconds({2012, 4, 2, 0, 0, 0});
+  for (int i = 0; i < 200; ++i) {
+    CheckIn checkin;
+    checkin.user = static_cast<UserId>(rng.uniform_int(1, 12) * 11);
+    checkin.venue = static_cast<VenueId>(rng.uniform_int(0, std::size(kNames) - 1));
+    checkin.category = *tax.find(kCategories[checkin.venue]);
+    checkin.position = {40.70 + rng.uniform(0.0, 0.05), -74.00 + rng.uniform(0.0, 0.05)};
+    checkin.timestamp = start + rng.uniform_int(0, 30 * 86'400);
+    EXPECT_TRUE(builder.add_checkin(checkin).is_ok());
+  }
+  return builder.build();
+}
+
+/// `text` with its `row`-th line (0 = header) replaced by `with`.
+std::string replace_line(const std::string& text, std::size_t row, std::string_view with) {
+  std::size_t begin = 0;
+  for (std::size_t i = 0; i < row; ++i) begin = text.find('\n', begin) + 1;
+  const std::size_t end = text.find('\n', begin);
+  return text.substr(0, begin) + std::string(with) + text.substr(end);
+}
+
+TEST(DatasetLoadOracleTest, ValidCorporaMatchTheTwoPassLoad) {
+  const Taxonomy& tax = Taxonomy::foursquare();
+  for (const Dataset& original : {two_user_dataset(), quoting_corpus()}) {
+    const std::string venues = venues_to_csv(original, tax);
+    const std::string checkins = checkins_to_csv(original, tax);
+    const auto streamed = dataset_from_csv(venues, checkins, tax);
+    const auto two_pass = dataset_from_rows(venues, checkins, tax);
+    ASSERT_TRUE(streamed.is_ok()) << streamed.status().to_string();
+    ASSERT_TRUE(two_pass.is_ok()) << two_pass.status().to_string();
+    expect_same_dataset(*streamed, *two_pass);
+    // Positions round to the writer's 7 decimals, so the round trip is
+    // checked as text.
+    EXPECT_EQ(venues_to_csv(*streamed, tax), venues);
+    EXPECT_EQ(checkins_to_csv(*streamed, tax), checkins);
+  }
+}
+
+TEST(DatasetLoadOracleTest, SingleFaultErrorsMatchTheTwoPassLoad) {
+  const Taxonomy& tax = Taxonomy::foursquare();
+  const Dataset original = quoting_corpus();
+  const std::string venues = venues_to_csv(original, tax);
+  const std::string checkins = checkins_to_csv(original, tax);
+  const std::string checkin_header = "user_id,venue_id,category,lat,lon,timestamp";
+  struct Fault {
+    std::string name;
+    std::string venues;
+    std::string checkins;
+  };
+  std::vector<Fault> faults{
+      {"empty venues", "", checkins},
+      {"empty checkins", venues, ""},
+      {"venue header name", replace_line(venues, 0, "venue_id,name,kind,lat,lon"), checkins},
+      {"venue header arity", replace_line(venues, 0, "venue_id,name,category,lat"), checkins},
+      {"checkin header name", venues,
+       replace_line(checkins, 0, "user,venue_id,category,lat,lon,timestamp")},
+      {"checkin header arity", venues, replace_line(checkins, 0, checkin_header + ",x")},
+      {"venue bad int", replace_line(venues, 3, "x2,Plain,Office,40.72,-74.0"), checkins},
+      {"venue bad double", replace_line(venues, 3, "2,Plain,Office,4o.72,-74.0"), checkins},
+      {"venue nan", replace_line(venues, 3, "2,Plain,Office,nan,-74.0"), checkins},
+      {"venue unknown category", replace_line(venues, 3, "2,Plain,Martian Diner,40.72,-74.0"),
+       checkins},
+      {"venue arity", replace_line(venues, 3, "2,Plain,Office,40.72"), checkins},
+      {"venue not dense", replace_line(venues, 3, "7,Plain,Office,40.72,-74.0"), checkins},
+      {"venue bad position", replace_line(venues, 3, "2,Plain,Office,95.0,-74.0"), checkins},
+      {"venue stray quote", replace_line(venues, 3, "2,Pla\"in,Office,40.72,-74.0"), checkins},
+      {"checkin bad int", venues,
+       replace_line(checkins, 5, "1x,2,Office,40.72,-74.0,2012-04-02 09:00:00")},
+      {"checkin bad venue int", venues,
+       replace_line(checkins, 5, "11,,Office,40.72,-74.0,2012-04-02 09:00:00")},
+      {"checkin bad double", venues,
+       replace_line(checkins, 5, "11,2,Office,40.72,-74.0.0,2012-04-02 09:00:00")},
+      {"checkin inf", venues,
+       replace_line(checkins, 5, "11,2,Office,inf,-74.0,2012-04-02 09:00:00")},
+      {"checkin bad timestamp", venues,
+       replace_line(checkins, 5, "11,2,Office,40.72,-74.0,yesterday")},
+      {"checkin month range", venues,
+       replace_line(checkins, 5, "11,2,Office,40.72,-74.0,2012-13-02 09:00:00")},
+      {"checkin hour range", venues,
+       replace_line(checkins, 5, "11,2,Office,40.72,-74.0,2012-04-02T24:00:00")},
+      {"checkin unknown category", venues,
+       replace_line(checkins, 5, "11,2,Offices,40.72,-74.0,2012-04-02 09:00:00")},
+      {"checkin category mismatch", venues,
+       replace_line(checkins, 5, "11,2,Bar,40.72,-74.0,2012-04-02 09:00:00")},
+      {"checkin arity", venues, replace_line(checkins, 5, "11,2,Office,40.72,-74.0")},
+      {"checkin missing venue", venues,
+       replace_line(checkins, 5, "11,99,Office,40.72,-74.0,2012-04-02 09:00:00")},
+      {"checkin bad position", venues,
+       replace_line(checkins, 5, "11,2,Office,40.72,-190.0,2012-04-02 09:00:00")},
+      {"checkin unterminated quote", venues, checkins + "\"11,2"},
+  };
+  for (const Fault& fault : faults) {
+    SCOPED_TRACE(fault.name);
+    const auto streamed = dataset_from_csv(fault.venues, fault.checkins, tax);
+    const auto two_pass = dataset_from_rows(fault.venues, fault.checkins, tax);
+    ASSERT_FALSE(two_pass.is_ok());
+    ASSERT_FALSE(streamed.is_ok());
+    EXPECT_EQ(streamed.status().to_string(), two_pass.status().to_string());
+  }
+}
+
+TEST(DatasetLoadOracleTest, CrlfAndBareCrFilesLoadTheSameDataset) {
+  const Taxonomy& tax = Taxonomy::foursquare();
+  const Dataset original = two_user_dataset();
+  const auto with_ends = [](std::string text, std::string_view end) {
+    std::string out;
+    for (const char c : text) {
+      if (c == '\n') {
+        out += end;
+      } else {
+        out += c;
+      }
+    }
+    return out;
+  };
+  for (const std::string_view end : {"\r\n", "\r"}) {
+    const std::string venues = with_ends(venues_to_csv(original, tax), end);
+    const std::string checkins = with_ends(checkins_to_csv(original, tax), end);
+    const auto streamed = dataset_from_csv(venues, checkins, tax);
+    const auto two_pass = dataset_from_rows(venues, checkins, tax);
+    ASSERT_TRUE(streamed.is_ok()) << streamed.status().to_string();
+    ASSERT_TRUE(two_pass.is_ok());
+    expect_same_dataset(*streamed, *two_pass);
+  }
+}
+
+// --------------------------------------------- parse_timestamp fast path
+
+void expect_timestamp_matches_fields(const std::string& text) {
+  const auto fast = parse_timestamp(text);
+  const auto fields = parse_timestamp_by_fields(text);
+  ASSERT_EQ(fast.is_ok(), fields.is_ok()) << "'" << text << "'";
+  if (fields.is_ok()) {
+    EXPECT_EQ(*fast, *fields) << "'" << text << "'";
+  } else {
+    EXPECT_EQ(fast.status().code(), fields.status().code()) << "'" << text << "'";
+    EXPECT_EQ(fast.status().message(), fields.status().message()) << "'" << text << "'";
+  }
+}
+
+TEST(ParseTimestampTest, EverySingleCharMutationMatchesTheFieldParser) {
+  for (const std::string valid :
+       {"2012-04-02 09:30:15", "2012-02-29T23:59:59", "1999-12-31 00:00:00",
+        "2013-02-28 12:00:00", "2012-04-02"}) {
+    expect_timestamp_matches_fields(valid);
+    for (std::size_t at = 0; at <= valid.size(); ++at) {
+      for (int byte = 0; byte < 256; ++byte) {
+        const char c = static_cast<char>(byte);
+        if (at < valid.size()) {
+          std::string substituted = valid;
+          substituted[at] = c;
+          expect_timestamp_matches_fields(substituted);
+        }
+        std::string inserted = valid;
+        inserted.insert(at, 1, c);
+        expect_timestamp_matches_fields(inserted);
+      }
+      if (at < valid.size()) {
+        std::string deleted = valid;
+        deleted.erase(at, 1);
+        expect_timestamp_matches_fields(deleted);
+      }
+    }
+  }
+}
+
+// ------------------------------------------------------ Taxonomy index
+
+TEST(TaxonomyTest, NameIndexSurvivesCopiesAndKeepsTheFirstId) {
+  std::optional<Taxonomy> copy;
+  {
+    auto created = Taxonomy::create({{0, "Root", kNoCategory},
+                                     {1, "Leaf", 0},
+                                     {2, "Leaf", 0},
+                                     {3, "Other", kNoCategory}});
+    ASSERT_TRUE(created.is_ok());
+    copy.emplace(*created);
+  }
+  EXPECT_EQ(copy->find("Leaf"), CategoryId{1});
+  EXPECT_EQ(copy->find("Other"), CategoryId{3});
+  EXPECT_FALSE(copy->find("Missing").has_value());
+  EXPECT_FALSE(copy->find("").has_value());
+}
+
+// ------------------------------------------------------------- read_file
+
+TEST(DatasetIoTest, ReadFileReadsProcfsToEof) {
+  // procfs reports size 0; a reader that trusts it reads nothing.
+  const auto status = read_file("/proc/self/status");
+  ASSERT_TRUE(status.is_ok()) << status.status().to_string();
+  EXPECT_FALSE(status->empty());
+  EXPECT_NE(status->find("VmHWM:"), std::string::npos);
+}
+
+TEST(DatasetIoTest, ReadFileReadsFilesLargerThanOneBuffer) {
+  const std::string path = ::testing::TempDir() + "/crowdweb_io_large.csv";
+  std::string content;
+  for (int i = 0; i < 20'000; ++i) content += std::to_string(i) + ",row\n";
+  ASSERT_TRUE(write_file(path, content).is_ok());
+  const auto read = read_file(path);
+  ASSERT_TRUE(read.is_ok());
+  EXPECT_EQ(*read, content);
+}
 }  // namespace
 }  // namespace crowdweb::data

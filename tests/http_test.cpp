@@ -5,11 +5,16 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -456,6 +461,75 @@ TEST(ServerTest, PeerThatLeavesBeforeALargeResponseDoesNotKillTheServer) {
   EXPECT_EQ(response->status, 200);
   EXPECT_EQ(response->body, "hi");
   server.stop();
+}
+
+/// utime + stime, in ms, summed over this process's threads named
+/// `comm` (read from /proc/self/task/*/stat); -1 when none is.
+double thread_cpu_ms(std::string_view comm) {
+  double total_ms = -1.0;
+  const double ms_per_tick = 1000.0 / static_cast<double>(::sysconf(_SC_CLK_TCK));
+  for (const auto& task : std::filesystem::directory_iterator("/proc/self/task")) {
+    std::ifstream comm_file(task.path() / "comm");
+    std::string name;
+    if (!std::getline(comm_file, name) || name != comm) continue;
+    std::ifstream stat_file(task.path() / "stat");
+    std::string stat;
+    std::getline(stat_file, stat);
+    // Fields after the parenthesised name start at field 3 (state);
+    // utime and stime are fields 14 and 15.
+    std::istringstream fields(stat.substr(stat.rfind(')') + 2));
+    std::string skip;
+    for (int field = 3; field < 14; ++field) fields >> skip;
+    long long utime = 0;
+    long long stime = 0;
+    fields >> utime >> stime;
+    total_ms = std::max(total_ms, 0.0) + static_cast<double>(utime + stime) * ms_per_tick;
+  }
+  return total_ms;
+}
+
+TEST(ServerTest, HalfClosedPeerDoesNotSpinTheLoopWhileItsResponseIsPending) {
+  // The client sends one request and shuts down its write side. The
+  // loop sees EOF at once but the route answers 300 ms later; it must
+  // stop polling for input rather than wake on the EOF again and again,
+  // and still send the response.
+  Router router;
+  router.get("/slow", [](const Request&, const PathParams&) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    return Response::text(200, "done");
+  });
+  ServerConfig config;
+  config.worker_threads = 1;
+  Server server(std::move(router), config);
+  ASSERT_TRUE(server.start().is_ok());
+  // The loop thread names itself once it runs.
+  double loop_cpu_before = thread_cpu_ms("cw-http-loop");
+  for (int i = 0; i < 200 && loop_cpu_before < 0.0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    loop_cpu_before = thread_cpu_ms("cw-http-loop");
+  }
+  ASSERT_GE(loop_cpu_before, 0.0) << "no thread named cw-http-loop";
+
+  Result<net::Fd> client = net::connect_tcp("127.0.0.1", server.port());
+  ASSERT_TRUE(client.is_ok()) << client.status().to_string();
+  const int fd = client->get();
+  const std::string request = "GET /slow HTTP/1.1\r\nHost: x\r\n\r\n";
+  ASSERT_EQ(::write(fd, request.data(), request.size()),
+            static_cast<ssize_t>(request.size()));
+  ASSERT_EQ(::shutdown(fd, SHUT_WR), 0);
+  std::string raw;
+  char buffer[1024];
+  while (true) {
+    const ssize_t n = ::read(fd, buffer, sizeof buffer);
+    if (n <= 0) break;
+    raw.append(buffer, static_cast<std::size_t>(n));
+  }
+  const double loop_cpu_ms = thread_cpu_ms("cw-http-loop") - loop_cpu_before;
+  server.stop();
+
+  EXPECT_EQ(raw.rfind("HTTP/1.1 200", 0), 0u) << raw;
+  EXPECT_NE(raw.find("done"), std::string::npos) << raw;
+  EXPECT_LT(loop_cpu_ms, 50.0);
 }
 
 TEST(ClientTest, ConnectionRefused) {

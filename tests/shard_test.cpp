@@ -662,22 +662,38 @@ TEST(ShardMetrics, GaugesFollowEveryPublishWithoutARead) {
 
   const std::string live_series =
       "crowdweb_shard_live_checkins{shard=\"" + std::to_string(target) + "\"}";
+  // The epochs the lags are checked against are read before and after
+  // the scrape, and the scrape is retaken until the two reads agree: a
+  // publish in between would make the expected lag disagree with it.
+  const auto shard_epochs = [&router] {
+    std::vector<std::uint64_t> epochs;
+    for (std::size_t k = 0; k < router.shard_count(); ++k)
+      epochs.push_back(router.shard(k).epoch());
+    return epochs;
+  };
   std::string scrape;
+  std::vector<std::uint64_t> epochs;
+  bool epochs_agree = false;
   const auto deadline = std::chrono::steady_clock::now() + 10s;
   while (std::chrono::steady_clock::now() < deadline) {
+    const std::vector<std::uint64_t> before = shard_epochs();
     scrape = telemetry::render_prometheus(registry);
-    if (metric_value(scrape, live_series) == static_cast<double>(rows.size())) break;
+    epochs = shard_epochs();
+    epochs_agree = before == epochs;
+    if (epochs_agree && metric_value(scrape, live_series) == static_cast<double>(rows.size()))
+      break;
     std::this_thread::sleep_for(5ms);
   }
+  ASSERT_TRUE(epochs_agree);
   ASSERT_EQ(metric_value(scrape, live_series), static_cast<double>(rows.size())) << scrape;
-  const std::uint64_t target_epoch = router.shard(target).epoch();
+  const std::uint64_t target_epoch = epochs[target];
   ASSERT_GT(target_epoch, 1u);
   for (std::size_t k = 0; k < router.shard_count(); ++k) {
     SCOPED_TRACE("shard " + std::to_string(k));
     const std::string label = "{shard=\"" + std::to_string(k) + "\"}";
     EXPECT_EQ(metric_value(scrape, "crowdweb_shard_up" + label), 1.0);
     EXPECT_EQ(metric_value(scrape, "crowdweb_shard_epoch_lag" + label),
-              static_cast<double>(target_epoch - router.shard(k).epoch()));
+              static_cast<double>(target_epoch - epochs[k]));
     if (k != target) {
       EXPECT_GT(metric_value(scrape, "crowdweb_shard_epoch_lag" + label), 0.0);
     }
