@@ -1,5 +1,6 @@
 // Mining bench: PrefixSpan across the paper's support sweep, the
-// weighted day-shape mine, and the kept per-user history index.
+// weighted day-shape mine, the kept per-user history index, and counted
+// re-mining from kept pattern sets.
 //
 // Corpus regime: dense telemetry traces — per user, a deterministic
 // weekday routine (8-11 category labels) and a shorter weekend routine
@@ -32,6 +33,14 @@
 // equals a tally counted from the whole column, and that the merge
 // appended every epoch without copying a base record (smoke gates with
 // no timing bar).
+//
+// Last, it replays the corpus one day per epoch through the counted
+// re-mining path (patterns::mine_user_mobility over a kept
+// HistoryIndex) for kept buffers b in {4, 8, 16}, beside the full
+// re-mine every epoch paid before it. Per b it reports the share of
+// user-epochs that needed a full mine, the kept patterns per user, the
+// kept sets' bytes and the time; every epoch's counted entries must
+// equal the full mine's (a smoke gate with no timing bar).
 
 #include <algorithm>
 #include <chrono>
@@ -414,6 +423,129 @@ json::Value history_index_block(const data::Dataset& dense, bool* equal_all,
                        {"epochs", std::move(epochs)}});
 }
 
+// ------------------------- counted re-mining (kept pattern sets, per b)
+
+/// Equal entries in every field but mining_stats.explored (0 for an
+/// entry served by counting).
+bool same_entry(patterns::UserMobility counted, const patterns::UserMobility& mined) {
+  counted.mining_stats.explored = mined.mining_stats.explored;
+  return counted == mined;
+}
+
+/// Replays `dense` one day per epoch, merged through the incremental
+/// builder. Every user keeps one HistoryIndex per buffer b, served
+/// through the counted path with that b, and one more that is only
+/// extended and mined in full every epoch (the path before counting).
+/// Each counted entry must equal the full mine. Times cover extend plus
+/// serve on both sides.
+json::Value incremental_block(const data::Dataset& dense, bool* equal_all) {
+  const std::vector<std::size_t> buffers{4, 8, 16};
+  const data::Taxonomy& taxonomy = data::Taxonomy::foursquare();
+  patterns::MobilityOptions options;
+  options.sequences.mode = mining::LabelMode::kVenue;
+  options.mining.min_support = 0.5;
+
+  data::DatasetBuilder seed;
+  for (const data::Venue& venue : dense.venues()) {
+    data::VenueSpec spec;
+    spec.id = venue.id;
+    spec.name = std::string(dense.venue_name(venue.id));
+    spec.category = venue.category;
+    spec.position = venue.position;
+    if (!seed.add_venue(spec).is_ok()) std::abort();
+  }
+  data::Dataset live = seed.build();
+  std::int64_t last_day = 0;
+  for (const data::CheckIn& checkin : dense.checkins())
+    last_day = std::max(last_day, day_index(checkin.timestamp));
+
+  struct Kept {
+    std::vector<mining::HistoryIndex> counted;  // one per buffer
+    mining::HistoryIndex full;
+  };
+  std::unordered_map<data::UserId, Kept> users;
+  struct PerBuffer {
+    double ms = 0.0;
+    std::size_t mined = 0;
+    std::size_t kept_patterns = 0;  // summed over user-epochs
+  };
+  std::vector<PerBuffer> per_buffer(buffers.size());
+  double full_ms = 0.0;
+  std::size_t user_epochs = 0;
+  std::size_t served_patterns = 0;
+  bool equal = true;
+  for (std::int64_t day = 0; day <= last_day; ++day) {
+    data::DatasetBuilder builder(live);
+    for (const data::CheckIn& checkin : dense.checkins()) {
+      if (day_index(checkin.timestamp) == day && !builder.add_checkin(checkin).is_ok())
+        std::abort();
+    }
+    live = builder.build();
+    for (const data::UserId user : live.users()) {
+      const data::Dataset::UserColumns records = live.checkins_for(user);
+      auto [it, inserted] = users.try_emplace(user);
+      Kept& kept = it->second;
+      if (inserted) {
+        kept.counted.assign(buffers.size(), mining::HistoryIndex(options.sequences));
+        kept.full = mining::HistoryIndex(options.sequences);
+      }
+      auto start = Clock::now();
+      kept.full.extend(records, kept.full.resume_point(records), taxonomy);
+      const patterns::UserMobility mined = patterns::mine_user_mobility(
+          user, kept.full.shapes(), kept.full.day_count(), options);
+      full_ms += ms_since(start);
+      ++user_epochs;
+      served_patterns += mined.patterns.size();
+      for (std::size_t b = 0; b < buffers.size(); ++b) {
+        mining::HistoryIndex& history = kept.counted[b];
+        start = Clock::now();
+        history.extend(records, history.resume_point(records), taxonomy);
+        bool counted = false;
+        const patterns::UserMobility entry =
+            patterns::mine_user_mobility(user, history, options, &counted, buffers[b]);
+        per_buffer[b].ms += ms_since(start);
+        if (!counted) ++per_buffer[b].mined;
+        per_buffer[b].kept_patterns += history.kept().size();
+        equal = equal && same_entry(entry, mined);
+      }
+    }
+  }
+  *equal_all = *equal_all && equal;
+
+  std::printf("--- counted re-mining, dense corpus replayed one day per epoch "
+              "(min_support %.2f, %zu user-epochs, %.2f patterns served per user) ---\n",
+              options.mining.min_support, user_epochs,
+              user_epochs > 0 ? static_cast<double>(served_patterns) / static_cast<double>(user_epochs) : 0.0);
+  std::printf("  full re-mine every epoch: %8.1f ms\n", full_ms);
+  std::printf("%8s %12s %14s %12s %10s\n", "buffer", "full mines", "kept/user", "kept bytes",
+              "ms");
+  json::Value rows = json::Value(json::Array{});
+  for (std::size_t b = 0; b < buffers.size(); ++b) {
+    std::size_t kept_bytes = 0;
+    for (const auto& [user, kept] : users) kept_bytes += kept.counted[b].kept().resident_bytes();
+    const double share =
+        user_epochs > 0 ? static_cast<double>(per_buffer[b].mined) / static_cast<double>(user_epochs) : 0.0;
+    const double kept_per_user =
+        user_epochs > 0 ? static_cast<double>(per_buffer[b].kept_patterns) /
+                                   static_cast<double>(user_epochs) : 0.0;
+    std::printf("%8zu %11.1f%% %14.2f %12zu %10.1f\n", buffers[b], 100.0 * share, kept_per_user,
+                kept_bytes, per_buffer[b].ms);
+    rows.push_back(json::object({{"buffer_days", static_cast<std::int64_t>(buffers[b])},
+                                 {"full_mine_share", share},
+                                 {"kept_patterns_per_user", kept_per_user},
+                                 {"kept_bytes", static_cast<std::int64_t>(kept_bytes)},
+                                 {"ms", per_buffer[b].ms}}));
+  }
+  std::printf("  counted entries %s the full re-mine's\n\n", equal ? "EQUAL" : "DIVERGED");
+  return json::object({{"corpus", "dense"},
+                       {"days_per_epoch", 1},
+                       {"min_support", options.mining.min_support},
+                       {"user_epochs", static_cast<std::int64_t>(user_epochs)},
+                       {"full_ms", full_ms},
+                       {"buffers", std::move(rows)},
+                       {"equal", equal}});
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -484,6 +616,8 @@ int main(int argc, char** argv) {
   bool merge_appended = true;
   json::Value history_index =
       history_index_block(dense, &history_equal, &tallies_equal, &merge_appended);
+  bool counted_equal = true;
+  json::Value incremental = incremental_block(dense, &counted_equal);
 
   check(shapes_equal, "mining the weighted day shapes equals mining every day", &failures);
   check(history_equal,
@@ -495,12 +629,17 @@ int main(int argc, char** argv) {
         "(label, window) of every epoch",
         &failures);
   check(merge_appended, "the replay's merge copied no base record in any epoch", &failures);
+  check(counted_equal,
+        "entries served from kept pattern counts equal a full re-mine every epoch, at "
+        "every kept buffer",
+        &failures);
 
   json::Value output = json::object({{"bench", "mining"},
                                      {"mode", args.smoke ? "smoke" : "full"},
                                      {"corpora", std::move(corpora)},
                                      {"day_shapes", std::move(day_shapes)},
                                      {"history_index", std::move(history_index)},
+                                     {"incremental", std::move(incremental)},
                                      {"passed", failures == 0}});
   const Status written = data::write_file(args.out, json::dump(output) + "\n");
   if (!written.is_ok()) {

@@ -194,8 +194,16 @@ void IngestWorker::init_metrics() {
   history_refiled_ = &history_users.with_labels({shard, "refiled"});
   history_bytes_ = gauge(
       "crowdweb_ingest_history_bytes",
-      "Heap bytes of the worker's kept per-user state: day-shape indexes and venue "
-      "tallies.");
+      "Heap bytes of the worker's kept per-user state: day-shape indexes, kept pattern "
+      "sets and venue tallies.");
+  telemetry::CounterFamily& mining_users = metrics_->counter_family(
+      "crowdweb_mining_users_total",
+      "Re-mined users whose entry was served from their kept pattern counts (path=counted, "
+      "no PrefixSpan ran) or mined in full (path=mined: first touch, a refile, or counts "
+      "no longer provably complete).",
+      {"shard", "path"});
+  mining_counted_ = &mining_users.with_labels({shard, "counted"});
+  mining_mined_ = &mining_users.with_labels({shard, "mined"});
   mining_truncated_ = counter(
       "crowdweb_mining_truncated_total",
       "Per-user re-mines whose pattern set was cut short by the max_patterns cap "
@@ -567,9 +575,11 @@ Status IngestWorker::rebuild_and_publish() {
   // Stage 2: mine — phase 2 for the touched users only, sharded across
   // the mining pool. Each user's kept day-shape index files just the
   // records the delta appended (or refiles from the first record when
-  // one landed at or before the last filed), and the user re-mines from
-  // it; the result batch-merges into the shared mobility table
-  // (untouched entries stay shared with the previous epoch).
+  // one landed at or before the last filed), updating the counts of its
+  // kept pattern set; the user's entry is served from those counts while
+  // they are exact, else mined in full from the shapes. The result
+  // batch-merges into the shared mobility table (untouched entries stay
+  // shared with the previous epoch).
   telemetry::ScopedTimer mine_timer(stage_mine_seconds_);
   patterns::MobilityOptions mobility_options;
   mobility_options.sequences = pipeline_.sequences;
@@ -589,14 +599,16 @@ Status IngestWorker::rebuild_and_publish() {
   if (!changed.empty()) {
     std::vector<patterns::UserMobility> updates(changed.size());
     std::vector<std::uint8_t> appended(changed.size(), 0);
+    std::vector<std::uint8_t> counted(changed.size(), 0);
     util::parallel_for(changed.size(), pipeline_.mining_threads, [&](std::size_t i) {
       mining::HistoryIndex& history = kept[i]->history;
       const data::Dataset::UserColumns records = live_.checkins_for(changed[i]);
       const std::size_t from = history.resume_point(records);
       history.extend(records, from, taxonomy_);
       appended[i] = from > 0 ? 1 : 0;
-      updates[i] = patterns::mine_user_mobility(changed[i], history.shapes(),
-                                                history.day_count(), mobility_options);
+      bool by_count = false;
+      updates[i] = patterns::mine_user_mobility(changed[i], history, mobility_options, &by_count);
+      counted[i] = by_count ? 1 : 0;
     });
     for (const KeptUser* state : kept) kept_bytes_total_ += state->history.resident_bytes();
     history_bytes_->set(static_cast<double>(kept_bytes_total_));
@@ -604,6 +616,10 @@ Status IngestWorker::rebuild_and_publish() {
         static_cast<std::uint64_t>(std::count(appended.begin(), appended.end(), 1));
     history_appended_->increment(appended_users);
     history_refiled_->increment(changed.size() - appended_users);
+    const auto counted_users =
+        static_cast<std::uint64_t>(std::count(counted.begin(), counted.end(), 1));
+    mining_counted_->increment(counted_users);
+    mining_mined_->increment(changed.size() - counted_users);
     std::size_t emitted = 0;
     std::size_t truncated_users = 0;
     for (const patterns::UserMobility& entry : updates) {

@@ -266,9 +266,9 @@ class IngestWorker {
   std::unordered_set<data::UserId> pending_users_;  // changed since last epoch
   std::unordered_set<data::UserId> touched_users_;  // ever touched by deltas
   // Each re-mined user's kept state (never published): their days as a
-  // shape index, which an epoch extends by the records its delta
-  // appended, and their check-ins as a venue tally, which takes the
-  // delta's check-ins. Cleared when a checkpoint replaces the corpus; a
+  // shape index with its kept pattern set, which an epoch extends by the
+  // records its delta appended, and their check-ins as a venue tally,
+  // which takes the delta's check-ins. Cleared when a checkpoint replaces the corpus; a
   // user missing here refiles and recounts from their first record.
   struct KeptUser {
     explicit KeptUser(const mining::SequenceOptions& sequences) : history(sequences) {}
@@ -320,10 +320,13 @@ class IngestWorker {
   telemetry::Counter* delta_records_copied_ = nullptr;
   telemetry::Gauge* delta_last_events_ = nullptr;
   // Mining accounting (crowdweb_mining_*): what the per-user re-mines of
-  // each epoch emitted and — the one worth alerting on — how many were
-  // truncated at the max_patterns cap.
+  // each epoch emitted, how many were served by counting or mined in
+  // full, and — the one worth alerting on — how many were truncated at
+  // the max_patterns cap.
   telemetry::Counter* mining_emitted_ = nullptr;
   telemetry::Counter* mining_truncated_ = nullptr;
+  telemetry::Counter* mining_counted_ = nullptr;
+  telemetry::Counter* mining_mined_ = nullptr;
   // Kept per-user state accounting (crowdweb_ingest_history_*).
   telemetry::Counter* history_appended_ = nullptr;
   telemetry::Counter* history_refiled_ = nullptr;

@@ -63,10 +63,24 @@ struct Pattern {
   friend bool operator==(const Pattern&, const Pattern&) = default;
 };
 
+/// A pattern's relative support: its weighted count over the database's
+/// total weight. The miner and the kept pattern counts both take it
+/// from here, so their supports agree bit for bit.
+[[nodiscard]] inline double relative_support(std::size_t count, std::size_t total) noexcept {
+  return static_cast<double>(count) / static_cast<double>(total);
+}
+
 /// True when `needle` is a (not necessarily contiguous) subsequence of
 /// `haystack`.
 [[nodiscard]] bool is_subsequence(std::span<const Item> needle,
                                   std::span<const Item> haystack) noexcept;
+
+/// The weighted count a pattern needs to be frequent: the smallest
+/// integer c >= support x weight, where `support` is read as the
+/// shortest decimal that rounds to it (what a user wrote: 0.55 is 55/100,
+/// not the binary double just above it), so min_count(0.55, 100) is 55.
+/// Never below 1; every miner and oracle thresholds through it.
+[[nodiscard]] std::size_t min_count(double support, std::size_t weight) noexcept;
 
 /// Canonical order: by length, then lexicographically by items. Makes
 /// miner outputs directly comparable.

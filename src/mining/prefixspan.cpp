@@ -1,7 +1,6 @@
 #include "mining/prefixspan.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <unordered_map>
 
 namespace crowdweb::mining {
@@ -18,12 +17,11 @@ struct Projection {
 
 class Miner {
  public:
-  Miner(const SequenceColumns& db, const MiningOptions& options)
-      : db_(db), options_(options), total_weight_(db.total_weight()) {
-    min_count_ = static_cast<std::size_t>(
-        std::ceil(options.min_support * static_cast<double>(total_weight_)));
-    if (min_count_ == 0) min_count_ = 1;
-  }
+  Miner(const SequenceColumns& db, std::size_t min_count, const MiningOptions& options)
+      : db_(db),
+        options_(options),
+        total_weight_(db.total_weight()),
+        min_count_(std::max<std::size_t>(1, min_count)) {}
 
   std::vector<Pattern> run(MiningStats* stats) {
     // Root projection: every sequence from offset 0.
@@ -78,7 +76,7 @@ class Miner {
       Pattern pattern;
       pattern.items = prefix_;
       pattern.support_count = count;
-      pattern.support = static_cast<double>(count) / static_cast<double>(total_weight_);
+      pattern.support = relative_support(count, total_weight_);
       results_.push_back(std::move(pattern));
 
       // Project: advance each sequence past its first occurrence of item.
@@ -123,15 +121,18 @@ class Miner {
 
 std::vector<Pattern> prefixspan(const SequenceColumns& db, const MiningOptions& options,
                                 MiningStats* stats) {
+  return prefixspan(db, min_count(options.min_support, db.total_weight()), options, stats);
+}
+
+std::vector<Pattern> prefixspan(const SequenceColumns& db, std::size_t min_count,
+                                const MiningOptions& options, MiningStats* stats) {
   if (stats != nullptr) *stats = {};
   if (db.empty()) return {};
-  return Miner(db, options).run(stats);
+  return Miner(db, min_count, options).run(stats);
 }
 
 std::vector<Pattern> prefixspan(const SequenceDb& db, const MiningOptions& options,
                                 MiningStats* stats) {
-  if (stats != nullptr) *stats = {};
-  if (db.empty()) return {};
   // Flatten once; the miner only ever reads through the view.
   std::vector<Item> items;
   std::vector<std::uint32_t> offsets;
@@ -144,8 +145,7 @@ std::vector<Pattern> prefixspan(const SequenceDb& db, const MiningOptions& optio
     items.insert(items.end(), sequence.begin(), sequence.end());
     offsets.push_back(static_cast<std::uint32_t>(items.size()));
   }
-  const SequenceColumns view{items, offsets};
-  return Miner(view, options).run(stats);
+  return prefixspan(SequenceColumns{items, offsets}, options, stats);
 }
 
 }  // namespace crowdweb::mining

@@ -27,12 +27,23 @@
 namespace crowdweb::mining {
 
 /// Mines all frequent sequential patterns of `db` at `options.min_support`
-/// (relative to db.total_weight()). Results are in canonical order (see
+/// (relative to db.total_weight(): at least min_count(min_support,
+/// total weight) weighted sequences). Results are in canonical order (see
 /// sort_patterns). When
 /// `stats` is non-null it receives emitted/explored counts and the
 /// truncated flag (max_patterns suppressed an emission).
 [[nodiscard]] std::vector<Pattern> prefixspan(const SequenceColumns& db,
                                               const MiningOptions& options = {},
+                                              MiningStats* stats = nullptr);
+
+/// The same mine at an absolute weighted count instead of
+/// options.min_support: every pattern whose support_count is at least
+/// `min_count` (1 when 0). Supports stay relative to db.total_weight().
+/// The kept pattern set of a HistoryIndex is mined below the serving
+/// threshold through it.
+[[nodiscard]] std::vector<Pattern> prefixspan(const SequenceColumns& db,
+                                              std::size_t min_count,
+                                              const MiningOptions& options,
                                               MiningStats* stats = nullptr);
 
 /// Nested-vector convenience overload: flattens `db` and delegates.

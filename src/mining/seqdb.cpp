@@ -18,6 +18,18 @@ std::uint64_t hash_labels(std::span<const Item> labels) noexcept {
   return hash;
 }
 
+/// When `pattern` is a subsequence of `haystack`, calls visit(p, i) for
+/// each pattern position p with the index i of the element its greedy
+/// first embedding matches, and returns true.
+template <typename Visit>
+bool embed(std::span<const Item> pattern, std::span<const Item> haystack, Visit&& visit) {
+  if (!is_subsequence(pattern, haystack)) return false;
+  for (std::size_t i = 0, p = 0; p < pattern.size(); ++i) {
+    if (haystack[i] == pattern[p]) visit(p++, i);
+  }
+  return true;
+}
+
 }  // namespace
 
 void DayShapes::reserve(std::size_t item_count) {
@@ -98,11 +110,101 @@ void DayShapes::remove_last(std::span<const Item> day_items,
   if (offsets.size() == 1) offsets.clear();
 }
 
+std::size_t DayShapes::embedding_sums(std::span<const Item> pattern,
+                                      std::span<double> sums) const {
+  std::size_t count = 0;
+  for (std::size_t s = 0; s < size(); ++s) {
+    const std::size_t base = offsets[s];
+    if (embed(pattern, shape(s), [&](std::size_t p, std::size_t i) {
+          sums[2 * p] += minute_sum[base + i];
+          sums[2 * p + 1] += minute_sq_sum[base + i];
+        }))
+      count += days[s];
+  }
+  return count;
+}
+
 std::size_t DayShapes::resident_bytes() const noexcept {
   return items.capacity() * sizeof(Item) + offsets.capacity() * sizeof(std::uint32_t) +
          days.capacity() * sizeof(std::uint32_t) +
          (minute_sum.capacity() + minute_sq_sum.capacity()) * sizeof(double) +
          slots_.capacity() * sizeof(std::uint32_t) + hashes_.capacity() * sizeof(std::uint64_t);
+}
+
+void KeptPatterns::reset(std::span<const Pattern> patterns, const DayShapes& shapes,
+                         std::size_t floor) {
+  // Fresh columns at exact sizes: the set's capacity follows its size.
+  std::size_t item_count = 0;
+  for (const Pattern& pattern : patterns) item_count += pattern.items.size();
+  std::vector<Item> items;
+  std::vector<std::uint32_t> offsets;
+  std::vector<std::uint32_t> counts;
+  std::vector<double> sums(2 * item_count, 0.0);
+  items.reserve(item_count);
+  counts.reserve(patterns.size());
+  if (!patterns.empty()) {
+    offsets.reserve(patterns.size() + 1);
+    offsets.push_back(0);
+  }
+  for (const Pattern& pattern : patterns) {
+    const std::size_t begin = items.size();
+    items.insert(items.end(), pattern.items.begin(), pattern.items.end());
+    offsets.push_back(static_cast<std::uint32_t>(items.size()));
+    counts.push_back(static_cast<std::uint32_t>(shapes.embedding_sums(
+        pattern.items, std::span<double>(sums).subspan(2 * begin, 2 * pattern.items.size()))));
+  }
+  items_ = std::move(items);
+  offsets_ = std::move(offsets);
+  counts_ = std::move(counts);
+  sums_ = std::move(sums);
+  floor_ = floor;
+  added_ = 0;
+  valid_ = true;
+}
+
+void KeptPatterns::clear() noexcept {
+  items_ = {};
+  offsets_ = {};
+  counts_ = {};
+  sums_ = {};
+  floor_ = 0;
+  added_ = 0;
+  valid_ = false;
+}
+
+void KeptPatterns::add_day(std::span<const Item> day_items, std::span<const int> day_minutes) {
+  if (!valid_) return;
+  ++added_;
+  for (std::size_t k = 0; k < size(); ++k) {
+    double* sums = sums_.data() + 2 * offsets_[k];
+    if (embed(items(k), day_items, [&](std::size_t p, std::size_t i) {
+          const double minute = day_minutes[i];
+          sums[2 * p] += minute;
+          sums[2 * p + 1] += minute * minute;
+        }))
+      ++counts_[k];
+  }
+}
+
+void KeptPatterns::remove_day(std::span<const Item> day_items,
+                              std::span<const int> day_minutes) {
+  if (!valid_) return;
+  // Integer-valued sums: subtracting restores the exact earlier bits.
+  for (std::size_t k = 0; k < size(); ++k) {
+    double* sums = sums_.data() + 2 * offsets_[k];
+    if (embed(items(k), day_items, [&](std::size_t p, std::size_t i) {
+          const double minute = day_minutes[i];
+          sums[2 * p] -= minute;
+          sums[2 * p + 1] -= minute * minute;
+        }))
+      --counts_[k];
+  }
+}
+
+std::size_t KeptPatterns::resident_bytes() const noexcept {
+  return items_.capacity() * sizeof(Item) +
+         (offsets_.capacity() + counts_.capacity()) * sizeof(std::uint32_t) +
+         sums_.capacity() * sizeof(double);
 }
 
 void UserSequences::append_day(std::span<const Item> day_items,
@@ -137,6 +239,7 @@ void HistoryIndex::extend(const data::Dataset::UserColumns& records, std::size_t
   if (from == 0) {
     splitter_ = DaySplitter(options_);
     shapes_ = DayShapes{};
+    kept_.clear();
     days_ = 0;
   }
   const auto timestamps = records.timestamps();
@@ -145,11 +248,13 @@ void HistoryIndex::extend(const data::Dataset::UserColumns& records, std::size_t
     // The new records extend the open day: take it back out, refile it
     // once it is complete again.
     shapes_.remove_last(splitter_.open_items(), splitter_.open_minutes());
+    kept_.remove_day(splitter_.open_items(), splitter_.open_minutes());
     --days_;
     splitter_.reopen();
   }
   const auto file = [this](std::span<const Item> day_items, std::span<const int> day_minutes) {
     shapes_.add(day_items, day_minutes);
+    kept_.add_day(day_items, day_minutes);
     ++days_;
   };
   for (std::size_t i = from; i < records.size(); ++i)
@@ -161,7 +266,8 @@ void HistoryIndex::extend(const data::Dataset::UserColumns& records, std::size_t
 }
 
 std::size_t HistoryIndex::resident_bytes() const noexcept {
-  return sizeof(HistoryIndex) + shapes_.resident_bytes() + splitter_.resident_bytes();
+  return sizeof(HistoryIndex) + shapes_.resident_bytes() + splitter_.resident_bytes() +
+         kept_.resident_bytes();
 }
 
 UserSequences build_day_sequences(std::span<const Item> labels,

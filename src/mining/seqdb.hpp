@@ -29,6 +29,12 @@
 // /api/analyze, and the HistoryIndex — the shape index alone, which the
 // ingest worker keeps per user across epochs and extends with only the
 // records each epoch appends.
+//
+// A HistoryIndex also keeps a pattern set (KeptPatterns, after IncSpan:
+// Cheng, Yan and Han, KDD 2004): the patterns just below the serving
+// threshold at the last full mine, whose counts and minute sums every
+// filed day updates, so an epoch can serve the frequent set by counting
+// instead of mining while the counts are provably complete.
 #pragma once
 
 #include <algorithm>
@@ -112,6 +118,13 @@ struct DayShapes {
   /// field equals a build that never saw the day.
   void remove_last(std::span<const Item> day_items, std::span<const int> day_minutes);
 
+  /// Counts `pattern` over the shapes at its greedy first embedding:
+  /// for every shape that contains it, adds the shape's per-position
+  /// minute sum and squares at the embedded positions into sums[2p] and
+  /// sums[2p + 1] (`sums` holds 2 x pattern.size() entries), and returns
+  /// those shapes' days, the pattern's weighted count.
+  std::size_t embedding_sums(std::span<const Item> pattern, std::span<double> sums) const;
+
   /// Heap bytes held (every column and the lookup table, by capacity).
   [[nodiscard]] std::size_t resident_bytes() const noexcept;
 
@@ -125,6 +138,74 @@ struct DayShapes {
   /// 0 when empty; `hashes_[s]` is shape s's label hash. Load <= 1/2.
   std::vector<std::uint32_t> slots_;
   std::vector<std::uint64_t> hashes_;
+};
+
+/// Days of slack below the serving threshold a full mine keeps patterns
+/// for (IncSpan's buffer): a mine that serves count c keeps every
+/// pattern with count >= max(1, c - kKeptBufferDays), so about that many
+/// appended days can be served by counting before the next full mine.
+inline constexpr std::size_t kKeptBufferDays = 8;
+
+/// A pattern set kept across appended days (IncSpan): every pattern
+/// whose weighted count reached floor() at the last full mine, with its
+/// count and, per position, the sums of the minutes (and of their
+/// squares) at its greedy first embedding in every recorded day that
+/// contains it. Each day filed since then added to the counts and sums
+/// of the patterns it contains, each day taken back out subtracted, and
+/// A counts the filings (a refiled open day again). A pattern outside
+/// the set had count <= floor() - 1 at that mine and has gained at most
+/// A since, so while A + floor() <= c (exact_at(c)) the set holds every
+/// pattern with count >= c, with exact counts and sums. Minutes are
+/// integers, so the sums are exact integer-valued doubles, equal to the
+/// shapes' sums whatever order they were added in.
+///
+/// Stored flat: pattern k spans items[offsets[k], offsets[k+1]), in the
+/// miner's canonical order, and its sums interleave (sum, squares) per
+/// position, parallel to its items.
+class KeptPatterns {
+ public:
+  /// Whether a full mine filled the set (it was not dropped since).
+  [[nodiscard]] bool valid() const noexcept { return valid_; }
+  [[nodiscard]] std::size_t size() const noexcept { return counts_.size(); }
+  /// Pattern k's labels (no bounds check).
+  [[nodiscard]] std::span<const Item> items(std::size_t k) const noexcept {
+    return std::span<const Item>(items_).subspan(offsets_[k], offsets_[k + 1] - offsets_[k]);
+  }
+  /// Pattern k's weighted count: recorded days containing it.
+  [[nodiscard]] std::size_t count(std::size_t k) const noexcept { return counts_[k]; }
+  /// Pattern k's minute sums: (sum, squares) per position.
+  [[nodiscard]] std::span<const double> sums(std::size_t k) const noexcept {
+    return std::span<const double>(sums_).subspan(2 * offsets_[k],
+                                                  2 * (offsets_[k + 1] - offsets_[k]));
+  }
+  /// The count every kept pattern had at the last full mine.
+  [[nodiscard]] std::size_t floor() const noexcept { return floor_; }
+  /// Whether the set holds every pattern with count >= `min_count`.
+  [[nodiscard]] bool exact_at(std::size_t min_count) const noexcept {
+    return valid_ && added_ + floor_ <= min_count;
+  }
+
+  /// Keeps `patterns`, a full mine of `shapes` at absolute count
+  /// `floor`, counting their sums over the shapes; A restarts at 0.
+  void reset(std::span<const Pattern> patterns, const DayShapes& shapes, std::size_t floor);
+  /// Drops the set (not valid until the next reset).
+  void clear() noexcept;
+  /// A day was filed: adds it to the patterns it contains.
+  void add_day(std::span<const Item> day_items, std::span<const int> day_minutes);
+  /// A filed day was taken back out: subtracts it.
+  void remove_day(std::span<const Item> day_items, std::span<const int> day_minutes);
+
+  /// Heap bytes held (by capacity).
+  [[nodiscard]] std::size_t resident_bytes() const noexcept;
+
+ private:
+  std::vector<Item> items_;
+  std::vector<std::uint32_t> offsets_;  ///< size()+1 entries (or none)
+  std::vector<std::uint32_t> counts_;
+  std::vector<double> sums_;            ///< 2 per item: sum, squares
+  std::size_t floor_ = 0;
+  std::size_t added_ = 0;  ///< A: days filed since the last full mine
+  bool valid_ = false;
 };
 
 /// The one rule that turns a user's time-ordered, labelled check-ins
@@ -245,6 +326,11 @@ struct UserSequences {
 /// shapes first (DayShapes::remove_last) and refile it, so after every
 /// extend the index equals a from-scratch build over the same records,
 /// bit for bit.
+///
+/// Beside the shapes it keeps a pattern set (KeptPatterns) that every
+/// filed and every taken-back day updates; a refile (extend from 0)
+/// drops it. patterns::mine_user_mobility over a HistoryIndex serves
+/// from it while it is exact and refills it (keep) on a full mine.
 class HistoryIndex {
  public:
   explicit HistoryIndex(const SequenceOptions& options = {}) noexcept
@@ -267,13 +353,24 @@ class HistoryIndex {
   void extend(const data::Dataset::UserColumns& records, std::size_t from,
               const data::Taxonomy& taxonomy);
 
-  /// Heap bytes held (shapes, lookup table and open day) plus the object.
+  /// The kept pattern set, updated by every extend.
+  [[nodiscard]] const KeptPatterns& kept() const noexcept { return kept_; }
+  /// Keeps `patterns`, a full mine of shapes() at absolute count `floor`.
+  void keep(std::span<const Pattern> patterns, std::size_t floor) {
+    kept_.reset(patterns, shapes_, floor);
+  }
+  /// Drops the kept pattern set: the next mine is a full one.
+  void drop_kept() noexcept { kept_.clear(); }
+
+  /// Heap bytes held (shapes, lookup table, open day and kept patterns)
+  /// plus the object.
   [[nodiscard]] std::size_t resident_bytes() const noexcept;
 
  private:
   SequenceOptions options_;
   DaySplitter splitter_;
   DayShapes shapes_;
+  KeptPatterns kept_;
   std::size_t days_ = 0;
   std::size_t filed_ = 0;
   std::int64_t last_timestamp_ = 0;

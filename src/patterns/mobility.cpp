@@ -11,48 +11,45 @@
 
 namespace crowdweb::patterns {
 
+namespace {
+
+/// The one formula from a pattern's minute sums to its visit times:
+/// element p's mean and spread over the `days` days that support the
+/// pattern, from sums[2p] (minutes) and sums[2p + 1] (their squares).
+/// annotate_pattern and the kept counts both annotate through it.
+void set_times(MobilityPattern& pattern, std::span<const double> sums, std::size_t days) {
+  if (days == 0) return;
+  for (std::size_t p = 0; p < pattern.elements.size(); ++p) {
+    const double mean = sums[2 * p] / static_cast<double>(days);
+    const double variance =
+        std::max(0.0, sums[2 * p + 1] / static_cast<double>(days) - mean * mean);
+    pattern.elements[p].mean_minute = mean;
+    pattern.elements[p].stddev_minute = std::sqrt(variance);
+  }
+}
+
+MobilityPattern unannotated(std::span<const mining::Item> items, std::size_t support_count,
+                            double support) {
+  MobilityPattern out;
+  out.support_count = support_count;
+  out.support = support;
+  out.elements.reserve(items.size());
+  for (const mining::Item item : items) out.elements.push_back({item, 0.0, 0.0});
+  return out;
+}
+
+}  // namespace
+
 MobilityPattern annotate_pattern(const mining::Pattern& pattern,
                                  const mining::DayShapes& shapes) {
-  MobilityPattern out;
-  out.support_count = pattern.support_count;
-  out.support = pattern.support;
-  out.elements.reserve(pattern.items.size());
-  for (const mining::Item item : pattern.items) out.elements.push_back({item, 0.0, 0.0});
-
-  // Accumulate minute-of-day per position over the greedy first embedding
-  // in every day that contains the pattern. Days of one shape share the
+  MobilityPattern out = unannotated(pattern.items, pattern.support_count, pattern.support);
+  // Minute-of-day per position over the greedy first embedding in every
+  // day that contains the pattern. Days of one shape share the
   // embedding, so each shape adds its days' per-position minute sums at
   // once; the sums are exact integers, so the result is bit-identical to
   // a day-by-day walk.
-  std::vector<double> sum(pattern.items.size(), 0.0);
-  std::vector<double> sum_sq(pattern.items.size(), 0.0);
-  std::vector<std::uint32_t> embedding(pattern.items.size(), 0);
-  std::size_t matched_days = 0;
-  for (std::size_t s = 0; s < shapes.size(); ++s) {
-    const auto shape = shapes.shape(s);
-    std::size_t position = 0;
-    for (std::size_t i = 0; i < shape.size() && position < pattern.items.size(); ++i) {
-      if (shape[i] == pattern.items[position]) {
-        embedding[position] = shapes.offsets[s] + static_cast<std::uint32_t>(i);
-        ++position;
-      }
-    }
-    if (position != pattern.items.size()) continue;  // shape does not support it
-    matched_days += shapes.days[s];
-    for (std::size_t p = 0; p < embedding.size(); ++p) {
-      sum[p] += shapes.minute_sum[embedding[p]];
-      sum_sq[p] += shapes.minute_sq_sum[embedding[p]];
-    }
-  }
-  if (matched_days > 0) {
-    for (std::size_t p = 0; p < out.elements.size(); ++p) {
-      const double mean = sum[p] / static_cast<double>(matched_days);
-      const double variance =
-          std::max(0.0, sum_sq[p] / static_cast<double>(matched_days) - mean * mean);
-      out.elements[p].mean_minute = mean;
-      out.elements[p].stddev_minute = std::sqrt(variance);
-    }
-  }
+  std::vector<double> sums(2 * pattern.items.size(), 0.0);
+  set_times(out, sums, shapes.embedding_sums(pattern.items, sums));
   return out;
 }
 
@@ -68,6 +65,49 @@ UserMobility mine_user_mobility(data::UserId user, const mining::DayShapes& shap
   out.patterns.reserve(mined.size());
   for (const mining::Pattern& pattern : mined)
     out.patterns.push_back(annotate_pattern(pattern, shapes));
+  return out;
+}
+
+UserMobility mine_user_mobility(data::UserId user, mining::HistoryIndex& history,
+                                const MobilityOptions& options, bool* counted,
+                                std::size_t buffer_days) {
+  const std::size_t days = history.day_count();
+  if (counted != nullptr) *counted = true;
+  if (days == 0) return mine_user_mobility(user, history.shapes(), 0, options);
+
+  const std::size_t threshold = mining::min_count(options.mining.min_support, days);
+  std::size_t explored = 0;
+  if (!history.kept().exact_at(threshold)) {
+    if (counted != nullptr) *counted = false;
+    const std::size_t floor = threshold > buffer_days ? threshold - buffer_days : 1;
+    mining::MiningStats stats;
+    const std::vector<mining::Pattern> mined =
+        mining::prefixspan(history.shapes().columns(), floor, options.mining, &stats);
+    if (stats.truncated) {
+      // A capped set cannot be counted forward: serve today's mine and
+      // keep nothing.
+      history.drop_kept();
+      return mine_user_mobility(user, history.shapes(), days, options);
+    }
+    history.keep(mined, floor);
+    explored = stats.explored;
+  }
+
+  // The kept set holds every frequent pattern with its exact count and
+  // sums, in the miner's canonical order: serve those at the threshold.
+  UserMobility out;
+  out.user = user;
+  out.recorded_days = days;
+  const mining::KeptPatterns& kept = history.kept();
+  for (std::size_t k = 0; k < kept.size(); ++k) {
+    const std::size_t count = kept.count(k);
+    if (count < threshold) continue;
+    out.patterns.push_back(
+        unannotated(kept.items(k), count, mining::relative_support(count, days)));
+    set_times(out.patterns.back(), kept.sums(k), count);
+  }
+  out.mining_stats.emitted = out.patterns.size();
+  out.mining_stats.explored = explored;
   return out;
 }
 

@@ -69,6 +69,24 @@ struct MobilityOptions {
                                               std::size_t day_count,
                                               const MobilityOptions& options = {});
 
+/// Phase 2 over a kept history index, the ingest worker's path: the same
+/// entry as mining the index's shapes above, bit for bit, but served
+/// from the index's kept pattern set (mining::KeptPatterns) by counting
+/// when that set is exact at today's threshold c = min_count(
+/// min_support, day_count). Otherwise mines in full at the floor
+/// max(1, c - buffer_days), keeps that set and serves its patterns with
+/// count >= c; a floor mine cut short by max_patterns keeps nothing and
+/// serves the mine at c instead. `*counted` (when non-null) is set to
+/// whether no PrefixSpan ran. A counted entry's mining_stats are
+/// {emitted = patterns served, explored = 0, truncated = false}; a full
+/// mine's report patterns served (not kept) and the floor mine's
+/// explored nodes. Call with the same options every time; production
+/// keeps buffer_days at mining::kKeptBufferDays (bench_mining sweeps it).
+[[nodiscard]] UserMobility mine_user_mobility(data::UserId user, mining::HistoryIndex& history,
+                                              const MobilityOptions& options,
+                                              bool* counted = nullptr,
+                                              std::size_t buffer_days = mining::kKeptBufferDays);
+
 /// Phase 2 for one user of `dataset`: indexes the user's days from
 /// scratch, then mines them as above.
 [[nodiscard]] UserMobility mine_user_mobility(const data::Dataset& dataset,

@@ -1,7 +1,8 @@
 // Live ingestion subsystem tests: the bounded MPSC queue under
 // concurrent producers and its wake threshold, the worker's validation,
-// epoch publication and wakeups per epoch, in-place appends under a
-// reader of a pinned epoch, the /api/ingest routes end
+// epoch publication and wakeups per epoch, counted re-mining against
+// from-scratch mines, in-place appends under a reader of a pinned epoch,
+// the /api/ingest routes end
 // to end over a real socket, and one invalid-row account at every
 // deployment shape.
 
@@ -25,6 +26,8 @@
 #include "ingest/snapshot.hpp"
 #include "ingest/worker.hpp"
 #include "json/json.hpp"
+#include "patterns/mobility.hpp"
+#include "reference/annotate_oracle.hpp"
 #include "shard/api.hpp"
 #include "shard/router.hpp"
 #include "telemetry/metrics.hpp"
@@ -439,6 +442,65 @@ TEST(IngestWorkerTest, KeptHistoryIndexRefilesOnFirstTouchAndOnEarlierEvents) {
                 .value(),
             0.0);
   worker->stop();
+}
+
+TEST(IngestWorkerTest, CountedReMinesPublishTheFromScratchEntries) {
+  // Many small epochs: six corpus users gain a day about every other
+  // epoch (a day's check-ins often span two epochs, so the open day is
+  // taken back out and refiled). After every epoch, every published
+  // entry equals a from-scratch mine of the published corpus.
+  const core::Platform& platform = test_platform();
+  telemetry::Registry registry;
+  ingest::IngestWorkerConfig config;
+  config.rebuild_interval = 5ms;
+  config.metrics = &registry;
+  auto worker = core::make_ingest_worker(platform, config);
+  ASSERT_TRUE(worker->start().is_ok());
+  patterns::MobilityOptions options;
+  options.sequences = platform.config().sequences;
+  options.mining = platform.config().mining;
+  const std::vector<data::CategoryId>& roots = platform.taxonomy().roots();
+  const std::span<const data::UserId> corpus_users = platform.experiment_dataset().users();
+  ASSERT_GE(corpus_users.size(), 6u);
+  constexpr std::int64_t kFirstDay = 2'000'000'000 / 86'400;  // after every corpus record
+  for (int epoch = 0; epoch < 40; ++epoch) {
+    std::vector<ingest::IngestEvent> events;
+    for (std::size_t u = 0; u < 6; ++u) {
+      if ((epoch + static_cast<int>(u)) % 3 == 0) continue;  // not every user every epoch
+      const std::int64_t day = kFirstDay + epoch / 2;
+      for (int k = 0; k < 2; ++k) {
+        const std::int64_t minute = (epoch % 2) * 600 + 420 + 90 * k;
+        ingest::IngestEvent event = valid_event(corpus_users[u], day * 86'400 + minute * 60);
+        event.category = roots[(u + static_cast<std::size_t>(k) * 3 +
+                                static_cast<std::size_t>(epoch / 7)) %
+                               roots.size()];
+        events.push_back(event);
+      }
+    }
+    const std::uint64_t next = worker->hub().epoch() + 1;
+    ASSERT_EQ(worker->submit(events).accepted, events.size());
+    ASSERT_TRUE(worker->wait_for_epoch(next, 5s));
+    const ingest::SnapshotPtr snapshot = worker->hub().current();
+    for (const patterns::UserMobility& entry : snapshot->mobility) {
+      EXPECT_EQ(patterns::entry_difference(
+                    entry, patterns::mine_user_mobility(snapshot->dataset, entry.user,
+                                                        platform.taxonomy(), options)),
+                "")
+          << "epoch " << snapshot->epoch << " user " << entry.user;
+    }
+  }
+  worker->stop();
+  telemetry::CounterFamily& users =
+      registry.counter_family("crowdweb_mining_users_total", "", {"shard", "path"});
+  const std::uint64_t counted = users.with_labels({"0", "counted"}).value();
+  const std::uint64_t mined = users.with_labels({"0", "mined"}).value();
+  EXPECT_GT(counted, mined);  // most re-mines were counted
+  EXPECT_GE(mined, 6u);       // every user's first touch mines in full
+  EXPECT_EQ(counted + mined, registry
+                                 .counter_family("crowdweb_ingest_delta_users_total", "",
+                                                 {"shard"})
+                                 .with_labels({"0"})
+                                 .value());
 }
 
 TEST(IngestWorkerTest, MergeAppendsInOrderDeltasWithoutCopyingHistories) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <vector>
 
 #include "data/dataset.hpp"
@@ -9,6 +10,7 @@
 #include "mining/prefixspan.hpp"
 #include "mining/seqdb.hpp"
 #include "patterns/mobility.hpp"
+#include "reference/annotate_oracle.hpp"
 #include "reference/gsp.hpp"
 #include "reference/naive.hpp"
 #include "reference/pattern_oracle.hpp"
@@ -122,6 +124,71 @@ TEST(PrefixSpanTest, MaxPatternsCap) {
   options.min_support = 1.0;
   options.max_patterns = 50;
   EXPECT_EQ(prefixspan(db, options).size(), 50u);
+}
+
+TEST(MinCountTest, MatchesIntegerArithmeticForEveryTwoDecimalSupport) {
+  // Read as the decimal a user writes, p/100 of W days needs
+  // ceil(p * W / 100) days: no binary rounding may push it up by one.
+  for (std::size_t p = 1; p <= 100; ++p) {
+    const double support = static_cast<double>(p) / 100.0;
+    for (std::size_t weight = 1; weight <= 10'000; ++weight) {
+      const std::size_t expected = (p * weight + 99) / 100;
+      if (min_count(support, weight) != expected) {
+        ADD_FAILURE() << "min_count(" << support << ", " << weight << ") = "
+                      << min_count(support, weight) << ", want " << expected;
+        return;
+      }
+    }
+  }
+  // The defaults and the paper's sweep are dyadic, so there the rule
+  // reads what ceil(support x weight) always read: served sets and
+  // bodies under them do not move.
+  for (const double support : {0.25, 0.375, 0.5, 0.625, 0.75}) {
+    for (std::size_t weight = 1; weight <= 10'000; ++weight) {
+      ASSERT_EQ(min_count(support, weight),
+                static_cast<std::size_t>(std::ceil(support * static_cast<double>(weight))))
+          << support << " x " << weight;
+    }
+  }
+  EXPECT_EQ(min_count(0.55, 100), 55u);
+  EXPECT_EQ(min_count(0.55, 180), 99u);
+  EXPECT_EQ(min_count(0.375, 8), 3u);
+  EXPECT_EQ(min_count(1.0, 7), 7u);
+  EXPECT_EQ(min_count(1e-30, 1'000), 1u);  // never below one sequence
+  EXPECT_EQ(min_count(0.0, 10), 1u);
+}
+
+TEST(MinCountTest, PatternOnExactlyTheSupportFractionIsFrequent) {
+  // 55 of 100 days hold {1, 2}: at min_support 0.55 it is frequent, for
+  // PrefixSpan and every oracle alike.
+  SequenceDb db;
+  for (int d = 0; d < 100; ++d)
+    db.push_back(d < 55 ? std::vector<Item>{1, 2} : std::vector<Item>{3});
+  MiningOptions options;
+  options.min_support = 0.55;
+  const std::vector<Pattern> expected{{{1}, 55, 0.55}, {{2}, 55, 0.55}, {{1, 2}, 55, 0.55}};
+  EXPECT_EQ(prefixspan(db, options), expected);
+  EXPECT_EQ(gsp(db, options), expected);
+  EXPECT_EQ(naive_miner(db, options), expected);
+  EXPECT_EQ(spade(db, options), expected);
+}
+
+TEST(PrefixSpanTest, AbsoluteCountOverloadMinesAtThatCount) {
+  const SequenceDb db{{1, 2}, {1, 2}, {1}, {3}};
+  std::vector<Item> items;
+  std::vector<std::uint32_t> offsets{0};
+  for (const auto& sequence : db) {
+    items.insert(items.end(), sequence.begin(), sequence.end());
+    offsets.push_back(static_cast<std::uint32_t>(items.size()));
+  }
+  const SequenceColumns columns{items, offsets};
+  MiningOptions half;
+  half.min_support = 0.5;
+  MiningOptions all;
+  all.min_support = 1.0;  // the count overload ignores min_support
+  EXPECT_EQ(prefixspan(columns, 2, all), prefixspan(columns, half));
+  EXPECT_EQ(prefixspan(columns, 1, all).size(), 4u);  // {1} {2} {3} {1 2}
+  EXPECT_EQ(prefixspan(columns, 0, all).size(), 4u);  // 0 means 1
 }
 
 TEST(PrefixSpanTest, MinSupportOneRequiresAllSequences) {
@@ -734,9 +801,14 @@ class GrowingHistory {
  public:
   static constexpr data::UserId kUser = 3;
 
-  explicit GrowingHistory(std::uint64_t seed) : rng_(seed) {
+  /// Check-ins land on `venues` venues (one category each); with
+  /// `drift`, each record's venue is drawn from a window of four that
+  /// moves up by one every 12 records, so labels and the patterns over
+  /// them keep appearing as the history grows.
+  explicit GrowingHistory(std::uint64_t seed, int venues = 4, bool drift = false)
+      : rng_(seed), venues_(venues), drift_(drift) {
     data::DatasetBuilder builder;
-    for (int v = 0; v < 4; ++v) {
+    for (int v = 0; v < venues_; ++v) {
       data::VenueSpec venue;
       venue.id = static_cast<data::VenueId>(v);
       venue.name = "venue-" + std::to_string(v);
@@ -766,7 +838,10 @@ class GrowingHistory {
       last_ = std::max(last_, timestamp);
       data::CheckIn checkin;
       checkin.user = kUser;
-      checkin.venue = static_cast<data::VenueId>(rng_.uniform_int(0, 3));
+      const int low = drift_ ? static_cast<int>(records_ / 12) % (venues_ - 3) : 0;
+      checkin.venue = static_cast<data::VenueId>(
+          rng_.uniform_int(low, drift_ ? low + 3 : venues_ - 1));
+      ++records_;
       checkin.category = static_cast<data::CategoryId>(checkin.venue);
       checkin.position = {40.70 + 0.01 * checkin.venue, -74.00};
       checkin.timestamp = timestamp;
@@ -780,6 +855,9 @@ class GrowingHistory {
 
  private:
   Rng rng_;
+  int venues_ = 4;
+  bool drift_ = false;
+  std::size_t records_ = 0;
   data::Dataset dataset_;
   std::int64_t last_ = 40 * 86'400 + 7 * 3'600;
 };
@@ -852,6 +930,173 @@ TEST(HistoryIndexTest, OnlyLaterRecordsResumeTheIndex) {
   ASSERT_TRUE(later_builder.add_checkin(later).is_ok());
   const data::Dataset extended = later_builder.build();
   EXPECT_EQ(kept.resume_point(extended.checkins_for(GrowingHistory::kUser)), first.size());
+}
+
+// ------------------------------------ Kept pattern set (counted re-mining)
+
+/// Extends `kept` by the user's grown column and serves it through the
+/// kept path; the entry must equal a from-scratch mine, bit for bit.
+/// Returns the entry and sets `*counted` to whether it was counted.
+patterns::UserMobility expect_kept_entry_equals_scratch(
+    HistoryIndex& kept, const GrowingHistory& history, const data::Dataset::UserColumns& records,
+    const patterns::MobilityOptions& options, const std::string& where, bool* counted) {
+  const data::Taxonomy& tax = data::Taxonomy::foursquare();
+  kept.extend(records, kept.resume_point(records), tax);
+  patterns::UserMobility entry =
+      patterns::mine_user_mobility(GrowingHistory::kUser, kept, options, counted);
+  const patterns::UserMobility scratch =
+      patterns::mine_user_mobility(history.dataset(), GrowingHistory::kUser, tax, options);
+  EXPECT_EQ(patterns::entry_difference(entry, scratch), "") << where;
+  if (*counted) {
+    EXPECT_EQ(entry.mining_stats.explored, 0u) << where;
+  }
+  return entry;
+}
+
+TEST(KeptPatternsTest, CountedEntriesEqualFromScratchMinesEveryEpoch) {
+  // Histories grown chunk by chunk through the incremental merge (same-
+  // day appends reopen the open day, equal and earlier timestamps
+  // refile), from the first record on: young users' floors clamp at 1.
+  const std::vector<double> supports{0.1, 0.25, 0.5, 0.55, 0.75, 1.0};
+  std::size_t counted = 0;
+  std::size_t mined = 0;
+  std::uint64_t seed = 9'100;
+  for (const double support : supports) {
+    for (const bool collapse : {true, false}) {
+      for (std::size_t min_day_length = 1; min_day_length <= 3; ++min_day_length) {
+        for (const bool drift : {false, true}) {
+          patterns::MobilityOptions options;
+          options.sequences.mode = LabelMode::kVenue;
+          options.sequences.collapse_repeats = collapse;
+          options.sequences.min_day_length = min_day_length;
+          options.mining.min_support = support;
+          GrowingHistory history(++seed, drift ? 9 : 4, drift);
+          HistoryIndex kept(options.sequences);
+          for (int chunk = 0; chunk < 90; ++chunk) {
+            const std::string where = "support " + std::to_string(support) + " collapse " +
+                                      std::to_string(collapse) + " min_day_length " +
+                                      std::to_string(min_day_length) + " seed " +
+                                      std::to_string(seed) + " chunk " + std::to_string(chunk);
+            const data::Dataset::UserColumns records = history.grow(chunk > 0);
+            bool by_count = false;
+            (void)expect_kept_entry_equals_scratch(kept, history, records, options, where,
+                                                   &by_count);
+            ++(by_count ? counted : mined);
+          }
+        }
+      }
+    }
+  }
+  // Both paths ran, and counting served most epochs.
+  EXPECT_GT(mined, 0u);
+  EXPECT_GT(counted, mined);
+}
+
+TEST(KeptPatternsTest, TinyMaxPatternsFallsBackToTheMineAtTheThreshold) {
+  // A floor mine cut short by max_patterns keeps nothing: the entry is
+  // today's (truncated) mine at the threshold.
+  std::size_t truncated = 0;
+  for (const std::size_t cap : {1u, 2u, 3u, 5u, 8u}) {
+    patterns::MobilityOptions options;
+    options.sequences.mode = LabelMode::kVenue;
+    options.mining.min_support = 0.5;
+    options.mining.max_patterns = cap;
+    GrowingHistory history(9'300 + cap, 6, true);
+    HistoryIndex kept(options.sequences);
+    for (int chunk = 0; chunk < 60; ++chunk) {
+      const std::string where = "cap " + std::to_string(cap) + " chunk " + std::to_string(chunk);
+      const data::Dataset::UserColumns records = history.grow(chunk > 0);
+      bool counted = false;
+      const patterns::UserMobility entry =
+          expect_kept_entry_equals_scratch(kept, history, records, options, where, &counted);
+      if (entry.mining_stats.truncated) {
+        ++truncated;
+        EXPECT_FALSE(counted) << where;
+        EXPECT_FALSE(kept.kept().valid()) << where;
+      }
+    }
+  }
+  EXPECT_GT(truncated, 0u);
+}
+
+/// One user, one check-in a day at venue 0, days [first, first + count).
+data::Dataset routine_days(const data::Dataset& base, std::int64_t first, std::int64_t count) {
+  data::DatasetBuilder builder(base);
+  if (base.venue_count() == 0) {
+    data::VenueSpec venue;
+    venue.id = 0;
+    venue.name = "venue-0";
+    venue.category = 0;
+    venue.position = {40.70, -74.00};
+    EXPECT_TRUE(builder.add_venue(venue).is_ok());
+  }
+  for (std::int64_t day = first; day < first + count; ++day) {
+    data::CheckIn checkin;
+    checkin.user = 1;
+    checkin.venue = 0;
+    checkin.category = 0;
+    checkin.position = {40.70, -74.00};
+    checkin.timestamp = day * 86'400 + 9 * 3'600;
+    EXPECT_TRUE(builder.add_checkin(checkin).is_ok());
+  }
+  return builder.build();
+}
+
+TEST(KeptPatternsTest, FullMineOnlyOnceTheBufferIsSpent) {
+  // Identical days at min_support 0.5. A full mine over W days keeps the
+  // floor f = ceil(W / 2) - 8; after A more days the counts serve while
+  // A + f <= ceil((W + A) / 2): 17 days after a mine over 20 days (f =
+  // 2), and again 17 days after the one over 38 (f = 11).
+  const data::Taxonomy& tax = data::Taxonomy::foursquare();
+  patterns::MobilityOptions options;
+  options.mining.min_support = 0.5;
+  data::Dataset dataset = routine_days(data::Dataset{}, 100, 20);
+  HistoryIndex kept(options.sequences);
+  kept.extend(dataset.checkins_for(1), 0, tax);
+  bool counted = true;
+  (void)patterns::mine_user_mobility(1, kept, options, &counted);
+  EXPECT_FALSE(counted);  // first touch
+  EXPECT_EQ(kept.kept().floor(), 2u);
+  for (std::size_t days = 21; days <= 57; ++days) {
+    dataset = routine_days(dataset, 100 + static_cast<std::int64_t>(days) - 1, 1);
+    const data::Dataset::UserColumns records = dataset.checkins_for(1);
+    ASSERT_EQ(kept.resume_point(records), records.size() - 1);
+    kept.extend(records, kept.resume_point(records), tax);
+    ASSERT_EQ(kept.day_count(), days);
+    const patterns::UserMobility entry = patterns::mine_user_mobility(1, kept, options, &counted);
+    EXPECT_EQ(counted, days != 38 && days != 56) << days << " days";
+    EXPECT_EQ(patterns::entry_difference(entry, patterns::mine_user_mobility(dataset, 1, tax,
+                                                                             options)),
+              "")
+        << days << " days";
+    if (days == 38) {
+      EXPECT_EQ(kept.kept().floor(), 11u);
+    }
+  }
+
+  // A record not later than the last filed one refiles and drops the set.
+  data::DatasetBuilder builder(dataset);
+  data::CheckIn tie = dataset.checkins_for(1)[0];
+  ASSERT_TRUE(builder.add_checkin(tie).is_ok());
+  dataset = builder.build();
+  ASSERT_EQ(kept.resume_point(dataset.checkins_for(1)), 0u);
+  kept.extend(dataset.checkins_for(1), 0, tax);
+  EXPECT_FALSE(kept.kept().valid());
+  (void)patterns::mine_user_mobility(1, kept, options, &counted);
+  EXPECT_FALSE(counted);
+  EXPECT_TRUE(kept.kept().valid());
+}
+
+TEST(KeptPatternsTest, KeptSetIsCountedInTheIndexBytes) {
+  const data::Taxonomy& tax = data::Taxonomy::foursquare();
+  const data::Dataset dataset = routine_days(data::Dataset{}, 100, 20);
+  HistoryIndex kept;
+  kept.extend(dataset.checkins_for(1), 0, tax);
+  const std::size_t before = kept.resident_bytes();
+  (void)patterns::mine_user_mobility(1, kept, patterns::MobilityOptions{});
+  ASSERT_EQ(kept.kept().size(), 1u);
+  EXPECT_EQ(kept.resident_bytes(), before + kept.kept().resident_bytes());
+  EXPECT_GT(kept.kept().resident_bytes(), 0u);
 }
 
 }  // namespace

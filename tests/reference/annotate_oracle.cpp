@@ -1,7 +1,9 @@
 #include "reference/annotate_oracle.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 namespace crowdweb::patterns {
 
@@ -44,6 +46,50 @@ MobilityPattern annotate_pattern_per_day(const mining::Pattern& pattern,
     }
   }
   return out;
+}
+
+namespace {
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+}  // namespace
+
+std::string entry_difference(const UserMobility& actual, const UserMobility& expected) {
+  const auto differs = [](const std::string& what, auto a, auto b) {
+    return what + ": " + std::to_string(a) + " vs " + std::to_string(b);
+  };
+  if (actual.user != expected.user) return differs("user", actual.user, expected.user);
+  if (actual.recorded_days != expected.recorded_days)
+    return differs("recorded_days", actual.recorded_days, expected.recorded_days);
+  if (actual.mining_stats.emitted != expected.mining_stats.emitted)
+    return differs("emitted", actual.mining_stats.emitted, expected.mining_stats.emitted);
+  if (actual.mining_stats.truncated != expected.mining_stats.truncated)
+    return differs("truncated", actual.mining_stats.truncated, expected.mining_stats.truncated);
+  if (actual.patterns.size() != expected.patterns.size())
+    return differs("patterns", actual.patterns.size(), expected.patterns.size());
+  for (std::size_t k = 0; k < actual.patterns.size(); ++k) {
+    const MobilityPattern& a = actual.patterns[k];
+    const MobilityPattern& b = expected.patterns[k];
+    const std::string at = "pattern " + std::to_string(k) + " ";
+    if (a.support_count != b.support_count)
+      return differs(at + "support_count", a.support_count, b.support_count);
+    if (!same_bits(a.support, b.support)) return differs(at + "support", a.support, b.support);
+    if (a.elements.size() != b.elements.size())
+      return differs(at + "length", a.elements.size(), b.elements.size());
+    for (std::size_t p = 0; p < a.elements.size(); ++p) {
+      const TimedElement& x = a.elements[p];
+      const TimedElement& y = b.elements[p];
+      const std::string element = at + "element " + std::to_string(p) + " ";
+      if (x.label != y.label) return differs(element + "label", x.label, y.label);
+      if (!same_bits(x.mean_minute, y.mean_minute))
+        return differs(element + "mean", x.mean_minute, y.mean_minute);
+      if (!same_bits(x.stddev_minute, y.stddev_minute))
+        return differs(element + "stddev", x.stddev_minute, y.stddev_minute);
+    }
+  }
+  return "";
 }
 
 }  // namespace crowdweb::patterns

@@ -1,7 +1,6 @@
 #include "reference/gsp.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <set>
 #include <unordered_map>
 
@@ -54,9 +53,7 @@ std::vector<Pattern> gsp(const SequenceDb& db, const MiningOptions& options,
     if (stats != nullptr) *stats = local;
     return {};
   }
-  std::size_t min_count = static_cast<std::size_t>(
-      std::ceil(options.min_support * static_cast<double>(db.size())));
-  if (min_count == 0) min_count = 1;
+  const std::size_t min_count = mining::min_count(options.min_support, db.size());
 
   std::vector<Pattern> results;
 

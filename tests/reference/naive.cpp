@@ -1,7 +1,6 @@
 #include "reference/naive.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <unordered_map>
 
 #include "reference/pattern_oracle.hpp"
@@ -45,9 +44,7 @@ std::vector<Pattern> naive_miner(const SequenceDb& db, const MiningOptions& opti
     if (stats != nullptr) *stats = local;
     return {};
   }
-  std::size_t min_count = static_cast<std::size_t>(
-      std::ceil(options.min_support * static_cast<double>(db.size())));
-  if (min_count == 0) min_count = 1;
+  const std::size_t min_count = mining::min_count(options.min_support, db.size());
 
   // Alphabet: the globally frequent items (anything else cannot appear in
   // a frequent pattern).

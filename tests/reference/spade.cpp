@@ -1,7 +1,6 @@
 #include "reference/spade.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <map>
 
 namespace crowdweb::mining {
@@ -98,9 +97,7 @@ std::vector<Pattern> spade(const SequenceDb& db, const MiningOptions& options,
     if (stats != nullptr) *stats = local;
     return {};
   }
-  std::size_t min_count = static_cast<std::size_t>(
-      std::ceil(options.min_support * static_cast<double>(db.size())));
-  if (min_count == 0) min_count = 1;
+  const std::size_t min_count = mining::min_count(options.min_support, db.size());
 
   // Vertical format: id-lists per item.
   std::map<Item, IdList> id_lists;

@@ -25,6 +25,8 @@
 #include "http/server.hpp"
 #include "ingest/worker.hpp"
 #include "json/json.hpp"
+#include "patterns/mobility.hpp"
+#include "reference/annotate_oracle.hpp"
 #include "store/checkpoint.hpp"
 #include "store/crc32.hpp"
 #include "store/format.hpp"
@@ -1105,6 +1107,80 @@ Status start_from_image(const std::string& tag, store::Checkpoint image) {
     EXPECT_EQ(worker->hub().current(), nullptr);
   }
   return status;
+}
+
+/// A worker's crowdweb_mining_users_total{path} counter on shard 0.
+std::uint64_t mining_users(telemetry::Registry& registry, const std::string& path) {
+  return registry.counter_family("crowdweb_mining_users_total", "", {"shard", "path"})
+      .with_labels({"0", path})
+      .value();
+}
+
+/// Feeds `days` epochs, each a new day of two check-ins for six users,
+/// waiting for every epoch to publish.
+void feed_days(ingest::IngestWorker& worker, std::int64_t first_day, int days) {
+  for (int d = 0; d < days; ++d) {
+    std::vector<ingest::IngestEvent> events;
+    for (data::UserId user = 5'000; user < 5'006; ++user) {
+      for (std::int64_t k = 0; k < 2; ++k)
+        events.push_back(make_event(user, (first_day + d) * 86'400 + (8 + 5 * k) * 3'600));
+    }
+    const std::uint64_t accepted = worker.stats().accepted + events.size();
+    ASSERT_EQ(worker.submit(events).accepted, events.size());
+    const auto deadline = std::chrono::steady_clock::now() + 10s;
+    while (worker.hub().current()->live_checkins < accepted) {
+      ASSERT_LT(std::chrono::steady_clock::now(), deadline) << "day " << d << " never published";
+      std::this_thread::sleep_for(2ms);
+    }
+  }
+}
+
+/// Restarts a worker over `dir` on a fresh registry: its first epoch
+/// must mine every touched user in full (no kept counts survive a
+/// restart) and publish the from-scratch entries.
+void expect_recovery_mines_in_full(const ScratchDir& dir, std::size_t touched) {
+  telemetry::Registry registry;
+  ingest::IngestWorkerConfig config = worker_config(dir.str());
+  config.metrics = &registry;
+  auto worker = core::make_ingest_worker(test_platform(), config);
+  ASSERT_TRUE(worker->start().is_ok());
+  EXPECT_EQ(mining_users(registry, "mined"), touched);
+  EXPECT_EQ(mining_users(registry, "counted"), 0u);
+  const ingest::SnapshotPtr snapshot = worker->hub().current();
+  patterns::MobilityOptions options;
+  options.sequences = test_platform().config().sequences;
+  options.mining = test_platform().config().mining;
+  for (const patterns::UserMobility& entry : snapshot->mobility) {
+    EXPECT_EQ(patterns::entry_difference(
+                  entry, patterns::mine_user_mobility(snapshot->dataset, entry.user,
+                                                      test_platform().taxonomy(), options)),
+              "")
+        << "user " << entry.user;
+  }
+  worker->stop();
+}
+
+TEST(StoreWorkerTest, RecoveryFullMinesEveryTouchedUserInItsFirstEpoch) {
+  // Worker A counts most of its re-mines. A restart from its checkpoint
+  // alone (adopt) and from the checkpoint plus its WAL tail must both
+  // mine every touched user in full in the first epoch.
+  ScratchDir dir("recovery_mines");
+  ScratchDir adopt_only("recovery_mines_checkpoint");
+  telemetry::Registry registry;
+  ingest::IngestWorkerConfig config = worker_config(dir.str());
+  config.metrics = &registry;
+  auto worker = core::make_ingest_worker(test_platform(), config);
+  ASSERT_TRUE(worker->start().is_ok());
+  constexpr std::int64_t kFirstDay = 1'334'000'000 / 86'400;
+  feed_days(*worker, kFirstDay, 12);
+  ASSERT_TRUE(worker->checkpoint_now(10s).is_ok());
+  fs::copy(dir.path(), adopt_only.path(), fs::copy_options::recursive);
+  feed_days(*worker, kFirstDay + 12, 4);
+  EXPECT_GT(mining_users(registry, "counted"), mining_users(registry, "mined"));
+  worker->stop();
+
+  expect_recovery_mines_in_full(adopt_only, 6);
+  expect_recovery_mines_in_full(dir, 6);
 }
 
 TEST(StoreWorkerTest, CheckpointRowOutsideTheTaxonomyIsRefused) {
