@@ -162,42 +162,35 @@ void KeptPatterns::reset(std::span<const Pattern> patterns, const DayShapes& sha
   valid_ = true;
 }
 
-void KeptPatterns::clear() noexcept {
-  items_ = {};
-  offsets_ = {};
-  counts_ = {};
-  sums_ = {};
-  floor_ = 0;
-  added_ = 0;
-  valid_ = false;
-}
+void KeptPatterns::clear() noexcept { *this = KeptPatterns{}; }
 
 void KeptPatterns::add_day(std::span<const Item> day_items, std::span<const int> day_minutes) {
   if (!valid_) return;
   ++added_;
-  for (std::size_t k = 0; k < size(); ++k) {
-    double* sums = sums_.data() + 2 * offsets_[k];
-    if (embed(items(k), day_items, [&](std::size_t p, std::size_t i) {
-          const double minute = day_minutes[i];
-          sums[2 * p] += minute;
-          sums[2 * p + 1] += minute * minute;
-        }))
-      ++counts_[k];
-  }
+  count_day(day_items, day_minutes, 1.0);
 }
 
 void KeptPatterns::remove_day(std::span<const Item> day_items,
                               std::span<const int> day_minutes) {
-  if (!valid_) return;
   // Integer-valued sums: subtracting restores the exact earlier bits.
+  if (valid_) count_day(day_items, day_minutes, -1.0);
+}
+
+void KeptPatterns::count_day(std::span<const Item> day_items, std::span<const int> day_minutes,
+                             double sign) {
   for (std::size_t k = 0; k < size(); ++k) {
     double* sums = sums_.data() + 2 * offsets_[k];
     if (embed(items(k), day_items, [&](std::size_t p, std::size_t i) {
           const double minute = day_minutes[i];
-          sums[2 * p] -= minute;
-          sums[2 * p + 1] -= minute * minute;
-        }))
-      --counts_[k];
+          sums[2 * p] += sign * minute;
+          sums[2 * p + 1] += sign * (minute * minute);
+        })) {
+      if (sign > 0) {
+        ++counts_[k];
+      } else {
+        --counts_[k];
+      }
+    }
   }
 }
 

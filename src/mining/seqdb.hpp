@@ -199,6 +199,11 @@ class KeptPatterns {
   [[nodiscard]] std::size_t resident_bytes() const noexcept;
 
  private:
+  /// Adds (sign 1) or subtracts (sign -1) one day to the patterns it
+  /// contains.
+  void count_day(std::span<const Item> day_items, std::span<const int> day_minutes,
+                 double sign);
+
   std::vector<Item> items_;
   std::vector<std::uint32_t> offsets_;  ///< size()+1 entries (or none)
   std::vector<std::uint32_t> counts_;
