@@ -1,11 +1,14 @@
-// Shared setup for the experiment-reproduction benches.
+// Shared setup for the benches.
 //
 // Every figure bench runs on the same corpus the paper's Section III
 // uses: the calibrated paper-scale synthetic dump, restricted to the
 // April-June window, active users only. Building it costs a couple of
-// seconds, so benches construct it once and share it.
+// seconds, so benches construct it once and share it. The cost benches
+// share the timing and gate helpers at the end.
 #pragma once
 
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <map>
 #include <filesystem>
@@ -13,6 +16,8 @@
 #include <vector>
 
 #include "data/dataset.hpp"
+#include "data/dataset_io.hpp"
+#include "json/json.hpp"
 #include "patterns/mobility.hpp"
 #include "stats/summary.hpp"
 #include "synth/generator.hpp"
@@ -98,6 +103,39 @@ inline std::string output_dir() {
   const std::string dir = "bench_output";
   std::filesystem::create_directories(dir);
   return dir;
+}
+
+/// Milliseconds since `start` on the steady clock.
+inline double ms_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
+      .count();
+}
+
+/// The sample at rank p * n of the sorted samples (0 for none).
+inline double percentile(std::vector<double> samples, double p) {
+  if (samples.empty()) return 0.0;
+  std::sort(samples.begin(), samples.end());
+  const std::size_t rank = std::min(
+      samples.size() - 1, static_cast<std::size_t>(p * static_cast<double>(samples.size())));
+  return samples[rank];
+}
+
+/// Prints one gate's verdict, counting a failure in `*failures`.
+inline bool check(bool ok, const char* what, int* failures) {
+  std::printf("  [%s] %s\n", ok ? "PASS" : "FAIL", what);
+  if (!ok) ++*failures;
+  return ok;
+}
+
+/// Writes `report` as one JSON line to `path`; prints where, or why not.
+inline bool write_report(const std::string& path, const json::Value& report) {
+  const Status written = data::write_file(path, json::dump(report) + "\n");
+  if (!written.is_ok()) {
+    std::fprintf(stderr, "writing %s failed: %s\n", path.c_str(), written.to_string().c_str());
+    return false;
+  }
+  std::printf("wrote %s\n", path.c_str());
+  return true;
 }
 
 }  // namespace crowdweb::bench

@@ -40,9 +40,9 @@
 #include <thread>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "core/api.hpp"
 #include "core/platform.hpp"
-#include "data/dataset_io.hpp"
 #include "http/cache.hpp"
 #include "http/server.hpp"
 #include "ingest/replay.hpp"
@@ -253,11 +253,7 @@ struct Args {
   std::string out = "BENCH_http.json";
 };
 
-bool check(bool ok, const char* what, int* failures) {
-  std::printf("  [%s] %s\n", ok ? "PASS" : "FAIL", what);
-  if (!ok) ++*failures;
-  return ok;
-}
+using bench::check;
 
 }  // namespace
 
@@ -597,13 +593,7 @@ int main(int argc, char** argv) {
   check(bodies_ok, "every rendered body is non-empty, 200 and parses", &failures);
 
   report.set("passed", failures == 0);
-  const Status written = data::write_file(args.out, json::dump(report) + "\n");
-  if (!written.is_ok()) {
-    std::fprintf(stderr, "writing %s failed: %s\n", args.out.c_str(),
-                 written.to_string().c_str());
-    return 1;
-  }
-  std::printf("\nwrote %s\n", args.out.c_str());
+  if (!bench::write_report(args.out, report)) return 1;
   if (failures > 0) {
     std::fprintf(stderr, "%d assertion(s) failed\n", failures);
     return 1;

@@ -25,14 +25,7 @@
 
 using namespace crowdweb;
 using Clock = std::chrono::steady_clock;
-
-namespace {
-
-double ms_since(Clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(Clock::now() - start).count();
-}
-
-}  // namespace
+using bench::ms_since;
 
 int main() {
   std::printf("=== Live ingestion: throughput and epoch latency ===\n\n");

@@ -50,8 +50,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "crowd/model.hpp"
-#include "data/dataset_io.hpp"
 #include "json/json.hpp"
 #include "mining/prefixspan.hpp"
 #include "mining/seqdb.hpp"
@@ -65,20 +65,13 @@ using Clock = std::chrono::steady_clock;
 
 namespace {
 
-double ms_since(Clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(Clock::now() - start).count();
-}
+using bench::check;
+using bench::ms_since;
 
 struct Args {
   bool smoke = false;
   std::string out = "BENCH_mining.json";
 };
-
-bool check(bool ok, const char* what, int* failures) {
-  std::printf("  [%s] %s\n", ok ? "PASS" : "FAIL", what);
-  if (!ok) ++*failures;
-  return ok;
-}
 
 /// One user's dense telemetry history: a deterministic weekday routine
 /// and a shorter weekend routine over `days` days, with `noise` of the
@@ -641,13 +634,7 @@ int main(int argc, char** argv) {
                                      {"history_index", std::move(history_index)},
                                      {"incremental", std::move(incremental)},
                                      {"passed", failures == 0}});
-  const Status written = data::write_file(args.out, json::dump(output) + "\n");
-  if (!written.is_ok()) {
-    std::fprintf(stderr, "writing %s failed: %s\n", args.out.c_str(),
-                 written.to_string().c_str());
-    return 1;
-  }
-  std::printf("wrote %s\n", args.out.c_str());
+  if (!bench::write_report(args.out, output)) return 1;
   if (failures > 0) {
     std::fprintf(stderr, "%d assertion(s) failed\n", failures);
     return 1;

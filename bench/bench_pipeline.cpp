@@ -45,6 +45,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "crowd/model.hpp"
 #include "data/categories.hpp"
 #include "data/dataset.hpp"
@@ -65,17 +66,8 @@ using Clock = std::chrono::steady_clock;
 
 namespace {
 
-double ms_since(Clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(Clock::now() - start).count();
-}
-
-double percentile(std::vector<double> samples, double p) {
-  if (samples.empty()) return 0.0;
-  std::sort(samples.begin(), samples.end());
-  const std::size_t rank = std::min(
-      samples.size() - 1, static_cast<std::size_t>(p * static_cast<double>(samples.size())));
-  return samples[rank];
-}
+using bench::ms_since;
+using bench::percentile;
 
 struct Args {
   bool smoke = false;
@@ -399,8 +391,8 @@ int main(int argc, char** argv) {
     // worker does, and time it for context.
     const auto mine_start = Clock::now();
     const patterns::MobilityTable mobility = patterns::MobilityTable::from_entries(
-        patterns::mine_all_mobility_parallel(dataset, data::Taxonomy::foursquare(),
-                                             mobility_options));
+        patterns::mine_all_mobility(dataset, data::Taxonomy::foursquare(),
+                                    mobility_options, 0));
     const double mine_ms = ms_since(mine_start);
 
     // The epoch keeps the sequence DB resident alongside the corpus;
@@ -574,13 +566,7 @@ int main(int argc, char** argv) {
        {"corpora", std::move(corpora)},
        {"peak_rss_bytes", static_cast<std::int64_t>(peak)},
        {"passed", failures == 0}});
-  const Status written = data::write_file(args.out, json::dump(output) + "\n");
-  if (!written.is_ok()) {
-    std::fprintf(stderr, "writing %s failed: %s\n", args.out.c_str(),
-                 written.to_string().c_str());
-    return 1;
-  }
-  std::printf("wrote %s\n", args.out.c_str());
+  if (!bench::write_report(args.out, output)) return 1;
   if (failures > 0) {
     std::fprintf(stderr, "%d check(s) failed\n", failures);
     return 1;

@@ -22,8 +22,8 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "core/platform.hpp"
-#include "data/dataset_io.hpp"
 #include "http/router.hpp"
 #include "ingest/event.hpp"
 #include "json/json.hpp"
@@ -36,24 +36,13 @@ using Clock = std::chrono::steady_clock;
 
 namespace {
 
-double percentile(std::vector<double> samples, double p) {
-  if (samples.empty()) return 0.0;
-  std::sort(samples.begin(), samples.end());
-  const std::size_t rank = std::min(
-      samples.size() - 1, static_cast<std::size_t>(p * static_cast<double>(samples.size())));
-  return samples[rank];
-}
+using bench::check;
+using bench::percentile;
 
 struct Args {
   bool smoke = false;
   std::string out = "BENCH_shard.json";
 };
-
-bool check(bool ok, const char* what, int* failures) {
-  std::printf("  [%s] %s\n", ok ? "PASS" : "FAIL", what);
-  if (!ok) ++*failures;
-  return ok;
-}
 
 /// Live events at venues the corpus already knows, rotating through the
 /// whole user base so every epoch re-mines many users — the pipeline
@@ -219,13 +208,7 @@ int main(int argc, char** argv) {
                                      {"ingest_scaling_4_vs_1", scaling_4},
                                      {"ingest_scaling_8_vs_1", scaling_8},
                                      {"passed", failures == 0}});
-  const Status written = data::write_file(args.out, json::dump(output) + "\n");
-  if (!written.is_ok()) {
-    std::fprintf(stderr, "writing %s failed: %s\n", args.out.c_str(),
-                 written.to_string().c_str());
-    return 1;
-  }
-  std::printf("wrote %s\n", args.out.c_str());
+  if (!bench::write_report(args.out, output)) return 1;
   if (failures > 0) {
     std::fprintf(stderr, "%d assertion(s) failed\n", failures);
     return 1;

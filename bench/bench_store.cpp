@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "store/store.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
@@ -24,9 +25,7 @@ namespace fs = std::filesystem;
 
 namespace {
 
-double ms_since(Clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(Clock::now() - start).count();
-}
+using bench::ms_since;
 
 /// A fresh scratch directory under the system temp dir.
 std::string scratch_dir(const std::string& tag) {

@@ -34,8 +34,8 @@
 #include <thread>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "data/categories.hpp"
-#include "data/dataset_io.hpp"
 #include "http/router.hpp"
 #include "http/server.hpp"
 #include "ingest/replay.hpp"
@@ -150,11 +150,7 @@ struct Args {
   std::string out = "BENCH_transport.json";
 };
 
-bool check(bool ok, const char* what, int* failures) {
-  std::printf("  [%s] %s\n", ok ? "PASS" : "FAIL", what);
-  if (!ok) ++*failures;
-  return ok;
-}
+using bench::check;
 
 }  // namespace
 
@@ -458,13 +454,7 @@ int main(int argc, char** argv) {
   check(wakeups_per_epoch <= 4.0, "the worker wakes at most 4 times per epoch", &failures);
 
   report.set("passed", failures == 0);
-  const Status written = data::write_file(args.out, json::dump(report) + "\n");
-  if (!written.is_ok()) {
-    std::fprintf(stderr, "writing %s failed: %s\n", args.out.c_str(),
-                 written.to_string().c_str());
-    return 1;
-  }
-  std::printf("wrote %s\n", args.out.c_str());
+  if (!bench::write_report(args.out, report)) return 1;
   if (failures > 0) {
     std::fprintf(stderr, "%d assertion(s) failed\n", failures);
     return 1;

@@ -97,8 +97,8 @@ Status Platform::run_pipeline(data::Dataset full) {
   mobility_options.sequences = config_.sequences;
   mobility_options.mining = config_.mining;
   patterns::MobilityTable mobility = patterns::MobilityTable::from_entries(
-      patterns::mine_all_mobility_parallel(experiment, taxonomy(), mobility_options,
-                                           config_.mining_threads));
+      patterns::mine_all_mobility(experiment, taxonomy(), mobility_options,
+                                  config_.mining_threads));
   timings_.mining_ms = ms_since(phase2_start);
   observe_stage(config_.metrics, "mining", timings_.mining_ms);
   mining::MiningStats mining_totals;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -47,43 +48,19 @@ std::uint64_t window_of(std::int64_t timestamp, int window_seconds) noexcept {
   return static_cast<std::uint64_t>(second / window_seconds);
 }
 
-/// The tally one user's placement reads: the kept one when it counts at
-/// the model's window minutes, else one counted from the records on the
-/// first pick — most users never clear the support threshold, and
-/// skipping their count is most of the stage's win at scale.
-class UserTally {
- public:
-  UserTally(const data::Dataset& dataset, data::UserId user, const VenueTally* kept,
-            int window_minutes)
-      : dataset_(dataset),
-        user_(user),
-        window_minutes_(window_minutes),
-        tally_(kept != nullptr && kept->window_minutes() == window_minutes ? kept : nullptr) {}
-
-  [[nodiscard]] std::optional<data::VenueId> pick(mining::Item label, int window) {
-    if (tally_ == nullptr)
-      tally_ = &counted_.emplace(dataset_.checkins_for(user_), window_minutes_);
-    return tally_->pick(label, window);
-  }
-
- private:
-  const data::Dataset& dataset_;
-  data::UserId user_;
-  int window_minutes_;
-  const VenueTally* tally_;
-  std::optional<VenueTally> counted_;
-};
-
 /// Appends one user's placements into per-window scratch vectors. The
 /// full build and the incremental update place users through this
 /// single code path, so their outputs agree element-for-element.
-/// `kept` is the user's kept tally, or null to count their records.
+/// `kept` is the user's kept tally (update checked its window minutes),
+/// or null to count their records on the first pick (build): most users
+/// never clear the support threshold, and skipping their count is most
+/// of the build's win at scale.
 void append_user_placements(const data::Dataset& dataset, const patterns::UserMobility& user,
                             const geo::SpatialGrid& grid, const CrowdOptions& options,
                             const VenueTally* kept,
                             std::vector<std::vector<CrowdPlacement>>& out) {
   if (user.patterns.empty()) return;
-  UserTally venues(dataset, user.user, kept, options.window_minutes);
+  std::optional<VenueTally> counted;
   const int windows = static_cast<int>(out.size());
   // A user appears at most once per (window, label): dedupe elements of
   // different patterns that land in the same window.
@@ -95,7 +72,9 @@ void append_user_placements(const data::Dataset& dataset, const patterns::UserMo
       const int window =
           std::clamp(minute / options.window_minutes, 0, windows - 1);
       if (!placed.insert({window, element.label}).second) continue;
-      const auto venue_id = venues.pick(element.label, window);
+      if (kept == nullptr)
+        kept = &counted.emplace(dataset.checkins_for(user.user), options.window_minutes);
+      const auto venue_id = kept->pick(element.label, window);
       if (!venue_id) continue;
       const data::Venue* venue = dataset.venue(*venue_id);
       if (venue == nullptr) continue;
@@ -372,35 +351,30 @@ Result<CrowdModel> CrowdModel::update(const CrowdModel& previous,
   const int windows = previous.window_count();
   if (windows == 0)
     return invalid_argument("cannot update a default-constructed crowd model");
-  if (!tallies.empty() && tallies.size() != changed_users.size())
+  if (tallies.size() != changed_users.size())
     return invalid_argument("tallies must be parallel to the changed users");
+  if (std::ranges::adjacent_find(changed_users, std::greater_equal<>()) != changed_users.end())
+    return invalid_argument("changed users must be ascending without repeats");
+  for (const VenueTally* tally : tallies) {
+    if (tally == nullptr || tally->window_minutes() != previous.options_.window_minutes)
+      return invalid_argument(crowdweb::format(
+          "every changed user needs a tally kept at {} window minutes",
+          previous.options_.window_minutes));
+  }
 
-  // Place the changed users afresh, ascending by user id so each
+  // Place the changed users afresh in ascending id order, so each
   // window's fresh block is user-sorted like the full build's output.
-  std::vector<std::pair<data::UserId, const VenueTally*>> placed_users;
-  placed_users.reserve(changed_users.size());
-  for (std::size_t i = 0; i < changed_users.size(); ++i)
-    placed_users.emplace_back(changed_users[i], tallies.empty() ? nullptr : tallies[i]);
-  std::sort(placed_users.begin(), placed_users.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  const auto same_user = [](const auto& a, const auto& b) { return a.first == b.first; };
-  placed_users.erase(std::unique(placed_users.begin(), placed_users.end(), same_user),
-                     placed_users.end());
-  std::vector<data::UserId> changed;
-  changed.reserve(placed_users.size());
-  for (const auto& [user, tally] : placed_users) changed.push_back(user);
-
   std::vector<std::vector<CrowdPlacement>> fresh(static_cast<std::size_t>(windows));
-  for (const auto& [user, tally] : placed_users) {
-    if (const patterns::UserMobility* entry = mobility.find(user))
-      append_user_placements(dataset, *entry, model.grid_, model.options_, tally, fresh);
+  for (std::size_t i = 0; i < changed_users.size(); ++i) {
+    if (const patterns::UserMobility* entry = mobility.find(changed_users[i]))
+      append_user_placements(dataset, *entry, model.grid_, model.options_, tallies[i], fresh);
   }
 
   const auto is_changed = [&](data::UserId user) {
-    return std::binary_search(changed.begin(), changed.end(), user);
+    return std::ranges::binary_search(changed_users, user);
   };
   const auto contains_changed = [&](const std::vector<CrowdPlacement>& old) {
-    for (const data::UserId user : changed) {
+    for (const data::UserId user : changed_users) {
       // Placements are user-sorted; one binary search per changed user.
       const auto it = std::lower_bound(
           old.begin(), old.end(), user,

@@ -139,15 +139,16 @@ class CrowdModel {
   /// requires a full build); under that contract the result equals
   /// `build(dataset, mobility, previous.grid(), previous.options())`.
   ///
-  /// `tallies`, when not empty, is parallel to `changed_users`: entry i
-  /// is user i's kept tally over their records in `dataset`, or null to
-  /// count those records here. A tally kept at other window minutes
-  /// than the model's is not used.
+  /// `changed_users` is ascending without repeats, and `tallies` is
+  /// parallel to it: entry i is user i's kept tally over their records
+  /// in `dataset`, counted at the model's window minutes. Anything else
+  /// (unsorted users, a tally count that differs, a null tally or one
+  /// kept at other window minutes) fails with invalid_argument.
   static Result<CrowdModel> update(const CrowdModel& previous,
                                    const data::Dataset& dataset,
                                    const patterns::MobilityTable& mobility,
                                    std::span<const data::UserId> changed_users,
-                                   std::span<const VenueTally* const> tallies = {});
+                                   std::span<const VenueTally* const> tallies);
 
   [[nodiscard]] const geo::SpatialGrid& grid() const noexcept { return grid_; }
   [[nodiscard]] const CrowdOptions& options() const noexcept { return options_; }

@@ -7,7 +7,6 @@
 #include "telemetry/timer.hpp"
 #include "util/format.hpp"
 #include "util/log.hpp"
-#include "util/parallel.hpp"
 #include "util/thread_name.hpp"
 
 namespace crowdweb::ingest {
@@ -38,21 +37,6 @@ std::uint64_t venue_key(data::CategoryId category, const geo::LatLon& position) 
 bool admissible(const data::Taxonomy& taxonomy, data::CategoryId category,
                 const geo::LatLon& position, std::int64_t timestamp) {
   return category < taxonomy.size() && geo::is_valid(position) && timestamp > 0;
-}
-
-/// Feeds a delta to `builder` (the epoch merge and the checkpoint image
-/// share it).
-Status add_rows(data::DatasetBuilder& builder, std::span<const data::Venue> venues,
-                std::span<const data::CheckIn> checkins) {
-  for (const data::Venue& venue : venues) {
-    const Status status = builder.add_venue(venue);
-    if (!status.is_ok()) return status;
-  }
-  for (const data::CheckIn& checkin : checkins) {
-    const Status status = builder.add_checkin(checkin);
-    if (!status.is_ok()) return status;
-  }
-  return Status::ok();
 }
 
 }  // namespace
@@ -92,20 +76,23 @@ IngestWorker::IngestWorker(const data::Dataset& base,
 void IngestWorker::adopt_seed(const data::Dataset& base,
                               const patterns::MobilityTable& base_mobility,
                               crowd::CrowdModel crowd) {
-  // Shares the base's shards and venue table. A default-constructed
-  // base has no pool; an empty build gives the live dataset one, so
-  // every epoch interns into one pool.
-  live_ = base.name_pool() != nullptr ? base : data::DatasetBuilder().build();
-  mobility_ = base_mobility;  // shares every entry
-  crowd_ = std::move(crowd);  // shares every window
-  base_checkin_count_ = live_.checkin_count();
+  // Shares the base's shards and venue table, every mined entry and
+  // every crowd window. A default-constructed base has no pool; an empty
+  // build gives the live dataset one, so every epoch interns into one
+  // pool.
+  step_.emplace(base.name_pool() != nullptr ? base : data::DatasetBuilder().build(),
+                base_mobility, std::move(crowd), taxonomy_,
+                patterns::MobilityOptions{pipeline_.sequences, pipeline_.mining},
+                pipeline_.mining_threads);
+  base_checkin_count_ = step_->dataset().checkin_count();
   index_venues();
 }
 
 void IngestWorker::index_venues() {
+  const data::Dataset& live = step_->dataset();
   venue_index_.clear();
-  venue_index_.reserve(live_.venue_count());
-  for (const data::Venue& venue : live_.venues())
+  venue_index_.reserve(live.venue_count());
+  for (const data::Venue& venue : live.venues())
     venue_index_.emplace(venue_key(venue.category, venue.position), venue.id);
 }
 
@@ -299,8 +286,8 @@ Status IngestWorker::recover_from_store() {
   pending_users_ = touched_users_;
 
   // Replay the WAL tail through the same validate + merge path live
-  // events take: into the delta, which the first epoch's merge stage
-  // applies to `live_` like any other. The ingest counters stay
+  // events take: into the delta, which the first epoch's step merges
+  // like any other. The ingest counters stay
   // untouched — these events were counted when first accepted;
   // crowdweb_store_recovery_* records the replay. A checkpoint is
   // written only every so many WAL bytes, so most restarts see guest
@@ -353,11 +340,13 @@ Status IngestWorker::adopt_checkpoint(const store::Checkpoint& checkpoint) {
           "event rule", row, c.user, c.category, c.timestamp));
     if (Status status = builder.add_checkin(c); !status.is_ok()) return status;
   }
-  live_ = builder.build();
-  // The kept state counted the replaced corpus: every user refiles and
-  // recounts on touch.
-  kept_.clear();
-  kept_bytes_total_ = 0;
+  // A fresh step over the image, with no kept state: that counted the
+  // replaced corpus, so every user refiles and recounts on touch. The
+  // mobility table and crowd model stay the seed's until the first epoch
+  // re-derives every touched user.
+  *step_ = EpochStep(builder.build(), step_->mobility(), step_->crowd(), taxonomy_,
+                     patterns::MobilityOptions{pipeline_.sequences, pipeline_.mining},
+                     pipeline_.mining_threads);
   history_bytes_->set(0.0);
   base_checkin_count_ = checkpoint.base_checkin_count;
   touched_users_.clear();
@@ -503,9 +492,9 @@ void IngestWorker::write_checkpoint() {
   // epoch's buffer so far.
   journal();
   // The delta joins a scratch copy of the dataset (only its users'
-  // shards are rebuilt); `live_` itself takes it at the next epoch.
-  data::DatasetBuilder builder(live_);
-  Status status = add_rows(builder, delta_venues_, delta_checkins_);
+  // shards are rebuilt); the step's dataset takes it at the next epoch.
+  data::DatasetBuilder builder(step_->dataset());
+  Status status = add_delta(builder, delta_venues_, delta_checkins_);
   if (!status.is_ok()) {
     log_error("checkpoint failed: {}", status.to_string());
     return;
@@ -539,8 +528,9 @@ data::VenueId IngestWorker::resolve_venue(data::CategoryId category,
   const auto it = venue_index_.find(key);
   if (it != venue_index_.end()) return it->second;
   data::Venue venue;
-  venue.id = static_cast<data::VenueId>(live_.venue_count() + delta_venues_.size());
-  venue.name = live_.name_pool()->intern(crowdweb::format("live-{}", venue.id));
+  const data::Dataset& live = step_->dataset();
+  venue.id = static_cast<data::VenueId>(live.venue_count() + delta_venues_.size());
+  venue.name = live.name_pool()->intern(crowdweb::format("live-{}", venue.id));
   venue.category = category;
   venue.position = position;
   venue_index_.emplace(key, venue.id);
@@ -551,133 +541,46 @@ data::VenueId IngestWorker::resolve_venue(data::CategoryId category,
 Status IngestWorker::rebuild_and_publish() {
   const auto start = Clock::now();
   telemetry::ScopedTimer rebuild_timer(rebuild_seconds_);
-  const std::size_t delta_events = delta_checkins_.size();
   // Group commit and durability: the epoch's events go to the WAL as one
   // record (synced, per the fsync policy) before any stage runs, so
   // they are durable before a reader can see them.
   journal();
 
-  // Stage 1: merge — apply the delta to the live dataset through the
-  // incremental builder: only the shards of touched users are rebuilt,
-  // everything else is shared with the previous epoch by pointer.
-  telemetry::ScopedTimer merge_timer(stage_merge_seconds_);
-  data::DatasetBuilder builder(live_);
-  const Status merged = add_rows(builder, delta_venues_, delta_checkins_);
-  if (!merged.is_ok()) return merged;
-  live_ = builder.build();
-  delta_venues_.clear();
-  // The crowd stage adds the merged check-ins to the kept tallies.
-  std::vector<data::CheckIn> merged_checkins = std::move(delta_checkins_);
-  delta_checkins_.clear();
-  const data::DatasetBuilder::BuildStats& merge_stats = builder.stats();
-  merge_timer.stop();
-
-  // Stage 2: mine — phase 2 for the touched users only, sharded across
-  // the mining pool. Each user's kept day-shape index files just the
-  // records the delta appended (or refiles from the first record when
-  // one landed at or before the last filed), updating the counts of its
-  // kept pattern set; the user's entry is served from those counts while
-  // they are exact, else mined in full from the shapes. The result
-  // batch-merges into the shared mobility table (untouched entries stay
-  // shared with the previous epoch).
-  telemetry::ScopedTimer mine_timer(stage_mine_seconds_);
-  patterns::MobilityOptions mobility_options;
-  mobility_options.sequences = pipeline_.sequences;
-  mobility_options.mining = pipeline_.mining;
-  std::vector<data::UserId> changed(pending_users_.begin(), pending_users_.end());
-  std::sort(changed.begin(), changed.end());
-  // Every slot exists before the fan-outs, so the threads extend
-  // disjoint entries of a map no thread inserts into. The byte total
-  // drops the changed indexes here and adds them back once extended.
-  std::vector<KeptUser*> kept;
-  kept.reserve(changed.size());
-  for (const data::UserId user : changed) {
-    KeptUser& state = kept_.try_emplace(user, pipeline_.sequences).first->second;
-    kept_bytes_total_ -= state.history.resident_bytes();
-    kept.push_back(&state);
+  // Merge -> mine -> crowd. A failed step changes no published state:
+  // the delta and the pending users wait for the next epoch.
+  const std::vector<data::UserId> changed(pending_users_.begin(), pending_users_.end());
+  Result<EpochReport> stepped = step_->step(delta_venues_, delta_checkins_, changed);
+  if (!stepped) return stepped.status();
+  const EpochReport& report = *stepped;
+  stage_merge_seconds_->observe(report.merge_seconds);
+  stage_mine_seconds_->observe(report.mine_seconds);
+  stage_crowd_seconds_->observe(report.crowd_seconds);
+  history_appended_->increment(report.appended_users);
+  history_refiled_->increment(report.refiled_users);
+  history_bytes_->set(static_cast<double>(report.kept_bytes));
+  mining_counted_->increment(report.counted_users);
+  mining_mined_->increment(report.mined_users);
+  mining_emitted_->increment(report.patterns_emitted);
+  if (report.truncated_users > 0) {
+    mining_truncated_->increment(report.truncated_users);
+    // Once per epoch, not per user: the cap repeats until raised.
+    log_warn(
+        "epoch {}: PrefixSpan truncated {} of {} re-mined users at max_patterns={}; "
+        "their published tables are incomplete",
+        epoch_ + 1, report.truncated_users, changed.size(), pipeline_.mining.max_patterns);
   }
-  if (!changed.empty()) {
-    std::vector<patterns::UserMobility> updates(changed.size());
-    std::vector<std::uint8_t> appended(changed.size(), 0);
-    std::vector<std::uint8_t> counted(changed.size(), 0);
-    util::parallel_for(changed.size(), pipeline_.mining_threads, [&](std::size_t i) {
-      mining::HistoryIndex& history = kept[i]->history;
-      const data::Dataset::UserColumns records = live_.checkins_for(changed[i]);
-      const std::size_t from = history.resume_point(records);
-      history.extend(records, from, taxonomy_);
-      appended[i] = from > 0 ? 1 : 0;
-      bool by_count = false;
-      updates[i] = patterns::mine_user_mobility(changed[i], history, mobility_options, &by_count);
-      counted[i] = by_count ? 1 : 0;
-    });
-    for (const KeptUser* state : kept) kept_bytes_total_ += state->history.resident_bytes();
-    history_bytes_->set(static_cast<double>(kept_bytes_total_));
-    const auto appended_users =
-        static_cast<std::uint64_t>(std::count(appended.begin(), appended.end(), 1));
-    history_appended_->increment(appended_users);
-    history_refiled_->increment(changed.size() - appended_users);
-    const auto counted_users =
-        static_cast<std::uint64_t>(std::count(counted.begin(), counted.end(), 1));
-    mining_counted_->increment(counted_users);
-    mining_mined_->increment(changed.size() - counted_users);
-    std::size_t emitted = 0;
-    std::size_t truncated_users = 0;
-    for (const patterns::UserMobility& entry : updates) {
-      emitted += entry.mining_stats.emitted;
-      if (entry.mining_stats.truncated) ++truncated_users;
-    }
-    mining_emitted_->increment(emitted);
-    if (truncated_users > 0) {
-      mining_truncated_->increment(truncated_users);
-      // Once per epoch, not per user: the cap repeats until raised.
-      log_warn(
-          "epoch {}: PrefixSpan truncated {} of {} re-mined users at max_patterns={}; "
-          "their published tables are incomplete",
-          epoch_ + 1, truncated_users, updates.size(),
-          pipeline_.mining.max_patterns);
-    }
-    mobility_ = mobility_.with_updates(std::move(updates));
-  }
-  mine_timer.stop();
-
-  // Stage 3: crowd — each changed user's kept tally takes the check-ins
-  // the delta merged for them (counts do not depend on record order); a
-  // user without one, or whose count disagrees with their column after
-  // a failed epoch, counts the whole column. Then retract + replace the
-  // changed users' placements in the previous model, sharing every
-  // unaffected time window.
-  telemetry::ScopedTimer crowd_timer(stage_crowd_seconds_);
-  std::ranges::sort(merged_checkins, {}, &data::CheckIn::user);
-  std::vector<const crowd::VenueTally*> tallies(changed.size());
-  const int window_minutes = crowd_->options().window_minutes;
-  for (const KeptUser* state : kept) kept_bytes_total_ -= state->tally.resident_bytes();
-  util::parallel_for(changed.size(), pipeline_.mining_threads, [&](std::size_t i) {
-    const auto delta = std::ranges::equal_range(merged_checkins, changed[i], {},
-                                                &data::CheckIn::user);
-    const data::Dataset::UserColumns records = live_.checkins_for(changed[i]);
-    crowd::VenueTally& tally = kept[i]->tally;
-    if (tally.records() > 0 && tally.records() + delta.size() == records.size()) {
-      for (const data::CheckIn& checkin : delta) tally.add(checkin);
-    } else {
-      tally = crowd::VenueTally(records, window_minutes);
-    }
-    tallies[i] = &tally;
-  });
-  for (const KeptUser* state : kept) kept_bytes_total_ += state->tally.resident_bytes();
-  history_bytes_->set(static_cast<double>(kept_bytes_total_));
-  auto crowd = crowd::CrowdModel::update(*crowd_, live_, mobility_, changed, tallies);
-  if (!crowd) return crowd.status();
-  crowd_ = std::move(*crowd);
-  crowd_timer.stop();
 
   // Delta accounting: how much of this epoch was recomputed vs shared.
-  delta_events_->increment(delta_events);
+  delta_events_->increment(delta_checkins_.size());
   delta_users_->increment(changed.size());
-  delta_shards_reused_->increment(merge_stats.shards_reused);
-  delta_shards_rebuilt_->increment(merge_stats.shards_rebuilt);
-  delta_shards_appended_->increment(merge_stats.shards_appended);
-  delta_records_copied_->increment(merge_stats.records_copied);
-  delta_last_events_->set(static_cast<double>(delta_events));
+  delta_shards_reused_->increment(report.merge.shards_reused);
+  delta_shards_rebuilt_->increment(report.merge.shards_rebuilt);
+  delta_shards_appended_->increment(report.merge.shards_appended);
+  delta_records_copied_->increment(report.merge.records_copied);
+  delta_last_events_->set(static_cast<double>(delta_checkins_.size()));
+  delta_venues_.clear();
+  delta_checkins_.clear();
+  pending_users_.clear();
 
   const double elapsed_ms = ms_since(start);
   ++epoch_;
@@ -686,13 +589,13 @@ Status IngestWorker::rebuild_and_publish() {
   // table aliases the per-user entries, and the crowd model aliases
   // the per-window placements — publishing costs O(users), not
   // O(records).
+  const data::Dataset& live = step_->dataset();
   auto snapshot = std::make_shared<const PlatformSnapshot>(PlatformSnapshot{
-      epoch_, live_.checkin_count() - base_checkin_count_, touched_users_.size(),
-      elapsed_ms, live_, mobility_, crowd_->grid(), *crowd_});
+      epoch_, live.checkin_count() - base_checkin_count_, touched_users_.size(), elapsed_ms,
+      live, step_->mobility(), step_->crowd().grid(), step_->crowd()});
   live_checkins_->set(static_cast<double>(snapshot->live_checkins));
   hub_.publish(std::move(snapshot));
   epoch_gauge_->set(static_cast<double>(epoch_));
-  pending_users_.clear();
   epochs_published_->increment();
   last_rebuild_seconds_->set(rebuild_timer.stop());
   {

@@ -1,24 +1,18 @@
-// Background ingestion worker: queue -> validation -> delta merge ->
-// epoch publication.
+// Background ingestion worker: queue -> validation -> WAL -> epoch step
+// -> epoch publication.
 //
-// The worker is seeded with an epoch-0 state — the batch build's
-// snapshot, or a shard's slice of it — and shares its dataset's
-// per-user shards, its mined entries and its crowd model's windows. It
-// owns the only mutable state derived from them after that. The corpus
-// has one copy: the indexed dataset the last epoch published plus the
-// delta merged since. The worker drains the ingest queue in batches,
-// validates events against the taxonomy, resolves each event onto a
-// venue (an existing one at that position, or a freshly registered
-// "live" venue), and appends the resulting check-in to the delta. On a
-// configurable cadence it applies the delta to the dataset, re-mines
-// phase 2 *only* for users whose history changed, updates the seed's
-// phase-3 crowd model for those users (CrowdModel::update; the worker
-// never builds one in full), and publishes the result as the next
-// immutable epoch through a SnapshotHub. The seed model fixes the
-// spatial grid and the crowd options for every epoch: events outside
-// the grid clamp to edge cells, so an event lands in the same cell at
-// every shard count. HTTP readers keep loading snapshots, never waiting
-// on the rebuild, while the worker prepares the next one.
+// The worker hands its epoch-0 seed (the batch build's snapshot, or a
+// shard's slice of it) to an EpochStep (ingest/epoch_step.hpp), the one
+// epoch path, which owns all derived state after that. The worker drains
+// the queue in batches, validates events against the taxonomy, resolves
+// each onto a venue (an existing one at that position, or a new "live"
+// venue) and appends the check-in to the delta. On a cadence it journals
+// the epoch's events, steps the delta, records the step's report and
+// publishes the result as the next immutable epoch through a SnapshotHub,
+// which HTTP readers load without waiting on the rebuild. The seed's
+// crowd model fixes the grid and crowd options for every epoch: events
+// outside the grid clamp to edge cells, so an event lands in the same
+// cell at every shard count.
 //
 // The worker and its store record every crowdweb_ingest_*,
 // crowdweb_mining_* and crowdweb_store_* series under the worker's
@@ -41,9 +35,9 @@
 #include "crowd/model.hpp"
 #include "data/categories.hpp"
 #include "data/dataset.hpp"
+#include "ingest/epoch_step.hpp"
 #include "ingest/queue.hpp"
 #include "ingest/snapshot.hpp"
-#include "mining/seqdb.hpp"
 #include "patterns/mobility.hpp"
 #include "store/store.hpp"
 #include "telemetry/metrics.hpp"
@@ -226,19 +220,22 @@ class IngestWorker {
   /// tail into the delta, and resumes the epoch counter. Called from
   /// start().
   [[nodiscard]] Status recover_from_store();
-  /// Replaces the seed corpus with a checkpoint image: `live_` is built
-  /// once from its rows. Fails on a row the live path would refuse.
+  /// Replaces the seed corpus with a checkpoint image: a fresh step over
+  /// the dataset built once from its rows. Fails on a row the live path
+  /// would refuse.
   [[nodiscard]] Status adopt_checkpoint(const store::Checkpoint& checkpoint);
-  /// Keys every venue of `live_` for resolve_venue().
+  /// Keys every venue of the step's dataset for resolve_venue().
   void index_venues();
-  /// Writes `live_` plus the pending delta, in the dataset's (user,
-  /// timestamp) order, to the store as a checkpoint. Worker thread only.
+  /// Writes the step's dataset plus the pending delta, in the dataset's
+  /// (user, timestamp) order, to the store as a checkpoint. Worker
+  /// thread only.
   void write_checkpoint();
-  /// Shares the seed's state; the constructors' common tail.
+  /// Seeds the step with the seed's state; the constructors' common tail.
   void adopt_seed(const data::Dataset& base, const patterns::MobilityTable& base_mobility,
                   crowd::CrowdModel crowd);
-  /// Rebuilds derived state and publishes the next epoch. Worker thread
-  /// only (also called once from start() before the thread exists).
+  /// Journals the epoch's events, steps the delta and publishes the next
+  /// epoch. Worker thread only (also called once from start() before the
+  /// thread exists).
   Status rebuild_and_publish();
   [[nodiscard]] data::VenueId resolve_venue(data::CategoryId category,
                                             const geo::LatLon& position);
@@ -249,43 +246,23 @@ class IngestWorker {
   IngestQueue queue_;
   SnapshotHub hub_;
 
-  // Live corpus, owned by the worker thread after start(): `live_` as
-  // the last epoch published it, plus the delta merged since. Each
-  // epoch applies the delta through data::DatasetBuilder's incremental
-  // path, the one merge path (WAL replay after a restart takes it too).
-  // A new venue's id is live_.venue_count() + delta_venues_.size(), and
-  // its generated name is interned into live_.name_pool(): the base
-  // corpus's pool (shared — base NameIds stay valid), or after recovery
-  // one rebuilt from the checkpoint's names table. The pool is
-  // append-only, so ids never move across epochs.
-  data::Dataset live_;
+  // Live state, owned by the worker thread after start(): the step (the
+  // last published epoch and the kept per-user state) and the delta
+  // merged since, which WAL replay fills too. A new venue's id is
+  // dataset().venue_count() + delta_venues_.size(), and its name is
+  // interned into the dataset's append-only pool: the base corpus's, or
+  // after recovery one rebuilt from the checkpoint's names table. Empty,
+  // with seed_status_ set, when the unseeded constructor could not build
+  // the seed's crowd model.
+  std::optional<EpochStep> step_;
+  Status seed_status_;
   std::vector<data::Venue> delta_venues_;      // registered since last epoch
   std::vector<data::CheckIn> delta_checkins_;  // merged since last epoch
-  patterns::MobilityTable mobility_;           // per-user shared entries
   std::unordered_map<std::uint64_t, data::VenueId> venue_index_;
   std::unordered_set<data::UserId> pending_users_;  // changed since last epoch
   std::unordered_set<data::UserId> touched_users_;  // ever touched by deltas
-  // Each re-mined user's kept state (never published): their days as a
-  // shape index with its kept pattern set, which an epoch extends by the
-  // records its delta appended, and their check-ins as a venue tally,
-  // which takes the delta's check-ins. Cleared when a checkpoint replaces the corpus; a
-  // user missing here refiles and recounts from their first record.
-  struct KeptUser {
-    explicit KeptUser(const mining::SequenceOptions& sequences) : history(sequences) {}
-    mining::HistoryIndex history;
-    crowd::VenueTally tally;
-  };
-  std::unordered_map<data::UserId, KeptUser> kept_;
-  std::size_t kept_bytes_total_ = 0;  // resident bytes of kept_
   std::uint64_t epoch_ = 0;
-  std::size_t base_checkin_count_ = 0;  // check-ins of `live_` not from live events
-
-  // The crowd model, carried across epochs: the seed's, then each
-  // epoch's CrowdModel::update of the last, sharing every window no
-  // changed user touched. Its grid is the epoch's grid. Empty, with
-  // seed_status_ set, when the unseeded constructor could not build it.
-  std::optional<crowd::CrowdModel> crowd_;
-  Status seed_status_;
+  std::size_t base_checkin_count_ = 0;  // check-ins of the dataset not from live events
 
   std::thread thread_;
   std::atomic<bool> running_{false};

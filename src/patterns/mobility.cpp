@@ -129,26 +129,8 @@ std::size_t UserMobility::resident_bytes() const noexcept {
 
 std::vector<UserMobility> mine_all_mobility(const data::Dataset& dataset,
                                             const data::Taxonomy& taxonomy,
-                                            const MobilityOptions& options) {
-  std::vector<UserMobility> out;
-  out.reserve(dataset.user_count());
-  for (const data::UserId user : dataset.users())
-    out.push_back(mine_user_mobility(dataset, user, taxonomy, options));
-  return out;
-}
-
-std::vector<UserMobility> mine_all_mobility_parallel(const data::Dataset& dataset,
-                                                     const data::Taxonomy& taxonomy,
-                                                     const MobilityOptions& options,
-                                                     unsigned threads) {
-  return mine_users_mobility_parallel(dataset, dataset.users(), taxonomy, options, threads);
-}
-
-std::vector<UserMobility> mine_users_mobility_parallel(const data::Dataset& dataset,
-                                                       std::span<const data::UserId> users,
-                                                       const data::Taxonomy& taxonomy,
-                                                       const MobilityOptions& options,
-                                                       unsigned threads) {
+                                            const MobilityOptions& options, unsigned threads) {
+  const std::span<const data::UserId> users = dataset.users();
   std::vector<UserMobility> out(users.size());
   util::parallel_for(users.size(), threads, [&](std::size_t i) {
     out[i] = mine_user_mobility(dataset, users[i], taxonomy, options);

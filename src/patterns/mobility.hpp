@@ -94,26 +94,13 @@ struct MobilityOptions {
                                               const data::Taxonomy& taxonomy,
                                               const MobilityOptions& options = {});
 
-/// Phase 2 over every user of the dataset (sequential).
+/// Phase 2 over every user of the dataset, in user order, sharded across
+/// `threads` worker threads (0 = hardware concurrency). Users are
+/// independent, so the result does not depend on the thread count.
 [[nodiscard]] std::vector<UserMobility> mine_all_mobility(const data::Dataset& dataset,
                                                           const data::Taxonomy& taxonomy,
-                                                          const MobilityOptions& options = {});
-
-/// Phase 2 over every user, sharded across `threads` worker threads
-/// (0 = hardware concurrency). Users are independent, so the result is
-/// identical to the sequential version, in the same order.
-[[nodiscard]] std::vector<UserMobility> mine_all_mobility_parallel(
-    const data::Dataset& dataset, const data::Taxonomy& taxonomy,
-    const MobilityOptions& options = {}, unsigned threads = 0);
-
-/// Phase 2 for the given users only (result order matches `users`),
-/// sharded across `threads` worker threads (0 = hardware concurrency).
-/// This is the delta form: an epoch re-mines just the users its events
-/// touched instead of the whole corpus.
-[[nodiscard]] std::vector<UserMobility> mine_users_mobility_parallel(
-    const data::Dataset& dataset, std::span<const data::UserId> users,
-    const data::Taxonomy& taxonomy, const MobilityOptions& options = {},
-    unsigned threads = 0);
+                                                          const MobilityOptions& options = {},
+                                                          unsigned threads = 1);
 
 /// Aggregate size of a set of mobility entries — what /api/status and
 /// bench_mining report per epoch.

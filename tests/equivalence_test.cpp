@@ -212,11 +212,39 @@ bool window_has_user(const crowd::CrowdModel& model, int window, data::UserId us
                      [user](const crowd::CrowdPlacement& p) { return p.user == user; });
 }
 
+/// Phase 2 for `users` only, one from-scratch mine each: the entries an
+/// epoch that touched them re-mines.
+std::vector<patterns::UserMobility> mine_users(const data::Dataset& dataset,
+                                               std::span<const data::UserId> users) {
+  std::vector<patterns::UserMobility> entries;
+  for (const data::UserId user : users)
+    entries.push_back(patterns::mine_user_mobility(dataset, user, test_platform().taxonomy(),
+                                                   mobility_options()));
+  return entries;
+}
+
+/// Each user's venue tally over their records in `dataset`, counted at
+/// `window_minutes`.
+std::vector<crowd::VenueTally> count_tallies(const data::Dataset& dataset,
+                                             std::span<const data::UserId> users,
+                                             int window_minutes) {
+  std::vector<crowd::VenueTally> tallies;
+  for (const data::UserId user : users)
+    tallies.emplace_back(dataset.checkins_for(user), window_minutes);
+  return tallies;
+}
+
+std::vector<const crowd::VenueTally*> pointers(const std::vector<crowd::VenueTally>& tallies) {
+  std::vector<const crowd::VenueTally*> out;
+  for (const crowd::VenueTally& tally : tallies) out.push_back(&tally);
+  return out;
+}
+
 /// The crowd model a from-scratch derivation gives over `snapshot`'s
 /// corpus: phase 2 re-mined for every user, phase 3 built over that.
 crowd::CrowdModel rebuilt_crowd(const ingest::PlatformSnapshot& snapshot) {
-  const std::vector<patterns::UserMobility> mobility = patterns::mine_all_mobility_parallel(
-      snapshot.dataset, test_platform().taxonomy(), mobility_options());
+  const std::vector<patterns::UserMobility> mobility = patterns::mine_all_mobility(
+      snapshot.dataset, test_platform().taxonomy(), mobility_options(), 0);
   auto model = crowd::CrowdModel::build(snapshot.dataset, mobility, snapshot.grid,
                                         test_platform().config().crowd);
   if (!model.is_ok()) std::abort();
@@ -375,12 +403,13 @@ TEST(CrowdUpdateTest, MatchesFullRebuildAndSharesUnaffectedWindows) {
   }
   const data::Dataset extended = builder.build();
   const std::span<const data::UserId> changed_span(&changed, 1);
-  const patterns::MobilityTable updated = table.with_updates(
-      patterns::mine_users_mobility_parallel(extended, changed_span,
-                                             platform.taxonomy(), mobility_options()));
+  const patterns::MobilityTable updated =
+      table.with_updates(mine_users(extended, changed_span));
 
+  const std::vector<crowd::VenueTally> tallies =
+      count_tallies(extended, changed_span, platform.config().crowd.window_minutes);
   auto incremental =
-      crowd::CrowdModel::update(*full, extended, updated, changed_span);
+      crowd::CrowdModel::update(*full, extended, updated, changed_span, pointers(tallies));
   ASSERT_TRUE(incremental.is_ok()) << incremental.status().to_string();
   auto rebuilt = crowd::CrowdModel::build(extended, updated, platform.grid(),
                                           platform.config().crowd);
@@ -400,7 +429,7 @@ TEST(CrowdUpdateTest, KeptTalliesPlaceLikeTheRecords) {
   // The worker hands update() each changed user's kept venue tally
   // instead of the records: one counted before the delta and then given
   // the delta's check-ins places exactly like the full build. A tally
-  // kept at other window minutes is ignored, not misread.
+  // kept at other window minutes is refused, not misread.
   const core::Platform& platform = test_platform();
   const data::Dataset& base = platform.experiment_dataset();
   const patterns::MobilityTable& table = platform.mobility();
@@ -422,9 +451,7 @@ TEST(CrowdUpdateTest, KeptTalliesPlaceLikeTheRecords) {
     }
   }
   const data::Dataset extended = builder.build();
-  const patterns::MobilityTable updated = table.with_updates(
-      patterns::mine_users_mobility_parallel(extended, changed, platform.taxonomy(),
-                                             mobility_options()));
+  const patterns::MobilityTable updated = table.with_updates(mine_users(extended, changed));
   auto rebuilt = crowd::CrowdModel::build(extended, updated, platform.grid(), options);
   ASSERT_TRUE(rebuilt.is_ok());
   std::size_t placed_windows = 0;
@@ -434,25 +461,28 @@ TEST(CrowdUpdateTest, KeptTalliesPlaceLikeTheRecords) {
   }
   ASSERT_GT(placed_windows, 0u);  // the tallies are read
 
-  std::vector<const crowd::VenueTally*> tallies;
-  for (const crowd::VenueTally& tally : kept) tallies.push_back(&tally);
+  std::vector<const crowd::VenueTally*> tallies = pointers(kept);
   auto incremental = crowd::CrowdModel::update(*full, extended, updated, changed, tallies);
   ASSERT_TRUE(incremental.is_ok()) << incremental.status().to_string();
   expect_crowd_eq(*incremental, *rebuilt);
 
   // Counted at other window minutes: its windows mean other hours.
-  std::vector<crowd::VenueTally> other;
-  for (const data::UserId user : changed)
-    other.emplace_back(extended.checkins_for(user), options.window_minutes == 60 ? 30 : 60);
-  std::vector<const crowd::VenueTally*> other_tallies;
-  for (const crowd::VenueTally& tally : other) other_tallies.push_back(&tally);
-  auto ignored = crowd::CrowdModel::update(*full, extended, updated, changed, other_tallies);
-  ASSERT_TRUE(ignored.is_ok());
-  expect_crowd_eq(*ignored, *rebuilt);
+  const std::vector<crowd::VenueTally> other =
+      count_tallies(extended, changed, options.window_minutes == 60 ? 30 : 60);
+  const auto mismatched = crowd::CrowdModel::update(*full, extended, updated, changed,
+                                                    pointers(other));
+  ASSERT_FALSE(mismatched.is_ok());
+  EXPECT_EQ(mismatched.status().code(), StatusCode::kInvalidArgument);
 
   EXPECT_FALSE(crowd::CrowdModel::update(*full, extended, updated, changed,
                                          std::span(tallies).first(1))
                    .is_ok());
+  std::vector<data::UserId> reversed(changed.rbegin(), changed.rend());
+  std::vector<const crowd::VenueTally*> reversed_tallies(tallies.rbegin(), tallies.rend());
+  EXPECT_FALSE(
+      crowd::CrowdModel::update(*full, extended, updated, reversed, reversed_tallies).is_ok());
+  tallies.back() = nullptr;
+  EXPECT_FALSE(crowd::CrowdModel::update(*full, extended, updated, changed, tallies).is_ok());
 }
 
 TEST(CrowdUpdateTest, EmptyDeltaSharesEveryWindow) {
@@ -461,7 +491,7 @@ TEST(CrowdUpdateTest, EmptyDeltaSharesEveryWindow) {
   auto full = crowd::CrowdModel::build(platform.experiment_dataset(), table,
                                        platform.grid(), platform.config().crowd);
   ASSERT_TRUE(full.is_ok());
-  auto same = crowd::CrowdModel::update(*full, platform.experiment_dataset(), table, {});
+  auto same = crowd::CrowdModel::update(*full, platform.experiment_dataset(), table, {}, {});
   ASSERT_TRUE(same.is_ok());
   for (int w = 0; w < full->window_count(); ++w)
     EXPECT_EQ(same->window_identity(w), full->window_identity(w)) << "window " << w;
@@ -496,8 +526,7 @@ TEST(WorkerEquivalenceTest, ChunkedAndBulkIngestPublishIdenticalState) {
   // Both equal a from-scratch derivation over the final corpus: phase 2
   // re-mined for every user, phase 3 rebuilt over that.
   const std::vector<patterns::UserMobility> reference_mobility =
-      patterns::mine_all_mobility_parallel(a->dataset, platform.taxonomy(),
-                                           mobility_options());
+      patterns::mine_all_mobility(a->dataset, platform.taxonomy(), mobility_options(), 0);
   expect_mobility_eq(a->mobility, reference_mobility);
   auto reference_crowd = crowd::CrowdModel::build(a->dataset, reference_mobility,
                                                   a->grid, platform.config().crowd);
@@ -873,8 +902,7 @@ TEST(RecoveryEquivalenceTest, ReplayedStateMatchesThePreCrashEpoch) {
 
   // ...and equal a from-scratch derivation over the recovered corpus.
   const std::vector<patterns::UserMobility> reference_mobility =
-      patterns::mine_all_mobility_parallel(after->dataset, platform.taxonomy(),
-                                           mobility_options());
+      patterns::mine_all_mobility(after->dataset, platform.taxonomy(), mobility_options(), 0);
   expect_mobility_eq(after->mobility, reference_mobility);
   auto reference_crowd = crowd::CrowdModel::build(after->dataset, reference_mobility,
                                                   after->grid, platform.config().crowd);

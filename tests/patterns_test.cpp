@@ -176,7 +176,7 @@ TEST(MobilityTest, ParallelMiningMatchesSequential) {
   options.mining.min_support = 0.4;
   const auto sequential = mine_all_mobility(dataset, tax(), options);
   for (const unsigned threads : {0u, 1u, 2u, 8u}) {
-    const auto parallel = mine_all_mobility_parallel(dataset, tax(), options, threads);
+    const auto parallel = mine_all_mobility(dataset, tax(), options, threads);
     ASSERT_EQ(parallel.size(), sequential.size());
     for (std::size_t i = 0; i < parallel.size(); ++i) {
       EXPECT_EQ(parallel[i].user, sequential[i].user);
@@ -410,7 +410,7 @@ TEST(MobilityTableTest, KeptStatsEqualAFreshWalkAfterRandomUpdates) {
 
 TEST(MobilityTest, ParallelMiningEmptyDataset) {
   const data::Dataset empty;
-  EXPECT_TRUE(mine_all_mobility_parallel(empty, tax(), {}, 4).empty());
+  EXPECT_TRUE(mine_all_mobility(empty, tax(), {}, 4).empty());
 }
 
 // ------------------------------------------------------------- PlaceGraph
